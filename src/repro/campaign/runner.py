@@ -251,12 +251,17 @@ def _call_with_timeout(fn, timeout_s: Optional[float]):
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Abandon a pool whose worker hung or died: never wait on it."""
+    """Abandon a pool whose worker hung or died: never wait on it.
+
+    The worker handles are taken before ``shutdown``, which drops the
+    pool's process table (a broken pool may have none left at all).
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except TypeError:  # pragma: no cover - very old signature
         pool.shutdown(wait=False)
-    for process in list(getattr(pool, "_processes", {}).values() or []):
+    for process in processes:
         try:
             process.terminate()
         except Exception:  # pragma: no cover - best effort

@@ -204,6 +204,11 @@ def preamble_detection_probability(
     True
     """
     rho = post_despreading_snr(snr_db, spreading_factor)
+    return _preamble_detection(rho, detection_snr_db)
+
+
+def _preamble_detection(rho: np.ndarray, detection_snr_db: float):
+    """:func:`preamble_detection_probability` of a linear ``rho``."""
     safe = np.minimum(rho, _SATURATION_RHO)
     gate = 10.0 ** (detection_snr_db / 10.0)
     p_symbol = 1.0 - noncentral_chi2_cdf(2.0 * gate, 2.0 * safe)
@@ -211,43 +216,68 @@ def preamble_detection_probability(
     return np.where(rho > _SATURATION_RHO, 1.0, p_detect)
 
 
+def ook_link_probabilities(
+    snr_db,
+    spreading_factor: int,
+    payload_bits: float = OOK_EFFECTIVE_PAYLOAD_BITS,
+):
+    """Per-device ``(delivery, ber)`` of the closed-form link law.
+
+    One pass computes ``rho``, the symbol error probabilities and the
+    preamble detection probability once per device and derives both
+    outputs from them. Delivery requires preamble detection *and* every
+    payload bit correct (the CRC convention of
+    ``NetworkSimulator.run_rounds``); payload bits are an even on/off
+    mix of ``payload_bits`` effective independent bits (see
+    :data:`OOK_EFFECTIVE_PAYLOAD_BITS`). The BER matches the engine's
+    scoring, which counts every bit of an undetected round wrong:
+    ``1 - p_detect * (1 - symbol_ber)``.
+
+    The χ² series runs only on unsaturated devices; a saturated device
+    (``rho > _SATURATION_RHO``) is delivered error-free, exactly as the
+    saturating ``np.where`` of the per-stage functions resolves it.
+
+    >>> delivery, ber = ook_link_probabilities([0.0, -40.0], 9)
+    >>> bool(delivery[0] == 1.0 and ber[0] == 0.0)
+    True
+    >>> bool(delivery[1] < 1e-3)
+    True
+    """
+    rho = post_despreading_snr(snr_db, spreading_factor)
+    delivery = np.ones_like(rho)
+    ber = np.zeros_like(rho)
+    # Not ``rho <= _SATURATION_RHO``: a NaN SNR must take the series
+    # path and come out NaN, as it does in the per-stage functions.
+    live = ~(rho > _SATURATION_RHO)
+    live_rho = rho[live]
+    p_on, p_off = ook_bit_error_probabilities(live_rho)
+    symbol_ber = 0.5 * (p_on + p_off)
+    p_detect = _preamble_detection(live_rho, OOK_DETECTION_SNR_DB)
+    delivery[live] = p_detect * (1.0 - symbol_ber) ** float(payload_bits)
+    ber[live] = 1.0 - p_detect * (1.0 - symbol_ber)
+    return delivery, ber
+
+
 def packet_delivery_probability(
     snr_db,
     spreading_factor: int,
     payload_bits: float = OOK_EFFECTIVE_PAYLOAD_BITS,
 ) -> np.ndarray:
-    """Closed-form probability a device's packet is delivered.
-
-    Delivery requires preamble detection *and* every payload bit
-    correct (the CRC convention of ``NetworkSimulator.run_rounds``).
-    Payload bits are an even on/off mix; ``payload_bits`` defaults to
-    the engine-calibrated effective independent length (see
-    :data:`OOK_EFFECTIVE_PAYLOAD_BITS`).
+    """Closed-form probability a device's packet is delivered
+    (the delivery half of :func:`ook_link_probabilities`).
 
     >>> float(packet_delivery_probability(0.0, 9)) == 1.0
     True
     >>> float(packet_delivery_probability(-40.0, 9)) < 1e-3
     True
     """
-    rho = post_despreading_snr(snr_db, spreading_factor)
-    p_on, p_off = ook_bit_error_probabilities(rho)
-    symbol_ber = 0.5 * (p_on + p_off)
-    p_detect = preamble_detection_probability(snr_db, spreading_factor)
-    return p_detect * (1.0 - symbol_ber) ** float(payload_bits)
+    return ook_link_probabilities(snr_db, spreading_factor, payload_bits)[0]
 
 
 def effective_bit_error_rate(snr_db, spreading_factor: int) -> np.ndarray:
-    """Expected scored BER of a device, matching the engine's scoring.
-
-    ``NetworkSimulator.run_rounds`` counts a bit correct only when its
-    device's preamble was detected, so an undetected round scores every
-    bit wrong: ``1 - p_detect * (1 - symbol_ber)``.
-    """
-    rho = post_despreading_snr(snr_db, spreading_factor)
-    p_on, p_off = ook_bit_error_probabilities(rho)
-    symbol_ber = 0.5 * (p_on + p_off)
-    p_detect = preamble_detection_probability(snr_db, spreading_factor)
-    return 1.0 - p_detect * (1.0 - symbol_ber)
+    """Expected scored BER of a device, matching the engine's scoring
+    (the BER half of :func:`ook_link_probabilities`)."""
+    return ook_link_probabilities(snr_db, spreading_factor)[1]
 
 
 def netscatter_utilisation(

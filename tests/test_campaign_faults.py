@@ -683,6 +683,38 @@ class _ExplodingPool:
         pass
 
 
+class _Worker:
+    def __init__(self):
+        self.terminated = False
+
+    def terminate(self):
+        self.terminated = True
+
+
+class _TablePool:
+    """A pool whose ``shutdown`` drops its process table, as CPython's
+    ``ProcessPoolExecutor.shutdown`` does."""
+
+    def __init__(self, processes):
+        self._processes = processes
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self._processes = None
+
+
+class TestTerminatePool:
+    def test_pool_without_process_table(self):
+        pool = _TablePool(None)
+        campaign_runner._terminate_pool(pool)
+        assert pool._processes is None
+
+    def test_workers_terminated_although_shutdown_drops_table(self):
+        workers = [_Worker(), _Worker()]
+        pool = _TablePool(dict(enumerate(workers)))
+        campaign_runner._terminate_pool(pool)
+        assert all(worker.terminated for worker in workers)
+
+
 class TestPoolDegradation:
     def test_runner_degrades_broken_pool_to_serial(
         self, tmp_path, monkeypatch

@@ -1,15 +1,68 @@
-"""Unit tests for the multi-user capacity analysis (Section 3.1)."""
+"""Unit tests for the multi-user capacity analysis (Section 3.1) and
+the closed-form OOK link law."""
 
+import numpy as np
 import pytest
+from scipy.stats import ncx2
 
+from repro.core import capacity
 from repro.core.capacity import (
+    OOK_DETECTION_SNR_DB,
+    OOK_EFFECTIVE_PAYLOAD_BITS,
+    OOK_OFF_BIT_CANDIDATES,
+    OOK_PREAMBLE_SYMBOLS,
     approximation_error,
     below_noise_approximation_bps,
     capacity_scaling_series,
+    effective_bit_error_rate,
     multiuser_capacity_bps,
     netscatter_utilisation,
+    noncentral_chi2_cdf,
+    ook_link_probabilities,
+    packet_delivery_probability,
+    post_despreading_snr,
 )
 from repro.errors import LinkBudgetError
+
+SPREADING_FACTORS = (7, 9, 12)
+SNR_GRID_DB = np.linspace(-40.0, 30.0, 7001)
+
+
+def _legacy_link_law(snr_db, spreading_factor):
+    """The per-stage formulas the kernel replaced, inlined as an oracle:
+    every stage over every device, saturation resolved by ``np.where``."""
+    rho = post_despreading_snr(snr_db, spreading_factor)
+    safe = np.minimum(rho, capacity._SATURATION_RHO)
+    saturated = rho > capacity._SATURATION_RHO
+    threshold = 0.5 * (safe + 1.0)
+    p_on = noncentral_chi2_cdf(2.0 * threshold, 2.0 * safe)
+    p_off = 1.0 - (1.0 - np.exp(-threshold)) ** OOK_OFF_BIT_CANDIDATES
+    p_on = np.where(saturated, 0.0, p_on)
+    p_off = np.where(saturated, 0.0, p_off)
+    symbol_ber = 0.5 * (p_on + p_off)
+    gate = 10.0 ** (OOK_DETECTION_SNR_DB / 10.0)
+    p_symbol = 1.0 - noncentral_chi2_cdf(2.0 * gate, 2.0 * safe)
+    p_detect = np.where(
+        saturated, 1.0, p_symbol**OOK_PREAMBLE_SYMBOLS
+    )
+    delivery = p_detect * (1.0 - symbol_ber) ** float(
+        OOK_EFFECTIVE_PAYLOAD_BITS
+    )
+    return delivery, 1.0 - p_detect * (1.0 - symbol_ber)
+
+
+@pytest.fixture
+def saturation_on_grid(monkeypatch):
+    """Move the saturation rho onto the grid device nearest it, so one
+    device sits exactly on the boundary (no SNR in dB maps exactly onto
+    the default 300)."""
+
+    def place(spreading_factor):
+        rho = post_despreading_snr(SNR_GRID_DB, spreading_factor)
+        nearest = rho[np.argmin(np.abs(rho - capacity._SATURATION_RHO))]
+        monkeypatch.setattr(capacity, "_SATURATION_RHO", float(nearest))
+
+    return place
 
 
 class TestExactCapacity:
@@ -81,3 +134,52 @@ class TestUtilisation:
             netscatter_utilisation(1.0, 0.0)
         with pytest.raises(LinkBudgetError):
             netscatter_utilisation(-1.0, 500e3)
+
+
+class TestNoncentralChi2:
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_matches_scipy_on_link_law_arguments(self, sf):
+        """Both decisions of the link law: the on-bit midpoint threshold
+        and the preamble gate, over every unsaturated grid device."""
+        rho = post_despreading_snr(SNR_GRID_DB, sf)
+        rho = rho[rho <= capacity._SATURATION_RHO]
+        gate = 10.0 ** (OOK_DETECTION_SNR_DB / 10.0)
+        for x in (rho + 1.0, np.full_like(rho, 2.0 * gate)):
+            np.testing.assert_allclose(
+                noncentral_chi2_cdf(x, 2.0 * rho),
+                ncx2.cdf(x, 2, 2.0 * rho),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+
+class TestOokLinkProbabilities:
+    @pytest.mark.parametrize("on_boundary", [False, True])
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_bit_identical_to_per_stage_formulas(
+        self, sf, on_boundary, saturation_on_grid
+    ):
+        snrs = SNR_GRID_DB
+        rho = post_despreading_snr(snrs, sf)
+        if on_boundary:
+            saturation_on_grid(sf)
+            assert np.any(rho == capacity._SATURATION_RHO)
+        assert np.any(rho > capacity._SATURATION_RHO)
+        assert np.any(rho < capacity._SATURATION_RHO)
+        delivery, ber = ook_link_probabilities(snrs, sf)
+        expected_delivery, expected_ber = _legacy_link_law(snrs, sf)
+        assert np.array_equal(delivery, expected_delivery)
+        assert np.array_equal(ber, expected_ber)
+        assert np.array_equal(packet_delivery_probability(snrs, sf), delivery)
+        assert np.array_equal(effective_bit_error_rate(snrs, sf), ber)
+
+    def test_empty_input(self):
+        delivery, ber = ook_link_probabilities(np.empty(0), 9)
+        assert delivery.shape == ber.shape == (0,)
+
+    @pytest.mark.parametrize("snr_db", [-40.0, -12.0, 0.0, 30.0, np.nan])
+    def test_scalar_input(self, snr_db):
+        delivery, ber = ook_link_probabilities(snr_db, 9)
+        expected_delivery, expected_ber = _legacy_link_law(snr_db, 9)
+        assert np.array_equal(delivery, expected_delivery, equal_nan=True)
+        assert np.array_equal(ber, expected_ber, equal_nan=True)

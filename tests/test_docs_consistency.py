@@ -164,6 +164,9 @@ class TestCiPipeline:
             "submit --service",
             "scale-smoke",
             "test_population_scale.py",
+            "pooled-paths",
+            "os.cpu_count()",
+            "-k pool",
         ):
             assert anchor in text, f"ci.yml lost {anchor!r}"
 

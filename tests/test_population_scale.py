@@ -20,6 +20,7 @@ Pins the tentpole invariants of the flat-array population layer:
 import numpy as np
 import pytest
 
+import repro.protocol.population as population_module
 from repro.channel.deployment import Deployment
 from repro.channel.link import LinkBudget
 from repro.core.allocation import (
@@ -454,6 +455,97 @@ class TestFidelitySplit:
         assert hybrid.bit_error_rate == pytest.approx(
             reference.bit_error_rate, abs=0.02
         )
+
+
+#: Exact hybrid-round outputs, recorded before the closed-form leg was
+#: batched: (population size, population rng, snr_scale_db, round seed,
+#: force_monte_carlo) -> (repr of delivery_ratio, repr of
+#: bit_error_rate, reprs of audit_gaps, reason counts).
+HYBRID_ROUND_GOLDEN = {
+    (10_000, 3, -30.0, 11, False): (
+        "0.782963166164721",
+        "0.01745081852701846",
+        [],
+        {"closed_form": 26, "validity_floor": 14},
+    ),
+    (10_000, 3, -30.0, 12, False): (
+        "0.785963166164721",
+        "0.01822581852701846",
+        ["0.0"],
+        {"audit": 1, "closed_form": 25, "validity_floor": 14},
+    ),
+    (10_000, 8, -26.0, 5, False): (
+        "0.9162364923132144",
+        "0.0038449703828689025",
+        ["0.06110523237962551", "0.12540524555381616"],
+        {"audit": 2, "closed_form": 30, "validity_floor": 8},
+    ),
+    # No closed-form group: nothing to batch.
+    (2048, 3, -30.0, 11, True): (
+        "0.7587890625",
+        "0.026513671874999978",
+        [],
+        {"forced": 9},
+    ),
+    (2048, 3, -60.0, 11, False): (
+        "0.06396484375",
+        "0.7739990234374999",
+        [],
+        {"validity_floor": 9},
+    ),
+}
+
+
+class TestHybridRoundGolden:
+    @pytest.mark.parametrize("case", sorted(HYBRID_ROUND_GOLDEN))
+    def test_bit_identical_to_recorded_round(self, case):
+        n, rng, scale_db, seed, force = case
+        pop = office_population(n, rng=rng, snr_scale_db=scale_db)
+        result = hybrid_population_round(
+            pop, seed=seed, force_monte_carlo=force
+        )
+        reasons = {}
+        for reason in result.reasons:
+            reasons[reason] = reasons.get(reason, 0) + 1
+        assert (
+            repr(result.delivery_ratio),
+            repr(result.bit_error_rate),
+            [repr(gap) for gap in result.audit_gaps],
+            reasons,
+        ) == HYBRID_ROUND_GOLDEN[case]
+
+    def test_batched_scoring_matches_per_group_scoring(self, monkeypatch):
+        """Chunk boundaries never change a group's closed-form value:
+        small chunks, one group larger than a chunk, and an empty
+        request all agree with scoring each group on its own."""
+        from repro.core.capacity import (
+            effective_bit_error_rate,
+            packet_delivery_probability,
+        )
+
+        monkeypatch.setattr(population_module, "_CLOSED_FORM_CHUNK", 600)
+        config = _config(9)
+        pop = office_population(4096, rng=5, snr_scale_db=-26.0)
+        groups = assign_cluster(pop.snr_db, config)
+        wanted = list(range(0, len(groups), 2))
+        assert max(groups[g].size for g in wanted) > 100
+        batched = population_module._closed_form_group_metrics(
+            pop.snr_db, groups, wanted, config
+        )
+        assert sorted(batched) == wanted
+        for g in wanted:
+            snrs = pop.snr_db[groups[g]]
+            assert batched[g] == (
+                float(np.sum(packet_delivery_probability(snrs, 9))),
+                float(np.mean(effective_bit_error_rate(snrs, 9))),
+            )
+        monkeypatch.setattr(population_module, "_CLOSED_FORM_CHUNK", 100)
+        assert population_module._closed_form_group_metrics(
+            pop.snr_db, groups, wanted, config
+        ) == batched
+        assert population_module._closed_form_group_metrics(
+            pop.snr_db, groups, [], config
+        ) == {}
 
 
 class TestPopulationEngineBridge:
