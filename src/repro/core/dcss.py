@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -374,6 +374,7 @@ def compose_readout(
     readout: SparseReadout,
     dtype=None,
     n_preamble_rows: int = 0,
+    columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Analytic fast path: readout values of a round batch, waveform-free.
 
@@ -405,6 +406,12 @@ def compose_readout(
     of re-entering the GEMM ``n_preamble_rows`` times. The claim is
     verified with one cheap equality pass, falling back to the full
     computation when it does not hold, so the option is always safe.
+
+    ``columns`` — an ``(n_rounds, K')`` array of positions into the
+    readout's bins — evaluates each round at its own ``K'`` bins only,
+    returning ``(n_rounds, n_symbols, K')``: the decode engine composes
+    payload symbols this way at each device's located ``±1`` bins
+    (:meth:`repro.core.receiver.NetScatterReceiver.decode_readout`).
     """
     effective_bins, amplitudes, phases_rad, bit_tensor = (
         _validate_round_arrays(
@@ -440,6 +447,7 @@ def compose_readout(
             bit_tensor[:, dedup - 1 :],
             readout,
             dtype,
+            columns,
         )
         values = np.empty(
             (bit_tensor.shape[0], n_symbols, reduced.shape[2]),
@@ -449,7 +457,13 @@ def compose_readout(
         values[:, dedup:] = reduced[:, 1:]
         return values
     return _compose_readout_values(
-        effective_bins, amplitudes, phases_rad, bit_tensor, readout, dtype
+        effective_bins,
+        amplitudes,
+        phases_rad,
+        bit_tensor,
+        readout,
+        dtype,
+        columns,
     )
 
 
@@ -460,6 +474,7 @@ def _compose_readout_values(
     bit_tensor: np.ndarray,
     readout: SparseReadout,
     dtype,
+    columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The factored-kernel evaluation behind :func:`compose_readout`."""
     real_dtype = np.float32 if dtype == np.complex64 else np.float64
@@ -469,7 +484,9 @@ def _compose_readout_values(
     # (symbols, devices) @ (devices, bins) products run as two *real*
     # matmuls on the ratio matrix — half the flops of a complex GEMM
     # and no complex kernel ever materialised.
-    ratio = readout.tone_ratio(effective_bins, dtype=real_dtype)
+    ratio = readout.tone_ratio(
+        effective_bins, dtype=real_dtype, columns=columns
+    )
     angles = phases_rad + readout.tone_phase_coeff * effective_bins
     w_real = bit_tensor * (amplitudes * np.cos(angles))[:, None, :]
     w_imag = bit_tensor * (amplitudes * np.sin(angles))[:, None, :]
@@ -478,5 +495,8 @@ def _compose_readout_values(
         w_imag = w_imag.astype(real_dtype)
     values = (w_real @ ratio).astype(dtype)
     values.imag += w_imag @ ratio
-    values *= readout.bin_phase_factor().astype(dtype)
+    bin_phase = readout.bin_phase_factor()
+    if columns is not None:
+        bin_phase = bin_phase[columns][:, None, :]
+    values *= bin_phase.astype(dtype)
     return values

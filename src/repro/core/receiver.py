@@ -17,12 +17,14 @@ devices — the receiver-complexity claim the paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import NetScatterConfig
 from repro.errors import DecodingError
+from repro.phy.chirp import ChirpParams
 from repro.phy.demodulation import DechirpResult, Demodulator
 from repro.phy.noise import (
     NOISE_MODES,
@@ -132,16 +134,26 @@ class RoundsDecode:
     backend: str = "sparse"
     noise_mode: str = "none"
     noise_version: int = 0
+    _columns: Optional[Dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_rounds(self) -> int:
         return self.detected.shape[0]
 
     def column_of(self, device_id: int) -> int:
-        """Column index of a device in the batched arrays."""
+        """Column index of a device in the batched arrays.
+
+        O(1): the id -> column index is built on the first lookup.
+        """
+        if self._columns is None:
+            self._columns = {
+                d: column for column, d in enumerate(self.device_ids)
+            }
         try:
-            return self.device_ids.index(device_id)
-        except ValueError:
+            return self._columns[device_id]
+        except KeyError:
             raise DecodingError(
                 f"device {device_id} is not in this decode"
             ) from None
@@ -223,6 +235,11 @@ class _ReadoutPlan:
       readout-domain noise fast path. Every device's window is the same
       bin pattern translated along the grid, so a single ``(W, W)``
       factor serves all devices.
+
+    The noise factors depend only on the layout, so they come from small
+    caches keyed on their exact inputs (:func:`_window_noise_factor`,
+    :func:`_located_noise_factor`): receivers with one layout — every
+    full group of a population cycle — share one eigendecomposition.
     """
 
     def __init__(
@@ -260,8 +277,6 @@ class _ReadoutPlan:
             params, zp, probe_stride, fold_downchirp=fold_downchirp
         )
         self._fold = fold_downchirp
-        self._window_noise_factor: Optional[np.ndarray] = None
-        self._payload_noise_factor: Optional[np.ndarray] = None
 
     def window_values(self, symbols: np.ndarray, exact: bool) -> np.ndarray:
         """Complex window spectra, ``(..., D, W)``, for a symbol batch."""
@@ -336,17 +351,11 @@ class _ReadoutPlan:
         :func:`repro.phy.noise.covariance_factor` (sub-bin-spaced
         readout bins are almost perfectly correlated).
         """
-        if self._window_noise_factor is None:
-            device0 = SparseReadout(
-                self.window_readout.params,
-                self.window_readout.zero_pad_factor,
-                self.window_idx[0],
-                fold_downchirp=False,
-            )
-            self._window_noise_factor = covariance_factor(
-                device0.analytic_noise_covariance()
-            )
-        return self._window_noise_factor
+        return _window_noise_factor(
+            self.window_readout.params,
+            self.window_readout.zero_pad_factor,
+            tuple(self.window_idx[0].tolist()),
+        )
 
     @property
     def payload_noise_factor(self) -> np.ndarray:
@@ -361,14 +370,50 @@ class _ReadoutPlan:
         position of every device
         (:func:`repro.phy.sparse_readout.located_bin_noise_covariance`).
         """
-        if self._payload_noise_factor is None:
-            self._payload_noise_factor = covariance_factor(
-                located_bin_noise_covariance(
-                    self.window_readout.params,
-                    self.window_readout.zero_pad_factor,
-                )
-            )
-        return self._payload_noise_factor
+        return _located_noise_factor(
+            self.window_readout.params, self.window_readout.zero_pad_factor
+        )
+
+    def located_columns(self, located: np.ndarray) -> np.ndarray:
+        """Window-readout columns of each device's located ``±1`` bins.
+
+        ``located`` is the ``(R, D)`` located position inside each
+        device's window; the result is ``(R, D * 3)``, device-major,
+        indexing :attr:`window_readout`'s bins.
+        """
+        base = np.arange(self.n_devices) * self.window_width
+        columns = base[:, None] + located[:, :, None] + np.arange(-1, 2)
+        return columns.reshape(located.shape[0], -1)
+
+
+@lru_cache(maxsize=8)
+def _window_noise_factor(
+    params: ChirpParams, zero_pad_factor: int, window_bins: tuple
+) -> np.ndarray:
+    """Read-only noise factor of one window, by its exact bin indices.
+
+    Keyed on the bins themselves rather than their spacing: the
+    covariance is periodic in the separation only up to round-off, so a
+    window that wraps the grid edge gets its own entry.
+    """
+    device0 = SparseReadout(
+        params, zero_pad_factor, np.array(window_bins), fold_downchirp=False
+    )
+    factor = covariance_factor(device0.analytic_noise_covariance())
+    factor.flags.writeable = False
+    return factor
+
+
+@lru_cache(maxsize=8)
+def _located_noise_factor(
+    params: ChirpParams, zero_pad_factor: int
+) -> np.ndarray:
+    """Read-only factor of the located ``±1``-bin noise covariance."""
+    factor = covariance_factor(
+        located_bin_noise_covariance(params, zero_pad_factor)
+    )
+    factor.flags.writeable = False
+    return factor
 
 
 def _inject_readout_noise(
@@ -448,6 +493,34 @@ def _inject_located_noise(
     )
 
 
+def _compose_located(
+    plan: _ReadoutPlan,
+    tones: tuple,
+    payload_bits: np.ndarray,
+    dtype,
+    located: np.ndarray,
+) -> np.ndarray:
+    """Analytic payload values at each device's located ``±1`` bins.
+
+    ``tones`` is ``(params, effective_bins, amplitudes, phases)`` of a
+    round chunk and ``payload_bits`` its ``(R, S_payload, n_tx)`` keying
+    rows; ``located`` is the ``(R, D)`` located window position. The
+    result is ``(R, S_payload, D, 3)``: the payload rows composed at 3
+    of the ``W`` window bins per device, the only bins the decisions
+    read.
+    """
+    from repro.core.dcss import compose_readout
+
+    values = compose_readout(
+        *tones,
+        payload_bits,
+        plan.window_readout,
+        dtype=dtype,
+        columns=plan.located_columns(located),
+    )
+    return values.reshape(values.shape[:2] + (plan.n_devices, 3))
+
+
 class NetScatterReceiver:
     """Decodes concurrent distributed-CSS transmissions at the AP.
 
@@ -514,9 +587,12 @@ class NetScatterReceiver:
         shifts = list(assignments.values())
         if len(set(shifts)) != len(shifts):
             raise DecodingError("cyclic shifts must be unique per device")
-        for shift in shifts:
-            if not 0 <= shift < config.n_bins:
-                raise DecodingError(f"shift {shift} out of range")
+        shift_array = np.asarray(shifts)
+        outside = (shift_array < 0) | (shift_array >= config.n_bins)
+        if outside.any():
+            raise DecodingError(
+                f"shift {shifts[int(np.argmax(outside))]} out of range"
+            )
         self._config = config
         self._assignments = dict(assignments)
         self._params = config.chirp_params
@@ -933,7 +1009,10 @@ class NetScatterReceiver:
         sparse-readout operator is never built; the values then flow
         through exactly the detection/decision logic of
         :meth:`decode_rounds`, so decisions match the time-domain path
-        bit for bit on tone-sum inputs.
+        bit for bit on tone-sum inputs. Except under the ``"full"``
+        noise stream, only the preamble rows are composed across the
+        device windows; payload rows are composed at each device's
+        located ``±1`` bins, the only bins the decisions read.
 
         ``noise_snr_db`` / ``rng`` / ``signal_power`` / ``noise_mode``
         compose with the exact readout-domain AWGN injection of
@@ -1024,6 +1103,13 @@ class NetScatterReceiver:
         # use the dechirped-domain plan: identical bin layout and noise
         # factor, no downchirp fold anywhere.
         plan = self._readout_plan(dechirped=True)
+        # The "full" stream draws noise at every window bin of every
+        # symbol, so it needs every row composed across the windows.
+        # Otherwise only the preamble rows are (the peak search reads
+        # them all) and the payload rows are composed once the peaks are
+        # located, at each device's located +/- 1 bins only.
+        full_stream = stream is not None and stream.mode == "full"
+        window_rows = n_symbols if full_stream else n_preamble_upchirps
         n_tx = effective_bins.shape[1]
         elements_per_round = n_symbols * plan.window_readout.n_bins + n_tx * (
             plan.window_readout.n_bins + plan.probe_readout.n_bins
@@ -1031,13 +1117,16 @@ class NetScatterReceiver:
         chunk = max(1, _CHUNK_ELEMENT_BUDGET // max(1, elements_per_round))
         pieces = []
         for start in range(0, n_rounds, chunk):
-            stop = start + chunk
-            window_flat = compose_readout(
+            rounds = slice(start, start + chunk)
+            tones = (
                 self._params,
-                effective_bins[start:stop],
-                amplitudes[start:stop],
-                phases_rad[start:stop],
-                bit_tensor[start:stop],
+                effective_bins[rounds],
+                amplitudes[rounds],
+                phases_rad[rounds],
+            )
+            window_flat = compose_readout(
+                *tones,
+                bit_tensor[rounds, :window_rows],
                 plan.window_readout,
                 dtype=dtype,
                 n_preamble_rows=n_preamble_upchirps,
@@ -1047,24 +1136,29 @@ class NetScatterReceiver:
             )
             # The noise floor reads only the first symbol's probes.
             probe_values = compose_readout(
-                self._params,
-                effective_bins[start:stop],
-                amplitudes[start:stop],
-                phases_rad[start:stop],
-                bit_tensor[start:stop, :1],
+                *tones,
+                bit_tensor[rounds, :1],
                 plan.probe_readout,
                 dtype=dtype,
             )[:, 0, :]
+            read_payload = None
+            if not full_stream:
+                read_payload = partial(
+                    _compose_located,
+                    plan,
+                    tones,
+                    bit_tensor[rounds, n_preamble_upchirps:],
+                    dtype,
+                )
             pieces.append(
                 self._decide_chunk(
                     window_values,
                     probe_values,
                     n_preamble_upchirps,
                     plan,
-                    None if noise_scale is None else noise_scale[
-                        start:stop
-                    ],
+                    None if noise_scale is None else noise_scale[rounds],
                     stream,
+                    read_payload,
                 )
             )
         return self._assemble_decode(pieces, "analytic", stream)
@@ -1134,6 +1228,7 @@ class NetScatterReceiver:
         plan: _ReadoutPlan,
         noise_scale,
         stream: Optional[NoiseStream],
+        read_payload: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         """Detection/decision logic on readout values, however composed.
 
@@ -1143,71 +1238,63 @@ class NetScatterReceiver:
         (:meth:`decode_readout`) entry points, which is what makes their
         decisions comparable bit for bit.
 
+        Each device's peak is located from the summed preamble windows;
+        every symbol is then read at the located bin and its two
+        interpolated neighbours only. ``read_payload`` maps the
+        ``(R, D)`` located window positions to the ``(R, S_payload, D,
+        3)`` payload values at those bins; with it, ``window_values``
+        need hold only the preamble rows (the analytic path composes the
+        payload at the located bins alone). Without it the payload
+        values are gathered from ``window_values``.
+
         Engine noise follows the stream's layout. The ``"full"`` stream
         (version 1) noise-loads the whole window tensor up front — the
         historical draw order, pinned bit-for-bit by the version-1
-        goldens. The ``"payload"`` stream (version 2) noise-loads only
-        the preamble rows and probes, locates each device's peak from
-        those noisy preambles (exactly the full stream's located-bin
-        law), then draws payload noise only at the located ``±1`` bins
+        goldens — so it needs every window row and no ``read_payload``.
+        The ``"payload"`` stream (version 2) noise-loads only the
+        preamble rows and probes, locates each device's peak from those
+        noisy preambles (exactly the full stream's located-bin law),
+        then draws payload noise only at the located ``±1`` bins
         through the shared 3×3 Toeplitz factor. Payload decisions read
         nothing but those three bins, so the reduced stream's decision
         statistics are *identical*, at ~3× fewer window draws per
         46-symbol round.
         """
-        payload_mode = stream is not None and stream.mode == "payload"
-        if noise_scale is not None and not payload_mode:
+        full_stream = stream is not None and stream.mode == "full"
+        payload_stream = stream is not None and not full_stream
+        if full_stream:
             window_values, probe_values = _inject_readout_noise(
                 plan, window_values, probe_values, noise_scale, stream
             )
-        if payload_mode:
+        preamble_values = window_values[:, :n_preamble]
+        if payload_stream:
             preamble_values, probe_values = _inject_readout_noise(
-                plan,
-                window_values[:, :n_preamble],
-                probe_values,
-                noise_scale,
-                stream,
+                plan, preamble_values, probe_values, noise_scale, stream
             )
-            preamble_windows = (
-                preamble_values.real**2 + preamble_values.imag**2
+        preamble_windows = preamble_values.real**2 + preamble_values.imag**2
+        # Windows sit on the extended grid: interior positions [1, W-2]
+        # are the legal search window, the outermost bin on each side
+        # exists only so the (R, 1, D, 3) gather of located-1 ..
+        # located+1 stays inside.
+        preamble_sum = preamble_windows.sum(axis=1)
+        located = preamble_sum[:, :, 1:-1].argmax(axis=2) + 1
+        gather = located[:, None, :, None] + np.arange(-1, 2)
+        preamble_powers = np.take_along_axis(
+            preamble_windows, gather, axis=3
+        ).max(axis=3)
+        if read_payload is None:
+            payload_values = np.take_along_axis(
+                window_values[:, n_preamble:], gather, axis=3
             )
-            preamble_sum = preamble_windows.sum(axis=1)
-            located = preamble_sum[:, :, 1:-1].argmax(axis=2) + 1
-            # (R, 1, D, 3) gather of located-1 .. located+1 along the
-            # window axis; located is interior so the reads stay inside.
-            gather = located[:, None, :, None] + np.arange(-1, 2)
-            preamble_powers = np.take_along_axis(
-                preamble_windows, gather, axis=3
-            ).max(axis=3)
-            payload_values = _inject_located_noise(
-                plan,
-                np.take_along_axis(
-                    window_values[:, n_preamble:], gather, axis=3
-                ),
-                noise_scale,
-                stream,
-            )
-            payload_powers = (
-                payload_values.real**2 + payload_values.imag**2
-            ).max(axis=3)
         else:
-            windows = window_values.real**2 + window_values.imag**2
-            # windows: (R, S, D, W) on the extended grid; interior
-            # positions [1, W-2] are the legal search window, the
-            # outermost bin on each side exists only so the +/- 1 guard
-            # read below stays inside.
-            preamble_sum = windows[:, :n_preamble].sum(axis=1)
-            located = preamble_sum[:, :, 1:-1].argmax(axis=2) + 1
-
-            def read_at(delta: int) -> np.ndarray:
-                idx = (located + delta)[:, None, :, None]
-                return np.take_along_axis(windows, idx, axis=3)[..., 0]
-
-            symbol_powers = np.maximum(
-                np.maximum(read_at(-1), read_at(0)), read_at(1)
+            payload_values = read_payload(located)
+        if payload_stream:
+            payload_values = _inject_located_noise(
+                plan, payload_values, noise_scale, stream
             )
-            preamble_powers = symbol_powers[:, :n_preamble]
-            payload_powers = symbol_powers[:, n_preamble:]
+        payload_powers = (
+            payload_values.real**2 + payload_values.imag**2
+        ).max(axis=3)
 
         first_probes = probe_values.real**2 + probe_values.imag**2
         # Shared noise rule: median of the signal-free probe bins of the

@@ -5,12 +5,14 @@ baseband, so the same crystal ppm error produces ~90x less absolute
 frequency offset than an active 900 MHz radio. This model carries a fixed
 per-part offset (crystal cut error) plus a slow random walk (temperature
 drift), and reports offsets both in hertz and FFT bins. It is the data
-source behind Fig. 4 and Fig. 14a.
+source behind Fig. 4 and Fig. 14a. :class:`OscillatorBank` holds a whole
+population of one part as columns, for the batched network simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import List
 
 import numpy as np
 
@@ -56,8 +58,8 @@ class CrystalOscillator:
     def calibrate_from_unit(self, draw: float) -> None:
         """Set the cut error from a pre-drawn uniform(-1, 1) variate.
 
-        The seam shared by :meth:`calibrate` and the batched
-        :func:`calibrate_population`, so both paths apply the same
+        The seam shared by :meth:`calibrate` and
+        :meth:`OscillatorBank.oscillators`, so both apply the same
         tolerance scaling (and any future validation) in one place.
         """
         if not -1.0 <= draw <= 1.0:
@@ -96,21 +98,56 @@ class CrystalOscillator:
         return np.array([self.offset_hz(generator) for _ in range(n)])
 
 
-def calibrate_population(oscillators, rng: RngLike = None) -> None:
-    """Draw every oscillator's fixed cut error in one batched call.
+@dataclass(frozen=True, eq=False)
+class OscillatorBank:
+    """A population of identical oscillator parts, held as columns.
 
-    Identical distribution to calling :meth:`CrystalOscillator.calibrate`
-    per part (uniform within each part's tolerance band), but a single
-    ``Generator.uniform`` draw serves the whole population — the network
-    simulator calibrates hundreds of tags per sweep point.
+    ``unit_draws`` are the per-part uniform(-1, 1) variates that set each
+    part's cut error, drawn for the whole population by one
+    ``Generator.uniform`` call (:meth:`calibrate`). The batched network
+    simulator reads the cut error, drift and nominal frequency as
+    arrays; :meth:`oscillators` materialises per-part
+    :class:`CrystalOscillator` objects with the same cut errors for code
+    that draws per part.
     """
-    oscillators = list(oscillators)
-    if not oscillators:
-        return
-    generator = make_rng(rng)
-    draws = generator.uniform(-1.0, 1.0, size=len(oscillators))
-    for osc, draw in zip(oscillators, draws):
-        osc.calibrate_from_unit(draw)
+
+    part: CrystalOscillator
+    unit_draws: np.ndarray
+
+    @classmethod
+    def calibrate(
+        cls, part: CrystalOscillator, n: int, rng: RngLike = None
+    ) -> "OscillatorBank":
+        """Draw the cut errors of ``n`` copies of ``part`` in one call."""
+        draws = make_rng(rng).uniform(-1.0, 1.0, size=int(n))
+        return cls(part=part, unit_draws=draws)
+
+    @property
+    def cut_error_ppm(self) -> np.ndarray:
+        """Per-part fixed cut error (ppm), scaled as
+        :meth:`CrystalOscillator.calibrate_from_unit` scales it."""
+        return self.unit_draws * self.part.tolerance_ppm
+
+    def offsets_hz(self, standard_normals: np.ndarray) -> np.ndarray:
+        """Frequency offsets (Hz) for drift draws, one column per part.
+
+        ``standard_normals`` scaled by the drift spread are the drift
+        terms; the result is :meth:`CrystalOscillator.offset_hz` per
+        part and measurement, computed as arrays.
+        """
+        drift_ppm = standard_normals * self.part.drift_ppm_std
+        return (
+            (self.cut_error_ppm + drift_ppm) * 1e-6 * self.part.nominal_freq_hz
+        )
+
+    def oscillators(self) -> List[CrystalOscillator]:
+        """One calibrated :class:`CrystalOscillator` per part."""
+        parts = []
+        for draw in self.unit_draws:
+            osc = replace(self.part)
+            osc.calibrate_from_unit(draw)
+            parts.append(osc)
+        return parts
 
 
 def tag_oscillator(

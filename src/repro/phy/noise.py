@@ -226,15 +226,15 @@ def exclusion_mask(
     A bin is excluded when it lies within ``guard_bins`` natural bins of
     any excluded cyclic shift (cyclically). This is the neighbourhood the
     per-symbol estimator has always carved out (``+/- zp`` interpolated
-    bins for the default guard of one natural bin).
+    bins for the default guard of one natural bin). Centres round half
+    to even, like Python's ``round``.
     """
     mask = np.zeros(n_bins, dtype=bool)
     zp = int(zero_pad_factor)
     guard = max(1, int(round(guard_bins * zp)))
     offsets = np.arange(-guard, guard + 1)
-    for shift in exclude_shifts:
-        centre = int(round(float(shift) * zp))
-        mask[(centre + offsets) % n_bins] = True
+    centres = np.rint(np.asarray(exclude_shifts, dtype=float) * zp)
+    mask[(centres.astype(np.int64)[:, None] + offsets) % n_bins] = True
     return mask
 
 

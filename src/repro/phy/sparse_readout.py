@@ -78,6 +78,11 @@ from repro.phy.chirp import ChirpParams, downchirp
 #: depend on which side of the threshold an offset lands.
 _DIRICHLET_SINGULAR_TOL = 1e-6
 
+#: Grid elements per block of :meth:`SparseReadout.tone_ratio`'s
+#: evaluation: the block's numerator and denominator scratch (1 MB
+#: together) stay cache-resident while the quotient streams out.
+_RATIO_BLOCK_ELEMENTS = 1 << 16
+
 
 def dirichlet_kernel(n_samples: int, offsets: np.ndarray) -> np.ndarray:
     """Closed-form readout of a unit tone: ``sum_{t<N} exp(2j*pi*u*t/N)``.
@@ -174,6 +179,7 @@ class SparseReadout:
         self._fold_downchirp = bool(fold_downchirp)
         self._op: Optional[np.ndarray] = None
         self._bin_trig: Optional[tuple] = None
+        self._sorted_bins: Optional[tuple] = None
 
     @property
     def _operator(self) -> np.ndarray:
@@ -314,7 +320,10 @@ class SparseReadout:
         return self._bin_trig
 
     def tone_ratio(
-        self, effective_bins: np.ndarray, dtype=np.float64
+        self,
+        effective_bins: np.ndarray,
+        dtype=np.float64,
+        columns: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Real part-ratio of the tone kernel, ``sin(pi*u)/sin(pi*u/N)``.
 
@@ -332,33 +341,139 @@ class SparseReadout:
         ``sin(pi*u/N)`` suffers catastrophic cancellation in float32
         for tones that graze a readout bin, which would corrupt
         main-lobe values just outside the singular-limit branch.
+
+        ``columns`` evaluates each row at its own subset of this
+        readout's bins: for ``(R, n_tones)`` bins and an ``(R, K')``
+        array of positions into :attr:`bin_indices`, the result is
+        ``(R, n_tones, K')``, entry for entry equal to the full result
+        gathered at those positions. The decode engine reads payload
+        symbols this way, at each device's located ``±1`` bins only.
+
+        The L'Hopital entries are found per tone, not by a pass over the
+        grid (:meth:`_singular_entries`).
         """
         b = np.asarray(effective_bins, dtype=float)
         n = self._params.n_samples
-        _, sq, cq, sqn, cqn = self._trig_tables()
-        sb, cb = np.sin(np.pi * b), np.cos(np.pi * b)
-        sbn, cbn = np.sin(np.pi * b / n), np.cos(np.pi * b / n)
-        dtype = np.dtype(dtype)
-        # sin(pi*(b - q)) and sin(pi*(b - q)/N) as outer products, built
-        # with in-place passes: the grid is large and bandwidth-bound.
-        ratio = sb[..., None] * cq
-        ratio -= cb[..., None] * sq
-        den = sbn[..., None] * cqn
-        den -= cbn[..., None] * sqn
-        near = np.abs(den) < _DIRICHLET_SINGULAR_TOL
-        den[near] = 1.0
-        ratio /= den
-        if np.any(near):
+        tables = self._trig_tables()[1:]
+        if columns is None:
+            # One row of tables shared by every tone.
+            tables = tuple(table[None, :] for table in tables)
+            tones = b.reshape(1, b.size)
+        else:
+            columns = np.asarray(columns, dtype=np.int64)
+            if (
+                b.ndim != 2
+                or columns.ndim != 2
+                or columns.shape[0] != b.shape[0]
+            ):
+                raise DecodingError(
+                    "columns must be (n_rows, k) for (n_rows, n_tones) "
+                    "effective bins"
+                )
+            tables = tuple(table[columns] for table in tables)
+            tones = b
+        n_rows, n_cols = tables[0].shape
+        sb, cb = np.sin(np.pi * tones), np.cos(np.pi * tones)
+        sbn, cbn = np.sin(np.pi * tones / n), np.cos(np.pi * tones / n)
+        # sin(pi*(b - q)) / sin(pi*(b - q)/N) in blocks of rows and
+        # tones: the grid is large and bandwidth-bound, so the numerator
+        # and denominator of each block are built in a cache-sized
+        # scratch buffer and only the quotient is written to the result.
+        # The L'Hopital entries, whose quotient is meaningless, are
+        # overwritten below.
+        n_tones = tones.shape[1]
+        ratio = np.empty((n_rows, n_tones, n_cols))
+        row_elems = max(1, n_tones * n_cols)
+        row_block = max(1, _RATIO_BLOCK_ELEMENTS // row_elems)
+        tone_block = max(1, n_tones)
+        if row_block == 1:
+            tone_block = max(1, _RATIO_BLOCK_ELEMENTS // max(1, n_cols))
+        scratch = np.empty(
+            (2, min(row_block, n_rows), min(tone_block, n_tones), n_cols)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for row in range(0, n_rows, row_block):
+                rows = slice(row, row + row_block)
+                sq, cq, sqn, cqn = (
+                    table[rows, None, :] for table in tables
+                )
+                for start in range(0, n_tones, tone_block):
+                    cut = slice(start, start + tone_block)
+                    out = ratio[rows, cut]
+                    tmp, den = scratch[:, : out.shape[0], : out.shape[1]]
+                    np.multiply(sb[rows, cut, None], cq, out=out)
+                    np.multiply(cb[rows, cut, None], sq, out=tmp)
+                    out -= tmp
+                    np.multiply(sbn[rows, cut, None], cqn, out=den)
+                    np.multiply(cbn[rows, cut, None], sqn, out=tmp)
+                    den -= tmp
+                    out /= den
+        tone, hit = self._singular_entries(tones, columns)
+        if tone.size:
+            sq, cq, sqn, cqn = (table.ravel() for table in tables)
+            sb, cb, sbn, cbn = (x.ravel() for x in (sb, cb, sbn, cbn))
+            # The same products as the grid's denominator, so the
+            # tolerance sees bit-identical values.
+            den = sbn[tone] * cqn[hit] - cbn[tone] * sqn[hit]
+            near = np.abs(den) < _DIRICHLET_SINGULAR_TOL
+            tone, hit = tone[near], hit[near]
             # L'Hopital limit N*cos(pi*u)/cos(pi*u/N) at u ~ 0 (mod N),
             # assembled from the same per-axis trig at just those entries.
-            idx = np.nonzero(near)
-            bi, qi = idx[:-1], idx[-1]
-            cos_u = cb[bi] * cq[qi] + sb[bi] * sq[qi]
-            cos_un = cbn[bi] * cqn[qi] + sbn[bi] * sqn[qi]
-            ratio[idx] = n * cos_u / cos_un
-        if dtype != np.float64:
+            cos_u = cb[tone] * cq[hit] + sb[tone] * sq[hit]
+            cos_un = cbn[tone] * cqn[hit] + sbn[tone] * sqn[hit]
+            ratio.reshape(-1, n_cols)[tone, hit % n_cols] = n * cos_u / cos_un
+        ratio = ratio.reshape(b.shape + (n_cols,))
+        if np.dtype(dtype) != np.float64:
             ratio = ratio.astype(dtype)
         return ratio
+
+    def _singular_entries(
+        self, tones: np.ndarray, columns: Optional[np.ndarray]
+    ) -> tuple:
+        """Candidate L'Hopital entries of a :meth:`tone_ratio` grid.
+
+        ``sin(pi*u/N)`` drops below ``_DIRICHLET_SINGULAR_TOL`` only
+        within ``n_grid * tol / pi`` grid steps (~0.002 at SF 9, zp 10)
+        of a tone's own grid position ``b * zp`` (mod ``n_grid``), far
+        less than one step. So a tone can be singular only at the
+        readout bins equal to the grid points nearest that position,
+        which a ``searchsorted`` over the sorted bin indices finds in
+        ``O(n_tones * log K)`` instead of a pass over the whole
+        ``(n_tones, K)`` grid.
+
+        ``tones`` is ``(n_rows, n_tones)``: one row against all bins,
+        or with ``columns`` one row per ``columns`` row. Returns
+        ``(tone, hit)``: ``tone`` indexes the flattened tones, ``hit``
+        the flattened ``(n_rows, K')`` per-bin tables, so ``hit % K'``
+        is the grid column. The caller keeps the entries whose
+        denominator is actually below the tolerance.
+        """
+        zp = self._zero_pad_factor
+        n_grid = self._params.n_samples * zp
+        radius = 1 + int(n_grid * _DIRICHLET_SINGULAR_TOL / np.pi + 0.5)
+        steps = np.arange(-radius, radius + 1)
+        nearest = np.rint(tones * zp).astype(np.int64)
+        wanted = (nearest[..., None] + steps) % n_grid
+        if columns is None:
+            if self._sorted_bins is None:
+                order = np.argsort(self._bin_indices, kind="stable")
+                self._sorted_bins = (order, self._bin_indices[order])
+            order, keys = self._sorted_bins
+        else:
+            # Offset each row by n_grid so one sorted array serves all
+            # rows and a tone only ever matches its own row's bins.
+            row_base = np.arange(columns.shape[0])[:, None] * n_grid
+            flat = (self._bin_indices[columns] + row_base).ravel()
+            order = np.argsort(flat, kind="stable")
+            keys = flat[order]
+            wanted += row_base[:, :, None]
+        wanted = wanted.ravel()
+        lo = np.searchsorted(keys, wanted, "left")
+        counts = np.searchsorted(keys, wanted, "right") - lo
+        tone = np.repeat(np.arange(wanted.size) // steps.size, counts)
+        # Positions lo .. lo + count - 1 of every query, concatenated.
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return tone, order[starts + np.arange(tone.size)]
 
     def tone_kernel(self, effective_bins: np.ndarray) -> np.ndarray:
         """Closed-form readout of unit tones at fractional natural bins.

@@ -54,6 +54,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,10 +67,14 @@ from repro.core.allocation import power_aware_allocation
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import compose_rounds
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodingError
 from repro.hardware.mcu import McuTimingModel
+from repro.hardware.oscillator import (
+    CrystalOscillator,
+    OscillatorBank,
+    tag_oscillator,
+)
 from repro.phy.noise import NOISE_MODES
-from repro.hardware.oscillator import calibrate_population, tag_oscillator
 from repro.phy.packet import PacketStructure
 from repro.utils.rng import RngLike, child_rng, make_rng
 
@@ -280,8 +285,9 @@ class NetworkSimulator:
 
         # Per-device impairment models (fixed per device, drawn per packet).
         self._timing = McuTimingModel()
-        self._oscillators = [tag_oscillator() for _ in deployment.devices]
-        calibrate_population(self._oscillators, self._rng)
+        self._oscillator_bank = OscillatorBank.calibrate(
+            tag_oscillator(), deployment.n_devices, self._rng
+        )
 
         snrs = [d.uplink_snr_db + self._scale_db for d in deployment.devices]
         self._base_snrs = snrs
@@ -305,6 +311,12 @@ class NetworkSimulator:
     @property
     def assignments(self) -> Dict[int, int]:
         return dict(self._assignments)
+
+    @cached_property
+    def _oscillators(self) -> List[CrystalOscillator]:
+        """Per-device oscillator objects, for the per-device draws of
+        the ``fading_mode="per_round"`` reference path."""
+        return self._oscillator_bank.oscillators()
 
     def effective_snrs_db(self) -> List[float]:
         """Per-device SNR after the power-control gain."""
@@ -452,14 +464,9 @@ class NetworkSimulator:
             (n_rounds, n_devices), self._rng
         )
         delays = delays - delays.mean(axis=1, keepdims=True)
-        cut_ppm = np.array([o.cut_error_ppm for o in self._oscillators])
-        drift_ppm = self._rng.standard_normal(
-            (n_rounds, n_devices)
-        ) * np.array([o.drift_ppm_std for o in self._oscillators])
-        nominal_hz = np.array(
-            [o.nominal_freq_hz for o in self._oscillators]
+        cfos = self._oscillator_bank.offsets_hz(
+            self._rng.standard_normal((n_rounds, n_devices))
         )
-        cfos = (cut_ppm[None, :] + drift_ppm) * 1e-6 * nominal_hz[None, :]
         shifts = np.array(
             [self._assignments[i] for i in range(n_devices)], dtype=float
         )
@@ -579,14 +586,14 @@ class NetworkSimulator:
         decode, payload, _ = self._run_batch(n_rounds, fading)
         # The engine's columns follow the assignment order, which the
         # power-aware allocator does not keep in device-index order;
-        # realign them with the payload tensor's device-index columns.
-        columns = np.array(
-            [
-                decode.column_of(i)
-                for i in range(self._deployment.n_devices)
-            ],
-            dtype=int,
-        )
+        # realign them with the payload tensor's device-index columns
+        # (the inverse of the column -> device-index permutation).
+        columns = np.full(self._deployment.n_devices, -1)
+        columns[decode.device_ids] = np.arange(len(decode.device_ids))
+        if (columns < 0).any():
+            raise DecodingError(
+                f"device {int(np.argmax(columns < 0))} is not in this decode"
+            )
         detected = decode.detected[:, columns]  # (R, D)
         match = decode.bits[:, :, columns] == payload.astype(np.uint8)
         total_correct = int(np.sum(match & detected[:, None, :]))

@@ -385,3 +385,181 @@ class TestPreambleRowDedup:
         )
         assert np.array_equal(analytic.bits, sparse.bits)
         assert np.array_equal(analytic.detected, sparse.detected)
+
+
+def _full_grid_tone_ratio(readout, effective_bins):
+    """Test oracle: ``tone_ratio`` with a full-grid singular search.
+
+    The evaluation before the per-tone search: one mask over the whole
+    ``(n_tones, K)`` denominator grid picks the L'Hopital entries.
+    Returns the ratio and the number of L'Hopital entries, so a test can
+    show that the comparison exercised the limit branch.
+    """
+    b = np.asarray(effective_bins, dtype=float)
+    n = readout.params.n_samples
+    _, sq, cq, sqn, cqn = readout._trig_tables()
+    sb, cb = np.sin(np.pi * b), np.cos(np.pi * b)
+    sbn, cbn = np.sin(np.pi * b / n), np.cos(np.pi * b / n)
+    ratio = sb[..., None] * cq
+    ratio -= cb[..., None] * sq
+    den = sbn[..., None] * cqn
+    den -= cbn[..., None] * sqn
+    near = np.abs(den) < 1e-6
+    den[near] = 1.0
+    ratio /= den
+    idx = np.nonzero(near)
+    bi, qi = idx[:-1], idx[-1]
+    cos_u = cb[bi] * cq[qi] + sb[bi] * sq[qi]
+    cos_un = cbn[bi] * cqn[qi] + sbn[bi] * sqn[qi]
+    ratio[idx] = n * cos_u / cos_un
+    return ratio, int(near.sum())
+
+
+def _grazing_tones(rng, bins, zp, n, shape):
+    """Tones on, 1e-9 from and 2e-4 from readout bins, plus free ones.
+
+    Grid positions are aliased by -N, 0 or +N natural bins, since the
+    kernel is periodic and the search must fold them back.
+    """
+    size = int(np.prod(shape))
+    kind = rng.integers(0, 4, size)
+    near = bins[rng.integers(0, bins.size, size)] / zp + n * rng.integers(
+        -1, 2, size
+    )
+    sign = rng.choice([-1.0, 1.0], size)
+    tones = rng.uniform(-n, 2 * n, size)
+    tones[kind == 0] = near[kind == 0]
+    tones[kind == 1] = (near + 1e-9 * sign)[kind == 1]
+    tones[kind == 2] = (near + 2e-4 * sign)[kind == 2]
+    return tones.reshape(shape)
+
+
+class TestToneRatioSingularSearch:
+    """The per-tone L'Hopital search is bit-identical to a grid mask."""
+
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    @pytest.mark.parametrize("zp", [1, 10])
+    def test_matches_full_grid_oracle(self, sf, zp):
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=sf)
+        n = params.n_samples
+        rng = np.random.default_rng(100 * sf + zp)
+        singular = 0
+        for lead in [(), (3,), (2, 3)]:
+            bins = rng.integers(0, n * zp, size=150)
+            bins = np.concatenate([bins, bins[:10]])  # duplicate bins
+            readout = SparseReadout(params, zp, bins, fold_downchirp=False)
+            tones = _grazing_tones(rng, bins, zp, n, lead + (40,))
+            expected, hits = _full_grid_tone_ratio(readout, tones)
+            assert np.array_equal(readout.tone_ratio(tones), expected)
+            singular += hits
+        assert singular > 0
+
+    @pytest.mark.parametrize("zp", [1, 10])
+    def test_columns_equal_the_gathered_full_grid(self, zp):
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=9)
+        n = params.n_samples
+        rng = np.random.default_rng(zp)
+        bins = rng.integers(0, n * zp, size=120)
+        readout = SparseReadout(params, zp, bins, fold_downchirp=False)
+        tones = _grazing_tones(rng, bins, zp, n, (4, 30))
+        columns = rng.integers(0, bins.size, size=(4, 9))
+        expected, hits = _full_grid_tone_ratio(readout, tones)
+        assert hits > 0
+        assert np.array_equal(
+            readout.tone_ratio(tones, columns=columns),
+            np.take_along_axis(expected, columns[:, None, :], axis=2),
+        )
+
+    def test_columns_shape_validated(self):
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=7)
+        readout = SparseReadout(params, 10, np.arange(20))
+        with pytest.raises(DecodingError):
+            readout.tone_ratio(np.zeros((2, 3)), columns=np.zeros((3, 4)))
+        with pytest.raises(DecodingError):
+            readout.tone_ratio(np.zeros(3), columns=np.zeros((1, 4)))
+
+
+def _payload_batch(n_devices, n_rounds, seed):
+    """A SKIP-2 layout in shuffled column order, 30 dB of near-far."""
+    config = NetScatterConfig(n_association_shifts=0)
+    rng = np.random.default_rng(seed)
+    shifts = 2 * rng.permutation(n_devices)
+    assignments = {i: int(s) for i, s in enumerate(shifts)}
+    bins = shifts[None, :] + rng.normal(0.0, 0.1, (n_rounds, n_devices))
+    amps = 10.0 ** (rng.uniform(0.0, 30.0, (n_rounds, n_devices)) / 20.0)
+    phases = rng.uniform(0.0, 2 * np.pi, (n_rounds, n_devices))
+    bit_tensor = np.ones((n_rounds, 46, n_devices))
+    bit_tensor[:, 6:] = rng.integers(0, 2, (n_rounds, 40, n_devices))
+    return config, assignments, bins, amps, phases, bit_tensor
+
+
+class TestLocatedPayloadReadout:
+    """Payload rows composed at the located ``±1`` bins only."""
+
+    # Both batches decode in one chunk on either path, so the shared
+    # generator state yields the same noise draws on both.
+    @pytest.mark.parametrize(
+        "n_devices, n_rounds", [(256, 1), (64, 6)]
+    )
+    def test_decisions_match_sparse_tensor_reference(
+        self, n_devices, n_rounds
+    ):
+        config, assignments, bins, amps, phases, bt = _payload_batch(
+            n_devices, n_rounds, seed=n_devices
+        )
+        analytic = NetScatterReceiver(
+            config, assignments, readout="analytic"
+        ).decode_readout(
+            bins, amps, phases, bt,
+            noise_snr_db=-10.0, rng=np.random.default_rng(5),
+        )
+        symbols = compose_rounds(
+            config.chirp_params, bins, amps, phases, bt, respread=False
+        )
+        reference = NetScatterReceiver(config, assignments).decode_rounds(
+            symbols, dechirped=True,
+            noise_snr_db=-10.0, rng=np.random.default_rng(5),
+        )
+        assert (analytic.noise_mode, analytic.noise_version) == (
+            "payload", 2,
+        )
+        assert analytic.detected.any() and analytic.bits.any()
+        assert np.array_equal(analytic.detected, reference.detected)
+        assert np.array_equal(analytic.bits, reference.bits)
+        # Closed form vs time-domain matmul: round-off apart.
+        for field in ("bit_powers", "preamble_power", "noise_power"):
+            assert np.allclose(
+                getattr(analytic, field), getattr(reference, field),
+                rtol=1e-9, atol=0.0,
+            )
+
+    def test_located_columns_match_full_window_composition(self):
+        """The located composition is the full window's, gathered."""
+        config, assignments, bins, amps, phases, bt = _payload_batch(
+            64, 4, seed=2
+        )
+        plan = NetScatterReceiver(
+            config, assignments, readout="analytic"
+        )._readout_plan(dechirped=True)
+        rng = np.random.default_rng(3)
+        located = rng.integers(
+            1, plan.window_width - 1, size=(4, plan.n_devices)
+        )
+        columns = plan.located_columns(located)
+        args = (config.chirp_params, bins, amps, phases, bt[:, 6:])
+        located_values = compose_readout(
+            *args, plan.window_readout, columns=columns
+        )
+        full = compose_readout(*args, plan.window_readout)
+        expected = np.take_along_axis(full, columns[:, None, :], axis=2)
+        # Same kernel entries; only the GEMM summation order differs.
+        assert np.allclose(located_values, expected, rtol=1e-12, atol=0.0)
+        gathered = full.reshape(full.shape[:2] + (64, plan.window_width))
+        assert np.array_equal(
+            expected.reshape(expected.shape[:2] + (64, 3)),
+            np.take_along_axis(
+                gathered,
+                located[:, None, :, None] + np.arange(-1, 2),
+                axis=3,
+            ),
+        )

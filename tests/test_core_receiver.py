@@ -10,7 +10,7 @@ from repro.core.dcss import (
     compose_preamble_and_payload_symbols,
     compose_round_matrix,
 )
-from repro.core.receiver import NetScatterReceiver
+from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
 
 
@@ -32,6 +32,12 @@ class TestConstruction:
     def test_out_of_range_shift_rejected(self, config):
         with pytest.raises(DecodingError):
             NetScatterReceiver(config, {0: 512})
+
+    def test_negative_shift_rejected_naming_first_offender(self, config):
+        with pytest.raises(DecodingError, match="shift -2 out of range"):
+            NetScatterReceiver(config, {0: 10, 1: -2, 2: 600})
+        with pytest.raises(DecodingError, match="shift 512.0 out of range"):
+            NetScatterReceiver(config, {0: 10, 1: 512.0})
 
     def test_empty_assignments_rejected(self, config):
         with pytest.raises(DecodingError):
@@ -170,3 +176,29 @@ class TestStreamDecode:
                 n_payload_bits=4,
                 synchronize=False,
             )
+
+
+class TestRoundsDecodeColumns:
+    def _decode(self, device_ids):
+        n = len(device_ids)
+        return RoundsDecode(
+            device_ids=list(device_ids),
+            shifts=np.arange(n),
+            detected=np.ones((1, n), dtype=bool),
+            preamble_power=np.ones((1, n)),
+            noise_power=np.ones(1),
+            bits=np.zeros((1, 2, n), dtype=np.uint8),
+            bit_powers=np.zeros((1, 2, n)),
+        )
+
+    def test_column_of_follows_device_order(self):
+        decode = self._decode([7, 3, 11, 0])
+        assert [decode.column_of(d) for d in (7, 3, 11, 0)] == [0, 1, 2, 3]
+        assert decode.column_of(np.int64(11)) == 2
+
+    def test_unknown_device_raises(self):
+        decode = self._decode([7, 3])
+        with pytest.raises(DecodingError, match="device 5"):
+            decode.column_of(5)
+        # The index built by the first lookup is not stale after a miss.
+        assert decode.column_of(3) == 1

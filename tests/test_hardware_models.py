@@ -8,6 +8,7 @@ from repro.hardware.envelope_detector import EnvelopeDetector, ask_modulate
 from repro.hardware.mcu import McuTimingModel, paper_timing_model
 from repro.hardware.oscillator import (
     CrystalOscillator,
+    OscillatorBank,
     radio_oscillator,
     tag_oscillator,
 )
@@ -105,6 +106,37 @@ class TestOscillator:
     def test_invalid_params(self):
         with pytest.raises(HardwareModelError):
             CrystalOscillator(nominal_freq_hz=0.0)
+
+
+class TestOscillatorBank:
+    def test_one_uniform_call_sets_every_cut_error(self):
+        bank = OscillatorBank.calibrate(
+            tag_oscillator(), 50, np.random.default_rng(4)
+        )
+        draws = np.random.default_rng(4).uniform(-1.0, 1.0, size=50)
+        assert np.array_equal(bank.unit_draws, draws)
+        for draw, osc, cut in zip(
+            draws, bank.oscillators(), bank.cut_error_ppm
+        ):
+            part = tag_oscillator()
+            part.calibrate_from_unit(draw)
+            assert osc.cut_error_ppm == part.cut_error_ppm == cut
+
+    def test_offsets_match_per_part_model(self):
+        """Array offsets equal each part's offset_hz for the same drift."""
+        bank = OscillatorBank.calibrate(
+            tag_oscillator(), 6, np.random.default_rng(1)
+        )
+        normals = np.random.default_rng(2).standard_normal((3, 6))
+        offsets = bank.offsets_hz(normals)
+        assert offsets.shape == (3, 6)
+        # Generator.normal draws the same standard normals, in order.
+        twin = np.random.default_rng(2)
+        per_part = [
+            [osc.offset_hz(twin) for osc in bank.oscillators()]
+            for _ in range(3)
+        ]
+        assert np.array_equal(offsets, per_part)
 
 
 class TestMcuTiming:

@@ -252,6 +252,24 @@ class TestLocatedBinCovariance:
         assert factor.shape == (3, 3)
         assert plan.payload_noise_factor is factor
 
+    def test_noise_factors_shared_per_exact_layout(self, config):
+        """Receivers with one window layout share one read-only factor;
+        a window that wraps the grid edge gets its own."""
+        plans = [
+            NetScatterReceiver(config, assignments).readout_plan
+            for assignments in ({0: 2, 1: 4}, {5: 2, 9: 8}, {0: 0, 1: 4})
+        ]
+        shared = plans[0].window_noise_factor
+        assert plans[1].window_noise_factor is shared
+        assert not shared.flags.writeable
+        wrapped = plans[2].window_noise_factor
+        assert wrapped is not shared
+        # Same law up to round-off, though not the same factor bits.
+        assert np.allclose(
+            wrapped @ wrapped.conj().T, shared @ shared.conj().T, atol=1e-6
+        )
+        assert plans[2].payload_noise_factor is plans[0].payload_noise_factor
+
 
 # --------------------------------------------------------------------- #
 # version 2: fewer draws, same law

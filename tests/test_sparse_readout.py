@@ -18,7 +18,11 @@ from repro.core.receiver import NetScatterReceiver
 from repro.errors import DecodingError
 from repro.phy.chirp import ChirpParams
 from repro.phy.demodulation import Demodulator
-from repro.phy.noise import estimate_noise_floor, spectrum_noise_floor
+from repro.phy.noise import (
+    estimate_noise_floor,
+    exclusion_mask,
+    spectrum_noise_floor,
+)
 from repro.phy.sparse_readout import (
     SparseReadout,
     full_fft_values,
@@ -218,6 +222,39 @@ class TestReadoutNoiseLaw:
                 np.zeros((1, 7, config.n_bins), dtype=complex),
                 noise_snr_db=0.0,
             )
+
+
+def _loop_exclusion_mask(n_bins, zero_pad_factor, exclude_shifts,
+                         guard_bins=1.0):
+    """Test oracle: the per-shift loop the vectorised mask replaced."""
+    mask = np.zeros(n_bins, dtype=bool)
+    zp = int(zero_pad_factor)
+    guard = max(1, int(round(guard_bins * zp)))
+    offsets = np.arange(-guard, guard + 1)
+    for shift in exclude_shifts:
+        centre = int(round(float(shift) * zp))
+        mask[(centre + offsets) % n_bins] = True
+    return mask
+
+
+class TestExclusionMask:
+    @pytest.mark.parametrize("zp", [1, 4, 10])
+    def test_matches_per_shift_loop(self, zp):
+        rng = np.random.default_rng(zp)
+        n_bins = 512 * zp
+        # Integer, fractional, half-way (round half to even), negative
+        # and past-the-end shifts; the mask wraps cyclically.
+        shifts = np.concatenate([
+            rng.integers(0, 512, 40),
+            rng.uniform(-3.0, 515.0, 40),
+            np.array([0.25, 0.75, 2.5, 3.5, -0.05, 511.95]) / zp * zp,
+        ])
+        for guard in (1.0, 0.5, 2.3):
+            assert np.array_equal(
+                exclusion_mask(n_bins, zp, shifts, guard),
+                _loop_exclusion_mask(n_bins, zp, shifts, guard),
+            )
+        assert not exclusion_mask(n_bins, zp, []).any()
 
 
 class TestUnifiedNoiseFloor:
