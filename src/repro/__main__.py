@@ -20,6 +20,16 @@ from repro.experiments.registry import (
 )
 
 
+def _seed(text: str) -> int:
+    """``--seed`` type: a non-negative integer (numpy's generators
+    reject negative seeds)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -34,13 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--quick", action="store_true", help="reduced-scale run"
     )
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
 
     everything = sub.add_parser("all", help="run every experiment")
     everything.add_argument(
         "--quick", action="store_true", help="reduced-scale runs"
     )
-    everything.add_argument("--seed", type=int, default=0)
+    everything.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -120,6 +120,17 @@ OOK_OFF_BIT_CANDIDATES = 3
 _SATURATION_RHO = 300.0
 
 
+#: Iterations of the χ² series between two convergence checks. Each
+#: check retires the lanes whose sum can no longer change and compacts
+#: the working arrays to the rest.
+_SERIES_CHECK_PERIOD = 32
+
+#: Relative margin by which ``k + 1`` must exceed ``λ/2`` before the
+#: Poisson weights are trusted to shrink from step ``k`` on: it covers
+#: the two roundings of ``(poisson · λ/2) / (k + 1)``.
+_POISSON_PEAK_MARGIN = 1.0 + 2.0**-30
+
+
 def noncentral_chi2_cdf(
     x, noncentrality, max_terms: int = 800
 ) -> np.ndarray:
@@ -130,6 +141,33 @@ def noncentral_chi2_cdf(
     signal plus circular Gaussian noise), which is what every decision
     in the OOK link law reduces to. Both arguments broadcast.
 
+    The series is ``Σ_k poisson_k · (1 - tail_k)`` over ``max_terms``
+    terms, with ``poisson_k = e^{-λ/2} (λ/2)^k / k!`` and ``tail_k`` the
+    central χ²₂ survival sum ``Σ_{j<=k} e^{-x/2} (x/2)^j / j!``. Each
+    lane (one output element) stops as soon as no later term can change
+    its bits, so the result is bit-identical to running every lane for
+    all ``max_terms`` terms:
+
+    * a lane with finite ``x >= 0`` and finite ``λ >= 0`` has
+      ``0 <= tail_k < 3`` (a float sum of nonnegative terms whose exact
+      value is at most 1; a subnormal ``e^{-x/2}`` can round every term
+      up by less than 2x), so every later summand is at most
+      ``2·poisson_j`` in magnitude;
+    * once the divisor ``k + 1`` of the step
+      ``poisson_{k+1} = (poisson_k · λ/2) / (k + 1)`` exceeds ``λ/2``
+      (by a rounding margin), every later step shrinks the weight, so
+      a lane whose current weight is 0 or below ``spacing(cdf) / 8``
+      adds summands under a quarter of the spacing — under half the
+      gap to either neighbour of ``cdf``, even below a power of two —
+      and round-to-nearest keeps ``cdf``;
+    * lanes outside that precondition (negative, infinite or NaN ``x``
+      or ``λ``) run all ``max_terms`` terms.
+
+    The check runs every ``_SERIES_CHECK_PERIOD`` terms. The ``tail``
+    recursion runs on ``x``'s own shape and the ``poisson`` recursion on
+    ``λ``'s (a scalar gate costs a scalar per term), each element
+    seeing the same IEEE operations in the same order as the plain sum.
+
     >>> float(round(noncentral_chi2_cdf(2.0, 0.0), 4))   # central case
     0.6321
     >>> float(noncentral_chi2_cdf(1e3, 0.0)) == 1.0
@@ -137,19 +175,70 @@ def noncentral_chi2_cdf(
     """
     x = np.asarray(x, dtype=np.float64)
     lam = np.asarray(noncentrality, dtype=np.float64)
-    x, lam = np.broadcast_arrays(x, lam)
-    half_lam = lam / 2.0
-    half_x = x / 2.0
+    result = np.zeros(np.broadcast_shapes(x.shape, lam.shape))
+    if result.size == 0:
+        return result
+    x_lanes, lam_lanes = x.size > 1, lam.size > 1
+    half_x = _series_argument(x, result.shape) / 2.0
+    half_lam = _series_argument(lam, result.shape) / 2.0
     poisson = np.exp(-half_lam)
     term = np.exp(-half_x)
     tail = term.copy()
-    cdf = np.zeros_like(half_x)
+    one_minus_tail = np.empty_like(tail)
+    summand = np.empty(result.size)
+    cdf = np.zeros(result.size)
+    lanes = np.arange(result.size)
+    retirable = np.broadcast_to(
+        _retirable(half_x) & _retirable(half_lam), lanes.shape
+    )
+    flat = result.reshape(-1)
     for k in range(max_terms):
-        cdf += poisson * (1.0 - tail)
-        poisson = poisson * half_lam / (k + 1)
-        term = term * half_x / (k + 1)
-        tail = tail + term
-    return np.clip(cdf, 0.0, 1.0)
+        np.subtract(1.0, tail, out=one_minus_tail)
+        np.multiply(poisson, one_minus_tail, out=summand)
+        cdf += summand
+        np.multiply(poisson, half_lam, out=poisson)
+        np.divide(poisson, k + 1, out=poisson)
+        np.multiply(term, half_x, out=term)
+        np.divide(term, k + 1, out=term)
+        np.add(tail, term, out=tail)
+        if (k + 1) % _SERIES_CHECK_PERIOD:
+            continue
+        done = retirable & (
+            (poisson == 0.0)
+            | (
+                (poisson < np.spacing(cdf) / 8.0)
+                & (half_lam * _POISSON_PEAK_MARGIN < k + 2)
+            )
+        )
+        if not done.any():
+            continue
+        flat[lanes[done]] = cdf[done]
+        live = ~done
+        lanes, cdf, retirable = lanes[live], cdf[live], retirable[live]
+        if not lanes.size:
+            break
+        summand = summand[: lanes.size]
+        if lam_lanes:
+            poisson, half_lam = poisson[live], half_lam[live]
+        if x_lanes:
+            term, tail, half_x = term[live], tail[live], half_x[live]
+            one_minus_tail = one_minus_tail[: lanes.size]
+    flat[lanes] = cdf
+    return np.clip(result, 0.0, 1.0)
+
+
+def _series_argument(values: np.ndarray, shape) -> np.ndarray:
+    """One series argument, flat: its one value (shape ``(1,)``, shared
+    by every lane) or one value per lane of the broadcast ``shape``."""
+    if values.size == 1:
+        return values.reshape(1)
+    return np.broadcast_to(values, shape).reshape(-1)
+
+
+def _retirable(half: np.ndarray) -> np.ndarray:
+    """Where an argument meets the early-exit precondition: finite and
+    nonnegative (NaN fails both comparisons)."""
+    return (half >= 0.0) & (half < np.inf)
 
 
 def post_despreading_snr(

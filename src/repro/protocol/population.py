@@ -70,6 +70,7 @@ The seeded fidelity split is deterministic in ``(snrs, rule, seed)``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -396,11 +397,15 @@ def span_group_bounds(
     Returns the start index of each group (the vectorised form of
     :func:`repro.core.power_control.snr_groups`'s greedy walk: a group
     extends while ``top - snr <= group_span_db``). The loop runs once
-    per *group*, not per device.
+    per *group*, not per device. A NaN span or a non-finite SNR would
+    stall the walk, so both are rejected.
     """
-    if group_span_db <= 0:
-        raise ConfigurationError("group span must be positive")
+    if not group_span_db > 0:
+        raise ConfigurationError(
+            f"group span must be positive, got {group_span_db}"
+        )
     s = np.asarray(sorted_snrs_desc, dtype=np.float64)
+    _require_finite_snrs(s, "sorted position")
     bounds: List[int] = []
     start = 0
     n = s.size
@@ -411,6 +416,16 @@ def span_group_bounds(
             break
         start += int(np.argmin(inside))
     return bounds
+
+
+def _require_finite_snrs(snrs: np.ndarray, where: str) -> None:
+    """Raise :class:`ConfigurationError` naming the first NaN or
+    infinite SNR (span grouping cannot place it)."""
+    bad = np.flatnonzero(~np.isfinite(snrs))
+    if bad.size:
+        raise ConfigurationError(
+            f"SNR at {where} {bad[0]} is not finite: {snrs[bad[0]]}"
+        )
 
 
 def assign_cluster(
@@ -428,6 +443,7 @@ def assign_cluster(
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.size == 0:
         return []
+    _require_finite_snrs(snrs, "row")
     order = np.argsort(snrs)[::-1]
     s = snrs[order]
     max_size = config.max_devices
@@ -473,6 +489,11 @@ class FidelityRule:
     ``numpy.random.default_rng(seed)`` before any routing decision, so
     one group's mode never perturbs another's draw and the whole split
     is a pure function of ``(snrs, rule, seed)``.
+
+    Construction raises :class:`~repro.errors.ConfigurationError` on an
+    impossible rule: spans must be finite and positive, the floor
+    finite, ``audit_fraction`` within [0, 1] and ``monte_carlo_rounds``
+    an integer of at least 1.
     """
 
     group_span_db: float = 35.0
@@ -480,6 +501,28 @@ class FidelityRule:
     contention_span_db: float = 30.0
     audit_fraction: float = 0.02
     monte_carlo_rounds: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("group_span_db", "contention_span_db"):
+            span = getattr(self, name)
+            if not 0.0 < span < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {span}"
+                )
+        if not math.isfinite(self.closed_form_min_snr_db):
+            raise ConfigurationError(
+                "closed_form_min_snr_db must be finite, got "
+                f"{self.closed_form_min_snr_db}"
+            )
+        if not 0.0 <= self.audit_fraction <= 1.0:
+            raise ConfigurationError(
+                f"audit_fraction must lie in [0, 1], got {self.audit_fraction}"
+            )
+        rounds = self.monte_carlo_rounds
+        if not (isinstance(rounds, (int, np.integer)) and rounds >= 1):
+            raise ConfigurationError(
+                f"monte_carlo_rounds must be an integer >= 1, got {rounds}"
+            )
 
 
 @dataclass
@@ -652,9 +695,10 @@ def office_population(
 
 #: Devices per batched closed-form pass. Batching amortises the χ²
 #: series' per-call dispatch over many groups (it dominated when each
-#: ~255-device group was scored alone); the bound keeps the series'
-#: working arrays near 1 MB (one unchunked 10^5-device pass raised
-#: peak RSS by ~6 MB).
+#: ~255-device group was scored alone); the bound caps the series'
+#: working set, about nine 8-byte values per device until its lanes
+#: retire (~1.2 MB per chunk; one unchunked 10^5-device pass of the
+#: full-length series raised peak RSS by ~6 MB).
 _CLOSED_FORM_CHUNK = 16384
 
 
@@ -726,7 +770,7 @@ def _monte_carlo_group_metrics(
         power_control=False,
         rng=int(seed) & _SEED_MASK,
     )
-    metrics = simulator.run_rounds(max(int(n_rounds), 1))
+    metrics = simulator.run_rounds(n_rounds)
     return (
         metrics.delivery_ratio * snrs.size,
         metrics.bit_error_rate,

@@ -1,4 +1,5 @@
-"""CLI error-path pins for ``python -m repro.campaign``.
+"""CLI error-path pins for ``python -m repro.campaign`` and
+``python -m repro``.
 
 :func:`repro.campaign.cli.entrypoint` is the console boundary: every
 :class:`~repro.errors.ReproError` — bad driver URL, malformed fault
@@ -12,6 +13,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main as experiment_main
 from repro.campaign.cli import entrypoint, main
 from repro.errors import ReproError
 
@@ -313,3 +315,25 @@ class TestRunFailureExitCodes:
         )
         assert second == 0
         assert "1 cached, 1 computed" in out
+
+
+class TestExperimentCliSeed:
+    """``python -m repro run/all --seed`` takes a non-negative integer;
+    anything else is an argparse usage error (exit code 2), never a
+    traceback from the random generator."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "fig04", "--quick", "--seed", "-3"),
+            ("all", "--quick", "--seed", "-1"),
+            ("run", "fig04", "--quick", "--seed", "x"),
+        ],
+    )
+    def test_bad_seed_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            experiment_main(list(argv))
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in err
+        assert "Traceback" not in err

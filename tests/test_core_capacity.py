@@ -28,20 +28,41 @@ SPREADING_FACTORS = (7, 9, 12)
 SNR_GRID_DB = np.linspace(-40.0, 30.0, 7001)
 
 
+def _legacy_noncentral_chi2_cdf(x, noncentrality, max_terms=800):
+    """The χ² series as it ran before lanes retired early, kept as the
+    oracle: every lane runs all ``max_terms`` terms."""
+    x = np.asarray(x, dtype=np.float64)
+    lam = np.asarray(noncentrality, dtype=np.float64)
+    x, lam = np.broadcast_arrays(x, lam)
+    half_lam = lam / 2.0
+    half_x = x / 2.0
+    poisson = np.exp(-half_lam)
+    term = np.exp(-half_x)
+    tail = term.copy()
+    cdf = np.zeros_like(half_x)
+    for k in range(max_terms):
+        cdf += poisson * (1.0 - tail)
+        poisson = poisson * half_lam / (k + 1)
+        term = term * half_x / (k + 1)
+        tail = tail + term
+    return np.clip(cdf, 0.0, 1.0)
+
+
 def _legacy_link_law(snr_db, spreading_factor):
     """The per-stage formulas the kernel replaced, inlined as an oracle:
-    every stage over every device, saturation resolved by ``np.where``."""
+    every stage over every device, saturation resolved by ``np.where``,
+    each χ² decision through the full-length series."""
     rho = post_despreading_snr(snr_db, spreading_factor)
     safe = np.minimum(rho, capacity._SATURATION_RHO)
     saturated = rho > capacity._SATURATION_RHO
     threshold = 0.5 * (safe + 1.0)
-    p_on = noncentral_chi2_cdf(2.0 * threshold, 2.0 * safe)
+    p_on = _legacy_noncentral_chi2_cdf(2.0 * threshold, 2.0 * safe)
     p_off = 1.0 - (1.0 - np.exp(-threshold)) ** OOK_OFF_BIT_CANDIDATES
     p_on = np.where(saturated, 0.0, p_on)
     p_off = np.where(saturated, 0.0, p_off)
     symbol_ber = 0.5 * (p_on + p_off)
     gate = 10.0 ** (OOK_DETECTION_SNR_DB / 10.0)
-    p_symbol = 1.0 - noncentral_chi2_cdf(2.0 * gate, 2.0 * safe)
+    p_symbol = 1.0 - _legacy_noncentral_chi2_cdf(2.0 * gate, 2.0 * safe)
     p_detect = np.where(
         saturated, 1.0, p_symbol**OOK_PREAMBLE_SYMBOLS
     )
@@ -151,6 +172,98 @@ class TestNoncentralChi2:
                 rtol=0.0,
                 atol=1e-12,
             )
+
+
+def _assert_same_bits(x, lam, max_terms=800):
+    expected = _legacy_noncentral_chi2_cdf(x, lam, max_terms)
+    actual = noncentral_chi2_cdf(x, lam, max_terms)
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+
+
+#: Arguments that stress the early exit: zero, tiny and subnormal
+#: values, a central cdf near 1/2 (x = 2 ln 2), the preamble gate,
+#: ``e^{-x/2}`` subnormal (x/2 in (708, 745]) and underflowing, and
+#: values outside the precondition (negative, infinite, NaN).
+EDGE_VALUES = np.array(
+    [
+        0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 2.0, 4.0, 2 * np.log(2.0),
+        3.9810717055349722, 100.0, 600.0, 1400.0, 1420.0, 1480.0, 1489.5,
+        1490.5, 1e10, 1e308, -5e-324, -1.0, -50.0, -100.0, -300.0, -1400.0,
+        np.inf, -np.inf, np.nan,
+    ]
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestSeriesEarlyExit:
+    """The lane-retiring series returns exactly the full series' bits."""
+
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_link_law_decisions(self, sf):
+        rho = post_despreading_snr(SNR_GRID_DB, sf)
+        safe = np.minimum(rho, capacity._SATURATION_RHO)
+        gate = 10.0 ** (OOK_DETECTION_SNR_DB / 10.0)
+        _assert_same_bits(safe + 1.0, 2.0 * safe)
+        _assert_same_bits(2.0 * gate, 2.0 * safe)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(2019)
+        x, lam = rng.uniform(0.0, 700.0, size=(2, 100_000))
+        _assert_same_bits(x, lam)
+
+    def test_zero_arguments(self):
+        values = np.array([0.0, 1e-3, 1.0, 10.0, 300.0, 700.0])
+        _assert_same_bits(0.0, values)
+        _assert_same_bits(values, 0.0)
+        _assert_same_bits(0.0, 0.0)
+
+    def test_edge_values_in_either_argument(self):
+        x, lam = np.meshgrid(EDGE_VALUES, EDGE_VALUES)
+        _assert_same_bits(x, lam)
+
+    @pytest.mark.parametrize(
+        "x, lam",
+        [
+            (3.98, np.linspace(0.0, 600.0, 41)),
+            (np.linspace(0.0, 600.0, 41), 250.0),
+            (np.array([[1.0], [50.0]]), np.array([0.0, 20.0, 400.0])),
+            (np.float64(2.0), np.float64(3.0)),
+            (np.array(2.0), np.array(3.0)),
+            (np.array([[7.0]]), np.array([1.0, 2.0])),
+        ],
+    )
+    def test_broadcasts(self, x, lam):
+        _assert_same_bits(x, lam)
+
+    @pytest.mark.parametrize(
+        "x, lam",
+        [
+            (np.empty(0), np.empty(0)),
+            (2.0, np.empty(0)),
+            (np.empty((0, 3)), 1.0),
+            (np.empty((3, 1)), np.empty(0)),
+            (np.empty((2, 0, 4)), np.ones(4)),
+        ],
+    )
+    def test_empty_inputs(self, x, lam):
+        _assert_same_bits(x, lam)
+
+    @pytest.mark.parametrize(
+        "offset, max_terms",
+        [(0, 0), (0, 1), (-1, None), (0, None), (1, None), (0, 800)],
+    )
+    def test_max_terms(self, offset, max_terms):
+        if max_terms is None:
+            max_terms = capacity._SERIES_CHECK_PERIOD + offset
+        rng = np.random.default_rng(max_terms)
+        x = np.concatenate([EDGE_VALUES, rng.uniform(0.0, 80.0, 200)])
+        lam = np.concatenate([EDGE_VALUES[::-1], rng.uniform(0.0, 2.0, 200)])
+        _assert_same_bits(x, lam, max_terms)
+        _assert_same_bits(2.0, lam, max_terms)
 
 
 class TestOokLinkProbabilities:

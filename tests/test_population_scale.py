@@ -17,6 +17,8 @@ Pins the tentpole invariants of the flat-array population layer:
   :class:`LinkBudget` arithmetic elementwise.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,12 @@ from repro.core.allocation import (
     power_aware_allocation,
 )
 from repro.core.config import NetScatterConfig
-from repro.errors import AllocationError, AssociationError, ProtocolError
+from repro.errors import (
+    AllocationError,
+    AssociationError,
+    ConfigurationError,
+    ProtocolError,
+)
 from repro.protocol.ap import AccessPoint
 from repro.protocol.association import AssociationController
 from repro.protocol.population import (
@@ -39,6 +46,7 @@ from repro.protocol.population import (
     hybrid_population_round,
     office_population,
     spread_slot_indices,
+    span_group_bounds,
     split_fidelity,
     assign_cluster,
 )
@@ -395,6 +403,93 @@ class TestOfficePopulationLinkLaw:
         np.testing.assert_allclose(
             scaled.snr_db, base.snr_db - 20.0, atol=1e-12
         )
+
+
+def _error_within(call, timeout_s=30.0):
+    """The exception ``call()`` raises, run on a daemon thread.
+
+    Span grouping once looped forever on non-finite input; the join
+    timeout turns such a hang into a test failure, not a stuck suite.
+    """
+    raised = []
+
+    def target():
+        try:
+            call()
+        except Exception as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout_s)
+    assert not worker.is_alive(), f"no return within {timeout_s} s"
+    return raised[0]
+
+
+class TestSpanGroupingRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_names_its_row(self, bad):
+        snrs = np.array([1.0, bad, -3.0])
+        error = _error_within(lambda: assign_cluster(snrs, _config(9), 35.0))
+        assert isinstance(error, ConfigurationError)
+        assert "row 1" in str(error)
+
+    @pytest.mark.parametrize("span", [np.nan, 0.0, -1.0])
+    def test_bad_span_is_named(self, span):
+        snrs = np.linspace(-20.0, 10.0, 50)
+        error = _error_within(lambda: assign_cluster(snrs, _config(9), span))
+        assert isinstance(error, ConfigurationError)
+        assert "group span" in str(error)
+
+    def test_span_group_bounds_rejects_non_finite(self):
+        error = _error_within(
+            lambda: span_group_bounds(np.array([5.0, 1.0, np.nan]), 35.0)
+        )
+        assert isinstance(error, ConfigurationError)
+        assert "sorted position 2" in str(error)
+
+    def test_hybrid_round_rejects_non_finite_population(self):
+        pop = Population(initial_capacity=4)
+        pop.bulk_add(
+            np.arange(4, dtype=np.int64), np.array([0.0, -5.0, np.nan, 2.0])
+        )
+        error = _error_within(lambda: hybrid_population_round(pop, seed=1))
+        assert isinstance(error, ConfigurationError)
+        assert "row 2" in str(error)
+
+
+class TestFidelityRuleValidation:
+    def test_defaults_and_boundaries_accepted(self):
+        FidelityRule()
+        FidelityRule(audit_fraction=0.0, monte_carlo_rounds=3)
+        FidelityRule(audit_fraction=1.0, monte_carlo_rounds=np.int64(2))
+
+    @pytest.mark.parametrize("span", [0.0, -5.0, np.nan, np.inf])
+    def test_group_span_db(self, span):
+        with pytest.raises(ConfigurationError, match="group_span_db"):
+            FidelityRule(group_span_db=span)
+
+    @pytest.mark.parametrize("span", [0.0, -5.0, np.nan, np.inf])
+    def test_contention_span_db(self, span):
+        with pytest.raises(ConfigurationError, match="contention_span_db"):
+            FidelityRule(contention_span_db=span)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+    def test_closed_form_min_snr_db(self, floor):
+        with pytest.raises(ConfigurationError, match="closed_form_min_snr_db"):
+            FidelityRule(closed_form_min_snr_db=floor)
+
+    @pytest.mark.parametrize("fraction", [-0.01, 1.5, np.nan])
+    def test_audit_fraction(self, fraction):
+        with pytest.raises(ConfigurationError, match="audit_fraction"):
+            FidelityRule(audit_fraction=fraction)
+
+    @pytest.mark.parametrize("rounds", [0, -2, 1.5, 2.0])
+    def test_monte_carlo_rounds(self, rounds):
+        with pytest.raises(ConfigurationError, match="monte_carlo_rounds"):
+            FidelityRule(monte_carlo_rounds=rounds)
 
 
 class TestFidelitySplit:
