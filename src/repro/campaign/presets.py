@@ -21,7 +21,8 @@ from repro.utils.rng import RngLike
 #: import it from here.
 DEFAULT_DEVICE_COUNTS = (1, 16, 32, 64, 96, 128, 160, 192, 224, 256)
 
-#: Full deployment every preset subsets (the paper's 256-device office).
+#: Full deployment every preset's descriptor names (the paper's
+#: 256-device office); the runner builds only each point's prefix.
 DEPLOYMENT_DEVICES = 256
 
 #: NetScatterConfig overrides shared by the sweep campaigns *and* the

@@ -75,6 +75,7 @@ from repro.errors import (
     ConfigurationError,
     PersistentStorageError,
     PointTimeoutError,
+    ReproError,
 )
 from repro.protocol.network import (
     NetworkMetrics,
@@ -91,15 +92,29 @@ log = logging.getLogger("repro.campaign.runner")
 EXEC_LOG_ENV = "REPRO_CAMPAIGN_EXEC_LOG"
 
 
-def build_deployment(descriptor: Dict[str, object]) -> Deployment:
-    """Rebuild the full deployment a point descriptor names."""
+def build_deployment(
+    descriptor: Dict[str, object], n_devices: Optional[int] = None
+) -> Deployment:
+    """Build the first ``n_devices`` of the deployment a descriptor names.
+
+    The descriptor names the *full* deployment (and so fixes every
+    content hash); ``n_devices=None`` builds all of it. A prefix is
+    bit-identical to ``subset(n_devices)`` of the full build because
+    device *i* depends only on the generator's draws up to its own (see
+    :func:`~repro.channel.deployment.generate_office_deployment`), so a
+    point never pays for the devices it does not simulate.
+    """
     kind = descriptor.get("kind")
-    if kind == "paper":
-        return paper_deployment(
-            n_devices=int(descriptor["n_devices"]),
-            rng=int(descriptor["seed"]),
+    if kind != "paper":
+        raise ConfigurationError(f"unknown deployment kind {kind!r}")
+    total = int(descriptor["n_devices"])
+    if n_devices is None:
+        n_devices = total
+    elif not 1 <= n_devices <= total:
+        raise ReproError(
+            f"subset size must be in [1, {total}], got {n_devices}"
         )
-    raise ConfigurationError(f"unknown deployment kind {kind!r}")
+    return paper_deployment(n_devices=n_devices, rng=int(descriptor["seed"]))
 
 
 def _calibration_schema() -> str:
@@ -114,15 +129,17 @@ def execute_point(point: CampaignPoint) -> Tuple[Dict, Dict]:
 
     Module-level (and taking only the picklable point) so process pools
     can ship it. The construction mirrors ``_run_sweep_point`` exactly:
-    same deployment rebuild, same subset, same seeded generator — the
+    the descriptor names the full deployment, but only the prefix the
+    point simulates is built — bit-identical to the full build's
+    ``subset(point.n_devices)`` — with the same seeded generator; the
     campaign tests pin bit-identical metrics against the direct
     ``sweep_device_counts`` path.
     """
-    deployment = build_deployment(dict(point.deployment))
+    deployment = build_deployment(dict(point.deployment), point.n_devices)
     config = NetScatterConfig(**dict(point.config))
     dtype = np.complex64 if point.readout_dtype == "complex64" else None
     simulator = NetworkSimulator(
-        deployment.subset(point.n_devices),
+        deployment,
         config=config,
         query_bits=point.query_bits,
         rng=np.random.default_rng(point.seed),

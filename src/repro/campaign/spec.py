@@ -65,10 +65,12 @@ class CampaignPoint:
     Attributes
     ----------
     deployment:
-        Descriptor of the *full* deployment the point subsets —
+        Descriptor of the *full* deployment the point draws from —
         ``{"kind": "paper", "n_devices": int, "seed": int}``. Kept as
         a descriptor (not the object) so the point serialises, hashes,
-        and rebuilds identically in any worker process.
+        and rebuilds identically in any worker process. The runner
+        builds only the ``n_devices`` prefix the point uses, which is
+        bit-identical to that prefix of the full build.
     config:
         ``NetScatterConfig`` keyword overrides shared by the campaign.
     n_devices:

@@ -169,6 +169,13 @@ def generate_office_deployment(
     the AP sits at the floor centre. Device SNRs then span roughly 35-40 dB
     between the nearest and farthest tags, the regime the power-aware
     allocation is designed for.
+
+    Prefix contract: device *i* depends only on the generator's first
+    draws, up to and including device *i*'s own (uniform x, uniform y,
+    one child seed for its fading track). So the first ``n`` devices of
+    an ``N``-device build are bit-identical to an ``n``-device build
+    from the same seed — the campaign runner builds only the prefix a
+    point simulates (pinned by ``tests/test_channel_deployment.py``).
     """
     if n_devices < 1:
         raise ReproError("need at least one device")

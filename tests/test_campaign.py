@@ -5,6 +5,8 @@ The load-bearing pins:
 * campaign metrics are **bit-identical** to the direct
   ``sweep_device_counts`` / figure-driver path (same seeds, same draw
   order);
+* a point builds only the device prefix it simulates, and its metrics
+  and provenance equal the old full-build-then-``subset`` path's;
 * a re-run over an already-populated store recomputes **zero** points
   and serves stored results bit-for-bit;
 * a run killed mid-campaign resumes: completed points load from the
@@ -17,7 +19,7 @@ The load-bearing pins:
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,14 +32,21 @@ from repro.campaign.presets import (
     fig18_campaign,
     noise_grid_campaign,
 )
-from repro.campaign.runner import CampaignRunner, run_campaign_sweep
+from repro.campaign.runner import (
+    CampaignRunner,
+    build_deployment,
+    execute_point,
+    run_campaign_sweep,
+)
 from repro.campaign.spec import CampaignPoint, CampaignSpec, derive_seeds
 from repro.campaign.store import CampaignStore
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import fig17_phy_rate, fig18_linklayer
+from repro.phy import backend_plan
 from repro.protocol.network import (
+    NetworkSimulator,
     resolve_pool_workers,
     sweep_device_counts,
 )
@@ -290,6 +299,30 @@ class TestRunnerEquivalence:
         campaign = run_campaign_sweep(small_spec())
         assert campaign == direct
 
+    def test_fading_campaign_equals_direct_sweep_bit_for_bit(self):
+        # ``sweep_device_counts`` shares one deployment across its points
+        # and never fades it, so the direct reference runs its per-point
+        # construction (``_run_sweep_point``) by hand: a fresh full build
+        # per point, cut to the count, faded from its initial state. The
+        # fading state only moves the metrics once the round is crowded,
+        # hence the 256-device point.
+        counts = COUNTS + (256,)
+        generator = make_rng(0)
+        deployment_seed = child_seed(generator, 0)
+        direct = []
+        for count in counts:
+            simulator = NetworkSimulator(
+                paper_deployment(rng=deployment_seed).subset(count),
+                config=NetScatterConfig(n_association_shifts=0),
+                rng=child_rng(generator, count),
+                engine="analytic",
+            )
+            direct.append(simulator.run_rounds(ROUNDS, fading=True))
+        spec = small_spec(device_counts=counts)
+        campaign = run_campaign_sweep(replace(spec, fading=(True,)))
+        assert campaign == direct
+        assert campaign[-1] != run_campaign_sweep(spec)[-1]
+
     def test_store_backed_rerun_recomputes_zero_points(self, tmp_path):
         spec = small_spec()
         runner = CampaignRunner(store=tmp_path)
@@ -350,6 +383,69 @@ class TestRunnerEquivalence:
             assert row["calibration_schema"].startswith(
                 "repro-backend-plan"
             )
+
+
+def _legacy_execute_point(point):
+    """``execute_point`` as it was: full build, then ``subset`` (oracle)."""
+    deployment = paper_deployment(
+        n_devices=int(point.deployment["n_devices"]),
+        rng=int(point.deployment["seed"]),
+    )
+    dtype = np.complex64 if point.readout_dtype == "complex64" else None
+    simulator = NetworkSimulator(
+        deployment.subset(point.n_devices),
+        config=NetScatterConfig(**point.config),
+        query_bits=point.query_bits,
+        rng=np.random.default_rng(point.seed),
+        engine=point.engine,
+        readout_dtype=dtype,
+        noise_mode=point.noise_mode,
+    )
+    metrics = simulator.run_rounds(point.n_rounds, fading=point.fading)
+    provenance = {
+        "backend": metrics.backend,
+        "noise_mode": metrics.noise_mode,
+        "noise_version": metrics.noise_version,
+        "calibration_schema": backend_plan._SCHEMA,
+    }
+    return asdict(metrics), provenance
+
+
+class TestPrefixBuild:
+    """The runner builds only the devices a point simulates."""
+
+    DESCRIPTOR = {"kind": "paper", "n_devices": 16, "seed": 7}
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 4, 256])
+    @pytest.mark.parametrize(
+        "axis", [{"fading": True}, {"readout_dtype": "complex64"}]
+    )
+    def test_execute_point_matches_full_build_oracle(self, n_devices, axis):
+        point = make_point(
+            deployment={"kind": "paper", "n_devices": 256, "seed": 7},
+            n_devices=n_devices,
+            **axis,
+        )
+        assert execute_point(point) == _legacy_execute_point(point)
+
+    def test_default_builds_the_full_deployment(self):
+        assert build_deployment(self.DESCRIPTOR) == paper_deployment(
+            16, rng=7
+        )
+
+    @pytest.mark.parametrize("n_devices", [0, 17])
+    def test_out_of_range_count_raises_the_subset_error(self, n_devices):
+        with pytest.raises(ReproError) as expected:
+            paper_deployment(16, rng=7).subset(n_devices)
+        with pytest.raises(ReproError) as raised:
+            build_deployment(self.DESCRIPTOR, n_devices)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n_devices", [None, 1])
+    def test_unknown_kind_raises_configuration_error(self, n_devices):
+        with pytest.raises(ConfigurationError, match="unknown deployment"):
+            build_deployment({"kind": "lab", "n_devices": 4}, n_devices)
 
 
 class TestResumability:

@@ -122,6 +122,24 @@ class TestPaperDeployment:
             assert before != after or device.fading.std_db == 0.0
 
 
+class TestPrefixContract:
+    """``paper_deployment(n)`` is the first ``n`` devices of the full build.
+
+    The campaign runner relies on this to build only the devices a point
+    simulates; the fading state is compared on its own because dataclass
+    equality skips ``FadingProcess._state_db``.
+    """
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 4, 17, 255, 256])
+    def test_prefix_build_equals_subset_of_full_build(self, seed, n):
+        prefix = paper_deployment(n, rng=seed)
+        full = paper_deployment(256, rng=seed).subset(n)
+        assert prefix == full
+        for built, cut in zip(prefix.devices, full.devices):
+            assert built.fading._state_db == cut.fading._state_db
+
+
 class TestReciprocity:
     def test_rssi_predicts_snr_monotonically(self):
         """Stronger downlink RSSI must imply higher inferred uplink SNR —
