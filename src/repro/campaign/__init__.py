@@ -16,19 +16,25 @@ declarative, cacheable artifacts:
   per-point timeouts, and broken-pool → serial degradation;
 * :mod:`repro.campaign.leases` — the point claim/heartbeat/expiry
   protocol letting N concurrent runners partition one store;
+* :mod:`repro.campaign.retry` — the one :class:`RetryPolicy`
+  (seeded-jitter exponential backoff), transient-retry loop and
+  wall-clock time bound that the runner, the storage drivers and the
+  service client share;
 * :mod:`repro.campaign.storage` — the pluggable
   :class:`StorageDriver` layer every byte of campaign state flows
   through (posix with fsync-on-commit, in-memory, fault-injecting),
-  with bounded per-operation retries and seeded-jitter backoff;
+  with bounded per-operation retries; the wrapping layers share one
+  forwarding base;
 * :mod:`repro.campaign.objectstore` — the remote half:
   :class:`HttpDriver` speaking a minimal S3-style REST protocol to
   :class:`ObjectStoreService` (``python -m repro.campaign serve``),
   with server-side network-chaos injection and a client-side
-  :class:`CircuitBreakerDriver`;
+  :class:`CircuitBreakerDriver`; it also holds the HTTP service and
+  handler base both services build on;
 * :mod:`repro.campaign.faults` — deterministic fault injection
   (:class:`FaultPlan` / ``REPRO_FAULT_PLAN``, :class:`StorageFaultPlan`
-  / ``REPRO_STORAGE_FAULT_PLAN``) exercising every recovery path
-  above in CI;
+  / ``REPRO_STORAGE_FAULT_PLAN``, one loader for both) exercising
+  every recovery path above in CI;
 * :mod:`repro.campaign.service` / :mod:`repro.campaign.client` — the
   HSDS-style service node: :class:`CampaignService`
   (``python -m repro.campaign serve-api``) accepts JSON campaign
@@ -68,7 +74,6 @@ from repro.campaign.storage import (
     PosixDriver,
     RetryingDriver,
     StorageDriver,
-    StorageRetryPolicy,
     build_driver,
     parse_driver_spec,
 )
@@ -84,10 +89,10 @@ from repro.campaign.runner import (
     CampaignPointResult,
     CampaignRun,
     CampaignRunner,
-    RetryPolicy,
     execute_point,
     run_campaign_sweep,
 )
+from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
 from repro.campaign.spec import CampaignPoint, CampaignSpec, derive_seeds
 from repro.campaign.store import CampaignStore
 
@@ -118,7 +123,7 @@ __all__ = [
     "StorageDriver",
     "StorageFaultPlan",
     "StorageFaultRule",
-    "StorageRetryPolicy",
+    "STORAGE_RETRY",
     "build_driver",
     "build_preset",
     "campaign_id_for",

@@ -67,15 +67,16 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.campaign.faults import FaultPlan, StorageFaultPlan
 from repro.campaign.presets import PRESETS, build_preset
-from repro.campaign.runner import CampaignRunner, RetryPolicy
+from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.storage import (
     DRIVER_NAMES,
-    StorageRetryPolicy,
     build_driver,
     parse_driver_spec,
 )
@@ -428,38 +429,19 @@ def _load_spec(args) -> CampaignSpec:
     return CampaignSpec.from_dict(json.loads(path.read_text()))
 
 
-def _parse_storage_plan(raw) -> StorageFaultPlan | None:
+def _parse_plan(plan_type, raw):
+    """A ``--*fault-plan`` value (inline JSON or a file path) as a
+    ``plan_type`` plan, or ``None`` when the flag is absent."""
     if raw is None:
         return None
-    raw = raw.strip()
     try:
-        return (
-            StorageFaultPlan.from_json(raw)
-            if raw.startswith("{")
-            else StorageFaultPlan.from_file(raw)
-        )
+        return plan_type.from_spec(raw)
     except (ValueError, OSError) as error:
         # Malformed JSON / unreadable file: one actionable line, not a
         # json.JSONDecodeError traceback (plan-schema violations are
         # already ConfigurationError and pass through).
         raise ReproError(
-            f"malformed storage fault plan {raw[:80]!r}: {error}"
-        ) from error
-
-
-def _parse_exec_plan(raw) -> FaultPlan | None:
-    if raw is None:
-        return None
-    raw = raw.strip()
-    try:
-        return (
-            FaultPlan.from_json(raw)
-            if raw.startswith("{")
-            else FaultPlan.from_file(raw)
-        )
-    except (ValueError, OSError) as error:
-        raise ReproError(
-            f"malformed fault plan {raw[:80]!r}: {error}"
+            f"malformed {plan_type.label} {raw.strip()[:80]!r}: {error}"
         ) from error
 
 
@@ -479,8 +461,8 @@ def _check_store_arg(spec: str, store) -> None:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args)
-    fault_plan = _parse_exec_plan(args.fault_plan)
-    storage_plan = _parse_storage_plan(args.storage_fault_plan)
+    fault_plan = _parse_plan(FaultPlan, args.fault_plan)
+    storage_plan = _parse_plan(StorageFaultPlan, args.storage_fault_plan)
     _check_store_arg(args.storage_driver, args.store)
     driver = build_driver(
         args.storage_driver, args.store, storage_fault_plan=storage_plan
@@ -622,7 +604,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         bucket=args.bucket,
-        fault_plan=_parse_storage_plan(args.storage_fault_plan),
+        fault_plan=_parse_plan(StorageFaultPlan, args.storage_fault_plan),
     )
     service.start()
     backing = args.root if args.root is not None else "memory://"
@@ -667,8 +649,10 @@ def _cmd_serve_api(args) -> int:
         workers=args.workers,
         point_timeout_s=args.timeout_s,
         use_leases=not args.no_leases,
-        fault_plan=_parse_exec_plan(args.fault_plan),
-        service_fault_plan=_parse_storage_plan(args.service_fault_plan),
+        fault_plan=_parse_plan(FaultPlan, args.fault_plan),
+        service_fault_plan=_parse_plan(
+            StorageFaultPlan, args.service_fault_plan
+        ),
         **kwargs,
     )
     service.start()
@@ -694,8 +678,8 @@ def _cmd_submit(args) -> int:
     spec = _load_spec(args)
     kwargs = {}
     if args.max_attempts is not None:
-        kwargs["retry"] = StorageRetryPolicy(
-            max_attempts=args.max_attempts
+        kwargs["retry"] = replace(
+            STORAGE_RETRY, max_attempts=args.max_attempts
         )
     if args.timeout_s is not None:
         kwargs["timeout_s"] = args.timeout_s

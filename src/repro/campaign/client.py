@@ -4,8 +4,8 @@
 protocol end-to-end and degrades through the same machinery as the
 storage layer: wire-level failures (refused connections, 5xx/429
 responses, torn streams) surface as
-:class:`~repro.errors.TransientStorageError` and are retried with the
-:class:`~repro.campaign.storage.StorageRetryPolicy` seeded-jitter
+:class:`~repro.errors.TransientStorageError` and are retried through
+:class:`~repro.campaign.retry.TransientRetry` with seeded-jitter
 backoff (``Retry-After`` hints floor the delay), a
 :class:`~repro.campaign.objectstore.CircuitBreaker` fails fast once
 the endpoint looks dead (:class:`~repro.errors.CircuitOpenError`), and
@@ -29,25 +29,26 @@ a partial suffix.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.campaign.objectstore import CircuitBreaker
+from repro.campaign.objectstore import (
+    CircuitBreaker,
+    transient_status_error,
+)
+from repro.campaign.retry import STORAGE_RETRY, RetryPolicy, TransientRetry
 from repro.campaign.service import (
     CAMPAIGN_ID_HEADER,
     CREATED_HEADER,
     _canonical,
 )
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.storage import StorageRetryPolicy
 from repro.errors import (
     CampaignExecutionError,
     CampaignServiceError,
     ConfigurationError,
-    PersistentStorageError,
     TransientStorageError,
 )
 from repro.protocol.network import NetworkMetrics
@@ -125,10 +126,11 @@ class CampaignServiceRun:
 class CampaignServiceClient:
     """Retrying, circuit-broken client for a :class:`CampaignService`.
 
-    ``retry`` is a :class:`StorageRetryPolicy` (same deterministic
-    backoff the storage drivers use); ``timeout_s`` bounds each socket
-    read — it must exceed the longest single-point computation, since
-    the stream goes quiet while a point runs. ``breaker`` accepts a
+    ``retry`` is a :class:`~repro.campaign.retry.RetryPolicy` (default
+    :data:`~repro.campaign.retry.STORAGE_RETRY`, as for the storage
+    drivers); ``timeout_s`` bounds each socket read — it must exceed
+    the longest single-point computation, since the stream goes quiet
+    while a point runs. ``breaker`` accepts a
     pre-built :class:`CircuitBreaker` to share failure state across
     clients of one endpoint.
     """
@@ -137,7 +139,7 @@ class CampaignServiceClient:
         self,
         url: str,
         *,
-        retry: Optional[StorageRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
         timeout_s: float = 60.0,
         failure_threshold: int = 5,
         reset_after_s: float = 30.0,
@@ -145,7 +147,9 @@ class CampaignServiceClient:
     ) -> None:
         self._scheme, self._netloc = parse_service_url(url)
         self._url = f"{self._scheme}://{self._netloc}"
-        self._retry = retry if retry is not None else StorageRetryPolicy()
+        self._retry = TransientRetry(
+            retry if retry is not None else STORAGE_RETRY
+        )
         self._timeout_s = float(timeout_s)
         self._breaker = (
             breaker
@@ -154,7 +158,6 @@ class CampaignServiceClient:
                 self._url, failure_threshold, reset_after_s
             )
         )
-        self._n_retries = 0
 
     @property
     def url(self) -> str:
@@ -166,7 +169,7 @@ class CampaignServiceClient:
 
     @property
     def n_retries(self) -> int:
-        return self._n_retries
+        return self._retry.n_retries
 
     # ------------------------------------------------------------------ #
     # transport
@@ -184,31 +187,11 @@ class CampaignServiceClient:
         failed campaigns) propagate without counting against the
         endpoint's health."""
         answers = (CampaignServiceError, CampaignExecutionError)
-        attempt = 1
-        while True:
-            try:
-                result = self._breaker.guard(
-                    op, key, fn, answers=answers
-                )
-                return result, attempt
-            except TransientStorageError as error:
-                if attempt >= self._retry.max_attempts:
-                    raise PersistentStorageError(
-                        f"{op} against {self._url} failed after "
-                        f"{attempt} attempts: {error}"
-                    ) from error
-                backoff = self._retry.backoff_s(op, key, attempt)
-                if error.retry_after_s is not None:
-                    backoff = max(
-                        backoff,
-                        min(
-                            float(error.retry_after_s),
-                            self._retry.max_delay_s,
-                        ),
-                    )
-                time.sleep(backoff)
-                self._n_retries += 1
-                attempt += 1
+        return self._retry.call(
+            f"{op}:{key}",
+            lambda: self._breaker.guard(op, key, fn, answers=answers),
+            f"{op} against {self._url} failed",
+        )
 
     @staticmethod
     def _check_response(op: str, response) -> None:
@@ -221,22 +204,13 @@ class CampaignServiceClient:
             body = response.read(512)
         except (HTTPException, OSError, ValueError):
             body = b""
-        detail = body.decode("utf-8", "replace").strip()
-        if response.status >= 500 or response.status == 429:
-            header = response.getheader("Retry-After")
-            retry_after = None
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-            raise TransientStorageError(
-                f"{op}: HTTP {response.status} from service: {detail}",
-                retry_after_s=retry_after,
-            )
-        raise CampaignServiceError(
-            f"{op}: HTTP {response.status} from service: {detail}"
+        message = (
+            f"{op}: HTTP {response.status} from service: "
+            f"{body.decode('utf-8', 'replace').strip()}"
         )
+        raise transient_status_error(
+            response.status, response.getheader("Retry-After"), message
+        ) or CampaignServiceError(message)
 
     def _get_json(self, path: str, op: str) -> Dict[str, object]:
         connection = self._connect()

@@ -66,14 +66,16 @@ True
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, FaultInjectedError
 
@@ -96,6 +98,27 @@ _MATCH_FIELDS = (
     "fading",
     "seed",
 )
+
+
+def _check_indices(name: str, indices: Tuple[int, ...]) -> None:
+    """Attempt/call indices are 1-based: a smaller one never fires."""
+    if any(index < 1 for index in indices):
+        raise ConfigurationError(
+            f"fault {name} are 1-based indices, got {list(indices)}"
+        )
+
+
+def _check_hang_s(hang_s) -> None:
+    """A sleep must be a finite number of seconds >= 0 (checked here,
+    not when the fault fires mid-run)."""
+    if not (
+        isinstance(hang_s, (int, float))
+        and math.isfinite(hang_s)
+        and hang_s >= 0
+    ):
+        raise ConfigurationError(
+            f"fault hang_s must be finite and >= 0, got {hang_s!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,6 +150,8 @@ class FaultRule:
         object.__setattr__(
             self, "attempts", tuple(int(a) for a in self.attempts)
         )
+        _check_indices("attempts", self.attempts)
+        _check_hang_s(self.hang_s)
         unknown = [
             key
             for key in self.match
@@ -162,80 +187,101 @@ def _in_pool_worker() -> bool:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """A seeded set of deterministic fault rules.
+class _RulePlan:
+    """A seeded tuple of rules, and its one JSON/file/env loader.
+
+    Each subclass names its rule type, schema string, environment
+    variable and a ``label`` for error messages; the schema, the
+    top-level keys (``schema``, ``seed``, ``rules``) and the
+    inline-JSON-or-path convention are shared.
+    """
+
+    rules: Tuple = ()
+    seed: int = 0
+
+    _rule_type: ClassVar[type]
+    _schema: ClassVar[str]
+    _env: ClassVar[str]
+    label: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]):
+        payload = dict(data)
+        schema = payload.pop("schema", cls._schema)
+        if schema != cls._schema:
+            raise ConfigurationError(
+                f"unsupported {cls.label} schema {schema!r}"
+            )
+        rules = tuple(
+            cls._rule_type(**dict(rule)) for rule in payload.pop("rules", ())
+        )
+        seed = int(payload.pop("seed", 0))
+        if payload:
+            raise ConfigurationError(
+                f"unknown {cls.label} keys {sorted(payload)}"
+            )
+        return cls(rules=rules, seed=seed)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_file(cls, path):
+        return cls.from_json(Path(path).read_text())
+
+    @classmethod
+    def from_spec(cls, raw: str):
+        """Inline JSON when ``raw`` starts with ``{``, otherwise a path
+        to a JSON file (the form the environment variable and the CLI
+        flags take)."""
+        raw = raw.strip()
+        if raw.startswith("{"):
+            return cls.from_json(raw)
+        return cls.from_file(raw)
+
+    @classmethod
+    def from_env(cls):
+        """The ambient plan from the class's environment variable, or
+        ``None`` when it is unset or empty.
+
+        This is how fault plans reach subprocess-launched runners
+        and the CLI without threading an argument everywhere.
+        """
+        raw = os.environ.get(cls._env, "").strip()
+        return cls.from_spec(raw) if raw else None
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "schema": self._schema,
+            "seed": self.seed,
+            "rules": [
+                {
+                    key: list(value) if isinstance(value, tuple) else value
+                    for key, value in asdict(rule).items()
+                }
+                for rule in self.rules
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class FaultPlan(_RulePlan):
+    """A seeded set of deterministic :class:`FaultRule`\\ s
+    (``REPRO_FAULT_PLAN``).
 
     Frozen and picklable so the runner can ship the plan to pool
     workers by value; ``seed`` is reserved for rules that need derived
     randomness (none of the built-in kinds draw — determinism first).
     """
 
-    rules: Tuple[FaultRule, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":
-        payload = dict(data)
-        schema = payload.pop("schema", PLAN_SCHEMA)
-        if schema != PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported fault plan schema {schema!r}"
-            )
-        rules = tuple(
-            FaultRule(**dict(rule)) for rule in payload.pop("rules", ())
-        )
-        seed = int(payload.pop("seed", 0))
-        if payload:
-            raise ConfigurationError(
-                f"unknown fault plan keys {sorted(payload)}"
-            )
-        return cls(rules=rules, seed=seed)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text())
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The ambient plan (``REPRO_FAULT_PLAN``), or ``None``.
-
-        Inline JSON when the value starts with ``{``, otherwise a file
-        path. This is how fault plans reach subprocess-launched runners
-        and the CLI without threading an argument everywhere.
-        """
-        raw = os.environ.get(FAULT_PLAN_ENV, "").strip()
-        if not raw:
-            return None
-        if raw.startswith("{"):
-            return cls.from_json(raw)
-        return cls.from_file(raw)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": PLAN_SCHEMA,
-            "seed": self.seed,
-            "rules": [
-                {
-                    "stage": rule.stage,
-                    "kind": rule.kind,
-                    "match": dict(rule.match),
-                    "attempts": list(rule.attempts),
-                    "hang_s": rule.hang_s,
-                }
-                for rule in self.rules
-            ],
-        }
+    _rule_type = FaultRule
+    _schema = PLAN_SCHEMA
+    _env = FAULT_PLAN_ENV
+    label = "fault plan"
 
     # ------------------------------------------------------------------ #
     # firing
@@ -284,26 +330,6 @@ class FaultPlan:
             f"injected {rule.kind} at point {content_hash[:12]}… "
             f"attempt {attempt}"
         )
-
-    def fire_write(
-        self,
-        point_fields: Mapping[str, object],
-        content_hash: str,
-        path,
-        attempt: int,
-    ) -> None:
-        """Tear the just-written chunk at ``path`` if a rule matches."""
-        rule = self.match("write", point_fields, content_hash, attempt)
-        if rule is None:
-            return
-        tear_file(path)
-
-
-def tear_file(path) -> None:
-    """Truncate ``path`` to half its size (simulates a torn write)."""
-    path = Path(path)
-    data = path.read_bytes()
-    path.write_bytes(data[: max(1, len(data) // 2)])
 
 
 # ---------------------------------------------------------------------- #
@@ -447,6 +473,12 @@ class StorageFaultRule:
             object.__setattr__(
                 self, "calls", tuple(int(c) for c in self.calls)
             )
+            _check_indices("calls", self.calls)
+        if self.max_fires is not None and self.max_fires < 0:
+            raise ConfigurationError(
+                f"max_fires must be >= 0, got {self.max_fires!r}"
+            )
+        _check_hang_s(self.hang_s)
 
     def selects(self, op: str, key: str) -> bool:
         """True when this rule's (op, key-prefix) selector matches."""
@@ -456,7 +488,7 @@ class StorageFaultRule:
 
 
 @dataclass(frozen=True)
-class StorageFaultPlan:
+class StorageFaultPlan(_RulePlan):
     """A seeded, declarative set of storage-driver fault rules.
 
     The storage-layer extension of :class:`FaultPlan`: consumed by
@@ -478,77 +510,13 @@ class StorageFaultPlan:
     True
     """
 
-    rules: Tuple[StorageFaultRule, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "StorageFaultPlan":
-        payload = dict(data)
-        schema = payload.pop("schema", STORAGE_PLAN_SCHEMA)
-        if schema != STORAGE_PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported storage fault plan schema {schema!r}"
-            )
-        rules = tuple(
-            StorageFaultRule(**dict(rule))
-            for rule in payload.pop("rules", ())
-        )
-        seed = int(payload.pop("seed", 0))
-        if payload:
-            raise ConfigurationError(
-                f"unknown storage fault plan keys {sorted(payload)}"
-            )
-        return cls(rules=rules, seed=seed)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StorageFaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path) -> "StorageFaultPlan":
-        return cls.from_json(Path(path).read_text())
-
-    @classmethod
-    def from_env(cls) -> Optional["StorageFaultPlan"]:
-        """The ambient plan (``REPRO_STORAGE_FAULT_PLAN``), or ``None``."""
-        raw = os.environ.get(STORAGE_FAULT_PLAN_ENV, "").strip()
-        if not raw:
-            return None
-        if raw.startswith("{"):
-            return cls.from_json(raw)
-        return cls.from_file(raw)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": STORAGE_PLAN_SCHEMA,
-            "seed": self.seed,
-            "rules": [
-                {
-                    "kind": rule.kind,
-                    "op": rule.op,
-                    "key_prefix": rule.key_prefix,
-                    "calls": (
-                        list(rule.calls) if rule.calls is not None else None
-                    ),
-                    "p": rule.p,
-                    "max_fires": rule.max_fires,
-                    "hang_s": rule.hang_s,
-                    "offset": rule.offset,
-                    "silent": rule.silent,
-                    "status": rule.status,
-                    "retry_after_s": rule.retry_after_s,
-                }
-                for rule in self.rules
-            ],
-        }
+    _rule_type = StorageFaultRule
+    _schema = STORAGE_PLAN_SCHEMA
+    _env = STORAGE_FAULT_PLAN_ENV
+    label = "storage fault plan"
 
     def unit(self, op: str, key: str, call_index: int) -> float:
         """Seeded uniform draw in [0, 1) for one (op, key, call)."""
-        import hashlib
-
         digest = hashlib.sha256(
             f"{self.seed}:{op}:{key}:{call_index}".encode()
         ).digest()
@@ -641,5 +609,4 @@ __all__ = [
     "StorageFaultPlan",
     "StorageFaultRule",
     "StorageFaultSelector",
-    "tear_file",
 ]

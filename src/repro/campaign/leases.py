@@ -52,7 +52,6 @@ import socket
 import threading
 import time
 import uuid
-from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.storage import PosixDriver, StorageDriver
@@ -99,31 +98,6 @@ def parse_lease(data: bytes) -> Optional[Dict[str, object]]:
     ):
         return None
     return payload
-
-
-def read_lease(path) -> Optional[Dict[str, object]]:
-    """The lease payload at filesystem ``path``, or ``None`` if
-    missing/unreadable (kept for posix tooling; the manager itself
-    reads through its driver)."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    return parse_lease(data)
-
-
-def scan_leases(directory) -> List[Dict[str, object]]:
-    """All readable leases under a posix ``directory`` (may include
-    expired)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    leases = []
-    for path in sorted(directory.glob("*.lease")):
-        payload = read_lease(path)
-        if payload is not None:
-            leases.append(payload)
-    return leases
 
 
 def scan_lease_backend(driver: StorageDriver) -> List[Dict[str, object]]:
@@ -405,7 +379,5 @@ __all__ = [
     "LeaseManager",
     "default_owner_id",
     "parse_lease",
-    "read_lease",
     "scan_lease_backend",
-    "scan_leases",
 ]

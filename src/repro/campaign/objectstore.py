@@ -98,7 +98,7 @@ import threading
 import time
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
 from repro.campaign.faults import (
@@ -111,6 +111,7 @@ from repro.campaign.storage import (
     MemoryDriver,
     StorageDriver,
     StorageStat,
+    WrappingDriver,
     _check_key,
 )
 from repro.errors import (
@@ -136,6 +137,34 @@ log = logging.getLogger("repro.campaign.objectstore")
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def transient_status_error(
+    status: int, retry_after: Optional[str], message: str
+) -> Optional[TransientStorageError]:
+    """The error a 5xx or 429 response maps to, or ``None`` for any
+    other status (which the caller interprets as an answer).
+
+    Shared by :class:`HttpDriver` and the campaign service client. A
+    numeric ``Retry-After`` rides along as the error's
+    ``retry_after_s`` hint; any other form — an HTTP-date is valid
+    under RFC 9110 — counts as no hint.
+
+    >>> transient_status_error(404, None, "get") is None
+    True
+    >>> transient_status_error(503, "2", "get").retry_after_s
+    2.0
+    >>> print(transient_status_error(
+    ...     503, "Wed, 21 Oct 2015 07:28:00 GMT", "get").retry_after_s)
+    None
+    """
+    if status < 500 and status != 429:
+        return None
+    try:
+        hint = float(retry_after) if retry_after else None
+    except ValueError:
+        hint = None
+    return TransientStorageError(message, retry_after_s=hint)
 
 
 class HttpDriver(StorageDriver):
@@ -225,15 +254,15 @@ class HttpDriver(StorageDriver):
             ) from error
         finally:
             conn.close()
-        if response.status >= 500 or response.status == 429:
+        error = transient_status_error(
+            response.status,
+            got.get("retry-after"),
+            f"{op}({key!r}) over {self.spec}: HTTP {response.status} "
+            f"{data[:200].decode('utf-8', 'replace')}",
+        )
+        if error is not None:
             self._record(op, error=True)
-            hint = got.get("retry-after")
-            raise TransientStorageError(
-                f"{op}({key!r}) over {self.spec}: "
-                f"HTTP {response.status} "
-                f"{data[:200].decode('utf-8', 'replace')}",
-                retry_after_s=float(hint) if hint else None,
-            )
+            raise error
         return response.status, got, data
 
     def _verify(self, op: str, key: str, data: bytes, claimed: str) -> None:
@@ -529,7 +558,7 @@ class CircuitBreaker:
             }
 
 
-class CircuitBreakerDriver(StorageDriver):
+class CircuitBreakerDriver(WrappingDriver):
     """Fail-fast wrapper tripping persistent network failure into the
     runner's read-only degradation path (state machine in the module
     docstring; the machine itself lives in :class:`CircuitBreaker`).
@@ -546,67 +575,20 @@ class CircuitBreakerDriver(StorageDriver):
         failure_threshold: int = 5,
         reset_after_s: float = 30.0,
     ) -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner, "breaker")
         self._breaker = CircuitBreaker(
             inner.name, failure_threshold, reset_after_s
         )
-        self.name = f"breaker({inner.name})"
         spec = getattr(inner, "spec", None)
         if spec is not None:
             self.spec = spec
 
     @property
-    def inner(self) -> StorageDriver:
-        return self._inner
-
-    @property
     def state(self) -> str:
         return self._breaker.state
 
-    def _guard(self, op: str, key: str, fn):
+    def _call(self, op: str, key: str, fn, data: Optional[bytes] = None):
         return self._breaker.guard(op, key, fn)
-
-    def get(self, key: str) -> bytes:
-        return self._guard("get", key, lambda: self._inner.get(key))
-
-    def put_atomic(self, key: str, data: bytes) -> None:
-        return self._guard(
-            "put_atomic", key, lambda: self._inner.put_atomic(key, data)
-        )
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._guard(
-            "put_exclusive",
-            key,
-            lambda: self._inner.put_exclusive(key, data),
-        )
-
-    def replace(self, key: str, data: bytes) -> None:
-        return self._guard(
-            "replace", key, lambda: self._inner.replace(key, data)
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._guard("delete", key, lambda: self._inner.delete(key))
-
-    def list(self, prefix: str = "") -> List[str]:
-        return self._guard(
-            "list", prefix, lambda: self._inner.list(prefix)
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._guard(
-            "exists", key, lambda: self._inner.exists(key)
-        )
-
-    def stat(self, key: str) -> StorageStat:
-        return self._guard("stat", key, lambda: self._inner.stat(key))
-
-    def rename(self, key: str, new_key: str) -> None:
-        return self._guard(
-            "rename", key, lambda: self._inner.rename(key, new_key)
-        )
 
     def stats(self) -> Dict[str, object]:
         own: Dict[str, object] = {"driver": self.name}
@@ -629,39 +611,6 @@ DISCONNECT_ERRORS = (
 )
 
 
-class ClientDisconnectLog:
-    """Counts mid-response client disconnects for an HTTP service.
-
-    One warning line on the first occurrence, a ``log_lines`` entry per
-    event, never a traceback — chaos plans disconnect on purpose,
-    hundreds of times per CI run. Mixed into :class:`ObjectStoreService`
-    and :class:`repro.campaign.service.CampaignService`, both of which
-    provide ``log_lines``.
-    """
-
-    log_lines: List[str]
-
-    def _init_disconnect_log(self) -> None:
-        self.n_client_disconnects = 0
-        self._disconnect_lock = threading.Lock()
-
-    def note_client_disconnect(self, client_address, exc) -> None:
-        with self._disconnect_lock:
-            self.n_client_disconnects += 1
-            first = self.n_client_disconnects == 1
-        self.log_lines.append(
-            f"client disconnect from {client_address}: "
-            f"{type(exc).__name__}"
-        )
-        if first:
-            log.warning(
-                "client %s disconnected mid-response (%s); further "
-                "disconnects are counted silently",
-                client_address,
-                type(exc).__name__,
-            )
-
-
 class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that treats client disconnects as routine.
 
@@ -676,7 +625,7 @@ class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
-    service: ClientDisconnectLog
+    service: "HttpService"
 
     def handle_error(self, request, client_address) -> None:
         exc = sys.exc_info()[1]
@@ -686,24 +635,33 @@ class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
-class _ObjectStoreHTTPServer(DisconnectTolerantHTTPServer):
-    pass
+class HttpServiceHandler(BaseHTTPRequestHandler):
+    """Request plumbing shared by the object store and the campaign API.
 
+    Responses (optionally cut mid-body), request logging into the
+    owning service's ``log_lines``, and the server-side half of the
+    chaos harness: :meth:`_apply_pre_fault` consults the service's
+    fault selector and acts on the network-class rule that fires.
+    """
 
-class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    server_version = "repro-objectstore/1"
-
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
+    #: Extra headers on every JSON response.
+    json_headers: Dict[str, str] = {}
 
     @property
-    def service(self) -> "ObjectStoreService":
+    def service(self) -> "HttpService":
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         self.service.log_lines.append(format % args)
+
+    def _hang_up(self) -> None:
+        """Drop the connection without sending anything more."""
+        self.close_connection = True
+        try:
+            self.connection.shutdown(2)  # SHUT_RDWR
+        except OSError:
+            pass
 
     def _send(
         self,
@@ -724,11 +682,7 @@ class _Handler(BaseHTTPRequestHandler):
             # what lands, so the client's read raises IncompleteRead.
             self.wfile.write(body[: len(body) // 2])
             self.wfile.flush()
-            self.close_connection = True
-            try:
-                self.connection.shutdown(2)  # SHUT_RDWR
-            except OSError:
-                pass
+            self._hang_up()
             return
         if body:
             self.wfile.write(body)
@@ -736,12 +690,164 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self,
         status: int,
-        payload: Dict[str, object],
+        payload: Mapping[str, object],
         headers: Optional[Dict[str, str]] = None,
         truncate: bool = False,
     ) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
-        self._send(status, body, headers, truncate=truncate)
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self._send(
+            status,
+            body,
+            {**(headers or {}), **self.json_headers},
+            truncate=truncate,
+        )
+
+    def _apply_pre_fault(self, op: str, key: str) -> str:
+        """Consult the fault plan and apply a fault that acts
+        before/instead of the operation.
+
+        Returns ``"handled"`` when a response (or deliberate silence)
+        was already produced, ``"truncate"`` when the operation should
+        proceed but its response must be cut mid-body, ``"stale"``
+        when a read should serve the previous committed state, and
+        ``"proceed"`` otherwise.
+        """
+        selector = self.service.selector
+        rule = selector.consult(op, key) if selector is not None else None
+        if rule is None:
+            return "proceed"
+        if rule.kind == "refuse":
+            # Drop the connection before any response bytes: the
+            # client sees a reset/torn status line.
+            self._hang_up()
+            return "handled"
+        if rule.kind == "http_error":
+            headers = {}
+            if rule.retry_after_s is not None:
+                headers["Retry-After"] = f"{rule.retry_after_s:g}"
+            self._send_json(
+                rule.status,
+                {"error": f"injected HTTP {rule.status}"},
+                headers,
+            )
+            return "handled"
+        if rule.kind == "delay":
+            time.sleep(rule.hang_s)
+            return "proceed"
+        if rule.kind == "disconnect":
+            return "truncate"
+        if rule.kind == "stale_read" and op in STORAGE_STALE_OPS:
+            return "stale"
+        return "proceed"
+
+
+class HttpService:
+    """Lifecycle and bookkeeping shared by the two HTTP services.
+
+    In-process for tests (``with Service() as service:``, or
+    :meth:`start`/:meth:`stop`) and blocking behind the CLI
+    (:meth:`serve_forever`). A subclass names its ``handler`` (an
+    :class:`HttpServiceHandler`) and the fault kinds that handler
+    understands; the plan's rules of other kinds are left to other
+    consumers without advancing their counters.
+
+    Mid-response client disconnects are counted
+    (``n_client_disconnects``), noted in ``log_lines`` and logged once
+    — never a traceback: chaos plans disconnect on purpose, hundreds of
+    times per CI run.
+    """
+
+    handler: type
+    thread_name: str
+    server_class = DisconnectTolerantHTTPServer
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        fault_plan: Optional[StorageFaultPlan],
+        fault_kinds: Tuple[str, ...],
+    ) -> None:
+        self._host = host
+        self._port = int(port)
+        self.selector = (
+            StorageFaultSelector(fault_plan, kinds=fault_kinds)
+            if fault_plan is not None and fault_plan.rules
+            else None
+        )
+        self.log_lines: List[str] = []
+        self.n_client_disconnects = 0
+        self._disconnect_lock = threading.Lock()
+        self._server: Optional[DisconnectTolerantHTTPServer] = None
+        self._thread: Optional[threading.Thread] = None
+
+    def note_client_disconnect(self, client_address, exc) -> None:
+        with self._disconnect_lock:
+            self.n_client_disconnects += 1
+            first = self.n_client_disconnects == 1
+        self.log_lines.append(
+            f"client disconnect from {client_address}: "
+            f"{type(exc).__name__}"
+        )
+        if first:
+            log.warning(
+                "client %s disconnected mid-response (%s); further "
+                "disconnects are counted silently",
+                client_address,
+                type(exc).__name__,
+            )
+
+    @property
+    def url(self) -> str:
+        """Base URL: ``http://host:port``."""
+        if self._server is None:
+            raise RuntimeError("service not started")
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def _bind(self) -> DisconnectTolerantHTTPServer:
+        if self._server is None:
+            self._server = self.server_class(
+                (self._host, self._port), self.handler
+            )
+            self._server.service = self
+        return self._server
+
+    def start(self):
+        if self._server is not None:
+            raise RuntimeError("service already started")
+        self._thread = threading.Thread(
+            target=self._bind().serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name=self.thread_name,
+            daemon=True,
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        if self._server is None:
+            return
+        self._server.shutdown()
+        self._server.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self._server = None
+        self._thread = None
+
+    def serve_forever(self) -> None:
+        """Blocking serve loop for the CLI."""
+        self._bind().serve_forever(poll_interval=0.2)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class _Handler(HttpServiceHandler):
+    server_version = "repro-objectstore/1"
 
     def _parse(self) -> Optional[Tuple[str, str, Dict[str, List[str]]]]:
         """(key, op, query) for this request, or None after a 404/400."""
@@ -782,56 +888,6 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     # ------------------------------------------------------------------ #
-    # fault injection
-    # ------------------------------------------------------------------ #
-
-    def _consult_fault(self, op: str, key: str):
-        """The network fault rule firing on this request, if any."""
-        selector = self.service.selector
-        if selector is None:
-            return None
-        return selector.consult(op, key)
-
-    def _apply_pre_fault(self, rule, op: str, key: str) -> str:
-        """Apply a fault that acts before/instead of the operation.
-
-        Returns ``"handled"`` when a response (or deliberate silence)
-        was already produced, ``"truncate"`` when the operation should
-        proceed but its response must be cut mid-body, ``"stale"``
-        when a read should serve the previous committed state, and
-        ``"proceed"`` otherwise.
-        """
-        if rule is None:
-            return "proceed"
-        if rule.kind == "refuse":
-            # Drop the connection before any response bytes: the
-            # client sees a reset/torn status line.
-            self.close_connection = True
-            try:
-                self.connection.shutdown(2)
-            except OSError:
-                pass
-            return "handled"
-        if rule.kind == "http_error":
-            headers = {}
-            if rule.retry_after_s is not None:
-                headers["Retry-After"] = f"{rule.retry_after_s:g}"
-            self._send_json(
-                rule.status,
-                {"error": f"injected HTTP {rule.status}"},
-                headers,
-            )
-            return "handled"
-        if rule.kind == "delay":
-            time.sleep(rule.hang_s)
-            return "proceed"
-        if rule.kind == "disconnect":
-            return "truncate"
-        if rule.kind == "stale_read" and op in STORAGE_STALE_OPS:
-            return "stale"
-        return "proceed"
-
-    # ------------------------------------------------------------------ #
     # operations
     # ------------------------------------------------------------------ #
 
@@ -844,8 +900,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed is None:
             return
         key, op, query = parsed
-        rule = self._consult_fault(op, key)
-        action = self._apply_pre_fault(rule, op, key)
+        action = self._apply_pre_fault(op, key)
         if action == "handled":
             return
         truncate = action == "truncate"
@@ -951,7 +1006,7 @@ class _Handler(BaseHTTPRequestHandler):
     do_POST = _handle
 
 
-class ObjectStoreService(ClientDisconnectLog):
+class ObjectStoreService(HttpService):
     """Hermetic HTTP object-store service over a local driver.
 
     In-process for tests (``with ObjectStoreService() as service:``) and
@@ -961,6 +1016,9 @@ class ObjectStoreService(ClientDisconnectLog):
     ``PosixDriver`` for a durable store. ``fault_plan``'s network-class
     rules are injected server-side (see the module docstring).
     """
+
+    handler = _Handler
+    thread_name = "repro-objectstore"
 
     def __init__(
         self,
@@ -974,24 +1032,14 @@ class ObjectStoreService(ClientDisconnectLog):
             raise ConfigurationError(
                 f"bucket must be one path segment, got {bucket!r}"
             )
+        super().__init__(host, port, fault_plan, NETWORK_KINDS)
         self.driver = driver if driver is not None else MemoryDriver()
         self.bucket = bucket
-        self._host = host
-        self._port = int(port)
-        self.selector = (
-            StorageFaultSelector(fault_plan, kinds=NETWORK_KINDS)
-            if fault_plan is not None and fault_plan.rules
-            else None
-        )
         self._track_stale = bool(
             fault_plan is not None and fault_plan.has_kind("stale_read")
         )
         self._history: Dict[str, bytes] = {}
         self._history_lock = threading.Lock()
-        self.log_lines: List[str] = []
-        self._init_disconnect_log()
-        self._server: Optional[_ObjectStoreHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
     # stale-read history (one-deep, recorded only when a plan wants it)
@@ -1025,66 +1073,20 @@ class ObjectStoreService(ClientDisconnectLog):
             )
         return self.driver.get(key)
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
     @property
     def url(self) -> str:
         """Driver-ready spec: ``http://host:port/bucket``."""
-        if self._server is None:
-            raise RuntimeError("service not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}/{self.bucket}"
-
-    def start(self) -> "ObjectStoreService":
-        if self._server is not None:
-            raise RuntimeError("service already started")
-        self._server = _ObjectStoreHTTPServer(
-            (self._host, self._port), _Handler
-        )
-        self._server.service = self
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-objectstore",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def serve_forever(self) -> None:
-        """Blocking serve loop for ``python -m repro.campaign serve``."""
-        if self._server is None:
-            self._server = _ObjectStoreHTTPServer(
-                (self._host, self._port), _Handler
-            )
-            self._server.service = self
-        self._server.serve_forever(poll_interval=0.2)
-
-    def __enter__(self) -> "ObjectStoreService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return f"{super().url}/{self.bucket}"
 
 
 __all__ = [
     "DISCONNECT_ERRORS",
     "CircuitBreaker",
-    "ClientDisconnectLog",
     "CircuitBreakerDriver",
     "DisconnectTolerantHTTPServer",
     "HttpDriver",
+    "HttpService",
+    "HttpServiceHandler",
     "ObjectStoreService",
+    "transient_status_error",
 ]

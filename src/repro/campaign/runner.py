@@ -18,7 +18,8 @@ Fault tolerance (pinned by ``tests/test_campaign_faults.py``):
   computations; a killed runner's leases expire and its points are
   reclaimed, and the final manifest is identical to a single-shot run.
 * **Retries** — a failed attempt is retried with seeded-jitter
-  exponential backoff up to :attr:`RetryPolicy.max_attempts`; every
+  exponential backoff up to
+  :attr:`~repro.campaign.retry.RetryPolicy.max_attempts`; every
   failed attempt is persisted as a failure record next to the chunks
   so ``status`` can tell failed from pending.
 * **Timeouts** — ``point_timeout_s`` bounds each attempt; a hung
@@ -47,10 +48,8 @@ record, not in the operator's memory.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -66,6 +65,7 @@ from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
 )
+from repro.campaign.retry import RetryPolicy, call_with_timeout
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.channel.deployment import Deployment, paper_deployment
@@ -103,6 +103,12 @@ def build_deployment(
     device *i* depends only on the generator's draws up to its own (see
     :func:`~repro.channel.deployment.generate_office_deployment`), so a
     point never pays for the devices it does not simulate.
+
+    >>> descriptor = {"kind": "paper", "n_devices": 8, "seed": 3}
+    >>> prefix = build_deployment(descriptor, n_devices=3)
+    >>> full = build_deployment(descriptor).subset(3)
+    >>> list(prefix.snrs_db()) == list(full.snrs_db())
+    True
     """
     kind = descriptor.get("kind")
     if kind != "paper":
@@ -187,84 +193,12 @@ def _pool_execute(
     return metrics_dict, provenance, elapsed
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with seeded-jitter exponential backoff.
-
-    The backoff for a given ``(content_hash, attempt)`` is a pure
-    function of the policy seed, so retry schedules are reproducible
-    across runs and hosts — no shared state, no wall-clock dependence.
-
-    >>> policy = RetryPolicy(max_attempts=3, base_delay_s=0.1)
-    >>> a = policy.backoff_s("deadbeef", 1)
-    >>> a == policy.backoff_s("deadbeef", 1)  # deterministic
-    True
-    >>> policy.backoff_s("deadbeef", 2) >= a  # exponential growth
-    True
-    """
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.1
-    max_delay_s: float = 5.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < self.base_delay_s:
-            raise ConfigurationError(
-                "need 0 <= base_delay_s <= max_delay_s"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError("jitter must be within [0, 1]")
-
-    def backoff_s(self, content_hash: str, attempt: int) -> float:
-        """Deterministic delay before retrying ``attempt`` (1-based)."""
-        digest = hashlib.sha256(
-            f"{self.seed}:{content_hash}:{attempt}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2.0**64
-        delay = self.base_delay_s * 2.0 ** (attempt - 1)
-        return min(self.max_delay_s, delay) * (1.0 + self.jitter * unit)
-
-
 class _PointFailed(Exception):
     """Internal: a point exhausted its retry budget (carries history)."""
 
     def __init__(self, attempts: List[Dict[str, object]]):
         super().__init__(attempts[-1]["message"] if attempts else "failed")
         self.attempts = attempts
-
-
-def _call_with_timeout(fn, timeout_s: Optional[float]):
-    """Run ``fn()`` bounded by ``timeout_s`` (None → unbounded).
-
-    The bounded call runs in a daemon thread; on timeout the thread is
-    abandoned (its eventual result discarded — completions are only
-    logged/checkpointed from the caller) and
-    :class:`~repro.errors.PointTimeoutError` is raised.
-    """
-    if not timeout_s:
-        return fn()
-    box: Dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn()
-        except BaseException as error:  # re-raised in the caller
-            box["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise PointTimeoutError(
-            f"point execution exceeded {timeout_s:g}s"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -830,8 +764,11 @@ class CampaignRunner:
                 return execute_point(point)
 
             try:
-                metrics_dict, provenance = _call_with_timeout(
-                    attempt_once, self._point_timeout_s
+                metrics_dict, provenance = call_with_timeout(
+                    attempt_once,
+                    self._point_timeout_s,
+                    PointTimeoutError,
+                    "point execution",
                 )
             except Exception as error:
                 elapsed = time.perf_counter() - started
@@ -958,7 +895,6 @@ __all__ = [
     "CampaignPointResult",
     "CampaignRun",
     "CampaignRunner",
-    "RetryPolicy",
     "build_deployment",
     "execute_point",
     "run_campaign_sweep",

@@ -86,19 +86,15 @@ import json
 import threading
 import time
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.campaign.faults import (
-    REQUEST_KINDS,
-    StorageFaultPlan,
-    StorageFaultSelector,
-)
+from repro.campaign.faults import REQUEST_KINDS, StorageFaultPlan
 from repro.campaign.objectstore import (
     DISCONNECT_ERRORS,
-    ClientDisconnectLog,
     DisconnectTolerantHTTPServer,
+    HttpService,
+    HttpServiceHandler,
 )
 from repro.campaign.runner import CampaignPointResult, CampaignRunner
 from repro.campaign.spec import CampaignSpec
@@ -414,83 +410,9 @@ class _CampaignHTTPServer(DisconnectTolerantHTTPServer):
     block_on_close = False
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _ServiceHandler(HttpServiceHandler):
     server_version = "repro-campaign-service/1"
-
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
-
-    @property
-    def service(self) -> "CampaignService":
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        self.service.log_lines.append(format % args)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Mapping[str, object],
-        headers: Optional[Dict[str, str]] = None,
-        truncate: bool = False,
-    ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
-        self.send_response(status)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if truncate:
-            # Mid-body disconnect: declared length exceeds what lands.
-            self.wfile.write(body[: len(body) // 2])
-            self.wfile.flush()
-            self.close_connection = True
-            try:
-                self.connection.shutdown(2)  # SHUT_RDWR
-            except OSError:
-                pass
-            return
-        self.wfile.write(body)
-
-    # ------------------------------------------------------------------ #
-    # request-level fault injection (REQUEST_KINDS only)
-    # ------------------------------------------------------------------ #
-
-    def _apply_pre_fault(self, op: str, key: str) -> str:
-        """``"handled"`` | ``"truncate"`` | ``"proceed"`` — like the
-        object store's harness, minus storage-only kinds."""
-        selector = self.service.selector
-        rule = selector.consult(op, key) if selector is not None else None
-        if rule is None:
-            return "proceed"
-        if rule.kind == "refuse":
-            self.close_connection = True
-            try:
-                self.connection.shutdown(2)
-            except OSError:
-                pass
-            return "handled"
-        if rule.kind == "http_error":
-            headers = {}
-            if rule.retry_after_s is not None:
-                headers["Retry-After"] = f"{rule.retry_after_s:g}"
-            self._send_json(
-                rule.status,
-                {"error": f"injected HTTP {rule.status}"},
-                headers,
-            )
-            return "handled"
-        if rule.kind == "delay":
-            time.sleep(rule.hang_s)
-            return "proceed"
-        if rule.kind == "disconnect":
-            return "truncate"
-        return "proceed"
+    json_headers = {"Content-Type": "application/json"}
 
     # ------------------------------------------------------------------ #
     # endpoints
@@ -616,10 +538,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 # the ``done`` line never arrives, the terminal chunk
                 # is withheld — the client's read sees a torn stream
                 # for a computation that landed.
-                try:
-                    self.connection.shutdown(2)
-                except OSError:
-                    pass
+                self._hang_up()
                 return
             self._write_chunk(execution.summary_line())
             self.wfile.write(b"0\r\n\r\n")
@@ -645,7 +564,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             execution.unsubscribe(token)
 
 
-class CampaignService(ClientDisconnectLog):
+class CampaignService(HttpService):
     """HTTP campaign service node over a :class:`CampaignStore`.
 
     In-process for tests (``with CampaignService() as service:``) and
@@ -662,6 +581,10 @@ class CampaignService(ClientDisconnectLog):
     permanently-failed point becomes a ``failed`` event and a
     ``partial`` summary instead of killing every subscriber's stream.
     """
+
+    handler = _ServiceHandler
+    thread_name = "repro-campaign-service"
+    server_class = _CampaignHTTPServer
 
     def __init__(
         self,
@@ -685,9 +608,8 @@ class CampaignService(ClientDisconnectLog):
             store = CampaignStore(driver=MemoryDriver())
         elif not isinstance(store, CampaignStore):
             store = CampaignStore(store)
+        super().__init__(host, port, service_fault_plan, REQUEST_KINDS)
         self._store = store
-        self._host = host
-        self._port = int(port)
         self._workers = workers
         self._retry = retry
         self._point_timeout_s = point_timeout_s
@@ -696,20 +618,10 @@ class CampaignService(ClientDisconnectLog):
         self._fault_plan = fault_plan
         self._max_backlog = int(max_backlog)
         self._stall_timeout_s = float(stall_timeout_s)
-        self.selector = (
-            StorageFaultSelector(service_fault_plan, kinds=REQUEST_KINDS)
-            if service_fault_plan is not None
-            and service_fault_plan.rules
-            else None
-        )
         self._lock = threading.Lock()
         self._executions: Dict[str, CampaignExecution] = {}
         self._n_submitted = 0
         self._n_deduped = 0
-        self.log_lines: List[str] = []
-        self._init_disconnect_log()
-        self._server: Optional[_CampaignHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def store(self) -> CampaignStore:
@@ -804,59 +716,6 @@ class CampaignService(ClientDisconnectLog):
             "n_client_disconnects": self.n_client_disconnects,
             "store": self._store.driver.name,
         }
-
-    # ------------------------------------------------------------------ #
-    # lifecycle (ObjectStoreService idiom)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def url(self) -> str:
-        """Client-ready base URL: ``http://host:port``."""
-        if self._server is None:
-            raise RuntimeError("service not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CampaignService":
-        if self._server is not None:
-            raise RuntimeError("service already started")
-        self._server = _CampaignHTTPServer(
-            (self._host, self._port), _ServiceHandler
-        )
-        self._server.service = self
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-campaign-service",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def serve_forever(self) -> None:
-        """Blocking loop for ``python -m repro.campaign serve-api``."""
-        if self._server is None:
-            self._server = _CampaignHTTPServer(
-                (self._host, self._port), _ServiceHandler
-            )
-            self._server.service = self
-        self._server.serve_forever(poll_interval=0.2)
-
-    def __enter__(self) -> "CampaignService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 __all__ = [

@@ -76,8 +76,6 @@ False
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import os
 import threading
 import time
@@ -93,15 +91,18 @@ from repro.campaign.faults import (
     StorageFaultPlan,
     StorageFaultSelector,
 )
+from repro.campaign.retry import (
+    STORAGE_RETRY,
+    RetryPolicy,
+    TransientRetry,
+    call_with_timeout,
+)
 from repro.errors import (
     ConfigurationError,
     PersistentStorageError,
     StorageMissingError,
     TransientStorageError,
 )
-
-log = logging.getLogger("repro.campaign.storage")
-
 
 @dataclass(frozen=True)
 class StorageStat:
@@ -542,7 +543,72 @@ class PrefixDriver(StorageDriver):
         return self._inner.stats()
 
 
-class FaultyDriver(StorageDriver):
+class WrappingDriver(StorageDriver):
+    """Base of the drivers that wrap another driver and intercept calls.
+
+    Every contract operation becomes one call of :meth:`_call` with the
+    operation name, its key (the prefix for ``list``, the source for
+    ``rename``) and a thunk performing it on :attr:`inner`; write
+    operations also pass their payload as ``data``. A subclass supplies
+    only that hook and its :meth:`stats`, which nest the inner layer's
+    under ``"inner"`` so a stack such as ``retrying(faulty(posix))``
+    reports every layer without key collisions.
+    """
+
+    def __init__(self, inner: StorageDriver, label: str) -> None:
+        super().__init__()
+        self._inner = inner
+        self.name = f"{label}({inner.name})"
+
+    @property
+    def inner(self) -> StorageDriver:
+        return self._inner
+
+    @abstractmethod
+    def _call(self, op: str, key: str, fn, data: Optional[bytes] = None):
+        """Perform ``fn()`` — the ``op`` on ``key`` — with this layer's
+        behaviour around it."""
+
+    def get(self, key: str) -> bytes:
+        return self._call("get", key, lambda: self._inner.get(key))
+
+    def put_atomic(self, key: str, data: bytes) -> None:
+        return self._call(
+            "put_atomic", key, lambda: self._inner.put_atomic(key, data), data
+        )
+
+    def put_exclusive(self, key: str, data: bytes) -> bool:
+        return self._call(
+            "put_exclusive",
+            key,
+            lambda: self._inner.put_exclusive(key, data),
+            data,
+        )
+
+    def replace(self, key: str, data: bytes) -> None:
+        return self._call(
+            "replace", key, lambda: self._inner.replace(key, data), data
+        )
+
+    def delete(self, key: str) -> bool:
+        return self._call("delete", key, lambda: self._inner.delete(key))
+
+    def list(self, prefix: str = "") -> List[str]:
+        return self._call("list", prefix, lambda: self._inner.list(prefix))
+
+    def exists(self, key: str) -> bool:
+        return self._call("exists", key, lambda: self._inner.exists(key))
+
+    def stat(self, key: str) -> StorageStat:
+        return self._call("stat", key, lambda: self._inner.stat(key))
+
+    def rename(self, key: str, new_key: str) -> None:
+        return self._call(
+            "rename", key, lambda: self._inner.rename(key, new_key)
+        )
+
+
+class FaultyDriver(WrappingDriver):
     """Wrapper injecting storage faults from a seeded declarative plan.
 
     The storage-layer extension of the ``faults.py`` harness: rules
@@ -574,23 +640,16 @@ class FaultyDriver(StorageDriver):
         inner: StorageDriver,
         plan: Optional[StorageFaultPlan] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(inner, "faulty")
         if plan is None:
             plan = StorageFaultPlan.from_env() or StorageFaultPlan()
-        self._inner = inner
-        self._plan = plan
         self._selector = StorageFaultSelector(plan, kinds=STORAGE_KINDS)
-        self.name = f"faulty({inner.name})"
-
-    @property
-    def inner(self) -> StorageDriver:
-        return self._inner
 
     @property
     def n_injected(self) -> int:
         return self._selector.n_injected
 
-    def _apply(self, op: str, key: str, fn, data: Optional[bytes] = None):
+    def _call(self, op: str, key: str, fn, data: Optional[bytes] = None):
         rule = self._selector.consult(op, key)
         if rule is None:
             return fn()
@@ -623,56 +682,7 @@ class FaultyDriver(StorageDriver):
             f"injected transient storage fault at {op}({key!r})"
         )
 
-    def get(self, key: str) -> bytes:
-        return self._apply("get", key, lambda: self._inner.get(key))
-
-    def put_atomic(self, key: str, data: bytes) -> None:
-        return self._apply(
-            "put_atomic",
-            key,
-            lambda: self._inner.put_atomic(key, data),
-            data=data,
-        )
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._apply(
-            "put_exclusive",
-            key,
-            lambda: self._inner.put_exclusive(key, data),
-            data=data,
-        )
-
-    def replace(self, key: str, data: bytes) -> None:
-        return self._apply(
-            "replace",
-            key,
-            lambda: self._inner.replace(key, data),
-            data=data,
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._apply("delete", key, lambda: self._inner.delete(key))
-
-    def list(self, prefix: str = "") -> List[str]:
-        return self._apply(
-            "list", prefix, lambda: self._inner.list(prefix)
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._apply("exists", key, lambda: self._inner.exists(key))
-
-    def stat(self, key: str) -> StorageStat:
-        return self._apply("stat", key, lambda: self._inner.stat(key))
-
-    def rename(self, key: str, new_key: str) -> None:
-        return self._apply(
-            "rename", key, lambda: self._inner.rename(key, new_key)
-        )
-
     def stats(self) -> Dict[str, object]:
-        # Wrapper stats nest rather than merge: a stacked
-        # retrying(faulty(posix)) reports every layer without key
-        # collisions (see also RetryingDriver.stats).
         return {
             "driver": self.name,
             "n_injected_faults": self.n_injected,
@@ -680,201 +690,56 @@ class FaultyDriver(StorageDriver):
         }
 
 
-@dataclass(frozen=True)
-class StorageRetryPolicy:
-    """Bounded retries for transient driver errors.
-
-    The storage-layer sibling of the runner's ``RetryPolicy``: the
-    backoff for a given ``(op, key, attempt)`` is a pure function of
-    the policy seed (seeded-jitter exponential), so retry schedules are
-    reproducible across runs and hosts. ``op_timeout_s`` additionally
-    bounds each underlying operation's wall clock — a hung backend
-    surfaces as a transient error and is retried instead of wedging
-    the campaign.
-
-    >>> policy = StorageRetryPolicy(max_attempts=4, base_delay_s=0.01)
-    >>> policy.backoff_s("get", "points/a.json", 1) == policy.backoff_s(
-    ...     "get", "points/a.json", 1)
-    True
-    >>> policy.backoff_s("get", "points/a.json", 3) >= policy.backoff_s(
-    ...     "get", "points/a.json", 1)
-    True
-    """
-
-    max_attempts: int = 4
-    base_delay_s: float = 0.02
-    max_delay_s: float = 1.0
-    jitter: float = 0.25
-    seed: int = 0
-    op_timeout_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < self.base_delay_s:
-            raise ConfigurationError(
-                "need 0 <= base_delay_s <= max_delay_s"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError("jitter must be within [0, 1]")
-        if self.op_timeout_s is not None and self.op_timeout_s <= 0:
-            raise ConfigurationError("op_timeout_s must be positive")
-
-    def backoff_s(self, op: str, key: str, attempt: int) -> float:
-        digest = hashlib.sha256(
-            f"{self.seed}:{op}:{key}:{attempt}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2.0**64
-        delay = self.base_delay_s * 2.0 ** (attempt - 1)
-        return min(self.max_delay_s, delay) * (1.0 + self.jitter * unit)
-
-
-def _bounded_call(fn, timeout_s: Optional[float]):
-    """Run ``fn()`` under a wall-clock bound (None = unbounded).
-
-    On timeout the worker thread is abandoned and the operation is
-    reported transient (the caller retries); like the runner's
-    per-point timeout, an eventually-completing abandoned call is
-    harmless because all driver writes are atomic and idempotent.
-    """
-    if not timeout_s:
-        return fn()
-    box: Dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn()
-        except BaseException as error:
-            box["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise TransientStorageError(
-            f"storage operation exceeded {timeout_s:g}s"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box.get("result")
-
-
-class RetryingDriver(StorageDriver):
+class RetryingDriver(WrappingDriver):
     """Per-operation bounded retries + timeouts over any driver.
 
-    Transient errors retry up to ``policy.max_attempts`` with
-    seeded-jitter exponential backoff; exhaustion escalates to
+    Transient errors retry under ``policy`` (default
+    :data:`~repro.campaign.retry.STORAGE_RETRY`) with the seeded-jitter
+    backoff of each ``"<op>:<key>"``; exhaustion escalates to
     :class:`~repro.errors.PersistentStorageError` (which the campaign
     runner treats as "degrade to read-only"). Missing keys and
-    already-persistent errors pass straight through.
+    already-persistent errors pass straight through. ``op_timeout_s``
+    bounds each underlying operation's wall clock: a hung backend
+    surfaces as a transient error and is retried instead of wedging
+    the campaign.
     """
 
     def __init__(
         self,
         inner: StorageDriver,
-        policy: Optional[StorageRetryPolicy] = None,
+        policy: Optional[RetryPolicy] = None,
+        op_timeout_s: Optional[float] = None,
     ) -> None:
-        super().__init__()
-        self._inner = inner
-        self._policy = policy or StorageRetryPolicy()
-        self._retry_lock = threading.Lock()
-        self._n_retries = 0
-        self.name = f"retrying({inner.name})"
+        super().__init__(inner, "retrying")
+        if op_timeout_s is not None and op_timeout_s <= 0:
+            raise ConfigurationError("op_timeout_s must be positive")
+        self._retry = TransientRetry(
+            policy if policy is not None else STORAGE_RETRY
+        )
+        self._op_timeout_s = op_timeout_s
 
     @property
-    def inner(self) -> StorageDriver:
-        return self._inner
-
-    @property
-    def policy(self) -> StorageRetryPolicy:
-        return self._policy
+    def policy(self) -> RetryPolicy:
+        return self._retry.policy
 
     @property
     def n_retries(self) -> int:
-        with self._retry_lock:
-            return self._n_retries
+        return self._retry.n_retries
 
-    def _run(self, op: str, key: str, fn):
-        attempt = 1
-        while True:
-            try:
-                return _bounded_call(fn, self._policy.op_timeout_s)
-            except (StorageMissingError, PersistentStorageError):
-                raise
-            except TransientStorageError as error:
-                if attempt >= self._policy.max_attempts:
-                    raise PersistentStorageError(
-                        f"{op}({key!r}) still failing after "
-                        f"{attempt} attempts: {error}"
-                    ) from error
-                backoff = self._policy.backoff_s(op, key, attempt)
-                hint = getattr(error, "retry_after_s", None)
-                if hint is not None:
-                    # A backend-provided Retry-After hint: retrying
-                    # sooner is pointless, but never exceed the
-                    # policy's configured ceiling.
-                    backoff = max(
-                        backoff,
-                        min(float(hint), self._policy.max_delay_s),
-                    )
-                log.debug(
-                    "transient storage fault on %s(%r) attempt %d "
-                    "(%s); retrying in %.3fs",
-                    op,
-                    key,
-                    attempt,
-                    error,
-                    backoff,
-                )
-                with self._retry_lock:
-                    self._n_retries += 1
-                time.sleep(backoff)
-                attempt += 1
-
-    def get(self, key: str) -> bytes:
-        return self._run("get", key, lambda: self._inner.get(key))
-
-    def put_atomic(self, key: str, data: bytes) -> None:
-        return self._run(
-            "put_atomic", key, lambda: self._inner.put_atomic(key, data)
+    def _call(self, op: str, key: str, fn, data: Optional[bytes] = None):
+        result, _ = self._retry.call(
+            f"{op}:{key}",
+            lambda: call_with_timeout(
+                fn,
+                self._op_timeout_s,
+                TransientStorageError,
+                "storage operation",
+            ),
+            f"{op}({key!r}) still failing",
         )
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._run(
-            "put_exclusive",
-            key,
-            lambda: self._inner.put_exclusive(key, data),
-        )
-
-    def replace(self, key: str, data: bytes) -> None:
-        return self._run(
-            "replace", key, lambda: self._inner.replace(key, data)
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._run("delete", key, lambda: self._inner.delete(key))
-
-    def list(self, prefix: str = "") -> List[str]:
-        return self._run(
-            "list", prefix, lambda: self._inner.list(prefix)
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._run(
-            "exists", key, lambda: self._inner.exists(key)
-        )
-
-    def stat(self, key: str) -> StorageStat:
-        return self._run("stat", key, lambda: self._inner.stat(key))
-
-    def rename(self, key: str, new_key: str) -> None:
-        return self._run(
-            "rename", key, lambda: self._inner.rename(key, new_key)
-        )
+        return result
 
     def stats(self) -> Dict[str, object]:
-        # Nested, not merged: wrapper layers each contribute their own
-        # counters under "inner" so stacking never collides keys.
         return {
             "driver": self.name,
             "n_retries": self.n_retries,
@@ -1019,8 +884,8 @@ __all__ = [
     "PrefixDriver",
     "RetryingDriver",
     "StorageDriver",
-    "StorageRetryPolicy",
     "StorageStat",
+    "WrappingDriver",
     "build_driver",
     "parse_driver_spec",
 ]

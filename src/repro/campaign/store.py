@@ -78,13 +78,13 @@ import numpy as np
 
 from repro.campaign.faults import FaultPlan
 from repro.campaign.leases import scan_lease_backend
+from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
     PosixDriver,
     PrefixDriver,
     RetryingDriver,
     StorageDriver,
-    StorageRetryPolicy,
 )
 from repro.errors import (
     CampaignIntegrityError,
@@ -143,7 +143,7 @@ class CampaignStore:
         fault_plan: Optional[FaultPlan] = None,
         *,
         driver: Optional[StorageDriver] = None,
-        retry: Optional[StorageRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if driver is None:
             if root is None:

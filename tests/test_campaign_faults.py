@@ -28,12 +28,12 @@ import pytest
 import repro.campaign.faults as faults_module
 import repro.campaign.runner as campaign_runner
 import repro.protocol.network as network_module
-from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultRule, tear_file
+from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultRule
 from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
-    read_lease,
-    scan_leases,
+    parse_lease,
+    scan_lease_backend,
 )
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import (
@@ -42,6 +42,7 @@ from repro.campaign.runner import (
     RetryPolicy,
 )
 from repro.campaign.spec import CampaignPoint, CampaignSpec
+from repro.campaign.storage import PosixDriver
 from repro.campaign.store import CampaignStore
 from repro.channel.deployment import paper_deployment
 from repro.errors import (
@@ -82,6 +83,13 @@ def make_point(**overrides):
     )
     kwargs.update(overrides)
     return CampaignPoint(**kwargs)
+
+
+def tear(store, key):
+    """Commit the first half of ``key``'s bytes in its place through the
+    store's driver: a torn write for the integrity checks to catch."""
+    data = store.driver.get(key)
+    store.driver.replace(key, data[: max(1, len(data) // 2)])
 
 
 def plan_from(rules, seed=0):
@@ -276,12 +284,6 @@ class TestFaultPlan:
             plan.fire_execute(point.to_dict(), point.content_hash(), 1)
         assert calls == [86]
 
-    def test_tear_file_truncates(self, tmp_path):
-        path = tmp_path / "chunk.json"
-        path.write_bytes(b"x" * 100)
-        tear_file(path)
-        assert path.stat().st_size == 50
-
 
 class TestLeaseManager:
     def test_acquire_vacant_and_conflict(self, tmp_path):
@@ -291,7 +293,7 @@ class TestLeaseManager:
         assert not b.acquire("h1")
         assert a.held == ["h1"]
         assert b.held == []
-        lease = read_lease(tmp_path / "h1.lease")
+        lease = parse_lease(PosixDriver(tmp_path).get("h1.lease"))
         assert lease["owner"] == "a"
 
     def test_expired_lease_is_stolen(self, tmp_path):
@@ -300,21 +302,21 @@ class TestLeaseManager:
         assert a.acquire("h1")
         time.sleep(0.1)
         assert b.acquire("h1")
-        assert read_lease(tmp_path / "h1.lease")["owner"] == "b"
+        assert b.holder("h1")["owner"] == "b"
 
     def test_torn_lease_file_is_stolen(self, tmp_path):
         (tmp_path / "h1.lease").write_text("{ not json")
         b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
         assert b.acquire("h1")
-        assert read_lease(tmp_path / "h1.lease")["owner"] == "b"
+        assert b.holder("h1")["owner"] == "b"
 
     def test_renew_pushes_deadline_forward(self, tmp_path):
         a = LeaseManager(tmp_path, owner="a", ttl_s=5.0)
         assert a.acquire("h1")
-        first = read_lease(tmp_path / "h1.lease")["deadline"]
+        first = a.holder("h1")["deadline"]
         time.sleep(0.02)
         assert a.renew("h1")
-        renewed = read_lease(tmp_path / "h1.lease")
+        renewed = a.holder("h1")
         assert renewed["deadline"] > first
         assert renewed["renewals"] == 1
 
@@ -348,7 +350,7 @@ class TestLeaseManager:
         a = LeaseManager(tmp_path, owner="a", ttl_s=10.0)
         assert a.acquire("h1")
         (tmp_path / "h2.lease").write_text("not json")
-        leases = scan_leases(tmp_path)
+        leases = scan_lease_backend(PosixDriver(tmp_path))
         assert [lease["content_hash"] for lease in leases] == ["h1"]
 
     def test_heartbeat_keeps_short_ttl_alive(self, tmp_path):
@@ -369,7 +371,7 @@ class TestStoreIntegrity:
         store = CampaignStore(tmp_path, fault_plan=FaultPlan())
         point = make_point()
         chunk = store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
-        tear_file(chunk)
+        tear(store, f"points/{point.content_hash()}.json")
         assert not store.has(point)
         reasons = store.quarantined()
         assert reasons == {point.content_hash(): "undecodable-json"}
@@ -390,7 +392,7 @@ class TestStoreIntegrity:
             arrays={"trace": np.arange(4.0)},
         )
         assert store.has(point)
-        tear_file(tmp_path / "points" / f"{point.content_hash()}.npz")
+        tear(store, f"points/{point.content_hash()}.npz")
         assert not store.has(point)
         assert (
             store.quarantined()[point.content_hash()]
@@ -430,8 +432,8 @@ class TestStoreIntegrity:
     def test_quarantined_chunk_heals_on_resave(self, tmp_path):
         store = CampaignStore(tmp_path, fault_plan=FaultPlan())
         point = make_point()
-        chunk = store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
-        tear_file(chunk)
+        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
+        tear(store, f"points/{point.content_hash()}.json")
         assert not store.has(point)
         store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         assert store.has(point)
@@ -456,8 +458,8 @@ class TestStoreIntegrity:
         store = CampaignStore(tmp_path, fault_plan=FaultPlan())
         good, bad = make_point(), make_point(seed=4321)
         store.save(good, {"phy_rate_bps": 1.0}, {"backend": "x"})
-        torn = store.save(bad, {"phy_rate_bps": 2.0}, {"backend": "x"})
-        tear_file(torn)
+        store.save(bad, {"phy_rate_bps": 2.0}, {"backend": "x"})
+        tear(store, f"points/{bad.content_hash()}.json")
         rows = store.export_rows()
         assert [row["content_hash"] for row in rows] == [
             good.content_hash()
@@ -471,7 +473,8 @@ class TestStoreIntegrity:
             make_point(seed=5678),
         )
         store.save(ok, {"phy_rate_bps": 1.0}, {"backend": "x"})
-        tear_file(store.save(torn_pt, {"phy_rate_bps": 2.0}, {"b": 1}))
+        store.save(torn_pt, {"phy_rate_bps": 2.0}, {"b": 1})
+        tear(store, f"points/{torn_pt.content_hash()}.json")
         assert not store.has(torn_pt)
         store.record_failure(
             failed,
@@ -897,10 +900,10 @@ class TestConcurrentRunners:
         survivor_started = False
         try:
             victim.start()
-            hung_lease = store_root / "leases" / f"{hashes[0]}.lease"
+            observer = LeaseManager(store_root / "leases", owner="observer")
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                lease = read_lease(hung_lease)
+                lease = observer.holder(hashes[0])
                 if lease is not None and lease["owner"] == "victim":
                     break
                 time.sleep(0.02)

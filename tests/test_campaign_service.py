@@ -55,9 +55,9 @@ from repro.errors import (
 )
 
 #: Fast client retry policy (real backoffs, tiny delays).
-from repro.campaign.storage import StorageRetryPolicy
+from repro.campaign.retry import RetryPolicy
 
-FAST_RETRY = StorageRetryPolicy(
+FAST_RETRY = RetryPolicy(
     max_attempts=5, base_delay_s=0.002, max_delay_s=0.01
 )
 

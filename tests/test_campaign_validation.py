@@ -1,0 +1,148 @@
+"""Inputs the campaign stack must absorb or reject up front.
+
+* A ``Retry-After`` header in HTTP-date form (valid under RFC 9110
+  §10.2.3) is "no hint", not a crash: the HTTP driver stack retries
+  the 503 and escalates to ``PersistentStorageError`` like any other
+  transient failure.
+* Fault-plan rules whose values would fail mid-run (a negative sleep)
+  or silently never fire (attempt/call index 0, negative
+  ``max_fires``) are rejected at construction with
+  ``ConfigurationError`` — and the CLI turns that into one ``error:``
+  line with exit code 2.
+"""
+
+import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from repro.campaign.cli import entrypoint
+from repro.campaign.client import CampaignServiceClient
+from repro.campaign.faults import FaultRule, StorageFaultPlan, StorageFaultRule
+from repro.campaign.objectstore import HttpDriver
+from repro.campaign.storage import RetryingDriver
+from repro.errors import ConfigurationError, PersistentStorageError
+
+HTTP_DATE = "Wed, 21 Oct 2015 07:28:00 GMT"
+
+
+@pytest.fixture
+def unavailable_url():
+    """A stub server answering every request 503 with an HTTP-date
+    ``Retry-After``; yields ``(base_url, request_counter)``."""
+    hits = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def _unavailable(self):
+            hits.append(self.command)
+            body = b'{"error": "unavailable"}\n'
+            self.send_response(503)
+            self.send_header("Retry-After", HTTP_DATE)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            self.close_connection = True
+
+        do_GET = do_HEAD = do_PUT = do_POST = _unavailable
+
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}", hits
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+
+class TestHttpDateRetryAfter:
+    def test_driver_stack_retries_then_escalates(self, unavailable_url):
+        url, hits = unavailable_url
+        driver = RetryingDriver(HttpDriver(f"{url}/campaign"))
+        with pytest.raises(PersistentStorageError):
+            driver.get("points/a.json")
+        assert driver.n_retries == 3
+        assert len(hits) == 4
+
+    def test_client_retries_then_escalates(self, unavailable_url):
+        url, hits = unavailable_url
+        client = CampaignServiceClient(url)
+        with pytest.raises(PersistentStorageError):
+            client.healthz()
+        assert client.n_retries == 3
+        assert len(hits) == 4
+
+
+class TestFaultRuleValidation:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"kind": "hang", "hang_s": -1.0},
+            {"kind": "hang", "hang_s": math.nan},
+            {"kind": "hang", "hang_s": math.inf},
+            {"kind": "crash", "attempts": [0]},
+            {"kind": "crash", "attempts": [2, -1]},
+        ],
+        ids=["neg-hang", "nan-hang", "inf-hang", "attempt-0", "attempt-neg"],
+    )
+    def test_rejected_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError):
+            FaultRule(stage="execute", **overrides)
+
+
+class TestStorageFaultRuleValidation:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"kind": "hang", "hang_s": -1.0},
+            {"kind": "delay", "hang_s": math.nan},
+            {"kind": "hang", "hang_s": math.inf},
+            {"kind": "error", "calls": [0, -3]},
+            {"kind": "error", "p": 0.5, "max_fires": -1},
+        ],
+        ids=["neg-hang", "nan-delay", "inf-hang", "calls-0", "neg-max-fires"],
+    )
+    def test_rejected_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError):
+            StorageFaultRule(**overrides)
+
+    def test_zero_max_fires_is_a_valid_disabled_rule(self):
+        plan = StorageFaultPlan.from_dict(
+            {"rules": [{"kind": "error", "max_fires": 0}]}
+        )
+        assert plan.rules[0].max_fires == 0
+
+
+def test_cli_rejects_negative_hang_in_one_line(tmp_path, capsys):
+    plan = (
+        '{"schema": "repro-storage-fault-plan-v1", '
+        '"rules": [{"kind": "hang", "hang_s": -1}]}'
+    )
+    code = entrypoint(
+        [
+            "run",
+            "--spec",
+            "fig17",
+            "--counts",
+            "1",
+            "--rounds",
+            "1",
+            "--store",
+            str(tmp_path / "store"),
+            "--storage-fault-plan",
+            plan,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

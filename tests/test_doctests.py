@@ -13,6 +13,7 @@ import pytest
 import repro.campaign.client
 import repro.campaign.faults
 import repro.campaign.objectstore
+import repro.campaign.retry
 import repro.campaign.runner
 import repro.campaign.service
 import repro.campaign.spec
@@ -37,6 +38,7 @@ MODULES_WITH_DOCTESTS = [
     repro.campaign.store,
     repro.campaign.storage,
     repro.campaign.faults,
+    repro.campaign.retry,
     repro.campaign.runner,
     repro.campaign.objectstore,
     repro.campaign.service,

@@ -56,7 +56,6 @@ from repro.campaign.storage import (
     PosixDriver,
     PrefixDriver,
     RetryingDriver,
-    StorageRetryPolicy,
     build_driver,
 )
 from repro.campaign.store import CampaignStore
@@ -68,7 +67,7 @@ from repro.errors import (
 )
 
 #: Fast client retry policy (real backoffs, tiny delays).
-FAST_RETRY = StorageRetryPolicy(
+FAST_RETRY = RetryPolicy(
     max_attempts=5, base_delay_s=0.002, max_delay_s=0.01
 )
 
@@ -241,7 +240,7 @@ class TestNetworkChaosKinds:
         )
         retrying = RetryingDriver(
             HttpDriver(svc.url, timeout_s=5.0),
-            StorageRetryPolicy(
+            RetryPolicy(
                 max_attempts=3, base_delay_s=0.001, max_delay_s=0.5
             ),
         )
@@ -416,7 +415,7 @@ class TestRunnerDegradation:
                 failure_threshold=1,
                 reset_after_s=60.0,
             ),
-            StorageRetryPolicy(
+            RetryPolicy(
                 max_attempts=2, base_delay_s=0.001, max_delay_s=0.002
             ),
         )
@@ -468,12 +467,12 @@ class TestDelayedLandingWrites:
         raw.put_atomic("points/a.json", b"old")
         retrying = RetryingDriver(
             raw,
-            StorageRetryPolicy(
+            RetryPolicy(
                 max_attempts=3,
                 base_delay_s=0.01,
                 max_delay_s=0.05,
-                op_timeout_s=0.1,
             ),
+            op_timeout_s=0.1,
         )
         # Attempt 1 times out client-side at 100ms while the server is
         # still sleeping; the abandoned request lands the same bytes at
@@ -500,13 +499,13 @@ class TestDelayedLandingWrites:
         backend = PrefixDriver(
             RetryingDriver(
                 HttpDriver(svc.url, timeout_s=5.0),
-                StorageRetryPolicy(
+                RetryPolicy(
                     max_attempts=3,
                     base_delay_s=0.2,  # retry only after the landing
                     max_delay_s=0.3,
                     jitter=0.0,
-                    op_timeout_s=0.05,
                 ),
+                op_timeout_s=0.05,
             ),
             "leases/",
         )
@@ -615,7 +614,7 @@ def _child_run_http(url, spec_dict, owner, lease_ttl_s):
     store = CampaignStore(
         driver=build_driver(url),
         fault_plan=FaultPlan(),
-        retry=StorageRetryPolicy(
+        retry=RetryPolicy(
             max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
         ),
     )

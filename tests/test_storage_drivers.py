@@ -53,7 +53,6 @@ from repro.campaign.storage import (
     PosixDriver,
     PrefixDriver,
     RetryingDriver,
-    StorageRetryPolicy,
     build_driver,
 )
 from repro.campaign.store import CampaignStore
@@ -65,7 +64,7 @@ from repro.errors import (
 )
 
 #: Fast storage retry policy for tests (real backoffs, tiny delays).
-FAST_STORAGE_RETRY = StorageRetryPolicy(
+FAST_STORAGE_RETRY = RetryPolicy(
     max_attempts=5, base_delay_s=0.002, max_delay_s=0.01
 )
 
@@ -407,7 +406,7 @@ class TestRetryingDriver:
         )
         retrying = RetryingDriver(
             faulty,
-            StorageRetryPolicy(max_attempts=3, base_delay_s=0.001),
+            RetryPolicy(max_attempts=3, base_delay_s=0.001),
         )
         faulty.inner.put_atomic("x", b"1")
         with pytest.raises(PersistentStorageError):
@@ -428,14 +427,14 @@ class TestRetryingDriver:
         assert retrying.n_retries == 0
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = StorageRetryPolicy(
+        policy = RetryPolicy(
             max_attempts=4, base_delay_s=0.01, max_delay_s=0.05
         )
-        a = policy.backoff_s("get", "points/x.json", 1)
-        assert a == policy.backoff_s("get", "points/x.json", 1)
-        assert a != policy.backoff_s("get", "points/y.json", 1)
+        a = policy.backoff_s("get:points/x.json", 1)
+        assert a == policy.backoff_s("get:points/x.json", 1)
+        assert a != policy.backoff_s("get:points/y.json", 1)
         for attempt in range(1, 10):
-            assert policy.backoff_s("get", "k", attempt) <= 0.05 * 1.25
+            assert policy.backoff_s("get:k", attempt) <= 0.05 * 1.25
 
     def test_op_timeout_turns_hang_into_retry(self):
         faulty = FaultyDriver(
@@ -453,9 +452,8 @@ class TestRetryingDriver:
         )
         retrying = RetryingDriver(
             faulty,
-            StorageRetryPolicy(
-                max_attempts=3, base_delay_s=0.001, op_timeout_s=0.05
-            ),
+            RetryPolicy(max_attempts=3, base_delay_s=0.001),
+            op_timeout_s=0.05,
         )
         faulty.inner.put_atomic("x", b"1")
         started = time.perf_counter()
@@ -474,8 +472,11 @@ class TestRetryingDriver:
         ],
     )
     def test_invalid_policies_rejected(self, kwargs):
+        op_timeout_s = kwargs.pop("op_timeout_s", None)
         with pytest.raises(ConfigurationError):
-            StorageRetryPolicy(**kwargs)
+            RetryingDriver(
+                MemoryDriver(), RetryPolicy(**kwargs), op_timeout_s
+            )
 
 
 class TestBuildDriver:
@@ -891,7 +892,7 @@ def _child_run_faulty(root, spec_dict, plan_json, owner, lease_ttl_s):
             PosixDriver(root), StorageFaultPlan.from_json(plan_json)
         ),
         fault_plan=FaultPlan(),
-        retry=StorageRetryPolicy(
+        retry=RetryPolicy(
             max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
         ),
     )
