@@ -15,10 +15,10 @@ wall-clock:
 * the Fig. 17 sweep's 256-device point alone, ``auto`` vs ``analytic``
   (the planner's headline crossover win at ``D = N/2``);
 * fading rounds at 100 rounds x 64 devices: the batched AR(1)-track
-  path vs the in-tree ``fading_mode="per_round"`` execution vs a
-  seed-style reconstruction (per-round Python loop, full-FFT readout,
-  time-domain AWGN, per-device Python scoring — the same baseline
-  styling as ``fig12.per_round_fft``);
+  path (``analytic`` and ``auto`` engines) vs a seed-style
+  reconstruction (per-round Python loop, full-FFT readout, time-domain
+  AWGN, per-device Python scoring — the same baseline styling as
+  ``fig12.per_round_fft``);
 * the same batched fading decode under the two engine-noise streams:
   ``noise_mode="payload"`` (located ``±1``-bin payload draws, stream
   version 2) vs ``noise_mode="full"`` (every readout bin, version 1 —
@@ -107,6 +107,8 @@ FIG17_ROUNDS = 3
 
 FADING_ROUNDS = 100
 FADING_DEVICES = 64
+#: Timings every fading section of the newest quick run must carry.
+FADING_TIMINGS = ("per_round_fft_legacy", "batched_analytic", "batched_auto")
 
 
 def _legacy_ber_point(config, snr_db, power_delta_db, n_symbols, rng):
@@ -259,6 +261,7 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
     params = sim._params
     n_devices = sim._deployment.n_devices
     n_pre = sim._structure.n_preamble_upchirps
+    oscillators = sim._oscillator_bank.oscillators()
     total_correct = total_sent = delivered = 0
     for _ in range(n_rounds):
         effective = sim.effective_snrs_db()
@@ -272,7 +275,7 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
             [sim._timing.sample_latency_s(sim._rng) for _ in range(n_devices)]
         )
         delays -= delays.mean()
-        cfos = np.array([o.offset_hz(sim._rng) for o in sim._oscillators])
+        cfos = np.array([o.offset_hz(sim._rng) for o in oscillators])
         bins = (
             np.array(
                 [sim._assignments[i] for i in range(n_devices)], dtype=float
@@ -307,7 +310,7 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
 
 def _time_fading(n_rounds: int = FADING_ROUNDS,
                  n_devices: int = FADING_DEVICES) -> dict:
-    """Fading rounds: batched AR(1) tracks vs the per-round executions."""
+    """Fading rounds: batched AR(1) tracks vs the seed-style loop."""
     config = NetScatterConfig(n_association_shifts=0)
     report: dict = {"n_rounds": n_rounds, "n_devices": n_devices}
 
@@ -324,14 +327,14 @@ def _time_fading(n_rounds: int = FADING_ROUNDS,
         "wall_clock_s": round(time.perf_counter() - start, 3)
     }
 
-    for label, kwargs in (
-        ("per_round_mode", {"engine": "analytic",
-                            "fading_mode": "per_round"}),
-        ("batched_analytic", {"engine": "analytic"}),
-        ("batched_auto", {"engine": "auto"}),
+    for label, engine in (
+        ("batched_analytic", "analytic"),
+        ("batched_auto", "auto"),
     ):
         deployment = paper_deployment(n_devices=n_devices, rng=2026)
-        sim = NetworkSimulator(deployment, config=config, rng=5, **kwargs)
+        sim = NetworkSimulator(
+            deployment, config=config, rng=5, engine=engine
+        )
         start = time.perf_counter()
         metrics = sim.run_rounds(n_rounds, fading=True)
         report[label] = {
@@ -340,11 +343,6 @@ def _time_fading(n_rounds: int = FADING_ROUNDS,
         }
     report["speedup_batched_vs_legacy"] = round(
         report["per_round_fft_legacy"]["wall_clock_s"]
-        / report["batched_auto"]["wall_clock_s"],
-        2,
-    )
-    report["speedup_batched_vs_per_round_mode"] = round(
-        report["per_round_mode"]["wall_clock_s"]
         / report["batched_auto"]["wall_clock_s"],
         2,
     )
@@ -497,8 +495,10 @@ def validate_report(report: dict) -> dict:
     and the Fig. 18 reuse must have recomputed **zero** points (the
     campaign layer's cache contract). Section-*presence* rules (a
     quick run must carry ``fig17_point256`` + ``fading`` +
-    ``noise_modes`` + ``campaign``) apply
-    only to the **newest** run — the one the current tool produced.
+    ``noise_modes`` + ``campaign`` + ``population_scale``, and its
+    ``fading`` section a ``wall_clock_s`` for each of
+    :data:`FADING_TIMINGS`) apply only to the **newest** run — the one
+    the current tool produced.
     The history is append-only and older runs were written by older
     section layouts; rejecting them would force hand-editing the
     accumulated trajectory, exactly what this file must never require.
@@ -560,6 +560,13 @@ def validate_report(report: dict) -> dict:
                 if section not in run:
                     raise ValueError(
                         f"{where} is a quick run but lacks {section!r}"
+                    )
+            fading = run["fading"]
+            for timing in FADING_TIMINGS:
+                entry = fading.get(timing) if isinstance(fading, dict) else None
+                if not isinstance(entry, dict) or "wall_clock_s" not in entry:
+                    raise ValueError(
+                        f"{where}.fading.{timing} must record wall_clock_s"
                     )
         modes = run.get("noise_modes")
         if modes is not None:

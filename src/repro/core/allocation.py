@@ -17,13 +17,12 @@ Association reserves one shift in the high-SNR region (near bin 0) and one
 in the low-SNR region (near the middle), each with SKIP-guards, so joining
 devices of any strength can be heard (Section 3.3.2).
 
-Population state is flat by default: :class:`AllocationTable` keeps its
-device columns in a :class:`repro.protocol.population.Population`
+Population state is flat: :class:`AllocationTable` keeps its device
+columns in a :class:`repro.protocol.population.Population`
 (struct-of-arrays) and ranks/spreads with the vectorised kernels, so
 bulk admits are O(N) array ops instead of per-device dictionary walks.
-The legacy per-device-object implementation survives as
-``backend="object"`` and the equivalence suite
-(``tests/test_population_scale.py``) pins the two bit-identical.
+The equivalence suite (``tests/test_population_scale.py``) pins it
+bit-identical to a per-device-object oracle kept next to the tests.
 
 The slot geometry is cached per configuration: ``_data_slots`` /
 ``association_shifts`` are pure functions of the frozen
@@ -38,7 +37,6 @@ call (pinned by a regression test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +44,6 @@ import numpy as np
 
 from repro.core.config import NetScatterConfig
 from repro.errors import AllocationError
-
-#: Storage backends of :class:`AllocationTable`: ``"flat"`` (default,
-#: struct-of-arrays) and ``"object"`` (legacy per-device entries).
-TABLE_BACKENDS = ("flat", "object")
-
 
 def cyclic_bin_distance(a: float, b: float, n_bins: int) -> float:
     """Cyclic distance between two bins on the ``n_bins`` ring."""
@@ -92,29 +85,6 @@ def power_aware_allocation(
         int(device_index): int(shift)
         for device_index, shift in zip(order, ranked_shifts)
     }
-
-
-def _spread_slot_indices(n_devices: int, n_slots: int) -> List[int]:
-    """Folded slot indices for descending-SNR ranks.
-
-    Two requirements combine here:
-
-    * *spread*: below capacity, occupied slots spread evenly over the
-      ring, which is why the paper observes an effective SKIP >= 3
-      separation when fewer than half the slots are in use (Section
-      4.4's variance discussion);
-    * *fold*: rank 0 (strongest) takes the first spread position, rank 1
-      the last, rank 2 the second, and so on — strong devices occupy
-      both spectrum edges and the weakest land mid-ring, maximising
-      their cyclic distance from the strong edges (Fig. 8's "High Power
-      | Low Power | High Power" layout).
-
-    Delegates to the cached vectorised kernel in
-    :mod:`repro.protocol.population`; kept for API compatibility.
-    """
-    from repro.protocol.population import spread_slot_indices
-
-    return spread_slot_indices(n_devices, n_slots).tolist()
 
 
 def random_allocation(
@@ -193,13 +163,10 @@ def association_shifts(config: NetScatterConfig) -> List[int]:
     return list(_association_shifts_cached(config))
 
 
-@dataclass
-class AllocationEntry:
-    """One device's standing in the allocation table (object backend)."""
-
-    device_id: int
-    shift: int
-    snr_db: float
+def _check_finite(snrs_db) -> None:
+    """Reject NaN/inf SNRs before they reach the ring."""
+    if not np.all(np.isfinite(np.asarray(snrs_db, dtype=float))):
+        raise AllocationError("SNRs must be finite")
 
 
 class AllocationTable:
@@ -212,110 +179,49 @@ class AllocationTable:
     The table reports whether each admit was incremental or required
     reassignment so the protocol layer can charge the right overhead.
 
-    ``backend="flat"`` (default) keeps the population in struct-of-array
-    columns (:class:`repro.protocol.population.Population`) and ranks,
-    spreads and validates with vectorised kernels; ``backend="object"``
-    is the legacy one-``AllocationEntry``-per-device implementation.
-    Decisions (shifts, reassignment counts, error behaviour) are pinned
-    bit-identical between the two by the equivalence suite.
+    The population lives in struct-of-array columns
+    (:class:`repro.protocol.population.Population`) and is ranked,
+    spread and validated with vectorised kernels. Its decisions (shifts,
+    reassignment counts, error behaviour) are pinned bit-identical to a
+    per-device-object oracle by ``tests/test_population_scale.py``.
     """
 
-    def __init__(
-        self,
-        config: NetScatterConfig,
-        backend: str = "flat",
-        population=None,
-    ) -> None:
-        if backend not in TABLE_BACKENDS:
-            raise AllocationError(
-                f"backend must be one of {TABLE_BACKENDS}, got {backend!r}"
-            )
+    def __init__(self, config: NetScatterConfig) -> None:
+        from repro.protocol.population import Population
+
         self._config = config
-        self._backend = backend
-        self._slots = _data_slots(config)
         self._slot_array = _data_slot_array(config)
         self.reassignments = 0
-        if backend == "flat":
-            from repro.protocol.population import Population
-
-            self._pop = population if population is not None else Population()
-            self._entries = None
-        else:
-            self._pop = None
-            self._entries: Dict[int, AllocationEntry] = {}
+        self._pop = Population()
 
     @property
     def config(self) -> NetScatterConfig:
         return self._config
 
     @property
-    def backend(self) -> str:
-        return self._backend
-
-    @property
     def population(self):
-        """The underlying flat population (``None`` on the object path)."""
+        """The underlying flat :class:`Population`."""
         return self._pop
 
     @property
     def n_devices(self) -> int:
-        if self._backend == "flat":
-            return self._pop.n_devices
-        return len(self._entries)
+        return self._pop.n_devices
 
     @property
     def capacity(self) -> int:
-        return len(self._slots)
+        return int(self._slot_array.size)
 
     def assignments(self) -> Dict[int, int]:
         """Current ``device_id -> shift`` map."""
-        if self._backend == "flat":
-            return dict(
-                zip(
-                    self._pop.device_id.tolist(),
-                    self._pop.shift.tolist(),
-                )
-            )
-        return {e.device_id: e.shift for e in self._entries.values()}
-
-    def snr_of(self, device_id: int) -> float:
-        if self._backend == "flat":
-            return float(self._pop.snr_db[self._pop.row_of(device_id)])
-        return self._entry(device_id).snr_db
-
-    def shift_of(self, device_id: int) -> int:
-        if self._backend == "flat":
-            return int(self._pop.shift[self._pop.row_of(device_id)])
-        return self._entry(device_id).shift
-
-    def _entry(self, device_id: int) -> AllocationEntry:
-        if device_id not in self._entries:
-            raise AllocationError(f"device {device_id} is not allocated")
-        return self._entries[device_id]
-
-    def _ranked_ids(self) -> List[int]:
-        """Device ids in descending-SNR order (the canonical ring order)."""
-        if self._backend == "flat":
-            return self._pop.device_id[self._pop.ranked_rows()].tolist()
-        return sorted(
-            self._entries,
-            key=lambda d: self._entries[d].snr_db,
-            reverse=True,
+        return dict(
+            zip(self._pop.device_id.tolist(), self._pop.shift.tolist())
         )
 
-    def _spread_assignment(self) -> Dict[int, int]:
-        """The canonical spread placement for the current population."""
-        if self._backend == "flat":
-            from repro.protocol.population import spread_shifts
+    def snr_of(self, device_id: int) -> float:
+        return float(self._pop.snr_db[self._pop.row_of(device_id)])
 
-            target = spread_shifts(self._pop.snr_db, self._slot_array)
-            return dict(zip(self._pop.device_id.tolist(), target.tolist()))
-        ranked = self._ranked_ids()
-        indices = _spread_slot_indices(len(ranked), len(self._slots))
-        return {
-            device_id: self._slots[indices[rank]]
-            for rank, device_id in enumerate(ranked)
-        }
+    def shift_of(self, device_id: int) -> int:
+        return int(self._pop.shift[self._pop.row_of(device_id)])
 
     def _apply_spread(self) -> bool:
         """Move every device to its spread slot; True if anyone moved.
@@ -324,28 +230,14 @@ class AllocationTable:
         (``-1`` marks a fresh admit) — the newcomer taking its first
         slot is not a reassignment event.
         """
-        if self._backend == "flat":
-            from repro.protocol.population import spread_shifts
+        from repro.protocol.population import spread_shifts
 
-            shifts = self._pop.shift
-            target = spread_shifts(self._pop.snr_db, self._slot_array)
-            changed = target != shifts
-            moved = bool(np.any(changed & (shifts != -1)))
-            shifts[changed] = target[changed]
-            return moved
-        target = self._spread_assignment()
-        moved = False
-        for device_id, shift in target.items():
-            entry = self._entries[device_id]
-            if entry.shift != shift:
-                moved = moved or entry.shift != -1
-                entry.shift = shift
+        shifts = self._pop.shift
+        target = spread_shifts(self._pop.snr_db, self._slot_array)
+        changed = target != shifts
+        moved = bool(np.any(changed & (shifts != -1)))
+        shifts[changed] = target[changed]
         return moved
-
-    def _reassign_all(self) -> None:
-        """Full re-pack announced via the reordering query message."""
-        self._apply_spread()
-        self.reassignments += 1
 
     def add_device(self, device_id: int, snr_db: float) -> Tuple[int, bool]:
         """Admit a device; returns ``(shift, reassigned_others)``.
@@ -355,33 +247,18 @@ class AllocationTable:
         reassignment — the event the paper announces with the
         log2(256!)-bit reordering query message.
         """
-        if self._backend == "flat":
-            if device_id in self._pop:
-                raise AllocationError(
-                    f"device {device_id} already allocated"
-                )
-            if self.n_devices >= self.capacity:
-                raise AllocationError(
-                    f"network full: {self.capacity} slots in use"
-                )
-            row = self._pop.add(device_id, snr_db)
-            moved_others = self._apply_spread()
-            if moved_others:
-                self.reassignments += 1
-            return int(self._pop.shift[row]), moved_others
-        if device_id in self._entries:
+        _check_finite(snr_db)
+        if device_id in self._pop:
             raise AllocationError(f"device {device_id} already allocated")
         if self.n_devices >= self.capacity:
             raise AllocationError(
                 f"network full: {self.capacity} slots in use"
             )
-        self._entries[device_id] = AllocationEntry(
-            device_id=device_id, shift=-1, snr_db=float(snr_db)
-        )
+        row = self._pop.add(device_id, snr_db)
         moved_others = self._apply_spread()
         if moved_others:
             self.reassignments += 1
-        return self._entries[device_id].shift, moved_others
+        return int(self._pop.shift[row]), moved_others
 
     def bulk_add(
         self,
@@ -393,72 +270,40 @@ class AllocationTable:
         The mass-join fast path: all newcomers enter the ring at once
         and at most one reassignment event is charged (against N when
         admitting one at a time). Returns ``(shifts, reassigned)`` with
-        ``shifts`` aligned to ``device_ids``. Identical semantics on
-        both backends.
+        ``shifts`` aligned to ``device_ids``.
         """
         ids = [int(d) for d in device_ids]
+        _check_finite(snrs_db)
         if self.n_devices + len(ids) > self.capacity:
             raise AllocationError(
                 f"network full: {self.capacity} slots in use"
             )
-        if self._backend == "flat":
-            rows = self._pop.bulk_add(ids, snrs_db)
-            moved_others = self._apply_spread()
-            if moved_others:
-                self.reassignments += 1
-            return self._pop.shift[rows].copy(), moved_others
-        for device_id in ids:
-            if device_id in self._entries:
-                raise AllocationError(
-                    f"device {device_id} already allocated"
-                )
-        if len(set(ids)) != len(ids):
-            raise AllocationError("duplicate device ids in bulk add")
-        for device_id, snr_db in zip(ids, snrs_db):
-            self._entries[device_id] = AllocationEntry(
-                device_id=device_id, shift=-1, snr_db=float(snr_db)
-            )
+        rows = self._pop.bulk_add(ids, snrs_db)
         moved_others = self._apply_spread()
         if moved_others:
             self.reassignments += 1
-        shifts = np.array(
-            [self._entries[d].shift for d in ids], dtype=np.int64
-        )
-        return shifts, moved_others
+        return self._pop.shift[rows].copy(), moved_others
 
     def remove_device(self, device_id: int) -> None:
         """Remove a device and re-spread the survivors."""
-        if self._backend == "flat":
-            self._pop.row_of(device_id)  # raises if unknown
-            self._pop.remove(device_id)
-            if self._pop.n_devices:
-                self._apply_spread()
-            return
-        self._entry(device_id)
-        del self._entries[device_id]
-        if self._entries:
+        self._pop.remove(device_id)  # raises if unknown
+        if self._pop.n_devices:
             self._apply_spread()
 
     def update_snr(self, device_id: int, snr_db: float) -> bool:
         """Record a significantly changed SNR; returns True if the ring
         had to be re-packed (rank changed)."""
-        if self._backend == "flat":
-            row = self._pop.row_of(device_id)
-            ranked = self._pop.ranked_rows()
-            old_rank = int(np.flatnonzero(ranked == row)[0])
-            self._pop.snr_db[row] = float(snr_db)
-            ranked = self._pop.ranked_rows()
-            new_rank = int(np.flatnonzero(ranked == row)[0])
-            if new_rank != old_rank:
-                self._reassign_all()
-                return True
-            return False
-        entry = self._entry(device_id)
-        old_rank = self._ranked_ids().index(device_id)
-        entry.snr_db = float(snr_db)
-        new_rank = self._ranked_ids().index(device_id)
+        _check_finite(snr_db)
+        row = self._pop.row_of(device_id)
+        ranked = self._pop.ranked_rows()
+        old_rank = int(np.flatnonzero(ranked == row)[0])
+        self._pop.snr_db[row] = float(snr_db)
+        ranked = self._pop.ranked_rows()
+        new_rank = int(np.flatnonzero(ranked == row)[0])
         if new_rank != old_rank:
-            self._reassign_all()
+            # Full re-pack, announced via the reordering query message.
+            self._apply_spread()
+            self.reassignments += 1
             return True
         return False
 
@@ -469,57 +314,30 @@ class AllocationTable:
         * no device inside an association guard region,
         * SNR ordering matches ring ordering over the assigned prefix.
         """
-        if self._backend == "flat":
-            from repro.protocol.population import spread_shifts
+        from repro.protocol.population import spread_shifts
 
-            shifts = self._pop.shift
-            if shifts.size == 0:
-                return
-            misaligned = shifts % self._config.skip != 0
-            if np.any(misaligned):
-                bad = int(shifts[misaligned][0])
-                raise AllocationError(
-                    f"shift {bad} breaks SKIP alignment"
-                )
-            unique, counts = np.unique(shifts, return_counts=True)
-            if np.any(counts > 1):
-                bad = int(unique[counts > 1][0])
-                raise AllocationError(f"shift {bad} double-booked")
-            outside = ~np.isin(shifts, self._slot_array)
-            if np.any(outside):
-                bad = int(shifts[outside][0])
-                raise AllocationError(
-                    f"shift {bad} is reserved or out of range"
-                )
-            target = spread_shifts(self._pop.snr_db, self._slot_array)
-            mismatched = shifts != target
-            if np.any(mismatched):
-                bad = int(self._pop.device_id[mismatched][0])
-                raise AllocationError(
-                    "ring order does not match SNR order "
-                    f"(device {bad})"
-                )
+        shifts = self._pop.shift
+        if shifts.size == 0:
             return
-        seen = set()
-        for entry in self._entries.values():
-            if entry.shift % self._config.skip != 0:
-                raise AllocationError(
-                    f"shift {entry.shift} breaks SKIP alignment"
-                )
-            if entry.shift in seen:
-                raise AllocationError(f"shift {entry.shift} double-booked")
-            seen.add(entry.shift)
-            if entry.shift not in self._slots:
-                raise AllocationError(
-                    f"shift {entry.shift} is reserved or out of range"
-                )
-        expected = self._spread_assignment()
-        for device_id, entry in self._entries.items():
-            if entry.shift != expected[device_id]:
-                raise AllocationError(
-                    "ring order does not match SNR order "
-                    f"(device {device_id})"
-                )
+        misaligned = shifts % self._config.skip != 0
+        if np.any(misaligned):
+            bad = int(shifts[misaligned][0])
+            raise AllocationError(f"shift {bad} breaks SKIP alignment")
+        unique, counts = np.unique(shifts, return_counts=True)
+        if np.any(counts > 1):
+            bad = int(unique[counts > 1][0])
+            raise AllocationError(f"shift {bad} double-booked")
+        outside = ~np.isin(shifts, self._slot_array)
+        if np.any(outside):
+            bad = int(shifts[outside][0])
+            raise AllocationError(f"shift {bad} is reserved or out of range")
+        target = spread_shifts(self._pop.snr_db, self._slot_array)
+        mismatched = shifts != target
+        if np.any(mismatched):
+            bad = int(self._pop.device_id[mismatched][0])
+            raise AllocationError(
+                f"ring order does not match SNR order (device {bad})"
+            )
 
     def min_distance_between(
         self, device_a: int, device_b: int
@@ -529,15 +347,6 @@ class AllocationTable:
             self.shift_of(device_a),
             self.shift_of(device_b),
             self._config.n_bins,
-        )
-
-    def _snr_shift_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._backend == "flat":
-            return self._pop.snr_db, self._pop.shift
-        entries = list(self._entries.values())
-        return (
-            np.array([e.snr_db for e in entries], dtype=float),
-            np.array([e.shift for e in entries], dtype=float),
         )
 
     def worst_case_exposure_db(
@@ -550,7 +359,7 @@ class AllocationTable:
         signal. Returns the worst margin in dB (negative = safe), or
         ``None`` with fewer than two devices. Evaluated as one pairwise
         matrix pass (the profile lookup vectorises over the distance
-        matrix) on both backends.
+        matrix).
         """
         from repro.phy.spectrum import side_lobe_profile as make_profile
 
@@ -560,7 +369,7 @@ class AllocationTable:
             side_lobe_profile = make_profile(
                 self._config.chirp_params, self._config.zero_pad_factor
             )
-        snrs, shifts = self._snr_shift_arrays()
+        snrs, shifts = self._pop.snr_db, self._pop.shift
         delta_db = snrs[:, None] - snrs[None, :]
         raw = np.abs(
             shifts[:, None].astype(float) - shifts[None, :].astype(float)

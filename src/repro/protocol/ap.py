@@ -38,14 +38,12 @@ class AccessPoint:
         self,
         config: NetScatterConfig,
         group_span_db: float = 35.0,
-        backend: str = "flat",
     ) -> None:
         self._config = config
-        self._association = AssociationController(config, backend=backend)
+        self._association = AssociationController(config)
         self._scheduler = GroupScheduler(
             max_group_size=config.max_devices,
             group_span_db=group_span_db,
-            backend=backend,
         )
         self._needs_reassignment_query = False
         self._device_snrs: Dict[int, float] = {}
@@ -58,10 +56,6 @@ class AccessPoint:
     @property
     def association(self) -> AssociationController:
         return self._association
-
-    @property
-    def backend(self) -> str:
-        return self._association.backend
 
     @property
     def scheduler(self) -> GroupScheduler:

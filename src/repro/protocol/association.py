@@ -7,21 +7,17 @@ newcomer's signal strength, allocates a shift through the power-aware
 table, piggybacks the grant on the next query, and confirms on receiving
 the Association ACK in the granted shift.
 
-The controller inherits the allocation table's storage backend: on the
-default flat backend the per-device association lifecycle (phase, grant
-repeats, the frozen granted shift) lives in the population's columns
-(:class:`repro.protocol.population.Population`) and a mass join is one
-masked array update (:meth:`AssociationController.bulk_associate`); the
-legacy ``PendingAssociation``-object path survives as
-``backend="object"`` and the two are pinned bit-identical by the
-equivalence suite.
+The per-device association lifecycle (phase, grant repeats, the frozen
+granted shift) lives in the allocation table's population columns
+(:class:`repro.protocol.population.Population`), so a mass join is one
+masked array update (:meth:`AssociationController.bulk_associate`).
+``tests/test_population_scale.py`` pins every decision bit-identical
+to a per-device-object oracle.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,25 +31,6 @@ from repro.protocol.population import (
 )
 
 
-class AssociationPhase(enum.Enum):
-    """AP-side lifecycle of one joining device."""
-
-    REQUESTED = "requested"
-    GRANTED = "granted"
-    CONFIRMED = "confirmed"
-
-
-@dataclass
-class PendingAssociation:
-    """AP-side record of an in-flight association (object backend)."""
-
-    device_id: int
-    snr_db: float
-    phase: AssociationPhase = AssociationPhase.REQUESTED
-    granted_shift: Optional[int] = None
-    grant_repeats: int = 0
-
-
 class AssociationController:
     """AP-side association state machine over an allocation table.
 
@@ -61,28 +38,20 @@ class AssociationController:
     re-packs may move the device's data shift, but the pending grant
     keeps repeating the originally granted value until acknowledged
     (the device cannot learn a newer shift before it is a confirmed
-    member). Both backends implement this — the flat path via the
-    population's ``granted_shift`` column.
+    member): the population's ``granted_shift`` column keeps it.
     """
 
     MAX_GRANT_REPEATS = 5
 
-    def __init__(
-        self, config: NetScatterConfig, backend: str = "flat"
-    ) -> None:
+    def __init__(self, config: NetScatterConfig) -> None:
         self._config = config
-        self._table = AllocationTable(config, backend=backend)
-        self._backend = self._table.backend
-        self._pending: Dict[int, PendingAssociation] = {}
+        self._table = AllocationTable(config)
+        self._pop = self._table.population
         self._assoc_shifts = association_shifts(config)
 
     @property
     def table(self) -> AllocationTable:
         return self._table
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def association_shifts(self) -> List[int]:
@@ -114,45 +83,25 @@ class AssociationController:
         query, plus whether the admit displaced existing devices (needs a
         full-reassignment query).
         """
-        if self._backend == "flat":
-            pop = self._table.population
-            if device_id in pop:
-                row = pop.row_of(device_id)
-                if pop.phase[row] == PHASE_GRANTED:
-                    # Duplicate request: the grant was lost; repeat it.
-                    return self._repeat_grant_flat(device_id), False
-                if pop.phase[row] != PHASE_CONFIRMED:
-                    raise AssociationError(
-                        f"device {device_id} already mid-association"
-                    )
-            shift, reassigned = self._table.add_device(
-                device_id, measured_snr_db
-            )
+        pop = self._pop
+        if device_id in pop:
             row = pop.row_of(device_id)
-            pop.phase[row] = PHASE_GRANTED
-            pop.granted_shift[row] = shift
-            pop.grant_repeats[row] = 0
-            return self._repeat_grant_flat(device_id), reassigned
-        if device_id in self._pending:
-            pending = self._pending[device_id]
-            if pending.phase == AssociationPhase.GRANTED:
+            if pop.phase[row] == PHASE_GRANTED:
                 # Duplicate request: the grant was lost; repeat it.
-                return self._grant_message(pending), False
-            raise AssociationError(
-                f"device {device_id} already mid-association"
-            )
+                return self._repeat_grant(device_id), False
+            if pop.phase[row] != PHASE_CONFIRMED:
+                raise AssociationError(
+                    f"device {device_id} already mid-association"
+                )
         shift, reassigned = self._table.add_device(device_id, measured_snr_db)
-        pending = PendingAssociation(
-            device_id=device_id,
-            snr_db=measured_snr_db,
-            phase=AssociationPhase.GRANTED,
-            granted_shift=shift,
-        )
-        self._pending[device_id] = pending
-        return self._grant_message(pending), reassigned
+        row = pop.row_of(device_id)
+        pop.phase[row] = PHASE_GRANTED
+        pop.granted_shift[row] = shift
+        pop.grant_repeats[row] = 0
+        return self._repeat_grant(device_id), reassigned
 
-    def _repeat_grant_flat(self, device_id: int) -> AssociationResponse:
-        pop = self._table.population
+    def _repeat_grant(self, device_id: int) -> AssociationResponse:
+        pop = self._pop
         row = pop.row_of(device_id)
         pop.grant_repeats[row] += 1
         if pop.grant_repeats[row] > self.MAX_GRANT_REPEATS:
@@ -166,42 +115,17 @@ class AssociationController:
             cyclic_shift=int(pop.granted_shift[row]) // self._config.skip,
         )
 
-    def _grant_message(self, pending: PendingAssociation) -> AssociationResponse:
-        pending.grant_repeats += 1
-        if pending.grant_repeats > self.MAX_GRANT_REPEATS:
-            # Abandon the join attempt; free the slot.
-            self._table.remove_device(pending.device_id)
-            del self._pending[pending.device_id]
-            raise AssociationError(
-                f"device {pending.device_id} never acknowledged its grant"
-            )
-        return AssociationResponse(
-            network_id=pending.device_id % 256,
-            cyclic_shift=pending.granted_shift // self._config.skip,
-        )
-
     def handle_ack(self, device_id: int) -> int:
         """Process the Association ACK; the device is now a member."""
-        if self._backend == "flat":
-            pop = self._table.population
-            if (
-                device_id not in pop
-                or pop.phase[pop.row_of(device_id)] != PHASE_GRANTED
-            ):
-                raise AssociationError(
-                    f"unexpected ACK from device {device_id}"
-                )
-            row = pop.row_of(device_id)
-            pop.phase[row] = PHASE_CONFIRMED
-            return int(pop.granted_shift[row])
-        pending = self._pending.get(device_id)
-        if pending is None or pending.phase != AssociationPhase.GRANTED:
-            raise AssociationError(
-                f"unexpected ACK from device {device_id}"
-            )
-        pending.phase = AssociationPhase.CONFIRMED
-        del self._pending[device_id]
-        return pending.granted_shift
+        pop = self._pop
+        if (
+            device_id not in pop
+            or pop.phase[pop.row_of(device_id)] != PHASE_GRANTED
+        ):
+            raise AssociationError(f"unexpected ACK from device {device_id}")
+        row = pop.row_of(device_id)
+        pop.phase[row] = PHASE_CONFIRMED
+        return int(pop.granted_shift[row])
 
     def bulk_associate(
         self,
@@ -216,18 +140,15 @@ class AssociationController:
         immediately confirmed — the lossless-downlink shortcut the
         protocol stats layer charges one query per device for. Returns
         ``(granted_shifts, reassigned)`` aligned to ``device_ids``.
-        Identical decisions on both backends (each delegates to the same
-        ``bulk_add``).
         """
         shifts, reassigned = self._table.bulk_add(device_ids, snrs_db)
-        if self._backend == "flat":
-            pop = self._table.population
-            rows = np.array(
-                [pop.row_of(int(d)) for d in device_ids], dtype=np.int64
-            )
-            pop.phase[rows] = PHASE_CONFIRMED
-            pop.granted_shift[rows] = shifts
-            pop.grant_repeats[rows] = 1
+        pop = self._pop
+        rows = np.array(
+            [pop.row_of(int(d)) for d in device_ids], dtype=np.int64
+        )
+        pop.phase[rows] = PHASE_CONFIRMED
+        pop.granted_shift[rows] = shifts
+        pop.grant_repeats[rows] = 1
         return shifts, reassigned
 
     def handle_reassociation(
@@ -239,24 +160,14 @@ class AssociationController:
 
     def pending_grants(self) -> List[AssociationResponse]:
         """Grants that still need repeating on upcoming queries."""
-        if self._backend == "flat":
-            pop = self._table.population
-            rows = np.flatnonzero(pop.phase == PHASE_GRANTED)
-            return [
-                AssociationResponse(
-                    network_id=int(pop.device_id[row]) % 256,
-                    cyclic_shift=int(pop.granted_shift[row])
-                    // self._config.skip,
-                )
-                for row in rows
-            ]
+        pop = self._pop
+        rows = np.flatnonzero(pop.phase == PHASE_GRANTED)
         return [
             AssociationResponse(
-                network_id=p.device_id % 256,
-                cyclic_shift=p.granted_shift // self._config.skip,
+                network_id=int(pop.device_id[row]) % 256,
+                cyclic_shift=int(pop.granted_shift[row]) // self._config.skip,
             )
-            for p in self._pending.values()
-            if p.phase == AssociationPhase.GRANTED
+            for row in rows
         ]
 
     def assignments(self) -> Dict[int, int]:
@@ -266,8 +177,5 @@ class AssociationController:
 
     @property
     def n_members(self) -> int:
-        if self._backend == "flat":
-            pop = self._table.population
-            n_pending = int(np.count_nonzero(pop.phase != PHASE_CONFIRMED))
-            return self._table.n_devices - n_pending
-        return self._table.n_devices - len(self._pending)
+        n_pending = int(np.count_nonzero(self._pop.phase != PHASE_CONFIRMED))
+        return self._table.n_devices - n_pending

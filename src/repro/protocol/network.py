@@ -42,9 +42,10 @@ Fading rounds are batched like everything else: the per-device AR(1)
 shadow-fading tracks advance ``n_rounds`` at a time through
 :func:`repro.channel.fading.step_tracks` (same draws, one generator
 call) and enter the composition as per-round amplitude rows and
-per-round noise floors — no per-round Python loop. The legacy
-round-by-round draw survives as ``fading_mode="per_round"`` for
-benchmarking and statistical-equivalence tests.
+per-round noise floors — no per-round Python loop. The round-by-round
+execution it replaced is kept as a test oracle in
+``tests/test_protocol_ap_network.py``, which pins the batched path's
+statistics against it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,11 +69,7 @@ from repro.core.dcss import compose_rounds
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import ConfigurationError, DecodingError
 from repro.hardware.mcu import McuTimingModel
-from repro.hardware.oscillator import (
-    CrystalOscillator,
-    OscillatorBank,
-    tag_oscillator,
-)
+from repro.hardware.oscillator import OscillatorBank, tag_oscillator
 from repro.phy.noise import NOISE_MODES
 from repro.phy.packet import PacketStructure
 from repro.utils.rng import RngLike, child_rng, make_rng
@@ -82,7 +78,7 @@ from repro.utils.rng import RngLike, child_rng, make_rng
 ENGINES = ("analytic", "auto", "time")
 
 #: Wall-clock spacing assumed between fading rounds (seconds): the
-#: AR(1) tracks step by this much per round on both fading paths.
+#: AR(1) tracks step by this much per round.
 FADING_ROUND_INTERVAL_S = 0.06
 
 
@@ -212,14 +208,6 @@ class NetworkSimulator:
         Optional complex dtype of the analytic readout matmuls —
         ``numpy.complex64`` halves kernel cost/memory for very large
         device counts. ``None`` keeps full double precision.
-    fading_mode:
-        ``"batched"`` (default) advances every device's fading track a
-        whole batch at a time (:func:`repro.channel.fading.step_tracks`)
-        so fading rounds flow through the batched engines like static
-        ones; ``"per_round"`` keeps the legacy execution — each fading
-        round drawn *and decoded* on its own, Markov state stepped
-        between rounds — as the reference for statistical equivalence
-        and the benchmark baseline.
     noise_mode:
         Engine-noise stream of the ``"analytic"``/``"auto"`` engines
         (see :class:`repro.core.receiver.NetScatterReceiver`):
@@ -243,17 +231,11 @@ class NetworkSimulator:
         rng: RngLike = None,
         engine: str = "analytic",
         readout_dtype=None,
-        fading_mode: str = "batched",
         noise_mode: str = "payload",
     ) -> None:
         if engine not in ENGINES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        if fading_mode not in ("batched", "per_round"):
-            raise ConfigurationError(
-                "fading_mode must be 'batched' or 'per_round', "
-                f"got {fading_mode!r}"
             )
         if noise_mode not in NOISE_MODES:
             raise ConfigurationError(
@@ -280,7 +262,6 @@ class NetworkSimulator:
         self._rng = make_rng(rng)
         self._engine = engine
         self._readout_dtype = readout_dtype
-        self._fading_mode = fading_mode
         self._structure = PacketStructure(payload_bits=self._payload_bits)
 
         # Per-device impairment models (fixed per device, drawn per packet).
@@ -311,12 +292,6 @@ class NetworkSimulator:
     @property
     def assignments(self) -> Dict[int, int]:
         return dict(self._assignments)
-
-    @cached_property
-    def _oscillators(self) -> List[CrystalOscillator]:
-        """Per-device oscillator objects, for the per-device draws of
-        the ``fading_mode="per_round"`` reference path."""
-        return self._oscillator_bank.oscillators()
 
     def effective_snrs_db(self) -> List[float]:
         """Per-device SNR after the power-control gain."""
@@ -353,59 +328,13 @@ class NetworkSimulator:
     # round execution
     # ------------------------------------------------------------------ #
 
-    def _draw_round_inputs(self, fading: bool):
-        """Draw one round's composition inputs (bins, amps, phases, bits).
-
-        Only ``fading_mode="per_round"`` still uses this form: it is the
-        legacy reference the batched fading path is validated against
-        (and the baseline the fading benchmark measures). All other
-        batches draw everything at once in :meth:`_draw_batch_inputs`.
-        """
-        effective = self.effective_snrs_db()
-        if fading:
-            effective = [
-                e
-                + dev.step_channel(FADING_ROUND_INTERVAL_S, self._rng)
-                - dev.uplink_snr_db
-                for e, dev in zip(effective, self._deployment.devices)
-            ]
-        # Reference device: the weakest. Its amplitude is 1.0 and the
-        # channel noise realises its SNR; others scale up from there.
-        floor_snr = min(effective)
-        rel_gains_db = np.asarray(effective) - floor_snr
-
-        n_devices = self._deployment.n_devices
-        params = self._params
-        delays = self._timing.sample_latencies_s(n_devices, self._rng)
-        # The receiver synchronises to the concurrent preamble, which
-        # locks onto the population's common-mode delay; only per-device
-        # deviations from it survive as residual bin offsets.
-        delays = delays - delays.mean()
-        cfos = np.array(
-            [osc.offset_hz(self._rng) for osc in self._oscillators]
-        )
-        effective_bins = (
-            np.array(
-                [self._assignments[i] for i in range(n_devices)],
-                dtype=float,
-            )
-            - delays * params.bandwidth_hz
-            + cfos * params.n_samples / params.bandwidth_hz
-        )
-        amplitudes = 10.0 ** (rel_gains_db / 20.0)
-        phases = self._rng.uniform(0.0, 2.0 * np.pi, size=n_devices)
-        payload_bits = self._rng.integers(
-            0, 2, size=(self._payload_bits, n_devices)
-        )
-        return effective_bins, amplitudes, phases, payload_bits, floor_snr
-
     def _fading_effective_snrs_db(self, n_rounds: int) -> np.ndarray:
         """``(n_rounds, n_devices)`` effective SNRs under batched fading.
 
         Every device's AR(1) track advances ``n_rounds`` steps in one
         vectorised pass (:func:`repro.channel.fading.step_tracks`);
-        devices without a fading process keep their static SNR and —
-        matching the per-round path — consume no generator draws.
+        devices without a fading process keep their static SNR and
+        consume no generator draws.
         """
         from repro.channel.fading import step_tracks
 
@@ -423,9 +352,9 @@ class NetworkSimulator:
                 self._rng,
             )
             tracks[:, np.array(present)] = faded
-        # Same convention as the per-round path: the fading track
-        # replaces the device's base SNR, while the experiment-level
-        # reference scale and the power-control gain ride on top.
+        # The fading track replaces the device's base SNR, while the
+        # experiment-level reference scale and the power-control gain
+        # ride on top.
         return tracks + self._scale_db + np.asarray(self._gains_db)[None, :]
 
     def _draw_batch_inputs(self, n_rounds: int, fading: bool):
@@ -434,20 +363,8 @@ class NetworkSimulator:
         Returns ``(bins, amplitudes, phases, payload, floors)`` with
         round-major shapes. Jitter/CFO/phases/bits are always drawn as
         single ``(rounds, devices)`` batches; fading adds per-round
-        amplitude rows and noise floors from the batched AR(1) tracks
-        (statistically identical to — and validated against — the
-        legacy ``fading_mode="per_round"`` execution, which draws each
-        round through :meth:`_draw_round_inputs`).
+        amplitude rows and noise floors from the batched AR(1) tracks.
         """
-        if fading and self._fading_mode == "per_round":
-            draws = [self._draw_round_inputs(True) for _ in range(n_rounds)]
-            return (
-                np.stack([d[0] for d in draws]),
-                np.stack([d[1] for d in draws]),
-                np.stack([d[2] for d in draws]),
-                np.stack([d[3] for d in draws]),
-                np.array([d[4] for d in draws]),
-            )
         if fading:
             effective = self._fading_effective_snrs_db(n_rounds)
             floors = effective.min(axis=1)
@@ -501,19 +418,7 @@ class NetworkSimulator:
         planner may still synthesise the tensor when the padded FFT is
         the cheaper readout); the ``"time"`` engine composes the full
         tensor and adds time-domain noise.
-
-        ``fading_mode="per_round"`` executes fading batches the legacy
-        way — one single-round draw + decode per round, Markov state
-        stepped in between — and concatenates the per-round decodes, so
-        the batched path has an in-tree reference (and the fading
-        benchmark a baseline) with identical per-round semantics.
         """
-        if fading and self._fading_mode == "per_round" and n_rounds > 1:
-            parts = [self._run_batch(1, True) for _ in range(n_rounds)]
-            decode = RoundsDecode.concatenate([p[0] for p in parts])
-            payload = np.concatenate([p[1] for p in parts])
-            floors = np.concatenate([p[2] for p in parts])
-            return decode, payload, floors
         bins, amplitudes, phases, payload, floors = self._draw_batch_inputs(
             n_rounds, fading
         )

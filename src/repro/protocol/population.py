@@ -1,16 +1,15 @@
 """Flat-array population state: the million-device protocol backbone.
 
-The protocol layer used to carry one Python object per device — an
-``AllocationEntry`` in the allocation table, a ``PendingAssociation`` in
-the association controller, a ``ScheduledDevice`` in the scheduler. At
-the paper's 256 devices that is invisible; at the "million-device
-protocol scale" item on the roadmap it *is* the cost, because every
-admit, re-rank and round walks Python dictionaries. This module applies
-the batched-fading treatment (PR 3's ``step_tracks`` idiom) to protocol
-state: one :class:`Population` holds the whole AP-cluster as parallel
-NumPy columns (SNR, assigned shift, association phase, grant/backoff
-counters, duty cycle, per-device seeds), and the protocol classes become
-thin views that update masked slices of it.
+One Python object per device is invisible at the paper's 256 devices;
+at population scale it *is* the cost, because every admit, re-rank and
+round walks Python dictionaries. This module applies the batched-fading
+treatment (the ``step_tracks`` idiom) to protocol state: one
+:class:`Population` holds the whole AP-cluster as parallel NumPy columns
+(SNR, assigned shift, association phase, grant/backoff counters, duty
+cycle, per-device seeds), and the protocol classes (allocation table,
+association controller, scheduler) are thin views that update masked
+slices of it. The per-device-object implementation they replaced is
+kept as a test oracle in ``tests/test_population_scale.py``.
 
 Two layers live here:
 
@@ -20,7 +19,7 @@ Two layers live here:
   :func:`power_aware_shifts`, :func:`span_group_bounds`,
   :func:`assign_cluster`) that replace the per-device loops in
   ``core/allocation.py`` and the scheduler. The kernels are pinned
-  bit-identical to the legacy object path by
+  bit-identical to the per-device-object oracle by
   ``tests/test_population_scale.py``.
 * **Hybrid fidelity** — :func:`split_fidelity` routes each similar-SNR
   group either to the closed-form link law (``core/capacity.py``,
@@ -81,8 +80,9 @@ from repro.core.config import NetScatterConfig
 from repro.errors import AllocationError, ConfigurationError
 from repro.utils.rng import RngLike, make_rng
 
-#: Association lifecycle encoded in :attr:`Population.phase`
-#: (mirrors ``repro.protocol.association.AssociationPhase``).
+#: Association lifecycle encoded in :attr:`Population.phase`: a
+#: joining device is requested, then granted a shift, then confirmed
+#: by its ACK.
 PHASE_REQUESTED = 0
 PHASE_GRANTED = 1
 PHASE_CONFIRMED = 2
@@ -324,10 +324,18 @@ class Population:
 def spread_slot_indices(n_devices: int, n_slots: int) -> np.ndarray:
     """Folded slot indices for descending-SNR ranks, cached per shape.
 
-    The vectorised form of the legacy per-rank loop: even ranks walk the
-    evenly-spread positions forward from the first spectrum edge, odd
-    ranks walk them backward from the other edge, so the weakest devices
-    land mid-ring at maximum cyclic distance from the strong edges.
+    Two requirements combine here:
+
+    * *spread*: below capacity, occupied slots spread evenly over the
+      ring, which is why the paper observes an effective SKIP >= 3
+      separation when fewer than half the slots are in use (Section
+      4.4's variance discussion);
+    * *fold*: even ranks walk the spread positions forward from the
+      first spectrum edge, odd ranks walk them backward from the other
+      edge, so strong devices occupy both edges and the weakest land
+      mid-ring at maximum cyclic distance from them (Fig. 8's "High
+      Power | Low Power | High Power" layout).
+
     Returns a read-only int64 array (cached; do not mutate).
 
     >>> spread_slot_indices(4, 8).tolist()
@@ -353,8 +361,7 @@ def spread_shifts(
 
     ``slots`` is the ring-ordered data-slot array; row ``i`` of the
     result is device ``i``'s shift under the canonical folded spread —
-    the allocation table's ``_spread_assignment`` as one argsort plus
-    two gathers.
+    the per-rank folded placement as one argsort plus two gathers.
 
     >>> import numpy as np
     >>> spread_shifts(np.array([-10.0, -30.0, -20.0]),
@@ -436,9 +443,9 @@ def assign_cluster(
     """Partition a population into schedulable similar-SNR groups.
 
     Greedy span grouping over the descending-SNR order (identical to
-    the scheduler's legacy ``snr_groups`` + max-size split), each group
-    capped at ``config.max_devices``. Returns one row-index array per
-    group, members in descending-SNR order.
+    :func:`repro.core.power_control.snr_groups` plus a max-size
+    split), each group capped at ``config.max_devices``. Returns one
+    row-index array per group, members in descending-SNR order.
     """
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.size == 0:

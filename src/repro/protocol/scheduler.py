@@ -5,80 +5,44 @@ AP assigns devices to groups — by similar signal strength, which also
 bounds each group's dynamic range — and schedules groups round-robin,
 honouring each device's duty cycle learned at association.
 
-The default backend keeps the roster in flat NumPy columns (SNR, duty
-cycle, rounds-since-transmit) so a rebuild is one stable argsort plus
-the vectorised span grouping (:func:`repro.protocol.population.
+The roster lives in flat NumPy columns (SNR, duty cycle,
+rounds-since-transmit), so a rebuild is one stable argsort plus the
+vectorised span grouping (:func:`repro.protocol.population.
 span_group_bounds`) and a round tick is a handful of masked array
-updates; ``backend="object"`` preserves the per-device
-:class:`ScheduledDevice` implementation, pinned bit-identical by the
-equivalence suite. :meth:`GroupScheduler.bulk_add` enrols many devices
-under a single rebuild.
+updates. ``tests/test_population_scale.py`` pins every grouping and
+round bit-identical to a per-device-object oracle.
+:meth:`GroupScheduler.bulk_add` enrols many devices under a single
+rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.power_control import snr_groups
 from repro.errors import ProtocolError
 from repro.protocol.population import span_group_bounds
-
-#: Scheduler storage backends (mirrors ``allocation.TABLE_BACKENDS``).
-SCHEDULER_BACKENDS = ("flat", "object")
-
-
-@dataclass
-class ScheduledDevice:
-    """Scheduler-side view of one device (object backend)."""
-
-    device_id: int
-    snr_db: float
-    duty_cycle_rounds: int = 1
-    rounds_since_tx: int = 0
-
-    def due(self) -> bool:
-        """Whether the device's duty cycle makes it due this round."""
-        return self.rounds_since_tx + 1 >= self.duty_cycle_rounds
 
 
 class GroupScheduler:
     """Round-robin scheduler over SNR-grouped devices."""
 
     def __init__(
-        self,
-        max_group_size: int,
-        group_span_db: float = 35.0,
-        backend: str = "flat",
+        self, max_group_size: int, group_span_db: float = 35.0
     ) -> None:
         if max_group_size < 1:
             raise ProtocolError("max_group_size must be >= 1")
-        if backend not in SCHEDULER_BACKENDS:
-            raise ProtocolError(
-                f"backend must be one of {SCHEDULER_BACKENDS}, "
-                f"got {backend!r}"
-            )
         self._max_group_size = int(max_group_size)
         self._group_span_db = float(group_span_db)
-        self._backend = backend
         self._next_group = 0
-        if backend == "flat":
-            self._ids = np.empty(0, dtype=np.int64)
-            self._rows: Dict[int, int] = {}
-            self._snr = np.empty(0, dtype=np.float64)
-            self._duty = np.empty(0, dtype=np.int64)
-            self._rst = np.empty(0, dtype=np.int64)
-            self._group_rows: List[np.ndarray] = []
-            self._devices = None
-        else:
-            self._devices: Dict[int, ScheduledDevice] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._rows: Dict[int, int] = {}
+        self._snr = np.empty(0, dtype=np.float64)
+        self._duty = np.empty(0, dtype=np.int64)
+        self._rst = np.empty(0, dtype=np.int64)
+        self._group_rows: List[np.ndarray] = []
         self._groups: List[List[int]] = []
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def n_groups(self) -> int:
@@ -91,23 +55,13 @@ class GroupScheduler:
     def add_device(
         self, device_id: int, snr_db: float, duty_cycle_rounds: int = 1
     ) -> None:
-        if self._backend == "flat":
-            if device_id in self._rows:
-                raise ProtocolError(f"device {device_id} already scheduled")
-            if duty_cycle_rounds < 1:
-                raise ProtocolError("duty cycle must be >= 1 round")
-            self._append_rows([device_id], [snr_db], [duty_cycle_rounds])
-            self._rebuild_groups()
-            return
-        if device_id in self._devices:
+        if device_id in self._rows:
             raise ProtocolError(f"device {device_id} already scheduled")
         if duty_cycle_rounds < 1:
             raise ProtocolError("duty cycle must be >= 1 round")
-        self._devices[device_id] = ScheduledDevice(
-            device_id=device_id,
-            snr_db=float(snr_db),
-            duty_cycle_rounds=int(duty_cycle_rounds),
-        )
+        if not np.isfinite(snr_db):
+            raise ProtocolError(f"SNR of device {device_id} is not finite")
+        self._append_rows([device_id], [snr_db], [duty_cycle_rounds])
         self._rebuild_groups()
 
     def bulk_add(
@@ -120,34 +74,25 @@ class GroupScheduler:
 
         The population-scale fast path: N per-device admits cost N
         rebuilds (O(N² log N) total); one bulk admit costs one. Same
-        final grouping as the serial sequence on both backends.
+        final grouping as the serial sequence. Every check runs before
+        any state changes.
         """
         if duty_cycle_rounds < 1:
             raise ProtocolError("duty cycle must be >= 1 round")
-        ids = [int(d) for d in device_ids]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate device ids in bulk add")
-        if self._backend == "flat":
-            for device_id in ids:
-                if device_id in self._rows:
-                    raise ProtocolError(
-                        f"device {device_id} already scheduled"
-                    )
-            self._append_rows(
-                ids, snrs_db, [duty_cycle_rounds] * len(ids)
+        ids = np.asarray(device_ids, dtype=np.int64)
+        snrs = np.asarray(snrs_db, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != snrs.shape:
+            raise ProtocolError(
+                "device ids and SNRs must be 1-D and aligned"
             )
-        else:
-            for device_id in ids:
-                if device_id in self._devices:
-                    raise ProtocolError(
-                        f"device {device_id} already scheduled"
-                    )
-            for device_id, snr_db in zip(ids, snrs_db):
-                self._devices[device_id] = ScheduledDevice(
-                    device_id=device_id,
-                    snr_db=float(snr_db),
-                    duty_cycle_rounds=int(duty_cycle_rounds),
-                )
+        if not np.all(np.isfinite(snrs)):
+            raise ProtocolError("SNRs must be finite")
+        if np.unique(ids).size != ids.size:
+            raise ProtocolError("duplicate device ids in bulk add")
+        for device_id in ids.tolist():
+            if device_id in self._rows:
+                raise ProtocolError(f"device {device_id} already scheduled")
+        self._append_rows(ids, snrs, [duty_cycle_rounds] * ids.size)
         self._rebuild_groups()
 
     def _append_rows(self, ids, snrs, duties) -> None:
@@ -168,64 +113,37 @@ class GroupScheduler:
             self._rows[int(device_id)] = start + offset
 
     def remove_device(self, device_id: int) -> None:
-        if self._backend == "flat":
-            if device_id not in self._rows:
-                raise ProtocolError(f"device {device_id} is not scheduled")
-            row = self._rows.pop(device_id)
-            keep = np.ones(self._ids.size, dtype=bool)
-            keep[row] = False
-            self._ids = self._ids[keep]
-            self._snr = self._snr[keep]
-            self._duty = self._duty[keep]
-            self._rst = self._rst[keep]
-            for moved in self._rows:
-                if self._rows[moved] > row:
-                    self._rows[moved] -= 1
-            self._rebuild_groups()
-            return
-        if device_id not in self._devices:
+        if device_id not in self._rows:
             raise ProtocolError(f"device {device_id} is not scheduled")
-        del self._devices[device_id]
+        row = self._rows.pop(device_id)
+        keep = np.ones(self._ids.size, dtype=bool)
+        keep[row] = False
+        self._ids = self._ids[keep]
+        self._snr = self._snr[keep]
+        self._duty = self._duty[keep]
+        self._rst = self._rst[keep]
+        for moved in self._rows:
+            if self._rows[moved] > row:
+                self._rows[moved] -= 1
         self._rebuild_groups()
 
     def _rebuild_groups(self) -> None:
         """Group by SNR span, then split oversized groups."""
-        if self._backend == "flat":
-            n = self._ids.size
-            if n == 0:
-                self._groups = []
-                self._group_rows = []
-                return
-            order = np.argsort(-self._snr, kind="stable")
-            starts = span_group_bounds(
-                self._snr[order], self._group_span_db
-            )
-            stops = list(starts[1:]) + [n]
-            group_rows: List[np.ndarray] = []
-            for start, stop in zip(starts, stops):
-                members = order[start:stop]
-                for cut in range(0, members.size, self._max_group_size):
-                    group_rows.append(
-                        members[cut : cut + self._max_group_size]
-                    )
-            self._group_rows = group_rows
-            self._groups = [
-                self._ids[rows].tolist() for rows in group_rows
-            ]
-            self._next_group %= max(1, len(self._groups))
-            return
-        if not self._devices:
+        n = self._ids.size
+        if n == 0:
             self._groups = []
+            self._group_rows = []
             return
-        ids = list(self._devices)
-        snrs = [self._devices[d].snr_db for d in ids]
-        raw_groups = snr_groups(snrs, self._group_span_db)
-        groups: List[List[int]] = []
-        for group in raw_groups:
-            members = [ids[i] for i in group]
-            for start in range(0, len(members), self._max_group_size):
-                groups.append(members[start : start + self._max_group_size])
-        self._groups = groups
+        order = np.argsort(-self._snr, kind="stable")
+        starts = span_group_bounds(self._snr[order], self._group_span_db)
+        stops = list(starts[1:]) + [n]
+        group_rows: List[np.ndarray] = []
+        for start, stop in zip(starts, stops):
+            members = order[start:stop]
+            for cut in range(0, members.size, self._max_group_size):
+                group_rows.append(members[cut : cut + self._max_group_size])
+        self._group_rows = group_rows
+        self._groups = [self._ids[rows].tolist() for rows in group_rows]
         self._next_group %= max(1, len(self._groups))
 
     def next_round(self) -> List[int]:
@@ -237,31 +155,16 @@ class GroupScheduler:
         """
         if not self._groups:
             return []
-        if self._backend == "flat":
-            rows = self._group_rows[self._next_group]
-            self._next_group = (self._next_group + 1) % len(self._groups)
-            due = self._rst[rows] + 1 >= self._duty[rows]
-            transmitting = self._ids[rows[due]].tolist()
-            self._rst[rows[due]] = 0
-            self._rst[rows[~due]] += 1
-            outside = np.ones(self._ids.size, dtype=bool)
-            outside[rows] = False
-            self._rst[outside] += 1
-            return transmitting
-        group = self._groups[self._next_group]
+        rows = self._group_rows[self._next_group]
         self._next_group = (self._next_group + 1) % len(self._groups)
-        transmitting: List[int] = []
-        for device_id in group:
-            device = self._devices[device_id]
-            if device.due():
-                transmitting.append(device_id)
-                device.rounds_since_tx = 0
-            else:
-                device.rounds_since_tx += 1
+        due = self._rst[rows] + 1 >= self._duty[rows]
+        transmitting = self._ids[rows[due]].tolist()
+        self._rst[rows[due]] = 0
+        self._rst[rows[~due]] += 1
         # Devices outside the scheduled group also age their duty cycle.
-        for device_id, device in self._devices.items():
-            if device_id not in group:
-                device.rounds_since_tx += 1
+        outside = np.ones(self._ids.size, dtype=bool)
+        outside[rows] = False
+        self._rst[outside] += 1
         return transmitting
 
     def group_of(self, device_id: int) -> int:

@@ -6,7 +6,9 @@ envelope detector, runs the reciprocity power-control step, possibly sits
 rounds out, and — after repeated failures — re-initiates association,
 whereupon the AP re-ranks it and (if its rank moved) issues a full
 reassignment query. This is the Section 3.2.3/3.3.2 closed loop that the
-single-round simulator cannot show.
+single-round simulator cannot show. The AP's protocol state (allocation,
+association, scheduling) is the flat struct-of-arrays population of
+:mod:`repro.protocol.population`.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class NetworkSession:
     round_interval_s:
         Wall-clock spacing between concurrent rounds (the fading steps
         by this amount each round).
-    backend:
-        Protocol-state storage backend, threaded through to the AP's
-        allocation table, association controller and scheduler
-        (``"flat"`` struct-of-arrays by default; ``"object"`` is the
-        legacy per-device path, pinned equivalent by the tests).
     """
 
     def __init__(
@@ -77,7 +74,6 @@ class NetworkSession:
         round_interval_s: float = 0.06,
         fading_std_db: float = 3.0,
         rng: RngLike = None,
-        backend: str = "flat",
     ) -> None:
         self._rng = make_rng(rng)
         if deployment is None:
@@ -99,7 +95,7 @@ class NetworkSession:
         # Build tags and associate everyone (one at a time, as deployed).
         from repro.protocol.ap import AccessPoint
 
-        self._ap = AccessPoint(config, backend=backend)
+        self._ap = AccessPoint(config)
         self._devices: Dict[int, BackscatterDevice] = {}
         for dep_device in deployment.devices:
             # Re-scale the fading to the session's regime, redrawing the

@@ -96,7 +96,7 @@ DOC_ANCHORS = {
     ],
     "docs/SCALING.md": [
         "Population",
-        "backend=\"object\"",
+        "ObjectAllocationTable",
         "bulk_add",
         "spread_slot_indices",
         "span_group_bounds",
@@ -318,6 +318,49 @@ class TestBenchSchema:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "timing", ["per_round_fft_legacy", "batched_analytic", "batched_auto"]
+    )
+    def test_validator_requires_every_quick_fading_timing(self, timing):
+        perf_smoke = _load_perf_smoke()
+        campaign_entry = {"points_computed": 0, "points_cached": 1}
+        quick = {
+            "timestamp": "t",
+            "host": {},
+            "quick": True,
+            "fig17_point256": {"speedup_auto": 1.0},
+            "fading": {
+                name: {"wall_clock_s": 0.1}
+                for name in perf_smoke.FADING_TIMINGS
+            },
+            "noise_modes": {
+                "full": {"noise_version": 1},
+                "payload": {"noise_version": 2},
+                "speedup_payload_vs_full": 1.0,
+            },
+            "campaign": {
+                "cold": {"points_computed": 1, "points_cached": 0},
+                "warm_rerun": campaign_entry,
+                "fig18_reuse": campaign_entry,
+            },
+            "population_scale": {
+                "devices_256": {
+                    "n_devices": 256,
+                    "n_groups": 1,
+                    "closed_form_groups": 1,
+                    "monte_carlo_groups": 0,
+                }
+            },
+        }
+        report = {"schema": "bench-fastpath-v2", "runs": [quick]}
+        perf_smoke.validate_report(report)
+        del quick["fading"][timing]["wall_clock_s"]
+        with pytest.raises(ValueError, match=timing):
+            perf_smoke.validate_report(report)
+        del quick["fading"][timing]
+        with pytest.raises(ValueError, match=timing):
+            perf_smoke.validate_report(report)
 
     def test_validator_tolerates_older_section_layouts(self):
         """Append-only history: presence rules bind only the newest run.

@@ -2,11 +2,14 @@
 
 Pins the tentpole invariants of the flat-array population layer:
 
-* the flat (struct-of-arrays) backends of :class:`AllocationTable`,
-  :class:`AssociationController` and :class:`GroupScheduler` make
-  *bit-identical* decisions to the legacy per-device-object backends,
-  across spreading factors and device counts up to 256, over randomised
-  add / SNR-update / remove / bulk operation sequences;
+* the flat (struct-of-arrays) :class:`AllocationTable`,
+  :class:`AssociationController`, :class:`GroupScheduler` and
+  :class:`AccessPoint` make *bit-identical* decisions to the
+  per-device-object oracle defined below, across spreading factors and
+  device counts up to 256, over randomised add / SNR-update / remove /
+  bulk operation sequences;
+* their entry points reject misaligned or non-finite input before any
+  state changes;
 * the hybrid fidelity split is a seeded pure function (same population
   + same seed -> same routing, same metrics) and its closed-form legs
   stay within a statistical-equivalence gate of the all-Monte-Carlo
@@ -17,7 +20,10 @@ Pins the tentpole invariants of the flat-array population layer:
   :class:`LinkBudget` arithmetic elementwise.
 """
 
+import enum
 import threading
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from repro.core.allocation import (
     power_aware_allocation,
 )
 from repro.core.config import NetScatterConfig
+from repro.core.power_control import snr_groups
 from repro.errors import (
     AllocationError,
     AssociationError,
@@ -40,6 +47,7 @@ from repro.errors import (
 )
 from repro.protocol.ap import AccessPoint
 from repro.protocol.association import AssociationController
+from repro.protocol.messages import AssociationResponse
 from repro.protocol.population import (
     FidelityRule,
     Population,
@@ -68,8 +76,398 @@ def _table_state(table: AllocationTable):
     return (table.assignments(), table.reassignments)
 
 
+# ---------------------------------------------------------------------- #
+# Per-device-object oracle
+# ---------------------------------------------------------------------- #
+# The protocol layer's original implementation: one Python object per
+# device in the allocation table, the association controller and the
+# scheduler. Ranking and grouping go through the same
+# ``spread_slot_indices`` and ``snr_groups`` calls the flat kernels were
+# derived from, so any drift of the flat path shows as a mismatch here.
+
+
+@dataclass
+class AllocationEntry:
+    """One device's standing in the allocation table."""
+
+    device_id: int
+    shift: int
+    snr_db: float
+
+
+class ObjectAllocationTable:
+    """Per-device-object :class:`AllocationTable`."""
+
+    def __init__(self, config: NetScatterConfig) -> None:
+        self._config = config
+        self._slots = _data_slots(config)
+        self.reassignments = 0
+        self._entries: Dict[int, AllocationEntry] = {}
+
+    @property
+    def n_devices(self) -> int:
+        return len(self._entries)
+
+    @property
+    def capacity(self) -> int:
+        return len(self._slots)
+
+    def assignments(self) -> Dict[int, int]:
+        return {e.device_id: e.shift for e in self._entries.values()}
+
+    def shift_of(self, device_id: int) -> int:
+        return self._entry(device_id).shift
+
+    def _entry(self, device_id: int) -> AllocationEntry:
+        if device_id not in self._entries:
+            raise AllocationError(f"device {device_id} is not allocated")
+        return self._entries[device_id]
+
+    def _ranked_ids(self) -> List[int]:
+        return sorted(
+            self._entries,
+            key=lambda d: self._entries[d].snr_db,
+            reverse=True,
+        )
+
+    def _spread_assignment(self) -> Dict[int, int]:
+        ranked = self._ranked_ids()
+        indices = spread_slot_indices(len(ranked), len(self._slots)).tolist()
+        return {
+            device_id: self._slots[indices[rank]]
+            for rank, device_id in enumerate(ranked)
+        }
+
+    def _apply_spread(self) -> bool:
+        target = self._spread_assignment()
+        moved = False
+        for device_id, shift in target.items():
+            entry = self._entries[device_id]
+            if entry.shift != shift:
+                moved = moved or entry.shift != -1
+                entry.shift = shift
+        return moved
+
+    def add_device(self, device_id: int, snr_db: float):
+        if device_id in self._entries:
+            raise AllocationError(f"device {device_id} already allocated")
+        if self.n_devices >= self.capacity:
+            raise AllocationError(
+                f"network full: {self.capacity} slots in use"
+            )
+        self._entries[device_id] = AllocationEntry(
+            device_id=device_id, shift=-1, snr_db=float(snr_db)
+        )
+        moved_others = self._apply_spread()
+        if moved_others:
+            self.reassignments += 1
+        return self._entries[device_id].shift, moved_others
+
+    def bulk_add(self, device_ids, snrs_db):
+        ids = [int(d) for d in device_ids]
+        if self.n_devices + len(ids) > self.capacity:
+            raise AllocationError(
+                f"network full: {self.capacity} slots in use"
+            )
+        for device_id in ids:
+            if device_id in self._entries:
+                raise AllocationError(
+                    f"device {device_id} already allocated"
+                )
+        if len(set(ids)) != len(ids):
+            raise AllocationError("duplicate device ids in bulk add")
+        for device_id, snr_db in zip(ids, snrs_db):
+            self._entries[device_id] = AllocationEntry(
+                device_id=device_id, shift=-1, snr_db=float(snr_db)
+            )
+        moved_others = self._apply_spread()
+        if moved_others:
+            self.reassignments += 1
+        shifts = np.array(
+            [self._entries[d].shift for d in ids], dtype=np.int64
+        )
+        return shifts, moved_others
+
+    def remove_device(self, device_id: int) -> None:
+        self._entry(device_id)
+        del self._entries[device_id]
+        if self._entries:
+            self._apply_spread()
+
+    def update_snr(self, device_id: int, snr_db: float) -> bool:
+        entry = self._entry(device_id)
+        old_rank = self._ranked_ids().index(device_id)
+        entry.snr_db = float(snr_db)
+        new_rank = self._ranked_ids().index(device_id)
+        if new_rank != old_rank:
+            self._apply_spread()
+            self.reassignments += 1
+            return True
+        return False
+
+    def validate(self) -> None:
+        seen = set()
+        for entry in self._entries.values():
+            if entry.shift % self._config.skip != 0:
+                raise AllocationError(
+                    f"shift {entry.shift} breaks SKIP alignment"
+                )
+            if entry.shift in seen:
+                raise AllocationError(f"shift {entry.shift} double-booked")
+            seen.add(entry.shift)
+            if entry.shift not in self._slots:
+                raise AllocationError(
+                    f"shift {entry.shift} is reserved or out of range"
+                )
+        expected = self._spread_assignment()
+        for device_id, entry in self._entries.items():
+            if entry.shift != expected[device_id]:
+                raise AllocationError(
+                    "ring order does not match SNR order "
+                    f"(device {device_id})"
+                )
+
+    def worst_case_exposure_db(self) -> Optional[float]:
+        from repro.phy.spectrum import side_lobe_profile as make_profile
+
+        if self.n_devices < 2:
+            return None
+        profile = make_profile(
+            self._config.chirp_params, self._config.zero_pad_factor
+        )
+        entries = list(self._entries.values())
+        snrs = np.array([e.snr_db for e in entries], dtype=float)
+        shifts = np.array([e.shift for e in entries], dtype=float)
+        delta_db = snrs[:, None] - snrs[None, :]
+        raw = np.abs(shifts[:, None] - shifts[None, :]) % self._config.n_bins
+        distance = np.minimum(raw, self._config.n_bins - raw)
+        idx = (
+            np.round(distance * profile.zero_pad_factor).astype(np.int64)
+            % profile.n_bins
+        )
+        margin = np.where(
+            delta_db > 0, delta_db + profile.power_db[idx], -np.inf
+        )
+        worst = float(np.max(margin))
+        return worst if np.isfinite(worst) else None
+
+
+class AssociationPhase(enum.Enum):
+    """AP-side lifecycle of one joining device."""
+
+    REQUESTED = "requested"
+    GRANTED = "granted"
+    CONFIRMED = "confirmed"
+
+
+@dataclass
+class PendingAssociation:
+    """AP-side record of an in-flight association."""
+
+    device_id: int
+    snr_db: float
+    phase: AssociationPhase = AssociationPhase.REQUESTED
+    granted_shift: Optional[int] = None
+    grant_repeats: int = 0
+
+
+class ObjectAssociationController:
+    """Per-device-object :class:`AssociationController`."""
+
+    MAX_GRANT_REPEATS = AssociationController.MAX_GRANT_REPEATS
+
+    def __init__(self, config: NetScatterConfig) -> None:
+        self._config = config
+        self._table = ObjectAllocationTable(config)
+        self._pending: Dict[int, PendingAssociation] = {}
+
+    def handle_request(self, device_id: int, measured_snr_db: float):
+        if device_id in self._pending:
+            pending = self._pending[device_id]
+            if pending.phase == AssociationPhase.GRANTED:
+                return self._grant_message(pending), False
+            raise AssociationError(
+                f"device {device_id} already mid-association"
+            )
+        shift, reassigned = self._table.add_device(device_id, measured_snr_db)
+        pending = PendingAssociation(
+            device_id=device_id,
+            snr_db=measured_snr_db,
+            phase=AssociationPhase.GRANTED,
+            granted_shift=shift,
+        )
+        self._pending[device_id] = pending
+        return self._grant_message(pending), reassigned
+
+    def _grant_message(self, pending: PendingAssociation):
+        pending.grant_repeats += 1
+        if pending.grant_repeats > self.MAX_GRANT_REPEATS:
+            self._table.remove_device(pending.device_id)
+            del self._pending[pending.device_id]
+            raise AssociationError(
+                f"device {pending.device_id} never acknowledged its grant"
+            )
+        return AssociationResponse(
+            network_id=pending.device_id % 256,
+            cyclic_shift=pending.granted_shift // self._config.skip,
+        )
+
+    def handle_ack(self, device_id: int) -> int:
+        pending = self._pending.get(device_id)
+        if pending is None or pending.phase != AssociationPhase.GRANTED:
+            raise AssociationError(
+                f"unexpected ACK from device {device_id}"
+            )
+        pending.phase = AssociationPhase.CONFIRMED
+        del self._pending[device_id]
+        return pending.granted_shift
+
+    def bulk_associate(self, device_ids, snrs_db):
+        return self._table.bulk_add(device_ids, snrs_db)
+
+    def handle_reassociation(self, device_id: int, new_snr_db: float) -> bool:
+        return self._table.update_snr(device_id, new_snr_db)
+
+    def pending_grants(self) -> List[AssociationResponse]:
+        return [
+            AssociationResponse(
+                network_id=p.device_id % 256,
+                cyclic_shift=p.granted_shift // self._config.skip,
+            )
+            for p in self._pending.values()
+            if p.phase == AssociationPhase.GRANTED
+        ]
+
+    def assignments(self) -> Dict[int, int]:
+        return self._table.assignments()
+
+    @property
+    def n_members(self) -> int:
+        return self._table.n_devices - len(self._pending)
+
+
+@dataclass
+class ScheduledDevice:
+    """Scheduler-side view of one device."""
+
+    device_id: int
+    snr_db: float
+    duty_cycle_rounds: int = 1
+    rounds_since_tx: int = 0
+
+    def due(self) -> bool:
+        return self.rounds_since_tx + 1 >= self.duty_cycle_rounds
+
+
+class ObjectGroupScheduler:
+    """Per-device-object :class:`GroupScheduler`."""
+
+    def __init__(
+        self, max_group_size: int, group_span_db: float = 35.0
+    ) -> None:
+        self._max_group_size = int(max_group_size)
+        self._group_span_db = float(group_span_db)
+        self._next_group = 0
+        self._devices: Dict[int, ScheduledDevice] = {}
+        self._groups: List[List[int]] = []
+
+    @property
+    def groups(self) -> List[List[int]]:
+        return [list(g) for g in self._groups]
+
+    def add_device(
+        self, device_id: int, snr_db: float, duty_cycle_rounds: int = 1
+    ) -> None:
+        if device_id in self._devices:
+            raise ProtocolError(f"device {device_id} already scheduled")
+        if duty_cycle_rounds < 1:
+            raise ProtocolError("duty cycle must be >= 1 round")
+        self._devices[device_id] = ScheduledDevice(
+            device_id=device_id,
+            snr_db=float(snr_db),
+            duty_cycle_rounds=int(duty_cycle_rounds),
+        )
+        self._rebuild_groups()
+
+    def bulk_add(self, device_ids, snrs_db, duty_cycle_rounds: int = 1):
+        if duty_cycle_rounds < 1:
+            raise ProtocolError("duty cycle must be >= 1 round")
+        ids = [int(d) for d in device_ids]
+        if len(set(ids)) != len(ids):
+            raise ProtocolError("duplicate device ids in bulk add")
+        for device_id in ids:
+            if device_id in self._devices:
+                raise ProtocolError(
+                    f"device {device_id} already scheduled"
+                )
+        for device_id, snr_db in zip(ids, snrs_db):
+            self._devices[device_id] = ScheduledDevice(
+                device_id=device_id,
+                snr_db=float(snr_db),
+                duty_cycle_rounds=int(duty_cycle_rounds),
+            )
+        self._rebuild_groups()
+
+    def remove_device(self, device_id: int) -> None:
+        if device_id not in self._devices:
+            raise ProtocolError(f"device {device_id} is not scheduled")
+        del self._devices[device_id]
+        self._rebuild_groups()
+
+    def _rebuild_groups(self) -> None:
+        if not self._devices:
+            self._groups = []
+            return
+        ids = list(self._devices)
+        snrs = [self._devices[d].snr_db for d in ids]
+        groups: List[List[int]] = []
+        for group in snr_groups(snrs, self._group_span_db):
+            members = [ids[i] for i in group]
+            for start in range(0, len(members), self._max_group_size):
+                groups.append(members[start : start + self._max_group_size])
+        self._groups = groups
+        self._next_group %= max(1, len(self._groups))
+
+    def next_round(self) -> List[int]:
+        if not self._groups:
+            return []
+        group = self._groups[self._next_group]
+        self._next_group = (self._next_group + 1) % len(self._groups)
+        transmitting: List[int] = []
+        for device_id in group:
+            device = self._devices[device_id]
+            if device.due():
+                transmitting.append(device_id)
+                device.rounds_since_tx = 0
+            else:
+                device.rounds_since_tx += 1
+        for device_id, device in self._devices.items():
+            if device_id not in group:
+                device.rounds_since_tx += 1
+        return transmitting
+
+    def group_of(self, device_id: int) -> int:
+        for index, group in enumerate(self._groups):
+            if device_id in group:
+                return index
+        raise ProtocolError(f"device {device_id} is not scheduled")
+
+
+class ObjectAccessPoint(AccessPoint):
+    """:class:`AccessPoint` driving the object controller and scheduler."""
+
+    def __init__(
+        self, config: NetScatterConfig, group_span_db: float = 35.0
+    ) -> None:
+        super().__init__(config, group_span_db)
+        self._association = ObjectAssociationController(config)
+        self._scheduler = ObjectGroupScheduler(
+            max_group_size=config.max_devices, group_span_db=group_span_db
+        )
+
+
 class TestAllocationBackendEquivalence:
-    """Flat vs object AllocationTable: identical decision sequences."""
+    """Flat AllocationTable vs the object oracle: identical decisions."""
 
     @pytest.mark.parametrize("sf", SPREADING_FACTORS)
     @pytest.mark.parametrize("n", DEVICE_COUNTS)
@@ -79,8 +477,8 @@ class TestAllocationBackendEquivalence:
             pytest.skip("count exceeds this SF's capacity")
         rng = np.random.default_rng(1000 + sf * 7 + n)
         snrs = rng.uniform(-45.0, 10.0, size=n)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         for device_id, snr in enumerate(snrs):
             res_flat = flat.add_device(device_id, float(snr))
             res_obj = legacy.add_device(device_id, float(snr))
@@ -93,8 +491,8 @@ class TestAllocationBackendEquivalence:
     def test_mixed_operation_sequence_bit_identical(self, sf):
         config = _config(sf)
         rng = np.random.default_rng(4242 + sf)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         live = []
         next_id = 0
         for _ in range(300):
@@ -135,8 +533,8 @@ class TestAllocationBackendEquivalence:
         n = min(128, len(_data_slots(config)))
         ids = list(range(n))
         snrs = rng.uniform(-40.0, 5.0, size=n)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         shifts_flat, re_flat = flat.bulk_add(ids, snrs)
         shifts_obj, re_obj = legacy.bulk_add(ids, snrs)
         assert shifts_flat.tolist() == shifts_obj.tolist()
@@ -148,8 +546,7 @@ class TestAllocationBackendEquivalence:
 
     def test_error_parity(self):
         config = _config(9)
-        for backend in ("flat", "object"):
-            table = AllocationTable(config, backend=backend)
+        for table in (AllocationTable(config), ObjectAllocationTable(config)):
             table.add_device(1, -10.0)
             with pytest.raises(AllocationError, match="already allocated"):
                 table.add_device(1, -12.0)
@@ -158,21 +555,18 @@ class TestAllocationBackendEquivalence:
             with pytest.raises(AllocationError, match="not allocated"):
                 table.remove_device(99)
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(AllocationError, match="backend"):
-            AllocationTable(_config(9), backend="columnar")
-
 
 class TestAssociationBackendEquivalence:
     # SF 12 is excluded: its shift range exceeds the grant message's
     # 8-bit SKIP-grid field — a message-format constraint that hits
-    # both backends identically and is tested in the messages suite.
+    # flat path and oracle identically and is tested in the messages
+    # suite.
     @pytest.mark.parametrize("sf", (7, 9))
     def test_grant_ack_lifecycle_bit_identical(self, sf):
         config = _assoc_config(sf)
         rng = np.random.default_rng(500 + sf)
-        flat = AssociationController(config, backend="flat")
-        legacy = AssociationController(config, backend="object")
+        flat = AssociationController(config)
+        legacy = ObjectAssociationController(config)
         for device_id in range(48):
             snr = float(rng.uniform(-45.0, 5.0))
             g_flat, r_flat = flat.handle_request(device_id, snr)
@@ -190,8 +584,10 @@ class TestAssociationBackendEquivalence:
 
     def test_grant_abandoned_after_max_repeats_on_both(self):
         config = _assoc_config(9)
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for ctrl in (
+            AssociationController(config),
+            ObjectAssociationController(config),
+        ):
             ctrl.handle_request(7, -20.0)
             for _ in range(AssociationController.MAX_GRANT_REPEATS - 1):
                 ctrl.handle_request(7, -20.0)
@@ -206,11 +602,13 @@ class TestAssociationBackendEquivalence:
 
     def test_granted_shift_frozen_across_repack(self):
         """A later admit may re-pack the ring, but the pending grant
-        keeps repeating the originally granted shift on both backends."""
+        keeps repeating the originally granted shift, as in the oracle."""
         config = _assoc_config(9)
         grants = {}
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for backend, ctrl in (
+            ("flat", AssociationController(config)),
+            ("object", ObjectAssociationController(config)),
+        ):
             first, _ = ctrl.handle_request(1, -30.0)
             # A stronger newcomer re-packs the ring under device 1.
             ctrl.handle_request(2, -5.0)
@@ -222,8 +620,10 @@ class TestAssociationBackendEquivalence:
 
     def test_unexpected_ack_parity(self):
         config = _assoc_config(9)
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for ctrl in (
+            AssociationController(config),
+            ObjectAssociationController(config),
+        ):
             with pytest.raises(AssociationError, match="unexpected ACK"):
                 ctrl.handle_ack(3)
             ctrl.handle_request(3, -20.0)
@@ -236,8 +636,8 @@ class TestAssociationBackendEquivalence:
         rng = np.random.default_rng(9)
         ids = list(range(200))
         snrs = rng.uniform(-45.0, 5.0, size=len(ids))
-        flat = AssociationController(config, backend="flat")
-        legacy = AssociationController(config, backend="object")
+        flat = AssociationController(config)
+        legacy = ObjectAssociationController(config)
         s_flat, r_flat = flat.bulk_associate(ids, snrs)
         s_obj, r_obj = legacy.bulk_associate(ids, snrs)
         assert s_flat.tolist() == s_obj.tolist()
@@ -251,8 +651,8 @@ class TestSchedulerBackendEquivalence:
     @pytest.mark.parametrize("max_group", (4, 64, 256))
     def test_round_robin_sequences_bit_identical(self, max_group):
         rng = np.random.default_rng(31 + max_group)
-        flat = GroupScheduler(max_group_size=max_group, backend="flat")
-        legacy = GroupScheduler(max_group_size=max_group, backend="object")
+        flat = GroupScheduler(max_group_size=max_group)
+        legacy = ObjectGroupScheduler(max_group_size=max_group)
         for device_id in range(97):
             snr = float(rng.uniform(-60.0, 0.0))
             duty = int(rng.integers(1, 4))
@@ -282,8 +682,10 @@ class TestSchedulerBackendEquivalence:
         assert serial.groups == bulk.groups
 
     def test_error_parity(self):
-        for backend in ("flat", "object"):
-            sched = GroupScheduler(max_group_size=8, backend=backend)
+        for sched in (
+            GroupScheduler(max_group_size=8),
+            ObjectGroupScheduler(max_group_size=8),
+        ):
             sched.add_device(1, -10.0)
             with pytest.raises(ProtocolError, match="already scheduled"):
                 sched.add_device(1, -12.0)
@@ -298,8 +700,8 @@ class TestAccessPointBackends:
         config = NetScatterConfig()
         rng = np.random.default_rng(12)
         snrs = rng.uniform(-40.0, 0.0, size=64)
-        flat = AccessPoint(config, backend="flat")
-        legacy = AccessPoint(config, backend="object")
+        flat = AccessPoint(config)
+        legacy = ObjectAccessPoint(config)
         for device_id, snr in enumerate(snrs):
             assert flat.run_association(
                 device_id, float(snr)
@@ -330,6 +732,100 @@ class TestAccessPointBackends:
             bulk.stats.associations_completed
             == serial.stats.associations_completed
         )
+
+
+def _table_with_one_device() -> AllocationTable:
+    table = AllocationTable(_config(9))
+    table.add_device(1, -10.0)
+    return table
+
+
+def _scheduler_with_one_device() -> GroupScheduler:
+    sched = GroupScheduler(max_group_size=8)
+    sched.add_device(1, -10.0)
+    return sched
+
+
+#: Entry point -> (build a one-device target, feed it a bad SNR,
+#: expected error). Every one must raise before touching state.
+NON_FINITE_ENTRY_POINTS = {
+    "table.add_device": (
+        _table_with_one_device,
+        lambda table, bad: table.add_device(2, bad),
+        AllocationError,
+    ),
+    "table.bulk_add": (
+        _table_with_one_device,
+        lambda table, bad: table.bulk_add([2, 3], [-12.0, bad]),
+        AllocationError,
+    ),
+    "table.update_snr": (
+        _table_with_one_device,
+        lambda table, bad: table.update_snr(1, bad),
+        AllocationError,
+    ),
+    "scheduler.add_device": (
+        _scheduler_with_one_device,
+        lambda sched, bad: sched.add_device(2, bad),
+        ProtocolError,
+    ),
+    "scheduler.bulk_add": (
+        _scheduler_with_one_device,
+        lambda sched, bad: sched.bulk_add([2, 3], [-12.0, bad]),
+        ProtocolError,
+    ),
+}
+
+
+def _protocol_state(target):
+    if isinstance(target, AllocationTable):
+        return (
+            target.assignments(),
+            target.reassignments,
+            target.population.snr_db.tolist(),
+        )
+    return (target.groups, target.n_groups)
+
+
+class TestProtocolStateInputValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+    @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+    def test_non_finite_snr_rejected_before_mutation(self, entry, bad):
+        build, feed, error = NON_FINITE_ENTRY_POINTS[entry]
+        target = build()
+        before = _protocol_state(target)
+        with pytest.raises(error, match="finite"):
+            feed(target, bad)
+        assert _protocol_state(target) == before
+        # The target still works: the rejected device can join cleanly.
+        target.add_device(2, -12.0)
+        if isinstance(target, AllocationTable):
+            target.validate()
+            assert target.n_devices == 2
+        else:
+            assert target.group_of(2) == 0
+
+    @pytest.mark.parametrize(
+        "device_ids, snrs_db",
+        [
+            ([1, 2, 3], [-10.0, -20.0]),  # more ids than SNRs
+            ([1, 2], [-10.0, -20.0, -30.0]),  # more SNRs than ids
+            ([[1, 2]], [[-10.0, -20.0]]),  # not 1-D
+            (3, -10.0),  # scalars
+        ],
+    )
+    def test_scheduler_bulk_add_rejects_misaligned_input(
+        self, device_ids, snrs_db
+    ):
+        sched = GroupScheduler(max_group_size=8)
+        sched.add_device(0, -5.0)
+        before = _protocol_state(sched)
+        with pytest.raises(ProtocolError, match="1-D and aligned"):
+            sched.bulk_add(device_ids, snrs_db)
+        assert _protocol_state(sched) == before
+        sched.add_device(3, -12.0)
+        sched.next_round()
+        assert sched.group_of(3) == 0
 
 
 class TestSlotGeometryCaching:

@@ -1,13 +1,94 @@
 """Unit tests for the access point and the network simulator."""
 
+import dataclasses
+import hashlib
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
+from repro.core.receiver import RoundsDecode
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.ap import AccessPoint
-from repro.protocol.network import NetworkSimulator, sweep_device_counts
+from repro.protocol.network import (
+    FADING_ROUND_INTERVAL_S,
+    NetworkSimulator,
+    sweep_device_counts,
+)
+
+
+class PerRoundFadingSimulator(NetworkSimulator):
+    """The round-by-round fading execution the batched path replaced.
+
+    Each fading round is drawn *and decoded* on its own, with every
+    device's Markov state stepped through its own fading process and
+    every CFO drawn from its own oscillator object. It is the reference
+    the batched AR(1)-track path is checked against statistically.
+    """
+
+    @cached_property
+    def _oscillators(self):
+        return self._oscillator_bank.oscillators()
+
+    def _draw_round_inputs(self, fading: bool):
+        """Draw one round's composition inputs (bins, amps, phases, bits)."""
+        effective = self.effective_snrs_db()
+        if fading:
+            effective = [
+                e
+                + dev.step_channel(FADING_ROUND_INTERVAL_S, self._rng)
+                - dev.uplink_snr_db
+                for e, dev in zip(effective, self._deployment.devices)
+            ]
+        # Reference device: the weakest. Its amplitude is 1.0 and the
+        # channel noise realises its SNR; others scale up from there.
+        floor_snr = min(effective)
+        rel_gains_db = np.asarray(effective) - floor_snr
+
+        n_devices = self._deployment.n_devices
+        params = self._params
+        delays = self._timing.sample_latencies_s(n_devices, self._rng)
+        delays = delays - delays.mean()
+        cfos = np.array(
+            [osc.offset_hz(self._rng) for osc in self._oscillators]
+        )
+        effective_bins = (
+            np.array(
+                [self._assignments[i] for i in range(n_devices)],
+                dtype=float,
+            )
+            - delays * params.bandwidth_hz
+            + cfos * params.n_samples / params.bandwidth_hz
+        )
+        amplitudes = 10.0 ** (rel_gains_db / 20.0)
+        phases = self._rng.uniform(0.0, 2.0 * np.pi, size=n_devices)
+        payload_bits = self._rng.integers(
+            0, 2, size=(self._payload_bits, n_devices)
+        )
+        return effective_bins, amplitudes, phases, payload_bits, floor_snr
+
+    def _draw_batch_inputs(self, n_rounds: int, fading: bool):
+        if not fading:
+            return super()._draw_batch_inputs(n_rounds, fading)
+        draws = [self._draw_round_inputs(True) for _ in range(n_rounds)]
+        return (
+            np.stack([d[0] for d in draws]),
+            np.stack([d[1] for d in draws]),
+            np.stack([d[2] for d in draws]),
+            np.stack([d[3] for d in draws]),
+            np.array([d[4] for d in draws]),
+        )
+
+    def _run_batch(self, n_rounds: int, fading: bool):
+        if not (fading and n_rounds > 1):
+            return super()._run_batch(n_rounds, fading)
+        parts = [self._run_batch(1, True) for _ in range(n_rounds)]
+        decode = RoundsDecode.concatenate([p[0] for p in parts])
+        payload = np.concatenate([p[1] for p in parts])
+        floors = np.concatenate([p[2] for p in parts])
+        return decode, payload, floors
 
 
 class TestAccessPoint:
@@ -222,24 +303,21 @@ class TestAdaptiveEngineAndFading:
             m.backend in ("analytic", "sparse", "fft") for m in metrics
         )
 
-    def test_invalid_fading_mode_rejected(self):
-        deployment = paper_deployment(n_devices=4, rng=3)
-        with pytest.raises(ConfigurationError):
-            NetworkSimulator(deployment, fading_mode="vectorised")
-
     def test_batched_fading_statistically_matches_per_round(self):
         """Same deployment, same seed: the batched AR(1)-track path and
-        the legacy per-round execution draw through different stream
+        the per-round oracle draw through different stream
         interleavings, so metrics agree statistically, not bitwise.
         The nonzero reference scale must shift both paths alike."""
         outcomes = {}
-        for mode in ("batched", "per_round"):
+        for mode, simulator in (
+            ("batched", NetworkSimulator),
+            ("per_round", PerRoundFadingSimulator),
+        ):
             deployment = paper_deployment(n_devices=24, rng=6)
-            sim = NetworkSimulator(
+            sim = simulator(
                 deployment,
                 rng=7,
                 engine="analytic",
-                fading_mode=mode,
                 reference_snr_scale_db=4.0,
             )
             outcomes[mode] = sim.run_rounds(60, fading=True)
@@ -253,6 +331,65 @@ class TestAdaptiveEngineAndFading:
         assert batched.phy_rate_bps == pytest.approx(
             legacy.phy_rate_bps, rel=0.05
         )
+
+    #: Recorded from the in-``src/`` per-round execution before it moved
+    #: into :class:`PerRoundFadingSimulator`: the ``NetworkMetrics`` of
+    #: 60 fading rounds over ``paper_deployment(24, rng=6)`` (rng=7,
+    #: analytic engine), and the sha256 of the decoded bits, detection
+    #: flags, sent payload and per-round noise floors.
+    PER_ROUND_PINS = {
+        4.0: (
+            {
+                "n_devices": 24,
+                "phy_rate_bps": 23437.500000000004,
+                "link_layer_rate_bps": 19452.099205705952,
+                "latency_s": 0.04935199999999999,
+                "delivery_ratio": 1.0,
+                "bit_error_rate": 0.0,
+                "goodput_bits_per_round": 960.0,
+                "backend": "analytic",
+                "noise_mode": "payload",
+                "noise_version": 2,
+            },
+            "98ec80ceb4a695fefb81e6bbaf2e93439ff7ee9bd974a3b113e2603d46337df2",
+        ),
+        -20.0: (
+            {
+                "n_devices": 24,
+                "phy_rate_bps": 23432.210286458336,
+                "link_layer_rate_bps": 19447.70897498244,
+                "latency_s": 0.04935199999999999,
+                "delivery_ratio": 0.9923611111111111,
+                "bit_error_rate": 0.00022569444444442421,
+                "goodput_bits_per_round": 959.7833333333333,
+                "backend": "analytic",
+                "noise_mode": "payload",
+                "noise_version": 2,
+            },
+            "91b6de7c6aa1a13f2ee54496ce53657bb9d595101930c63ea7d367a40fec61ea",
+        ),
+    }
+
+    @pytest.mark.parametrize("scale_db", sorted(PER_ROUND_PINS))
+    def test_per_round_oracle_reproduces_recorded_rounds(self, scale_db):
+        """The per-round oracle draws and decodes exactly as before."""
+        fields, digest = self.PER_ROUND_PINS[scale_db]
+
+        def simulator():
+            return PerRoundFadingSimulator(
+                paper_deployment(24, rng=6),
+                rng=7,
+                engine="analytic",
+                reference_snr_scale_db=scale_db,
+            )
+
+        metrics = simulator().run_rounds(60, fading=True)
+        assert dataclasses.asdict(metrics) == fields
+        decode, payload, floors = simulator()._run_batch(60, True)
+        sha = hashlib.sha256()
+        for array in (decode.bits, decode.detected, payload, floors):
+            sha.update(np.ascontiguousarray(array).tobytes())
+        assert sha.hexdigest() == digest
 
     def test_fading_rounds_flow_through_batched_engine(self):
         """A multi-round fading batch is one decode call (not a Python
