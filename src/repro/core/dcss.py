@@ -386,8 +386,11 @@ def compose_readout(
     each bin is the closed-form Dirichlet kernel
     (:meth:`SparseReadout.tone_kernel`), so the whole
     compose -> dechirp -> readout chain collapses to one
-    ``(symbols, devices) @ (devices, bins)`` matmul per round. No
-    ``n_samples``-length tensor is ever materialised; values agree with
+    ``(symbols, devices) @ (devices, bins)`` product per round, taken
+    block by block as the kernel is built
+    (:meth:`SparseReadout.tone_sum`). No ``n_samples``-length tensor,
+    nor the whole ``(devices, bins)`` kernel, is ever materialised;
+    values agree with
     ``readout.spectrum(compose_rounds(...))`` to floating-point
     round-off on either input domain (the re-spread/de-spread rotation
     cancels exactly in the closed form).
@@ -395,7 +398,7 @@ def compose_readout(
     ``dtype`` selects the accumulation precision: ``numpy.complex64``
     halves the matmul/noise cost for very large device counts at ~1e-7
     relative readout error (the kernel ratio is still evaluated in
-    double and stored single — see
+    double and cast to single per block — see
     :meth:`repro.phy.sparse_readout.SparseReadout.tone_ratio`;
     decisions are unaffected at the operating points the sweeps visit,
     which the equivalence tests pin).
@@ -481,20 +484,27 @@ def _compose_readout_values(
     # Factored kernel: D_N(b - q/zp) = e^{jcb} * ratio * e^{-jcq/zp}.
     # The device-side phase e^{jcb} joins the carrier phase inside the
     # weights and the bin-side phase scales the output, so the heavy
-    # (symbols, devices) @ (devices, bins) products run as two *real*
+    # (symbols, devices) @ (devices, bins) products run as *real*
     # matmuls on the ratio matrix — half the flops of a complex GEMM
-    # and no complex kernel ever materialised.
-    ratio = readout.tone_ratio(
-        effective_bins, dtype=real_dtype, columns=columns
-    )
+    # and no complex kernel ever materialised. The real and imaginary
+    # weights are stacked into one contraction, which the readout
+    # streams block by block so the ratio grid is never held whole.
+    n_symbols = bit_tensor.shape[1]
     angles = phases_rad + readout.tone_phase_coeff * effective_bins
-    w_real = bit_tensor * (amplitudes * np.cos(angles))[:, None, :]
-    w_imag = bit_tensor * (amplitudes * np.sin(angles))[:, None, :]
+    weights = np.concatenate(
+        (
+            bit_tensor * (amplitudes * np.cos(angles))[:, None, :],
+            bit_tensor * (amplitudes * np.sin(angles))[:, None, :],
+        ),
+        axis=1,
+    )
     if real_dtype != np.float64:
-        w_real = w_real.astype(real_dtype)
-        w_imag = w_imag.astype(real_dtype)
-    values = (w_real @ ratio).astype(dtype)
-    values.imag += w_imag @ ratio
+        weights = weights.astype(real_dtype)
+    parts = readout.tone_sum(
+        effective_bins, weights, dtype=real_dtype, columns=columns
+    )
+    values = parts[:, :n_symbols].astype(dtype)
+    values.imag = parts[:, n_symbols:]
     bin_phase = readout.bin_phase_factor()
     if columns is not None:
         bin_phase = bin_phase[columns][:, None, :]

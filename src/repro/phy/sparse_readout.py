@@ -29,9 +29,11 @@ device whose dechirped contribution is the pure tone
 as ``a * exp(j*phi) * D_N(b - q/zp)`` where ``D_N`` is the Dirichlet
 kernel (:func:`dirichlet_kernel`). :meth:`SparseReadout.tone_kernel`
 evaluates that closed form at every readout bin without materialising
-any ``n_samples``-length waveform — the analytic composition path of
-:func:`repro.core.dcss.compose_readout`. The operator matrix itself is
-built lazily so purely analytic consumers never pay for it.
+any ``n_samples``-length waveform; the analytic composition path of
+:func:`repro.core.dcss.compose_readout` contracts its factored form
+block by block (:meth:`SparseReadout.tone_sum`), so not even the
+``(tones, bins)`` kernel grid is held whole. The operator matrix itself
+is built lazily so purely analytic consumers never pay for it.
 
 White time-domain noise maps linearly onto any readout, and the
 covariance it acquires depends only on bin *separations* (it is the
@@ -78,10 +80,20 @@ from repro.phy.chirp import ChirpParams, downchirp
 #: depend on which side of the threshold an offset lands.
 _DIRICHLET_SINGULAR_TOL = 1e-6
 
-#: Grid elements per block of :meth:`SparseReadout.tone_ratio`'s
-#: evaluation: the block's numerator and denominator scratch (1 MB
-#: together) stay cache-resident while the quotient streams out.
+#: Grid elements per block of the ratio kernel behind
+#: :meth:`SparseReadout.tone_ratio` and :meth:`SparseReadout.tone_sum`:
+#: the block's numerator and denominator scratch (1 MB together, plus
+#: 0.5 MB for a quotient that is contracted rather than stored) stay
+#: cache-resident.
 _RATIO_BLOCK_ELEMENTS = 1 << 16
+
+#: Largest product, in multiply-adds, that :meth:`SparseReadout.tone_sum`
+#: hands BLAS in one call. BLAS libraries split larger products over a
+#: thread pool of their own (OpenBLAS above 2^18), which oversubscribes
+#: the CPUs when callers already run contractions concurrently, as the
+#: population cycle's Monte-Carlo legs do; below it every call stays on
+#: its caller's thread.
+_GEMM_MAX_MACS = 1 << 18
 
 
 def dirichlet_kernel(n_samples: int, offsets: np.ndarray) -> np.ndarray:
@@ -353,79 +365,192 @@ class SparseReadout:
         grid (:meth:`_singular_entries`).
         """
         b = np.asarray(effective_bins, dtype=float)
+        # Without columns, every tone is one row against all bins.
+        tones = b.reshape(1, b.size) if columns is None else b
+        ratio = np.empty(tones.shape + (self._n_columns(b, columns),))
+        for _ in self._ratio_blocks(tones, columns, out=ratio):
+            pass
+        ratio = ratio.reshape(b.shape + ratio.shape[-1:])
+        if np.dtype(dtype) != np.float64:
+            ratio = ratio.astype(dtype)
+        return ratio
+
+    def tone_sum(
+        self,
+        effective_bins: np.ndarray,
+        weights: np.ndarray,
+        dtype=np.float64,
+        columns: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``weights @ tone_ratio(effective_bins)``, never building the grid.
+
+        ``effective_bins`` is ``(R, n_tones)`` and ``weights``
+        ``(R, S, n_tones)``; the result is the ``(R, S, K)`` contraction
+        over tones (``(R, S, K')`` with ``columns``, as in
+        :meth:`tone_ratio`). Each cache-sized block of the grid is
+        contracted with its slice of the weights as soon as the shared
+        block kernel builds it, so the working set is one block instead
+        of the ``(R, n_tones, K)`` grid, and each product goes to BLAS
+        in calls of at most :data:`_GEMM_MAX_MACS` multiply-adds, split
+        by symbol rows. The entries are those of :meth:`tone_ratio`;
+        only the order of the sum over tones differs, by round-off.
+        ``dtype=numpy.float32`` casts each block and accumulates in
+        single precision, like a single-precision GEMM on a
+        ``tone_ratio(..., dtype=numpy.float32)`` grid.
+        """
+        b = np.asarray(effective_bins, dtype=float)
+        weights = np.asarray(weights)
+        if (
+            b.ndim != 2
+            or weights.ndim != 3
+            or weights.shape[::2] != b.shape
+        ):
+            raise DecodingError(
+                "weights must be (n_rows, n_symbols, n_tones) for "
+                "(n_rows, n_tones) effective bins"
+            )
+        dtype = np.dtype(dtype)
+        total = np.zeros(
+            (b.shape[0], weights.shape[1], self._n_columns(b, columns)),
+            dtype=dtype,
+        )
+        for rows, cut, block in self._ratio_blocks(b, columns):
+            if dtype != np.float64:
+                block = block.astype(dtype)
+            part = weights[rows, :, cut]
+            step = max(1, _GEMM_MAX_MACS // max(1, block[0].size))
+            for start in range(0, part.shape[1], step):
+                symbols = slice(start, start + step)
+                if cut.start == 0:
+                    # A row's first block writes its sums; later ones add.
+                    np.matmul(
+                        part[:, symbols], block, out=total[rows, symbols]
+                    )
+                else:
+                    total[rows, symbols] += part[:, symbols] @ block
+        return total
+
+    def _n_columns(
+        self, b: np.ndarray, columns: Optional[np.ndarray]
+    ) -> int:
+        """Grid width for ``columns``, validated against ``b``'s rows."""
+        if columns is None:
+            return self.n_bins
+        columns = np.asarray(columns)
+        if b.ndim != 2 or columns.ndim != 2 or columns.shape[0] != b.shape[0]:
+            raise DecodingError(
+                "columns must be (n_rows, k) for (n_rows, n_tones) "
+                "effective bins"
+            )
+        return columns.shape[1]
+
+    def _ratio_blocks(
+        self,
+        tones: np.ndarray,
+        columns: Optional[np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ):
+        """The one block kernel behind :meth:`tone_ratio` and :meth:`tone_sum`.
+
+        ``tones`` is ``(n_rows, n_tones)``; row ``r`` is evaluated at
+        every readout bin, or at ``columns[r]``. Yields ``(rows, cut,
+        block)`` with ``block`` the grid entries ``[rows, cut, :]``,
+        L'Hopital entries included: a view of ``out`` when given, else
+        a scratch buffer the next block overwrites.
+
+        The grid is large and bandwidth-bound, so the numerator and
+        denominator of each block are built in a cache-sized scratch
+        buffer and only the quotient is written out. A block spans
+        whole rows, or part of one row, so its entries are one
+        contiguous range of the row-major ``(n_rows, n_tones)`` tones.
+        """
         n = self._params.n_samples
         tables = self._trig_tables()[1:]
         if columns is None:
-            # One row of tables shared by every tone.
+            # One row of tables shared by every tone row.
             tables = tuple(table[None, :] for table in tables)
-            tones = b.reshape(1, b.size)
         else:
             columns = np.asarray(columns, dtype=np.int64)
-            if (
-                b.ndim != 2
-                or columns.ndim != 2
-                or columns.shape[0] != b.shape[0]
-            ):
-                raise DecodingError(
-                    "columns must be (n_rows, k) for (n_rows, n_tones) "
-                    "effective bins"
-                )
             tables = tuple(table[columns] for table in tables)
-            tones = b
-        n_rows, n_cols = tables[0].shape
+        n_rows, n_tones = tones.shape
+        n_cols = tables[0].shape[1]
         sb, cb = np.sin(np.pi * tones), np.cos(np.pi * tones)
         sbn, cbn = np.sin(np.pi * tones / n), np.cos(np.pi * tones / n)
-        # sin(pi*(b - q)) / sin(pi*(b - q)/N) in blocks of rows and
-        # tones: the grid is large and bandwidth-bound, so the numerator
-        # and denominator of each block are built in a cache-sized
-        # scratch buffer and only the quotient is written to the result.
-        # The L'Hopital entries, whose quotient is meaningless, are
-        # overwritten below.
-        n_tones = tones.shape[1]
-        ratio = np.empty((n_rows, n_tones, n_cols))
+        flat, col, limit = self._singular_limits(
+            tones, columns, tables, (sb, cb, sbn, cbn)
+        )
+        row_tables = tuple(
+            np.broadcast_to(table, (n_rows, n_cols)) for table in tables
+        )
         row_elems = max(1, n_tones * n_cols)
         row_block = max(1, _RATIO_BLOCK_ELEMENTS // row_elems)
         tone_block = max(1, n_tones)
         if row_block == 1:
             tone_block = max(1, _RATIO_BLOCK_ELEMENTS // max(1, n_cols))
         scratch = np.empty(
-            (2, min(row_block, n_rows), min(tone_block, n_tones), n_cols)
+            (
+                2 if out is not None else 3,
+                min(row_block, n_rows),
+                min(tone_block, n_tones),
+                n_cols,
+            )
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for row in range(0, n_rows, row_block):
-                rows = slice(row, row + row_block)
-                sq, cq, sqn, cqn = (
-                    table[rows, None, :] for table in tables
-                )
-                for start in range(0, n_tones, tone_block):
-                    cut = slice(start, start + tone_block)
-                    out = ratio[rows, cut]
-                    tmp, den = scratch[:, : out.shape[0], : out.shape[1]]
-                    np.multiply(sb[rows, cut, None], cq, out=out)
+        for row in range(0, n_rows, row_block):
+            rows = slice(row, row + row_block)
+            r = min(row_block, n_rows - row)
+            sq, cq, sqn, cqn = (table[rows, None, :] for table in row_tables)
+            for start in range(0, n_tones, tone_block):
+                cut = slice(start, start + tone_block)
+                t = min(tone_block, n_tones - start)
+                tmp, den = scratch[:2, :r, :t]
+                block = out[rows, cut] if out is not None else scratch[2, :r, :t]
+                # sin(pi*(b - q)) / sin(pi*(b - q)/N); the L'Hopital
+                # entries, whose quotient is meaningless, are
+                # overwritten below.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.multiply(sb[rows, cut, None], cq, out=block)
                     np.multiply(cb[rows, cut, None], sq, out=tmp)
-                    out -= tmp
+                    block -= tmp
                     np.multiply(sbn[rows, cut, None], cqn, out=den)
                     np.multiply(cbn[rows, cut, None], sqn, out=tmp)
                     den -= tmp
-                    out /= den
+                    block /= den
+                lo = row * n_tones + start
+                a, z = flat.searchsorted((lo, lo + (r - 1) * n_tones + t))
+                if z > a:
+                    local = flat[a:z] - lo
+                    block[local // n_tones, local % n_tones, col[a:z]] = (
+                        limit[a:z]
+                    )
+                yield rows, cut, block
+
+    def _singular_limits(
+        self,
+        tones: np.ndarray,
+        columns: Optional[np.ndarray],
+        tables: tuple,
+        tone_trig: tuple,
+    ) -> tuple:
+        """The L'Hopital entries of a ratio grid and their values.
+
+        Returns ``(flat, col, value)``, ascending in ``flat``, the
+        row-major index into ``tones``; ``col`` is the grid column and
+        ``value`` the limit ``N*cos(pi*u)/cos(pi*u/N)`` at ``u ~ 0
+        (mod N)``, assembled from the same per-axis trig as the grid.
+        """
+        n = self._params.n_samples
+        n_cols = tables[0].shape[1]
         tone, hit = self._singular_entries(tones, columns)
-        if tone.size:
-            sq, cq, sqn, cqn = (table.ravel() for table in tables)
-            sb, cb, sbn, cbn = (x.ravel() for x in (sb, cb, sbn, cbn))
-            # The same products as the grid's denominator, so the
-            # tolerance sees bit-identical values.
-            den = sbn[tone] * cqn[hit] - cbn[tone] * sqn[hit]
-            near = np.abs(den) < _DIRICHLET_SINGULAR_TOL
-            tone, hit = tone[near], hit[near]
-            # L'Hopital limit N*cos(pi*u)/cos(pi*u/N) at u ~ 0 (mod N),
-            # assembled from the same per-axis trig at just those entries.
-            cos_u = cb[tone] * cq[hit] + sb[tone] * sq[hit]
-            cos_un = cbn[tone] * cqn[hit] + sbn[tone] * sqn[hit]
-            ratio.reshape(-1, n_cols)[tone, hit % n_cols] = n * cos_u / cos_un
-        ratio = ratio.reshape(b.shape + (n_cols,))
-        if np.dtype(dtype) != np.float64:
-            ratio = ratio.astype(dtype)
-        return ratio
+        sq, cq, sqn, cqn = (table.ravel() for table in tables)
+        sb, cb, sbn, cbn = (x.ravel() for x in tone_trig)
+        # The same products as the grid's denominator, so the tolerance
+        # sees bit-identical values.
+        den = sbn[tone] * cqn[hit] - cbn[tone] * sqn[hit]
+        near = np.abs(den) < _DIRICHLET_SINGULAR_TOL
+        tone, hit = tone[near], hit[near]
+        cos_u = cb[tone] * cq[hit] + sb[tone] * sq[hit]
+        cos_un = cbn[tone] * cqn[hit] + sbn[tone] * sqn[hit]
+        return tone, hit % n_cols, n * cos_u / cos_un
 
     def _singular_entries(
         self, tones: np.ndarray, columns: Optional[np.ndarray]
@@ -485,8 +610,8 @@ class SparseReadout:
         therefore reproduces :meth:`spectrum` of a composed tone-sum
         symbol to round-off, with no waveform in between.
 
-        Hot paths (:func:`repro.core.dcss.compose_readout`) use the
-        factored :meth:`tone_ratio` form directly and never materialise
+        Hot paths (:func:`repro.core.dcss.compose_readout`) contract
+        the factored ratio with :meth:`tone_sum` and never materialise
         this complex matrix; it is the reference/unit-test surface.
         """
         b = np.asarray(effective_bins, dtype=float)

@@ -527,6 +527,19 @@ class NetworkSimulator:
         )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on, at least 1.
+
+    The process's affinity mask where the OS reports one, else
+    ``os.cpu_count()``. A container pinned to one CPU of a large host
+    counts 1 here, where ``os.cpu_count()`` would count the host's.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return max(1, len(affinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 def resolve_pool_workers(workers: Optional[int]) -> int:
     """Effective process-pool size for a ``workers=`` request.
 
@@ -536,9 +549,9 @@ def resolve_pool_workers(workers: Optional[int]) -> int:
 
     * ``None``, ``0`` or ``1`` → serial (a 1-worker pool only adds
       pickling overhead);
-    * any request on a 1-CPU host → serial — a pool cannot run points
-      concurrently there, so spawning one would pay process start-up
-      and pickling for nothing;
+    * any request where only one CPU is usable (:func:`usable_cpus`) →
+      serial — a pool cannot run points concurrently there, so spawning
+      one would pay process start-up and pickling for nothing;
     * otherwise the request is honoured as given (deliberate
       oversubscription stays possible on multi-core hosts).
 
@@ -550,7 +563,7 @@ def resolve_pool_workers(workers: Optional[int]) -> int:
     requested = int(workers)
     if requested <= 1:
         return 0
-    if (os.cpu_count() or 1) <= 1:
+    if usable_cpus() <= 1:
         return 0
     return requested
 

@@ -14,7 +14,7 @@ kept as a test oracle in ``tests/test_population_scale.py``.
 Two layers live here:
 
 * **State + kernels** — :class:`Population` (struct-of-arrays with
-  amortised growth and O(1) id lookup) and the vectorised allocation
+  amortised growth and a sorted-id index) and the vectorised allocation
   kernels (:func:`spread_slot_indices`, :func:`spread_shifts`,
   :func:`power_aware_shifts`, :func:`span_group_bounds`,
   :func:`assign_cluster`) that replace the per-device loops in
@@ -69,7 +69,9 @@ The seeded fidelity split is deterministic in ``(snrs, rule, seed)``:
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,7 +102,8 @@ class Population:
     Python dict of per-device objects would iterate in):
 
     ``device_id``
-        int64 identifier (unique; O(1) lookup via :meth:`row_of`).
+        int64 identifier (unique; :meth:`row_of` finds its row by
+        binary search over a sorted id index).
     ``snr_db``
         float64 effective uplink SNR at the AP (post power-control).
     ``shift``
@@ -145,7 +148,11 @@ class Population:
             name: np.full(self._capacity, fill, dtype=dtype)
             for name, dtype, fill in self._COLUMNS
         }
-        self._rows: Dict[int, int] = {}
+        # The id index: device ids in ascending order and the row of
+        # each, 16 B per device (an ``{id: row}`` dict of Python ints
+        # holds ~116 B per device).
+        self._index_ids = np.empty(0, dtype=np.int64)
+        self._index_rows = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # storage
@@ -217,17 +224,23 @@ class Population:
     # membership
     # ------------------------------------------------------------------ #
 
+    def _index_position(self, device_id: int) -> int:
+        """Position of ``device_id`` in the id index, or -1."""
+        ids = self._index_ids
+        position = int(ids.searchsorted(device_id))
+        if position < ids.size and ids[position] == device_id:
+            return position
+        return -1
+
     def __contains__(self, device_id: int) -> bool:
-        return int(device_id) in self._rows
+        return self._index_position(int(device_id)) >= 0
 
     def row_of(self, device_id: int) -> int:
         """Row index of ``device_id``; raises on unknown devices."""
-        try:
-            return self._rows[int(device_id)]
-        except KeyError:
-            raise AllocationError(
-                f"device {device_id} is not allocated"
-            ) from None
+        position = self._index_position(int(device_id))
+        if position < 0:
+            raise AllocationError(f"device {device_id} is not allocated")
+        return int(self._index_rows[position])
 
     def add(self, device_id: int, snr_db: float) -> int:
         """Append one device; returns its row index."""
@@ -241,8 +254,10 @@ class Population:
         """Append many devices at once; returns their row indices.
 
         One capacity check, one copy per column — the O(rows-added) bulk
-        admit the scale path depends on. Duplicate ids (against the
-        existing population or within the batch) are rejected.
+        admit the scale path depends on — and one merge into the id
+        index. Duplicate ids (within the batch, or against the existing
+        population, where the first known id in batch order is named)
+        are rejected by one vectorised check before anything changes.
         """
         ids = np.asarray(device_ids, dtype=np.int64)
         snrs = np.asarray(snrs_db, dtype=np.float64)
@@ -250,13 +265,21 @@ class Population:
             raise AllocationError(
                 "device ids and SNRs must be 1-D and aligned"
             )
-        if np.unique(ids).size != ids.size:
+        order = np.argsort(ids, kind="stable")
+        new_ids = ids[order]
+        if np.any(new_ids[1:] == new_ids[:-1]):
             raise AllocationError("duplicate device ids in bulk add")
-        for device_id in ids:
-            if int(device_id) in self._rows:
-                raise AllocationError(
-                    f"device {int(device_id)} already allocated"
-                )
+        positions = np.searchsorted(self._index_ids, new_ids)
+        known = np.zeros(ids.size, dtype=bool)
+        if self._index_ids.size:
+            known[order] = (
+                self._index_ids[np.minimum(positions, self._n - 1)]
+                == new_ids
+            )
+        if known.any():
+            raise AllocationError(
+                f"device {int(ids[np.argmax(known)])} already allocated"
+            )
         start = self._n
         self._grow_to(start + ids.size)
         self._n = start + ids.size
@@ -265,8 +288,9 @@ class Population:
         self._data["snr_db"][rows] = snrs
         for name, dtype, fill in self._COLUMNS[2:]:
             self._data[name][rows] = fill
-        self._rows.update(
-            (int(device_id), int(row)) for device_id, row in zip(ids, rows)
+        self._index_ids = np.insert(self._index_ids, positions, new_ids)
+        self._index_rows = np.insert(
+            self._index_rows, positions, rows[order]
         )
         return rows
 
@@ -277,12 +301,10 @@ class Population:
             column = self._data[name]
             column[row : self._n - 1] = column[row + 1 : self._n]
         self._n -= 1
-        del self._rows[int(device_id)]
-        shifted = self._data["device_id"][row : self._n]
-        self._rows.update(
-            (int(moved), row + offset)
-            for offset, moved in enumerate(shifted)
-        )
+        position = self._index_position(int(device_id))
+        self._index_ids = np.delete(self._index_ids, position)
+        self._index_rows = np.delete(self._index_rows, position)
+        self._index_rows[self._index_rows > row] -= 1
 
     # ------------------------------------------------------------------ #
     # derived views
@@ -784,6 +806,43 @@ def _monte_carlo_group_metrics(
     )
 
 
+def _monte_carlo_legs(jobs: Sequence[tuple]) -> List[Tuple[float, float]]:
+    """Run Monte-Carlo legs (:func:`_monte_carlo_group_metrics` argument
+    tuples); returns their results in job order.
+
+    Every leg owns its pre-derived child seed, so the legs are
+    independent: they run on a thread pool of ``min(usable CPUs, legs)``
+    threads, with no pool at all on one CPU. NumPy's grid passes, GEMMs
+    and generator fills release the GIL, which is what lets the threads
+    overlap. Each leg runs in a copy of the caller's context, so
+    context-carried state such as trace spans keeps its parent.
+
+    If a leg raises, the legs not yet started are cancelled, the running
+    ones finish, and the first failure in job order is raised once no
+    worker thread is left. Workers take legs in job order, so every
+    cancelled leg comes after every started one.
+    """
+    from repro.protocol.network import usable_cpus
+
+    workers = min(usable_cpus(), len(jobs))
+    if workers <= 1:
+        return [_monte_carlo_group_metrics(*job) for job in jobs]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="monte-carlo-leg")
+    try:
+        futures = [
+            pool.submit(
+                contextvars.copy_context().run,
+                _monte_carlo_group_metrics,
+                *job,
+            )
+            for job in jobs
+        ]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return [future.result() for future in futures]
+
+
 def hybrid_population_round(
     population: Population,
     config: Optional[NetScatterConfig] = None,
@@ -801,6 +860,12 @@ def hybrid_population_round(
     concurrent rounds per Monte-Carlo group, each group seeded by its
     pre-derived child seed. Audited groups contribute their engine
     result and record the |closed form - engine| delivery gap.
+
+    The Monte-Carlo groups decode concurrently on the usable CPUs
+    (:func:`_monte_carlo_legs`); their results are gathered by group
+    index and accumulated in group order, so every sum, every
+    ``audit_gaps`` entry and the result as a whole are those of a serial
+    run.
 
     The population's ``snr_db`` column is taken as the *effective*
     (post power-control) uplink SNR; both fidelity modes consume the
@@ -830,19 +895,25 @@ def hybrid_population_round(
         ],
         config,
     )
+    legged = np.flatnonzero(split.monte_carlo).tolist()
+    jobs = [
+        (
+            snrs[groups[g]],
+            population.device_id[groups[g]],
+            config,
+            int(split.group_seeds[g]),
+            rule.monte_carlo_rounds,
+        )
+        for g in legged
+    ]
+    legs = dict(zip(legged, _monte_carlo_legs(jobs)))
     delivered = 0.0
     ber_weighted = 0.0
     cf_groups = mc_groups = cf_devices = mc_devices = 0
     audit_gaps: List[float] = []
     for g, rows in enumerate(groups):
         if split.monte_carlo[g]:
-            group_delivered, group_ber = _monte_carlo_group_metrics(
-                snrs[rows],
-                population.device_id[rows],
-                config,
-                int(split.group_seeds[g]),
-                rule.monte_carlo_rounds,
-            )
+            group_delivered, group_ber = legs[g]
             mc_groups += 1
             mc_devices += rows.size
             if split.reasons[g] == "audit":

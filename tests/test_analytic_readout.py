@@ -563,3 +563,180 @@ class TestLocatedPayloadReadout:
                 axis=3,
             ),
         )
+
+
+def _grid_readout_values(
+    effective_bins, amplitudes, phases_rad, bit_tensor, readout,
+    dtype=np.complex128, columns=None,
+):
+    """Test oracle: ``compose_readout``'s evaluation before streaming.
+
+    The whole ``(rounds, tones, bins)`` ratio grid is built by
+    ``tone_ratio``, then contracted by two real GEMMs, ``w @ ratio``.
+    """
+    real_dtype = np.float32 if dtype == np.complex64 else np.float64
+    ratio = readout.tone_ratio(
+        effective_bins, dtype=real_dtype, columns=columns
+    )
+    angles = phases_rad + readout.tone_phase_coeff * effective_bins
+    w_real = bit_tensor * (amplitudes * np.cos(angles))[:, None, :]
+    w_imag = bit_tensor * (amplitudes * np.sin(angles))[:, None, :]
+    if real_dtype != np.float64:
+        w_real = w_real.astype(real_dtype)
+        w_imag = w_imag.astype(real_dtype)
+    values = (w_real @ ratio).astype(dtype)
+    values.imag += w_imag @ ratio
+    bin_phase = readout.bin_phase_factor()
+    if columns is not None:
+        bin_phase = bin_phase[columns][:, None, :]
+    values *= bin_phase.astype(dtype)
+    return values
+
+
+def _assert_close_to_grid(streamed, grid, rel):
+    """Entrywise error within ``rel`` of the batch's largest value.
+
+    Streaming reorders the sum over tones, so an entry's error scales
+    with the magnitudes summed into it, not with its own (possibly
+    cancelled) value.
+    """
+    assert streamed.dtype == grid.dtype and streamed.shape == grid.shape
+    assert np.max(np.abs(streamed - grid)) <= rel * np.max(np.abs(grid))
+
+
+#: Relative tolerances of the streamed contraction against the grid
+#: oracle: float64 round-off, and the complex64 tolerance of
+#: ``test_float32_ratio_close_to_float64``.
+STREAMED_REL = {np.complex128: 1e-12, np.complex64: 2e-5}
+
+
+class TestStreamedToneSum:
+    """compose_readout's streamed contraction == the full-grid GEMM."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    def test_tones_on_and_grazing_readout_bins(self, sf, dtype):
+        """On-bin tones take the L'Hopital branch inside a block."""
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=sf)
+        n = params.n_samples
+        rng = np.random.default_rng(sf)
+        bins = rng.integers(0, n * 10, size=400)
+        readout = SparseReadout(params, 10, bins, fold_downchirp=False)
+        tones = _grazing_tones(rng, bins, 10, n, (3, 200))
+        _, hits = _full_grid_tone_ratio(readout, tones)
+        assert hits > 0
+        amps = rng.uniform(0.1, 10.0, tones.shape)
+        phases = rng.uniform(0, 2 * np.pi, tones.shape)
+        bt = rng.integers(0, 2, (3, 5, 200)).astype(float)
+        args = (tones, amps, phases, bt, readout)
+        _assert_close_to_grid(
+            compose_readout(params, *args, dtype=dtype),
+            _grid_readout_values(*args, dtype=dtype),
+            STREAMED_REL[dtype],
+        )
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_wrapping_windows_columns_and_multi_round_chunks(self, dtype):
+        """Windows that wrap the grid edge, read whole and at located
+        columns, over a 7-round chunk of a receiver's readout plan."""
+        config, assignments, bins, amps, phases, bt = _payload_batch(
+            64, 7, seed=21
+        )
+        assert 0 in assignments.values()  # its window wraps below bin 0
+        plan = NetScatterReceiver(
+            config, assignments, readout="analytic"
+        )._readout_plan(dechirped=True)
+        window = plan.window_readout
+        n_grid = config.chirp_params.n_samples * window.zero_pad_factor
+        assert window.bin_indices.max() > n_grid - plan.window_width
+        rng = np.random.default_rng(4)
+        located = rng.integers(
+            1, plan.window_width - 1, size=(7, plan.n_devices)
+        )
+        params = config.chirp_params
+        rel = STREAMED_REL[dtype]
+        args = (bins, amps, phases, bt[:, 6:], window)
+        for columns in (None, plan.located_columns(located)):
+            _assert_close_to_grid(
+                compose_readout(
+                    params, *args, dtype=dtype, columns=columns
+                ),
+                _grid_readout_values(*args, dtype=dtype, columns=columns),
+                rel,
+            )
+        deduped = compose_readout(
+            params, bins, amps, phases, bt, window, dtype=dtype,
+            n_preamble_rows=6,
+        )
+        _assert_close_to_grid(
+            deduped,
+            _grid_readout_values(
+                bins, amps, phases, bt, window, dtype=dtype
+            ),
+            rel,
+        )
+
+    def test_blocks_span_rows_and_split_rows(self, monkeypatch):
+        """Small and large blocks (several rows per block, one row cut
+        across blocks) and products split by symbol rows give the same
+        sums."""
+        import repro.phy.sparse_readout as sparse_readout
+
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=9)
+        rng = np.random.default_rng(8)
+        bins = rng.integers(0, 5120, size=30)
+        readout = SparseReadout(params, 10, bins, fold_downchirp=False)
+        tones = _grazing_tones(rng, bins, 10, 512, (6, 40))
+        weights = rng.standard_normal((6, 5, 40))
+        expected = weights @ readout.tone_ratio(tones)
+        for elements in (7, 40 * 30 * 4):
+            for macs in (1 << 18, 60):
+                monkeypatch.setattr(
+                    sparse_readout, "_RATIO_BLOCK_ELEMENTS", elements
+                )
+                monkeypatch.setattr(sparse_readout, "_GEMM_MAX_MACS", macs)
+                got = readout.tone_sum(tones, weights)
+                _assert_close_to_grid(got, expected, 1e-12)
+
+    def test_tone_sum_validates_shapes(self):
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=7)
+        readout = SparseReadout(params, 10, np.arange(20))
+        with pytest.raises(DecodingError):
+            readout.tone_sum(np.zeros((2, 3)), np.zeros((2, 4, 5)))
+        with pytest.raises(DecodingError):
+            readout.tone_sum(np.zeros(3), np.zeros((1, 4, 3)))
+        with pytest.raises(DecodingError):
+            readout.tone_sum(
+                np.zeros((2, 3)), np.zeros((2, 4, 3)),
+                columns=np.zeros((3, 4)),
+            )
+
+    @pytest.mark.parametrize(
+        "sf,n_devices", [(7, 16), (9, 64), (9, 256), (12, 32)]
+    )
+    def test_noiseless_decisions_match_the_grid_path(
+        self, sf, n_devices, monkeypatch
+    ):
+        import repro.core.dcss as dcss
+
+        config = NetScatterConfig(
+            spreading_factor=sf, n_association_shifts=0
+        )
+        assignments = {i: i * config.skip for i in range(n_devices)}
+        rng = np.random.default_rng(10 * sf + n_devices)
+        shifts = np.array(list(assignments.values()), dtype=float)
+        batch = _random_batch(config, shifts, 3, 12, rng)
+        receiver = NetScatterReceiver(
+            config, assignments, readout="analytic"
+        )
+        streamed = receiver.decode_readout(*batch)
+        monkeypatch.setattr(
+            dcss, "_compose_readout_values", _grid_readout_values
+        )
+        grid = receiver.decode_readout(*batch)
+        assert streamed.detected.any() and streamed.bits.any()
+        assert np.array_equal(streamed.detected, grid.detected)
+        assert np.array_equal(streamed.bits, grid.bits)
+        assert np.allclose(
+            streamed.preamble_power, grid.preamble_power, rtol=1e-12
+        )

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro.campaign.runner as campaign_runner
+import repro.protocol.network as network_module
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.presets import (
     build_preset,
@@ -49,6 +50,7 @@ from repro.protocol.network import (
     NetworkSimulator,
     resolve_pool_workers,
     sweep_device_counts,
+    usable_cpus,
 )
 from repro.utils.rng import child_rng, child_seed, make_rng
 
@@ -506,21 +508,39 @@ class TestResumability:
 
 class TestPoolFallback:
     def test_resolve_rules(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(network_module, "usable_cpus", lambda: 8)
         assert resolve_pool_workers(None) == 0
         assert resolve_pool_workers(0) == 0
         assert resolve_pool_workers(1) == 0
         assert resolve_pool_workers(4) == 4
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
         assert resolve_pool_workers(4) == 0
+
+    def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU of a many-CPU host counts one."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {3}, raising=False
+        )
+        assert usable_cpus() == 1
+        assert resolve_pool_workers(4) == 0
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False
+        )
+        assert usable_cpus() == 3
+        assert resolve_pool_workers(4) == 4
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
         assert resolve_pool_workers(4) == 0
 
     def test_sweep_on_single_cpu_never_spawns_a_pool(self, monkeypatch):
         """workers= on a 1-CPU host runs serially — pinned behaviour."""
-        import repro.protocol.network as network
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
@@ -529,7 +549,7 @@ class TestPoolFallback:
                 )
 
         monkeypatch.setattr(
-            network, "ProcessPoolExecutor", ExplodingPool
+            network_module, "ProcessPoolExecutor", ExplodingPool
         )
         deployment = paper_deployment(n_devices=16, rng=2026)
         pooled = sweep_device_counts(
@@ -554,7 +574,7 @@ class TestPoolFallback:
     def test_campaign_runner_on_single_cpu_never_spawns_a_pool(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
@@ -572,7 +592,7 @@ class TestPoolFallback:
     def test_pooled_campaign_matches_serial(self, monkeypatch):
         """With CPUs available the pool path produces identical
         metrics (each point owns its pre-derived seed)."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(network_module, "usable_cpus", lambda: 2)
         pooled = CampaignRunner(workers=2).run(small_spec())
         assert pooled.metrics == run_campaign_sweep(small_spec())
 

@@ -165,7 +165,7 @@ class TestCiPipeline:
             "scale-smoke",
             "test_population_scale.py",
             "pooled-paths",
-            "os.cpu_count()",
+            "os.sched_getaffinity(0)",
             "-k pool",
         ):
             assert anchor in text, f"ci.yml lost {anchor!r}"

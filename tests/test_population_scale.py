@@ -20,8 +20,12 @@ Pins the tentpole invariants of the flat-array population layer:
   :class:`LinkBudget` arithmetic elementwise.
 """
 
+import contextvars
+import dataclasses
 import enum
 import threading
+import time
+import tracemalloc
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -1163,3 +1167,350 @@ class TestPopulationEngineBridge:
         ).run_rounds(3)
         assert via_pop.bit_error_rate == via_dep.bit_error_rate
         assert via_pop.delivery_ratio == via_dep.delivery_ratio
+
+
+MONTE_CARLO_THREAD = "monte-carlo-leg"
+
+
+def _monte_carlo_threads():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(MONTE_CARLO_THREAD)
+    ]
+
+
+class TestMonteCarloPool:
+    """The Monte-Carlo legs of a cycle run on a thread pool sized by
+    the usable CPUs; a pooled cycle equals the serial one field for
+    field."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        import repro.protocol.network as network_module
+
+        def set_cpus(n):
+            monkeypatch.setattr(network_module, "usable_cpus", lambda: n)
+
+        return set_cpus
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Sizes of the thread pools the population layer opens."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        sizes = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(
+            population_module, "ThreadPoolExecutor", CountingPool
+        )
+        return sizes
+
+    @pytest.mark.parametrize(
+        "pop_rng, scale_db, seed, force",
+        [(8, -26.0, 5, False), (3, -30.0, 12, False), (3, -30.0, 11, True)],
+    )
+    def test_pool_and_serial_cycles_are_identical(
+        self, cpus, pools, pop_rng, scale_db, seed, force
+    ):
+        pop = office_population(10_000, rng=pop_rng, snr_scale_db=scale_db)
+        cpus(1)
+        serial = hybrid_population_round(
+            pop, seed=seed, force_monte_carlo=force
+        )
+        assert pools == []  # one usable CPU: no pool at all
+        cpus(4)
+        pooled = hybrid_population_round(
+            pop, seed=seed, force_monte_carlo=force
+        )
+        assert pools == [4]
+        assert serial.n_monte_carlo_groups > 4
+        # Every field, audit_gaps in group order included.
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+        assert not _monte_carlo_threads()
+
+    def test_pool_stress_with_cold_shared_caches(self, cpus, pools):
+        """More threads than cores, a 1 us switch interval, and the
+        caches the legs share (probe readouts, noise factors) emptied
+        first, so the legs race to fill them: the cycle is unchanged."""
+        import sys
+
+        from repro.core import receiver
+        from repro.phy import sparse_readout
+
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        cpus(1)
+        serial = hybrid_population_round(pop, seed=5, force_monte_carlo=True)
+        for cache in (
+            sparse_readout.natural_probe_readout,
+            receiver._window_noise_factor,
+            receiver._located_noise_factor,
+        ):
+            cache.cache_clear()
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcome = []
+            error = _error_within(
+                lambda: outcome.append(
+                    hybrid_population_round(
+                        pop, seed=5, force_monte_carlo=True
+                    )
+                )
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None and pools == [8]
+        assert dataclasses.asdict(outcome[0]) == dataclasses.asdict(serial)
+
+    def test_pool_is_no_larger_than_the_legs(self, cpus, pools):
+        pop = office_population(2048, rng=3, snr_scale_db=-60.0)
+        cpus(64)
+        result = hybrid_population_round(pop, seed=11)
+        assert pools == [result.n_monte_carlo_groups] == [9]
+
+    def test_pool_legs_run_in_the_callers_context(self, cpus, monkeypatch):
+        parent = contextvars.ContextVar("span_parent")
+        seen = []
+
+        def leg(snrs, device_ids, config, seed, n_rounds):
+            seen.append((parent.get(None), threading.current_thread().name))
+            return float(snrs.size), 0.0
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", leg
+        )
+        cpus(2)
+        token = parent.set("cycle")
+        try:
+            result = hybrid_population_round(
+                office_population(4096, rng=17, snr_scale_db=-30.0),
+                seed=5,
+                force_monte_carlo=True,
+            )
+        finally:
+            parent.reset(token)
+        assert result.delivery_ratio == 1.0
+        assert {value for value, _ in seen} == {"cycle"}
+        assert {name.startswith(MONTE_CARLO_THREAD) for _, name in seen} == {
+            True
+        }
+
+    def test_pool_failure_surfaces_cancels_pending_and_joins(
+        self, cpus, monkeypatch
+    ):
+        """The first failing leg in group order is raised, after the
+        running legs finish; legs not yet started never start."""
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        split = split_fidelity(
+            pop.snr_db,
+            assign_cluster(pop.snr_db, _config(9)),
+            FidelityRule(),
+            5,
+            force_monte_carlo=True,
+        )
+        job_of = {
+            int(seed): job
+            for job, seed in enumerate(split.group_seeds[split.monte_carlo])
+        }
+        assert len(job_of) >= 12
+        started = []
+
+        def leg(snrs, device_ids, config, seed, n_rounds):
+            job = job_of[seed]
+            started.append(job)
+            if job == 2:
+                raise RuntimeError("leg 2 failed")
+            time.sleep(0.1)
+            if job == 1:
+                raise RuntimeError("leg 1 failed")
+            time.sleep(0.2)
+            return float(snrs.size), 0.0
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", leg
+        )
+        cpus(4)
+        error = _error_within(
+            lambda: hybrid_population_round(
+                pop, seed=5, force_monte_carlo=True
+            )
+        )
+        assert isinstance(error, RuntimeError)
+        assert str(error) == "leg 1 failed"
+        assert not _monte_carlo_threads()
+        assert len(started) < len(job_of)
+        assert {0, 1, 2} <= set(started)
+
+
+class DictIndexedPopulation(Population):
+    """Test oracle: the ``{id: row}`` dict index :class:`Population`
+    kept before its sorted-id index, with its membership code verbatim."""
+
+    def __init__(self, initial_capacity: int = 64) -> None:
+        super().__init__(initial_capacity)
+        self._rows: Dict[int, int] = {}
+
+    def __contains__(self, device_id: int) -> bool:
+        return int(device_id) in self._rows
+
+    def row_of(self, device_id: int) -> int:
+        try:
+            return self._rows[int(device_id)]
+        except KeyError:
+            raise AllocationError(
+                f"device {device_id} is not allocated"
+            ) from None
+
+    def bulk_add(self, device_ids, snrs_db) -> np.ndarray:
+        ids = np.asarray(device_ids, dtype=np.int64)
+        snrs = np.asarray(snrs_db, dtype=np.float64)
+        if ids.shape != snrs.shape or ids.ndim != 1:
+            raise AllocationError(
+                "device ids and SNRs must be 1-D and aligned"
+            )
+        if np.unique(ids).size != ids.size:
+            raise AllocationError("duplicate device ids in bulk add")
+        for device_id in ids:
+            if int(device_id) in self._rows:
+                raise AllocationError(
+                    f"device {int(device_id)} already allocated"
+                )
+        start = self._n
+        self._grow_to(start + ids.size)
+        self._n = start + ids.size
+        rows = np.arange(start, self._n)
+        self._data["device_id"][rows] = ids
+        self._data["snr_db"][rows] = snrs
+        for name, dtype, fill in self._COLUMNS[2:]:
+            self._data[name][rows] = fill
+        self._rows.update(
+            (int(device_id), int(row)) for device_id, row in zip(ids, rows)
+        )
+        return rows
+
+    def remove(self, device_id: int) -> None:
+        row = self.row_of(device_id)
+        for name, _, _ in self._COLUMNS:
+            column = self._data[name]
+            column[row : self._n - 1] = column[row + 1 : self._n]
+        self._n -= 1
+        del self._rows[int(device_id)]
+        shifted = self._data["device_id"][row : self._n]
+        self._rows.update(
+            (int(moved), row + offset)
+            for offset, moved in enumerate(shifted)
+        )
+
+
+def _outcome(call):
+    """``call()``'s value, or its error's type and message."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+class TestPopulationIndex:
+    """The sorted-id index answers exactly as the dict index did."""
+
+    def test_lookups_follow_removals(self):
+        pop = Population(initial_capacity=2)
+        ids = [40, 7, 19, -3, 2**62]
+        assert pop.bulk_add(ids, np.zeros(5)).tolist() == [0, 1, 2, 3, 4]
+        assert [pop.row_of(d) for d in ids] == [0, 1, 2, 3, 4]
+        pop.remove(7)
+        assert 7 not in pop and 19 in pop and np.int64(-3) in pop
+        assert [pop.row_of(d) for d in (40, 19, -3, 2**62)] == [0, 1, 2, 3]
+        assert pop.add(7, -5.0) == 4 and pop.row_of(7) == 4
+        pop.remove(40)
+        assert pop.device_id.tolist() == [19, -3, 2**62, 7]
+        assert [pop.row_of(d) for d in pop.device_id] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("unknown", [5, -2**63 - 1, 2**64, 2**70])
+    def test_unknown_ids_raise_as_before(self, unknown):
+        new, old = Population(), DictIndexedPopulation()
+        for pop in (new, old):
+            pop.bulk_add([1, 2**63 - 1, -2**63], [0.0, 0.0, 0.0])
+        assert (unknown in new) is (unknown in old) is False
+        for method in ("row_of", "remove"):
+            assert _outcome(lambda: getattr(new, method)(unknown)) == (
+                _outcome(lambda: getattr(old, method)(unknown))
+            ) == (AllocationError, f"device {unknown} is not allocated")
+        assert new.row_of(2**63 - 1) == 1 and new.row_of(-2**63) == 2
+
+    def test_duplicates_rejected_without_mutation(self):
+        pop = Population()
+        pop.bulk_add([5, 6, 7, 8], np.arange(4.0))
+        before = pop.device_id.copy()
+        assert _outcome(lambda: pop.bulk_add([9, 10, 9], np.zeros(3))) == (
+            AllocationError, "duplicate device ids in bulk add",
+        )
+        # The first known id in batch order is named.
+        assert _outcome(
+            lambda: pop.bulk_add([11, 7, 12, 5], np.zeros(4))
+        ) == (AllocationError, "device 7 already allocated")
+        assert pop.device_id.tolist() == before.tolist()
+        assert 9 not in pop and 11 not in pop
+        # After removals shift rows, a removed id is free and the
+        # shifted ones are still known.
+        pop.remove(5)
+        pop.remove(7)
+        assert _outcome(lambda: pop.bulk_add([13, 8], np.zeros(2))) == (
+            AllocationError, "device 8 already allocated",
+        )
+        assert pop.bulk_add([7, 5], np.zeros(2)).tolist() == [2, 3]
+        assert [pop.row_of(d) for d in (6, 8, 7, 5)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_the_dict_index(self, seed):
+        rng = np.random.default_rng(seed)
+        new, old = Population(initial_capacity=1), DictIndexedPopulation(1)
+        for _ in range(300):
+            op = rng.integers(0, 4)
+            device = int(rng.integers(-20, 40))
+            if op == 0:
+                size = int(rng.integers(0, 6))
+                batch = rng.integers(-20, 40, size)
+                snrs = rng.normal(-10.0, 5.0, size)
+                calls = [lambda p: p.bulk_add(batch, snrs)]
+            elif op == 1:
+                calls = [lambda p: p.add(device, -1.0)]
+            elif op == 2:
+                calls = [lambda p: p.remove(device)]
+            else:
+                calls = [lambda p: p.row_of(device), lambda p: device in p]
+            for call in calls:
+                assert _outcome(lambda: call(new)) == _outcome(
+                    lambda: call(old)
+                )
+            for name, _, _ in Population._COLUMNS:
+                assert np.array_equal(
+                    getattr(new, name), getattr(old, name)
+                )
+        assert new.n_devices > 10
+
+    def test_office_population_retains_columns_plus_16_bytes_a_device(self):
+        """10^5 devices retain their columns, the 16 B-a-device index
+        (sorted ids plus their rows) and at most 64 KiB besides; the dict
+        index it replaced retained ~116 B a device more."""
+        n = 100_000
+        office_population(16, rng=1)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pop = office_population(n, rng=1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        columns = sum(
+            getattr(pop, name).nbytes for name, _, _ in Population._COLUMNS
+        )
+        assert pop.n_devices == n
+        assert retained <= columns + 16 * n + 64 * 1024
