@@ -40,6 +40,7 @@ from repro.phy.sparse_readout import (
     natural_probe_readout,
 )
 from repro.phy.sync import PreambleSynchronizer
+from repro.utils.parallel import pipeline
 
 #: Elements per chunk of the batched power tensor: bounds peak memory of
 #: a decode_rounds call regardless of how many rounds are batched. Tuned
@@ -47,6 +48,10 @@ from repro.phy.sync import PreambleSynchronizer
 #: draws, power tensors) then stays near L2/L3 size, which measures
 #: ~25% faster on 100-round fading batches with identical decisions
 #: (chunk boundaries only reorder the noise *stream*, never the law).
+#: When the analytic branch pipelines its chunks, the next chunk's
+#: window and probe values are composed while the current chunk is
+#: decided, so up to two chunks' stage-A arrays are live at once and
+#: the two threads share the cache.
 _CHUNK_ELEMENT_BUDGET = 1 << 20
 
 #: Cap on the number of noise-probe bins carried by the readout plan
@@ -1030,6 +1035,13 @@ class NetScatterReceiver:
         sparse-matmul or padded-FFT readout — whichever the model
         predicts faster. Decisions are bit-identical either way; the
         chosen backend is reported in :attr:`RoundsDecode.backend`.
+
+        With more than one round chunk and more than one usable CPU, the
+        closed-form path composes the next chunk's windows and probes on
+        a stage thread while this thread draws and decides the current
+        one (:func:`repro.utils.parallel.pipeline`); every draw stays on
+        this thread in chunk order, so the result is that of a serial
+        decode, bit for bit.
         """
         from repro.core.dcss import compose_readout, compose_rounds
 
@@ -1115,8 +1127,13 @@ class NetScatterReceiver:
             plan.window_readout.n_bins + plan.probe_readout.n_bins
         )
         chunk = max(1, _CHUNK_ELEMENT_BUDGET // max(1, elements_per_round))
-        pieces = []
-        for start in range(0, n_rounds, chunk):
+
+        # Stage A of a chunk composes its preamble windows and symbol-0
+        # probes; it draws nothing, so it may run ahead on the pipeline's
+        # stage thread. Stage B (every noise draw, the peak search, the
+        # located payload and the decisions) stays on this thread in
+        # chunk order, which keeps both noise streams bit-identical.
+        def compose(start):
             rounds = slice(start, start + chunk)
             tones = (
                 self._params,
@@ -1141,6 +1158,10 @@ class NetScatterReceiver:
                 plan.probe_readout,
                 dtype=dtype,
             )[:, 0, :]
+            return rounds, tones, window_values, probe_values
+
+        def decide(composed):
+            rounds, tones, window_values, probe_values = composed
             read_payload = None
             if not full_stream:
                 read_payload = partial(
@@ -1150,32 +1171,41 @@ class NetScatterReceiver:
                     bit_tensor[rounds, n_preamble_upchirps:],
                     dtype,
                 )
-            pieces.append(
-                self._decide_chunk(
-                    window_values,
-                    probe_values,
-                    n_preamble_upchirps,
-                    plan,
-                    None if noise_scale is None else noise_scale[rounds],
-                    stream,
-                    read_payload,
-                )
+            return self._decide_chunk(
+                window_values,
+                probe_values,
+                n_preamble_upchirps,
+                plan,
+                None if noise_scale is None else noise_scale[rounds],
+                stream,
+                read_payload,
             )
+
+        pieces = pipeline(compose, decide, range(0, n_rounds, chunk))
         return self._assemble_decode(pieces, "analytic", stream)
 
     def _noise_scale(self, noise_snr_db, rng, signal_power, n_rounds):
-        """Validate and broadcast the readout-noise amplitude per round."""
+        """Validate and broadcast the readout-noise amplitude per round.
+
+        Runs before any draw. A NaN or infinite SNR or signal power would
+        otherwise decode silently: NaN or infinite noise floors, or a
+        floor near zero.
+        """
         if noise_snr_db is None:
             return None
         if rng is None:
             raise DecodingError("readout-domain noise needs an rng")
-        if signal_power <= 0:
-            raise DecodingError("signal_power must be positive")
+        if not (np.isfinite(signal_power) and signal_power > 0):
+            raise DecodingError(
+                f"signal_power must be positive and finite, got {signal_power}"
+            )
         snr = np.asarray(noise_snr_db, dtype=float)
         if snr.ndim > 1 or (snr.ndim == 1 and snr.size != n_rounds):
             raise DecodingError(
                 "noise_snr_db must be scalar or one value per round"
             )
+        if not np.all(np.isfinite(snr)):
+            raise DecodingError("noise_snr_db must be finite")
         return np.broadcast_to(
             np.sqrt(signal_power / 10.0 ** (snr / 10.0)), (n_rounds,)
         )

@@ -51,7 +51,6 @@ statistics against it.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -72,6 +71,7 @@ from repro.hardware.mcu import McuTimingModel
 from repro.hardware.oscillator import OscillatorBank, tag_oscillator
 from repro.phy.noise import NOISE_MODES
 from repro.phy.packet import PacketStructure
+from repro.utils import parallel
 from repro.utils.rng import RngLike, child_rng, make_rng
 
 #: Engine names accepted by :class:`NetworkSimulator` and the sweeps.
@@ -527,19 +527,6 @@ class NetworkSimulator:
         )
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on, at least 1.
-
-    The process's affinity mask where the OS reports one, else
-    ``os.cpu_count()``. A container pinned to one CPU of a large host
-    counts 1 here, where ``os.cpu_count()`` would count the host's.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return max(1, len(affinity(0)))
-    return max(1, os.cpu_count() or 1)
-
-
 def resolve_pool_workers(workers: Optional[int]) -> int:
     """Effective process-pool size for a ``workers=`` request.
 
@@ -549,7 +536,8 @@ def resolve_pool_workers(workers: Optional[int]) -> int:
 
     * ``None``, ``0`` or ``1`` → serial (a 1-worker pool only adds
       pickling overhead);
-    * any request where only one CPU is usable (:func:`usable_cpus`) →
+    * any request where only one CPU is usable
+      (:func:`repro.utils.parallel.usable_cpus`) →
       serial — a pool cannot run points concurrently there, so spawning
       one would pay process start-up and pickling for nothing;
     * otherwise the request is honoured as given (deliberate
@@ -563,7 +551,7 @@ def resolve_pool_workers(workers: Optional[int]) -> int:
     requested = int(workers)
     if requested <= 1:
         return 0
-    if usable_cpus() <= 1:
+    if parallel.usable_cpus() <= 1:
         return 0
     return requested
 

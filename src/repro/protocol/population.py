@@ -80,6 +80,7 @@ import numpy as np
 
 from repro.core.config import NetScatterConfig
 from repro.errors import AllocationError, ConfigurationError
+from repro.utils import parallel
 from repro.utils.rng import RngLike, make_rng
 
 #: Association lifecycle encoded in :attr:`Population.phase`: a
@@ -806,6 +807,12 @@ def _monte_carlo_group_metrics(
     )
 
 
+def _pooled_leg(*job) -> Tuple[float, float]:
+    """One Monte-Carlo leg on a pool thread, marked as a pool thread."""
+    parallel.mark_parallel()
+    return _monte_carlo_group_metrics(*job)
+
+
 def _monte_carlo_legs(jobs: Sequence[tuple]) -> List[Tuple[float, float]]:
     """Run Monte-Carlo legs (:func:`_monte_carlo_group_metrics` argument
     tuples); returns their results in job order.
@@ -821,20 +828,18 @@ def _monte_carlo_legs(jobs: Sequence[tuple]) -> List[Tuple[float, float]]:
     ones finish, and the first failure in job order is raised once no
     worker thread is left. Workers take legs in job order, so every
     cancelled leg comes after every started one.
-    """
-    from repro.protocol.network import usable_cpus
 
-    workers = min(usable_cpus(), len(jobs))
+    A pooled leg is marked as a pool thread
+    (:func:`repro.utils.parallel.mark_parallel`), so its decode runs its
+    chunks serially instead of opening a stage thread of its own.
+    """
+    workers = min(parallel.usable_cpus(), len(jobs))
     if workers <= 1:
         return [_monte_carlo_group_metrics(*job) for job in jobs]
     pool = ThreadPoolExecutor(workers, thread_name_prefix="monte-carlo-leg")
     try:
         futures = [
-            pool.submit(
-                contextvars.copy_context().run,
-                _monte_carlo_group_metrics,
-                *job,
-            )
+            pool.submit(contextvars.copy_context().run, _pooled_leg, *job)
             for job in jobs
         ]
         wait(futures, return_when=FIRST_EXCEPTION)

@@ -26,6 +26,7 @@ import pytest
 
 import repro.campaign.runner as campaign_runner
 import repro.protocol.network as network_module
+import repro.utils.parallel as parallel_module
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.presets import (
     build_preset,
@@ -50,8 +51,8 @@ from repro.protocol.network import (
     NetworkSimulator,
     resolve_pool_workers,
     sweep_device_counts,
-    usable_cpus,
 )
+from repro.utils.parallel import usable_cpus
 from repro.utils.rng import child_rng, child_seed, make_rng
 
 COUNTS = (1, 16)
@@ -508,12 +509,12 @@ class TestResumability:
 
 class TestPoolFallback:
     def test_resolve_rules(self, monkeypatch):
-        monkeypatch.setattr(network_module, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 8)
         assert resolve_pool_workers(None) == 0
         assert resolve_pool_workers(0) == 0
         assert resolve_pool_workers(1) == 0
         assert resolve_pool_workers(4) == 4
-        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
         assert resolve_pool_workers(4) == 0
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
@@ -540,7 +541,7 @@ class TestPoolFallback:
 
     def test_sweep_on_single_cpu_never_spawns_a_pool(self, monkeypatch):
         """workers= on a 1-CPU host runs serially — pinned behaviour."""
-        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
@@ -574,7 +575,7 @@ class TestPoolFallback:
     def test_campaign_runner_on_single_cpu_never_spawns_a_pool(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(network_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
@@ -592,7 +593,7 @@ class TestPoolFallback:
     def test_pooled_campaign_matches_serial(self, monkeypatch):
         """With CPUs available the pool path produces identical
         metrics (each point owns its pre-derived seed)."""
-        monkeypatch.setattr(network_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
         pooled = CampaignRunner(workers=2).run(small_spec())
         assert pooled.metrics == run_campaign_sweep(small_spec())
 

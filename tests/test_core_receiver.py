@@ -202,3 +202,71 @@ class TestRoundsDecodeColumns:
             decode.column_of(5)
         # The index built by the first lookup is not stale after a miss.
         assert decode.column_of(3) == 1
+
+
+class TestNonFiniteNoiseInputs:
+    """A NaN or infinite SNR or signal power raises before any draw.
+
+    Before the check, ``noise_snr_db=nan`` decoded to NaN noise floors
+    and nothing detected, ``-inf`` to infinite floors, ``+inf`` to a
+    floor near zero, and ``signal_power=nan`` passed the ``<= 0`` test.
+    """
+
+    N_ROUNDS = 2
+
+    @staticmethod
+    def _decode(entry, rng, **noise):
+        from repro.core.config import NetScatterConfig
+        from repro.core.dcss import compose_rounds
+
+        config = NetScatterConfig(n_association_shifts=0)
+        receiver = NetScatterReceiver(config, {0: 10, 1: 200})
+        rounds = TestNonFiniteNoiseInputs.N_ROUNDS
+        bins = np.tile([10.0, 200.0], (rounds, 1))
+        amps, phases = np.ones((rounds, 2)), np.zeros((rounds, 2))
+        bit_tensor = np.ones((rounds, 8, 2))
+        if entry == "decode_readout":
+            return receiver.decode_readout(
+                bins, amps, phases, bit_tensor, rng=rng, **noise
+            )
+        symbols = compose_rounds(
+            config.chirp_params, bins, amps, phases, bit_tensor,
+            respread=False,
+        )
+        return receiver.decode_rounds(
+            symbols, dechirped=True, rng=rng, **noise
+        )
+
+    def _assert_rejected(self, entry, **noise):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(DecodingError):
+            self._decode(entry, rng, **noise)
+        assert rng.bit_generator.state == state  # nothing was drawn
+
+    ENTRIES = ("decode_rounds", "decode_readout")
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_finite_snr_rejected(self, entry, snr):
+        self._assert_rejected(entry, noise_snr_db=snr)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_one_nan_round_rejected(self, entry):
+        self._assert_rejected(entry, noise_snr_db=np.array([-10.0, np.nan]))
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_finite_signal_power_rejected(self, entry, power):
+        self._assert_rejected(
+            entry, noise_snr_db=-10.0, signal_power=power
+        )
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_finite_inputs_still_decode(self, entry):
+        decode = self._decode(
+            entry, np.random.default_rng(5),
+            noise_snr_db=np.array([-10.0, 0.0]), signal_power=2.0,
+        )
+        assert np.all(np.isfinite(decode.noise_power))
+        assert decode.detected.all()

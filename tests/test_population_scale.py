@@ -1186,10 +1186,10 @@ class TestMonteCarloPool:
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        import repro.protocol.network as network_module
+        import repro.utils.parallel as parallel_module
 
         def set_cpus(n):
-            monkeypatch.setattr(network_module, "usable_cpus", lambda: n)
+            monkeypatch.setattr(parallel_module, "usable_cpus", lambda: n)
 
         return set_cpus
 
