@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy>=2.0", "scipy"],
 )

@@ -55,7 +55,7 @@ import uuid
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.storage import PosixDriver, StorageDriver
-from repro.errors import StorageError, StorageMissingError
+from repro.errors import StorageError
 
 log = logging.getLogger("repro.campaign.leases")
 
@@ -98,6 +98,32 @@ def parse_lease(data: bytes) -> Optional[Dict[str, object]]:
     ):
         return None
     return payload
+
+
+def _lease_key(content_hash: str) -> str:
+    """The key of a point's lease in a lease-scoped driver."""
+    return f"{content_hash}.lease"
+
+
+def _read_lease(
+    driver: StorageDriver, content_hash: str
+) -> Optional[Dict[str, object]]:
+    """A point's lease payload, or ``None`` when vacant/torn/unreadable."""
+    try:
+        return parse_lease(driver.get(_lease_key(content_hash)))
+    except StorageError:
+        return None
+
+
+def live_lease(
+    driver: StorageDriver, content_hash: str
+) -> Optional[Dict[str, object]]:
+    """The live lease on a point, or ``None`` if vacant, expired, torn
+    or unreadable."""
+    current = _read_lease(driver, content_hash)
+    if current is None or _deadline(current) <= time.time():
+        return None
+    return current
 
 
 def scan_lease_backend(driver: StorageDriver) -> List[Dict[str, object]]:
@@ -171,9 +197,6 @@ class LeaseManager:
         with self._lock:
             return sorted(self._held)
 
-    def _key(self, content_hash: str) -> str:
-        return f"{content_hash}.lease"
-
     def _payload(self, content_hash: str, renewals: int) -> bytes:
         now = time.time()
         text = json.dumps(
@@ -193,13 +216,7 @@ class LeaseManager:
 
     def _read(self, content_hash: str) -> Optional[Dict[str, object]]:
         """Current lease payload, or ``None`` when vacant/torn/unreadable."""
-        try:
-            data = self._driver.get(self._key(content_hash))
-        except StorageMissingError:
-            return None
-        except StorageError:
-            return None
-        return parse_lease(data)
+        return _read_lease(self._driver, content_hash)
 
     # ------------------------------------------------------------------ #
     # protocol
@@ -216,7 +233,7 @@ class LeaseManager:
         one. A storage fault mid-claim simply loses the claim (the
         point is revisited on a later pass); it never corrupts state.
         """
-        key = self._key(content_hash)
+        key = _lease_key(content_hash)
         try:
             if self._driver.put_exclusive(
                 key, self._payload(content_hash, 0)
@@ -264,7 +281,7 @@ class LeaseManager:
             renewals = self._held.get(content_hash, 0) + 1
             self._held[content_hash] = renewals
         self._driver.replace(
-            self._key(content_hash), self._payload(content_hash, renewals)
+            _lease_key(content_hash), self._payload(content_hash, renewals)
         )
         return True
 
@@ -291,7 +308,7 @@ class LeaseManager:
         current = self._read(content_hash)
         if current is not None and current.get("owner") == self._owner:
             try:
-                self._driver.delete(self._key(content_hash))
+                self._driver.delete(_lease_key(content_hash))
             except StorageError:
                 pass  # expires on its own; never block completion on it
 
@@ -301,12 +318,7 @@ class LeaseManager:
 
     def holder(self, content_hash: str) -> Optional[Dict[str, object]]:
         """The live lease on a point, or ``None`` if vacant/expired."""
-        current = self._read(content_hash)
-        if current is None:
-            return None
-        if _deadline(current) <= time.time():
-            return None
-        return current
+        return live_lease(self._driver, content_hash)
 
 
 class HeartbeatThread:
@@ -378,6 +390,7 @@ __all__ = [
     "HeartbeatThread",
     "LeaseManager",
     "default_owner_id",
+    "live_lease",
     "parse_lease",
     "scan_lease_backend",
 ]

@@ -463,14 +463,15 @@ class CampaignRunner:
                 )
 
     def _cached_result(
-        self, point: CampaignPoint
+        self, point: CampaignPoint, owner: Optional[str] = None
     ) -> Optional[CampaignPointResult]:
         """Load a stored point, or ``None`` when persistent storage
         failure degrades the run mid-read (circuit open, retry budget
         spent) — the caller then recomputes the point instead of
-        crashing a partial run."""
+        crashing a partial run. ``owner`` is this run's lease owner,
+        once it has one (:meth:`CampaignStore.verify_chunk`)."""
         try:
-            payload = self._store.load(point)
+            payload = self._store.load(point, owner)
         except PersistentStorageError as error:
             self._degrade(error)
             return None
@@ -652,13 +653,14 @@ class CampaignRunner:
         """
         started = time.monotonic()
         pending = list(pending)
+        owner = leases.owner if leases is not None else None
         while pending:
             progressed = False
             waiting: List[int] = []
             for index in pending:
                 point, content_hash = points[index], hashes[index]
-                if self._store_has(point):
-                    cached = self._cached_result(point)
+                if self._store_has(point, owner):
+                    cached = self._cached_result(point, owner)
                     if cached is not None:
                         self._resolve(outcome, index, cached)
                         progressed = True
@@ -680,8 +682,8 @@ class CampaignRunner:
                     # (which may stall on a slow backend), the holder
                     # can save and release. Re-check under the lease
                     # so the point is never computed twice.
-                    if self._store_has(point):
-                        cached = self._cached_result(point)
+                    if self._store_has(point, owner):
+                        cached = self._cached_result(point, owner)
                         if cached is not None:
                             leases.release(content_hash)
                             self._resolve(outcome, index, cached)
@@ -833,11 +835,13 @@ class CampaignRunner:
             )
         self._storage_degraded = True
 
-    def _store_has(self, point: CampaignPoint) -> bool:
+    def _store_has(
+        self, point: CampaignPoint, owner: Optional[str] = None
+    ) -> bool:
         if self._store is None:
             return False
         try:
-            return self._store.has(point)
+            return self._store.has(point, owner)
         except PersistentStorageError as error:
             self._degrade(error)
             return False

@@ -38,10 +38,12 @@ decode, carry the store schema, embed a point whose recomputed
 must be a readable archive. A chunk failing any check is moved to
 ``quarantine/`` with a reason stamp and treated as missing, so a torn
 write that *landed silently* (a non-atomic backend, a bad disk, or
-manual tampering — torn writes that raise are healed by driver-level
-retry before reaching here) can never poison the bit-for-bit
-warm-rerun contract: the runner simply recomputes the point and the
-store heals.
+manual tampering) can never poison the bit-for-bit warm-rerun
+contract: the runner simply recomputes the point and the store heals.
+A torn write that raises is healed by the writer's driver-level retry;
+a reader that sees its prefix in between, under the writer's live
+lease, re-reads instead of quarantining (:meth:`CampaignStore.
+verify_chunk`).
 
 Doctest — save, hit, reload:
 
@@ -77,7 +79,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.campaign.faults import FaultPlan
-from repro.campaign.leases import scan_lease_backend
+from repro.campaign.leases import live_lease, scan_lease_backend
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
@@ -204,17 +206,18 @@ class CampaignStore:
     def _npz_key(self, content_hash: str) -> str:
         return f"points/{content_hash}.npz"
 
-    def has(self, point: CampaignPoint) -> bool:
+    def has(self, point: CampaignPoint, owner: Optional[str] = None) -> bool:
         """True when a *verified* chunk exists for this exact content.
 
         A chunk that exists but fails integrity verification is
         quarantined and reported missing, so the runner recomputes it.
+        ``owner`` is the reader's lease owner (see :meth:`verify_chunk`).
         """
         content_hash = point.content_hash()
         if not self._driver.exists(self._chunk_key(content_hash)):
             return False
         try:
-            self.verify_chunk(content_hash)
+            self.verify_chunk(content_hash, owner)
         except CampaignIntegrityError:
             return False
         return True
@@ -290,13 +293,16 @@ class CampaignStore:
             chunk_data[: max(1, len(chunk_data) // 2)],
         )
 
-    def load(self, point: CampaignPoint) -> Dict[str, object]:
+    def load(
+        self, point: CampaignPoint, owner: Optional[str] = None
+    ) -> Dict[str, object]:
         """Full stored payload for ``point`` (metrics, provenance, …).
 
         Array payloads saved alongside the chunk are loaded back under
-        the ``"arrays"`` key.
+        the ``"arrays"`` key. ``owner`` is the reader's lease owner (see
+        :meth:`verify_chunk`).
         """
-        return self.load_hash(point.content_hash())
+        return self.load_hash(point.content_hash(), owner)
 
     # ------------------------------------------------------------------ #
     # integrity + quarantine
@@ -348,7 +354,9 @@ class CampaignStore:
                 reasons[stem] = "unknown"
         return reasons
 
-    def verify_chunk(self, content_hash: str) -> Dict[str, object]:
+    def verify_chunk(
+        self, content_hash: str, owner: Optional[str] = None
+    ) -> Dict[str, object]:
         """Verified chunk payload; quarantines and raises on corruption.
 
         Checks, in order: the JSON decodes to a dict, carries the store
@@ -356,20 +364,45 @@ class CampaignStore:
         content hash equals the key (so a renamed or tampered chunk can
         never serve the wrong physics), and any referenced array
         payload is a readable archive.
+
+        A chunk that does not decode while another holder's lease on
+        it is live is a write in progress, not corruption: a torn
+        attempt that raised lands its prefix at the key until the
+        holder's retry replaces it. It is re-read under the driver's
+        retry policy, and quarantined only once no other holder's live
+        lease is left. If the lease outlives the re-reads, the chunk
+        stays in place and reads as missing (``CampaignIntegrityError``).
+        ``owner`` is the reader's own lease owner, whose leases do not
+        count; ``None`` counts every live lease.
         """
-        try:
-            raw = self._driver.get(self._chunk_key(content_hash))
-        except StorageMissingError:
-            raise ReproError(
-                f"campaign store has no point {content_hash[:12]}… "
-                f"under {self._root or self._driver.name}"
-            ) from None
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise self._quarantine_and_raise(
-                content_hash, "undecodable-json"
-            )
+        chunk_key = self._chunk_key(content_hash)
+        policy = self._driver.policy
+        attempt = 1
+        while True:
+            try:
+                raw = self._driver.get(chunk_key)
+            except StorageMissingError:
+                raise ReproError(
+                    f"campaign store has no point {content_hash[:12]}… "
+                    f"under {self._root or self._driver.name}"
+                ) from None
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+                break
+            except (UnicodeDecodeError, ValueError):
+                holder = live_lease(self.lease_backend, content_hash)
+                if holder is None or holder.get("owner") == owner:
+                    raise self._quarantine_and_raise(
+                        content_hash, "undecodable-json"
+                    )
+            if attempt >= policy.max_attempts:
+                raise CampaignIntegrityError(
+                    f"chunk {content_hash[:12]}… is still undecodable "
+                    f"under {holder.get('owner')}'s live lease after "
+                    f"{attempt} reads; left in place"
+                )
+            time.sleep(policy.backoff_s(f"verify:{chunk_key}", attempt))
+            attempt += 1
         if not isinstance(payload, dict):
             raise self._quarantine_and_raise(content_hash, "not-an-object")
         if payload.get("schema") != STORE_SCHEMA:
@@ -417,8 +450,10 @@ class CampaignStore:
         """The chunk's verified JSON payload, without loading arrays."""
         return self.verify_chunk(content_hash)
 
-    def load_hash(self, content_hash: str) -> Dict[str, object]:
-        payload = self._read_chunk(content_hash)
+    def load_hash(
+        self, content_hash: str, owner: Optional[str] = None
+    ) -> Dict[str, object]:
+        payload = self.verify_chunk(content_hash, owner)
         if "arrays_file" in payload:
             try:
                 raw = self._driver.get(self._npz_key(content_hash))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,10 +48,10 @@ from repro.utils.parallel import pipeline
 #: draws, power tensors) then stays near L2/L3 size, which measures
 #: ~25% faster on 100-round fading batches with identical decisions
 #: (chunk boundaries only reorder the noise *stream*, never the law).
-#: When the analytic branch pipelines its chunks, the next chunk's
-#: window and probe values are composed while the current chunk is
-#: decided, so up to two chunks' stage-A arrays are live at once and
-#: the two threads share the cache.
+#: When decode_readout pipelines its chunks, the next chunk's window and
+#: probe values are composed while the current chunk is decided, so up
+#: to two chunks' stage-A arrays are live at once and the two threads
+#: share the cache.
 _CHUNK_ELEMENT_BUDGET = 1 << 20
 
 #: Cap on the number of noise-probe bins carried by the readout plan
@@ -190,36 +190,6 @@ class RoundsDecode:
         """All rounds as per-round decodes."""
         return [self.frame(r) for r in range(self.n_rounds)]
 
-    @classmethod
-    def concatenate(
-        cls, decodes: Sequence["RoundsDecode"]
-    ) -> "RoundsDecode":
-        """Stack round-major batches decoded by the same receiver.
-
-        The device columns (and the backend / noise-stream labels,
-        taken from the first batch) must agree — callers split one
-        logical batch, decode the pieces, and reassemble here.
-        """
-        if not decodes:
-            raise DecodingError("need at least one decode to concatenate")
-        first = decodes[0]
-        if len(decodes) == 1:
-            return first
-        return cls(
-            device_ids=first.device_ids,
-            shifts=first.shifts,
-            detected=np.concatenate([d.detected for d in decodes]),
-            preamble_power=np.concatenate(
-                [d.preamble_power for d in decodes]
-            ),
-            noise_power=np.concatenate([d.noise_power for d in decodes]),
-            bits=np.concatenate([d.bits for d in decodes]),
-            bit_powers=np.concatenate([d.bit_powers for d in decodes]),
-            backend=first.backend,
-            noise_mode=first.noise_mode,
-            noise_version=first.noise_version,
-        )
-
 
 class _ReadoutPlan:
     """Cached bin layout + operators for the batched decode engine.
@@ -336,6 +306,39 @@ class _ReadoutPlan:
             self.window_values(tensor, False),
             self.probe_values(tensor[:, 0, :], False),
         )
+
+    def read_round(
+        self,
+        symbols: np.ndarray,
+        grid: np.ndarray,
+        windows: np.ndarray,
+        probes: np.ndarray,
+    ) -> None:
+        """The exact :meth:`read` of one ``(S, 2^SF)`` round, in place.
+
+        The round's padded FFT fills ``grid`` (``(S, 2^SF * zp)``,
+        reused by every round of a decode) and its window and symbol-0
+        probe bins are gathered into the round's ``(S, D, W)`` and
+        ``(n_probes,)`` rows of a chunk's output. Equal, bit for bit,
+        to the batch :meth:`read` of the rounds it fills.
+        """
+        full_fft_values(
+            self.window_readout.params,
+            self.window_readout.zero_pad_factor,
+            symbols,
+            fold_downchirp=self._fold,
+            out=grid,
+        )
+        # Every index is in range, so ``clip`` only spares ``take`` the
+        # buffered copy it makes of ``out`` under the default ``raise``.
+        np.take(
+            grid,
+            self.window_idx.ravel(),
+            axis=-1,
+            out=windows.reshape(grid.shape[0], -1),
+            mode="clip",
+        )
+        np.take(grid[0], self.probe_idx, out=probes, mode="clip")
 
     @property
     def window_noise_factor(self) -> np.ndarray:
@@ -920,31 +923,61 @@ class NetScatterReceiver:
         stream: Optional[NoiseStream],
     ) -> RoundsDecode:
         """Chunked decode of a symbol tensor through one spectral backend."""
-        n = self._params.n_samples
         n_rounds, n_symbols, _ = symbol_tensor.shape
         plan = self._readout_plan(dechirped)
-        if backend == "fft":
-            # The exact path materialises the full zero-padded grid.
-            elements_per_round = (
-                n_symbols * n * self._config.zero_pad_factor
-            )
-        else:
-            elements_per_round = n_symbols * plan.window_readout.n_bins
-        chunk = max(1, _CHUNK_ELEMENT_BUDGET // max(1, elements_per_round))
         pieces = [
             self._decode_chunk(
-                symbol_tensor[start : start + chunk],
+                symbol_tensor[start:stop],
                 n_preamble_upchirps,
                 plan,
                 backend == "fft",
-                None if noise_scale is None else noise_scale[
-                    start : start + chunk
-                ],
+                None if noise_scale is None else noise_scale[start:stop],
                 stream,
             )
-            for start in range(0, n_rounds, chunk)
+            for start, stop in self._decide_spans(
+                n_rounds, n_symbols, plan, backend
+            )
         ]
         return self._assemble_decode(pieces, backend, stream)
+
+    def _decide_spans(
+        self,
+        n_rounds: int,
+        n_symbols: int,
+        plan: _ReadoutPlan,
+        backend: str,
+        n_tones: Optional[int] = None,
+    ) -> List[Tuple[int, int]]:
+        """``(start, stop)`` rounds of each decide chunk of a waveform decode.
+
+        A decide chunk holds the rounds whose readout fits the element
+        budget: the full padded grid on the ``fft`` backend, the read
+        bins on ``sparse``. Tone inputs (``n_tones`` tones per round)
+        are first cut into compose chunks, sized for each round's
+        composed symbols and tone matrix, and each compose chunk into
+        decide chunks; a symbol tensor is one compose chunk. The engine
+        noise is drawn one decide chunk at a time, in this order, so
+        these boundaries fix the draws.
+        """
+        n = self._params.n_samples
+        if backend == "fft":
+            per_round = n_symbols * n * self._config.zero_pad_factor
+        else:
+            per_round = n_symbols * plan.window_readout.n_bins
+        decide = max(1, _CHUNK_ELEMENT_BUDGET // max(1, per_round))
+        compose = max(1, n_rounds)
+        if n_tones is not None:
+            compose = max(
+                1, _CHUNK_ELEMENT_BUDGET // ((n_symbols + n_tones) * n)
+            )
+        spans = []
+        for first in range(0, n_rounds, compose):
+            last = min(first + compose, n_rounds)
+            spans.extend(
+                (start, min(start + decide, last))
+                for start in range(first, last, decide)
+            )
+        return spans
 
     def _backend_planner(self):
         """The cost-model planner used by ``readout="auto"``."""
@@ -1036,14 +1069,16 @@ class NetScatterReceiver:
         predicts faster. Decisions are bit-identical either way; the
         chosen backend is reported in :attr:`RoundsDecode.backend`.
 
-        With more than one round chunk and more than one usable CPU, the
-        closed-form path composes the next chunk's windows and probes on
-        a stage thread while this thread draws and decides the current
-        one (:func:`repro.utils.parallel.pipeline`); every draw stays on
+        With more than one round chunk and more than one usable CPU,
+        every backend composes the next chunk's readout values on a
+        stage thread while this thread draws and decides the current
+        one (:func:`repro.utils.parallel.pipeline`): the closed-form
+        path its windows and probes, the waveform paths the tone sum
+        and its readout (:meth:`_decode_tones`). Every draw stays on
         this thread in chunk order, so the result is that of a serial
         decode, bit for bit.
         """
-        from repro.core.dcss import compose_readout, compose_rounds
+        from repro.core.dcss import compose_readout
 
         effective_bins = np.asarray(effective_bins, dtype=float)
         bit_tensor = np.asarray(bit_tensor, dtype=float)
@@ -1078,39 +1113,16 @@ class NetScatterReceiver:
                     f"planner chose unknown backend {backend!r}"
                 )
             if backend != "analytic":
-                # Synthesise the tone sum in round chunks, in the
-                # dechirped domain (the re-spread/de-spread rotation
-                # cancels through the receiver), and run the selected
-                # waveform backend on each chunk — the composed tensor
-                # honours the same element budget as the decode, so
-                # peak memory stays bounded for arbitrary batch sizes.
-                n = self._params.n_samples
-                per_round = (n_symbols + effective_bins.shape[1]) * n
-                chunk = max(1, _CHUNK_ELEMENT_BUDGET // per_round)
-                pieces = []
-                for start in range(0, n_rounds, chunk):
-                    stop = start + chunk
-                    symbols = compose_rounds(
-                        self._params,
-                        effective_bins[start:stop],
-                        amplitudes[start:stop],
-                        phases_rad[start:stop],
-                        bit_tensor[start:stop],
-                        respread=False,
-                    )
-                    pieces.append(
-                        self._decode_tensor(
-                            symbols,
-                            n_preamble_upchirps,
-                            True,
-                            backend,
-                            None if noise_scale is None else noise_scale[
-                                start:stop
-                            ],
-                            stream,
-                        )
-                    )
-                return RoundsDecode.concatenate(pieces)
+                return self._decode_tones(
+                    effective_bins,
+                    amplitudes,
+                    phases_rad,
+                    bit_tensor,
+                    n_preamble_upchirps,
+                    backend,
+                    noise_scale,
+                    stream,
+                )
         # The kernel is domain-free (it reads the dechirped tone), so
         # use the dechirped-domain plan: identical bin layout and noise
         # factor, no downchirp fold anywhere.
@@ -1183,6 +1195,91 @@ class NetScatterReceiver:
 
         pieces = pipeline(compose, decide, range(0, n_rounds, chunk))
         return self._assemble_decode(pieces, "analytic", stream)
+
+    def _decode_tones(
+        self,
+        effective_bins: np.ndarray,
+        amplitudes: np.ndarray,
+        phases_rad: np.ndarray,
+        bit_tensor: np.ndarray,
+        n_preamble_upchirps: int,
+        backend: str,
+        noise_scale,
+        stream: Optional[NoiseStream],
+    ) -> RoundsDecode:
+        """Tone-sum rounds through the ``sparse`` or ``fft`` readout.
+
+        The tone sum is synthesised in the dechirped domain (the
+        re-spread/de-spread rotation cancels through the receiver) one
+        decide chunk at a time (:meth:`_decide_spans`), so the composed
+        symbols honour the decode's element budget and peak memory
+        stays bounded for any batch size.
+
+        Stage A of a chunk composes its symbols and reads their window
+        and symbol-0 probe values; it draws nothing, so it runs ahead
+        on the pipeline's stage thread. Stage B (:meth:`_decide_chunk`)
+        draws and decides on this thread in chunk order. The ``fft``
+        stage A streams round by round: each round is composed alone,
+        transformed into one padded grid that every round reuses and
+        gathered into the chunk's output
+        (:meth:`_ReadoutPlan.read_round`), so no chunk-sized grid or
+        symbol tensor is ever held. The ``sparse`` stage A reads each
+        chunk in one operator call: a one-round read takes BLAS's
+        one-row path, which is not bit-identical to the batch read.
+        """
+        from repro.core.dcss import compose_rounds
+
+        plan = self._readout_plan(dechirped=True)
+        n_rounds, n_symbols, n_tones = bit_tensor.shape
+        exact = backend == "fft"
+        if exact:
+            grid = np.empty(
+                (n_symbols, plan.n_samples * self._config.zero_pad_factor),
+                dtype=complex,
+            )
+
+        def compose(rounds):
+            return compose_rounds(
+                self._params,
+                effective_bins[rounds],
+                amplitudes[rounds],
+                phases_rad[rounds],
+                bit_tensor[rounds],
+                respread=False,
+            )
+
+        def read(span):
+            start, stop = span
+            if not exact:
+                return span, *plan.read(compose(slice(start, stop)), False)
+            windows = np.empty(
+                (stop - start, n_symbols, plan.n_devices, plan.window_width),
+                dtype=complex,
+            )
+            probes = np.empty((stop - start, plan.n_probes), dtype=complex)
+            for row, r in enumerate(range(start, stop)):
+                plan.read_round(
+                    compose(slice(r, r + 1))[0], grid, windows[row],
+                    probes[row],
+                )
+            return span, windows, probes
+
+        def decide(staged):
+            (start, stop), windows, probes = staged
+            return self._decide_chunk(
+                windows,
+                probes,
+                n_preamble_upchirps,
+                plan,
+                None if noise_scale is None else noise_scale[start:stop],
+                stream,
+            )
+
+        spans = self._decide_spans(
+            n_rounds, n_symbols, plan, backend, n_tones=n_tones
+        )
+        pieces = pipeline(read, decide, spans)
+        return self._assemble_decode(pieces, backend, stream)
 
     def _noise_scale(self, noise_snr_db, rng, signal_power, n_rounds):
         """Validate and broadcast the readout-noise amplitude per round.

@@ -626,6 +626,7 @@ def full_fft_values(
     symbols: np.ndarray,
     bin_indices: Optional[np.ndarray] = None,
     fold_downchirp: bool = True,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact reference: zero-padded FFT values, optionally column-gathered.
 
@@ -633,6 +634,10 @@ def full_fft_values(
     to :class:`SparseReadout` but computed through ``np.fft.fft`` on the
     full padded grid. Kept for verification and for workloads where the
     number of read bins approaches the grid size.
+
+    ``out``, a complex128 array of the padded grid's shape, receives the
+    spectrum (``np.fft.fft(..., out=)``, NumPy >= 2.0), so a caller
+    reading many symbol batches of one shape reuses one grid buffer.
     """
     symbols = np.asarray(symbols, dtype=complex)
     n = params.n_samples
@@ -642,7 +647,9 @@ def full_fft_values(
         )
     if fold_downchirp:
         symbols = symbols * downchirp(params)
-    spectrum = np.fft.fft(symbols, n=n * int(zero_pad_factor), axis=-1)
+    spectrum = np.fft.fft(
+        symbols, n=n * int(zero_pad_factor), axis=-1, out=out
+    )
     if bin_indices is None:
         return spectrum
     return spectrum[..., np.asarray(bin_indices, dtype=np.int64)]

@@ -1,13 +1,16 @@
-"""The two-stage analytic decode pipeline and the one parallelism rule.
+"""The two-stage decode pipeline and the one parallelism rule.
 
-``NetScatterReceiver.decode_readout`` composes each round chunk's
-preamble windows and symbol-0 probes (stage A) on a stage thread while
-the caller draws the previous chunk's noise and decides it (stage B),
-through :func:`repro.utils.parallel.pipeline`. Three contracts:
+``NetScatterReceiver.decode_readout`` reads each round chunk (stage A)
+on a stage thread while the caller draws the previous chunk's noise and
+decides it (stage B), through :func:`repro.utils.parallel.pipeline`.
+On the analytic backend stage A composes the chunk's preamble windows
+and symbol-0 probes; on the ``fft`` and ``sparse`` backends it
+synthesises the chunk's tone sum and reads it, the ``fft`` one round at
+a time into one reused grid. Three contracts:
 
 * **serial equals pipelined** — every ``RoundsDecode`` array is equal,
   bit for bit, whether one, two or four CPUs are usable, across chunk
-  counts, spreading factors, noise streams and precisions;
+  counts, spreading factors, noise streams, precisions and backends;
 * **failures surface cleanly** — a stage failure reaches the caller
   with its own type, nothing runs far ahead, and no stage thread
   outlives the call;
@@ -39,7 +42,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.receiver import NetScatterReceiver
-from repro.phy import sparse_readout
+from repro.phy import backend_plan, sparse_readout
 from repro.protocol.network import NetworkSimulator, sweep_device_counts
 from repro.protocol.population import (
     FidelityRule,
@@ -491,3 +494,336 @@ class TestProcessPoolWorkersPipeline:
                 name.startswith(STAGE_THREAD_PREFIX)
                 for name in result.provenance["threads"]
             )
+
+
+# --------------------------------------------------------------------- #
+# the waveform branch: tone sums read through the fft or sparse backend
+# --------------------------------------------------------------------- #
+
+
+class _ForcedPlanner:
+    """Duck-typed planner pinning ``readout="auto"`` to one backend."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def select(self, workload):
+        return self.backend
+
+
+def _waveform_receiver(config, assignments, backend, noise="payload"):
+    return NetScatterReceiver(
+        config, assignments, readout="auto",
+        planner=_ForcedPlanner(backend), noise_mode=noise,
+    )
+
+
+def _force_span_rounds(monkeypatch, receiver, n_symbols, n_tones, backend,
+                       rounds):
+    """Set the element budget so a waveform decide span holds ``rounds``.
+
+    On ``fft`` the padded grid bounds the decide span, and a compose
+    chunk then holds ``rounds * n_symbols * zp // (n_symbols + n_tones)``
+    rounds, so it splits into several decide spans. On ``sparse`` the
+    compose chunk is the bound.
+    """
+    n = receiver.readout_plan.n_samples
+    if backend == "fft":
+        per_round = n_symbols * n * receiver.config.zero_pad_factor
+    else:
+        per_round = (n_symbols + n_tones) * n
+    monkeypatch.setattr(
+        receiver_module, "_CHUNK_ELEMENT_BUDGET", rounds * per_round
+    )
+
+
+def _waveform_decode(receiver, batch, noise, n_rounds, seed=77):
+    kwargs = {}
+    if noise is not None:
+        kwargs = dict(
+            noise_snr_db=np.linspace(-14.0, -8.0, n_rounds),
+            rng=np.random.default_rng(seed),
+        )
+    return receiver.decode_readout(*batch, **kwargs)
+
+
+class TestSerialEqualsPooledWaveformDecode:
+    """Every waveform decode array is equal whether or not it pipelines."""
+
+    @pytest.mark.parametrize("noise", [None, "payload", "full"])
+    @pytest.mark.parametrize(
+        "n_rounds, n_spans", [(2, 1), (4, 2), (5, 3), (17, 9)]
+    )
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    @pytest.mark.parametrize("backend", ["fft", "sparse"])
+    def test_pool_and_serial_waveform_decodes_are_identical(
+        self, monkeypatch, cpus, started, chunk_counts,
+        backend, sf, n_rounds, n_spans, noise,
+    ):
+        """2, 4 and 5 rounds decode as 1, 2 and 3 spans, the last of 5
+        ragged; on fft the 4 rounds are one compose chunk split into two
+        decide spans, and 17 rounds cross a compose chunk boundary."""
+        config, assignments, batch = _scenario(sf, n_rounds)
+        receiver = _waveform_receiver(
+            config, assignments, backend, noise or "payload"
+        )
+        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+
+        cpus(1)
+        serial = _waveform_decode(receiver, batch, noise, n_rounds)
+        assert started == []
+        assert serial.backend == backend
+        for n in (2, 4):
+            cpus(n)
+            _assert_same_decode(
+                _waveform_decode(receiver, batch, noise, n_rounds), serial
+            )
+        assert chunk_counts == [n_spans] * 3
+        stage_threads = started.named(STAGE_THREAD_PREFIX)
+        assert len(stage_threads) == (2 if n_spans > 1 else 0)
+        assert not _stage_threads_alive()
+
+    def test_pool_and_serial_dense_simulator_metrics_are_identical(
+        self, monkeypatch, cpus, started, chunk_counts
+    ):
+        """256 devices under a planner pinned to the FFT: 20 rounds, in
+        seven decide spans, give equal metrics either way."""
+        monkeypatch.setattr(
+            backend_plan, "_HOST_PLANNER", _ForcedPlanner("fft")
+        )
+        config = NetScatterConfig(n_association_shifts=0)
+
+        def run():
+            simulator = NetworkSimulator(
+                paper_deployment(n_devices=256, rng=11),
+                config=config,
+                rng=np.random.default_rng(3),
+                engine="auto",
+            )
+            return dataclasses.asdict(simulator.run_rounds(20))
+
+        cpus(1)
+        serial = run()
+        cpus(2)
+        assert run() == serial
+        assert serial["backend"] == "fft"
+        assert chunk_counts == [7, 7]
+        assert started.named(STAGE_THREAD_PREFIX)
+
+
+class TestDecideSpansPool:
+    """The one helper that cuts waveform decodes into decide spans."""
+
+    def test_pool_spans_of_dense_256(self):
+        """``dense-256``: 46 symbols of 256 tones at SF 9 (zp 10). A
+        compose chunk holds 2^20 // ((46 + 256) * 512) = 6 rounds, a
+        decide chunk 2^20 // (46 * 512 * 10) = 4."""
+        config = NetScatterConfig(n_association_shifts=0)
+        assert (config.spreading_factor, config.zero_pad_factor) == (9, 10)
+        receiver = NetScatterReceiver(
+            config, {i: config.skip * i for i in range(256)}
+        )
+        spans = receiver._decide_spans(
+            20, 46, receiver.readout_plan, "fft", n_tones=256
+        )
+        assert spans == [
+            (0, 4), (4, 6), (6, 10), (10, 12), (12, 16), (16, 18), (18, 20),
+        ]
+
+    def test_pool_spans_nest_decide_chunks_in_compose_chunks(
+        self, monkeypatch
+    ):
+        config, assignments, _ = _scenario(9, 31)
+        receiver = _waveform_receiver(config, assignments, "fft")
+        _force_span_rounds(monkeypatch, receiver, 16, 6, "fft", 4)
+        # Compose chunks of 4 * 16 * 10 // 22 = 29 rounds, decide spans
+        # of 4: the first compose chunk ends in a 1-round span, and the
+        # second starts a span of its own.
+        assert receiver._decide_spans(
+            31, 16, receiver.readout_plan, "fft", n_tones=6
+        ) == [
+            (0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 24), (24, 28),
+            (28, 29), (29, 31),
+        ]
+
+    @pytest.mark.parametrize("backend", ["fft", "sparse"])
+    def test_pool_decode_rounds_chunks_are_unchanged(
+        self, monkeypatch, backend
+    ):
+        """A symbol tensor is one compose chunk: ``decode_rounds`` reads
+        consecutive chunks of ``budget // elements-per-round`` rounds."""
+        config, assignments, (bins, amps, phases, bits) = _scenario(9, 13)
+        receiver = NetScatterReceiver(config, assignments, readout=backend)
+        plan = receiver.readout_plan
+        if backend == "fft":
+            per_round = 16 * plan.n_samples * config.zero_pad_factor
+        else:
+            per_round = 16 * plan.window_readout.n_bins
+        monkeypatch.setattr(
+            receiver_module, "_CHUNK_ELEMENT_BUDGET", 3 * per_round
+        )
+        chunks = []
+        decode_chunk = NetScatterReceiver._decode_chunk
+
+        def recording(self, tensor, *args):
+            chunks.append(tensor.shape[0])
+            return decode_chunk(self, tensor, *args)
+
+        monkeypatch.setattr(NetScatterReceiver, "_decode_chunk", recording)
+        symbols = dcss_module.compose_rounds(
+            config.chirp_params, bins, amps, phases, bits
+        )
+        decode = receiver.decode_rounds(
+            symbols, noise_snr_db=-10.0, rng=np.random.default_rng(2)
+        )
+        assert chunks == [3, 3, 3, 3, 1]
+        assert decode.n_rounds == 13
+
+
+class TestStreamedReadPool:
+    """The fft stage A reads each round alone, into reused buffers."""
+
+    @pytest.mark.parametrize(
+        "sf, n_devices", [(9, 256), (9, 64), (9, 16), (7, 32), (12, 16)]
+    )
+    def test_pool_streamed_fft_read_equals_the_batch_read(
+        self, sf, n_devices
+    ):
+        config = NetScatterConfig(spreading_factor=sf, n_association_shifts=0)
+        shifts = [config.skip * i for i in range(n_devices)]
+        rng = np.random.default_rng(sf + n_devices)
+        n_rounds, n_symbols = 3, 12
+        bins = np.array(shifts, float) + rng.normal(0, 0.1, (n_rounds, n_devices))
+        amps = rng.uniform(0.8, 1.5, (n_rounds, n_devices))
+        phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+        bits = rng.integers(0, 2, (n_rounds, n_symbols, n_devices))
+
+        def compose(rounds):
+            return dcss_module.compose_rounds(
+                config.chirp_params, bins[rounds], amps[rounds],
+                phases[rounds], bits[rounds], respread=False,
+            )
+
+        tensor = compose(slice(None))
+        receiver = NetScatterReceiver(config, dict(enumerate(shifts)))
+        plan = receiver._readout_plan(dechirped=True)
+        windows, probes = plan.read(tensor, True)
+
+        grid = np.empty(
+            (n_symbols, plan.n_samples * config.zero_pad_factor), complex
+        )
+        streamed_windows = np.empty_like(windows)
+        streamed_probes = np.empty_like(probes)
+        for r in range(n_rounds):
+            symbols = compose(slice(r, r + 1))
+            assert np.array_equal(symbols, tensor[r : r + 1])
+            plan.read_round(
+                symbols[0], grid, streamed_windows[r], streamed_probes[r]
+            )
+        assert np.array_equal(streamed_windows, windows)
+        assert np.array_equal(streamed_probes, probes)
+
+    @pytest.mark.parametrize("backend", ["fft", "sparse"])
+    def test_pool_stage_a_composes_rounds_or_whole_spans(
+        self, monkeypatch, cpus, backend
+    ):
+        """fft: one composition and one FFT per round, every FFT into
+        the same grid; sparse: one composition per span."""
+        cpus(2)
+        config, assignments, batch = _scenario(9, 5)
+        receiver = _waveform_receiver(config, assignments, backend)
+        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+        composed, grids = [], set()
+        compose = dcss_module.compose_rounds
+        fft = receiver_module.full_fft_values
+
+        def counting_compose(params, bins, *args, **kwargs):
+            composed.append(bins.shape[0])
+            return compose(params, bins, *args, **kwargs)
+
+        def recording_fft(*args, out=None, **kwargs):
+            grids.add(id(out))
+            return fft(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(dcss_module, "compose_rounds", counting_compose)
+        monkeypatch.setattr(receiver_module, "full_fft_values", recording_fft)
+        _waveform_decode(receiver, batch, "payload", 5)
+        if backend == "fft":
+            assert composed == [1] * 5
+            assert len(grids) == 1 and id(None) not in grids
+        else:
+            assert composed == [2, 2, 1]
+            assert not grids
+
+
+class TestWaveformPoolFailures:
+    N_ROUNDS = 10  # five spans of CHUNK_ROUNDS
+
+    @pytest.mark.parametrize("failing_span", [0, 1, 3])
+    @pytest.mark.parametrize("backend", ["fft", "sparse"])
+    def test_pool_waveform_stage_a_failure_reaches_the_caller(
+        self, monkeypatch, cpus, backend, failing_span
+    ):
+        cpus(2)
+        config, assignments, batch = _scenario(9, self.N_ROUNDS)
+        receiver = _waveform_receiver(config, assignments, backend)
+        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+        compose = dcss_module.compose_rounds
+        composed = []  # the span of every composition, in call order
+        per_span = CHUNK_ROUNDS if backend == "fft" else 1
+
+        def failing_compose(*args, **kwargs):
+            span = len(composed) // per_span
+            composed.append(span)
+            if span == failing_span:
+                raise _StageFailure(f"span {span}")
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(dcss_module, "compose_rounds", failing_compose)
+        with pytest.raises(_StageFailure, match=f"span {failing_span}"):
+            _waveform_decode(receiver, batch, "payload", self.N_ROUNDS)
+        assert max(composed) <= failing_span + 1
+        assert not _stage_threads_alive()
+
+
+class TestNoNestedWaveformPoolThreads:
+    def test_one_cpu_waveform_decode_starts_no_pool_thread(
+        self, monkeypatch, cpus, started, chunk_counts
+    ):
+        cpus(1)
+        config, assignments, batch = _scenario(9, 10)
+        receiver = _waveform_receiver(config, assignments, "fft")
+        _force_span_rounds(monkeypatch, receiver, 16, 6, "fft", CHUNK_ROUNDS)
+        _waveform_decode(receiver, batch, "payload", 10)
+        assert chunk_counts == [5]
+        assert started == []
+
+    def test_monte_carlo_pool_legs_read_waveforms_without_stage_threads(
+        self, monkeypatch, cpus, started, chunk_counts
+    ):
+        """Pooled legs that each decode five fft spans open no stage
+        thread; the same legs outside the pool pipeline, with equal
+        results."""
+        cpus(2)
+        config, assignments, batch = _scenario(9, 10)
+        _force_span_rounds(
+            monkeypatch, _waveform_receiver(config, assignments, "fft"),
+            16, 6, "fft", CHUNK_ROUNDS,
+        )
+
+        def fft_leg(seed):
+            decode = _waveform_decode(
+                _waveform_receiver(config, assignments, "fft"), batch,
+                "payload", 10, seed=seed,
+            )
+            return float(decode.bit_powers.sum()), float(decode.bits.sum())
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", fft_leg
+        )
+        pooled = population_module._monte_carlo_legs([(1,), (2,), (3,)])
+        assert started.named("monte-carlo-leg")
+        assert not started.named(STAGE_THREAD_PREFIX)
+        assert chunk_counts == [5] * 3
+        assert [fft_leg(seed) for seed in (1, 2, 3)] == pooled
+        assert started.named(STAGE_THREAD_PREFIX)

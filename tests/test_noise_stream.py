@@ -21,11 +21,12 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.receiver as receiver_module
 import repro.phy.noise as noise_module
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import compose_rounds
-from repro.core.receiver import NetScatterReceiver, RoundsDecode
+from repro.core.receiver import NetScatterReceiver
 from repro.errors import ConfigurationError, DecodingError
 from repro.phy.noise import (
     CURRENT_NOISE_VERSION,
@@ -467,18 +468,26 @@ class TestPayloadStream:
 
 
 class TestStamping:
-    def test_concatenate_carries_stream_labels(self):
+    def test_multi_chunk_waveform_decode_stamped(self, monkeypatch):
+        """A tone batch read through the FFT in several decide chunks
+        is stamped with the one stream every chunk drew from."""
         config, assignments, bins, amps, phases, bt = _network_batch()
-        symbols = compose_rounds(
-            config.chirp_params, bins, amps, phases, bt
+        receiver = NetScatterReceiver(
+            config, assignments, readout="auto", planner=_ForcedPlanner("fft")
         )
-        decode = NetScatterReceiver(config, assignments).decode_rounds(
-            symbols, noise_snr_db=-16.0, rng=np.random.default_rng(1)
+        n_rounds, n_symbols, _ = bt.shape
+        plan = receiver.readout_plan
+        grid = n_symbols * plan.n_samples * config.zero_pad_factor
+        monkeypatch.setattr(receiver_module, "_CHUNK_ELEMENT_BUDGET", grid)
+        assert len(receiver._decide_spans(
+            n_rounds, n_symbols, plan, "fft", n_tones=bins.shape[1]
+        )) == n_rounds >= 2
+        decode = receiver.decode_readout(
+            bins, amps, phases, bt,
+            noise_snr_db=-16.0, rng=np.random.default_rng(1),
         )
-        stacked = RoundsDecode.concatenate([decode, decode])
-        assert (stacked.noise_mode, stacked.noise_version) == (
-            "payload", 2,
-        )
+        assert decode.backend == "fft"
+        assert (decode.noise_mode, decode.noise_version) == ("payload", 2)
 
     def test_round_result_stamped(self):
         deployment = paper_deployment(n_devices=4, rng=2026)

@@ -19,6 +19,29 @@ from repro.protocol.network import (
 )
 
 
+def concatenate_decodes(decodes):
+    """Stack the one-round decodes of the per-round oracle into one batch.
+
+    The device columns and the backend / noise-stream labels are taken
+    from the first decode; every decode comes from the same receiver.
+    """
+    first = decodes[0]
+    return RoundsDecode(
+        device_ids=first.device_ids,
+        shifts=first.shifts,
+        **{
+            name: np.concatenate([getattr(d, name) for d in decodes])
+            for name in (
+                "detected", "preamble_power", "noise_power", "bits",
+                "bit_powers",
+            )
+        },
+        backend=first.backend,
+        noise_mode=first.noise_mode,
+        noise_version=first.noise_version,
+    )
+
+
 class PerRoundFadingSimulator(NetworkSimulator):
     """The round-by-round fading execution the batched path replaced.
 
@@ -85,7 +108,7 @@ class PerRoundFadingSimulator(NetworkSimulator):
         if not (fading and n_rounds > 1):
             return super()._run_batch(n_rounds, fading)
         parts = [self._run_batch(1, True) for _ in range(n_rounds)]
-        decode = RoundsDecode.concatenate([p[0] for p in parts])
+        decode = concatenate_decodes([p[0] for p in parts])
         payload = np.concatenate([p[1] for p in parts])
         floors = np.concatenate([p[2] for p in parts])
         return decode, payload, floors

@@ -53,6 +53,7 @@ from repro.campaign.storage import (
     PosixDriver,
     PrefixDriver,
     RetryingDriver,
+    WrappingDriver,
     build_driver,
 )
 from repro.campaign.store import CampaignStore
@@ -733,6 +734,158 @@ class TestTornWriteSweep:
         logged = exec_log.read_text().split()
         hashes = [p.content_hash() for p in spec.points()]
         assert sorted(logged[::2]) == sorted(hashes)
+
+
+class _GatedChunkReads(WrappingDriver):
+    """A reader's driver that reads chunks at forced moments: it waits
+    for ``landed`` before touching ``points/``, sets ``first_read``
+    once the first chunk read returns, and holds every later chunk read
+    until ``retried``."""
+
+    def __init__(self, inner, landed, first_read, retried):
+        super().__init__(inner, "gated")
+        self._landed = landed
+        self._first_read = first_read
+        self._retried = retried
+
+    def _call(self, op, key, fn, data=None):
+        if not key.startswith("points/"):
+            return fn()
+        if op == "get" and self._first_read.is_set():
+            self._retried.wait(10.0)
+        else:
+            self._landed.wait(10.0)
+        result = fn()
+        if op == "get":
+            self._first_read.set()
+        return result
+
+    def stats(self):
+        return {"driver": self.name, "inner": self._inner.stats()}
+
+
+class TestTornWriteUnderLiveLease:
+    """An undecodable chunk under another holder's live lease is a
+    write in progress: readers wait for the holder's retry instead of
+    quarantining it."""
+
+    READER_RETRY = RetryPolicy(
+        max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
+    )
+
+    def _point(self):
+        return next(iter(small_spec(counts=(1,)).points()))
+
+    def _reader(self, root, driver=None):
+        return CampaignStore(
+            driver=driver or PosixDriver(root),
+            fault_plan=FaultPlan(),
+            retry=self.READER_RETRY,
+        )
+
+    def _torn_chunk(self, root, point):
+        """Save ``point`` cleanly, then leave only its first 40 bytes."""
+        store = CampaignStore(root, fault_plan=FaultPlan())
+        store.save(point, {"m": 1.0}, {"backend": "x"})
+        key = f"points/{point.content_hash()}.json"
+        PosixDriver(root).replace(key, PosixDriver(root).get(key)[:40])
+
+    def test_read_between_torn_write_and_retry_waits_for_the_retry(
+        self, tmp_path
+    ):
+        """The writer's raising torn write lands a prefix at the chunk
+        key; a second store reads it before the writer's retry rewrites
+        the key, and gets the retried chunk."""
+        root = tmp_path / "store"
+        point = self._point()
+        content_hash = point.content_hash()
+        landed, first_read, retried = (threading.Event() for _ in range(3))
+
+        class ReadBeforeRetry(RetryPolicy):
+            def backoff_s(self, key, attempt):
+                if key.startswith("put_atomic:points/"):
+                    landed.set()
+                    assert first_read.wait(10.0)
+                    return 0.0
+                return super().backoff_s(key, attempt)
+
+        writer = _faulty_store(
+            root,
+            storage_plan(
+                [
+                    {
+                        "kind": "torn",
+                        "op": "put_atomic",
+                        "key_prefix": "points/",
+                        "calls": [1],
+                    }
+                ]
+            ),
+            retry=ReadBeforeRetry(max_attempts=4, base_delay_s=0.001),
+        )
+        assert LeaseManager(writer.lease_backend, owner="w1").acquire(
+            content_hash
+        )
+        reader = self._reader(
+            root,
+            _GatedChunkReads(
+                PosixDriver(root), landed, first_read, retried
+            ),
+        )
+        seen = {}
+        thread = threading.Thread(
+            target=lambda: seen.update(has=reader.has(point))
+        )
+        thread.start()
+        try:
+            writer.save(point, {"m": 1.0}, {"backend": "x"})
+        finally:
+            retried.set()
+            thread.join(10.0)
+        assert first_read.is_set()
+        assert seen == {"has": True}
+        assert reader.quarantined() == {}
+        assert reader.load(point)["metrics"] == {"m": 1.0}
+
+    def test_lasting_lease_leaves_the_torn_chunk_in_place(self, tmp_path):
+        """Re-reads spent under a live lease: reported missing, not
+        quarantined; once the lease is gone the chunk is quarantined."""
+        root = tmp_path / "store"
+        point = self._point()
+        self._torn_chunk(root, point)
+        reader = self._reader(root)
+        leases = LeaseManager(reader.lease_backend, owner="w1")
+        assert leases.acquire(point.content_hash())
+        assert reader.has(point, owner="w2") is False
+        assert reader.quarantined() == {}
+        assert len(reader) == 1
+        leases.release(point.content_hash())
+        assert reader.has(point, owner="w2") is False
+        assert reader.quarantined() == {
+            point.content_hash(): "undecodable-json"
+        }
+
+    @pytest.mark.parametrize("lease", ["vacant", "expired", "own"])
+    def test_torn_chunk_without_another_live_lease_is_quarantined(
+        self, tmp_path, lease
+    ):
+        root = tmp_path / "store"
+        point = self._point()
+        self._torn_chunk(root, point)
+        reader = self._reader(root)
+        if lease != "vacant":
+            ttl_s = 0.01 if lease == "expired" else 30.0
+            assert LeaseManager(
+                reader.lease_backend, owner="w1", ttl_s=ttl_s
+            ).acquire(point.content_hash())
+            time.sleep(0.05)
+        owner = "w1" if lease == "own" else "w2"
+        started = time.monotonic()
+        assert reader.has(point, owner=owner) is False
+        assert time.monotonic() - started < 0.5  # no re-reads
+        assert reader.quarantined() == {
+            point.content_hash(): "undecodable-json"
+        }
 
 
 class TestReadOnlyDegradation:
