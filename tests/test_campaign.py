@@ -335,6 +335,20 @@ class TestRunnerEquivalence:
         assert (second.n_computed, second.n_cached) == (0, len(COUNTS))
         assert second.metrics == first.metrics  # served bit-for-bit
 
+    def test_fig18_campaign_over_fig17_store_recomputes_zero_points(
+        self, tmp_path
+    ):
+        runner = CampaignRunner(store=tmp_path)
+        fig17 = runner.run(
+            fig17_campaign(rng=0, device_counts=COUNTS, n_rounds=ROUNDS)
+        )
+        assert (fig17.n_computed, fig17.n_cached) == (len(COUNTS), 0)
+        fig18 = runner.run(
+            fig18_campaign(rng=0, device_counts=COUNTS, n_rounds=ROUNDS)
+        )
+        assert (fig18.n_computed, fig18.n_cached) == (0, len(COUNTS))
+        assert fig18.metrics == fig17.metrics
+
     def test_fig17_driver_rows_identical_with_and_without_store(
         self, tmp_path
     ):

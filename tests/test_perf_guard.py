@@ -4,36 +4,37 @@ A coarse budget assertion (not a benchmark): the quick Fig. 17 sweep
 must stay well under a generous wall-clock ceiling, so a future change
 that silently re-materialises waveforms, rebuilds operators per round
 or otherwise regresses the analytic engine fails loudly here instead of
-slowly rotting the benchmark suite. The second guard drives
-``benchmarks/perf_smoke.py --quick`` end to end (against a temporary
-output file) so the perf-tracking entry points cannot silently rot
-either.
+slowly rotting the benchmark suite. The second guard deploys a
+10^4-device office population and scores one hybrid-fidelity schedule
+cycle (the point CI's ``scale-smoke`` job holds to its budget), so the
+population path cannot silently regress either.
 
 Skippable on constrained or heavily-shared machines::
 
     REPRO_SKIP_PERF_GUARD=1 python -m pytest tests/test_perf_guard.py
 """
 
-import importlib.util
-import json
 import os
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.protocol.network import sweep_device_counts
+from repro.protocol.population import (
+    hybrid_population_round,
+    office_population,
+)
 
 #: Generous ceiling (seconds) for the quick sweep below. The analytic
 #: engine runs it in well under a second on a single modest core; the
 #: pre-engine time-domain path took several times longer.
 BUDGET_S = 6.0
 
-#: Ceiling for the full --quick benchmark subset (spec: sub-10 s).
-QUICK_BENCH_BUDGET_S = 10.0
+#: Ceiling (seconds) for deploying and scoring the 10^4-device cycle
+#: below: about 8x its 0.17-0.24 s on a 2-vCPU host, on one or two CPUs.
+POPULATION_BUDGET_S = 2.0
 
 skip_guard = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF_GUARD") == "1",
@@ -62,56 +63,21 @@ def test_fig17_quick_sweep_within_budget():
     )
 
 
-def _load_perf_smoke():
-    """Import benchmarks/perf_smoke.py without requiring a package."""
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks"
-        / "perf_smoke.py"
-    )
-    spec = importlib.util.spec_from_file_location("perf_smoke", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("perf_smoke", module)
-    spec.loader.exec_module(module)
-    return module
-
-
 @skip_guard
-def test_perf_smoke_quick_mode_within_budget(tmp_path):
-    """--quick runs end to end, sub-10 s, into the given output file."""
-    perf_smoke = _load_perf_smoke()
-    output = tmp_path / "bench.json"
+def test_population_1e4_cycle_within_budget():
+    """Deploy and score one hybrid cycle over 10^4 devices in budget."""
     start = time.perf_counter()
-    perf_smoke.main(quick=True, output=output)
+    population = office_population(10_000, rng=101, snr_scale_db=-26.0)
+    result = hybrid_population_round(population, seed=11)
     elapsed = time.perf_counter() - start
-    assert elapsed < QUICK_BENCH_BUDGET_S, (
-        f"perf_smoke --quick took {elapsed:.2f}s "
-        f"(budget {QUICK_BENCH_BUDGET_S}s)"
+    assert result.n_devices == 10_000
+    assert (
+        result.n_closed_form_groups + result.n_monte_carlo_groups
+        == result.n_groups
     )
-    report = json.loads(output.read_text())
-    # The documented schema, via the same validator main() applies.
-    perf_smoke.validate_report(report)
-    (run,) = report["runs"]
-    assert run["quick"] is True
-    point = run["fig17_point256"]
-    assert point["speedup_auto"] > 0
-    assert point["auto"]["backend"] in ("analytic", "sparse", "fft")
-    assert "speedup_batched_vs_legacy" in run["fading"]
-    modes = run["noise_modes"]
-    assert modes["full"]["noise_version"] == 1
-    assert modes["payload"]["noise_version"] == 2
-    assert modes["speedup_payload_vs_full"] > 0
-    scale = run["population_scale"]
-    point = scale["devices_10000"]
-    assert point["n_devices"] == 10_000
-    assert point["n_groups"] == (
-        point["closed_form_groups"] + point["monte_carlo_groups"]
-    )
-    assert 0.0 <= point["delivery_ratio"] <= 1.0
-    campaign = run["campaign"]
-    assert campaign["cold"]["points_computed"] > 0
-    assert campaign["warm_rerun"]["points_computed"] == 0
-    assert campaign["fig18_reuse"]["points_computed"] == 0
-    assert campaign["fig18_reuse"]["points_cached"] == (
-        campaign["cold"]["points_computed"]
+    assert 0.0 <= result.delivery_ratio <= 1.0
+    assert elapsed < POPULATION_BUDGET_S, (
+        f"10^4-device hybrid cycle took {elapsed:.2f}s "
+        f"(budget {POPULATION_BUDGET_S}s) — the population path has "
+        "regressed"
     )

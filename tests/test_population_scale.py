@@ -1044,6 +1044,10 @@ class TestFidelitySplit:
             pop, seed=11, force_monte_carlo=True
         )
         assert hybrid.n_closed_form_groups > 0
+        assert (
+            hybrid.n_closed_form_groups + hybrid.n_monte_carlo_groups
+            == hybrid.n_groups
+        )
         assert hybrid.delivery_ratio == pytest.approx(
             reference.delivery_ratio, abs=0.03
         )
