@@ -31,10 +31,10 @@ Cost model
 ----------
 Each backend's wall-clock is predicted as a weighted sum of six
 primitive throughputs measured once per host by :func:`calibrate` (a
-~0.1 s micro-benchmark whose result is persisted, so the crossover
-points are *pinned by measurement* instead of hard-coded flop ratios —
-BLAS GEMM, ``numpy.fft`` and transcendental throughput differ by large,
-machine-dependent constants):
+0.14–0.19 s micro-benchmark with a 24 MiB transient, whose result is
+persisted, so the crossover points are *pinned by measurement* instead
+of hard-coded flop ratios — BLAS GEMM, ``numpy.fft`` and transcendental
+throughput differ by large, machine-dependent constants):
 
 * ``real_mac_s`` / ``cplx_mac_s`` — seconds per multiply-add of a
   float64 / complex128 GEMM,
@@ -211,54 +211,85 @@ def _best_time(fn, repeats: int = 3) -> float:
     return best
 
 
-def calibrate(rng=None) -> CalibrationCoefficients:
-    """One-shot micro-calibration of the five primitive throughputs.
+def _complex_from(real: np.ndarray, generator) -> np.ndarray:
+    """``real + 1j * generator.standard_normal(real.shape)``, built in place.
 
-    Deliberately small (~0.1 s total): each primitive is timed on a
-    workload shaped like the real decode kernels (GEMMs with a short
-    ``m`` and long ``k``/``n``, a zero-padded batch FFT, a tone grid)
-    and the per-element cost is the best of three runs.
+    Same values and draw as the expression, without its two complex
+    temporaries: the only transient is the real imaginary-part draw.
     """
-    generator = np.random.default_rng(0 if rng is None else rng)
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = generator.standard_normal(real.shape)
+    return out
+
+
+def _gemm_probes(generator) -> tuple[float, float]:
+    """Per-multiply-add cost of a real and of a complex GEMM."""
     m, k, n = 48, 256, 2048
     a = generator.standard_normal((m, k))
     b = generator.standard_normal((k, n))
     real_mac_s = _best_time(lambda: a @ b) / (m * k * n)
-
-    ac = a + 1j * generator.standard_normal((m, k))
-    bc = b + 1j * generator.standard_normal((k, n))
+    ac = _complex_from(a, generator)
+    bc = _complex_from(b, generator)
     cplx_mac_s = _best_time(lambda: ac @ bc) / (m * k * n)
+    return real_mac_s, cplx_mac_s
 
-    n_fft = 5120  # the deployment's padded grid (512 * 10)
-    x = (
-        generator.standard_normal((m, 512))
-        + 1j * generator.standard_normal((m, 512))
-    )
-    fft_elem_s = _best_time(lambda: np.fft.fft(x, n=n_fft, axis=-1)) / (
+
+def _fft_probe(generator) -> float:
+    """Per-``element * log2(n)`` cost of a zero-padded batch FFT."""
+    m, n_fft = 48, 5120  # the deployment's padded grid (512 * 10)
+    x = _complex_from(generator.standard_normal((m, 512)), generator)
+    return _best_time(lambda: np.fft.fft(x, n=n_fft, axis=-1)) / (
         m * n_fft * np.log2(n_fft)
     )
 
-    theta = generator.standard_normal(1 << 17)
-    exp_elem_s = _best_time(lambda: np.exp(1j * theta)) / theta.size
 
+def _exp_probe(generator) -> float:
+    """Per-element cost of a complex exponential."""
+    theta = generator.standard_normal(1 << 17)
+    return _best_time(lambda: np.exp(1j * theta)) / theta.size
+
+
+def _ew_probe(generator) -> float:
+    """Per-element cost of one bandwidth-bound array pass."""
     u = generator.standard_normal(1 << 20)
     v = generator.standard_normal(1 << 20)
-    ew_pass_s = _best_time(lambda: u * v) / u.size
+    return _best_time(lambda: u * v) / u.size
 
+
+def _gauss_probe(generator) -> float:
+    """Per-element cost of a complex CN(0,1) draw."""
     from repro.utils.rng import standard_complex_normal
 
     n_draws = 1 << 16
-    gauss_elem_s = _best_time(
+    return _best_time(
         lambda: standard_complex_normal(generator, (n_draws,))
     ) / n_draws
 
+
+def calibrate(rng=None) -> CalibrationCoefficients:
+    """One-shot micro-calibration of the six primitive throughputs.
+
+    Deliberately small (0.14–0.19 s on a 2-vCPU host): each primitive
+    is timed on a workload shaped like the real decode kernels (GEMMs
+    with a short ``m`` and long ``k``/``n``, a zero-padded batch FFT, a
+    tone grid) and the per-element cost is the best of three runs.
+
+    Each probe builds, times and frees its inputs before the next one
+    starts, in a fixed draw order from one generator, so the transient
+    memory is the largest single probe's (the elementwise pass's three
+    8 MiB arrays, 24 MiB) rather than the sum of all six.
+    """
+    generator = np.random.default_rng(0 if rng is None else rng)
+    real_mac_s, cplx_mac_s = _gemm_probes(generator)
+    # Keyword arguments evaluate left to right: this is the draw order.
     return CalibrationCoefficients(
         real_mac_s=real_mac_s,
         cplx_mac_s=cplx_mac_s,
-        fft_elem_s=fft_elem_s,
-        exp_elem_s=exp_elem_s,
-        ew_pass_s=ew_pass_s,
-        gauss_elem_s=gauss_elem_s,
+        fft_elem_s=_fft_probe(generator),
+        exp_elem_s=_exp_probe(generator),
+        ew_pass_s=_ew_probe(generator),
+        gauss_elem_s=_gauss_probe(generator),
     )
 
 
@@ -316,7 +347,12 @@ def _load_coefficients(path: Path) -> Optional[CalibrationCoefficients]:
 def _persist_coefficients(
     path: Path, coefficients: CalibrationCoefficients
 ) -> None:
-    """Best-effort write of the calibration; failures are non-fatal."""
+    """Best-effort atomic write of the calibration; failures are non-fatal.
+
+    The payload goes to a temporary file in the same directory that then
+    replaces ``path``, so a write that fails part-way leaves the previous
+    file (or none), never a torn one.
+    """
     payload = {
         "schema": _SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -328,9 +364,20 @@ def _persist_coefficients(
         "coefficients": asdict(coefficients),
     }
     try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+        )
     except OSError:
-        pass
+        return
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(payload, indent=2) + "\n")
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 class BackendPlanner:
@@ -456,7 +503,10 @@ def host_planner(force_recalibrate: bool = False) -> BackendPlanner:
 
     Loads the persisted calibration when present and valid; otherwise
     runs :func:`calibrate` and persists the result so subsequent
-    processes (e.g. sweep worker pools) skip the micro-benchmark.
+    processes (e.g. sweep worker pools) skip the micro-benchmark. A
+    calibration that raises is logged and replaced by
+    :data:`DEFAULT_COEFFICIENTS` for this process only: the defaults are
+    never persisted, so later processes measure instead of loading them.
     """
     global _HOST_PLANNER
     if _HOST_PLANNER is not None and not force_recalibrate:
@@ -468,9 +518,15 @@ def host_planner(force_recalibrate: bool = False) -> BackendPlanner:
     if coefficients is None:
         try:
             coefficients = calibrate()
-        except Exception:  # pragma: no cover - measurement failure
+        except Exception:
+            logger.warning(
+                "backend calibration failed; planning with the built-in "
+                "default coefficients for this process (not persisted)",
+                exc_info=True,
+            )
             coefficients = DEFAULT_COEFFICIENTS
-        if path is not None:
-            _persist_coefficients(path, coefficients)
+        else:
+            if path is not None:
+                _persist_coefficients(path, coefficients)
     _HOST_PLANNER = BackendPlanner(coefficients)
     return _HOST_PLANNER

@@ -133,6 +133,23 @@ class TestCalibration:
         loaded = _load_coefficients(path)
         assert loaded == DEFAULT_COEFFICIENTS
 
+    def test_persist_replaces_atomically(self, tmp_path, monkeypatch):
+        # The file changes only through one rename: a write that fails
+        # before it leaves the previous calibration and no temp file.
+        import repro.phy.backend_plan as plan_module
+
+        path = tmp_path / "calibration.json"
+        _persist_coefficients(path, DEFAULT_COEFFICIENTS)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(plan_module.os, "replace", fail)
+        other = CalibrationCoefficients(1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9)
+        _persist_coefficients(path, other)
+        assert _load_coefficients(path) == DEFAULT_COEFFICIENTS
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "calibration.json"
         assert _load_coefficients(path) is None  # missing
@@ -174,6 +191,50 @@ class TestCalibration:
         second = host_planner()
         # The second process-equivalent load reuses the persisted file.
         assert second.coefficients == first.coefficients
+
+    def test_failed_calibration_is_not_persisted(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # A calibration that raises plans with the defaults in this
+        # process only; the file is left for a later real measurement.
+        import repro.phy.backend_plan as plan_module
+
+        path = tmp_path / "host.json"
+        monkeypatch.setenv("REPRO_BACKEND_CALIBRATION", str(path))
+        monkeypatch.setattr(plan_module, "_HOST_PLANNER", None)
+
+        def fail(rng=None):
+            raise MemoryError("probe allocation failed")
+
+        monkeypatch.setattr(plan_module, "calibrate", fail)
+        with caplog.at_level("WARNING", logger="repro.phy.backend_plan"):
+            planner = host_planner()
+        assert planner.coefficients == DEFAULT_COEFFICIENTS
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+        assert any(
+            "calibration failed" in record.message
+            for record in caplog.records
+        )
+        monkeypatch.setattr(plan_module, "calibrate", calibrate)
+        measured = host_planner(force_recalibrate=True)
+        assert _load_coefficients(path) == measured.coefficients
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_calibration_memory_budget(self):
+        # Each probe frees its inputs before the next allocates, so the
+        # traced peak is the largest single probe's (the elementwise
+        # pass's three 8 MiB arrays), not the sum over all six.
+        import tracemalloc
+
+        calibrate()  # lazy imports and first-call set-up
+        tracemalloc.start()
+        try:
+            calibrate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20, f"calibrate() peak {peak / 2**20:.2f} MiB"
 
 
 def _random_batch(shifts, n_rounds, n_payload, rng, offsets_std=0.4):
