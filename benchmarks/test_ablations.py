@@ -16,7 +16,7 @@ from repro.channel.deployment import paper_deployment
 from repro.core.aggregation import AggregateBand, compare_receiver_costs
 from repro.core.allocation import power_aware_allocation, random_allocation
 from repro.core.config import NetScatterConfig
-from repro.core.dcss import compose_round_matrix
+from repro.core.dcss import compose_rounds
 from repro.core.power_control import simulate_power_control
 from repro.core.receiver import NetScatterReceiver
 from repro.phy.chirp import ChirpParams
@@ -45,12 +45,13 @@ def _round_delivery(config, assignments, snrs_db, rng, n_rounds=3):
         phases = rng.uniform(0, 2 * np.pi, size=n)
         payload = rng.integers(0, 2, size=(20, n))
         bit_matrix = np.vstack([np.ones((6, n)), payload])
-        symbols = compose_round_matrix(
-            params, bins, amplitudes, phases, bit_matrix
+        symbols = compose_rounds(
+            params,
+            bins[None], amplitudes[None], phases[None], bit_matrix[None],
         )
-        decode = receiver.decode_round_matrix(
+        decode = receiver.decode_rounds(
             awgn(symbols, float(min(snrs_db)), rng)
-        )
+        ).frame(0)
         for d in range(n):
             got = decode.devices[d].bits
             sent = payload[:, d].tolist()
@@ -194,16 +195,16 @@ def test_ablation_zero_padding(benchmark):
             ) + offsets
             payload = generator.integers(0, 2, size=(20, n))
             bit_matrix = np.vstack([np.ones((6, n)), payload])
-            symbols = compose_round_matrix(
+            symbols = compose_rounds(
                 params,
-                bins,
-                10.0 ** ((np.asarray(snrs) - min(snrs)) / 20.0),
-                generator.uniform(0, 2 * np.pi, size=n),
-                bit_matrix,
+                bins[None],
+                10.0 ** ((np.asarray(snrs) - min(snrs)) / 20.0)[None],
+                generator.uniform(0, 2 * np.pi, size=(1, n)),
+                bit_matrix[None],
             )
-            decode = receiver.decode_round_matrix(
+            decode = receiver.decode_rounds(
                 awgn(symbols, float(min(snrs)), generator)
-            )
+            ).frame(0)
             for d in range(n):
                 got = decode.devices[d].bits
                 sent = payload[:, d].tolist()

@@ -180,16 +180,6 @@ class CampaignStore:
         return self._driver
 
     @property
-    def leases_dir(self) -> Path:
-        """Posix lease directory (kept for filesystem tooling; the
-        runner coordinates through :attr:`lease_backend` instead)."""
-        if self._root is None:
-            raise ValueError(
-                "store has no filesystem root; use lease_backend"
-            )
-        return self._root / "leases"
-
-    @property
     def lease_backend(self) -> StorageDriver:
         """A lease-scoped view of the driver for :class:`~repro.
         campaign.leases.LeaseManager` — same backend, ``leases/``

@@ -15,7 +15,6 @@ import numpy as np
 from repro.constants import (
     CARRIER_FREQ_HZ,
     HW_DELAY_JITTER_MAX_S,
-    TAG_FREQ_OFFSET_MAX_HZ,
 )
 from repro.errors import ReproError
 from repro.phy.chirp import ChirpParams
@@ -167,8 +166,3 @@ def residual_bin_offset(
     return timing_model.sample_bin_offset(params, generator) + abs(
         frequency_model.sample_bin_offset(params, generator)
     )
-
-
-def paper_tag_offset_observed_hz() -> float:
-    """The measured bound on tag frequency offsets (Fig. 14a)."""
-    return TAG_FREQ_OFFSET_MAX_HZ

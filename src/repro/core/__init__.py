@@ -13,7 +13,6 @@ from repro.core.dcss import (
     compose_symbol,
     compose_frame,
     compose_readout,
-    compose_round_matrix,
     compose_rounds,
 )
 from repro.core.receiver import (
@@ -32,7 +31,6 @@ __all__ = [
     "compose_symbol",
     "compose_frame",
     "compose_readout",
-    "compose_round_matrix",
     "compose_rounds",
     "NetScatterReceiver",
     "FrameDecode",

@@ -164,28 +164,6 @@ def required_aggregation_factor(n_devices: int, max_devices_per_band: int) -> in
     return -(-int(n_devices) // int(max_devices_per_band))
 
 
-def expected_cluster_goodput_bits(
-    snrs_db,
-    spreading_factor: int,
-    payload_bits: int,
-) -> float:
-    """Closed-form expected correct payload bits per full schedule cycle.
-
-    The hybrid-fidelity bulk path's aggregate: every device transmits
-    once per cycle (its group's round), and its expected contribution is
-    ``payload_bits * (1 - scored BER)`` under the calibrated OOK link
-    law (:func:`repro.core.capacity.effective_bit_error_rate`). One
-    vectorised pass over the population — no engine invocation.
-    """
-    from repro.core.capacity import effective_bit_error_rate
-
-    snrs = np.asarray(snrs_db, dtype=np.float64)
-    if snrs.size == 0:
-        raise ConfigurationError("need at least one device")
-    ber = effective_bit_error_rate(snrs, spreading_factor)
-    return float(payload_bits * np.sum(1.0 - ber))
-
-
 def compare_receiver_costs(band: AggregateBand) -> Dict[str, float]:
     """FFT-work comparison: one aggregate FFT vs per-sub-band FFTs.
 

@@ -241,43 +241,6 @@ def _respread_cached(params: ChirpParams) -> np.ndarray:
     return carrier
 
 
-def compose_round_matrix(
-    params: ChirpParams,
-    effective_bins: np.ndarray,
-    amplitudes: np.ndarray,
-    phases_rad: np.ndarray,
-    bit_matrix: np.ndarray,
-) -> np.ndarray:
-    """Vectorised fast path: all symbols of a round in one matmul.
-
-    ``bit_matrix[s, d]`` keys device ``d`` in symbol ``s`` (preamble rows
-    are all ones). Device ``d`` contributes the dechirped-domain tone at
-    ``effective_bins[d]`` with constant amplitude and phase across the
-    round. Returns the pre-dechirp symbol matrix (n_symbols, 2^SF) —
-    equivalent to calling :func:`compose_symbol` per symbol, but fast
-    enough for 256-device round simulations. One-round wrapper of
-    :func:`compose_rounds`.
-    """
-    effective_bins = np.asarray(effective_bins, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    phases_rad = np.asarray(phases_rad, dtype=float)
-    bit_matrix = np.asarray(bit_matrix, dtype=float)
-    n_devices = effective_bins.size
-    if amplitudes.size != n_devices or phases_rad.size != n_devices:
-        raise ConfigurationError("per-device arrays must align")
-    if bit_matrix.ndim != 2 or bit_matrix.shape[1] != n_devices:
-        raise ConfigurationError(
-            "bit_matrix must be (n_symbols, n_devices)"
-        )
-    return compose_rounds(
-        params,
-        effective_bins[None, :],
-        amplitudes[None, :],
-        phases_rad[None, :],
-        bit_matrix[None, :, :],
-    )[0]
-
-
 def compose_rounds(
     params: ChirpParams,
     effective_bins: np.ndarray,

@@ -2,7 +2,8 @@
 
 Receiver pipeline (Sections 3.1 and 3.3.1):
 
-1. locate the packet start from the shared up/down preamble,
+1. locate the packet start from the shared up/down preamble
+   (:meth:`NetScatterReceiver.decode_frame`),
 2. dechirp each symbol once and take a single zero-padded FFT,
 3. detect active devices: an FFT peak that repeats across all preamble
    symbols at an assigned shift marks that device as transmitting,
@@ -12,6 +13,15 @@ Receiver pipeline (Sections 3.1 and 3.3.1):
 
 The dechirp + FFT is done once per symbol regardless of the number of
 devices — the receiver-complexity claim the paper makes.
+
+Every entry point runs steps 2-5 through one span loop
+(:meth:`NetScatterReceiver._decode_spans`): a backend's stage A reads a
+span of rounds at each device's search window and at the noise probes,
+and one decision rule (:meth:`NetScatterReceiver._decide_chunk`) draws
+any engine noise, locates the peaks, estimates the floor and decides.
+The backends differ only in how stage A gets those bins: the padded FFT
+(``fft``, and every single-frame decode), a precomputed matmul
+(``sparse``) or the closed-form Dirichlet kernel (``analytic``).
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ import numpy as np
 from repro.core.config import NetScatterConfig
 from repro.errors import DecodingError
 from repro.phy.chirp import ChirpParams
-from repro.phy.demodulation import DechirpResult, Demodulator
 from repro.phy.noise import (
     NOISE_MODES,
     NoiseStream,
@@ -116,7 +125,7 @@ class RoundsDecode:
     columns ordered as ``device_ids``. ``bits`` / ``bit_powers`` hold the
     raw vectorised decisions for *every* device; consumers must gate on
     ``detected`` (``frame`` does this, returning empty bit lists for
-    undetected devices, exactly like the per-round decoder).
+    undetected devices).
     ``backend`` names the spectral backend that actually produced the
     readout values (``"analytic"``, ``"sparse"`` or ``"fft"``) — under
     ``readout="auto"`` this is the planner's per-call decision.
@@ -253,58 +262,21 @@ class _ReadoutPlan:
         )
         self._fold = fold_downchirp
 
-    def window_values(self, symbols: np.ndarray, exact: bool) -> np.ndarray:
+    def window_values(self, symbols: np.ndarray) -> np.ndarray:
         """Complex window spectra, ``(..., D, W)``, for a symbol batch."""
-        if exact:
-            flat = full_fft_values(
-                self.window_readout.params,
-                self.window_readout.zero_pad_factor,
-                symbols,
-                bin_indices=self.window_idx.ravel(),
-                fold_downchirp=self._fold,
-            )
-        else:
-            flat = self.window_readout.spectrum(symbols)
+        flat = self.window_readout.spectrum(symbols)
         return flat.reshape(
             flat.shape[:-1] + (self.n_devices, self.window_width)
         )
 
-    def probe_values(self, symbols: np.ndarray, exact: bool) -> np.ndarray:
-        """Complex noise-probe spectra, ``(..., n_probes)``."""
-        if exact:
-            return full_fft_values(
-                self.probe_readout.params,
-                self.probe_readout.zero_pad_factor,
-                symbols,
-                bin_indices=self.probe_idx,
-                fold_downchirp=self._fold,
-            )
-        return self.probe_readout.spectrum(symbols)
-
-    def read(self, tensor: np.ndarray, exact: bool):
+    def read(self, tensor: np.ndarray):
         """Window + symbol-0 probe spectra of a ``(R, S, 2^SF)`` chunk.
 
-        The exact path computes one zero-padded FFT per symbol and
-        gathers both blocks from it (the probes come from the already
-        computed symbol-0 rows); the sparse path runs the two
-        operators, the probe one only over symbol 0.
+        Two operator calls, the probe one only over symbol 0.
         """
-        if exact:
-            grid = full_fft_values(
-                self.window_readout.params,
-                self.window_readout.zero_pad_factor,
-                tensor,
-                fold_downchirp=self._fold,
-            )
-            flat = grid[..., self.window_idx.ravel()]
-            windows = flat.reshape(
-                flat.shape[:-1] + (self.n_devices, self.window_width)
-            )
-            probes = grid[:, 0, self.probe_idx]
-            return windows, probes
         return (
-            self.window_values(tensor, False),
-            self.probe_values(tensor[:, 0, :], False),
+            self.window_values(tensor),
+            self.probe_readout.spectrum(tensor[:, 0, :]),
         )
 
     def read_round(
@@ -314,13 +286,14 @@ class _ReadoutPlan:
         windows: np.ndarray,
         probes: np.ndarray,
     ) -> None:
-        """The exact :meth:`read` of one ``(S, 2^SF)`` round, in place.
+        """The padded-FFT read of one ``(S, 2^SF)`` round, in place.
 
         The round's padded FFT fills ``grid`` (``(S, 2^SF * zp)``,
         reused by every round of a decode) and its window and symbol-0
         probe bins are gathered into the round's ``(S, D, W)`` and
-        ``(n_probes,)`` rows of a chunk's output. Equal, bit for bit,
-        to the batch :meth:`read` of the rounds it fills.
+        ``(n_probes,)`` rows of a span's output. Equal, bit for bit, to
+        a batch :func:`full_fft_values` of the rounds it fills gathered
+        at the same bins.
         """
         full_fft_values(
             self.window_readout.params,
@@ -501,6 +474,18 @@ def _inject_located_noise(
     )
 
 
+def _check_frame(n_rounds: int, n_symbols: int, n_preamble: int) -> None:
+    """Reject a batch shape no decode can read, before any draw."""
+    if n_rounds < 1:
+        raise DecodingError("need at least one round")
+    if n_preamble < 1:
+        raise DecodingError(
+            f"n_preamble_upchirps must be >= 1, got {n_preamble}"
+        )
+    if n_symbols < n_preamble:
+        raise DecodingError("fewer symbols than preamble length")
+
+
 def _compose_located(
     plan: _ReadoutPlan,
     tones: tuple,
@@ -561,6 +546,8 @@ class NetScatterReceiver:
         (:mod:`repro.phy.backend_plan`): :meth:`decode_readout` selects
         among all three, :meth:`decode_rounds` between ``sparse`` and
         ``fft``. Decisions are bit-identical whichever backend runs.
+        The single-frame entry points (:meth:`decode_fast_symbols`,
+        :meth:`decode_frame`) always read through ``fft``.
     planner:
         Optional :class:`repro.phy.backend_plan.BackendPlanner`
         overriding the host-calibrated planner under ``readout="auto"``
@@ -604,9 +591,6 @@ class NetScatterReceiver:
         self._config = config
         self._assignments = dict(assignments)
         self._params = config.chirp_params
-        self._demod = Demodulator(
-            self._params, zero_pad_factor=config.zero_pad_factor
-        )
         if search_width_bins is None:
             search_width_bins = config.skip / 4.0
         if readout not in ("sparse", "fft", "analytic", "auto"):
@@ -625,7 +609,6 @@ class NetScatterReceiver:
         self._planner = planner
         self._noise_mode = noise_mode
         self._plans: Dict[bool, _ReadoutPlan] = {}
-        self._sync = PreambleSynchronizer(self._params)
 
     @property
     def config(self) -> NetScatterConfig:
@@ -636,68 +619,7 @@ class NetScatterReceiver:
         return dict(self._assignments)
 
     # ------------------------------------------------------------------ #
-    # symbol-level decoding (shared by both simulation fidelities)
-    # ------------------------------------------------------------------ #
-
-    def decode_symbols(
-        self,
-        preamble_results: Sequence[DechirpResult],
-        payload_results: Sequence[DechirpResult],
-    ) -> FrameDecode:
-        """Decode dechirped preamble + payload symbol spectra.
-
-        This is the core algorithm; it assumes frame timing is already
-        known (either via :meth:`decode_frame`'s synchroniser or because
-        the fast simulation path composes aligned symbols).
-        """
-        if not preamble_results:
-            raise DecodingError("need at least one preamble symbol")
-        devices: Dict[int, DeviceDecode] = {}
-        noise_floor = self._estimate_noise(preamble_results[0])
-        zp = self._config.zero_pad_factor
-        n_bins = preamble_results[0].n_bins
-        for device_id, shift in self._assignments.items():
-            # Locate the device's exact sub-bin peak from the summed
-            # preamble spectra: per-packet timing/CFO offsets are constant
-            # across the packet, so the payload can be read at the located
-            # interpolated bin instead of a wide window (which would pick
-            # up noise maxima and neighbour leakage).
-            half = max(1, int(round(self._search_width * zp)))
-            window = (
-                np.arange(-half, half + 1) + int(round(shift * zp))
-            ) % n_bins
-            summed = np.zeros(window.size)
-            for r in preamble_results:
-                summed += r.power[window]
-            located = int(window[int(np.argmax(summed))])
-            powers = [r.power_at_index(located) for r in preamble_results]
-            min_power = min(powers)
-            detected = min_power > noise_floor * (
-                10.0 ** (self._detection_snr / 10.0)
-            )
-            decode = DeviceDecode(
-                device_id=device_id,
-                shift=shift,
-                detected=detected,
-                preamble_power=float(np.mean(powers)) if detected else 0.0,
-                noise_power=noise_floor,
-            )
-            if detected:
-                for result in payload_results:
-                    power = result.power_at_index(located)
-                    decode.bit_powers.append(power)
-                    decode.bits.append(int(power > decode.threshold))
-            devices[device_id] = decode
-        return FrameDecode(devices=devices)
-
-    def _estimate_noise(self, result: DechirpResult) -> float:
-        """Noise floor estimate excluding every assigned neighbourhood."""
-        return self._demod.noise_floor(
-            result, exclude_bins=list(self._assignments.values())
-        )
-
-    # ------------------------------------------------------------------ #
-    # stream-level decoding (waveform path)
+    # single-frame entry points
     # ------------------------------------------------------------------ #
 
     def decode_frame(
@@ -709,7 +631,17 @@ class NetScatterReceiver:
         synchronize: bool = True,
         start_sample: int = 0,
     ) -> FrameDecode:
-        """Decode a raw baseband stream containing one concurrent frame."""
+        """Decode a raw baseband stream containing one concurrent frame.
+
+        Once the frame start is known (found by the synchroniser, or
+        ``start_sample``), its preamble upchirps and payload symbols are
+        decoded as one round by :meth:`decode_fast_symbols`; the
+        downchirps serve only the synchroniser.
+        """
+        _check_frame(1, n_preamble_upchirps + n_payload_bits,
+                     n_preamble_upchirps)
+        if n_preamble_downchirps < 0:
+            raise DecodingError("n_preamble_downchirps must be >= 0")
         stream = np.asarray(stream, dtype=complex)
         n = self._params.n_samples
         if synchronize:
@@ -720,43 +652,50 @@ class NetScatterReceiver:
             start_sample = sync.refine_with_shifts(
                 stream, coarse, list(self._assignments.values())
             )
-        preamble_up_len = n_preamble_upchirps * n
-        preamble_len = (n_preamble_upchirps + n_preamble_downchirps) * n
-        payload_len = n_payload_bits * n
-        end = start_sample + preamble_len + payload_len
+        if start_sample < 0:
+            raise DecodingError(
+                f"start_sample must be >= 0, got {start_sample}"
+            )
+        preamble_up_end = start_sample + n_preamble_upchirps * n
+        payload_start = start_sample + (
+            n_preamble_upchirps + n_preamble_downchirps
+        ) * n
+        end = payload_start + n_payload_bits * n
         if end > stream.size:
             raise DecodingError(
                 f"stream too short: need {end} samples, have {stream.size}"
             )
-        preamble_results = self._demod.dechirp_frame(
-            stream[start_sample : start_sample + preamble_up_len]
-        )
-        payload_results = self._demod.dechirp_frame(
-            stream[start_sample + preamble_len : end]
-        )
-        decode = self.decode_symbols(preamble_results, payload_results)
+        symbols = np.concatenate(
+            [stream[start_sample:preamble_up_end], stream[payload_start:end]]
+        ).reshape(-1, n)
+        decode = self.decode_fast_symbols(symbols, n_preamble_upchirps)
         decode.start_sample = start_sample
         return decode
-
-    # ------------------------------------------------------------------ #
-    # convenience entry point for the fast path
-    # ------------------------------------------------------------------ #
 
     def decode_fast_symbols(
         self,
         symbols: Sequence[np.ndarray],
         n_preamble_upchirps: int = 6,
     ) -> FrameDecode:
-        """Decode pre-aligned raw symbols from the fast composition path."""
-        if len(symbols) < n_preamble_upchirps:
-            raise DecodingError("fewer symbols than preamble length")
-        results = [self._demod.dechirp(s) for s in symbols]
-        return self.decode_symbols(
-            results[:n_preamble_upchirps], results[n_preamble_upchirps:]
-        )
+        """Decode one pre-aligned frame of raw symbols.
+
+        ``symbols`` holds the frame's preamble upchirps, then its
+        payload symbols, ``2^SF`` samples each. The frame is decoded as
+        one round on the ``fft`` path, whatever this receiver's
+        ``readout``: one zero-padded FFT per symbol, then the decision
+        rule every batch decode applies (:meth:`_decide_chunk`).
+        """
+        n = self._params.n_samples
+        if any(np.size(symbol) != n for symbol in symbols):
+            raise DecodingError(f"every symbol must hold {n} samples")
+        matrix = np.asarray(symbols, dtype=complex).reshape(-1, n)
+        _check_frame(1, matrix.shape[0], n_preamble_upchirps)
+        return self._decode_tensor(
+            matrix[None], n_preamble_upchirps, False, "fft", None, None
+        ).frame(0)
 
     # ------------------------------------------------------------------ #
-    # vectorised round decoding (used by the network simulator)
+    # batch entry points (used by the network simulator)
     # ------------------------------------------------------------------ #
 
     @property
@@ -780,29 +719,6 @@ class NetScatterReceiver:
             )
         return self._plans[fold]
 
-    def decode_round_matrix(
-        self,
-        symbol_matrix: np.ndarray,
-        n_preamble_upchirps: int = 6,
-    ) -> FrameDecode:
-        """Decode a whole round at once from a (n_symbols, 2^SF) matrix.
-
-        Numerically identical to :meth:`decode_fast_symbols`, but the
-        dechirp, spectral readout and per-device window search run as
-        batched numpy operations — necessary for 256-device round
-        simulations. One-round convenience wrapper of
-        :meth:`decode_rounds`.
-        """
-        symbol_matrix = np.asarray(symbol_matrix, dtype=complex)
-        n = self._params.n_samples
-        if symbol_matrix.ndim != 2 or symbol_matrix.shape[1] != n:
-            raise DecodingError(
-                f"symbol matrix must be (n_symbols, {n})"
-            )
-        return self.decode_rounds(
-            symbol_matrix[None, :, :], n_preamble_upchirps
-        ).frame(0)
-
     def decode_rounds(
         self,
         symbol_tensor: np.ndarray,
@@ -818,9 +734,10 @@ class NetScatterReceiver:
         ``symbol_tensor`` is ``(n_rounds, n_symbols, 2^SF)``: every round
         of a sweep point composed up front (see
         :func:`repro.core.dcss.compose_rounds`). The spectral readout is
-        one matmul over the flattened batch, the peak location / noise
-        floor / bit decisions are vectorised across rounds, and memory is
-        bounded by processing the batch in round chunks.
+        one matmul over each span of rounds (or one padded FFT per
+        round on the ``fft`` backend), the peak location / noise floor /
+        bit decisions are vectorised across rounds, and memory is
+        bounded by processing the batch in round spans.
 
         Parameters
         ----------
@@ -856,8 +773,7 @@ class NetScatterReceiver:
                 f"symbol tensor must be (n_rounds, n_symbols, {n})"
             )
         n_rounds, n_symbols, _ = symbol_tensor.shape
-        if n_symbols < n_preamble_upchirps:
-            raise DecodingError("fewer symbols than preamble length")
+        _check_frame(n_rounds, n_symbols, n_preamble_upchirps)
 
         noise_scale = self._noise_scale(
             noise_snr_db, rng, signal_power, n_rounds
@@ -900,9 +816,9 @@ class NetScatterReceiver:
     ) -> Optional[NoiseStream]:
         """The versioned draw stream for this decode, or ``None``.
 
-        Built once per decode call and threaded through every chunk, so
-        chunked batches consume one generator sequentially — the same
-        consumption pattern the pre-stream engine had.
+        Built once per decode call and threaded through every span, so
+        a multi-span batch consumes one generator sequentially — the
+        same consumption pattern the pre-stream engine had.
         """
         if noise_mode is not None and noise_mode not in NOISE_MODES:
             raise DecodingError(
@@ -922,23 +838,19 @@ class NetScatterReceiver:
         noise_scale,
         stream: Optional[NoiseStream],
     ) -> RoundsDecode:
-        """Chunked decode of a symbol tensor through one spectral backend."""
+        """A symbol tensor through the ``sparse`` or ``fft`` readout."""
         n_rounds, n_symbols, _ = symbol_tensor.shape
         plan = self._readout_plan(dechirped)
-        pieces = [
-            self._decode_chunk(
-                symbol_tensor[start:stop],
-                n_preamble_upchirps,
-                plan,
-                backend == "fft",
-                None if noise_scale is None else noise_scale[start:stop],
-                stream,
-            )
-            for start, stop in self._decide_spans(
-                n_rounds, n_symbols, plan, backend
-            )
-        ]
-        return self._assemble_decode(pieces, backend, stream)
+        if backend == "fft":
+            read = self._fft_reader(plan, n_symbols, lambda r: symbol_tensor[r])
+        else:
+            def read(span):
+                return span, *plan.read(symbol_tensor[slice(*span)]), None
+        spans = self._decide_spans(n_rounds, n_symbols, plan, backend)
+        return self._decode_spans(
+            read, spans, n_preamble_upchirps, plan, backend, noise_scale,
+            stream,
+        )
 
     def _decide_spans(
         self,
@@ -948,25 +860,31 @@ class NetScatterReceiver:
         backend: str,
         n_tones: Optional[int] = None,
     ) -> List[Tuple[int, int]]:
-        """``(start, stop)`` rounds of each decide chunk of a waveform decode.
+        """``(start, stop)`` rounds of each span of a decode.
 
-        A decide chunk holds the rounds whose readout fits the element
+        A span holds the rounds whose stage-A output fits the element
         budget: the full padded grid on the ``fft`` backend, the read
-        bins on ``sparse``. Tone inputs (``n_tones`` tones per round)
+        bins on ``sparse``, and on ``analytic`` the read bins plus the
+        per-tone kernel columns of the window and probe readouts. On
+        ``fft`` and ``sparse``, tone inputs (``n_tones`` tones per round)
         are first cut into compose chunks, sized for each round's
         composed symbols and tone matrix, and each compose chunk into
-        decide chunks; a symbol tensor is one compose chunk. The engine
-        noise is drawn one decide chunk at a time, in this order, so
-        these boundaries fix the draws.
+        spans; a symbol tensor is one compose chunk. The engine noise is
+        drawn one span at a time, in this order, so these boundaries
+        fix the draws.
         """
         n = self._params.n_samples
-        if backend == "fft":
+        if backend == "analytic":
+            per_round = n_symbols * plan.window_readout.n_bins + n_tones * (
+                plan.window_readout.n_bins + plan.probe_readout.n_bins
+            )
+        elif backend == "fft":
             per_round = n_symbols * n * self._config.zero_pad_factor
         else:
             per_round = n_symbols * plan.window_readout.n_bins
         decide = max(1, _CHUNK_ELEMENT_BUDGET // max(1, per_round))
-        compose = max(1, n_rounds)
-        if n_tones is not None:
+        compose = n_rounds
+        if n_tones is not None and backend != "analytic":
             compose = max(
                 1, _CHUNK_ELEMENT_BUDGET // ((n_symbols + n_tones) * n)
             )
@@ -1056,52 +974,52 @@ class NetScatterReceiver:
         compose with the exact readout-domain AWGN injection of
         :meth:`decode_rounds` (same covariance, same stream layout and
         draw order — a shared generator state yields identical noise on
-        both paths for single-chunk batches, whichever ``noise_mode``
+        both paths for single-span batches, whichever ``noise_mode``
         is in force). ``dtype=numpy.complex64`` switches the kernel and
         matmuls to single precision for very large device counts.
 
         Under ``readout="auto"`` the calibrated cost model picks the
         cheapest spectral backend for this batch's occupancy: the
         closed-form path below small crossover occupancies, otherwise
-        the tone sum is synthesised once
+        the tone sum is synthesised in the dechirped domain
         (:func:`repro.core.dcss.compose_rounds`) and routed through the
         sparse-matmul or padded-FFT readout — whichever the model
         predicts faster. Decisions are bit-identical either way; the
         chosen backend is reported in :attr:`RoundsDecode.backend`.
-
-        With more than one round chunk and more than one usable CPU,
-        every backend composes the next chunk's readout values on a
-        stage thread while this thread draws and decides the current
-        one (:func:`repro.utils.parallel.pipeline`): the closed-form
-        path its windows and probes, the waveform paths the tone sum
-        and its readout (:meth:`_decode_tones`). Every draw stays on
-        this thread in chunk order, so the result is that of a serial
-        decode, bit for bit.
+        Every backend runs through the one span loop
+        (:meth:`_decode_spans`).
         """
-        from repro.core.dcss import compose_readout
+        from repro.core.dcss import compose_readout, compose_rounds
 
         effective_bins = np.asarray(effective_bins, dtype=float)
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        phases_rad = np.asarray(phases_rad, dtype=float)
         bit_tensor = np.asarray(bit_tensor, dtype=float)
         if effective_bins.ndim != 2 or bit_tensor.ndim != 3:
             raise DecodingError(
                 "effective_bins must be (n_rounds, n_devices) and "
                 "bit_tensor (n_rounds, n_symbols, n_devices)"
             )
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        phases_rad = np.asarray(phases_rad, dtype=float)
-        n_rounds, n_symbols, _ = bit_tensor.shape
-        if n_symbols < n_preamble_upchirps:
-            raise DecodingError("fewer symbols than preamble length")
+        for name, values in (
+            ("effective_bins", effective_bins),
+            ("amplitudes", amplitudes),
+            ("phases_rad", phases_rad),
+        ):
+            if not np.all(np.isfinite(values)):
+                raise DecodingError(f"{name} must be finite")
+        n_rounds, n_symbols, n_tx = bit_tensor.shape
+        _check_frame(n_rounds, n_symbols, n_preamble_upchirps)
         noise_scale = self._noise_scale(
             noise_snr_db, rng, signal_power, n_rounds
         )
         stream = self._noise_stream(noise_scale, rng, noise_mode)
+        backend = "analytic"
         if self._readout == "auto":
             backend = self._backend_planner().select(
                 self._workload(
                     n_rounds,
                     n_symbols,
-                    effective_bins.shape[1],
+                    n_tx,
                     dechirped=True,
                     tone_input=True,
                     stream=stream,
@@ -1112,146 +1030,107 @@ class NetScatterReceiver:
                 raise DecodingError(
                     f"planner chose unknown backend {backend!r}"
                 )
-            if backend != "analytic":
-                return self._decode_tones(
-                    effective_bins,
-                    amplitudes,
-                    phases_rad,
-                    bit_tensor,
-                    n_preamble_upchirps,
-                    backend,
-                    noise_scale,
-                    stream,
-                )
-        # The kernel is domain-free (it reads the dechirped tone), so
-        # use the dechirped-domain plan: identical bin layout and noise
-        # factor, no downchirp fold anywhere.
+        # Every backend reads the dechirped tone sum (the re-spread /
+        # de-spread rotation cancels through the receiver; the kernel is
+        # domain-free), so the dechirped-domain plan serves all three.
         plan = self._readout_plan(dechirped=True)
-        # The "full" stream draws noise at every window bin of every
-        # symbol, so it needs every row composed across the windows.
-        # Otherwise only the preamble rows are (the peak search reads
-        # them all) and the payload rows are composed once the peaks are
-        # located, at each device's located +/- 1 bins only.
-        full_stream = stream is not None and stream.mode == "full"
-        window_rows = n_symbols if full_stream else n_preamble_upchirps
-        n_tx = effective_bins.shape[1]
-        elements_per_round = n_symbols * plan.window_readout.n_bins + n_tx * (
-            plan.window_readout.n_bins + plan.probe_readout.n_bins
-        )
-        chunk = max(1, _CHUNK_ELEMENT_BUDGET // max(1, elements_per_round))
 
-        # Stage A of a chunk composes its preamble windows and symbol-0
-        # probes; it draws nothing, so it may run ahead on the pipeline's
-        # stage thread. Stage B (every noise draw, the peak search, the
-        # located payload and the decisions) stays on this thread in
-        # chunk order, which keeps both noise streams bit-identical.
-        def compose(start):
-            rounds = slice(start, start + chunk)
-            tones = (
+        def tones(span):
+            rounds = slice(*span)
+            return (
                 self._params,
                 effective_bins[rounds],
                 amplitudes[rounds],
                 phases_rad[rounds],
             )
-            window_flat = compose_readout(
-                *tones,
-                bit_tensor[rounds, :window_rows],
-                plan.window_readout,
-                dtype=dtype,
-                n_preamble_rows=n_preamble_upchirps,
-            )
-            window_values = window_flat.reshape(
-                window_flat.shape[:2] + (plan.n_devices, plan.window_width)
-            )
-            # The noise floor reads only the first symbol's probes.
-            probe_values = compose_readout(
-                *tones,
-                bit_tensor[rounds, :1],
-                plan.probe_readout,
-                dtype=dtype,
-            )[:, 0, :]
-            return rounds, tones, window_values, probe_values
 
-        def decide(composed):
-            rounds, tones, window_values, probe_values = composed
-            read_payload = None
-            if not full_stream:
-                read_payload = partial(
-                    _compose_located,
-                    plan,
-                    tones,
-                    bit_tensor[rounds, n_preamble_upchirps:],
-                    dtype,
-                )
-            return self._decide_chunk(
-                window_values,
-                probe_values,
-                n_preamble_upchirps,
-                plan,
-                None if noise_scale is None else noise_scale[rounds],
-                stream,
-                read_payload,
-            )
-
-        pieces = pipeline(compose, decide, range(0, n_rounds, chunk))
-        return self._assemble_decode(pieces, "analytic", stream)
-
-    def _decode_tones(
-        self,
-        effective_bins: np.ndarray,
-        amplitudes: np.ndarray,
-        phases_rad: np.ndarray,
-        bit_tensor: np.ndarray,
-        n_preamble_upchirps: int,
-        backend: str,
-        noise_scale,
-        stream: Optional[NoiseStream],
-    ) -> RoundsDecode:
-        """Tone-sum rounds through the ``sparse`` or ``fft`` readout.
-
-        The tone sum is synthesised in the dechirped domain (the
-        re-spread/de-spread rotation cancels through the receiver) one
-        decide chunk at a time (:meth:`_decide_spans`), so the composed
-        symbols honour the decode's element budget and peak memory
-        stays bounded for any batch size.
-
-        Stage A of a chunk composes its symbols and reads their window
-        and symbol-0 probe values; it draws nothing, so it runs ahead
-        on the pipeline's stage thread. Stage B (:meth:`_decide_chunk`)
-        draws and decides on this thread in chunk order. The ``fft``
-        stage A streams round by round: each round is composed alone,
-        transformed into one padded grid that every round reuses and
-        gathered into the chunk's output
-        (:meth:`_ReadoutPlan.read_round`), so no chunk-sized grid or
-        symbol tensor is ever held. The ``sparse`` stage A reads each
-        chunk in one operator call: a one-round read takes BLAS's
-        one-row path, which is not bit-identical to the batch read.
-        """
-        from repro.core.dcss import compose_rounds
-
-        plan = self._readout_plan(dechirped=True)
-        n_rounds, n_symbols, n_tones = bit_tensor.shape
-        exact = backend == "fft"
-        if exact:
-            grid = np.empty(
-                (n_symbols, plan.n_samples * self._config.zero_pad_factor),
-                dtype=complex,
-            )
-
-        def compose(rounds):
+        def compose(span):
             return compose_rounds(
-                self._params,
-                effective_bins[rounds],
-                amplitudes[rounds],
-                phases_rad[rounds],
-                bit_tensor[rounds],
-                respread=False,
+                *tones(span), bit_tensor[slice(*span)], respread=False
             )
+
+        if backend == "fft":
+            # The fft stage A streams round by round: each round is
+            # composed alone, so no span-sized symbol tensor is held.
+            read = self._fft_reader(
+                plan, n_symbols, lambda r: compose((r, r + 1))[0]
+            )
+        elif backend == "sparse":
+            # One operator call per span: a one-round read takes BLAS's
+            # one-row path, which is not bit-identical to the batch read.
+            def read(span):
+                return span, *plan.read(compose(span)), None
+        else:
+            # The "full" stream draws noise at every window bin of every
+            # symbol, so it needs every row composed across the windows.
+            # Otherwise only the preamble rows are (the peak search
+            # reads them all) and the payload rows are composed once the
+            # peaks are located, at each device's located +/- 1 bins.
+            full_stream = stream is not None and stream.mode == "full"
+            window_rows = n_symbols if full_stream else n_preamble_upchirps
+
+            def read(span):
+                span_tones = tones(span)
+                rounds = slice(*span)
+                window_flat = compose_readout(
+                    *span_tones,
+                    bit_tensor[rounds, :window_rows],
+                    plan.window_readout,
+                    dtype=dtype,
+                    n_preamble_rows=n_preamble_upchirps,
+                )
+                windows = window_flat.reshape(
+                    window_flat.shape[:2]
+                    + (plan.n_devices, plan.window_width)
+                )
+                # The noise floor reads only the first symbol's probes.
+                probes = compose_readout(
+                    *span_tones,
+                    bit_tensor[rounds, :1],
+                    plan.probe_readout,
+                    dtype=dtype,
+                )[:, 0, :]
+                read_payload = None
+                if not full_stream:
+                    read_payload = partial(
+                        _compose_located,
+                        plan,
+                        span_tones,
+                        bit_tensor[rounds, n_preamble_upchirps:],
+                        dtype,
+                    )
+                return span, windows, probes, read_payload
+
+        spans = self._decide_spans(
+            n_rounds, n_symbols, plan, backend, n_tones=n_tx
+        )
+        return self._decode_spans(
+            read, spans, n_preamble_upchirps, plan, backend, noise_scale,
+            stream,
+        )
+
+    def _fft_reader(
+        self,
+        plan: _ReadoutPlan,
+        n_symbols: int,
+        round_symbols: Callable[[int], np.ndarray],
+    ):
+        """Stage A of the ``fft`` backend: one padded FFT per round.
+
+        ``round_symbols(r)`` gives round ``r``'s ``(S, 2^SF)`` symbols.
+        Each round is transformed into one padded grid that every round
+        of the decode reuses and gathered into its span's output
+        (:meth:`_ReadoutPlan.read_round`), so no span-sized grid is ever
+        held. The pipeline runs stage A on one thread at a time, so the
+        grid is never shared.
+        """
+        grid = np.empty(
+            (n_symbols, plan.n_samples * self._config.zero_pad_factor),
+            dtype=complex,
+        )
 
         def read(span):
             start, stop = span
-            if not exact:
-                return span, *plan.read(compose(slice(start, stop)), False)
             windows = np.empty(
                 (stop - start, n_symbols, plan.n_devices, plan.window_width),
                 dtype=complex,
@@ -1259,25 +1138,47 @@ class NetScatterReceiver:
             probes = np.empty((stop - start, plan.n_probes), dtype=complex)
             for row, r in enumerate(range(start, stop)):
                 plan.read_round(
-                    compose(slice(r, r + 1))[0], grid, windows[row],
-                    probes[row],
+                    round_symbols(r), grid, windows[row], probes[row]
                 )
-            return span, windows, probes
+            return span, windows, probes, None
+
+        return read
+
+    def _decode_spans(
+        self,
+        read: Callable,
+        spans: List[Tuple[int, int]],
+        n_preamble: int,
+        plan: _ReadoutPlan,
+        backend: str,
+        noise_scale,
+        stream: Optional[NoiseStream],
+    ) -> RoundsDecode:
+        """The span loop every decode runs through.
+
+        ``read(span)`` is the backend's stage A: it returns ``(span,
+        windows, probes, read_payload)``, the arguments of
+        :meth:`_decide_chunk` for the span's rounds. It draws nothing,
+        so with more than one span and more than one usable CPU the
+        next span is read on the pipeline's stage thread
+        (:func:`repro.utils.parallel.pipeline`) while this thread draws
+        and decides the current one. Every draw stays on this thread in
+        span order, so the result is that of a serial decode, bit for
+        bit.
+        """
 
         def decide(staged):
-            (start, stop), windows, probes = staged
+            (start, stop), windows, probes, read_payload = staged
             return self._decide_chunk(
                 windows,
                 probes,
-                n_preamble_upchirps,
+                n_preamble,
                 plan,
                 None if noise_scale is None else noise_scale[start:stop],
                 stream,
+                read_payload,
             )
 
-        spans = self._decide_spans(
-            n_rounds, n_symbols, plan, backend, n_tones=n_tones
-        )
         pieces = pipeline(read, decide, spans)
         return self._assemble_decode(pieces, backend, stream)
 
@@ -1313,7 +1214,7 @@ class NetScatterReceiver:
         backend: str,
         stream: Optional[NoiseStream] = None,
     ) -> RoundsDecode:
-        """Stack per-chunk decision arrays into one :class:`RoundsDecode`."""
+        """Stack per-span decision arrays into one :class:`RoundsDecode`."""
         device_ids = list(self._assignments)
         shifts = np.array(
             [self._assignments[d] for d in device_ids], dtype=int
@@ -1331,22 +1232,6 @@ class NetScatterReceiver:
             noise_version=0 if stream is None else stream.version,
         )
 
-    def _decode_chunk(
-        self,
-        tensor: np.ndarray,
-        n_preamble: int,
-        plan: _ReadoutPlan,
-        exact: bool,
-        noise_scale,
-        stream: Optional[NoiseStream],
-    ):
-        """Vectorised decode of one round chunk -> per-round arrays."""
-        window_values, probe_values = plan.read(tensor, exact)
-        return self._decide_chunk(
-            window_values, probe_values, n_preamble, plan, noise_scale,
-            stream,
-        )
-
     def _decide_chunk(
         self,
         window_values: np.ndarray,
@@ -1360,10 +1245,10 @@ class NetScatterReceiver:
         """Detection/decision logic on readout values, however composed.
 
         ``window_values`` is ``(R, S, D, W)`` complex, ``probe_values``
-        ``(R, n_probes)`` complex (symbol 0 only). Shared verbatim by
-        the time-domain (:meth:`decode_rounds`) and analytic
-        (:meth:`decode_readout`) entry points, which is what makes their
-        decisions comparable bit for bit.
+        ``(R, n_probes)`` complex (symbol 0 only). The one decision
+        rule: every entry point reaches it through
+        :meth:`_decode_spans`, which is what makes their decisions
+        comparable bit for bit.
 
         Each device's peak is located from the summed preamble windows;
         every symbol is then read at the located bin and its two

@@ -8,7 +8,7 @@ recomputes them and checks them against the paper's printed values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.config import TABLE1_CONFIGS
 from repro.experiments.common import ExperimentResult
@@ -78,8 +78,3 @@ def run() -> ExperimentResult:
         all_sensitivity_close,
     )
     return result
-
-
-def paper_rows() -> List[Tuple[Tuple[int, int], Tuple[float, float, float, float]]]:
-    """The paper's printed table, for tests."""
-    return list(PAPER_ROWS.items())

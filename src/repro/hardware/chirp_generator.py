@@ -53,10 +53,6 @@ class ChirpGenerator:
         if self.clock_multiplier < 1:
             raise HardwareModelError("clock multiplier must be >= 1")
 
-    @property
-    def clock_hz(self) -> float:
-        return self.params.bandwidth_hz * self.clock_multiplier
-
     def phase_track(self, shift: int = 0) -> np.ndarray:
         """Accumulated phase (radians) over one symbol at the clock rate.
 

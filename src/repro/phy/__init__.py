@@ -10,14 +10,10 @@ packet-start synchronisation from the up/down-chirp preamble.
 from repro.phy.chirp import ChirpParams, upchirp, downchirp, cyclic_shifted_upchirp
 from repro.phy.demodulation import Demodulator, DechirpResult
 from repro.phy.modulation import CssModulator, CssDemodulator
-from repro.phy.noise import estimate_noise_floor, spectrum_noise_floor
+from repro.phy.noise import estimate_noise_floor
 from repro.phy.onoff import OnOffKeyedTransmitter
 from repro.phy.packet import BackscatterPacket, PacketStructure
-from repro.phy.sparse_readout import (
-    SparseReadout,
-    dirichlet_kernel,
-    full_fft_powers,
-)
+from repro.phy.sparse_readout import SparseReadout, dirichlet_kernel
 
 __all__ = [
     "ChirpParams",
@@ -29,11 +25,9 @@ __all__ = [
     "CssModulator",
     "CssDemodulator",
     "estimate_noise_floor",
-    "spectrum_noise_floor",
     "OnOffKeyedTransmitter",
     "BackscatterPacket",
     "PacketStructure",
     "SparseReadout",
     "dirichlet_kernel",
-    "full_fft_powers",
 ]

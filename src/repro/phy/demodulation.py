@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
-
 import numpy as np
 
 from repro.errors import DecodingError
 from repro.phy.chirp import ChirpParams, downchirp
-from repro.phy.noise import spectrum_noise_floor
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class DechirpResult:
     # cached_property stores into the instance __dict__ directly, which
     # sidesteps the frozen-dataclass __setattr__ guard: the spectrum is
     # immutable, so |.| and |.|^2 are computed at most once per result
-    # (decode_symbols reads .power in a loop per device per symbol).
+    # (bin_power and peak_index_near read .power on every call).
     @cached_property
     def magnitude(self) -> np.ndarray:
         """Magnitude spectrum (computed once, then cached)."""
@@ -82,23 +79,10 @@ class DechirpResult:
         idx = (np.arange(-half, half + 1) + int(round(centre))) % self.n_bins
         return int(idx[int(np.argmax(self.power[idx]))])
 
-    def power_at_index(self, index: int, guard: int = 1) -> float:
-        """Power at an interpolated-grid index, max over ``+/- guard``."""
-        idx = (np.arange(-guard, guard + 1) + int(index)) % self.n_bins
-        return float(np.max(self.power[idx]))
-
     def peak_bin(self) -> float:
         """Location of the global peak, in natural-bin units (fractional)."""
         peak_index = int(np.argmax(self.magnitude))
         return peak_index / self.zero_pad_factor
-
-    def peak_bins(self, count: int) -> np.ndarray:
-        """Locations of the ``count`` largest peaks in natural-bin units."""
-        if count < 1:
-            raise DecodingError("count must be >= 1")
-        order = np.argsort(self.magnitude)[::-1][:count]
-        return np.sort(order / self.zero_pad_factor)
-
 
 class Demodulator:
     """Dechirps CSS symbols and exposes the single-FFT spectrum.
@@ -147,22 +131,6 @@ class Demodulator:
             zero_pad_factor=self._zero_pad_factor,
         )
 
-    def dechirp_frame(self, frame: np.ndarray) -> List[DechirpResult]:
-        """De-spread a frame of back-to-back symbols.
-
-        The frame length must be a whole number of symbols.
-        """
-        frame = np.asarray(frame, dtype=complex)
-        n = self._params.n_samples
-        if frame.size % n != 0:
-            raise DecodingError(
-                f"frame length {frame.size} is not a multiple of the "
-                f"symbol length {n}"
-            )
-        return [
-            self.dechirp(frame[i : i + n]) for i in range(0, frame.size, n)
-        ]
-
     def classic_decode(self, symbol: np.ndarray) -> int:
         """Classic LoRa decision: the integer shift of the strongest peak.
 
@@ -171,17 +139,3 @@ class Demodulator:
         """
         result = self.dechirp(symbol)
         return int(round(result.peak_bin())) % self._params.n_shifts
-
-    def noise_floor(self, result: DechirpResult,
-                    exclude_bins: Optional[Sequence[float]] = None) -> float:
-        """Median bin power, excluding neighbourhoods of known peaks.
-
-        A robust noise estimate for presence thresholds, delegated to the
-        shared estimator in :mod:`repro.phy.noise` (the same rule the
-        batched round decoder applies to its probe bins). Under full
-        occupancy the estimator falls back to a low quantile of the whole
-        spectrum, which tracks the noise + side-lobe floor.
-        """
-        return spectrum_noise_floor(
-            result.power, self._zero_pad_factor, exclude_shifts=exclude_bins
-        )

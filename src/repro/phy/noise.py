@@ -1,11 +1,9 @@
 """Shared noise-floor estimation and versioned engine-noise streams.
 
-Historically the library had two divergent noise estimators: the
-per-symbol path (:meth:`repro.phy.demodulation.Demodulator.noise_floor`)
-took the median bin power after excluding neighbourhoods of known peaks,
-while the vectorised round decoder hard-coded a low quantile of the whole
-spectrum. Both are views of the same question — "what does an unoccupied
-bin look like?" — so the answer lives here once:
+Every decode asks one question of its noise probes — "what does an
+unoccupied bin look like?" — and the receiver's one decision rule
+(:meth:`repro.core.receiver.NetScatterReceiver._decide_chunk`) answers
+it here:
 
 * median of the candidate (signal-free) bin powers when any survive the
   exclusions, because the median is insensitive to stray peaks;
@@ -224,9 +222,8 @@ def exclusion_mask(
     """Boolean mask over the interpolated grid: True = excluded.
 
     A bin is excluded when it lies within ``guard_bins`` natural bins of
-    any excluded cyclic shift (cyclically). This is the neighbourhood the
-    per-symbol estimator has always carved out (``+/- zp`` interpolated
-    bins for the default guard of one natural bin). Centres round half
+    any excluded cyclic shift (cyclically): ``+/- zp`` interpolated bins
+    for the default guard of one natural bin. Centres round half
     to even, like Python's ``round``.
     """
     mask = np.zeros(n_bins, dtype=bool)
@@ -237,28 +234,3 @@ def exclusion_mask(
     mask[(centres.astype(np.int64)[:, None] + offsets) % n_bins] = True
     return mask
 
-
-def spectrum_noise_floor(
-    power: np.ndarray,
-    zero_pad_factor: int,
-    exclude_shifts: Optional[Sequence[float]] = None,
-    fallback_quantile: float = NOISE_FALLBACK_QUANTILE,
-) -> float:
-    """Floor of one full interpolated power spectrum.
-
-    The per-symbol form: median over all interpolated bins outside the
-    excluded neighbourhoods; quantile of the whole spectrum when the
-    exclusions leave nothing.
-    """
-    power = np.asarray(power, dtype=float)
-    if exclude_shifts:
-        mask = exclusion_mask(power.size, zero_pad_factor, exclude_shifts)
-        candidates = power[~mask]
-    else:
-        candidates = power
-    return float(
-        estimate_noise_floor(
-            candidates, fallback_powers=power,
-            fallback_quantile=fallback_quantile,
-        )
-    )

@@ -630,10 +630,11 @@ def full_fft_values(
 ) -> np.ndarray:
     """Exact reference: zero-padded FFT values, optionally column-gathered.
 
-    The opt-in exact path of the decode engine: identical readout layout
-    to :class:`SparseReadout` but computed through ``np.fft.fft`` on the
-    full padded grid. Kept for verification and for workloads where the
-    number of read bins approaches the grid size.
+    The readout of the decode engine's ``fft`` backend and of every
+    single-frame decode: identical readout layout to
+    :class:`SparseReadout` but computed through ``np.fft.fft`` on the
+    full padded grid, the cheaper choice where the number of read bins
+    approaches the grid size.
 
     ``out``, a complex128 array of the padded grid's shape, receives the
     spectrum (``np.fft.fft(..., out=)``, NumPy >= 2.0), so a caller
@@ -653,20 +654,6 @@ def full_fft_values(
     if bin_indices is None:
         return spectrum
     return spectrum[..., np.asarray(bin_indices, dtype=np.int64)]
-
-
-def full_fft_powers(
-    params: ChirpParams,
-    zero_pad_factor: int,
-    symbols: np.ndarray,
-    bin_indices: Optional[np.ndarray] = None,
-    fold_downchirp: bool = True,
-) -> np.ndarray:
-    """Power form of :func:`full_fft_values`."""
-    values = full_fft_values(
-        params, zero_pad_factor, symbols, bin_indices, fold_downchirp
-    )
-    return values.real**2 + values.imag**2
 
 
 @lru_cache(maxsize=32)

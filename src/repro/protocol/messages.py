@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.constants import DOWNLINK_BITRATE_BPS
 from repro.errors import ProtocolError
@@ -225,14 +225,3 @@ class AssociationRequest:
             temporary_id=bits_to_int(bits[:16]),
             duty_cycle_code=bits_to_int(bits[16:]),
         )
-
-
-def shifts_as_assignment_map(
-    ranked_device_ids: Sequence[int], shifts: Dict[int, int]
-) -> List[int]:
-    """Express an assignment as the rank permutation the query encodes."""
-    order = sorted(
-        range(len(ranked_device_ids)),
-        key=lambda i: shifts[ranked_device_ids[i]],
-    )
-    return order

@@ -483,8 +483,8 @@ class NetworkSimulator:
 
         All rounds flow through the batched decode engine; the per-round
         scoring is vectorised (a bit counts only when its device's
-        preamble was detected, matching the per-round decoder's empty
-        bit list for undetected devices).
+        preamble was detected, matching the empty bit list
+        :meth:`RoundsDecode.frame` gives an undetected device).
         """
         if n_rounds < 1:
             raise ConfigurationError("need at least one round")

@@ -568,10 +568,6 @@ class FidelitySplit:
     def n_monte_carlo(self) -> int:
         return int(np.sum(self.monte_carlo))
 
-    @property
-    def n_closed_form(self) -> int:
-        return int(self.monte_carlo.size - self.n_monte_carlo)
-
 
 def split_fidelity(
     snrs_db: np.ndarray,

@@ -7,7 +7,7 @@ from repro.core.dcss import (
     DeviceTransmission,
     compose_frame,
     compose_preamble_and_payload_symbols,
-    compose_round_matrix,
+    compose_rounds,
     compose_symbol,
     ideal_aggregate_power,
 )
@@ -134,12 +134,16 @@ class TestComposeWaveformFrame:
 
 
 class TestComposeRoundMatrix:
+    """One round of ``compose_rounds``: its ``(n_symbols, 2^SF)`` matrix."""
+
     def test_matches_per_symbol_composition(self, params):
         bins = np.array([10.0, 40.25])
         amps = np.array([1.0, 0.5])
         phases = np.array([0.3, 1.1])
         bit_matrix = np.array([[1, 1], [1, 0], [0, 1]])
-        fast = compose_round_matrix(params, bins, amps, phases, bit_matrix)
+        fast = compose_rounds(
+            params, bins[None], amps[None], phases[None], bit_matrix[None]
+        )[0]
         cfo_per_bin = params.bandwidth_hz / params.n_samples
         for s in range(3):
             txs = [
@@ -156,33 +160,33 @@ class TestComposeRoundMatrix:
             assert np.allclose(fast[s], slow, atol=1e-9)
 
     def test_shape(self, params):
-        out = compose_round_matrix(
+        out = compose_rounds(
             params,
-            np.array([1.0]),
-            np.array([1.0]),
-            np.array([0.0]),
-            np.ones((5, 1)),
-        )
+            np.array([[1.0]]),
+            np.array([[1.0]]),
+            np.array([[0.0]]),
+            np.ones((1, 5, 1)),
+        )[0]
         assert out.shape == (5, params.n_samples)
 
     def test_misaligned_arrays_rejected(self, params):
         with pytest.raises(ConfigurationError):
-            compose_round_matrix(
+            compose_rounds(
                 params,
-                np.array([1.0, 2.0]),
-                np.array([1.0]),
-                np.array([0.0, 0.0]),
-                np.ones((2, 2)),
+                np.array([[1.0, 2.0]]),
+                np.array([[1.0]]),
+                np.array([[0.0, 0.0]]),
+                np.ones((1, 2, 2)),
             )
 
     def test_bad_bit_matrix_rejected(self, params):
         with pytest.raises(ConfigurationError):
-            compose_round_matrix(
+            compose_rounds(
                 params,
-                np.array([1.0]),
-                np.array([1.0]),
-                np.array([0.0]),
-                np.ones((4, 2)),
+                np.array([[1.0]]),
+                np.array([[1.0]]),
+                np.array([[0.0]]),
+                np.ones((1, 4, 2)),
             )
 
 

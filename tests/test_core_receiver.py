@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import per_symbol_oracle as oracle
 from repro.channel.awgn import awgn
+from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
     DeviceTransmission,
     compose_frame,
     compose_preamble_and_payload_symbols,
-    compose_round_matrix,
+    compose_rounds,
 )
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
@@ -109,6 +111,8 @@ class TestConcurrentDecode:
 
 
 class TestRoundMatrixDecode:
+    """One round through ``decode_rounds`` and ``decode_fast_symbols``."""
+
     def test_matches_per_symbol_decode(self, config, rng):
         """The vectorised path must agree with the reference decoder."""
         shifts = {0: 20, 1: 260}
@@ -117,13 +121,14 @@ class TestRoundMatrixDecode:
         phases = np.array([0.5, 2.0])
         bits = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
         bit_matrix = np.vstack([np.ones((6, 2)), bits])
-        symbols = compose_round_matrix(
-            config.chirp_params, bins, amps, phases, bit_matrix
-        )
+        symbols = compose_rounds(
+            config.chirp_params,
+            bins[None], amps[None], phases[None], bit_matrix[None],
+        )[0]
         noisy = awgn(symbols, 5.0, rng)
         receiver = NetScatterReceiver(config, shifts)
-        fast = receiver.decode_round_matrix(noisy)
-        slow = receiver.decode_fast_symbols(list(noisy))
+        fast = receiver.decode_rounds(noisy[None]).frame(0)
+        slow = oracle.decode_fast_symbols(receiver, list(noisy))
         for device_id in shifts:
             assert fast.devices[device_id].detected == slow.devices[
                 device_id
@@ -135,12 +140,12 @@ class TestRoundMatrixDecode:
     def test_shape_validation(self, config):
         receiver = NetScatterReceiver(config, {0: 10})
         with pytest.raises(DecodingError):
-            receiver.decode_round_matrix(np.ones((4, 100), dtype=complex))
+            receiver.decode_fast_symbols(np.ones((4, 100), dtype=complex))
 
     def test_preamble_length_validation(self, config):
         receiver = NetScatterReceiver(config, {0: 10})
         with pytest.raises(DecodingError):
-            receiver.decode_round_matrix(
+            receiver.decode_fast_symbols(
                 np.ones((3, 512), dtype=complex), n_preamble_upchirps=6
             )
 
@@ -270,3 +275,119 @@ class TestNonFiniteNoiseInputs:
         )
         assert np.all(np.isfinite(decode.noise_power))
         assert decode.detected.all()
+
+
+def _tone_batch(n_rounds=2, n_symbols=8):
+    """Two devices' tone-sum inputs and their dechirped symbol tensor."""
+    config = NetScatterConfig(n_association_shifts=0)
+    receiver = NetScatterReceiver(config, {0: 10, 1: 200})
+    bins = np.tile([10.0, 200.0], (n_rounds, 1))
+    amps, phases = np.ones((n_rounds, 2)), np.zeros((n_rounds, 2))
+    bit_tensor = np.ones((n_rounds, n_symbols, 2))
+    symbols = compose_rounds(
+        config.chirp_params, bins, amps, phases, bit_tensor, respread=False
+    )
+    return receiver, (bins, amps, phases, bit_tensor), symbols
+
+
+def _assert_rejected_before_any_draw(decode, match=None):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(DecodingError, match=match):
+        decode(rng)
+    assert rng.bit_generator.state == state  # nothing was drawn
+
+
+class TestFrameShapeValidation:
+    """Every entry point rejects a frame shape it cannot read.
+
+    Before the shared check, ``decode_rounds`` and ``decode_readout``
+    decoded ``n_preamble_upchirps=-1`` silently (every symbol but the
+    last read as preamble), raised numpy's zero-size reduction error for
+    ``0`` and numpy's concatenate error for a zero-round batch.
+    """
+
+    @pytest.mark.parametrize(
+        "n_preamble, match", [(-1, "n_preamble_upchirps"), (0, "n_preamble")]
+    )
+    @pytest.mark.parametrize("entry", ["decode_rounds", "decode_readout"])
+    def test_preamble_length_below_one_rejected(self, entry, n_preamble,
+                                                match):
+        receiver, tones, symbols = _tone_batch()
+
+        def decode(rng):
+            noise = dict(
+                n_preamble_upchirps=n_preamble, noise_snr_db=-10.0, rng=rng
+            )
+            if entry == "decode_readout":
+                return receiver.decode_readout(*tones, **noise)
+            return receiver.decode_rounds(symbols, dechirped=True, **noise)
+
+        _assert_rejected_before_any_draw(decode, match)
+
+    @pytest.mark.parametrize("entry", ["decode_rounds", "decode_readout"])
+    def test_zero_round_batch_rejected(self, entry):
+        receiver, tones, symbols = _tone_batch()
+
+        def decode(rng):
+            noise = dict(noise_snr_db=-10.0, rng=rng)
+            if entry == "decode_readout":
+                return receiver.decode_readout(
+                    *(t[:0] for t in tones), **noise
+                )
+            return receiver.decode_rounds(
+                symbols[:0], dechirped=True, **noise
+            )
+
+        _assert_rejected_before_any_draw(decode, "at least one round")
+
+    def test_ragged_symbol_list_rejected(self, config):
+        receiver = NetScatterReceiver(config, {0: 10})
+        n = config.chirp_params.n_samples
+        symbols = [np.ones(n, complex)] * 6 + [np.ones(n - 1, complex)]
+        with pytest.raises(DecodingError, match="samples"):
+            receiver.decode_fast_symbols(symbols)
+
+    def test_fewer_symbols_than_preamble_rejected(self, config):
+        receiver = NetScatterReceiver(config, {0: 10})
+        n = config.chirp_params.n_samples
+        with pytest.raises(DecodingError, match="fewer symbols"):
+            receiver.decode_fast_symbols([np.ones(n, complex)] * 5)
+        with pytest.raises(DecodingError, match="fewer symbols"):
+            receiver.decode_fast_symbols([])
+
+    def test_negative_start_sample_rejected(self, small_config):
+        receiver = NetScatterReceiver(small_config, {0: 4})
+        n = small_config.chirp_params.n_samples
+        with pytest.raises(DecodingError, match="start_sample"):
+            receiver.decode_frame(
+                np.zeros(20 * n, dtype=complex),
+                n_payload_bits=4,
+                synchronize=False,
+                start_sample=-n,
+            )
+
+
+class TestNonFiniteToneInputs:
+    """``decode_readout`` rejects a NaN or infinite tone before any draw.
+
+    Before the check a NaN bin, NaN phase or infinite amplitude decoded
+    silently: every device read undetected and the floors were NaN.
+    """
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(0, np.nan), (0, np.inf), (1, np.inf), (1, np.nan), (2, np.nan),
+         (2, -np.inf)],
+    )
+    def test_non_finite_tone_rejected(self, column, value):
+        receiver, tones, _ = _tone_batch()
+        tones = [t.copy() for t in tones]
+        tones[column][1, 0] = value
+        name = ("effective_bins", "amplitudes", "phases_rad")[column]
+        _assert_rejected_before_any_draw(
+            lambda rng: receiver.decode_readout(
+                *tones, noise_snr_db=-10.0, rng=rng
+            ),
+            name,
+        )

@@ -1,12 +1,14 @@
 """The two-stage decode pipeline and the one parallelism rule.
 
-``NetScatterReceiver.decode_readout`` reads each round chunk (stage A)
-on a stage thread while the caller draws the previous chunk's noise and
-decides it (stage B), through :func:`repro.utils.parallel.pipeline`.
-On the analytic backend stage A composes the chunk's preamble windows
-and symbol-0 probes; on the ``fft`` and ``sparse`` backends it
-synthesises the chunk's tone sum and reads it, the ``fft`` one round at
-a time into one reused grid. Three contracts:
+Every ``NetScatterReceiver`` decode runs one span loop: it reads each
+round span (stage A) on a stage thread while the caller draws the
+previous span's noise and decides it (stage B), through
+:func:`repro.utils.parallel.pipeline`. In ``decode_readout``, on the
+analytic backend stage A composes the span's preamble windows and
+symbol-0 probes; on the ``fft`` and ``sparse`` backends it synthesises
+the span's tone sum and reads it, the ``fft`` one round at a time into
+one reused grid. ``decode_rounds`` reads its symbol tensor the same
+two ways. Three contracts:
 
 * **serial equals pipelined** — every ``RoundsDecode`` array is equal,
   bit for bit, whether one, two or four CPUs are usable, across chunk
@@ -663,13 +665,13 @@ class TestDecideSpansPool:
             receiver_module, "_CHUNK_ELEMENT_BUDGET", 3 * per_round
         )
         chunks = []
-        decode_chunk = NetScatterReceiver._decode_chunk
+        decide_chunk = NetScatterReceiver._decide_chunk
 
-        def recording(self, tensor, *args):
-            chunks.append(tensor.shape[0])
-            return decode_chunk(self, tensor, *args)
+        def recording(self, windows, *args):
+            chunks.append(windows.shape[0])
+            return decide_chunk(self, windows, *args)
 
-        monkeypatch.setattr(NetScatterReceiver, "_decode_chunk", recording)
+        monkeypatch.setattr(NetScatterReceiver, "_decide_chunk", recording)
         symbols = dcss_module.compose_rounds(
             config.chirp_params, bins, amps, phases, bits
         )
@@ -679,16 +681,67 @@ class TestDecideSpansPool:
         assert chunks == [3, 3, 3, 3, 1]
         assert decode.n_rounds == 13
 
+    @pytest.mark.parametrize("noise", [None, "payload", "full"])
+    @pytest.mark.parametrize("dechirped", [True, False])
+    @pytest.mark.parametrize("backend", ["fft", "sparse"])
+    def test_pool_and_serial_multi_span_decode_rounds_are_identical(
+        self, monkeypatch, cpus, started, chunk_counts, backend, dechirped,
+        noise,
+    ):
+        """A symbol tensor runs the same span loop: its next span is
+        read on the stage thread, and the result equals the serial
+        decode bit for bit."""
+        config, assignments, (bins, amps, phases, bits) = _scenario(9, 5)
+        receiver = NetScatterReceiver(
+            config, assignments, readout=backend,
+            noise_mode=noise or "payload",
+        )
+        plan = receiver._readout_plan(dechirped)
+        if backend == "fft":
+            per_round = 16 * plan.n_samples * config.zero_pad_factor
+        else:
+            per_round = 16 * plan.window_readout.n_bins
+        monkeypatch.setattr(
+            receiver_module, "_CHUNK_ELEMENT_BUDGET", CHUNK_ROUNDS * per_round
+        )
+        symbols = dcss_module.compose_rounds(
+            config.chirp_params, bins, amps, phases, bits,
+            respread=not dechirped,
+        )
+
+        def decode():
+            kwargs = {}
+            if noise is not None:
+                kwargs = dict(
+                    noise_snr_db=np.linspace(-14.0, -8.0, 5),
+                    rng=np.random.default_rng(77),
+                )
+            return receiver.decode_rounds(
+                symbols, dechirped=dechirped, **kwargs
+            )
+
+        cpus(1)
+        serial = decode()
+        assert started == []
+        cpus(2)
+        _assert_same_decode(decode(), serial)
+        assert chunk_counts == [3, 3]
+        assert len(started.named(STAGE_THREAD_PREFIX)) == 1
+        assert not _stage_threads_alive()
+
 
 class TestStreamedReadPool:
     """The fft stage A reads each round alone, into reused buffers."""
 
+    @pytest.mark.parametrize("dechirped", [True, False])
     @pytest.mark.parametrize(
         "sf, n_devices", [(9, 256), (9, 64), (9, 16), (7, 32), (12, 16)]
     )
     def test_pool_streamed_fft_read_equals_the_batch_read(
-        self, sf, n_devices
+        self, sf, n_devices, dechirped
     ):
+        """``read_round`` equals one batch padded FFT of every round,
+        gathered at the same bins, in both input domains."""
         config = NetScatterConfig(spreading_factor=sf, n_association_shifts=0)
         shifts = [config.skip * i for i in range(n_devices)]
         rng = np.random.default_rng(sf + n_devices)
@@ -701,13 +754,20 @@ class TestStreamedReadPool:
         def compose(rounds):
             return dcss_module.compose_rounds(
                 config.chirp_params, bins[rounds], amps[rounds],
-                phases[rounds], bits[rounds], respread=False,
+                phases[rounds], bits[rounds], respread=not dechirped,
             )
 
         tensor = compose(slice(None))
         receiver = NetScatterReceiver(config, dict(enumerate(shifts)))
-        plan = receiver._readout_plan(dechirped=True)
-        windows, probes = plan.read(tensor, True)
+        plan = receiver._readout_plan(dechirped=dechirped)
+        grid = sparse_readout.full_fft_values(
+            config.chirp_params, config.zero_pad_factor, tensor,
+            fold_downchirp=not dechirped,
+        )
+        windows = grid[..., plan.window_idx.ravel()].reshape(
+            n_rounds, n_symbols, plan.n_devices, plan.window_width
+        )
+        probes = grid[:, 0, plan.probe_idx]
 
         grid = np.empty(
             (n_symbols, plan.n_samples * config.zero_pad_factor), complex

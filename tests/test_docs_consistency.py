@@ -59,6 +59,7 @@ DOC_ANCHORS = {
         "compose_readout",
         "decode_readout",
         "_decide_chunk",
+        "_decode_spans",
         "NoiseStream",
         "noise_mode=\"payload\"",
         "step_tracks",

@@ -66,20 +66,20 @@ class TestSnrEstimation:
         table.validate()
 
     def test_vectorised_path_estimates_too(self, config, rng):
-        from repro.core.dcss import compose_round_matrix
+        from repro.core.dcss import compose_rounds
 
         bins = np.array([20.0, 260.0])
         amps = np.array([1.0, 10.0])  # +20 dB
         bit_matrix = np.vstack([np.ones((6, 2)), np.ones((4, 2))])
-        symbols = compose_round_matrix(
+        symbols = compose_rounds(
             config.chirp_params,
-            bins,
-            amps,
-            np.array([0.1, 1.0]),
-            bit_matrix,
+            bins[None],
+            amps[None],
+            np.array([[0.1, 1.0]]),
+            bit_matrix[None],
         )
         receiver = NetScatterReceiver(config, {0: 20, 1: 260})
-        decode = receiver.decode_round_matrix(awgn(symbols, 0.0, rng))
+        decode = receiver.decode_rounds(awgn(symbols, 0.0, rng)).frame(0)
         weak = decode.devices[0].estimated_snr_db
         strong = decode.devices[1].estimated_snr_db
         assert strong - weak == pytest.approx(20.0, abs=3.0)

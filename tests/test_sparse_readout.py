@@ -11,18 +11,15 @@ noise law.
 import numpy as np
 import pytest
 
+import per_symbol_oracle as oracle
 from repro.channel.awgn import awgn, awgn_rounds
 from repro.core.config import NetScatterConfig
-from repro.core.dcss import compose_round_matrix, compose_rounds
+from repro.core.dcss import compose_rounds
 from repro.core.receiver import NetScatterReceiver
 from repro.errors import DecodingError
 from repro.phy.chirp import ChirpParams
 from repro.phy.demodulation import Demodulator
-from repro.phy.noise import (
-    estimate_noise_floor,
-    exclusion_mask,
-    spectrum_noise_floor,
-)
+from repro.phy.noise import estimate_noise_floor, exclusion_mask
 from repro.phy.sparse_readout import (
     SparseReadout,
     full_fft_values,
@@ -115,8 +112,8 @@ class TestDecodeEquivalence:
         symbols, _ = _compose_batch(config, assignments, 1, 8, rng)
         noisy = awgn(symbols[0], 5.0, rng)
         receiver = NetScatterReceiver(config, assignments)
-        fast = receiver.decode_round_matrix(noisy)
-        slow = receiver.decode_fast_symbols(list(noisy))
+        fast = receiver.decode_rounds(noisy[None]).frame(0)
+        slow = oracle.decode_fast_symbols(receiver, list(noisy))
         for device_id in assignments:
             assert (
                 fast.devices[device_id].detected
@@ -181,7 +178,7 @@ class TestReadoutNoiseLaw:
         noise = (
             rng.normal(size=(trials, n)) + 1j * rng.normal(size=(trials, n))
         ) * np.sqrt(0.5)
-        through_readout = plan.window_values(noise, exact=False)[:, 0, :]
+        through_readout = plan.window_values(noise)[:, 0, :]
         # empirical[j, k] = E[y_j conj(y_k)], the covariance the factor
         # realises as L @ L^H; agreement up to Monte-Carlo error (~ n).
         empirical = through_readout.T @ through_readout.conj() / trials
@@ -276,18 +273,6 @@ class TestUnifiedNoiseFloor:
         floor = estimate_noise_floor(empty, fallback_powers=power)
         assert floor == pytest.approx(np.quantile(power, 0.25))
 
-    def test_demodulator_delegates_to_shared_helper(self):
-        """Demodulator.noise_floor == the shared spectrum helper."""
-        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=8)
-        demod = Demodulator(params)
-        rng = np.random.default_rng(1)
-        n = params.n_samples
-        result = demod.dechirp(
-            (rng.normal(size=n) + 1j * rng.normal(size=n))
-        )
-        direct = spectrum_noise_floor(result.power, 10, exclude_shifts=[7])
-        assert demod.noise_floor(result, exclude_bins=[7]) == direct
-
     def test_engine_full_occupancy_fallback(self):
         """256 devices at SKIP=2 exclude every probe: quantile fallback.
 
@@ -326,23 +311,6 @@ class TestCachedSpectra:
 
 
 class TestComposeRoundsValidation:
-    def test_wrapper_matches_batched(self):
-        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=7)
-        rng = np.random.default_rng(0)
-        bins = rng.uniform(0, 10, 3)
-        amps = rng.uniform(0.5, 2.0, 3)
-        phases = rng.uniform(0, 2 * np.pi, 3)
-        bit_matrix = rng.integers(0, 2, size=(5, 3)).astype(float)
-        single = compose_round_matrix(params, bins, amps, phases, bit_matrix)
-        batched = compose_rounds(
-            params,
-            bins[None],
-            amps[None],
-            phases[None],
-            bit_matrix[None],
-        )
-        assert np.array_equal(single, batched[0])
-
     def test_shape_errors(self):
         from repro.errors import ConfigurationError
 
