@@ -14,11 +14,13 @@ sums for simulation at two fidelities:
   what the dechirped waveform of that device looks like; this makes
   10^4-symbol BER sweeps (Fig. 12) affordable.
 * :func:`compose_readout` — analytic fidelity: the readout values of a
-  whole batch of tone-sum rounds via the closed-form Dirichlet kernel,
-  with no waveform of any length in between. Equal to running
-  :func:`compose_rounds` through a :class:`SparseReadout` to round-off,
-  at a cost that scales with devices x readout bins instead of
-  symbols x ``2^SF``.
+  whole batch of tone-sum rounds, without the ``(rounds, symbols,
+  2^SF)`` tensor. Sparse reads take the closed-form Dirichlet kernel,
+  at a cost that scales with devices x readout bins; dense ones (many
+  devices, whole windows) take one factored tone synthesis and a few
+  ``2^SF``-point FFTs per distinct row, as the paper's receiver reads a
+  symbol. Either equals running :func:`compose_rounds` through a
+  :class:`SparseReadout`, the FFT route to round-off.
 
 All paths produce values the same :class:`NetScatterReceiver` decodes.
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpParams, downchirp
-from repro.phy.sparse_readout import SparseReadout
+from repro.phy.sparse_readout import _GEMM_MAX_MACS, SparseReadout
 from repro.phy.onoff import OnOffKeyedTransmitter
 from repro.utils.conversions import (
     amplitude_from_db,
@@ -339,32 +341,49 @@ def compose_readout(
     n_preamble_rows: int = 0,
     columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Analytic fast path: readout values of a round batch, waveform-free.
+    """Analytic fast path: readout values of a round batch.
 
     Takes the same batched per-round arrays as :func:`compose_rounds`
     (``(n_rounds, n_devices)`` bins/amplitudes/phases and a
     ``(n_rounds, n_symbols, n_devices)`` keying tensor) but returns the
     complex *readout values* ``(n_rounds, n_symbols, K)`` at the given
-    :class:`SparseReadout`'s bins directly: each device tone's value at
-    each bin is the closed-form Dirichlet kernel
-    (:meth:`SparseReadout.tone_kernel`), so the whole
-    compose -> dechirp -> readout chain collapses to one
-    ``(symbols, devices) @ (devices, bins)`` product per round, taken
-    block by block as the kernel is built
-    (:meth:`SparseReadout.tone_sum`). No ``n_samples``-length tensor,
-    nor the whole ``(devices, bins)`` kernel, is ever materialised;
-    values agree with
-    ``readout.spectrum(compose_rounds(...))`` to floating-point
-    round-off on either input domain (the re-spread/de-spread rotation
-    cancels exactly in the closed form).
+    :class:`SparseReadout`'s bins directly, by one of two routes that a
+    fixed per-round cost model picks from the shapes alone (never from
+    timings, so every host takes the same route):
+
+    * **closed form** — each device tone's value at each bin is the
+      Dirichlet kernel (:meth:`SparseReadout.tone_kernel`), so the
+      compose -> dechirp -> readout chain collapses to one
+      ``(symbols, devices) @ (devices, bins)`` product per round, taken
+      block by block as the kernel is built
+      (:meth:`SparseReadout.tone_sum`). Its cost grows as devices x
+      bins, quadratic in occupancy for whole windows. Located
+      ``columns`` and small reads (under 8 tones, or where the model
+      finds it cheaper) take this route.
+    * **FFT** — each distinct row's dechirped tone sum is synthesised
+      once per round as a factored ``(rows * H, devices) @ (devices,
+      B)`` product (``H * B = 2^SF``), and each residue ``bin % zp`` the
+      readout reads is one ``2^SF``-point FFT of the twiddled row; the
+      bins are gathered from those spectra. The probes, on natural
+      bins, need residue 0 alone. Its cost is linear in devices.
+
+    Neither route holds a ``(rounds, symbols, 2^SF)`` tensor or the
+    whole ``(devices, bins)`` kernel; the FFT route holds one block of
+    rows of ``2^SF`` samples per read residue. Values agree with
+    ``readout.spectrum(compose_rounds(...))`` on either input domain
+    (the re-spread/de-spread rotation cancels): to round-off on the FFT
+    route, and on the closed form to round-off except where a tone
+    grazes a read bin, whose L'Hopital branch is ~1e-7 off at SF 9 (see
+    :data:`repro.phy.sparse_readout._DIRICHLET_SINGULAR_TOL`).
 
     ``dtype`` selects the accumulation precision: ``numpy.complex64``
-    halves the matmul/noise cost for very large device counts at ~1e-7
-    relative readout error (the kernel ratio is still evaluated in
-    double and cast to single per block — see
+    halves the closed form's matmul/noise cost for very large device
+    counts at ~1e-7 relative readout error (the kernel ratio is still
+    evaluated in double and cast to single per block — see
     :meth:`repro.phy.sparse_readout.SparseReadout.tone_ratio`;
     decisions are unaffected at the operating points the sweeps visit,
-    which the equivalence tests pin).
+    which the equivalence tests pin). The FFT route computes in double
+    and casts its values.
 
     ``n_preamble_rows`` declares the leading symbol rows of
     ``bit_tensor`` identical per round (the all-on preamble): their
@@ -406,7 +425,7 @@ def compose_readout(
     if dedup:
         # Row dedup-1 is the shared preamble row; rows before it are
         # copies, so the GEMM runs on (1 + payload) rows per round.
-        reduced = _compose_readout_values(
+        reduced = _readout_values(
             effective_bins,
             amplitudes,
             phases_rad,
@@ -422,6 +441,84 @@ def compose_readout(
         values[:, :dedup] = reduced[:, :1]
         values[:, dedup:] = reduced[:, 1:]
         return values
+    return _readout_values(
+        effective_bins,
+        amplitudes,
+        phases_rad,
+        bit_tensor,
+        readout,
+        dtype,
+        columns,
+    )
+
+
+#: Per-round cost model of the two routes of :func:`compose_readout`,
+#: in nanoseconds, fitted to both routes' timings over SF 7/9/12, 1 to
+#: 256 tones and 1 or 41 rows on a 2-vCPU x86-64 host with
+#: single-threaded OpenBLAS (8-round calls). The closed form pays a
+#: fixed cost plus, per (tone, bin) entry, the grid assembly and the
+#: GEMM's multiply-add per row. The FFT route pays a fixed cost, one
+#: complex root per tone and bit of ``N``, and per row one complex
+#: multiply-add per (tone, sample), the ``N``-point FFTs of the read
+#: residues (per element and butterfly stage) and the bin gather. The
+#: coefficients are fixed, never calibrated, so every host takes the
+#: same route for the same shapes and a result never depends on where
+#: it was computed.
+_CLOSED_FIXED_NS = 15_000.0
+_CLOSED_ENTRY_NS = 7.0
+_CLOSED_MAC_NS = 0.3
+_FFT_FIXED_NS = 5_000.0
+_FFT_ROOT_NS = 60.0
+_FFT_MAC_NS = 0.3
+_FFT_BUTTERFLY_NS = 1.0
+_FFT_GATHER_NS = 16.0
+
+#: Below this many tones the closed form serves whatever the model
+#: says. Its values there are the ones small-network results were
+#: computed with (the version-1 noise goldens at 6 devices, the
+#: campaign points at 1 to 4), and the FFT route would save at most
+#: tens of microseconds per round.
+_FFT_MIN_TONES = 8
+
+#: Complex elements per block of the FFT route's twiddled rows: a block
+#: of rounds and rows is synthesised, transformed and gathered before
+#: the next, so the route's working set stays near 1 MB whatever the
+#: span, like the closed form's ratio blocks.
+_FFT_BLOCK_ELEMENTS = 1 << 16
+
+
+def _readout_values(
+    effective_bins: np.ndarray,
+    amplitudes: np.ndarray,
+    phases_rad: np.ndarray,
+    bit_tensor: np.ndarray,
+    readout: SparseReadout,
+    dtype,
+    columns: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The cheaper route of :func:`compose_readout` for distinct rows.
+
+    Located columns are few per round and always take the closed form;
+    otherwise :func:`_fft_route_cheaper` decides from the shapes alone.
+    """
+    if columns is None:
+        layout = _residue_layout(readout)
+        if _fft_route_cheaper(
+            readout.params.n_samples,
+            effective_bins.shape[1],
+            readout.n_bins,
+            bit_tensor.shape[1],
+            layout[0].size,
+        ):
+            return _fft_readout_values(
+                effective_bins,
+                amplitudes,
+                phases_rad,
+                bit_tensor,
+                readout,
+                dtype,
+                layout,
+            )
     return _compose_readout_values(
         effective_bins,
         amplitudes,
@@ -431,6 +528,176 @@ def compose_readout(
         dtype,
         columns,
     )
+
+
+def _fft_route_cheaper(
+    n_samples: int,
+    n_tones: int,
+    n_bins: int,
+    n_rows: int,
+    n_residues: int,
+) -> bool:
+    """Whether the FFT route's modelled cost per round is below the
+    closed form's, for ``n_rows`` distinct rows of ``n_tones`` tones
+    read at ``n_bins`` bins in ``n_residues`` residues of the padded
+    grid."""
+    if n_tones < _FFT_MIN_TONES:
+        return False
+    log_n = n_samples.bit_length() - 1
+    closed = _CLOSED_FIXED_NS + n_tones * n_bins * (
+        _CLOSED_ENTRY_NS + n_rows * _CLOSED_MAC_NS
+    )
+    fft = (
+        _FFT_FIXED_NS
+        + n_tones * log_n * _FFT_ROOT_NS
+        + n_rows
+        * (
+            n_samples * n_tones * _FFT_MAC_NS
+            + n_residues * n_samples * log_n * _FFT_BUTTERFLY_NS
+            + n_bins * _FFT_GATHER_NS
+        )
+    )
+    return fft < closed
+
+
+def _residue_layout(readout: SparseReadout) -> tuple:
+    """Where the FFT route finds each readout bin.
+
+    Bin ``q = m * zp + r`` of the padded grid is bin ``m`` of the
+    ``N``-point DFT of the row twiddled by ``exp(-2j*pi*r*t/(N*zp))``,
+    so only the residues ``r`` the readout reads need a transform.
+    Returns the sorted residues and, per bin, its flat index into the
+    ``(residues, N)`` spectra.
+    """
+    n = readout.params.n_samples
+    zp = readout.zero_pad_factor
+    bins = readout.bin_indices
+    residue = bins % zp
+    present = np.bincount(residue, minlength=zp) > 0
+    slot = np.cumsum(present) - 1
+    return np.flatnonzero(present), slot[residue] * n + bins // zp
+
+
+@lru_cache(maxsize=16)
+def _residue_twiddles(n: int, zp: int, residues: tuple) -> np.ndarray:
+    """``(len(residues), n)`` twiddles ``exp(-2j*pi*r*t/(n*zp))``, cached."""
+    twiddles = np.exp(
+        (-2j * np.pi / (n * zp))
+        * np.outer(np.asarray(residues, dtype=float), np.arange(n))
+    )
+    twiddles.setflags(write=False)
+    return twiddles
+
+
+def _fft_readout_values(
+    effective_bins: np.ndarray,
+    amplitudes: np.ndarray,
+    phases_rad: np.ndarray,
+    bit_tensor: np.ndarray,
+    readout: SparseReadout,
+    dtype,
+    layout: tuple,
+) -> np.ndarray:
+    """The FFT route of :func:`compose_readout`: synthesise, transform,
+    gather, as the receiver itself reads a symbol.
+
+    Each distinct row's dechirped tone sum is synthesised in factored
+    form (:func:`_factored_tone_sum`), each read residue of the padded
+    grid is one ``N``-point FFT of the twiddled row
+    (:func:`_residue_layout`), and the readout's bins are gathered from
+    those spectra. The tone's value at a bin is the exact padded DFT,
+    so this route has no singular branch; it computes in double and
+    casts to ``dtype`` at the end.
+    """
+    residues, gather = layout
+    n = readout.params.n_samples
+    n_rounds = effective_bins.shape[0]
+    n_rows = bit_tensor.shape[1]
+    twiddles = None
+    if residues.tolist() != [0]:
+        twiddles = _residue_twiddles(
+            n, readout.zero_pad_factor, tuple(residues.tolist())
+        )
+    rows_per = max(1, _FFT_BLOCK_ELEMENTS // (residues.size * n))
+    rounds_per = max(1, rows_per // n_rows)
+    weights = bit_tensor * (amplitudes * np.exp(1j * phases_rad))[:, None, :]
+    values = np.empty((n_rounds, n_rows, gather.size), dtype=dtype)
+    for start in range(0, n_rounds, rounds_per):
+        rounds = slice(start, start + rounds_per)
+        low, high = _tone_factors(effective_bins[rounds], n)
+        for row in range(0, n_rows, rows_per):
+            rows = slice(row, row + rows_per)
+            tone_sum = _factored_tone_sum(weights[rounds, rows], low, high)
+            twiddled = tone_sum[:, :, None, :]
+            if twiddles is not None:
+                twiddled = twiddled * twiddles
+            spectra = np.fft.fft(twiddled, axis=-1)
+            values[rounds, rows] = spectra.reshape(
+                tone_sum.shape[:2] + (-1,)
+            )[..., gather]
+    return values
+
+
+def _tone_factors(effective_bins: np.ndarray, n: int) -> tuple:
+    """Low and high factors of each tone ``exp(2j*pi*b*t/n)``.
+
+    With ``t = h * B + l`` (``B`` the low bits' span), the tone is
+    ``high[..., h] * low[..., l]``, returned as ``(..., B)`` and
+    ``(..., n // B)`` arrays. Each factor is a product of at most
+    ``log2(n) / 2`` of the roots ``exp(2j*pi*b*2^k/n)``, whose phases,
+    in cycles, are reduced mod 1 exactly (scaling by a power of two and
+    subtracting the floor are both exact), so a factor is accurate to a
+    few ulp for tones anywhere on or off the grid.
+    """
+    log_n = n.bit_length() - 1
+    cycles = effective_bins[..., None] * np.exp2(np.arange(log_n) - log_n)
+    cycles -= np.floor(cycles)
+    roots = np.exp(2j * np.pi * cycles)
+    low_bits = log_n // 2
+    return _powers(roots[..., :low_bits]), _powers(roots[..., low_bits:])
+
+
+def _powers(roots: np.ndarray) -> np.ndarray:
+    """``(..., 2**k)`` powers ``w**m`` of the roots ``w**(2**j)``, ``j < k``.
+
+    Entry ``m`` is the product of the roots of ``m``'s set bits, built
+    by doubling: the first ``2**j`` entries times root ``j`` give the
+    next ``2**j``.
+    """
+    k = roots.shape[-1]
+    out = np.empty(roots.shape[:-1] + (1 << k,), dtype=complex)
+    out[..., 0] = 1.0
+    for j in range(k):
+        np.multiply(
+            out[..., : 1 << j],
+            roots[..., j : j + 1],
+            out=out[..., 1 << j : 2 << j],
+        )
+    return out
+
+
+def _factored_tone_sum(
+    weights: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """``(R, S, n)`` tone sums of ``(R, S, D)`` complex weights.
+
+    The sum over tones of ``weights * high[h] * low[l]`` is one
+    ``(S * H, D) @ (D, B)`` product per round, so no ``(D, n)`` tone
+    matrix is built. Products go to BLAS in calls of at most
+    ``_GEMM_MAX_MACS`` multiply-adds, split by rows, as in
+    :meth:`repro.phy.sparse_readout.SparseReadout.tone_sum`.
+    """
+    n_rounds, n_rows, n_tones = weights.shape
+    n_high, n_low = high.shape[-1], low.shape[-1]
+    lhs = (
+        weights[:, :, None, :] * high.transpose(0, 2, 1)[:, None]
+    ).reshape(n_rounds, n_rows * n_high, n_tones)
+    out = np.empty((n_rounds, n_rows * n_high, n_low), dtype=complex)
+    step = max(1, _GEMM_MAX_MACS // max(1, n_tones * n_low))
+    for start in range(0, lhs.shape[1], step):
+        part = slice(start, start + step)
+        np.matmul(lhs[:, part], low, out=out[:, part])
+    return out.reshape(n_rounds, n_rows, n_high * n_low)
 
 
 def _compose_readout_values(

@@ -474,6 +474,12 @@ def _inject_located_noise(
     )
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject NaN or infinite decode inputs, before any draw."""
+    if not np.isfinite(values).all():
+        raise DecodingError(f"{name} must be finite")
+
+
 def _check_frame(n_rounds: int, n_symbols: int, n_preamble: int) -> None:
     """Reject a batch shape no decode can read, before any draw."""
     if n_rounds < 1:
@@ -689,6 +695,7 @@ class NetScatterReceiver:
         if any(np.size(symbol) != n for symbol in symbols):
             raise DecodingError(f"every symbol must hold {n} samples")
         matrix = np.asarray(symbols, dtype=complex).reshape(-1, n)
+        _check_finite("symbols", matrix)
         _check_frame(1, matrix.shape[0], n_preamble_upchirps)
         return self._decode_tensor(
             matrix[None], n_preamble_upchirps, False, "fft", None, None
@@ -773,6 +780,7 @@ class NetScatterReceiver:
                 f"symbol tensor must be (n_rounds, n_symbols, {n})"
             )
         n_rounds, n_symbols, _ = symbol_tensor.shape
+        _check_finite("symbol_tensor", symbol_tensor)
         _check_frame(n_rounds, n_symbols, n_preamble_upchirps)
 
         noise_scale = self._noise_scale(
@@ -1004,9 +1012,9 @@ class NetScatterReceiver:
             ("effective_bins", effective_bins),
             ("amplitudes", amplitudes),
             ("phases_rad", phases_rad),
+            ("bit_tensor", bit_tensor),
         ):
-            if not np.all(np.isfinite(values)):
-                raise DecodingError(f"{name} must be finite")
+            _check_finite(name, values)
         n_rounds, n_symbols, n_tx = bit_tensor.shape
         _check_frame(n_rounds, n_symbols, n_preamble_upchirps)
         noise_scale = self._noise_scale(

@@ -28,6 +28,78 @@ def _brute_dirichlet(n, offsets):
     ).reshape(np.shape(offsets))
 
 
+def _exact_readout_values(
+    params, effective_bins, amplitudes, phases_rad, bit_tensor, readout
+):
+    """Test oracle: readout values as an extended-precision direct sum.
+
+    Every sample of every tone, and every term of the padded DFT at the
+    read bins, is formed in ``np.longdouble`` and summed directly, so
+    the oracle shares neither the closed form's singular branch nor the
+    FFT route's factoring. Phases are reduced exactly: a tone's whole
+    bins and the DFT's ``q * t`` enter as integers mod the grid, and
+    only a tone's fractional bin is multiplied out (``t = h * B + l``,
+    one extended-precision product per sample).
+    """
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    n = params.n_samples
+    grid = n * readout.zero_pad_factor
+    t = np.arange(n)
+    b = np.asarray(effective_bins, dtype=float)
+    whole = np.floor(b)
+    frac = (b - whole).astype(ld)[..., None]  # exact in double
+    roots = np.exp(1j * two_pi * np.arange(n, dtype=ld) / n)
+    tones = roots[(whole.astype(np.int64)[..., None] * t) % n]
+    span = min(n, 64)
+    fine = np.exp(1j * two_pi * frac * np.arange(span, dtype=ld) / n)
+    coarse = np.exp(
+        1j * two_pi * frac * (np.arange(n // span, dtype=ld) * span) / n
+    )
+    tones *= (coarse[..., :, None] * fine[..., None, :]).reshape(tones.shape)
+    tones *= (
+        np.asarray(amplitudes, dtype=ld)
+        * np.exp(1j * np.asarray(phases_rad, dtype=ld))
+    )[..., None]
+    sums = np.asarray(bit_tensor, dtype=ld) @ tones
+    table = np.exp(-1j * two_pi * np.arange(grid, dtype=ld) / grid)
+    return sums @ table[(t[:, None] * readout.bin_indices[None, :]) % grid]
+
+
+def _compose_on(route, *args, **kwargs):
+    """``compose_readout`` with its route rule pinned to one route.
+
+    ``route="closed"`` switches the FFT route off; ``route="fft"`` takes
+    it for every call without ``columns``, whatever the shapes.
+    """
+    import repro.core.dcss as dcss
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            dcss, "_fft_route_cheaper", lambda *a, **k: route == "fft"
+        )
+        return compose_readout(*args, **kwargs)
+
+
+def _assert_close_to_exact(values, exact, rel):
+    """Entrywise error within ``rel`` of the exact batch's largest value."""
+    assert values.shape == exact.shape
+    scale = float(np.max(np.abs(exact)))
+    assert float(np.max(np.abs(values - exact))) <= rel * scale
+
+
+#: Bounds of each route against the exact sum, in units of the batch's
+#: largest value. The FFT route is exact up to float64 round-off; the
+#: closed form's L'Hopital branch is ~1e-7 off on tones that graze a
+#: read bin (see ``_DIRICHLET_SINGULAR_TOL``). complex64 output rounds
+#: each value to single precision (2**-24).
+EXACT_REL = {
+    ("fft", np.complex128): 1e-12,
+    ("fft", np.complex64): 1e-7,
+    ("closed", np.complex128): 1e-7,
+}
+
+
 class TestDirichletKernel:
     @pytest.mark.parametrize("sf", [7, 9, 12])
     def test_integer_bins_are_orthogonal(self, sf):
@@ -478,6 +550,30 @@ class TestToneRatioSingularSearch:
         with pytest.raises(DecodingError):
             readout.tone_ratio(np.zeros(3), columns=np.zeros((1, 4)))
 
+    @pytest.mark.parametrize(
+        "position", [-1, 20, 21, 2.0, 2.5], ids=repr
+    )
+    def test_columns_positions_validated(self, position):
+        """Before the check a negative position silently read a bin at
+        the other end of the readout; an out-of-range or float one raised
+        numpy's IndexError."""
+        config = NetScatterConfig(n_association_shifts=0)
+        params = config.chirp_params
+        readout = SparseReadout(params, 10, np.arange(20))
+        columns = np.array([[0, 5, 19], [3, position, 4]])
+        tones = (np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(DecodingError, match=r"\[0, 20\)"):
+            compose_readout(
+                params, *tones, np.ones((2, 4, 3)), readout, columns=columns
+            )
+        with pytest.raises(DecodingError, match=r"\[0, 20\)"):
+            readout.tone_ratio(tones[0], columns=columns)
+        # The same call at valid positions reads.
+        columns = np.array([[0, 5, 19], [3, 19, 4]])
+        assert compose_readout(
+            params, *tones, np.ones((2, 4, 3)), readout, columns=columns
+        ).shape == (2, 4, 3)
+
 
 def _payload_batch(n_devices, n_rounds, seed):
     """A SKIP-2 layout in shuffled column order, 30 dB of near-far."""
@@ -534,7 +630,9 @@ class TestLocatedPayloadReadout:
             )
 
     def test_located_columns_match_full_window_composition(self):
-        """The located composition is the full window's, gathered."""
+        """The located composition is the closed-form full window's,
+        gathered; both are the exact sum to the closed form's accuracy,
+        and the FFT route's full window to round-off."""
         config, assignments, bins, amps, phases, bt = _payload_batch(
             64, 4, seed=2
         )
@@ -550,7 +648,7 @@ class TestLocatedPayloadReadout:
         located_values = compose_readout(
             *args, plan.window_readout, columns=columns
         )
-        full = compose_readout(*args, plan.window_readout)
+        full = _compose_on("closed", *args, plan.window_readout)
         expected = np.take_along_axis(full, columns[:, None, :], axis=2)
         # Same kernel entries; only the GEMM summation order differs.
         assert np.allclose(located_values, expected, rtol=1e-12, atol=0.0)
@@ -562,6 +660,20 @@ class TestLocatedPayloadReadout:
                 located[:, None, :, None] + np.arange(-1, 2),
                 axis=3,
             ),
+        )
+        # Against the exact sum, over the first round's first 3 rows.
+        head = (
+            config.chirp_params, bins[:1], amps[:1], phases[:1],
+            bt[:1, 6:9], plan.window_readout,
+        )
+        exact = _exact_readout_values(*head)
+        _assert_close_to_exact(
+            _compose_on("fft", *head), exact, EXACT_REL[("fft", np.complex128)]
+        )
+        _assert_close_to_exact(
+            located_values[:1, :3],
+            np.take_along_axis(exact, columns[:1, None, :], axis=2),
+            EXACT_REL[("closed", np.complex128)],
         )
 
 
@@ -630,9 +742,14 @@ class TestStreamedToneSum:
         bt = rng.integers(0, 2, (3, 5, 200)).astype(float)
         args = (tones, amps, phases, bt, readout)
         _assert_close_to_grid(
-            compose_readout(params, *args, dtype=dtype),
+            _compose_on("closed", params, *args, dtype=dtype),
             _grid_readout_values(*args, dtype=dtype),
             STREAMED_REL[dtype],
+        )
+        _assert_close_to_exact(
+            _compose_on("fft", params, *args, dtype=dtype),
+            _exact_readout_values(params, *args),
+            EXACT_REL[("fft", dtype)],
         )
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -658,14 +775,14 @@ class TestStreamedToneSum:
         args = (bins, amps, phases, bt[:, 6:], window)
         for columns in (None, plan.located_columns(located)):
             _assert_close_to_grid(
-                compose_readout(
-                    params, *args, dtype=dtype, columns=columns
+                _compose_on(
+                    "closed", params, *args, dtype=dtype, columns=columns
                 ),
                 _grid_readout_values(*args, dtype=dtype, columns=columns),
                 rel,
             )
-        deduped = compose_readout(
-            params, bins, amps, phases, bt, window, dtype=dtype,
+        deduped = _compose_on(
+            "closed", params, bins, amps, phases, bt, window, dtype=dtype,
             n_preamble_rows=6,
         )
         _assert_close_to_grid(
@@ -674,6 +791,22 @@ class TestStreamedToneSum:
                 bins, amps, phases, bt, window, dtype=dtype
             ),
             rel,
+        )
+        # The FFT route over the deduplicated preamble and 3 payload
+        # rows, against the exact sum of the distinct rows.
+        routed = _compose_on(
+            "fft", params, bins, amps, phases, bt[:, :9], window,
+            dtype=dtype, n_preamble_rows=6,
+        )
+        _assert_close_to_exact(
+            routed[:, 5:],
+            _exact_readout_values(
+                params, bins, amps, phases, bt[:, 5:9], window
+            ),
+            EXACT_REL[("fft", dtype)],
+        )
+        assert all(
+            np.array_equal(routed[:, 5], routed[:, s]) for s in range(5)
         )
 
     def test_blocks_span_rows_and_split_rows(self, monkeypatch):
@@ -729,6 +862,9 @@ class TestStreamedToneSum:
         receiver = NetScatterReceiver(
             config, assignments, readout="analytic"
         )
+        monkeypatch.setattr(
+            dcss, "_fft_route_cheaper", lambda *a, **k: False
+        )
         streamed = receiver.decode_readout(*batch)
         monkeypatch.setattr(
             dcss, "_compose_readout_values", _grid_readout_values
@@ -740,3 +876,160 @@ class TestStreamedToneSum:
         assert np.allclose(
             streamed.preamble_power, grid.preamble_power, rtol=1e-12
         )
+        # The route the rule picks (the FFT route for the 64- and
+        # 256-device windows) decides the same, and its preamble
+        # windows are the exact sum.
+        monkeypatch.undo()
+        routed = receiver.decode_readout(*batch)
+        assert np.array_equal(routed.detected, streamed.detected)
+        assert np.array_equal(routed.bits, streamed.bits)
+        bins, amps, phases, bt = batch
+        preamble = (
+            config.chirp_params, bins, amps, phases, bt[:, :1],
+            receiver._readout_plan(dechirped=True).window_readout,
+        )
+        _assert_close_to_exact(
+            _compose_on("fft", *preamble),
+            _exact_readout_values(*preamble),
+            EXACT_REL[("fft", np.complex128)],
+        )
+
+
+def _route_case(sf):
+    """Random bins, a window that wraps the grid edge, and tones on,
+    grazing (1e-9 and 2e-4 bin from) and far from the read bins, some
+    aliased by a whole period, over 2 rounds of 3 keyed rows."""
+    params = ChirpParams(bandwidth_hz=500e3, spreading_factor=sf)
+    n = params.n_samples
+    rng = np.random.default_rng(1000 + sf)
+    wrapping = np.arange(-6, 7) % (n * 10)
+    bins = np.concatenate([rng.integers(0, n * 10, size=60), wrapping])
+    readout = SparseReadout(params, 10, bins, fold_downchirp=False)
+    tones = _grazing_tones(rng, bins, 10, n, (2, 40))
+    tones[:, :4] = [0.0, -1e-4, n - 2e-4, -n + 1e-9]  # about bin 0
+    amps = rng.uniform(0.1, 10.0, tones.shape)
+    phases = rng.uniform(0, 2 * np.pi, tones.shape)
+    bt = rng.integers(0, 2, (2, 3, 40)).astype(float)
+    bt[:, 0] = 1.0
+    return params, tones, amps, phases, bt, readout
+
+
+class TestReadoutRoutes:
+    """compose_readout's two routes: accuracy, and which one serves."""
+
+    @pytest.mark.parametrize("route", ["fft", "closed"])
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    def test_routes_against_the_exact_sum(self, sf, route):
+        case = _route_case(sf)
+        _, hits = _full_grid_tone_ratio(case[-1], case[1])
+        assert hits > 0  # some tones take the L'Hopital branch
+        _assert_close_to_exact(
+            _compose_on(route, *case),
+            _exact_readout_values(*case),
+            EXACT_REL[(route, np.complex128)],
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the L'Hopital branch serves |u| <= N*tol/pi, 1.3e-3 bin at "
+            "SF 12, where its error (pi*u)**2/3 of the tone's peak "
+            "reaches 5.6e-6; mending it changes closed-form values"
+        ),
+    )
+    def test_closed_form_branch_error_at_sf12(self):
+        """One tone 1e-3 bin from a read bin, inside the branch at SF 12
+        (at SF 9 the branch ends at 1.6e-4 bin)."""
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=12)
+        readout = SparseReadout(
+            params, 10, np.arange(995, 1006), fold_downchirp=False
+        )
+        case = (
+            params, np.array([[100.001]]), np.ones((1, 1)),
+            np.zeros((1, 1)), np.ones((1, 1, 1)), readout,
+        )
+        _assert_close_to_exact(
+            _compose_on("closed", *case),
+            _exact_readout_values(*case),
+            EXACT_REL[("closed", np.complex128)],
+        )
+
+    @staticmethod
+    def _served(monkeypatch, config, assignments, noise_mode="payload"):
+        """``{route: {(readout, rows)}}`` over one noisy decode.
+
+        ``readout`` is ``"window"``, ``"probe"`` or ``"located"`` (the
+        payload rows at located columns); ``rows`` counts the distinct
+        rows of the call.
+        """
+        import repro.core.dcss as dcss
+
+        receiver = NetScatterReceiver(
+            config, assignments, readout="analytic", noise_mode=noise_mode
+        )
+        probes = receiver._readout_plan(dechirped=True).probe_readout
+        served = {}
+        for route, name in (
+            ("closed", "_compose_readout_values"),
+            ("fft", "_fft_readout_values"),
+        ):
+            def spy(*args, _route=route, _kernel=getattr(dcss, name)):
+                readout = "probe" if args[4] is probes else "window"
+                if _route == "closed" and args[6] is not None:
+                    readout = "located"
+                served.setdefault(_route, set()).add(
+                    (readout, args[3].shape[1])
+                )
+                return _kernel(*args)
+
+            monkeypatch.setattr(dcss, name, spy)
+        rng = np.random.default_rng(1)
+        n = len(assignments)
+        shifts = np.array(list(assignments.values()), dtype=float)
+        bt = np.ones((2, 16, n))
+        bt[:, 6:] = rng.integers(0, 2, (2, 10, n))
+        receiver.decode_readout(
+            shifts[None, :] + rng.normal(0, 0.1, (2, n)),
+            np.ones((2, n)),
+            rng.uniform(0, 2 * np.pi, (2, n)),
+            bt,
+            noise_snr_db=-12.0,
+            rng=rng,
+        )
+        monkeypatch.undo()
+        return served
+
+    @pytest.mark.parametrize("noise_mode", ["full", "payload"])
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    def test_closed_form_serves_the_golden_shapes(
+        self, sf, noise_mode, monkeypatch
+    ):
+        """The version-1 goldens' 6 devices, on either stream."""
+        config = NetScatterConfig(spreading_factor=sf, n_association_shifts=0)
+        served = self._served(
+            monkeypatch, config, {i: 2 + 2 * i for i in range(6)}, noise_mode
+        )
+        assert set(served) == {"closed"}
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 4])
+    def test_closed_form_serves_the_campaign_shapes(
+        self, n_devices, monkeypatch
+    ):
+        config = NetScatterConfig(n_association_shifts=0)
+        served = self._served(
+            monkeypatch, config, {i: 2 * i for i in range(n_devices)}
+        )
+        assert set(served) == {"closed"}
+
+    @pytest.mark.parametrize("n_devices", [64, 256])
+    def test_fft_route_serves_dense_windows(self, n_devices, monkeypatch):
+        """At SF 9 the FFT route reads the one distinct preamble row and
+        the probes; the located payload bins stay on the closed form."""
+        config = NetScatterConfig(n_association_shifts=0)
+        served = self._served(
+            monkeypatch, config, {i: 2 * i for i in range(n_devices)}
+        )
+        assert served == {
+            "fft": {("window", 1), ("probe", 1)},
+            "closed": {("located", 10)},
+        }

@@ -391,3 +391,41 @@ class TestNonFiniteToneInputs:
             ),
             name,
         )
+
+
+class TestNonFiniteKeyingAndSamples:
+    """Every entry point rejects a NaN or infinite input before any draw.
+
+    Before the checks each of these decoded silently; an infinite frame
+    sample in ``decode_fast_symbols`` read every device undetected, with
+    preamble power 0.
+    """
+
+    def test_nan_bit_tensor_rejected(self):
+        receiver, (bins, amps, phases, bit_tensor), _ = _tone_batch()
+        bit_tensor = bit_tensor.copy()
+        bit_tensor[0, 7, 1] = np.nan
+        _assert_rejected_before_any_draw(
+            lambda rng: receiver.decode_readout(
+                bins, amps, phases, bit_tensor, noise_snr_db=-10.0, rng=rng
+            ),
+            "bit_tensor",
+        )
+
+    def test_nan_symbol_sample_rejected(self):
+        receiver, _, symbols = _tone_batch()
+        symbols = symbols.copy()
+        symbols[1, 3, 17] = np.nan
+        _assert_rejected_before_any_draw(
+            lambda rng: receiver.decode_rounds(
+                symbols, dechirped=True, noise_snr_db=-10.0, rng=rng
+            ),
+            "symbol_tensor",
+        )
+
+    def test_infinite_frame_sample_rejected(self):
+        receiver, tones, _ = _tone_batch()
+        frame = compose_rounds(receiver.config.chirp_params, *tones)[0]
+        frame[2, 5] = np.inf
+        with pytest.raises(DecodingError, match="symbols"):
+            receiver.decode_fast_symbols(list(frame))

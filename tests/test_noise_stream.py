@@ -169,6 +169,113 @@ class TestVersion1BitIdentical:
 
 
 # --------------------------------------------------------------------- #
+# the draws themselves, and version-2 decisions above the FFT crossover
+# --------------------------------------------------------------------- #
+
+#: sha256[:16] of every CN(0,1) value the engine stream draws, in draw
+#: order, while decoding :func:`_golden_scenario` at noise_snr_db=-12,
+#: rng seed 77, per noise mode and SF; every backend draws the same
+#: values. These pin the draws apart from the readout arithmetic they
+#: are added to, so a change to the kernel arithmetic cannot hide a
+#: change to the stream, nor the other way round. SF 9 and 12 read the
+#: same window width and probe count, hence draw the same values.
+DRAW_GOLDENS = {
+    "full": {
+        7: "f3634a6547335b56",
+        9: "b4315df8e2ba5afb",
+        12: "b4315df8e2ba5afb",
+    },
+    "payload": {
+        7: "9c895325634c9f23",
+        9: "8c5f9039529808a7",
+        12: "8c5f9039529808a7",
+    },
+}
+
+#: sha256[:16] of (detected, bits) for :func:`_dense_scenario` on the
+#: version-2 payload stream, the same on every backend. At 128 devices the analytic
+#: backend reads the preamble windows and noise probes through the FFT
+#: route of :func:`repro.core.dcss.compose_readout`, so these pin
+#: decisions above the route's crossover.
+VERSION2_DENSE_GOLDEN = "4be17830b4b10dc9"
+
+
+def _recorded_draws(monkeypatch, *decode_args, **decode_kwargs) -> str:
+    """Hash of every value the engine stream draws during one decode."""
+    draws = []
+    original = NoiseStream.standard_complex
+
+    def recording(self, shape, dtype=np.float64):
+        values = original(self, shape, dtype)
+        draws.append(np.ascontiguousarray(values).tobytes())
+        return values
+
+    monkeypatch.setattr(NoiseStream, "standard_complex", recording)
+    _decode_golden(*decode_args, **decode_kwargs)
+    assert draws
+    return hashlib.sha256(b"".join(draws)).hexdigest()[:16]
+
+
+def _dense_scenario():
+    """128 devices at SF 9 with 10 dB of near-far, two rounds."""
+    config = NetScatterConfig(spreading_factor=9, n_association_shifts=0)
+    n_devices, n_rounds, n_pre, n_payload = 128, 2, 6, 20
+    assignments = {i: i * config.skip for i in range(n_devices)}
+    rng = np.random.default_rng(128)
+    shifts = np.array(list(assignments.values()), dtype=float)
+    bins = shifts[None, :] + rng.normal(0, 0.1, (n_rounds, n_devices))
+    amps = 10.0 ** (rng.uniform(0.0, 10.0, (n_rounds, n_devices)) / 20.0)
+    phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+    bit_tensor = np.ones((n_rounds, n_pre + n_payload, n_devices))
+    bit_tensor[:, n_pre:] = rng.integers(
+        0, 2, (n_rounds, n_payload, n_devices)
+    )
+    return config, assignments, bins, amps, phases, bit_tensor
+
+
+def _decode_dense(backend):
+    config, assignments, bins, amps, phases, bt = _dense_scenario()
+    receiver = NetScatterReceiver(config, assignments, readout=backend)
+    rng = np.random.default_rng(7)
+    if backend == "analytic":
+        return receiver.decode_readout(
+            bins, amps, phases, bt, noise_snr_db=-22.0, rng=rng
+        )
+    symbols = compose_rounds(
+        config.chirp_params, bins, amps, phases, bt, respread=False
+    )
+    return receiver.decode_rounds(
+        symbols, dechirped=True, noise_snr_db=-22.0, rng=rng
+    )
+
+
+class TestDrawGoldens:
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    @pytest.mark.parametrize("backend", ["sparse", "fft", "analytic"])
+    @pytest.mark.parametrize("noise_mode", ["full", "payload"])
+    def test_drawn_values_are_pinned(
+        self, sf, backend, noise_mode, monkeypatch
+    ):
+        digest = _recorded_draws(
+            monkeypatch, sf, backend, noise_mode=noise_mode
+        )
+        assert digest == DRAW_GOLDENS[noise_mode][sf]
+
+    @pytest.mark.parametrize("backend", ["sparse", "fft", "analytic"])
+    def test_dense_payload_decisions_are_pinned(self, backend):
+        decode = _decode_dense(backend)
+        assert (decode.noise_mode, decode.noise_version) == ("payload", 2)
+        # Some devices are missed and some bits flip, so the hash pins
+        # decisions near the thresholds, not only certain ones.
+        assert 0 < decode.detected.sum() < decode.detected.size
+        assert _hash(
+            np.concatenate(
+                (decode.detected.ravel(), decode.bits.ravel())
+            ).astype(np.uint8)
+        ) == VERSION2_DENSE_GOLDEN
+
+
+# --------------------------------------------------------------------- #
 # the stream abstraction and the located-bin covariance factor
 # --------------------------------------------------------------------- #
 

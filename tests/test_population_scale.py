@@ -1237,13 +1237,43 @@ class TestMonteCarloPool:
         assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
         assert not _monte_carlo_threads()
 
+    def test_pool_fft_route_cycle_matches_serial(
+        self, cpus, pools, monkeypatch
+    ):
+        """Full groups read their preamble windows and probes through
+        compose_readout's FFT route, above its crossover; pooled legs
+        running that route concurrently give the serial cycle."""
+        import repro.core.dcss as dcss
+
+        routed = []
+        kernel = dcss._fft_readout_values
+
+        def counting(effective_bins, *args):
+            routed.append(effective_bins.shape[1])
+            return kernel(effective_bins, *args)
+
+        monkeypatch.setattr(dcss, "_fft_readout_values", counting)
+        pop = office_population(10_000, rng=8, snr_scale_db=-26.0)
+        cpus(1)
+        serial = hybrid_population_round(pop, seed=5)
+        n_routed = len(routed)
+        # Two calls (windows, probes) per leg of at least 64 tones.
+        assert n_routed >= 2 * 4 and min(routed) >= 64
+        cpus(4)
+        pooled = hybrid_population_round(pop, seed=5)
+        assert pools == [4]
+        assert len(routed) == 2 * n_routed
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+        assert not _monte_carlo_threads()
+
     def test_pool_stress_with_cold_shared_caches(self, cpus, pools):
         """More threads than cores, a 1 us switch interval, and the
-        caches the legs share (probe readouts, noise factors) emptied
-        first, so the legs race to fill them: the cycle is unchanged."""
+        caches the legs share (probe readouts, noise factors, the FFT
+        route's twiddles) emptied first, so the legs race to fill them:
+        the cycle is unchanged."""
         import sys
 
-        from repro.core import receiver
+        from repro.core import dcss, receiver
         from repro.phy import sparse_readout
 
         pop = office_population(4096, rng=17, snr_scale_db=-30.0)
@@ -1253,6 +1283,7 @@ class TestMonteCarloPool:
             sparse_readout.natural_probe_readout,
             receiver._window_noise_factor,
             receiver._located_noise_factor,
+            dcss._residue_twiddles,
         ):
             cache.cache_clear()
         cpus(8)
