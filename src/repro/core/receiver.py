@@ -17,8 +17,10 @@ devices — the receiver-complexity claim the paper makes.
 Every entry point runs steps 2-5 through one span loop
 (:meth:`NetScatterReceiver._decode_spans`): a backend's stage A reads a
 span of rounds at each device's search window and at the noise probes,
-and one decision rule (:meth:`NetScatterReceiver._decide_chunk`) draws
-any engine noise, locates the peaks, estimates the floor and decides.
+one function draws the span's engine noise in the stream's layout
+(:func:`_draw_span_noise`), and one decision rule
+(:meth:`NetScatterReceiver._decide_chunk`) mixes that noise in, locates
+the peaks, estimates the floor and decides.
 The backends differ only in how stage A gets those bins: the padded FFT
 (``fft``, and every single-frame decode), a precomputed matmul
 (``sparse``) or the closed-form Dirichlet kernel (``analytic``).
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +60,9 @@ from repro.utils.parallel import pipeline
 #: ~25% faster on 100-round fading batches with identical decisions
 #: (chunk boundaries only reorder the noise *stream*, never the law).
 #: When decode_readout pipelines its chunks, the next chunk's window and
-#: probe values are composed while the current chunk is decided, so up
-#: to two chunks' stage-A arrays are live at once and the two threads
-#: share the cache.
+#: probe values are composed (and on the analytic backend its noise
+#: drawn) while the current chunk is decided, so up to two chunks'
+#: stage-A arrays are live at once and the two threads share the cache.
 _CHUNK_ELEMENT_BUDGET = 1 << 20
 
 #: Cap on the number of noise-probe bins carried by the readout plan
@@ -397,12 +399,65 @@ def _located_noise_factor(
     return factor
 
 
+class _SpanNoise(NamedTuple):
+    """One span's CN(0,1) engine draws (:func:`_draw_span_noise`)."""
+
+    window: np.ndarray
+    probe: np.ndarray
+    #: The located ``±1`` payload block; ``None`` on the ``"full"``
+    #: stream, whose window block already covers every symbol row.
+    located: Optional[np.ndarray]
+
+
+def _draw_span_noise(
+    stream: Optional[NoiseStream],
+    plan: _ReadoutPlan,
+    n_rounds: int,
+    n_symbols: int,
+    n_preamble: int,
+    dtype,
+) -> Optional[_SpanNoise]:
+    """Every engine draw of one span, in the stream's layout.
+
+    The one owner of that layout. Per span, in this order: one window
+    block, ``(R, S, D, W)`` on the ``"full"`` stream (version 1) or
+    ``(R, n_preamble, D, W)`` on the ``"payload"`` stream (version 2);
+    one ``(R, n_probes)`` probe block; and on the payload stream one
+    ``(R, S - n_preamble, D, 3)`` block for each device's located
+    ``±1`` payload bins. The shapes depend on the span alone, never on
+    a decoded value, so the draws may run before the span is read or
+    decided; spans must be drawn in order. ``dtype`` is the readout
+    values' complex dtype: ``complex64`` values get float32 draws (same
+    law, about half the generation and mixing cost), while the default
+    double path consumes the generator exactly as before. ``None``
+    without a stream.
+    """
+    if stream is None:
+        return None
+    real_dtype = np.float32 if dtype == np.complex64 else np.float64
+    full_stream = stream.mode == "full"
+    rows = n_symbols if full_stream else n_preamble
+    devices, width = plan.n_devices, plan.window_width
+    window = stream.standard_complex(
+        (n_rounds, rows, devices, width), dtype=real_dtype
+    )
+    probe = stream.standard_complex(
+        (n_rounds, plan.n_probes), dtype=real_dtype
+    )
+    located = None
+    if not full_stream:
+        located = stream.standard_complex(
+            (n_rounds, n_symbols - n_preamble, devices, 3), dtype=real_dtype
+        )
+    return _SpanNoise(window, probe, located)
+
+
 def _inject_readout_noise(
     plan: _ReadoutPlan,
     window_values: np.ndarray,
     probe_values: np.ndarray,
     noise_scale: np.ndarray,
-    stream: NoiseStream,
+    noise: _SpanNoise,
 ):
     """Add channel AWGN directly at the window + probe readout bins.
 
@@ -411,35 +466,23 @@ def _inject_readout_noise(
     of being materialised over the whole ``(rounds, symbols, 2^SF)``
     tensor: each device window gets correlated noise via the shared
     Cholesky factor; the natural-grid probes are mutually orthogonal and
-    get iid noise of per-bin power ``2^SF * noise_power``.
-
-    Draw layout (the leading block of *both* stream versions — the
-    ``"full"`` stream passes every symbol row through here, the
-    ``"payload"`` stream only the preamble rows): one window draw of the
-    given ``window_values`` shape, then one probe draw. The draw
-    precision follows the values: single-precision readout batches
-    (``decode_readout(dtype=numpy.complex64)``) get float32 noise —
-    same law, roughly half the generation and mixing cost — while the
-    default double path consumes the generator exactly as before.
+    get iid noise of per-bin power ``2^SF * noise_power``. ``noise``
+    holds the span's draws; its window block has ``window_values``'
+    shape.
     """
-    r, s, d, w = window_values.shape
     single = window_values.dtype == np.complex64
     real_dtype = np.float32 if single else np.float64
     factor = plan.window_noise_factor
     if single:
         factor = factor.astype(np.complex64)
         noise_scale = noise_scale.astype(np.float32)
-    zeta = stream.standard_complex((r, s, d, w), dtype=real_dtype)
-    window_noise = zeta @ factor.T
+    window_noise = noise.window @ factor.T
     window_values = window_values + (
         noise_scale[:, None, None, None] * window_noise
     )
-    probe_noise = stream.standard_complex(
-        probe_values.shape, dtype=real_dtype
-    )
     probe_values = probe_values + (
         noise_scale[:, None] * real_dtype(np.sqrt(float(plan.n_samples)))
-    ) * probe_noise
+    ) * noise.probe
     return window_values, probe_values
 
 
@@ -447,30 +490,25 @@ def _inject_located_noise(
     plan: _ReadoutPlan,
     located_values: np.ndarray,
     noise_scale: np.ndarray,
-    stream: NoiseStream,
+    noise: _SpanNoise,
 ) -> np.ndarray:
     """Add channel AWGN at the located ``±1`` payload bins only.
 
     ``located_values`` is ``(R, S_payload, D, 3)`` complex — each
     device's payload readout gathered at its located peak and the two
-    interpolated neighbours. The three bins are adjacent, so their
-    joint noise law is the shared 3×3 Toeplitz factor
-    (:attr:`_ReadoutPlan.payload_noise_factor`) whatever the located
-    position: the marginal of exactly the noise the ``"full"`` stream
-    would have drawn there, at ~``W/3`` fewer draws per payload symbol.
-    This is the trailing block of the version-2 (``"payload"``) stream,
-    drawn after the preamble/probe block of
-    :func:`_inject_readout_noise`.
+    interpolated neighbours — and ``noise.located`` its draws. The
+    three bins are adjacent, so their joint noise law is the shared 3×3
+    Toeplitz factor (:attr:`_ReadoutPlan.payload_noise_factor`)
+    whatever the located position: the marginal of exactly the noise
+    the ``"full"`` stream would have drawn there, at ~``W/3`` fewer
+    draws per payload symbol.
     """
-    single = located_values.dtype == np.complex64
-    real_dtype = np.float32 if single else np.float64
     factor = plan.payload_noise_factor
-    if single:
+    if located_values.dtype == np.complex64:
         factor = factor.astype(np.complex64)
         noise_scale = noise_scale.astype(np.float32)
-    zeta = stream.standard_complex(located_values.shape, dtype=real_dtype)
     return located_values + (
-        noise_scale[:, None, None, None] * (zeta @ factor.T)
+        noise_scale[:, None, None, None] * (noise.located @ factor.T)
     )
 
 
@@ -856,8 +894,8 @@ class NetScatterReceiver:
                 return span, *plan.read(symbol_tensor[slice(*span)]), None
         spans = self._decide_spans(n_rounds, n_symbols, plan, backend)
         return self._decode_spans(
-            read, spans, n_preamble_upchirps, plan, backend, noise_scale,
-            stream,
+            read, spans, n_symbols, n_preamble_upchirps, plan, backend,
+            noise_scale, stream,
         )
 
     def _decide_spans(
@@ -1113,8 +1151,8 @@ class NetScatterReceiver:
             n_rounds, n_symbols, plan, backend, n_tones=n_tx
         )
         return self._decode_spans(
-            read, spans, n_preamble_upchirps, plan, backend, noise_scale,
-            stream,
+            read, spans, n_symbols, n_preamble_upchirps, plan, backend,
+            noise_scale, stream,
         )
 
     def _fft_reader(
@@ -1156,6 +1194,7 @@ class NetScatterReceiver:
         self,
         read: Callable,
         spans: List[Tuple[int, int]],
+        n_symbols: int,
         n_preamble: int,
         plan: _ReadoutPlan,
         backend: str,
@@ -1166,16 +1205,30 @@ class NetScatterReceiver:
 
         ``read(span)`` is the backend's stage A: it returns ``(span,
         windows, probes, read_payload)``, the arguments of
-        :meth:`_decide_chunk` for the span's rounds. It draws nothing,
-        so with more than one span and more than one usable CPU the
-        next span is read on the pipeline's stage thread
-        (:func:`repro.utils.parallel.pipeline`) while this thread draws
-        and decides the current one. Every draw stays on this thread in
-        span order, so the result is that of a serial decode, bit for
-        bit.
+        :meth:`_decide_chunk` for the span's rounds. With more than one
+        span and more than one usable CPU the next span is read on the
+        pipeline's stage thread (:func:`repro.utils.parallel.pipeline`)
+        while this thread decides the current one.
+
+        Each span's engine noise (:func:`_draw_span_noise`) is drawn in
+        the stage that does not bound the unit. On ``analytic`` the
+        decisions outweigh the closed-form read, so stage A draws right
+        after it reads; on ``fft`` and ``sparse`` the read outweighs
+        the decisions, so stage B draws before it decides. Either way
+        one thread at a time draws, span after span, so the result is
+        that of a serial decode, bit for bit. After a failure the
+        generator may have advanced past a serial decode's by the one
+        span stage A runs ahead.
         """
 
-        def decide(staged):
+        def draw(staged):
+            (start, stop), windows, _, _ = staged
+            return _draw_span_noise(
+                stream, plan, stop - start, n_symbols, n_preamble,
+                windows.dtype,
+            )
+
+        def decide(staged, noise):
             (start, stop), windows, probes, read_payload = staged
             return self._decide_chunk(
                 windows,
@@ -1183,11 +1236,20 @@ class NetScatterReceiver:
                 n_preamble,
                 plan,
                 None if noise_scale is None else noise_scale[start:stop],
-                stream,
+                noise,
                 read_payload,
             )
 
-        pieces = pipeline(read, decide, spans)
+        if backend == "analytic":
+            def read_and_draw(span):
+                staged = read(span)
+                return staged, draw(staged)
+
+            pieces = pipeline(read_and_draw, lambda pair: decide(*pair), spans)
+        else:
+            pieces = pipeline(
+                read, lambda staged: decide(staged, draw(staged)), spans
+            )
         return self._assemble_decode(pieces, backend, stream)
 
     def _noise_scale(self, noise_snr_db, rng, signal_power, n_rounds):
@@ -1247,7 +1309,7 @@ class NetScatterReceiver:
         n_preamble: int,
         plan: _ReadoutPlan,
         noise_scale,
-        stream: Optional[NoiseStream],
+        noise: Optional[_SpanNoise],
         read_payload: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         """Detection/decision logic on readout values, however composed.
@@ -1267,29 +1329,30 @@ class NetScatterReceiver:
         payload at the located bins alone). Without it the payload
         values are gathered from ``window_values``.
 
-        Engine noise follows the stream's layout. The ``"full"`` stream
-        (version 1) noise-loads the whole window tensor up front — the
-        historical draw order, pinned bit-for-bit by the version-1
-        goldens — so it needs every window row and no ``read_payload``.
-        The ``"payload"`` stream (version 2) noise-loads only the
-        preamble rows and probes, locates each device's peak from those
-        noisy preambles (exactly the full stream's located-bin law),
-        then draws payload noise only at the located ``±1`` bins
-        through the shared 3×3 Toeplitz factor. Payload decisions read
-        nothing but those three bins, so the reduced stream's decision
-        statistics are *identical*, at ~3× fewer window draws per
-        46-symbol round.
+        ``noise`` holds the span's engine draws, already made in the
+        stream's layout (:func:`_draw_span_noise`); this only mixes
+        them in. The ``"full"`` stream (version 1) noise-loads the whole
+        window tensor up front — the historical layout, pinned
+        bit-for-bit by the version-1 goldens — so it needs every window
+        row and no ``read_payload``. The ``"payload"`` stream (version
+        2) noise-loads only the preamble rows and probes, locates each
+        device's peak from those noisy preambles (exactly the full
+        stream's located-bin law), then adds payload noise only at the
+        located ``±1`` bins through the shared 3×3 Toeplitz factor.
+        Payload decisions read nothing but those three bins, so the
+        reduced stream's decision statistics are *identical*, at ~3×
+        fewer window draws per 46-symbol round.
         """
-        full_stream = stream is not None and stream.mode == "full"
-        payload_stream = stream is not None and not full_stream
+        full_stream = noise is not None and noise.located is None
+        payload_stream = noise is not None and not full_stream
         if full_stream:
             window_values, probe_values = _inject_readout_noise(
-                plan, window_values, probe_values, noise_scale, stream
+                plan, window_values, probe_values, noise_scale, noise
             )
         preamble_values = window_values[:, :n_preamble]
         if payload_stream:
             preamble_values, probe_values = _inject_readout_noise(
-                plan, preamble_values, probe_values, noise_scale, stream
+                plan, preamble_values, probe_values, noise_scale, noise
             )
         preamble_windows = preamble_values.real**2 + preamble_values.imag**2
         # Windows sit on the extended grid: interior positions [1, W-2]
@@ -1310,7 +1373,7 @@ class NetScatterReceiver:
             payload_values = read_payload(located)
         if payload_stream:
             payload_values = _inject_located_noise(
-                plan, payload_values, noise_scale, stream
+                plan, payload_values, noise_scale, noise
             )
         payload_powers = (
             payload_values.real**2 + payload_values.imag**2

@@ -67,10 +67,12 @@ def pipeline(
 
     ``produce`` of the next item runs on one worker thread while the
     calling thread runs ``consume`` of the current one, so the worker
-    holds at most one item ahead. Every ``consume`` call stays on the
-    caller, in item order, which keeps anything order-dependent there
-    (random draws above all). Each ``produce`` call runs in a copy of
-    the caller's context, so context-carried state such as trace spans
+    holds at most one item ahead. The ``produce`` calls run one at a
+    time in item order, and so do the ``consume`` calls, which stay on
+    the caller. Order-dependent work, such as random draws from one
+    generator, may therefore sit in either stage, as long as it stays
+    in one of them. Each ``produce`` call runs in a copy of the
+    caller's context, so context-carried state such as trace spans
     keeps its parent.
 
     It runs serially, with no thread at all, for fewer than two items,

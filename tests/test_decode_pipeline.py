@@ -1,14 +1,15 @@
 """The two-stage decode pipeline and the one parallelism rule.
 
 Every ``NetScatterReceiver`` decode runs one span loop: it reads each
-round span (stage A) on a stage thread while the caller draws the
-previous span's noise and decides it (stage B), through
-:func:`repro.utils.parallel.pipeline`. In ``decode_readout``, on the
-analytic backend stage A composes the span's preamble windows and
-symbol-0 probes; on the ``fft`` and ``sparse`` backends it synthesises
+round span (stage A) on a stage thread while the caller decides the
+previous span (stage B), through :func:`repro.utils.parallel.pipeline`.
+In ``decode_readout``, on the analytic backend stage A composes the
+span's preamble windows and symbol-0 probes and then draws the span's
+engine noise; on the ``fft`` and ``sparse`` backends it synthesises
 the span's tone sum and reads it, the ``fft`` one round at a time into
-one reused grid. ``decode_rounds`` reads its symbol tensor the same
-two ways. Three contracts:
+one reused grid, and stage B draws the noise before it decides.
+``decode_rounds`` reads its symbol tensor the same two ways. Four
+contracts:
 
 * **serial equals pipelined** — every ``RoundsDecode`` array is equal,
   bit for bit, whether one, two or four CPUs are usable, across chunk
@@ -18,7 +19,10 @@ two ways. Three contracts:
   outlives the call;
 * **no nested threads** — single-chunk decodes and Monte-Carlo leg
   threads never open a stage thread, while a process-pool worker (its
-  own interpreter) pipelines its multi-chunk points like a serial run.
+  own interpreter) pipelines its multi-chunk points like a serial run;
+* **draws follow the backend** — the analytic draws run on the stage
+  thread and the ``fft`` draws on the caller, in the serial decode's
+  order and shapes.
 
 The class and test names carry ``pool`` so CI's multi-core
 ``pooled-paths`` job (``pytest -k pool``) runs the concurrent branch.
@@ -611,6 +615,89 @@ class TestSerialEqualsPooledWaveformDecode:
         assert serial["backend"] == "fft"
         assert chunk_counts == [7, 7]
         assert started.named(STAGE_THREAD_PREFIX)
+
+
+class TestDrawPlacementPool:
+    """Each span's engine noise is drawn in the stage that does not bound
+    the unit: stage A on ``analytic``, stage B on ``fft``."""
+
+    @staticmethod
+    def _recorded(monkeypatch, run):
+        """``run()`` with every draw's thread and shape and every
+        ``decode_readout`` result recorded."""
+        draws, decodes = [], []
+        draw = receiver_module.NoiseStream.standard_complex
+        decode_readout = NetScatterReceiver.decode_readout
+
+        def recording_draw(self, shape, dtype=np.float64):
+            draws.append((threading.current_thread().name, tuple(shape)))
+            return draw(self, shape, dtype)
+
+        def recording_decode(self, *args, **kwargs):
+            decodes.append(decode_readout(self, *args, **kwargs))
+            return decodes[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                receiver_module.NoiseStream, "standard_complex",
+                recording_draw,
+            )
+            patch.setattr(
+                NetScatterReceiver, "decode_readout", recording_decode
+            )
+            run()
+        return draws, decodes
+
+    @staticmethod
+    def _fading_64():
+        NetworkSimulator(
+            paper_deployment(n_devices=64, rng=11),
+            config=NetScatterConfig(n_association_shifts=0),
+            rng=np.random.default_rng(3),
+            engine="analytic",
+        ).run_rounds(200, fading=True)
+
+    @staticmethod
+    def _dense_256():
+        NetworkSimulator(
+            paper_deployment(n_devices=256, rng=11),
+            config=NetScatterConfig(n_association_shifts=0),
+            rng=np.random.default_rng(3),
+            engine="auto",
+        ).run_rounds(20)
+
+    @pytest.mark.parametrize("backend", ["analytic", "fft"])
+    def test_pool_draws_follow_the_backend_in_serial_order(
+        self, monkeypatch, cpus, chunk_counts, backend
+    ):
+        monkeypatch.setattr(
+            backend_plan, "_HOST_PLANNER", _ForcedPlanner("fft")
+        )
+        run = self._fading_64 if backend == "analytic" else self._dense_256
+        caller = threading.current_thread().name
+        cpus(1)
+        serial_draws, serial_decodes = self._recorded(monkeypatch, run)
+        cpus(2)
+        pooled_draws, pooled_decodes = self._recorded(monkeypatch, run)
+
+        assert chunk_counts[0] == chunk_counts[-1] >= 2
+        assert {d.backend for d in serial_decodes} == {backend}
+        assert [shape for _, shape in pooled_draws] == [
+            shape for _, shape in serial_draws
+        ]
+        assert {name for name, _ in serial_draws} == {caller}
+        pooled_threads = {name for name, _ in pooled_draws}
+        if backend == "analytic":
+            assert all(
+                name.startswith(STAGE_THREAD_PREFIX)
+                for name in pooled_threads
+            )
+        else:
+            assert pooled_threads == {caller}
+        assert len(pooled_decodes) == len(serial_decodes)
+        for pooled, serial in zip(pooled_decodes, serial_decodes):
+            _assert_same_decode(pooled, serial)
+        assert not _stage_threads_alive()
 
 
 class TestDecideSpansPool:

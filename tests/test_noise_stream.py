@@ -23,6 +23,7 @@ import pytest
 
 import repro.core.receiver as receiver_module
 import repro.phy.noise as noise_module
+import repro.utils.parallel as parallel_module
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import compose_rounds
@@ -200,8 +201,8 @@ DRAW_GOLDENS = {
 VERSION2_DENSE_GOLDEN = "4be17830b4b10dc9"
 
 
-def _recorded_draws(monkeypatch, *decode_args, **decode_kwargs) -> str:
-    """Hash of every value the engine stream draws during one decode."""
+def _record_draws(monkeypatch) -> list:
+    """The bytes of every engine-stream draw from now on, one per call."""
     draws = []
     original = NoiseStream.standard_complex
 
@@ -211,6 +212,12 @@ def _recorded_draws(monkeypatch, *decode_args, **decode_kwargs) -> str:
         return values
 
     monkeypatch.setattr(NoiseStream, "standard_complex", recording)
+    return draws
+
+
+def _recorded_draws(monkeypatch, *decode_args, **decode_kwargs) -> str:
+    """Hash of every value the engine stream draws during one decode."""
+    draws = _record_draws(monkeypatch)
     _decode_golden(*decode_args, **decode_kwargs)
     assert draws
     return hashlib.sha256(b"".join(draws)).hexdigest()[:16]
@@ -273,6 +280,58 @@ class TestDrawGoldens:
                 (decode.detected.ravel(), decode.bits.ravel())
             ).astype(np.uint8)
         ) == VERSION2_DENSE_GOLDEN
+
+
+#: sha256[:16] of every value the payload stream draws, in draw order,
+#: and of (detected, bits), for :func:`_multi_span_scenario` decoded on
+#: the analytic backend at noise_snr_db=-22, rng seed 24. The batch
+#: decodes in three spans, so this pins the draw order across spans,
+#: which the one-span goldens above cannot see.
+MULTI_SPAN_GOLDEN = ("bdd208c3be8ada37", "d2b46c670dc1a864")
+
+
+def _multi_span_scenario():
+    """64 devices at SF 9 with 10 dB of near-far over 24 rounds."""
+    config = NetScatterConfig(spreading_factor=9, n_association_shifts=0)
+    n_devices, n_rounds, n_pre, n_payload = 64, 24, 6, 40
+    assignments = {i: i * config.skip for i in range(n_devices)}
+    rng = np.random.default_rng(64)
+    shifts = np.array(list(assignments.values()), dtype=float)
+    bins = shifts[None, :] + rng.normal(0, 0.1, (n_rounds, n_devices))
+    amps = 10.0 ** (rng.uniform(0.0, 10.0, (n_rounds, n_devices)) / 20.0)
+    phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+    bit_tensor = np.ones((n_rounds, n_pre + n_payload, n_devices))
+    bit_tensor[:, n_pre:] = rng.integers(
+        0, 2, (n_rounds, n_payload, n_devices)
+    )
+    return config, assignments, bins, amps, phases, bit_tensor
+
+
+class TestMultiSpanGoldenPool:
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_pool_multi_span_payload_stream_is_pinned(
+        self, n_cpus, monkeypatch
+    ):
+        """Serial and pipelined decodes draw the same values in order."""
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: n_cpus)
+        config, assignments, bins, amps, phases, bt = _multi_span_scenario()
+        receiver = NetScatterReceiver(config, assignments, readout="analytic")
+        draws = _record_draws(monkeypatch)
+        decode = receiver.decode_readout(
+            bins, amps, phases, bt,
+            noise_snr_db=-22.0, rng=np.random.default_rng(24),
+        )
+        # Three spans, each drawing windows, probes and located bins.
+        assert len(draws) == 9
+        assert (decode.noise_mode, decode.noise_version) == ("payload", 2)
+        assert 0 < decode.detected.sum() < decode.detected.size
+        decisions = np.concatenate(
+            (decode.detected.ravel(), decode.bits.ravel())
+        ).astype(np.uint8)
+        assert (
+            hashlib.sha256(b"".join(draws)).hexdigest()[:16],
+            _hash(decisions),
+        ) == MULTI_SPAN_GOLDEN
 
 
 # --------------------------------------------------------------------- #
