@@ -31,9 +31,14 @@ declarative, cacheable artifacts:
   with server-side network-chaos injection and a client-side
   :class:`CircuitBreakerDriver`; it also holds the HTTP service and
   handler base both services build on;
-* :mod:`repro.campaign.faults` — deterministic fault injection
-  (:class:`FaultPlan` / ``REPRO_FAULT_PLAN``, :class:`StorageFaultPlan`
-  / ``REPRO_STORAGE_FAULT_PLAN``, one loader for both) exercising
+* :mod:`repro.campaign.faults` — deterministic fault injection: one
+  rule grammar (:class:`FaultRule`: an op, a kind, a selector, a
+  trigger), one seeded :class:`FaultPlan` loading both v1 JSON forms
+  (``REPRO_FAULT_PLAN`` for the runner, ``REPRO_STORAGE_FAULT_PLAN``
+  for the fault-injecting driver), and one
+  :class:`~repro.campaign.faults.FaultSelector` per consumer — runner,
+  driver, object-store and service handlers, each firing only its
+  kinds of the op → consumer → kinds table (``FIRES``) — exercising
   every recovery path above in CI;
 * :mod:`repro.campaign.service` / :mod:`repro.campaign.client` — the
   HSDS-style service node: :class:`CampaignService`
@@ -50,12 +55,7 @@ declarative, cacheable artifacts:
 See the Campaign layer sections of ``docs/ARCHITECTURE.md``.
 """
 
-from repro.campaign.faults import (
-    FaultPlan,
-    FaultRule,
-    StorageFaultPlan,
-    StorageFaultRule,
-)
+from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.client import (
     CampaignServiceClient,
     CampaignServiceRun,
@@ -121,8 +121,6 @@ __all__ = [
     "RetryPolicy",
     "RetryingDriver",
     "StorageDriver",
-    "StorageFaultPlan",
-    "StorageFaultRule",
     "STORAGE_RETRY",
     "build_driver",
     "build_preset",

@@ -30,7 +30,7 @@ Usage::
         --storage-driver http://127.0.0.1:8123/campaign
 
     # serve a store over HTTP for remote runners (hermetic object
-    # store; --fault-plan network rules inject seeded chaos for tests)
+    # store; --storage-fault-plan network rules inject seeded chaos)
     python -m repro.campaign serve --root runs/fig17 --port 8123
 
     # serve the campaign *API* (HSDS-style service node): JSON specs
@@ -70,7 +70,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.campaign.faults import FaultPlan, StorageFaultPlan
+from repro.campaign.faults import FaultPlan
 from repro.campaign.presets import PRESETS, build_preset
 from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
 from repro.campaign.runner import CampaignRunner
@@ -429,19 +429,19 @@ def _load_spec(args) -> CampaignSpec:
     return CampaignSpec.from_dict(json.loads(path.read_text()))
 
 
-def _parse_plan(plan_type, raw):
+def _parse_plan(raw, label="fault plan"):
     """A ``--*fault-plan`` value (inline JSON or a file path) as a
-    ``plan_type`` plan, or ``None`` when the flag is absent."""
+    :class:`FaultPlan`, or ``None`` when the flag is absent."""
     if raw is None:
         return None
     try:
-        return plan_type.from_spec(raw)
+        return FaultPlan.from_spec(raw)
     except (ValueError, OSError) as error:
         # Malformed JSON / unreadable file: one actionable line, not a
         # json.JSONDecodeError traceback (plan-schema violations are
         # already ConfigurationError and pass through).
         raise ReproError(
-            f"malformed {plan_type.label} {raw.strip()[:80]!r}: {error}"
+            f"malformed {label} {raw.strip()[:80]!r}: {error}"
         ) from error
 
 
@@ -461,13 +461,13 @@ def _check_store_arg(spec: str, store) -> None:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args)
-    fault_plan = _parse_plan(FaultPlan, args.fault_plan)
-    storage_plan = _parse_plan(StorageFaultPlan, args.storage_fault_plan)
+    fault_plan = _parse_plan(args.fault_plan)
+    storage_plan = _parse_plan(args.storage_fault_plan, "storage fault plan")
     _check_store_arg(args.storage_driver, args.store)
     driver = build_driver(
         args.storage_driver, args.store, storage_fault_plan=storage_plan
     )
-    store = CampaignStore(fault_plan=fault_plan, driver=driver)
+    store = CampaignStore(driver=driver)
     store_label = store.root if store.root is not None else driver.name
     if args.save_spec:
         store.driver.put_atomic(
@@ -604,7 +604,9 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         bucket=args.bucket,
-        fault_plan=_parse_plan(StorageFaultPlan, args.storage_fault_plan),
+        fault_plan=_parse_plan(
+            args.storage_fault_plan, "storage fault plan"
+        ),
     )
     service.start()
     backing = args.root if args.root is not None else "memory://"
@@ -649,9 +651,9 @@ def _cmd_serve_api(args) -> int:
         workers=args.workers,
         point_timeout_s=args.timeout_s,
         use_leases=not args.no_leases,
-        fault_plan=_parse_plan(FaultPlan, args.fault_plan),
+        fault_plan=_parse_plan(args.fault_plan),
         service_fault_plan=_parse_plan(
-            StorageFaultPlan, args.service_fault_plan
+            args.service_fault_plan, "service fault plan"
         ),
         **kwargs,
     )

@@ -48,16 +48,15 @@ read-back requires). The ``stale_read`` fault kind exists precisely to
 violate that on purpose in tests — it serves the *previous* committed
 state once, emulating an eventually-consistent backend.
 
-Chaos harness: network-class fault kinds
-(:data:`~repro.campaign.faults.NETWORK_KINDS` — ``refuse``,
-``http_error``, ``disconnect``, ``delay``, ``stale_read``) are
-injected *server-side* from the same seeded
-:class:`~repro.campaign.faults.StorageFaultPlan` that drives the
-client-side ``FaultyDriver``; each consumer fires only its own class
-of rules. ``disconnect`` performs the operation and then truncates the
-response mid-body — the client sees a failure for a write that
-*landed*, the eventually-landing-write case the lease read-back
-reconciles.
+Chaos harness: the object-store handler is the ``objectstore``
+consumer of a seeded :class:`~repro.campaign.faults.FaultPlan` — it
+fires the network kinds (``refuse``, ``http_error``, ``disconnect``,
+``delay``, and ``stale_read`` on reads) *server-side*, while the same
+plan's disk kinds drive the client-side ``FaultyDriver``; each
+consumer fires only its own kinds. ``disconnect`` performs the
+operation and then truncates the response mid-body — the client sees
+a failure for a write that *landed*, the eventually-landing-write case
+the lease read-back reconciles.
 
 Circuit breaker (:class:`CircuitBreakerDriver`, stacked under the
 store's ``RetryingDriver``) state machine::
@@ -101,12 +100,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
-from repro.campaign.faults import (
-    NETWORK_KINDS,
-    STORAGE_STALE_OPS,
-    StorageFaultPlan,
-    StorageFaultSelector,
-)
+from repro.campaign.faults import FaultPlan, FaultSelector
 from repro.campaign.storage import (
     MemoryDriver,
     StorageDriver,
@@ -736,9 +730,7 @@ class HttpServiceHandler(BaseHTTPRequestHandler):
             return "proceed"
         if rule.kind == "disconnect":
             return "truncate"
-        if rule.kind == "stale_read" and op in STORAGE_STALE_OPS:
-            return "stale"
-        return "proceed"
+        return "stale"
 
 
 class HttpService:
@@ -747,9 +739,10 @@ class HttpService:
     In-process for tests (``with Service() as service:``, or
     :meth:`start`/:meth:`stop`) and blocking behind the CLI
     (:meth:`serve_forever`). A subclass names its ``handler`` (an
-    :class:`HttpServiceHandler`) and the fault kinds that handler
-    understands; the plan's rules of other kinds are left to other
-    consumers without advancing their counters.
+    :class:`HttpServiceHandler`) and passes its fault ``consumer`` (its
+    column of :data:`~repro.campaign.faults.FIRES`); the plan's rules
+    of other kinds are left to other consumers without advancing their
+    counters.
 
     Mid-response client disconnects are counted
     (``n_client_disconnects``), noted in ``log_lines`` and logged once
@@ -765,13 +758,13 @@ class HttpService:
         self,
         host: str,
         port: int,
-        fault_plan: Optional[StorageFaultPlan],
-        fault_kinds: Tuple[str, ...],
+        fault_plan: Optional[FaultPlan],
+        consumer: str,
     ) -> None:
         self._host = host
         self._port = int(port)
         self.selector = (
-            StorageFaultSelector(fault_plan, kinds=fault_kinds)
+            FaultSelector(fault_plan, consumer)
             if fault_plan is not None and fault_plan.rules
             else None
         )
@@ -1026,17 +1019,17 @@ class ObjectStoreService(HttpService):
         host: str = "127.0.0.1",
         port: int = 0,
         bucket: str = "campaign",
-        fault_plan: Optional[StorageFaultPlan] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if "/" in bucket or not bucket:
             raise ConfigurationError(
                 f"bucket must be one path segment, got {bucket!r}"
             )
-        super().__init__(host, port, fault_plan, NETWORK_KINDS)
+        super().__init__(host, port, fault_plan, "objectstore")
         self.driver = driver if driver is not None else MemoryDriver()
         self.bucket = bucket
-        self._track_stale = bool(
-            fault_plan is not None and fault_plan.has_kind("stale_read")
+        self._track_stale = fault_plan is not None and any(
+            rule.kind == "stale_read" for rule in fault_plan.rules
         )
         self._history: Dict[str, bytes] = {}
         self._history_lock = threading.Lock()

@@ -27,9 +27,11 @@ Fault tolerance (pinned by ``tests/test_campaign_faults.py``):
 * **Degradation** — a broken process pool (killed worker) downgrades
   the remaining points to serial execution instead of aborting the
   campaign.
-* **Fault injection** — a :class:`~repro.campaign.faults.FaultPlan`
-  (or ``REPRO_FAULT_PLAN``) deterministically injects crashes, hangs,
-  kills, and torn writes so every path above runs in CI.
+* **Fault injection** — the ``execute`` rules of a
+  :class:`~repro.campaign.faults.FaultPlan` (or ``REPRO_FAULT_PLAN``)
+  deterministically inject crashes, hangs and kills, and a
+  ``FaultyDriver`` under the store tears writes, so every path above
+  runs in CI.
 * **Storage faults** — all store/lease I/O flows through a
   :class:`~repro.campaign.storage.StorageDriver` with bounded retries
   and seeded-jitter backoff; when writes fail *persistently* the
@@ -330,7 +332,7 @@ class CampaignRunner:
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
         if store is not None and not isinstance(store, CampaignStore):
-            store = CampaignStore(store, fault_plan=self._fault_plan)
+            store = CampaignStore(store)
         self._store = store
         self._workers = workers
         self._retry = retry or RetryPolicy()
@@ -699,13 +701,7 @@ class CampaignRunner:
                     ) = self._execute_with_retries(
                         point, content_hash, start_attempt, leases
                     )
-                    self._checkpoint(
-                        point,
-                        metrics_dict,
-                        provenance,
-                        elapsed,
-                        attempt=n_attempts,
-                    )
+                    self._checkpoint(point, metrics_dict, provenance, elapsed)
                     self._resolve(
                         outcome,
                         index,
@@ -801,8 +797,7 @@ class CampaignRunner:
             elapsed = time.perf_counter() - started
             _log_execution(content_hash)
             # ``attempt`` is the global (pool + serial) attempt number
-            # that succeeded — reported on the result and used as the
-            # write-stage fault-injection attempt.
+            # that succeeded, reported on the result.
             return metrics_dict, provenance, elapsed, attempt
 
     # ------------------------------------------------------------------ #
@@ -862,17 +857,12 @@ class CampaignRunner:
         metrics_dict: Dict,
         provenance: Dict,
         elapsed_s: float,
-        attempt: int = 1,
     ) -> None:
         if self._store is None or self._storage_degraded:
             return
         try:
             self._store.save(
-                point,
-                metrics_dict,
-                provenance,
-                elapsed_s=elapsed_s,
-                attempt=attempt,
+                point, metrics_dict, provenance, elapsed_s=elapsed_s
             )
         except PersistentStorageError as error:
             self._degrade(error)

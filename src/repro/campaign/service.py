@@ -55,11 +55,11 @@ an ``error`` event) so one stalled client can never wedge the shared
 computation. A client disconnecting mid-stream merely unsubscribes —
 the runner thread is independent of every handler thread.
 
-Chaos: ``service_fault_plan`` rules with request-level ops
+Chaos: the request handler is the ``service`` consumer of a
+``service_fault_plan`` — its rules on the request ops
 (:data:`~repro.campaign.faults.SERVICE_OPS` — ``submit``, ``status``,
-``list_campaigns``, ``healthz``) and network kinds
-(:data:`~repro.campaign.faults.REQUEST_KINDS`) are injected
-server-side exactly like the object store's chaos harness: ``refuse``
+``list_campaigns``, ``healthz``) are injected server-side exactly like
+the object store's chaos harness: ``refuse``
 drops the connection cold, ``http_error`` answers 503/``Retry-After``,
 ``delay`` sleeps, and ``disconnect`` streams the results but cuts the
 connection before the ``done`` line — the client sees a truncated
@@ -89,7 +89,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.campaign.faults import REQUEST_KINDS, StorageFaultPlan
+from repro.campaign.faults import FaultPlan
 from repro.campaign.objectstore import (
     DISCONNECT_ERRORS,
     DisconnectTolerantHTTPServer,
@@ -598,7 +598,7 @@ class CampaignService(HttpService):
         use_leases: bool = True,
         allow_partial: bool = True,
         fault_plan=None,
-        service_fault_plan: Optional[StorageFaultPlan] = None,
+        service_fault_plan: Optional[FaultPlan] = None,
         max_backlog: int = 256,
         stall_timeout_s: float = 30.0,
     ) -> None:
@@ -608,7 +608,7 @@ class CampaignService(HttpService):
             store = CampaignStore(driver=MemoryDriver())
         elif not isinstance(store, CampaignStore):
             store = CampaignStore(store)
-        super().__init__(host, port, service_fault_plan, REQUEST_KINDS)
+        super().__init__(host, port, service_fault_plan, "service")
         self._store = store
         self._workers = workers
         self._retry = retry

@@ -8,7 +8,7 @@ per-operation timeouts live in :class:`RetryingDriver`, crash-consistent
 durability lives in :class:`PosixDriver` (fsync-on-commit), and the
 whole contract is exercised in CI by :class:`FaultyDriver`, which
 injects I/O errors, torn writes, and latency from a seeded declarative
-:class:`~repro.campaign.faults.StorageFaultPlan`. A remote/object-store
+:class:`~repro.campaign.faults.FaultPlan`. A remote/object-store
 driver only has to honour the same contract to inherit the campaign
 layer's entire fault story (HSDS's ``storUtil`` posix/S3/Azure split is
 the model).
@@ -86,10 +86,9 @@ from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
 from repro.campaign.faults import (
-    STORAGE_KINDS,
-    STORAGE_WRITE_OPS,
-    StorageFaultPlan,
-    StorageFaultSelector,
+    STORAGE_FAULT_PLAN_ENV,
+    FaultPlan,
+    FaultSelector,
 )
 from repro.campaign.retry import (
     STORAGE_RETRY,
@@ -611,10 +610,10 @@ class WrappingDriver(StorageDriver):
 class FaultyDriver(WrappingDriver):
     """Wrapper injecting storage faults from a seeded declarative plan.
 
-    The storage-layer extension of the ``faults.py`` harness: rules
-    select driver calls by operation and key prefix, then fire on
-    explicit call indices or with seeded per-call probability
-    (:class:`~repro.campaign.faults.StorageFaultPlan`). Kinds:
+    The ``driver`` consumer of a :class:`~repro.campaign.faults.
+    FaultPlan`: rules select driver calls by operation and key prefix,
+    then fire on explicit call indices or with seeded per-call
+    probability. Kinds:
 
     * ``error`` / ``persistent`` — raise Transient-/
       PersistentStorageError *before* the operation touches the
@@ -627,23 +626,22 @@ class FaultyDriver(WrappingDriver):
       simulating an *undetected* torn write on a non-atomic backend
       that the store's integrity verification must catch later.
 
-    Call counting is per rule within this driver instance (via the
-    shared :class:`~repro.campaign.faults.StorageFaultSelector`), so
-    injection is reproducible for a given operation sequence without
-    shared mutable state. Network-class rules in the plan are for the
-    object-store *service* to consume — this driver skips them without
-    advancing their counters.
+    Call counting is per rule within this driver instance (via its
+    :class:`~repro.campaign.faults.FaultSelector`), so injection is
+    reproducible for a given operation sequence without shared mutable
+    state. Rules of other consumers' kinds (the object store's network
+    kinds, say) are skipped without advancing their counters.
     """
 
     def __init__(
         self,
         inner: StorageDriver,
-        plan: Optional[StorageFaultPlan] = None,
+        plan: Optional[FaultPlan] = None,
     ) -> None:
         super().__init__(inner, "faulty")
         if plan is None:
-            plan = StorageFaultPlan.from_env() or StorageFaultPlan()
-        self._selector = StorageFaultSelector(plan, kinds=STORAGE_KINDS)
+            plan = FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV) or FaultPlan()
+        self._selector = FaultSelector(plan, "driver")
 
     @property
     def n_injected(self) -> int:
@@ -660,12 +658,12 @@ class FaultyDriver(WrappingDriver):
             raise PersistentStorageError(
                 f"injected persistent storage fault at {op}({key!r})"
             )
-        if rule.kind == "torn" and op in STORAGE_WRITE_OPS:
+        if rule.kind == "torn":
             assert data is not None
             offset = (
-                max(0, len(data) // 2)
+                len(data) // 2
                 if rule.offset is None
-                else min(int(rule.offset), len(data))
+                else min(rule.offset, len(data))
             )
             # The partial payload lands through the *raw* backend: this
             # models a non-atomic write (or a crash mid-copy) that the
@@ -833,7 +831,7 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
 def build_driver(
     name: str,
     root=None,
-    storage_fault_plan: Optional[StorageFaultPlan] = None,
+    storage_fault_plan: Optional[FaultPlan] = None,
     fsync: bool = True,
 ) -> StorageDriver:
     """Construct a driver from a ``--storage-driver`` spec.

@@ -78,7 +78,6 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.campaign.faults import FaultPlan
 from repro.campaign.leases import live_lease, scan_lease_backend
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignPoint
@@ -126,10 +125,6 @@ class CampaignStore:
     root:
         Store directory for the default posix backend (created if
         missing). Ignored when ``driver`` is given a non-posix backend.
-    fault_plan:
-        Optional :class:`~repro.campaign.faults.FaultPlan` whose
-        ``write``-stage rules tear chunks as they are written (test/CI
-        harness only). Defaults to the ambient ``REPRO_FAULT_PLAN``.
     driver:
         Storage backend; defaults to ``PosixDriver(root)``. Always
         wrapped in a :class:`~repro.campaign.storage.RetryingDriver`
@@ -142,7 +137,6 @@ class CampaignStore:
     def __init__(
         self,
         root=None,
-        fault_plan: Optional[FaultPlan] = None,
         *,
         driver: Optional[StorageDriver] = None,
         retry: Optional[RetryPolicy] = None,
@@ -165,9 +159,6 @@ class CampaignStore:
             posix_root = getattr(inner, "root", None)
             if posix_root is not None:
                 self._root = Path(posix_root)
-        self._fault_plan = (
-            fault_plan if fault_plan is not None else FaultPlan.from_env()
-        )
 
     @property
     def root(self) -> Optional[Path]:
@@ -219,7 +210,6 @@ class CampaignStore:
         provenance: Mapping[str, object],
         arrays: Optional[Mapping[str, np.ndarray]] = None,
         elapsed_s: Optional[float] = None,
-        attempt: int = 1,
     ):
         """Persist one completed point; returns the chunk location
         (a filesystem path on posix backends, the driver key otherwise).
@@ -251,37 +241,10 @@ class CampaignStore:
             payload["arrays_file"] = f"{content_hash}.npz"
         chunk_data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
         self._driver.put_atomic(chunk_key, chunk_data)
-        self._fire_write_fault(point, content_hash, chunk_data, attempt)
         self.clear_failure(content_hash)
         if self._root is not None:
             return self._root / chunk_key
         return chunk_key
-
-    def _fire_write_fault(
-        self,
-        point: CampaignPoint,
-        content_hash: str,
-        chunk_data: bytes,
-        attempt: int,
-    ) -> None:
-        """Apply a matching write-stage (torn chunk) fault rule.
-
-        The legacy ``faults.py`` write stage modelled a torn chunk
-        *landing on disk undetected*; through the driver that is an
-        atomic replace with a truncated payload — exactly what the
-        integrity sweep must later quarantine.
-        """
-        if self._fault_plan is None:
-            return
-        rule = self._fault_plan.match(
-            "write", point.to_dict(), content_hash, attempt
-        )
-        if rule is None:
-            return
-        self._driver.replace(
-            self._chunk_key(content_hash),
-            chunk_data[: max(1, len(chunk_data) // 2)],
-        )
 
     def load(
         self, point: CampaignPoint, owner: Optional[str] = None

@@ -28,7 +28,7 @@ import pytest
 import repro.campaign.faults as faults_module
 import repro.campaign.runner as campaign_runner
 import repro.protocol.network as network_module
-from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultRule
+from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultSelector
 from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
@@ -42,7 +42,7 @@ from repro.campaign.runner import (
     RetryPolicy,
 )
 from repro.campaign.spec import CampaignPoint, CampaignSpec
-from repro.campaign.storage import PosixDriver
+from repro.campaign.storage import FaultyDriver, PosixDriver
 from repro.campaign.store import CampaignStore
 from repro.channel.deployment import paper_deployment
 from repro.errors import (
@@ -183,12 +183,14 @@ class TestFaultPlan:
                 },
             ]
         )
-        assert plan.match("execute", fields, content, 2).kind == "crash"
-        assert plan.match("execute", fields, content, 1).kind == "hang"
-        assert plan.match("execute", fields, "ffff", 1) is None
-        assert plan.match("write", fields, content, 1) is None
+        runner = FaultSelector(plan, "runner")
+        assert runner.consult("execute", content, 2, fields).kind == "crash"
+        assert runner.consult("execute", content, 1, fields).kind == "hang"
+        assert runner.consult("execute", "ffff", 1, fields) is None
+        driver = FaultSelector(plan, "driver")
+        assert driver.consult("put_atomic", content) is None
         other = make_point(n_devices=4).to_dict()
-        assert plan.match("execute", other, "ffff", 2) is None
+        assert runner.consult("execute", "ffff", 2, other) is None
 
     def test_from_env_inline_file_and_unset(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
@@ -208,8 +210,8 @@ class TestFaultPlan:
         [
             {"stage": "nope", "kind": "crash"},
             {"stage": "execute", "kind": "nope"},
-            {"stage": "execute", "kind": "torn"},  # torn is write-only
-            {"stage": "write", "kind": "crash"},  # write is torn-only
+            {"stage": "execute", "kind": "torn"},  # torn is a driver kind
+            {"stage": "write", "kind": "crash"},  # the write stage is gone
             {
                 "stage": "execute",
                 "kind": "crash",
@@ -219,7 +221,11 @@ class TestFaultPlan:
     )
     def test_invalid_rules_rejected(self, rule):
         with pytest.raises(ConfigurationError):
-            FaultRule(**rule)
+            plan_from([rule])
+
+    def test_v1_write_stage_refused_with_the_storage_form(self):
+        with pytest.raises(ConfigurationError, match='"kind": "torn"'):
+            plan_from([{"stage": "write", "kind": "torn", "match": {}}])
 
     def test_unknown_plan_keys_and_schema_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -368,7 +374,7 @@ class TestLeaseManager:
 
 class TestStoreIntegrity:
     def test_torn_chunk_is_quarantined_not_served(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         chunk = store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         tear(store, f"points/{point.content_hash()}.json")
@@ -383,7 +389,7 @@ class TestStoreIntegrity:
     def test_torn_npz_payload_is_quarantined(self, tmp_path):
         import numpy as np
 
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         store.save(
             point,
@@ -404,7 +410,7 @@ class TestStoreIntegrity:
         ).exists()
 
     def test_tampered_point_content_is_rejected(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         chunk = store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         payload = json.loads(chunk.read_text())
@@ -418,7 +424,7 @@ class TestStoreIntegrity:
         )
 
     def test_schema_and_hash_field_mismatches_quarantine(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         chunk = store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         payload = json.loads(chunk.read_text())
@@ -430,7 +436,7 @@ class TestStoreIntegrity:
         }
 
     def test_quarantined_chunk_heals_on_resave(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         tear(store, f"points/{point.content_hash()}.json")
@@ -441,7 +447,7 @@ class TestStoreIntegrity:
         assert point.content_hash() in store.manifest()["points"]
 
     def test_corrupt_manifest_is_rebuilt(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         manifest_path = tmp_path / "manifest.json"
@@ -455,7 +461,7 @@ class TestStoreIntegrity:
         ]
 
     def test_export_rows_skip_quarantined_chunks(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         good, bad = make_point(), make_point(seed=4321)
         store.save(good, {"phy_rate_bps": 1.0}, {"backend": "x"})
         store.save(bad, {"phy_rate_bps": 2.0}, {"backend": "x"})
@@ -466,7 +472,7 @@ class TestStoreIntegrity:
         ]
 
     def test_status_counts_failures_and_quarantine(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         ok, torn_pt, failed = (
             make_point(),
             make_point(seed=4321),
@@ -495,7 +501,7 @@ class TestStoreIntegrity:
         assert status["n_leased"] == 0
 
     def test_failure_record_cleared_by_save(self, tmp_path):
-        store = CampaignStore(tmp_path, fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path)
         point = make_point()
         store.record_failure(
             point,
@@ -615,25 +621,34 @@ class TestRunnerRetries:
         assert elapsed < 5.0  # never waited out the hang
 
     def test_torn_write_quarantined_and_recomputed(self, tmp_path):
-        """Satellite: kill-mid-write healing. A write-stage fault tears
-        the chunk as it lands; the next run quarantines it, recomputes
-        the point, and converges to a manifest byte-identical to a
-        store that never saw the fault."""
+        """Satellite: kill-mid-write healing. A silent storage fault
+        tears the chunk as it lands; the next run quarantines it,
+        recomputes the point, and converges to a manifest byte-identical
+        to a store that never saw the fault."""
         spec = small_spec()
         store_root = tmp_path / "store"
-        plan = plan_from(
-            [
-                {
-                    "stage": "write",
-                    "kind": "torn",
-                    "match": {"n_devices": 1},
-                    "attempts": [1],
-                }
-            ]
+        (torn_hash,) = [
+            point.content_hash()
+            for point in spec.points()
+            if point.n_devices == 1
+        ]
+        plan = FaultPlan.from_dict(
+            {
+                "schema": "repro-storage-fault-plan-v1",
+                "rules": [
+                    {
+                        "op": "put_atomic",
+                        "kind": "torn",
+                        "key_prefix": f"points/{torn_hash}.json",
+                        "silent": True,
+                    }
+                ],
+            }
         )
-        CampaignRunner(
-            store=store_root, fault_plan=plan, use_leases=False
-        ).run(spec)
+        torn_store = CampaignStore(
+            driver=FaultyDriver(PosixDriver(store_root), plan)
+        )
+        CampaignRunner(store=torn_store, use_leases=False).run(spec)
         healer = CampaignRunner(
             store=store_root, fault_plan=FaultPlan(), use_leases=False
         )
@@ -857,7 +872,7 @@ class TestConcurrentRunners:
         CampaignRunner(
             store=clean_root, fault_plan=FaultPlan(), use_leases=False
         ).run(spec)
-        CampaignStore(clean_root, fault_plan=FaultPlan()).manifest()
+        CampaignStore(clean_root).manifest()
 
         exec_log = tmp_path / "exec.log"
         monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
@@ -912,7 +927,7 @@ class TestConcurrentRunners:
 
             survivor.start()
             survivor_started = True
-            store = CampaignStore(store_root, fault_plan=FaultPlan())
+            store = CampaignStore(store_root)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 done = {
@@ -938,7 +953,7 @@ class TestConcurrentRunners:
                     process.join(timeout=10.0)
 
         assert survivor_started
-        store = CampaignStore(store_root, fault_plan=FaultPlan())
+        store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
         assert store.active_leases() == []
         assert store.failures() == []
@@ -986,7 +1001,7 @@ class TestConcurrentRunners:
                     process.kill()
                     process.join(timeout=10.0)
 
-        store = CampaignStore(store_root, fault_plan=FaultPlan())
+        store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
         logged = [
             line.split()[0]
@@ -1091,7 +1106,7 @@ class TestCliFaultFlags:
     def test_status_reports_fault_columns(self, tmp_path, capsys):
         from repro.campaign.cli import main as campaign_cli
 
-        store = CampaignStore(tmp_path / "store", fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path / "store")
         store.save(make_point(), {"phy_rate_bps": 1.0}, {"backend": "x"})
         code = campaign_cli(
             ["status", "--store", str(tmp_path / "store")]

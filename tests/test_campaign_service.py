@@ -32,11 +32,7 @@ from repro.campaign.client import (
     CampaignServiceClient,
     parse_service_url,
 )
-from repro.campaign.faults import (
-    FaultPlan,
-    StorageFaultPlan,
-    StorageFaultRule,
-)
+from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import EXEC_LOG_ENV, CampaignRunner
 from repro.campaign.service import (
@@ -71,8 +67,8 @@ def small_spec(counts=(1, 2), **overrides):
 
 
 def request_plan(rules, seed=0):
-    return StorageFaultPlan(
-        rules=tuple(StorageFaultRule(**rule) for rule in rules),
+    return FaultPlan(
+        rules=tuple(FaultRule(**rule) for rule in rules),
         seed=seed,
     )
 
@@ -529,10 +525,10 @@ class TestAcceptance:
         # Clean single-shot local run — the reference manifest.
         clean_root = tmp_path / "clean"
         CampaignRunner(
-            store=CampaignStore(clean_root, fault_plan=FaultPlan()),
+            store=CampaignStore(clean_root),
             use_leases=False,
         ).run(spec)
-        CampaignStore(clean_root, fault_plan=FaultPlan()).manifest()
+        CampaignStore(clean_root).manifest()
 
         exec_log = tmp_path / "exec.log"
         monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
@@ -598,7 +594,7 @@ class TestAcceptance:
 
         # The chaos store converged to the clean run's manifest, byte
         # for byte.
-        CampaignStore(store_root, fault_plan=FaultPlan()).manifest()
+        CampaignStore(store_root).manifest()
         assert (store_root / "manifest.json").read_bytes() == (
             clean_root / "manifest.json"
         ).read_bytes()

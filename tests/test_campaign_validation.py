@@ -4,11 +4,13 @@
   §10.2.3) is "no hint", not a crash: the HTTP driver stack retries
   the 503 and escalates to ``PersistentStorageError`` like any other
   transient failure.
-* Fault-plan rules whose values would fail mid-run (a negative sleep)
-  or silently never fire (attempt/call index 0, negative
-  ``max_fires``) are rejected at construction with
-  ``ConfigurationError`` — and the CLI turns that into one ``error:``
-  line with exit code 2.
+* Fault-plan rules whose values would fail mid-run (a negative sleep,
+  a non-numeric ``Retry-After``), silently never fire (attempt/call
+  index 0, negative ``max_fires``) or do something else than they say
+  (a negative torn ``offset``, a fractional ``max_fires``), and rules
+  that are not rules at all (unknown keys, scalar index lists, a bare
+  number) are rejected at load with ``ConfigurationError`` — and the
+  CLI turns that into one ``error:`` line with exit code 2.
 """
 
 import math
@@ -19,7 +21,11 @@ import pytest
 
 from repro.campaign.cli import entrypoint
 from repro.campaign.client import CampaignServiceClient
-from repro.campaign.faults import FaultRule, StorageFaultPlan, StorageFaultRule
+from repro.campaign.faults import (
+    PLAN_SCHEMA,
+    STORAGE_PLAN_SCHEMA,
+    FaultPlan,
+)
 from repro.campaign.objectstore import HttpDriver
 from repro.campaign.storage import RetryingDriver
 from repro.errors import ConfigurationError, PersistentStorageError
@@ -91,32 +97,67 @@ class TestFaultRuleValidation:
             {"kind": "hang", "hang_s": math.inf},
             {"kind": "crash", "attempts": [0]},
             {"kind": "crash", "attempts": [2, -1]},
+            {"kind": "crash", "attempts": 1},
+            {"kind": "crash", "bogus": 1},
         ],
-        ids=["neg-hang", "nan-hang", "inf-hang", "attempt-0", "attempt-neg"],
+        ids=[
+            "neg-hang",
+            "nan-hang",
+            "inf-hang",
+            "attempt-0",
+            "attempt-neg",
+            "scalar-attempts",
+            "unknown-key",
+        ],
     )
     def test_rejected_at_construction(self, overrides):
+        rule = {"stage": "execute", **overrides}
         with pytest.raises(ConfigurationError):
-            FaultRule(stage="execute", **overrides)
+            FaultPlan.from_dict({"schema": PLAN_SCHEMA, "rules": [rule]})
 
 
 class TestStorageFaultRuleValidation:
     @pytest.mark.parametrize(
-        "overrides",
+        "rule",
         [
             {"kind": "hang", "hang_s": -1.0},
             {"kind": "delay", "hang_s": math.nan},
             {"kind": "hang", "hang_s": math.inf},
             {"kind": "error", "calls": [0, -3]},
             {"kind": "error", "p": 0.5, "max_fires": -1},
+            {"kind": "error", "bogus": 1},
+            {"kind": "error", "calls": 5},
+            {"kind": "http_error", "retry_after_s": "soon"},
+            {"kind": "http_error", "retry_after_s": math.nan},
+            {"kind": "http_error", "retry_after_s": math.inf},
+            {"kind": "torn", "op": "put_atomic", "offset": -3},
+            {"kind": "error", "p": 0.5, "max_fires": 1.5},
+            3,
         ],
-        ids=["neg-hang", "nan-delay", "inf-hang", "calls-0", "neg-max-fires"],
+        ids=[
+            "neg-hang",
+            "nan-delay",
+            "inf-hang",
+            "calls-0",
+            "neg-max-fires",
+            "unknown-key",
+            "scalar-calls",
+            "text-retry-after",
+            "nan-retry-after",
+            "inf-retry-after",
+            "neg-offset",
+            "fractional-max-fires",
+            "not-a-rule",
+        ],
     )
-    def test_rejected_at_construction(self, overrides):
+    def test_rejected_at_construction(self, rule):
         with pytest.raises(ConfigurationError):
-            StorageFaultRule(**overrides)
+            FaultPlan.from_dict(
+                {"schema": STORAGE_PLAN_SCHEMA, "rules": [rule]}
+            )
 
     def test_zero_max_fires_is_a_valid_disabled_rule(self):
-        plan = StorageFaultPlan.from_dict(
+        plan = FaultPlan.from_dict(
             {"rules": [{"kind": "error", "max_fires": 0}]}
         )
         assert plan.rules[0].max_fires == 0
@@ -140,6 +181,28 @@ def test_cli_rejects_negative_hang_in_one_line(tmp_path, capsys):
             str(tmp_path / "store"),
             "--storage-fault-plan",
             plan,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_unknown_rule_key_in_one_line(tmp_path, capsys):
+    code = entrypoint(
+        [
+            "run",
+            "--spec",
+            "fig17",
+            "--counts",
+            "1",
+            "--rounds",
+            "1",
+            "--store",
+            str(tmp_path / "store"),
+            "--storage-fault-plan",
+            '{"rules": [{"kind": "error", "bogus": 1}]}',
         ]
     )
     err = capsys.readouterr().err

@@ -70,6 +70,10 @@ DOC_ANCHORS = {
         "child_seed",
         "python -m repro.campaign",
         "REPRO_FAULT_PLAN",
+        "FaultSelector",
+        "faults.FIRES",
+        "repro-fault-plan-v1",
+        "repro-storage-fault-plan-v1",
         "RetryPolicy",
         "quarantine",
         "leases/<hash>.lease",

@@ -32,11 +32,7 @@ import time
 import pytest
 
 from repro.campaign.cli import main as campaign_cli
-from repro.campaign.faults import (
-    FaultPlan,
-    StorageFaultPlan,
-    StorageFaultRule,
-)
+from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.leases import LeaseManager
 from repro.campaign.objectstore import (
     CircuitBreakerDriver,
@@ -81,8 +77,8 @@ def small_spec(counts=(1, 2), **overrides):
 
 
 def network_plan(rules, seed=0):
-    return StorageFaultPlan(
-        rules=tuple(StorageFaultRule(**rule) for rule in rules),
+    return FaultPlan(
+        rules=tuple(FaultRule(**rule) for rule in rules),
         seed=seed,
     )
 
@@ -169,9 +165,9 @@ class TestWireProtocol:
         # TransientStorageError client-side -> the retry wrapper heals.
         backing = FaultyDriver(
             MemoryDriver(),
-            StorageFaultPlan(
+            FaultPlan(
                 rules=(
-                    StorageFaultRule(
+                    FaultRule(
                         kind="error", op="get", calls=(1,)
                     ),
                 )
@@ -364,9 +360,9 @@ class TestCircuitBreaker:
     def test_half_open_probe_closes_on_recovery(self):
         flaky = FaultyDriver(
             MemoryDriver(),
-            StorageFaultPlan(
+            FaultPlan(
                 rules=(
-                    StorageFaultRule(
+                    FaultRule(
                         kind="error", op="get", calls=(1,)
                     ),
                 )
@@ -419,7 +415,7 @@ class TestRunnerDegradation:
                 max_attempts=2, base_delay_s=0.001, max_delay_s=0.002
             ),
         )
-        return CampaignStore(driver=driver, fault_plan=FaultPlan())
+        return CampaignStore(driver=driver)
 
     def test_allow_partial_computes_without_persistence(self, request):
         store = self._dead_store(request)
@@ -613,7 +609,6 @@ def _child_run_http(url, spec_dict, owner, lease_ttl_s):
     """One campaign over the remote driver in a forked child."""
     store = CampaignStore(
         driver=build_driver(url),
-        fault_plan=FaultPlan(),
         retry=RetryPolicy(
             max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
         ),
@@ -645,10 +640,10 @@ class TestHttpAcceptance:
 
         clean_root = tmp_path / "clean"
         CampaignRunner(
-            store=CampaignStore(clean_root, fault_plan=FaultPlan()),
+            store=CampaignStore(clean_root),
             use_leases=False,
         ).run(spec)
-        CampaignStore(clean_root, fault_plan=FaultPlan()).manifest()
+        CampaignStore(clean_root).manifest()
 
         exec_log = tmp_path / "exec.log"
         monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
@@ -715,7 +710,7 @@ class TestHttpAcceptance:
         # Every planned rule fired at least the chaos it promised.
         assert svc.selector.n_injected >= 5
 
-        store = CampaignStore(store_root, fault_plan=FaultPlan())
+        store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
         assert store.active_leases() == []
         assert store.failures() == []

@@ -36,8 +36,7 @@ from repro.campaign.cli import main as campaign_cli
 from repro.campaign.faults import (
     STORAGE_FAULT_PLAN_ENV,
     FaultPlan,
-    StorageFaultPlan,
-    StorageFaultRule,
+    FaultRule,
 )
 from repro.campaign.leases import HeartbeatThread, LeaseManager
 from repro.campaign.presets import fig17_campaign
@@ -79,8 +78,8 @@ def small_spec(counts=(1, 2), **overrides):
 
 
 def storage_plan(rules, seed=0):
-    return StorageFaultPlan(
-        rules=tuple(StorageFaultRule(**rule) for rule in rules),
+    return FaultPlan(
+        rules=tuple(FaultRule(**rule) for rule in rules),
         seed=seed,
     )
 
@@ -362,28 +361,26 @@ class TestFaultyDriver:
             ],
             seed=9,
         )
-        assert StorageFaultPlan.from_json(
-            json.dumps(plan.to_dict())
-        ) == plan
+        assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(ConfigurationError):
-            StorageFaultRule(kind="torn", op="get")
+            FaultRule(kind="torn", op="get")
         with pytest.raises(ConfigurationError):
-            StorageFaultRule(kind="error", calls=(1,), p=0.5)
+            FaultRule(kind="error", calls=(1,), p=0.5)
         with pytest.raises(ConfigurationError):
-            StorageFaultRule(kind="error", p=1.5)
+            FaultRule(kind="error", p=1.5)
         with pytest.raises(ConfigurationError):
-            StorageFaultRule(kind="nope")
+            FaultRule(kind="nope")
 
     def test_from_env_inline_and_unset(self, monkeypatch):
         monkeypatch.delenv(STORAGE_FAULT_PLAN_ENV, raising=False)
-        assert StorageFaultPlan.from_env() is None
+        assert FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV) is None
         monkeypatch.setenv(
             STORAGE_FAULT_PLAN_ENV,
             json.dumps(storage_plan([{"kind": "error"}]).to_dict()),
         )
-        plan = StorageFaultPlan.from_env()
+        plan = FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV)
         assert plan is not None and plan.rules[0].kind == "error"
 
 
@@ -619,7 +616,6 @@ class TestHeartbeatResilience:
 def _faulty_store(root, plan, retry=FAST_STORAGE_RETRY):
     return CampaignStore(
         driver=FaultyDriver(PosixDriver(root), plan),
-        fault_plan=FaultPlan(),
         retry=retry,
     )
 
@@ -638,7 +634,7 @@ class TestTornWriteSweep:
         spec = small_spec(counts=(1,))
         clean_root = tmp_path / "clean"
         CampaignRunner(
-            store=CampaignStore(clean_root, fault_plan=FaultPlan()),
+            store=CampaignStore(clean_root),
             use_leases=False,
         ).run(spec)
 
@@ -662,11 +658,11 @@ class TestTornWriteSweep:
 
         # The torn chunk landed "successfully"; a clean rerun must
         # quarantine it, recompute, and converge byte-identically.
-        healed = CampaignStore(root, fault_plan=FaultPlan())
+        healed = CampaignStore(root)
         CampaignRunner(store=healed, use_leases=False).run(spec)
         assert list(healed.quarantined().values()) == ["undecodable-json"]
         healed.manifest()
-        clean_store = CampaignStore(clean_root, fault_plan=FaultPlan())
+        clean_store = CampaignStore(clean_root)
         clean_store.manifest()
         assert (root / "manifest.json").read_bytes() == (
             clean_root / "manifest.json"
@@ -779,13 +775,12 @@ class TestTornWriteUnderLiveLease:
     def _reader(self, root, driver=None):
         return CampaignStore(
             driver=driver or PosixDriver(root),
-            fault_plan=FaultPlan(),
             retry=self.READER_RETRY,
         )
 
     def _torn_chunk(self, root, point):
         """Save ``point`` cleanly, then leave only its first 40 bytes."""
-        store = CampaignStore(root, fault_plan=FaultPlan())
+        store = CampaignStore(root)
         store.save(point, {"m": 1.0}, {"backend": "x"})
         key = f"points/{point.content_hash()}.json"
         PosixDriver(root).replace(key, PosixDriver(root).get(key)[:40])
@@ -930,7 +925,7 @@ class TestReadOnlyDegradation:
         spec = small_spec(counts=(1, 2))
         root = tmp_path / "store"
         CampaignRunner(
-            store=CampaignStore(root, fault_plan=FaultPlan()),
+            store=CampaignStore(root),
             use_leases=False,
         ).run(spec)
         # Reads work, writes are dead: cached points still serve.
@@ -945,9 +940,7 @@ class TestMemoryDriverCampaign:
 
     def test_end_to_end_with_caching_and_manifest_parity(self, tmp_path):
         spec = small_spec(counts=(1, 2))
-        memory_store = CampaignStore(
-            driver=MemoryDriver(), fault_plan=FaultPlan()
-        )
+        memory_store = CampaignStore(driver=MemoryDriver())
         first = CampaignRunner(store=memory_store).run(spec)
         assert first.n_computed == 2
         second = CampaignRunner(store=memory_store).run(spec)
@@ -957,7 +950,7 @@ class TestMemoryDriverCampaign:
 
         # Manifest bytes equal the posix store's for the same points.
         posix_root = tmp_path / "posix"
-        posix_store = CampaignStore(posix_root, fault_plan=FaultPlan())
+        posix_store = CampaignStore(posix_root)
         CampaignRunner(store=posix_store).run(spec)
         memory_store.manifest()
         posix_store.manifest()
@@ -972,9 +965,7 @@ class TestMemoryDriverCampaign:
         monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [p.content_hash() for p in spec.points()]
-        store = CampaignStore(
-            driver=MemoryDriver(), fault_plan=FaultPlan()
-        )
+        store = CampaignStore(driver=MemoryDriver())
 
         def run_one(owner):
             CampaignRunner(
@@ -1002,9 +993,7 @@ class TestMemoryDriverCampaign:
         assert sorted(logged) == sorted(hashes)
 
     def test_store_status_reports_driver_stats(self):
-        store = CampaignStore(
-            driver=MemoryDriver(), fault_plan=FaultPlan()
-        )
+        store = CampaignStore(driver=MemoryDriver())
         status = store.status()
         assert status["storage"]["driver"].startswith("retrying(")
         # Wrapper stats nest per layer instead of merging by overwrite.
@@ -1042,9 +1031,8 @@ def _child_run_faulty(root, spec_dict, plan_json, owner, lease_ttl_s):
     """One campaign over FaultyDriver(Posix) in a forked child."""
     store = CampaignStore(
         driver=FaultyDriver(
-            PosixDriver(root), StorageFaultPlan.from_json(plan_json)
+            PosixDriver(root), FaultPlan.from_json(plan_json)
         ),
-        fault_plan=FaultPlan(),
         retry=RetryPolicy(
             max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
         ),
@@ -1076,10 +1064,10 @@ class TestFaultyDriverAcceptance:
 
         clean_root = tmp_path / "clean"
         CampaignRunner(
-            store=CampaignStore(clean_root, fault_plan=FaultPlan()),
+            store=CampaignStore(clean_root),
             use_leases=False,
         ).run(spec)
-        CampaignStore(clean_root, fault_plan=FaultPlan()).manifest()
+        CampaignStore(clean_root).manifest()
 
         exec_log = tmp_path / "exec.log"
         monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
@@ -1153,7 +1141,7 @@ class TestFaultyDriverAcceptance:
                     process.kill()
                     process.join(timeout=10.0)
 
-        store = CampaignStore(store_root, fault_plan=FaultPlan())
+        store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
         assert store.active_leases() == []
         assert store.failures() == []
@@ -1228,7 +1216,7 @@ class TestCliStorageFlags:
             ]
         )
         assert code == 0
-        store = CampaignStore(tmp_path / "store", fault_plan=FaultPlan())
+        store = CampaignStore(tmp_path / "store")
         assert len(store) == 1
 
     def test_status_json_is_one_machine_readable_line(
@@ -1236,9 +1224,7 @@ class TestCliStorageFlags:
     ):
         spec = small_spec(counts=(1,))
         CampaignRunner(
-            store=CampaignStore(
-                tmp_path / "store", fault_plan=FaultPlan()
-            ),
+            store=CampaignStore(tmp_path / "store"),
             use_leases=False,
         ).run(spec)
         code = campaign_cli(
