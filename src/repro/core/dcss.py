@@ -293,8 +293,12 @@ def compose_rounds(
     tones = (high[:, :, :, None] * low[:, :, None, :]).reshape(
         n_rounds, n_devices, -1
     )[:, :, :n]
-    weights = (bit_tensor * amplitudes[:, None, :]).astype(complex)
-    dechirped = weights @ tones
+    # The keying weights are real, so one real GEMM against the tones'
+    # interleaved (re, im) pairs gives the complex product: the same
+    # multiply-adds as a complex GEMM, without its zero imaginary terms.
+    weights = bit_tensor * amplitudes[:, None, :]
+    pairs = np.ascontiguousarray(tones).view(np.float64)
+    dechirped = (weights @ pairs).view(complex)
     if not respread:
         return dechirped
     return dechirped * _respread_cached(params)[None, None, :]
@@ -413,15 +417,7 @@ def compose_readout(
     if dtype.kind != "c":
         raise ConfigurationError("dtype must be a complex dtype")
     n_symbols = bit_tensor.shape[1]
-    dedup = int(n_preamble_rows)
-    if dedup > 1 and n_symbols >= dedup:
-        head = bit_tensor[:, :dedup]
-        if not np.array_equal(
-            head, np.broadcast_to(head[:, :1], head.shape)
-        ):
-            dedup = 0
-    else:
-        dedup = 0
+    dedup = _shared_preamble_rows(bit_tensor, n_preamble_rows)
     if dedup:
         # Row dedup-1 is the shared preamble row; rows before it are
         # copies, so the GEMM runs on (1 + payload) rows per round.
@@ -450,6 +446,23 @@ def compose_readout(
         dtype,
         columns,
     )
+
+
+def _shared_preamble_rows(bit_tensor: np.ndarray, n_preamble_rows: int) -> int:
+    """``n_preamble_rows`` if the leading rows of every round of the
+    ``(n_rounds, n_symbols, n_devices)`` keying tensor are equal, else 0.
+
+    One equality pass verifies the all-on preamble a caller declares, so
+    a reader that composes the row once per round never trusts the
+    claim blindly. A single row shares nothing, so it reads 0 too.
+    """
+    rows = int(n_preamble_rows)
+    if rows < 2 or bit_tensor.shape[1] < rows:
+        return 0
+    head = bit_tensor[:, :rows]
+    if not np.array_equal(head, np.broadcast_to(head[:, :1], head.shape)):
+        return 0
+    return rows
 
 
 #: Per-round cost model of the two routes of :func:`compose_readout`,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,6 +368,33 @@ class _ReadoutPlan:
         columns = base[:, None] + located[:, :, None] + np.arange(-1, 2)
         return columns.reshape(located.shape[0], -1)
 
+    def gather_located(
+        self, rows: np.ndarray, located: np.ndarray
+    ) -> np.ndarray:
+        """``(R, S, D, W)`` window rows at each device's located ``±1`` bins.
+
+        ``located`` is the ``(R, D)`` located position inside each
+        device's window; the result is ``(R, S, D, 3)``. One flat
+        ``np.take`` per round reads the round's ``(S, D * W)`` rows at
+        its :meth:`located_columns`.
+        """
+        n_rounds, n_rows = rows.shape[:2]
+        columns = self.located_columns(located)
+        out = np.empty(
+            (n_rounds, n_rows, self.n_devices, 3), dtype=rows.dtype
+        )
+        for r in range(n_rounds):
+            # Every column is in range; ``clip`` spares ``take`` a
+            # buffered copy of ``out``, as in :meth:`read_round`.
+            np.take(
+                rows[r].reshape(n_rows, self.n_devices * self.window_width),
+                columns[r],
+                axis=1,
+                out=out[r].reshape(n_rows, self.n_devices * 3),
+                mode="clip",
+            )
+        return out
+
 
 @lru_cache(maxsize=8)
 def _window_noise_factor(
@@ -399,14 +426,23 @@ def _located_noise_factor(
     return factor
 
 
-class _SpanNoise(NamedTuple):
-    """One span's CN(0,1) engine draws (:func:`_draw_span_noise`)."""
+class _SpanNoise:
+    """One span's CN(0,1) engine draws (:func:`_draw_span_noise`).
 
-    window: np.ndarray
-    probe: np.ndarray
-    #: The located ``±1`` payload block; ``None`` on the ``"full"``
-    #: stream, whose window block already covers every symbol row.
-    located: Optional[np.ndarray]
+    The blocks are ``"window"``, ``"probe"`` and, except on the
+    ``"full"`` stream (whose window block covers every symbol row),
+    ``"located"``. :meth:`take` hands each out once and keeps no
+    reference, so a block is freed as soon as its mixer is done with
+    it, not when the span is. A deferred block is drawn when taken.
+    """
+
+    def __init__(self, full: bool, blocks: dict) -> None:
+        self.full = full
+        self._blocks = blocks
+
+    def take(self, name: str) -> np.ndarray:
+        block = self._blocks.pop(name)
+        return block() if callable(block) else block
 
 
 def _draw_span_noise(
@@ -416,6 +452,7 @@ def _draw_span_noise(
     n_symbols: int,
     n_preamble: int,
     dtype,
+    defer_located: bool = False,
 ) -> Optional[_SpanNoise]:
     """Every engine draw of one span, in the stream's layout.
 
@@ -429,8 +466,11 @@ def _draw_span_noise(
     decided; spans must be drawn in order. ``dtype`` is the readout
     values' complex dtype: ``complex64`` values get float32 draws (same
     law, about half the generation and mixing cost), while the default
-    double path consumes the generator exactly as before. ``None``
-    without a stream.
+    double path consumes the generator exactly as before. With
+    ``defer_located`` the located block is drawn only when the decision
+    takes it, after the window block is mixed, so the two are never
+    alive at once; nothing may draw in between. ``None`` without a
+    stream.
     """
     if stream is None:
         return None
@@ -444,12 +484,15 @@ def _draw_span_noise(
     probe = stream.standard_complex(
         (n_rounds, plan.n_probes), dtype=real_dtype
     )
-    located = None
+    blocks = {"window": window, "probe": probe}
     if not full_stream:
-        located = stream.standard_complex(
-            (n_rounds, n_symbols - n_preamble, devices, 3), dtype=real_dtype
+        located = partial(
+            stream.standard_complex,
+            (n_rounds, n_symbols - n_preamble, devices, 3),
+            dtype=real_dtype,
         )
-    return _SpanNoise(window, probe, located)
+        blocks["located"] = located if defer_located else located()
+    return _SpanNoise(full_stream, blocks)
 
 
 def _inject_readout_noise(
@@ -468,7 +511,9 @@ def _inject_readout_noise(
     Cholesky factor; the natural-grid probes are mutually orthogonal and
     get iid noise of per-bin power ``2^SF * noise_power``. ``noise``
     holds the span's draws; its window block has ``window_values``'
-    shape.
+    shape. The noise is scaled and summed in place, in its correlated
+    block and in the probe draws, and returned as the noisy values;
+    ``window_values`` may be a read-only broadcast view.
     """
     single = window_values.dtype == np.complex64
     real_dtype = np.float32 if single else np.float64
@@ -476,14 +521,13 @@ def _inject_readout_noise(
     if single:
         factor = factor.astype(np.complex64)
         noise_scale = noise_scale.astype(np.float32)
-    window_noise = noise.window @ factor.T
-    window_values = window_values + (
-        noise_scale[:, None, None, None] * window_noise
-    )
-    probe_values = probe_values + (
-        noise_scale[:, None] * real_dtype(np.sqrt(float(plan.n_samples)))
-    ) * noise.probe
-    return window_values, probe_values
+    window = noise.take("window") @ factor.T
+    window *= noise_scale[:, None, None, None]
+    window += window_values
+    probe = noise.take("probe")
+    probe *= noise_scale[:, None] * real_dtype(np.sqrt(float(plan.n_samples)))
+    probe += probe_values
+    return window, probe
 
 
 def _inject_located_noise(
@@ -496,7 +540,8 @@ def _inject_located_noise(
 
     ``located_values`` is ``(R, S_payload, D, 3)`` complex — each
     device's payload readout gathered at its located peak and the two
-    interpolated neighbours — and ``noise.located`` its draws. The
+    interpolated neighbours, a fresh array this adds the noise to in
+    place — and ``noise``'s located block its draws. The
     three bins are adjacent, so their joint noise law is the shared 3×3
     Toeplitz factor (:attr:`_ReadoutPlan.payload_noise_factor`)
     whatever the located position: the marginal of exactly the noise
@@ -507,8 +552,21 @@ def _inject_located_noise(
     if located_values.dtype == np.complex64:
         factor = factor.astype(np.complex64)
         noise_scale = noise_scale.astype(np.float32)
-    return located_values + (
-        noise_scale[:, None, None, None] * (noise.located @ factor.T)
+    located = noise.take("located") @ factor.T
+    located *= noise_scale[:, None, None, None]
+    located_values += located
+    return located_values
+
+
+def _max3(values: np.ndarray) -> np.ndarray:
+    """Maximum over a trailing axis of length 3, elementwise.
+
+    Equal to ``values.max(axis=-1)``: a maximum is exact whatever the
+    order, and two ``np.maximum`` passes beat a reduction over so short
+    an axis many times over.
+    """
+    return np.maximum(
+        np.maximum(values[..., 0], values[..., 1]), values[..., 2]
     )
 
 
@@ -1035,7 +1093,11 @@ class NetScatterReceiver:
         Every backend runs through the one span loop
         (:meth:`_decode_spans`).
         """
-        from repro.core.dcss import compose_readout, compose_rounds
+        from repro.core.dcss import (
+            _shared_preamble_rows,
+            compose_readout,
+            compose_rounds,
+        )
 
         effective_bins = np.asarray(effective_bins, dtype=float)
         amplitudes = np.asarray(amplitudes, dtype=float)
@@ -1080,6 +1142,9 @@ class NetScatterReceiver:
         # de-spread rotation cancels through the receiver; the kernel is
         # domain-free), so the dechirped-domain plan serves all three.
         plan = self._readout_plan(dechirped=True)
+        # The "full" stream draws noise at every window bin of every
+        # symbol, so it needs every row read across the windows.
+        full_stream = stream is not None and stream.mode == "full"
 
         def tones(span):
             rounds = slice(*span)
@@ -1090,16 +1155,33 @@ class NetScatterReceiver:
                 phases_rad[rounds],
             )
 
-        def compose(span):
+        def compose(span, first_row=0):
             return compose_rounds(
-                *tones(span), bit_tensor[slice(*span)], respread=False
+                *tones(span),
+                bit_tensor[slice(*span), first_row:],
+                respread=False,
             )
 
         if backend == "fft":
             # The fft stage A streams round by round: each round is
             # composed alone, so no span-sized symbol tensor is held.
+            # Outside the "full" stream, when every round's preamble rows
+            # are equal, only the distinct rows are composed and
+            # transformed: the shared preamble row, then the payload.
+            # Without payload rows the one row left would take BLAS's
+            # one-row path, which is not bit-identical to the batch
+            # product, so such frames read every row.
+            shared = 0
+            if not full_stream and n_symbols > n_preamble_upchirps:
+                shared = _shared_preamble_rows(
+                    bit_tensor, n_preamble_upchirps
+                )
+            first = max(shared - 1, 0)
             read = self._fft_reader(
-                plan, n_symbols, lambda r: compose((r, r + 1))[0]
+                plan,
+                n_symbols - first,
+                lambda r: compose((r, r + 1), first)[0],
+                shared,
             )
         elif backend == "sparse":
             # One operator call per span: a one-round read takes BLAS's
@@ -1107,12 +1189,10 @@ class NetScatterReceiver:
             def read(span):
                 return span, *plan.read(compose(span)), None
         else:
-            # The "full" stream draws noise at every window bin of every
-            # symbol, so it needs every row composed across the windows.
-            # Otherwise only the preamble rows are (the peak search
-            # reads them all) and the payload rows are composed once the
-            # peaks are located, at each device's located +/- 1 bins.
-            full_stream = stream is not None and stream.mode == "full"
+            # Outside the "full" stream only the preamble rows are
+            # composed across the windows (the peak search reads them
+            # all), and the payload rows once the peaks are located, at
+            # each device's located +/- 1 bins.
             window_rows = n_symbols if full_stream else n_preamble_upchirps
 
             def read(span):
@@ -1158,27 +1238,35 @@ class NetScatterReceiver:
     def _fft_reader(
         self,
         plan: _ReadoutPlan,
-        n_symbols: int,
+        n_rows: int,
         round_symbols: Callable[[int], np.ndarray],
+        n_preamble: int = 0,
     ):
         """Stage A of the ``fft`` backend: one padded FFT per round.
 
-        ``round_symbols(r)`` gives round ``r``'s ``(S, 2^SF)`` symbols.
-        Each round is transformed into one padded grid that every round
-        of the decode reuses and gathered into its span's output
-        (:meth:`_ReadoutPlan.read_round`), so no span-sized grid is ever
-        held. The pipeline runs stage A on one thread at a time, so the
-        grid is never shared.
+        ``round_symbols(r)`` gives round ``r``'s ``(n_rows, 2^SF)``
+        symbol rows. Each round is transformed into one padded grid that
+        every round of the decode reuses and gathered into its span's
+        output (:meth:`_ReadoutPlan.read_round`), so no span-sized grid
+        is ever held. The pipeline runs stage A on one thread at a
+        time, so the grid is never shared.
+
+        With ``n_preamble`` the rows are the round's distinct ones: its
+        shared preamble row, then its payload rows. Stage B then gets
+        that row broadcast over the ``n_preamble`` preamble rows, and
+        the payload rows read at the located bins
+        (:meth:`_ReadoutPlan.gather_located`), the values a full read
+        would give, bit for bit.
         """
         grid = np.empty(
-            (n_symbols, plan.n_samples * self._config.zero_pad_factor),
+            (n_rows, plan.n_samples * self._config.zero_pad_factor),
             dtype=complex,
         )
 
         def read(span):
             start, stop = span
             windows = np.empty(
-                (stop - start, n_symbols, plan.n_devices, plan.window_width),
+                (stop - start, n_rows, plan.n_devices, plan.window_width),
                 dtype=complex,
             )
             probes = np.empty((stop - start, plan.n_probes), dtype=complex)
@@ -1186,7 +1274,13 @@ class NetScatterReceiver:
                 plan.read_round(
                     round_symbols(r), grid, windows[row], probes[row]
                 )
-            return span, windows, probes, None
+            if not n_preamble:
+                return span, windows, probes, None
+            preamble = np.broadcast_to(
+                windows[:, :1], (stop - start, n_preamble) + windows.shape[2:]
+            )
+            payload = partial(plan.gather_located, windows[:, 1:])
+            return span, preamble, probes, payload
 
         return read
 
@@ -1214,18 +1308,19 @@ class NetScatterReceiver:
         the stage that does not bound the unit. On ``analytic`` the
         decisions outweigh the closed-form read, so stage A draws right
         after it reads; on ``fft`` and ``sparse`` the read outweighs
-        the decisions, so stage B draws before it decides. Either way
-        one thread at a time draws, span after span, so the result is
-        that of a serial decode, bit for bit. After a failure the
-        generator may have advanced past a serial decode's by the one
-        span stage A runs ahead.
+        the decisions, so stage B draws before it decides, and draws
+        the located payload block only once the window block is mixed
+        in. Either way one thread at a time draws, span after span, in
+        the stream's order, so the result is that of a serial decode,
+        bit for bit. After a failure the generator may have advanced
+        past a serial decode's by the one span stage A runs ahead.
         """
 
-        def draw(staged):
+        def draw(staged, defer_located=False):
             (start, stop), windows, _, _ = staged
             return _draw_span_noise(
                 stream, plan, stop - start, n_symbols, n_preamble,
-                windows.dtype,
+                windows.dtype, defer_located,
             )
 
         def decide(staged, noise):
@@ -1248,7 +1343,9 @@ class NetScatterReceiver:
             pieces = pipeline(read_and_draw, lambda pair: decide(*pair), spans)
         else:
             pieces = pipeline(
-                read, lambda staged: decide(staged, draw(staged)), spans
+                read,
+                lambda staged: decide(staged, draw(staged, True)),
+                spans,
             )
         return self._assemble_decode(pieces, backend, stream)
 
@@ -1326,12 +1423,19 @@ class NetScatterReceiver:
         ``(R, D)`` located window positions to the ``(R, S_payload, D,
         3)`` payload values at those bins; with it, ``window_values``
         need hold only the preamble rows (the analytic path composes the
-        payload at the located bins alone). Without it the payload
-        values are gathered from ``window_values``.
+        payload at the located bins alone, the ``fft`` path hands its
+        one transformed preamble row broadcast over them and gathers
+        the payload from its distinct rows). Without it the payload
+        values are gathered from ``window_values``. Either gather is
+        one flat ``np.take`` per round
+        (:meth:`_ReadoutPlan.gather_located`), and the ``±1`` maxima
+        are elementwise (:func:`_max3`).
 
-        ``noise`` holds the span's engine draws, already made in the
-        stream's layout (:func:`_draw_span_noise`); this only mixes
-        them in. The ``"full"`` stream (version 1) noise-loads the whole
+        ``noise`` holds the span's engine draws, made in the stream's
+        layout (:func:`_draw_span_noise`); this only mixes them in, in
+        place, and takes each block once, so each is freed once mixed.
+        A deferred located block is drawn here, after the window block
+        is mixed. The ``"full"`` stream (version 1) noise-loads the whole
         window tensor up front — the historical layout, pinned
         bit-for-bit by the version-1 goldens — so it needs every window
         row and no ``read_payload``. The ``"payload"`` stream (version
@@ -1343,7 +1447,7 @@ class NetScatterReceiver:
         reduced stream's decision statistics are *identical*, at ~3×
         fewer window draws per 46-symbol round.
         """
-        full_stream = noise is not None and noise.located is None
+        full_stream = noise is not None and noise.full
         payload_stream = noise is not None and not full_stream
         if full_stream:
             window_values, probe_values = _inject_readout_noise(
@@ -1361,13 +1465,12 @@ class NetScatterReceiver:
         # located+1 stays inside.
         preamble_sum = preamble_windows.sum(axis=1)
         located = preamble_sum[:, :, 1:-1].argmax(axis=2) + 1
-        gather = located[:, None, :, None] + np.arange(-1, 2)
-        preamble_powers = np.take_along_axis(
-            preamble_windows, gather, axis=3
-        ).max(axis=3)
+        preamble_powers = _max3(
+            plan.gather_located(preamble_windows, located)
+        )
         if read_payload is None:
-            payload_values = np.take_along_axis(
-                window_values[:, n_preamble:], gather, axis=3
+            payload_values = plan.gather_located(
+                window_values[:, n_preamble:], located
             )
         else:
             payload_values = read_payload(located)
@@ -1375,9 +1478,9 @@ class NetScatterReceiver:
             payload_values = _inject_located_noise(
                 plan, payload_values, noise_scale, noise
             )
-        payload_powers = (
+        payload_powers = _max3(
             payload_values.real**2 + payload_values.imag**2
-        ).max(axis=3)
+        )
 
         first_probes = probe_values.real**2 + probe_values.imag**2
         # Shared noise rule: median of the signal-free probe bins of the

@@ -36,8 +36,6 @@ from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import EXEC_LOG_ENV, CampaignRunner
 from repro.campaign.service import (
-    CAMPAIGN_ID_HEADER,
-    CREATED_HEADER,
     CampaignExecution,
     CampaignService,
     campaign_id_for,

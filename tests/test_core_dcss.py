@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
     DeviceTransmission,
     compose_frame,
@@ -188,6 +189,57 @@ class TestComposeRoundMatrix:
                 np.array([[0.0]]),
                 np.ones((1, 4, 2)),
             )
+
+
+class TestRealWeightProduct:
+    """``compose_rounds`` keys its tones with one real GEMM over their
+    (re, im) pairs; the complex product it replaced is the reference."""
+
+    @staticmethod
+    def _tones(params, bins, phases):
+        """Each device's dechirped tone: a unit weight per row reads it
+        back exactly. Tones are synthesised per device, so the unit rows
+        are built 256 devices at a time."""
+        parts = []
+        for start in range(0, bins.shape[1], 256):
+            part = slice(start, start + 256)
+            n_rounds, width = bins[:, part].shape
+            unit = np.broadcast_to(np.eye(width), (n_rounds, width, width))
+            parts.append(
+                compose_rounds(
+                    params, bins[:, part], np.ones((n_rounds, width)),
+                    phases[:, part], unit, respread=False,
+                )
+            )
+        return np.concatenate(parts, axis=1)
+
+    @classmethod
+    def _complex_product(cls, n_devices, n_rounds=2, n_symbols=46):
+        params = NetScatterConfig(spreading_factor=9).chirp_params
+        rng = np.random.default_rng(n_devices)
+        bins = rng.uniform(0, params.n_samples, (n_rounds, n_devices))
+        amps = rng.uniform(0.3, 3.0, (n_rounds, n_devices))
+        phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+        bits = rng.integers(0, 2, (n_rounds, n_symbols, n_devices)) * 1.0
+        tones = cls._tones(params, bins, phases)
+        reference = (bits * amps[:, None, :]).astype(complex) @ tones
+        composed = compose_rounds(
+            params, bins, amps, phases, bits, respread=False
+        )
+        return composed, reference
+
+    @pytest.mark.parametrize("n_devices", [1, 6, 16, 64])
+    def test_bit_identical_up_to_64_devices(self, n_devices):
+        composed, reference = self._complex_product(n_devices)
+        assert np.array_equal(composed, reference)
+
+    @pytest.mark.parametrize("n_devices", [256, 2048])
+    def test_within_round_off_of_the_batch_maximum(self, n_devices):
+        composed, reference = self._complex_product(
+            n_devices, n_rounds=1 if n_devices > 256 else 2
+        )
+        scale = np.abs(reference).max()
+        assert np.abs(composed - reference).max() <= 1e-13 * scale
 
 
 class TestAggregatePower:

@@ -1,9 +1,12 @@
 """Unit tests for the NetScatter single-FFT concurrent receiver."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import per_symbol_oracle as oracle
+import repro.core.receiver as receiver_module
 from repro.channel.awgn import awgn
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
@@ -14,6 +17,7 @@ from repro.core.dcss import (
 )
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
+from repro.phy.noise import NoiseStream
 
 
 def _decode_fast(config, assignments, txs, rng, snr_db=None):
@@ -429,3 +433,71 @@ class TestNonFiniteKeyingAndSamples:
         frame[2, 5] = np.inf
         with pytest.raises(DecodingError, match="symbols"):
             receiver.decode_fast_symbols(list(frame))
+
+
+class TestStageBMixing:
+    """How the one decision rule reads and mixes a span's values."""
+
+    def test_elementwise_maxima_equal_the_reduction(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(4, 7, 5, 3))
+        values[0, 0, 0] = [2.0, 2.0, 1.0]  # ties
+        values[0, 0, 1] = [-0.0, 0.0, -1.0]
+        values[0, 0, 2] = [np.inf, 1.0, -np.inf]
+        values[0, 0, 3] = [1.0, np.nan, 0.0]
+        assert np.array_equal(
+            receiver_module._max3(values), values.max(axis=-1),
+            equal_nan=True,
+        )
+
+    def test_deferred_located_block_is_drawn_when_taken(self):
+        """Deferring the located block keeps the stream's draw order and
+        values; it is drawn only when the decision takes it."""
+        receiver, _, _ = _tone_batch()
+        plan = receiver._readout_plan(dechirped=True)
+
+        def draw(defer):
+            stream = NoiseStream(np.random.default_rng(9))
+            noise = receiver_module._draw_span_noise(
+                stream, plan, 2, 8, 6, np.complex128, defer_located=defer
+            )
+            drawn = stream.draws
+            blocks = [noise.take(n) for n in ("window", "probe", "located")]
+            return drawn, stream.draws, blocks
+
+        eager, deferred = draw(False), draw(True)
+        assert eager[0] == eager[1] == deferred[1] > deferred[0]
+        for a, b in zip(eager[2], deferred[2]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_noise_blocks_are_freed_once_mixed(self, defer):
+        """Stage B takes each draw block once, so a span's draws are not
+        kept alive by the staged span that still holds its noise."""
+        receiver, _, _ = _tone_batch()
+        plan = receiver._readout_plan(dechirped=True)
+        n_rounds, n_symbols, n_pre = 2, 8, 6
+        noise = receiver_module._draw_span_noise(
+            NoiseStream(np.random.default_rng(9)), plan, n_rounds,
+            n_symbols, n_pre, np.complex128, defer_located=defer,
+        )
+        refs = [
+            weakref.ref(noise._blocks[name])
+            for name in ("window", "probe", "located")
+            if not callable(noise._blocks[name])
+        ]
+        shape = (n_rounds, n_pre, plan.n_devices, plan.window_width)
+        receiver._decide_chunk(
+            np.ones(shape, complex),
+            np.ones((n_rounds, plan.n_probes), complex),
+            n_pre,
+            plan,
+            np.ones(n_rounds),
+            noise,
+            lambda located: np.ones(
+                (n_rounds, n_symbols - n_pre, plan.n_devices, 3), complex
+            ),
+        )
+        assert len(refs) == (2 if defer else 3)
+        assert all(ref() is None for ref in refs)
+        assert noise._blocks == {}

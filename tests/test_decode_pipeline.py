@@ -903,6 +903,133 @@ class TestStreamedReadPool:
             assert not grids
 
 
+def _distinct_row_batch(sf, n_devices, n_rounds=3, n_pre=6, n_payload=10):
+    """Tone inputs whose rounds share their all-on preamble rows."""
+    config = NetScatterConfig(spreading_factor=sf, n_association_shifts=0)
+    shifts = [config.skip * i for i in range(n_devices)]
+    rng = np.random.default_rng(sf * n_devices)
+    bins = np.array(shifts, float) + rng.normal(0, 0.1, (n_rounds, n_devices))
+    amps = rng.uniform(0.8, 1.5, (n_rounds, n_devices))
+    phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+    bits = np.ones((n_rounds, n_pre + n_payload, n_devices))
+    bits[:, n_pre:] = rng.integers(0, 2, (n_rounds, n_payload, n_devices))
+    return config, dict(enumerate(shifts)), (bins, amps, phases, bits)
+
+
+class TestDistinctRowRead:
+    """The ``fft`` stage A of ``decode_readout`` composes and transforms
+    each round's shared preamble row once."""
+
+    @pytest.mark.parametrize(
+        "sf, n_devices", [(9, 256), (9, 16), (7, 32), (12, 16)]
+    )
+    def test_distinct_row_hand_over_equals_the_full_row_read(
+        self, sf, n_devices
+    ):
+        """The broadcast preamble row, the probes and the payload read
+        at any located bins equal a full read of every row, bit for
+        bit; the located read equals ``take_along_axis``."""
+        config, assignments, (bins, amps, phases, bits) = (
+            _distinct_row_batch(sf, n_devices)
+        )
+        receiver = NetScatterReceiver(config, assignments)
+        plan = receiver._readout_plan(dechirped=True)
+        n_rounds, n_symbols, n_pre = bits.shape[0], bits.shape[1], 6
+
+        def reader(first, n_preamble):
+            return receiver._fft_reader(
+                plan, n_symbols - first,
+                lambda r: dcss_module.compose_rounds(
+                    config.chirp_params, bins[r : r + 1], amps[r : r + 1],
+                    phases[r : r + 1], bits[r : r + 1, first:],
+                    respread=False,
+                )[0],
+                n_preamble,
+            )
+
+        _, windows, probes, no_payload = reader(0, 0)((0, n_rounds))
+        _, preamble, distinct_probes, payload = reader(n_pre - 1, n_pre)(
+            (0, n_rounds)
+        )
+        assert no_payload is None
+        assert preamble.shape == windows[:, :n_pre].shape
+        assert np.array_equal(preamble, windows[:, :n_pre])
+        assert np.array_equal(distinct_probes, probes)
+        rng = np.random.default_rng(1)
+        located = rng.integers(1, plan.window_width - 1, (n_rounds, n_devices))
+        full = np.take_along_axis(
+            windows[:, n_pre:], located[:, None, :, None] + np.arange(-1, 2),
+            axis=3,
+        )
+        assert np.array_equal(payload(located), full)
+        assert np.array_equal(
+            plan.gather_located(windows[:, n_pre:], located), full
+        )
+
+    @staticmethod
+    def _recorded_decode(monkeypatch, receiver, batch, noise):
+        """The decode and the rows of every composition and FFT grid."""
+        rows = []
+        compose = dcss_module.compose_rounds
+        fft = receiver_module.full_fft_values
+
+        def recording_compose(params, bins, amps, phases, bits, **kwargs):
+            rows.append(("compose", bits.shape[1]))
+            return compose(params, bins, amps, phases, bits, **kwargs)
+
+        def recording_fft(params, zp, symbols, **kwargs):
+            rows.append(("fft", symbols.shape[0]))
+            return fft(params, zp, symbols, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dcss_module, "compose_rounds", recording_compose)
+            patch.setattr(receiver_module, "full_fft_values", recording_fft)
+            decode = _waveform_decode(receiver, batch, noise, 3)
+        return decode, rows
+
+    @pytest.mark.parametrize("n_payload", [10, 0])
+    @pytest.mark.parametrize("noise", [None, "payload", "full"])
+    @pytest.mark.parametrize("equal_preamble", [True, False])
+    def test_rows_read_and_decisions(
+        self, monkeypatch, noise, equal_preamble, n_payload
+    ):
+        """Equal preamble rows are read once unless the ``"full"`` stream
+        draws at every row or the frame has no payload; unequal ones
+        fall back to the full-row read. Either way the decode equals
+        the symbol-tensor decode of the same rounds, which always reads
+        every row."""
+        config, assignments, batch = _distinct_row_batch(
+            9, 16, n_payload=n_payload
+        )
+        bins, amps, phases, bits = batch
+        if not equal_preamble:
+            bits[1, 2, 5] = 0.0
+        receiver = _waveform_receiver(
+            config, assignments, "fft", noise or "payload"
+        )
+        decode, rows = self._recorded_decode(
+            monkeypatch, receiver, batch, noise
+        )
+        n_rows = bits.shape[1]
+        if equal_preamble and noise != "full" and n_payload:
+            n_rows -= 5
+        assert rows == [("compose", n_rows), ("fft", n_rows)] * 3
+
+        tensor = dcss_module.compose_rounds(
+            config.chirp_params, bins, amps, phases, bits, respread=False
+        )
+        kwargs = {}
+        if noise is not None:
+            kwargs = dict(
+                noise_snr_db=np.linspace(-14.0, -8.0, 3),
+                rng=np.random.default_rng(77),
+            )
+        reference = NetScatterReceiver(
+            config, assignments, readout="fft", noise_mode=noise or "payload"
+        ).decode_rounds(tensor, dechirped=True, **kwargs)
+        _assert_same_decode(decode, reference)
+
+
 class TestWaveformPoolFailures:
     N_ROUNDS = 10  # five spans of CHUNK_ROUNDS
 

@@ -334,6 +334,68 @@ class TestMultiSpanGoldenPool:
         ) == MULTI_SPAN_GOLDEN
 
 
+#: sha256[:16] of every value the payload stream draws, in draw order,
+#: and of (detected, bits), for :func:`_dense_fft_scenario` decoded on
+#: the ``fft`` backend at noise_snr_db=-22, rng seed 46. Recorded before
+#: the ``fft`` stage A read each round's shared preamble row once and
+#: stage B deferred its located draws, so these pin that both left the
+#: draws and decisions as they were.
+DENSE_FFT_GOLDEN = ("1e580559e387ac72", "6816c184db02f7ad")
+
+
+def _dense_fft_scenario():
+    """``dense-256``'s shape: 256 devices at SF 9, 6 preamble and 40
+    payload symbols, 10 dB of near-far, over 10 rounds."""
+    config = NetScatterConfig(spreading_factor=9, n_association_shifts=0)
+    n_devices, n_rounds, n_pre, n_payload = 256, 10, 6, 40
+    assignments = {i: i * config.skip for i in range(n_devices)}
+    rng = np.random.default_rng(256)
+    shifts = np.array(list(assignments.values()), dtype=float)
+    bins = shifts[None, :] + rng.normal(0, 0.1, (n_rounds, n_devices))
+    amps = 10.0 ** (rng.uniform(0.0, 10.0, (n_rounds, n_devices)) / 20.0)
+    phases = rng.uniform(0, 2 * np.pi, (n_rounds, n_devices))
+    bit_tensor = np.ones((n_rounds, n_pre + n_payload, n_devices))
+    bit_tensor[:, n_pre:] = rng.integers(
+        0, 2, (n_rounds, n_payload, n_devices)
+    )
+    return config, assignments, bins, amps, phases, bit_tensor
+
+
+class TestDenseFftGoldenPool:
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_pool_dense_fft_payload_stream_is_pinned(
+        self, n_cpus, monkeypatch
+    ):
+        """Serial and pipelined ``fft`` decodes of 4- and 2-round spans
+        draw the same values in order and make the same decisions."""
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: n_cpus)
+        config, assignments, bins, amps, phases, bt = _dense_fft_scenario()
+        receiver = NetScatterReceiver(
+            config, assignments, readout="auto",
+            planner=_ForcedPlanner("fft"),
+        )
+        spans = receiver._decide_spans(
+            10, bt.shape[1], receiver._readout_plan(dechirped=True), "fft",
+            n_tones=256,
+        )
+        assert spans == [(0, 4), (4, 6), (6, 10)]
+        draws = _record_draws(monkeypatch)
+        decode = receiver.decode_readout(
+            bins, amps, phases, bt,
+            noise_snr_db=-22.0, rng=np.random.default_rng(46),
+        )
+        assert decode.backend == "fft"
+        assert len(draws) == 9
+        assert 0 < decode.detected.sum() < decode.detected.size
+        decisions = np.concatenate(
+            (decode.detected.ravel(), decode.bits.ravel())
+        ).astype(np.uint8)
+        assert (
+            hashlib.sha256(b"".join(draws)).hexdigest()[:16],
+            _hash(decisions),
+        ) == DENSE_FFT_GOLDEN
+
+
 # --------------------------------------------------------------------- #
 # the stream abstraction and the located-bin covariance factor
 # --------------------------------------------------------------------- #
