@@ -90,7 +90,6 @@ from repro.campaign.runner import (
     CampaignRun,
     CampaignRunner,
     execute_point,
-    run_campaign_sweep,
 )
 from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
 from repro.campaign.spec import CampaignPoint, CampaignSpec, derive_seeds
@@ -131,5 +130,4 @@ __all__ = [
     "fig17_campaign",
     "fig18_campaign",
     "noise_grid_campaign",
-    "run_campaign_sweep",
 ]

@@ -1,11 +1,12 @@
-"""Builtin campaign specs mirroring the paper's figure sweeps.
+"""Builtin campaign specs of the paper's figure sweeps.
 
-Each preset derives its deployment/point seeds from the base RNG with
-*exactly* the figure driver's draw order (:func:`repro.campaign.spec.
-derive_seeds`), so a preset campaign computes bit-identical metrics to
-the corresponding direct driver run — and, because points are
-content-hashed, figures that share a sweep (Fig. 17 and Fig. 18 run
-the same PHY points) share store entries instead of recomputing them.
+Each preset derives its deployment/point seeds from the base RNG in the
+figure driver's draw order (:func:`repro.campaign.spec.derive_seeds`),
+so a preset campaign computes the points the driver computes with
+``sweep_device_counts`` (``tests/test_campaign.py`` compares the two).
+Because points are content-hashed, figures that share a sweep (Fig. 17
+and Fig. 18 run the same PHY points) share store entries instead of
+recomputing them.
 """
 
 from __future__ import annotations
@@ -13,29 +14,18 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec, derive_seeds
+from repro.channel.deployment import PAPER_DEPLOYMENT_DEVICES
 from repro.constants import QUERY_BITS_CONFIG1
 from repro.errors import ReproError
+from repro.protocol.network import DEFAULT_DEVICE_COUNTS, SWEEP_CONFIG
 from repro.utils.rng import RngLike
 
-#: The Fig. 17/18 sweep grid — the single source: the figure drivers
-#: import it from here.
-DEFAULT_DEVICE_COUNTS = (1, 16, 32, 64, 96, 128, 160, 192, 224, 256)
-
-#: Full deployment every preset's descriptor names (the paper's
-#: 256-device office); the runner builds only each point's prefix.
-DEPLOYMENT_DEVICES = 256
-
-#: NetScatterConfig overrides shared by the sweep campaigns *and* the
-#: fig17/fig18 drivers (which build ``NetScatterConfig(**SWEEP_CONFIG)``
-#: from this same dict): the deployment experiments run every device
-#: concurrently, so no association shifts are reserved.
-SWEEP_CONFIG = {"n_association_shifts": 0}
-
-
 def _paper_deployment_descriptor(seed: int) -> Dict[str, object]:
+    # Every preset names the paper's full office; the runner builds
+    # only each point's prefix.
     return {
         "kind": "paper",
-        "n_devices": DEPLOYMENT_DEVICES,
+        "n_devices": PAPER_DEPLOYMENT_DEVICES,
         "seed": int(seed),
     }
 
@@ -51,9 +41,9 @@ def fig17_campaign(
 ) -> CampaignSpec:
     """The Fig. 17 PHY-rate sweep as a campaign.
 
-    With the same base seed this reproduces ``fig17_phy_rate.run``'s
-    NetScatter metrics bit for bit (the driver itself routes through
-    this spec when given a default deployment).
+    With the same base seed its points are the NetScatter points
+    ``fig17_phy_rate.run`` computes for its default deployment, here
+    with a store, a process pool and retries.
     """
     deployment_seed, point_seeds = derive_seeds(rng, device_counts)
     return CampaignSpec(
@@ -162,7 +152,6 @@ def build_preset(name: str, **kwargs) -> CampaignSpec:
 
 __all__ = [
     "DEFAULT_DEVICE_COUNTS",
-    "DEPLOYMENT_DEVICES",
     "SWEEP_CONFIG",
     "PRESETS",
     "build_preset",

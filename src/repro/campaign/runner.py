@@ -2,9 +2,9 @@
 
 The runner walks a :class:`~repro.campaign.spec.CampaignSpec`, skips
 every point whose content hash is already present in the store, and
-fans the remaining points out over the same process-pool plumbing the
-network sweeps use (:func:`repro.protocol.network.resolve_pool_workers`
-— serial on 1-CPU hosts, no redundant pool). Each point is
+fans the remaining points out over a process pool
+(:func:`resolve_pool_workers` — serial on 1-CPU hosts, no redundant
+pool): the only process pool that runs sweep points. Each point is
 checkpointed to the store the moment it completes, so a killed run
 loses at most the points in flight; re-running the same spec loads the
 completed points bit-for-bit and computes only the remainder (pinned by
@@ -79,11 +79,8 @@ from repro.errors import (
     PointTimeoutError,
     ReproError,
 )
-from repro.protocol.network import (
-    NetworkMetrics,
-    NetworkSimulator,
-    resolve_pool_workers,
-)
+from repro.protocol.network import NetworkMetrics, run_sweep_point
+from repro.utils import parallel
 
 log = logging.getLogger("repro.campaign.runner")
 
@@ -136,26 +133,24 @@ def execute_point(point: CampaignPoint) -> Tuple[Dict, Dict]:
     """Run one campaign point; returns ``(metrics_dict, provenance)``.
 
     Module-level (and taking only the picklable point) so process pools
-    can ship it. The construction mirrors ``_run_sweep_point`` exactly:
-    the descriptor names the full deployment, but only the prefix the
-    point simulates is built — bit-identical to the full build's
-    ``subset(point.n_devices)`` — with the same seeded generator; the
-    campaign tests pin bit-identical metrics against the direct
-    ``sweep_device_counts`` path.
+    can ship it. The descriptor names the full deployment, but only the
+    prefix the point simulates is built — bit-identical to the full
+    build's ``subset(point.n_devices)`` — and
+    :func:`~repro.protocol.network.run_sweep_point`, the construction
+    ``sweep_device_counts`` runs too, simulates it from the point's
+    stored seed.
     """
-    deployment = build_deployment(dict(point.deployment), point.n_devices)
-    config = NetScatterConfig(**dict(point.config))
-    dtype = np.complex64 if point.readout_dtype == "complex64" else None
-    simulator = NetworkSimulator(
-        deployment,
-        config=config,
+    metrics = run_sweep_point(
+        build_deployment(dict(point.deployment), point.n_devices),
+        point.n_rounds,
+        config=NetScatterConfig(**dict(point.config)),
         query_bits=point.query_bits,
         rng=np.random.default_rng(point.seed),
         engine=point.engine,
-        readout_dtype=dtype,
         noise_mode=point.noise_mode,
+        float32=point.readout_dtype == "complex64",
+        fading=point.fading,
     )
-    metrics = simulator.run_rounds(point.n_rounds, fading=point.fading)
     provenance = {
         "backend": metrics.backend,
         "noise_mode": metrics.noise_mode,
@@ -163,6 +158,35 @@ def execute_point(point: CampaignPoint) -> Tuple[Dict, Dict]:
         "calibration_schema": _calibration_schema(),
     }
     return asdict(metrics), provenance
+
+
+def resolve_pool_workers(workers: Optional[int]) -> int:
+    """Effective process-pool size for a ``workers=`` request.
+
+    Returns the number of pool workers to actually spawn, where ``0``
+    means "run serially in this process, no pool at all". The pinned
+    rules (regression-tested in ``tests/test_campaign.py``):
+
+    * ``None``, ``0`` or ``1`` → serial (a 1-worker pool only adds
+      pickling overhead);
+    * any request where only one CPU is usable
+      (:func:`repro.utils.parallel.usable_cpus`) →
+      serial — a pool cannot run points concurrently there, so spawning
+      one would pay process start-up and pickling for nothing;
+    * otherwise the request is honoured as given (deliberate
+      oversubscription stays possible on multi-core hosts).
+
+    Results never depend on the outcome: every campaign point owns a
+    pre-derived seed, so serial and pooled runs are identical.
+    """
+    if workers is None:
+        return 0
+    requested = int(workers)
+    if requested <= 1:
+        return 0
+    if parallel.usable_cpus() <= 1:
+        return 0
+    return requested
 
 
 def _log_execution(content_hash: str) -> None:
@@ -868,21 +892,6 @@ class CampaignRunner:
             self._degrade(error)
 
 
-def run_campaign_sweep(
-    spec: CampaignSpec,
-    store=None,
-    workers: Optional[int] = None,
-) -> List[NetworkMetrics]:
-    """Convenience for drivers: run ``spec``, return metrics in order.
-
-    This is the figure drivers' entry point into the campaign layer —
-    same return shape as :func:`repro.protocol.network.
-    sweep_device_counts`, with completed points served from ``store``
-    when one is given (so e.g. Fig. 18 reuses Fig. 17's points).
-    """
-    return CampaignRunner(store=store, workers=workers).run(spec).metrics
-
-
 __all__ = [
     "EXEC_LOG_ENV",
     "CampaignPointFailure",
@@ -891,5 +900,5 @@ __all__ = [
     "CampaignRunner",
     "build_deployment",
     "execute_point",
-    "run_campaign_sweep",
+    "resolve_pool_workers",
 ]

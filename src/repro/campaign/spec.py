@@ -4,8 +4,8 @@ A *campaign* is a Monte-Carlo grid over the network simulator's
 scenario axes — engine × noise stream × fading × device count (× the
 deployment, round count and query length they all share). The spec is
 fully declarative: every random ingredient is an explicit integer seed
-(derived once, via :func:`repro.utils.rng.child_seed`, with exactly the
-draw order the direct Fig. 17/18 drivers use), so a
+(derived once, via :func:`repro.utils.rng.child_seed`, in the draw
+order of the Fig. 17/18 drivers), so a
 :class:`CampaignPoint` is a pure value. Its :meth:`~CampaignPoint.
 content_hash` is the SHA-256 of its canonical JSON form, which is what
 makes the campaign store (:mod:`repro.campaign.store`) safe to reuse
@@ -41,7 +41,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.phy.noise import NOISE_MODES
-from repro.protocol.network import ENGINES
+from repro.protocol.network import ENGINES, float32_readout
 from repro.utils.rng import RngLike, child_seed, make_rng
 
 #: Version stamp hashed into every point: bump it when the meaning of a
@@ -76,9 +76,10 @@ class CampaignPoint:
     n_devices:
         The subset size this point simulates (the sweep axis).
     seed:
-        The point's integer RNG seed — the same value the direct
-        ``sweep_device_counts`` path derives for this count, so
-        campaign results are bit-identical to the driver path.
+        The point's integer RNG seed. Preset campaigns derive it as
+        ``sweep_device_counts`` derives its per-count generator from
+        the same base seed; ``tests/test_campaign.py`` compares the
+        two surfaces' results.
     readout_dtype:
         ``None`` or ``"complex64"`` (the float32 analytic operators).
     """
@@ -232,15 +233,6 @@ class CampaignSpec:
             * len(self.device_counts)
         )
 
-    def _dtype_for(self, engine: str, count: int) -> Optional[str]:
-        if (
-            self.float32_min_devices is not None
-            and engine in ("analytic", "auto")
-            and count >= int(self.float32_min_devices)
-        ):
-            return "complex64"
-        return None
-
     def points(self) -> Iterator[CampaignPoint]:
         """Expand the grid, counts innermost, deterministically ordered."""
         for engine in self.engines:
@@ -249,6 +241,9 @@ class CampaignSpec:
                     for count, seed in zip(
                         self.device_counts, self.point_seeds
                     ):
+                        float32 = float32_readout(
+                            engine, count, self.float32_min_devices
+                        )
                         yield CampaignPoint(
                             deployment=self.deployment,
                             config=self.config,
@@ -258,7 +253,7 @@ class CampaignSpec:
                             engine=engine,
                             noise_mode=noise_mode,
                             fading=fading,
-                            readout_dtype=self._dtype_for(engine, count),
+                            readout_dtype="complex64" if float32 else None,
                             seed=seed,
                         )
 
@@ -283,11 +278,11 @@ def derive_seeds(
 ) -> Tuple[int, Tuple[int, ...]]:
     """``(deployment_seed, point_seeds)`` with the driver draw order.
 
-    Consumes draws from ``rng`` exactly as ``fig17/fig18.run`` +
-    ``sweep_device_counts`` do — one :func:`child_seed` at index 0 for
-    the deployment, then one per device count in sweep order — so a
-    campaign built from the same base seed computes bit-identical
-    metrics to the direct driver path (pinned by the campaign tests).
+    One :func:`child_seed` at index 0 for the deployment, then one per
+    device count in sweep order: the draws ``fig17/fig18.run`` make
+    for their default deployment and ``sweep_device_counts`` makes for
+    its points. ``tests/test_campaign.py`` compares a campaign's
+    metrics with the driver's under the same base seed.
     """
     generator = make_rng(rng)
     deployment_seed = child_seed(generator, 0)

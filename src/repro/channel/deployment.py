@@ -215,8 +215,12 @@ def generate_office_deployment(
     )
 
 
+#: Devices in the paper's office deployment, the Figs. 17-19 default.
+PAPER_DEPLOYMENT_DEVICES = 256
+
+
 def paper_deployment(
-    n_devices: int = 256, rng: RngLike = None
+    n_devices: int = PAPER_DEPLOYMENT_DEVICES, rng: RngLike = None
 ) -> Deployment:
     """The calibrated deployment used by the Fig. 17-19 experiments.
 

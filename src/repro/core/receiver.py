@@ -22,8 +22,9 @@ one function draws the span's engine noise in the stream's layout
 (:meth:`NetScatterReceiver._decide_chunk`) mixes that noise in, locates
 the peaks, estimates the floor and decides.
 The backends differ only in how stage A gets those bins: the padded FFT
-(``fft``, and every single-frame decode), a precomputed matmul
-(``sparse``) or the closed-form Dirichlet kernel (``analytic``).
+(``fft``, and every single-frame decode), a precomputed matmul over a
+symbol tensor (``sparse``) or the closed-form Dirichlet kernel over
+tone inputs (``analytic``).
 """
 
 from __future__ import annotations
@@ -633,23 +634,32 @@ class NetScatterReceiver:
         synchronisation, while keeping the window edge more than a full
         bin away from a SKIP-spaced neighbour's main lobe.
     readout:
-        Spectral backend of the batched round decoder. ``"sparse"``
+        Spectral backend of the batched round decoders. ``"sparse"``
         (default) evaluates only each device's window bins plus the noise
-        probes through a precomputed matmul; ``"fft"`` is the opt-in
-        exact path computing the full zero-padded FFT and gathering the
-        same bins. Both produce bit-identical decisions (the sparse
-        operator *is* the padded FFT restricted to the read columns).
-        ``"analytic"`` declares the receiver's primary entry point to be
-        :meth:`decode_readout` (tone-sum rounds evaluated via the
-        closed-form Dirichlet kernel, never building the operator);
-        tensor inputs handed to :meth:`decode_rounds` then fall back to
-        the sparse backend. ``"auto"`` picks the predicted-cheapest
+        probes through a precomputed matmul; ``"fft"`` computes the full
+        zero-padded FFT and gathers the same bins; ``"analytic"``
+        evaluates tone-sum rounds at those bins through the closed-form
+        Dirichlet kernel, never building the operator. What each value
+        runs per entry point (pinned by ``tests/test_backend_plan.py``):
+
+        ==============  =====================  =======================
+        ``readout``     :meth:`decode_rounds`  :meth:`decode_readout`
+        ==============  =====================  =======================
+        ``"sparse"``    ``sparse``             ``analytic``
+        ``"analytic"``  ``sparse``             ``analytic``
+        ``"fft"``       ``fft``                ``analytic``
+        ``"auto"``      ``sparse`` or ``fft``  ``analytic`` or ``fft``
+        ==============  =====================  =======================
+
+        So ``"sparse"`` and ``"analytic"`` select the same backends
+        (a symbol tensor cannot use the closed form, and tone inputs
+        have no sparse path), and ``"fft"`` affects only
+        :meth:`decode_rounds`. ``"auto"`` picks the predicted-cheapest
         backend per call from the host-calibrated cost model
-        (:mod:`repro.phy.backend_plan`): :meth:`decode_readout` selects
-        among all three, :meth:`decode_rounds` between ``sparse`` and
-        ``fft``. Decisions are bit-identical whichever backend runs.
-        The single-frame entry points (:meth:`decode_fast_symbols`,
-        :meth:`decode_frame`) always read through ``fft``.
+        (:mod:`repro.phy.backend_plan`). Decisions are bit-identical
+        whichever backend runs. The single-frame entry points
+        (:meth:`decode_fast_symbols`, :meth:`decode_frame`) always read
+        through ``fft``.
     planner:
         Optional :class:`repro.phy.backend_plan.BackendPlanner`
         overriding the host-calibrated planner under ``readout="auto"``
@@ -970,12 +980,11 @@ class NetScatterReceiver:
         budget: the full padded grid on the ``fft`` backend, the read
         bins on ``sparse``, and on ``analytic`` the read bins plus the
         per-tone kernel columns of the window and probe readouts. On
-        ``fft`` and ``sparse``, tone inputs (``n_tones`` tones per round)
-        are first cut into compose chunks, sized for each round's
-        composed symbols and tone matrix, and each compose chunk into
-        spans; a symbol tensor is one compose chunk. The engine noise is
-        drawn one span at a time, in this order, so these boundaries
-        fix the draws.
+        ``fft``, tone inputs (``n_tones`` tones per round) are first cut
+        into compose chunks, sized for each round's composed symbols and
+        tone matrix, and each compose chunk into spans; a symbol tensor
+        is one compose chunk. The engine noise is drawn one span at a
+        time, in this order, so these boundaries fix the draws.
         """
         n = self._params.n_samples
         if backend == "analytic":
@@ -1086,10 +1095,10 @@ class NetScatterReceiver:
         cheapest spectral backend for this batch's occupancy: the
         closed-form path below small crossover occupancies, otherwise
         the tone sum is synthesised in the dechirped domain
-        (:func:`repro.core.dcss.compose_rounds`) and routed through the
-        sparse-matmul or padded-FFT readout — whichever the model
-        predicts faster. Decisions are bit-identical either way; the
-        chosen backend is reported in :attr:`RoundsDecode.backend`.
+        (:func:`repro.core.dcss.compose_rounds`) and read through the
+        padded FFT. Every other ``readout`` runs the closed form here.
+        Decisions are bit-identical either way; the chosen backend is
+        reported in :attr:`RoundsDecode.backend`.
         Every backend runs through the one span loop
         (:meth:`_decode_spans`).
         """
@@ -1134,9 +1143,10 @@ class NetScatterReceiver:
                     n_preamble=n_preamble_upchirps,
                 )
             )
-            if backend not in ("analytic", "sparse", "fft"):
+            if backend not in ("analytic", "fft"):
                 raise DecodingError(
-                    f"planner chose unknown backend {backend!r}"
+                    f"planner chose {backend!r} for a tone input; "
+                    "only 'analytic' and 'fft' apply"
                 )
         # Every backend reads the dechirped tone sum (the re-spread /
         # de-spread rotation cancels through the receiver; the kernel is
@@ -1183,11 +1193,6 @@ class NetScatterReceiver:
                 lambda r: compose((r, r + 1), first)[0],
                 shared,
             )
-        elif backend == "sparse":
-            # One operator call per span: a one-round read takes BLAS's
-            # one-row path, which is not bit-identical to the batch read.
-            def read(span):
-                return span, *plan.read(compose(span)), None
         else:
             # Outside the "full" stream only the preamble rows are
             # composed across the windows (the peak search reads them

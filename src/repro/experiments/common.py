@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.reports import format_table
+from repro.channel.deployment import (
+    PAPER_DEPLOYMENT_DEVICES,
+    Deployment,
+    paper_deployment,
+)
+from repro.core.config import NetScatterConfig
 from repro.errors import ReproError
+from repro.protocol.network import (
+    NetworkMetrics,
+    check_device_counts,
+    sweep_device_counts,
+)
+from repro.utils.rng import RngLike, child_seed, make_rng
 
 
 @dataclass
@@ -87,3 +101,54 @@ def geometric_sweep(start: int, stop: int, factor: float = 2.0) -> List[int]:
     if values[-1] != stop:
         values.append(stop)
     return values
+
+
+def sweep_deployment(
+    deployment: Optional[Deployment],
+    device_counts: Sequence[int],
+    generator: np.random.Generator,
+) -> Tuple[Deployment, Tuple[int, ...]]:
+    """The deployment and checked device counts of a Figs. 17-19 sweep.
+
+    The counts are checked before anything is drawn. Without a
+    deployment the paper's office is drawn from
+    ``child_seed(generator, 0)``, the first draw the campaign layer's
+    ``derive_seeds`` makes too.
+    """
+    n_devices = (
+        PAPER_DEPLOYMENT_DEVICES if deployment is None
+        else deployment.n_devices
+    )
+    counts = check_device_counts(device_counts, n_devices)
+    if deployment is None:
+        deployment = paper_deployment(rng=child_seed(generator, 0))
+    return deployment, counts
+
+
+def netscatter_sweep(
+    deployment: Optional[Deployment],
+    device_counts: Sequence[int],
+    config: NetScatterConfig,
+    n_rounds: int,
+    rng: RngLike,
+    engine: str,
+) -> Tuple[Deployment, Tuple[int, ...], List[NetworkMetrics]]:
+    """The swept deployment, the counts and each count's metrics.
+
+    With the same base seed the default deployment's points are those
+    of the ``fig17``/``fig18`` campaign presets, which the campaign CLI
+    (``run --spec fig17``) runs with a store and a process pool.
+    """
+    generator = make_rng(rng)
+    deployment, counts = sweep_deployment(
+        deployment, device_counts, generator
+    )
+    metrics = sweep_device_counts(
+        deployment,
+        counts,
+        config=config,
+        n_rounds=n_rounds,
+        rng=generator,
+        engine=engine,
+    )
+    return deployment, counts, metrics

@@ -19,17 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.baselines.lora_backscatter import LoRaBackscatterNetwork
-from repro.campaign.presets import (
-    DEFAULT_DEVICE_COUNTS,
-    SWEEP_CONFIG,
-    fig17_campaign,
-)
-from repro.campaign.runner import run_campaign_sweep
-from repro.channel.deployment import Deployment, paper_deployment
+from repro.channel.deployment import Deployment
 from repro.core.config import NetScatterConfig
-from repro.experiments.common import ExperimentResult
-from repro.protocol.network import sweep_device_counts
-from repro.utils.rng import RngLike, make_rng
+from repro.experiments.common import ExperimentResult, netscatter_sweep
+from repro.protocol.network import DEFAULT_DEVICE_COUNTS, SWEEP_CONFIG
+from repro.utils.rng import RngLike
 
 PAPER_GAIN_OVER_FIXED = 26.2
 PAPER_GAIN_OVER_RA = 6.8
@@ -41,54 +35,25 @@ def run(
     n_rounds: int = 3,
     rng: RngLike = None,
     engine: str = "auto",
-    workers: Optional[int] = None,
-    float32_min_devices: Optional[int] = None,
-    store=None,
 ) -> ExperimentResult:
     """Sweep device counts and tabulate all four schemes' PHY rates.
 
-    The NetScatter points execute through the campaign layer
-    (:func:`repro.campaign.runner.run_campaign_sweep` over
-    :func:`repro.campaign.presets.fig17_campaign`) under the
+    The NetScatter points run through
+    :func:`~repro.protocol.network.sweep_device_counts` under the
     occupancy-adaptive ``"auto"`` engine by default — the calibrated
     backend planner keeps small counts on the analytic
     Dirichlet-kernel path and moves the near-full-occupancy points
     (the 224/256-device tail, where ``D ~ N/2``) onto the padded FFT,
-    with bit-identical decisions. Pass a ``store``
-    (:class:`repro.campaign.store.CampaignStore` or a path) to persist
-    every point and reuse completed ones across runs *and figures* —
-    Fig. 18's sweep shares these exact points. Campaign metrics are
-    bit-identical to the direct :func:`sweep_device_counts` path
-    (pinned by ``tests/test_campaign.py``), which still serves
-    explicitly-passed custom deployments (those are not
-    content-addressable, so ``store`` is ignored for them).
-    Pass ``engine="analytic"`` to pin the closed-form path, or
-    ``engine="time"`` with ``workers=`` for the reference time-domain
-    path in a process pool.
+    with bit-identical decisions. Pass ``engine="analytic"`` to pin
+    the closed-form path, or ``engine="time"`` for the reference
+    time-domain path. The campaign CLI's ``run --spec fig17`` computes
+    the same points with a store (shared with Fig. 18), a process pool
+    and retries.
     """
-    generator = make_rng(rng)
     config = NetScatterConfig(**SWEEP_CONFIG)
-    if deployment is None:
-        spec = fig17_campaign(
-            rng=generator,
-            device_counts=device_counts,
-            n_rounds=n_rounds,
-            engine=engine,
-            float32_min_devices=float32_min_devices,
-        )
-        deployment = paper_deployment(rng=spec.deployment["seed"])
-        sweep = run_campaign_sweep(spec, store=store, workers=workers)
-    else:
-        sweep = sweep_device_counts(
-            deployment,
-            device_counts,
-            config=config,
-            n_rounds=n_rounds,
-            rng=generator,
-            engine=engine,
-            workers=workers,
-            float32_min_devices=float32_min_devices,
-        )
+    deployment, device_counts, sweep = netscatter_sweep(
+        deployment, device_counts, config, n_rounds, rng, engine
+    )
 
     result = ExperimentResult(
         experiment_id="fig17",

@@ -14,19 +14,13 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.airtime import netscatter_round_airtime_s
 from repro.baselines.lora_backscatter import LoRaBackscatterNetwork
-from repro.campaign.presets import (
-    DEFAULT_DEVICE_COUNTS,
-    SWEEP_CONFIG,
-    fig18_campaign,
-)
-from repro.campaign.runner import run_campaign_sweep
-from repro.channel.deployment import Deployment, paper_deployment
-from repro.constants import QUERY_BITS_CONFIG1, QUERY_BITS_CONFIG2
+from repro.channel.deployment import Deployment
+from repro.constants import QUERY_BITS_CONFIG2
 from repro.core.config import NetScatterConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, netscatter_sweep
 from repro.phy.packet import PacketStructure
-from repro.protocol.network import sweep_device_counts
-from repro.utils.rng import RngLike, make_rng
+from repro.protocol.network import DEFAULT_DEVICE_COUNTS, SWEEP_CONFIG
+from repro.utils.rng import RngLike
 
 PAPER_GAINS = {
     ("config1", "fixed"): 61.9,
@@ -42,9 +36,6 @@ def run(
     n_rounds: int = 3,
     rng: RngLike = None,
     engine: str = "auto",
-    workers: Optional[int] = None,
-    float32_min_devices: Optional[int] = None,
-    store=None,
 ) -> ExperimentResult:
     """Sweep device counts; tabulate link-layer rates for all schemes.
 
@@ -53,37 +44,14 @@ def run(
     default, which shifts the near-full-occupancy tail onto the padded
     FFT) and both NetScatter configurations are accounted from the same
     per-round goodput — the config-2 rate just divides by its
-    longer-query round air time. The points execute through the
-    campaign layer (:func:`repro.campaign.presets.fig18_campaign`) and
-    are *content-identical* to Fig. 17's under the same base seed, so
-    passing the same ``store`` to both drivers computes the shared
-    sweep once. Explicitly-passed custom deployments keep the direct
-    :func:`sweep_device_counts` path (``store`` ignored).
+    longer-query round air time. The points are Fig. 17's under the
+    same base seed; the campaign CLI's ``run --spec fig18`` serves
+    them from a store Fig. 17's campaign filled.
     """
-    generator = make_rng(rng)
     config = NetScatterConfig(**SWEEP_CONFIG)
-    if deployment is None:
-        spec = fig18_campaign(
-            rng=generator,
-            device_counts=device_counts,
-            n_rounds=n_rounds,
-            engine=engine,
-            float32_min_devices=float32_min_devices,
-        )
-        deployment = paper_deployment(rng=spec.deployment["seed"])
-        sweep = run_campaign_sweep(spec, store=store, workers=workers)
-    else:
-        sweep = sweep_device_counts(
-            deployment,
-            device_counts,
-            config=config,
-            n_rounds=n_rounds,
-            query_bits=QUERY_BITS_CONFIG1,
-            rng=generator,
-            engine=engine,
-            workers=workers,
-            float32_min_devices=float32_min_devices,
-        )
+    deployment, device_counts, sweep = netscatter_sweep(
+        deployment, device_counts, config, n_rounds, rng, engine
+    )
 
     result = ExperimentResult(
         experiment_id="fig18",

@@ -14,13 +14,12 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.airtime import netscatter_network_latency_s
 from repro.baselines.lora_backscatter import LoRaBackscatterNetwork
-from repro.channel.deployment import Deployment, paper_deployment
+from repro.channel.deployment import Deployment
 from repro.constants import QUERY_BITS_CONFIG1, QUERY_BITS_CONFIG2
 from repro.core.config import NetScatterConfig
-from repro.experiments.common import ExperimentResult
-from repro.utils.rng import RngLike, child_rng, make_rng
-
-DEFAULT_DEVICE_COUNTS = (1, 16, 32, 64, 96, 128, 160, 192, 224, 256)
+from repro.experiments.common import ExperimentResult, sweep_deployment
+from repro.protocol.network import DEFAULT_DEVICE_COUNTS, SWEEP_CONFIG
+from repro.utils.rng import RngLike, make_rng
 
 PAPER_REDUCTIONS = {
     ("config1", "fixed"): 67.0,
@@ -36,10 +35,10 @@ def run(
     rng: RngLike = None,
 ) -> ExperimentResult:
     """Latency accounting across device counts for all schemes."""
-    generator = make_rng(rng)
-    if deployment is None:
-        deployment = paper_deployment(rng=child_rng(generator, 0))
-    config = NetScatterConfig(n_association_shifts=0)
+    deployment, device_counts = sweep_deployment(
+        deployment, device_counts, make_rng(rng)
+    )
+    config = NetScatterConfig(**SWEEP_CONFIG)
 
     cfg1_latency = netscatter_network_latency_s(config, QUERY_BITS_CONFIG1)
     cfg2_latency = netscatter_network_latency_s(config, QUERY_BITS_CONFIG2)

@@ -15,13 +15,14 @@ a round batch of ``R`` rounds x ``S`` symbols at chirp length ``N``
     ``S*W*D^2`` — unbeatable at small ``D``, quadratic in occupancy.
 
 ``sparse``
-    Time-domain tone synthesis (one complex GEMM of ``R*S*D*N``) plus
-    the precomputed sparse-readout operator (complex GEMM of
-    ``R*S*N*K_w``). Scales as ``S*N*D*W`` — linear in ``D`` but carries
-    the full chirp length ``N`` in every term.
+    The precomputed sparse-readout operator over a symbol tensor
+    (complex GEMM of ``R*S*N*K_w``). Scales as ``S*N*D*W`` — linear in
+    ``D`` but carries the full chirp length ``N`` in every term.
+    Tensor inputs only.
 
 ``fft``
-    The same tone synthesis followed by one zero-padded FFT per symbol:
+    One zero-padded FFT per symbol, after time-domain tone synthesis
+    (one GEMM of ``R*S*D*N``) on tone inputs:
     ``R*S*(N*zp)*log2(N*zp)`` butterfly work, independent of ``D``
     beyond the compose. The cheapest readout once the windows cover an
     appreciable fraction of the padded grid — exactly the paper's most
@@ -49,10 +50,11 @@ throughput differ by large, machine-dependent constants):
 
 With the dev-box coefficients the model reproduces the measured
 ordering: ``analytic`` below ~100 devices at the deployment point
-(SF 9, ``zp`` 10, 46-symbol rounds), ``fft`` above, with ``sparse``
-dominated on tone-sum inputs (its niche is tensor inputs at small
-``D``, where ``analytic`` is not available). See the README's
-four-mode table for the measured crossover and
+(SF 9, ``zp`` 10, 46-symbol rounds), ``fft`` above. ``sparse`` is
+priced for symbol-tensor inputs only (its niche is small ``D``, where
+``analytic`` is not available); on tone-sum inputs it was always
+dominated, so the decode has no tone-input ``sparse`` path. See the
+README's four-mode table for the measured crossover and
 ``docs/PERFORMANCE.md`` for the full decision guide.
 
 Workloads that inject engine noise carry their ``noise_mode``
@@ -399,9 +401,9 @@ class BackendPlanner:
     def costs(self, workload: ReadoutWorkload) -> Dict[str, float]:
         """Predicted seconds per backend for ``workload``.
 
-        Only applicable backends appear: tensor inputs
-        (``tone_input=False``) exclude ``analytic`` and carry no
-        synthesis term for the other two. When the workload injects
+        Only applicable backends appear: tone inputs price ``analytic``
+        and ``fft``, tensor inputs (``tone_input=False``) ``sparse`` and
+        ``fft``, with no synthesis term. When the workload injects
         engine noise (``noise_mode``), every backend additionally
         carries the same stream-draw term — backend-common, so it never
         changes :meth:`select`'s answer, but it keeps the totals honest
@@ -439,9 +441,12 @@ class BackendPlanner:
                 + c.ew_pass_s * 4.0 * r * d * n
                 + c.cplx_mac_s * r * s * d * n
             )
-        out["sparse"] = compose + c.cplx_mac_s * (
-            r * s * n * kw + r * n * kp
-        )
+        else:
+            # The sparse operator reads symbol tensors only: on tone
+            # inputs analytic or fft was always predicted cheaper (no
+            # tone workload of an SF 7/9/12 grid picked it), so
+            # decode_readout has no sparse stage A.
+            out["sparse"] = c.cplx_mac_s * (r * s * n * kw + r * n * kp)
         out["fft"] = compose + c.fft_elem_s * (
             r * s * n_grid * np.log2(n_grid)
         )

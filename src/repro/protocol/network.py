@@ -50,9 +50,7 @@ statistics against it.
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +69,6 @@ from repro.hardware.mcu import McuTimingModel
 from repro.hardware.oscillator import OscillatorBank, tag_oscillator
 from repro.phy.noise import NOISE_MODES
 from repro.phy.packet import PacketStructure
-from repro.utils import parallel
 from repro.utils.rng import RngLike, child_rng, make_rng
 
 #: Engine names accepted by :class:`NetworkSimulator` and the sweeps.
@@ -80,6 +77,15 @@ ENGINES = ("analytic", "auto", "time")
 #: Wall-clock spacing assumed between fading rounds (seconds): the
 #: AR(1) tracks step by this much per round.
 FADING_ROUND_INTERVAL_S = 0.06
+
+#: The Fig. 17-19 sweep grid, shared by the figure drivers and the
+#: campaign presets (:mod:`repro.campaign.presets`).
+DEFAULT_DEVICE_COUNTS = (1, 16, 32, 64, 96, 128, 160, 192, 224, 256)
+
+#: NetScatterConfig overrides of the Fig. 17/18 sweeps, in the drivers
+#: and in the campaigns: the deployment experiments run every device
+#: concurrently, so no association shifts are reserved.
+SWEEP_CONFIG = {"n_association_shifts": 0}
 
 
 @dataclass
@@ -527,58 +533,74 @@ class NetworkSimulator:
         )
 
 
-def resolve_pool_workers(workers: Optional[int]) -> int:
-    """Effective process-pool size for a ``workers=`` request.
+def check_device_counts(
+    device_counts: Sequence[int], n_devices: int
+) -> Tuple[int, ...]:
+    """The sweep's device counts as ints, each in ``1..n_devices``.
 
-    Returns the number of pool workers to actually spawn, where ``0``
-    means "run serially in this process, no pool at all". The pinned
-    rules (regression-tested in ``tests/test_campaign.py``):
-
-    * ``None``, ``0`` or ``1`` → serial (a 1-worker pool only adds
-      pickling overhead);
-    * any request where only one CPU is usable
-      (:func:`repro.utils.parallel.usable_cpus`) →
-      serial — a pool cannot run points concurrently there, so spawning
-      one would pay process start-up and pickling for nothing;
-    * otherwise the request is honoured as given (deliberate
-      oversubscription stays possible on multi-core hosts).
-
-    Results never depend on the outcome: every sweep/campaign point
-    owns a pre-derived seed, so serial and pooled runs are identical.
+    Raises :class:`ConfigurationError` for an empty list, a fractional
+    count or one outside the deployment, so a sweep or a figure driver
+    fails on its arguments before it draws anything.
     """
-    if workers is None:
-        return 0
-    requested = int(workers)
-    if requested <= 1:
-        return 0
-    if parallel.usable_cpus() <= 1:
-        return 0
-    return requested
+    counts = tuple(device_counts)
+    if not counts or not all(
+        isinstance(count, numbers.Integral) and 1 <= count <= n_devices
+        for count in counts
+    ):
+        raise ConfigurationError(
+            f"device counts must be integers in 1..{n_devices}, "
+            f"got {counts!r}"
+        )
+    return tuple(int(count) for count in counts)
 
 
-def _run_sweep_point(args: tuple) -> NetworkMetrics:
-    """One sweep point, module-level so process pools can pickle it."""
-    (
+def float32_readout(
+    engine: str, count: int, float32_min_devices: Optional[int]
+) -> bool:
+    """Whether a sweep point runs the ``complex64`` analytic operators.
+
+    Points with at least ``float32_min_devices`` devices do, under the
+    ``"analytic"`` and ``"auto"`` engines (under ``"auto"`` only when
+    the planner keeps the analytic backend); the time-domain engine
+    ignores the threshold.
+    """
+    return (
+        float32_min_devices is not None
+        and engine in ("analytic", "auto")
+        and count >= int(float32_min_devices)
+    )
+
+
+def run_sweep_point(
+    deployment: Deployment,
+    n_rounds: int,
+    *,
+    config: Optional[NetScatterConfig],
+    query_bits: int,
+    rng: RngLike,
+    engine: str,
+    noise_mode: str,
+    float32: bool = False,
+    fading: bool = False,
+) -> NetworkMetrics:
+    """Build one sweep point's simulator over ``deployment`` and run it.
+
+    The one construction behind both sweep surfaces:
+    :func:`sweep_device_counts` hands it each count's subset and child
+    generator, and the campaign runner
+    (:func:`repro.campaign.runner.execute_point`) the device prefix a
+    point's descriptor names and the point's stored seed.
+    """
+    simulator = NetworkSimulator(
         deployment,
-        config,
-        count,
-        n_rounds,
-        query_bits,
-        point_rng,
-        engine,
-        readout_dtype,
-        noise_mode,
-    ) = args
-    sim = NetworkSimulator(
-        deployment.subset(count),
         config=config,
         query_bits=query_bits,
-        rng=point_rng,
+        rng=rng,
         engine=engine,
-        readout_dtype=readout_dtype,
+        readout_dtype=np.complex64 if float32 else None,
         noise_mode=noise_mode,
     )
-    return sim.run_rounds(n_rounds)
+    return simulator.run_rounds(n_rounds, fading=fading)
 
 
 def sweep_device_counts(
@@ -589,7 +611,6 @@ def sweep_device_counts(
     query_bits: int = QUERY_BITS_CONFIG1,
     rng: RngLike = None,
     engine: str = "analytic",
-    workers: Optional[int] = None,
     float32_min_devices: Optional[int] = None,
     noise_mode: str = "payload",
 ) -> List[NetworkMetrics]:
@@ -599,26 +620,19 @@ def sweep_device_counts(
     the analytic Dirichlet-kernel path, under which the points share
     the cached natural-grid probe readout (and its per-bin kernel
     trigonometry) and never build time-domain operators. Per-point
-    generators are derived up front from ``rng`` so results are
-    independent of execution order.
+    generators are derived up front from ``rng``, one
+    :func:`~repro.utils.rng.child_rng` per count in sweep order, so
+    each point's result depends only on its own seed. The points run
+    serially in this process; ``python -m repro.campaign`` runs the
+    same points over a process pool, with a store.
 
     Parameters
     ----------
-    workers:
-        When > 1, run sweep points in an opt-in process pool — intended
-        for the remaining *time-domain* experiments whose per-point cost
-        is dominated by tensor composition. Results are identical to the
-        serial run (each point owns a pre-derived child generator). On
-        a 1-CPU host the request falls back to serial execution without
-        spawning the (redundant) pool — see :func:`resolve_pool_workers`
-        for the pinned rules.
     float32_min_devices:
         When set, points with at least that many devices use
         ``numpy.complex64`` analytic operators (e.g. ``256`` to halve
-        the cost of the largest Fig. 17 points). Applies to the
-        ``"analytic"`` and ``"auto"`` engines (under ``"auto"`` only
-        when the planner keeps the analytic backend); ignored by the
-        time-domain engine.
+        the cost of the largest Fig. 17 points); see
+        :func:`float32_readout`.
     noise_mode:
         Engine-noise stream of every sweep point (default the
         located-bin ``"payload"`` stream; ``"full"`` pins the
@@ -633,60 +647,19 @@ def sweep_device_counts(
             f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}"
         )
     deployment = _as_deployment(deployment)
+    counts = check_device_counts(device_counts, deployment.n_devices)
     generator = make_rng(rng)
-    jobs = []
-    for count in device_counts:
-        dtype = None
-        if (
-            engine in ("analytic", "auto")
-            and float32_min_devices is not None
-            and count >= int(float32_min_devices)
-        ):
-            dtype = np.complex64
-        jobs.append(
-            (
-                deployment,
-                config,
-                count,
-                n_rounds,
-                query_bits,
-                child_rng(generator, count),
-                engine,
-                dtype,
-                noise_mode,
-            )
+    point_rngs = [child_rng(generator, count) for count in counts]
+    return [
+        run_sweep_point(
+            deployment.subset(count),
+            n_rounds,
+            config=config,
+            query_bits=query_bits,
+            rng=point_rng,
+            engine=engine,
+            noise_mode=noise_mode,
+            float32=float32_readout(engine, count, float32_min_devices),
         )
-    pool_workers = resolve_pool_workers(workers)
-    if pool_workers:
-        return _pool_map_with_serial_fallback(jobs, pool_workers)
-    return [_run_sweep_point(job) for job in jobs]
-
-
-def _pool_map_with_serial_fallback(
-    jobs: List[tuple], pool_workers: int
-) -> List[NetworkMetrics]:
-    """Run sweep jobs over the pool; finish serially if the pool breaks.
-
-    A worker killed mid-sweep (OOM, signal, injected fault) raises
-    :class:`BrokenProcessPool` for every outstanding job. Results
-    already collected are kept — every point owns a pre-derived seed,
-    so serially recomputing the remainder is bit-identical to what the
-    lost workers would have produced — and the sweep completes instead
-    of dying. The degradation is logged, never silent.
-    """
-    results: List[NetworkMetrics] = []
-    try:
-        with ProcessPoolExecutor(max_workers=pool_workers) as pool:
-            for metrics in pool.map(_run_sweep_point, jobs):
-                results.append(metrics)
-    except BrokenProcessPool:
-        logging.getLogger(__name__).warning(
-            "process pool broke after %d/%d sweep points; "
-            "finishing the remaining points serially",
-            len(results),
-            len(jobs),
-        )
-        results.extend(
-            _run_sweep_point(job) for job in jobs[len(results) :]
-        )
-    return results
+        for count, point_rng in zip(counts, point_rngs)
+    ]

@@ -1,7 +1,7 @@
 """CPU counting and the one rule for when a computation may go parallel.
 
-Every concurrent path of the repository asks here: the sweep and
-campaign process pools (:func:`repro.protocol.network.resolve_pool_workers`),
+Every concurrent path of the repository asks here: the campaign
+process pool (:func:`repro.campaign.runner.resolve_pool_workers`),
 the Monte-Carlo leg threads of a population cycle and the two-stage
 decode pipeline (:func:`pipeline`). A computation that already runs as
 one of several threads of a pool in this process is marked

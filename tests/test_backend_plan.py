@@ -22,7 +22,6 @@ from repro.core.dcss import compose_rounds
 from repro.core.receiver import NetScatterReceiver
 from repro.errors import ConfigurationError, DecodingError
 from repro.phy.backend_plan import (
-    BACKENDS,
     DEFAULT_COEFFICIENTS,
     BackendPlanner,
     CalibrationCoefficients,
@@ -51,6 +50,10 @@ def _workload(n_devices, n_samples=512, zp=10, window_width=13,
     )
 
 
+#: The backends ``decode_readout`` runs on tone inputs.
+TONE_BACKENDS = ("analytic", "fft")
+
+
 class _ForcedPlanner:
     """Duck-typed planner pinning the auto dispatch to one backend."""
 
@@ -73,7 +76,7 @@ class TestCostModel:
         planner = BackendPlanner(DEFAULT_COEFFICIENTS)
         costs = planner.costs(_workload(256))
         assert planner.select(_workload(256)) == "fft"
-        assert costs["fft"] < costs["analytic"] < costs["sparse"]
+        assert costs["fft"] < costs["analytic"]
 
     def test_crossover_is_monotone(self):
         """Once the FFT wins, it keeps winning at higher occupancy."""
@@ -92,11 +95,14 @@ class TestCostModel:
             "fft",
         )
 
+    def test_tone_input_excludes_sparse(self):
+        planner = BackendPlanner(DEFAULT_COEFFICIENTS)
+        assert set(planner.costs(_workload(16))) == set(TONE_BACKENDS)
+
     def test_tensor_costs_carry_no_synthesis_term(self):
         planner = BackendPlanner(DEFAULT_COEFFICIENTS)
         with_tones = planner.costs(_workload(64))
         tensor = planner.costs(_workload(64, tone_input=False))
-        assert tensor["sparse"] < with_tones["sparse"]
         assert tensor["fft"] < with_tones["fft"]
 
     def test_invalid_workloads_rejected(self):
@@ -290,7 +296,7 @@ class TestAutoEquivalence:
 
         auto = NetScatterReceiver(config, assignments, readout="auto")
         reference = auto.decode_readout(bins, amps, phases, bt)
-        assert reference.backend in BACKENDS
+        assert reference.backend in TONE_BACKENDS
 
         fixed = [
             NetScatterReceiver(
@@ -308,9 +314,9 @@ class TestAutoEquivalence:
                 readout="auto",
                 planner=_ForcedPlanner(backend),
             ).decode_readout(bins, amps, phases, bt)
-            for backend in BACKENDS
+            for backend in TONE_BACKENDS
         ]
-        for decode, backend in zip(forced, BACKENDS):
+        for decode, backend in zip(forced, TONE_BACKENDS):
             assert decode.backend == backend
         _assert_same_decisions(reference, *fixed, *forced)
 
@@ -391,7 +397,7 @@ class TestAutoEquivalence:
                 noise_snr_db=-18.0,
                 rng=np.random.default_rng(77),
             )
-            for backend in BACKENDS
+            for backend in TONE_BACKENDS
         ]
         _assert_same_decisions(decodes[0], *decodes[1:])
         for a, b in zip(decodes, decodes[1:]):
@@ -411,6 +417,56 @@ class TestAutoEquivalence:
             receiver.decode_readout(bins, ones, bins, np.ones((1, 8, 2)))
         with pytest.raises(DecodingError):
             receiver.decode_rounds(np.zeros((1, 8, 512), dtype=complex))
+
+
+#: ``RoundsDecode.backend`` per ``readout`` value and batched entry
+#: point, for 8 devices at SF 9 (``"auto"`` under the built-in
+#: coefficients): the table in ``NetScatterReceiver``'s docstring.
+READOUT_BACKENDS = [
+    ("sparse", "decode_rounds", "sparse"),
+    ("sparse", "decode_readout", "analytic"),
+    ("analytic", "decode_rounds", "sparse"),
+    ("analytic", "decode_readout", "analytic"),
+    ("fft", "decode_rounds", "fft"),
+    ("fft", "decode_readout", "analytic"),
+    ("auto", "decode_rounds", "fft"),
+    ("auto", "decode_readout", "analytic"),
+]
+
+
+class TestReadoutKnob:
+    @pytest.mark.parametrize("readout, entry, backend", READOUT_BACKENDS)
+    def test_backend_per_entry_point(self, readout, entry, backend):
+        config = NetScatterConfig(n_association_shifts=0)
+        assignments = {i: 2 * i for i in range(8)}
+        shifts = np.array(list(assignments.values()), dtype=float)
+        batch = _random_batch(shifts, 2, 10, np.random.default_rng(5))
+        receiver = NetScatterReceiver(
+            config,
+            assignments,
+            readout=readout,
+            planner=BackendPlanner(DEFAULT_COEFFICIENTS),
+        )
+        if entry == "decode_readout":
+            decode = receiver.decode_readout(*batch)
+        else:
+            decode = receiver.decode_rounds(
+                compose_rounds(config.chirp_params, *batch)
+            )
+        assert decode.backend == backend
+
+    def test_sparse_is_rejected_for_tone_input(self):
+        config = NetScatterConfig(n_association_shifts=0)
+        receiver = NetScatterReceiver(
+            config,
+            {0: 0, 1: 2},
+            readout="auto",
+            planner=_ForcedPlanner("sparse"),
+        )
+        bins = np.zeros((1, 2))
+        ones = np.ones((1, 2))
+        with pytest.raises(DecodingError, match="tone input"):
+            receiver.decode_readout(bins, ones, bins, np.ones((1, 8, 2)))
 
 
 class TestNoiseCostModel:

@@ -13,8 +13,8 @@ The load-bearing pins:
   store, only the remainder computes, and the merged manifest matches
   a fresh single-shot run's;
 * ``workers=`` requests on a 1-CPU host fall back to serial without
-  spawning a redundant process pool (for both the network sweeps and
-  the campaign runner).
+  spawning a redundant process pool (the campaign runner's pool is the
+  only one that runs sweep points).
 """
 
 import json
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 import repro.campaign.runner as campaign_runner
-import repro.protocol.network as network_module
 import repro.utils.parallel as parallel_module
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.presets import (
@@ -38,7 +37,7 @@ from repro.campaign.runner import (
     CampaignRunner,
     build_deployment,
     execute_point,
-    run_campaign_sweep,
+    resolve_pool_workers,
 )
 from repro.campaign.spec import CampaignPoint, CampaignSpec, derive_seeds
 from repro.campaign.store import CampaignStore
@@ -47,11 +46,7 @@ from repro.core.config import NetScatterConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import fig17_phy_rate, fig18_linklayer
 from repro.phy import backend_plan
-from repro.protocol.network import (
-    NetworkSimulator,
-    resolve_pool_workers,
-    sweep_device_counts,
-)
+from repro.protocol.network import NetworkSimulator, sweep_device_counts
 from repro.utils.parallel import usable_cpus
 from repro.utils.rng import child_rng, child_seed, make_rng
 
@@ -65,6 +60,11 @@ def small_spec(**overrides):
     )
     kwargs.update(overrides)
     return fig17_campaign(**kwargs)
+
+
+def campaign_metrics(spec):
+    """The spec's metrics in grid order, computed serially."""
+    return CampaignRunner().run(spec).metrics
 
 
 def make_point(**overrides):
@@ -299,13 +299,13 @@ class TestRunnerEquivalence:
             rng=generator,
             engine="analytic",
         )
-        campaign = run_campaign_sweep(small_spec())
+        campaign = campaign_metrics(small_spec())
         assert campaign == direct
 
     def test_fading_campaign_equals_direct_sweep_bit_for_bit(self):
         # ``sweep_device_counts`` shares one deployment across its points
         # and never fades it, so the direct reference runs its per-point
-        # construction (``_run_sweep_point``) by hand: a fresh full build
+        # construction (``run_sweep_point``) by hand: a fresh full build
         # per point, cut to the count, faded from its initial state. The
         # fading state only moves the metrics once the round is crowded,
         # hence the 256-device point.
@@ -322,9 +322,9 @@ class TestRunnerEquivalence:
             )
             direct.append(simulator.run_rounds(ROUNDS, fading=True))
         spec = small_spec(device_counts=counts)
-        campaign = run_campaign_sweep(replace(spec, fading=(True,)))
+        campaign = campaign_metrics(replace(spec, fading=(True,)))
         assert campaign == direct
-        assert campaign[-1] != run_campaign_sweep(spec)[-1]
+        assert campaign[-1] != campaign_metrics(spec)[-1]
 
     def test_store_backed_rerun_recomputes_zero_points(self, tmp_path):
         spec = small_spec()
@@ -349,46 +349,30 @@ class TestRunnerEquivalence:
         assert (fig18.n_computed, fig18.n_cached) == (0, len(COUNTS))
         assert fig18.metrics == fig17.metrics
 
-    def test_fig17_driver_rows_identical_with_and_without_store(
-        self, tmp_path
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "counts, rounds", [((1, 64, 256), 1), ((1, 16, 128), 2)]
+    )
+    def test_driver_points_equal_the_preset_campaign(
+        self, counts, rounds, seed
     ):
-        with_store = fig17_phy_rate.run(
-            rng=0, device_counts=COUNTS, n_rounds=ROUNDS, store=tmp_path
+        """The fig17/fig18 drivers sweep their default deployment
+        directly; the preset campaigns compute the same points."""
+        metrics = campaign_metrics(
+            fig17_campaign(rng=seed, device_counts=counts, n_rounds=rounds)
         )
-        plain = fig17_phy_rate.run(
-            rng=0, device_counts=COUNTS, n_rounds=ROUNDS
+        fig17 = fig17_phy_rate.run(
+            rng=seed, device_counts=counts, n_rounds=rounds
         )
-        assert with_store.rows == plain.rows
-
-    def test_fig18_reuses_fig17_store_entirely(self, tmp_path):
-        fig17_phy_rate.run(
-            rng=0, device_counts=COUNTS, n_rounds=ROUNDS, store=tmp_path
+        fig18 = fig18_linklayer.run(
+            rng=seed, device_counts=counts, n_rounds=rounds
         )
-        store = CampaignStore(tmp_path)
-        assert len(store) == len(COUNTS)
-        calls = []
-        original = campaign_runner.execute_point
-
-        def counting(point):
-            calls.append(point)
-            return original(point)
-
-        campaign_runner.execute_point = counting
-        try:
-            result = fig18_linklayer.run(
-                rng=0,
-                device_counts=COUNTS,
-                n_rounds=ROUNDS,
-                store=tmp_path,
-            )
-        finally:
-            campaign_runner.execute_point = original
-        assert calls == []  # every fig18 point served from fig17's run
-        assert len(store) == len(COUNTS)  # nothing new stored
-        plain = fig18_linklayer.run(
-            rng=0, device_counts=COUNTS, n_rounds=ROUNDS
-        )
-        assert result.rows == plain.rows
+        assert [row["netscatter_kbps"] for row in fig17.rows] == [
+            m.phy_rate_bps / 1e3 for m in metrics
+        ]
+        assert [row["netscatter_cfg1_kbps"] for row in fig18.rows] == [
+            m.link_layer_rate_bps / 1e3 for m in metrics
+        ]
 
     def test_provenance_is_stamped_on_stored_points(self, tmp_path):
         runner = CampaignRunner(store=tmp_path)
@@ -553,39 +537,6 @@ class TestPoolFallback:
         assert usable_cpus() == 1
         assert resolve_pool_workers(4) == 0
 
-    def test_sweep_on_single_cpu_never_spawns_a_pool(self, monkeypatch):
-        """workers= on a 1-CPU host runs serially — pinned behaviour."""
-        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "ProcessPoolExecutor spawned on a 1-CPU host"
-                )
-
-        monkeypatch.setattr(
-            network_module, "ProcessPoolExecutor", ExplodingPool
-        )
-        deployment = paper_deployment(n_devices=16, rng=2026)
-        pooled = sweep_device_counts(
-            deployment,
-            COUNTS,
-            config=NetScatterConfig(n_association_shifts=0),
-            n_rounds=1,
-            rng=17,
-            engine="analytic",
-            workers=4,
-        )
-        serial = sweep_device_counts(
-            deployment,
-            COUNTS,
-            config=NetScatterConfig(n_association_shifts=0),
-            n_rounds=1,
-            rng=17,
-            engine="analytic",
-        )
-        assert pooled == serial
-
     def test_campaign_runner_on_single_cpu_never_spawns_a_pool(
         self, monkeypatch, tmp_path
     ):
@@ -602,14 +553,14 @@ class TestPoolFallback:
         )
         run = CampaignRunner(store=tmp_path, workers=4).run(small_spec())
         assert run.n_computed == len(COUNTS)
-        assert run.metrics == run_campaign_sweep(small_spec())
+        assert run.metrics == campaign_metrics(small_spec())
 
     def test_pooled_campaign_matches_serial(self, monkeypatch):
         """With CPUs available the pool path produces identical
         metrics (each point owns its pre-derived seed)."""
         monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
         pooled = CampaignRunner(workers=2).run(small_spec())
-        assert pooled.metrics == run_campaign_sweep(small_spec())
+        assert pooled.metrics == campaign_metrics(small_spec())
 
 
 class TestCli:

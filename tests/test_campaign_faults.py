@@ -27,7 +27,6 @@ import pytest
 
 import repro.campaign.faults as faults_module
 import repro.campaign.runner as campaign_runner
-import repro.protocol.network as network_module
 from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultSelector
 from repro.campaign.leases import (
     HeartbeatThread,
@@ -44,14 +43,12 @@ from repro.campaign.runner import (
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.storage import FaultyDriver, PosixDriver
 from repro.campaign.store import CampaignStore
-from repro.channel.deployment import paper_deployment
 from repro.errors import (
     CampaignExecutionError,
     CampaignIntegrityError,
     ConfigurationError,
     FaultInjectedError,
 )
-from repro.protocol.network import sweep_device_counts
 
 COUNTS = (1, 2)
 ROUNDS = 1
@@ -783,56 +780,6 @@ class TestPoolDegradation:
         assert not run.failures
         assert {r.point.n_devices for r in run.results} == {1, 2}
         assert len(runner.store) == 2
-
-    def test_network_sweep_finishes_serially_after_pool_break(
-        self, monkeypatch, caplog
-    ):
-        class _PartialPool:
-            """Yields the first sweep point, then breaks."""
-
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-
-                def results():
-                    yield fn(jobs[0])
-                    raise BrokenProcessPool("worker died mid-sweep")
-
-                return results()
-
-        deployment = paper_deployment(n_devices=4, rng=0)
-        serial = sweep_device_counts(
-            deployment, (1, 2), n_rounds=1, rng=0, workers=None
-        )
-        monkeypatch.setattr(
-            network_module, "ProcessPoolExecutor", _PartialPool
-        )
-        monkeypatch.setattr(
-            network_module, "resolve_pool_workers", lambda w: 2
-        )
-        with caplog.at_level("WARNING", logger="repro.protocol.network"):
-            degraded = sweep_device_counts(
-                deployment, (1, 2), n_rounds=1, rng=0, workers=2
-            )
-        assert any(
-            "finishing the remaining points serially" in r.message
-            for r in caplog.records
-        )
-        # Pre-derived per-point seeds: the serial finish is
-        # bit-identical to what the lost worker would have produced.
-        from dataclasses import asdict
-
-        assert [asdict(m) for m in degraded] == [
-            asdict(m) for m in serial
-        ]
 
 
 def _child_run(store_root, spec_dict, plan_json, owner, lease_ttl_s):

@@ -40,7 +40,6 @@ import pytest
 import repro.campaign.runner as campaign_runner
 import repro.core.dcss as dcss_module
 import repro.core.receiver as receiver_module
-import repro.protocol.network as network_module
 import repro.protocol.population as population_module
 import repro.utils.parallel as parallel_module
 from repro.campaign.presets import fig17_campaign
@@ -49,7 +48,7 @@ from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.receiver import NetScatterReceiver
 from repro.phy import backend_plan, sparse_readout
-from repro.protocol.network import NetworkSimulator, sweep_device_counts
+from repro.protocol.network import NetworkSimulator
 from repro.protocol.population import (
     FidelityRule,
     assign_cluster,
@@ -389,16 +388,6 @@ class TestPoolFailures:
         assert not _stage_threads_alive()
 
 
-def _sweep_point_in_pool_worker(job):
-    """Sweep point probe: the real point, plus what the worker saw."""
-    with recorded_thread_starts() as names:
-        metrics = _REAL_SWEEP_POINT(job)
-    return metrics, parallel_module.in_parallel(), names
-
-
-_REAL_SWEEP_POINT = network_module._run_sweep_point
-
-
 def _point_in_pool_worker(point, attempt=1, fault_plan=None):
     """Campaign pool probe: records the worker's view in the provenance."""
     with recorded_thread_starts() as names:
@@ -463,24 +452,6 @@ class TestProcessPoolWorkersPipeline:
     """Process-pool workers are not marked: each pipelines its own
     multi-chunk points, with the serial run's metrics."""
 
-    def test_sweep_pool_workers_pipeline_their_points(
-        self, monkeypatch, cpus
-    ):
-        cpus(2)
-        deployment = paper_deployment(n_devices=64, rng=4)
-        kwargs = dict(n_rounds=40, rng=9, engine="analytic")
-        serial = sweep_device_counts(deployment, (48, 64), **kwargs)
-        monkeypatch.setattr(
-            network_module, "_run_sweep_point", _sweep_point_in_pool_worker
-        )
-        pooled = sweep_device_counts(
-            deployment, (48, 64), workers=2, **kwargs
-        )
-        assert [metrics for metrics, _, _ in pooled] == serial
-        assert not any(marked for _, marked, _ in pooled)
-        for _, _, threads in pooled:
-            assert threads.named(STAGE_THREAD_PREFIX)
-
     def test_campaign_pool_workers_pipeline_their_points(
         self, monkeypatch, cpus
     ):
@@ -503,7 +474,7 @@ class TestProcessPoolWorkersPipeline:
 
 
 # --------------------------------------------------------------------- #
-# the waveform branch: tone sums read through the fft or sparse backend
+# the waveform branch: tone sums read through the fft backend
 # --------------------------------------------------------------------- #
 
 
@@ -517,27 +488,26 @@ class _ForcedPlanner:
         return self.backend
 
 
-def _waveform_receiver(config, assignments, backend, noise="payload"):
+def _waveform_receiver(config, assignments, noise="payload"):
+    """A receiver whose ``decode_readout`` reads through the padded FFT."""
     return NetScatterReceiver(
         config, assignments, readout="auto",
-        planner=_ForcedPlanner(backend), noise_mode=noise,
+        planner=_ForcedPlanner("fft"), noise_mode=noise,
     )
 
 
-def _force_span_rounds(monkeypatch, receiver, n_symbols, n_tones, backend,
-                       rounds):
+def _force_span_rounds(monkeypatch, receiver, n_symbols, rounds):
     """Set the element budget so a waveform decide span holds ``rounds``.
 
-    On ``fft`` the padded grid bounds the decide span, and a compose
-    chunk then holds ``rounds * n_symbols * zp // (n_symbols + n_tones)``
-    rounds, so it splits into several decide spans. On ``sparse`` the
-    compose chunk is the bound.
+    The padded grid bounds the decide span, and a compose chunk then
+    holds ``rounds * n_symbols * zp // (n_symbols + n_tones)`` rounds,
+    so it splits into several decide spans.
     """
-    n = receiver.readout_plan.n_samples
-    if backend == "fft":
-        per_round = n_symbols * n * receiver.config.zero_pad_factor
-    else:
-        per_round = (n_symbols + n_tones) * n
+    per_round = (
+        n_symbols
+        * receiver.readout_plan.n_samples
+        * receiver.config.zero_pad_factor
+    )
     monkeypatch.setattr(
         receiver_module, "_CHUNK_ELEMENT_BUDGET", rounds * per_round
     )
@@ -561,24 +531,21 @@ class TestSerialEqualsPooledWaveformDecode:
         "n_rounds, n_spans", [(2, 1), (4, 2), (5, 3), (17, 9)]
     )
     @pytest.mark.parametrize("sf", [7, 9, 12])
-    @pytest.mark.parametrize("backend", ["fft", "sparse"])
     def test_pool_and_serial_waveform_decodes_are_identical(
         self, monkeypatch, cpus, started, chunk_counts,
-        backend, sf, n_rounds, n_spans, noise,
+        sf, n_rounds, n_spans, noise,
     ):
         """2, 4 and 5 rounds decode as 1, 2 and 3 spans, the last of 5
-        ragged; on fft the 4 rounds are one compose chunk split into two
-        decide spans, and 17 rounds cross a compose chunk boundary."""
+        ragged; the 4 rounds are one compose chunk split into two decide
+        spans, and 17 rounds cross a compose chunk boundary."""
         config, assignments, batch = _scenario(sf, n_rounds)
-        receiver = _waveform_receiver(
-            config, assignments, backend, noise or "payload"
-        )
-        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+        receiver = _waveform_receiver(config, assignments, noise or "payload")
+        _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
 
         cpus(1)
         serial = _waveform_decode(receiver, batch, noise, n_rounds)
         assert started == []
-        assert serial.backend == backend
+        assert serial.backend == "fft"
         for n in (2, 4):
             cpus(n)
             _assert_same_decode(
@@ -723,8 +690,8 @@ class TestDecideSpansPool:
         self, monkeypatch
     ):
         config, assignments, _ = _scenario(9, 31)
-        receiver = _waveform_receiver(config, assignments, "fft")
-        _force_span_rounds(monkeypatch, receiver, 16, 6, "fft", 4)
+        receiver = _waveform_receiver(config, assignments)
+        _force_span_rounds(monkeypatch, receiver, 16, 4)
         # Compose chunks of 4 * 16 * 10 // 22 = 29 rounds, decide spans
         # of 4: the first compose chunk ends in a 1-round span, and the
         # second starts a span of its own.
@@ -870,16 +837,15 @@ class TestStreamedReadPool:
         assert np.array_equal(streamed_windows, windows)
         assert np.array_equal(streamed_probes, probes)
 
-    @pytest.mark.parametrize("backend", ["fft", "sparse"])
-    def test_pool_stage_a_composes_rounds_or_whole_spans(
-        self, monkeypatch, cpus, backend
+    def test_pool_stage_a_composes_and_transforms_each_round(
+        self, monkeypatch, cpus
     ):
-        """fft: one composition and one FFT per round, every FFT into
-        the same grid; sparse: one composition per span."""
+        """One composition and one FFT per round, every FFT into the
+        same grid."""
         cpus(2)
         config, assignments, batch = _scenario(9, 5)
-        receiver = _waveform_receiver(config, assignments, backend)
-        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+        receiver = _waveform_receiver(config, assignments)
+        _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
         composed, grids = [], set()
         compose = dcss_module.compose_rounds
         fft = receiver_module.full_fft_values
@@ -895,12 +861,8 @@ class TestStreamedReadPool:
         monkeypatch.setattr(dcss_module, "compose_rounds", counting_compose)
         monkeypatch.setattr(receiver_module, "full_fft_values", recording_fft)
         _waveform_decode(receiver, batch, "payload", 5)
-        if backend == "fft":
-            assert composed == [1] * 5
-            assert len(grids) == 1 and id(None) not in grids
-        else:
-            assert composed == [2, 2, 1]
-            assert not grids
+        assert composed == [1] * 5
+        assert len(grids) == 1 and id(None) not in grids
 
 
 def _distinct_row_batch(sf, n_devices, n_rounds=3, n_pre=6, n_payload=10):
@@ -1004,9 +966,7 @@ class TestDistinctRowRead:
         bins, amps, phases, bits = batch
         if not equal_preamble:
             bits[1, 2, 5] = 0.0
-        receiver = _waveform_receiver(
-            config, assignments, "fft", noise or "payload"
-        )
+        receiver = _waveform_receiver(config, assignments, noise or "payload")
         decode, rows = self._recorded_decode(
             monkeypatch, receiver, batch, noise
         )
@@ -1034,17 +994,16 @@ class TestWaveformPoolFailures:
     N_ROUNDS = 10  # five spans of CHUNK_ROUNDS
 
     @pytest.mark.parametrize("failing_span", [0, 1, 3])
-    @pytest.mark.parametrize("backend", ["fft", "sparse"])
     def test_pool_waveform_stage_a_failure_reaches_the_caller(
-        self, monkeypatch, cpus, backend, failing_span
+        self, monkeypatch, cpus, failing_span
     ):
         cpus(2)
         config, assignments, batch = _scenario(9, self.N_ROUNDS)
-        receiver = _waveform_receiver(config, assignments, backend)
-        _force_span_rounds(monkeypatch, receiver, 16, 6, backend, CHUNK_ROUNDS)
+        receiver = _waveform_receiver(config, assignments)
+        _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
         compose = dcss_module.compose_rounds
         composed = []  # the span of every composition, in call order
-        per_span = CHUNK_ROUNDS if backend == "fft" else 1
+        per_span = CHUNK_ROUNDS  # the fft stage A composes round by round
 
         def failing_compose(*args, **kwargs):
             span = len(composed) // per_span
@@ -1066,8 +1025,8 @@ class TestNoNestedWaveformPoolThreads:
     ):
         cpus(1)
         config, assignments, batch = _scenario(9, 10)
-        receiver = _waveform_receiver(config, assignments, "fft")
-        _force_span_rounds(monkeypatch, receiver, 16, 6, "fft", CHUNK_ROUNDS)
+        receiver = _waveform_receiver(config, assignments)
+        _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
         _waveform_decode(receiver, batch, "payload", 10)
         assert chunk_counts == [5]
         assert started == []
@@ -1081,13 +1040,13 @@ class TestNoNestedWaveformPoolThreads:
         cpus(2)
         config, assignments, batch = _scenario(9, 10)
         _force_span_rounds(
-            monkeypatch, _waveform_receiver(config, assignments, "fft"),
-            16, 6, "fft", CHUNK_ROUNDS,
+            monkeypatch, _waveform_receiver(config, assignments),
+            16, CHUNK_ROUNDS,
         )
 
         def fft_leg(seed):
             decode = _waveform_decode(
-                _waveform_receiver(config, assignments, "fft"), batch,
+                _waveform_receiver(config, assignments), batch,
                 "payload", 10, seed=seed,
             )
             return float(decode.bit_powers.sum()), float(decode.bits.sum())

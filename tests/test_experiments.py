@@ -1,9 +1,14 @@
 """Smoke tests: every experiment driver runs at reduced scale and its
 shape checks hold. Full-scale runs back EXPERIMENTS.md and the benches."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.channel.deployment import paper_deployment
+from repro.errors import ConfigurationError
 from repro.experiments import (
     fig04_choir_cdf,
     fig07_power_gain,
@@ -20,6 +25,8 @@ from repro.experiments import (
     table1_configs,
 )
 from repro.experiments.common import ExperimentResult, geometric_sweep
+from repro.experiments.registry import QUICK_KWARGS
+from repro.protocol.network import sweep_device_counts
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +159,61 @@ class TestSimulationExperiments:
             rng=12,
         )
         assert result.all_checks_pass(), result.report()
+
+
+#: The Figs. 17-19 sweep entry points, called with keywords.
+SWEEPS = {
+    "fig17": fig17_phy_rate.run,
+    "fig18": fig18_linklayer.run,
+    "fig19": fig19_latency.run,
+    "sweep_device_counts": sweep_device_counts,
+}
+
+#: SHA-256 of ``json.dumps(rows, sort_keys=True)`` of the fig17/fig18
+#: drivers on their ``--quick`` grid, recorded when their default
+#: deployment still ran through the campaign runner: the direct sweep
+#: computes the same rows.
+DRIVER_GOLDEN = {
+    ("fig17", 0): "62fc9507c0652930a3f31618a14b3f2fd773acb653891f47cca08191132a5a32",
+    ("fig17", 1): "163301c7f45a3b96488de2e6c8c7a0f5c9d7cab8ee4e765e72115db735c865b4",
+    ("fig17", 2): "96d4cdd17121dbaae4a55060363f156453e4b393fab3fa072fea234db49353c0",
+    ("fig18", 0): "7ecd261f7c94bdc298a14aeb1dc3648823ebcbd1490aa9d25ad56c553df0d552",
+    ("fig18", 1): "57a623b7c64abbcfd83edd0c8296a343551f09240ca1f2430aad0f0ddf587ced",
+    ("fig18", 2): "4c5b35b921bcb27ebc2d6dd74a51b0d46e9d424a71b4e4173eb999e4951d338d",
+}
+
+
+class TestSweepDrivers:
+    @pytest.mark.parametrize(
+        "counts",
+        [(), (2.5,), (0,), (9,)],
+        ids=["empty", "fractional", "zero", "oversized"],
+    )
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_bad_device_counts_raise_before_any_draw(self, name, counts):
+        generator = np.random.default_rng(0)
+        state = generator.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            SWEEPS[name](
+                deployment=paper_deployment(n_devices=8, rng=3),
+                device_counts=counts,
+                rng=generator,
+            )
+        assert generator.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", ["fig17", "fig18", "fig19"])
+    def test_default_deployment_bounds_the_counts(self, name):
+        generator = np.random.default_rng(0)
+        state = generator.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            SWEEPS[name](device_counts=(1, 257), rng=generator)
+        assert generator.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["fig17", "fig18"])
+    def test_quick_rows_match_golden(self, name, seed):
+        rows = SWEEPS[name](rng=seed, **QUICK_KWARGS[name]).rows
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == DRIVER_GOLDEN[(name, seed)]

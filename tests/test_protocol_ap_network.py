@@ -286,19 +286,6 @@ class TestSweep:
         assert [m.n_devices for m in metrics] == [8, 32]
         assert all(m.delivery_ratio > 0.9 for m in metrics)
 
-    def test_worker_pool_matches_serial(self):
-        """Process-pool sweeps reproduce the serial results exactly."""
-        deployment = paper_deployment(n_devices=16, rng=3)
-        serial = sweep_device_counts(
-            deployment, (4, 8, 16), n_rounds=2, rng=6
-        )
-        pooled = sweep_device_counts(
-            deployment, (4, 8, 16), n_rounds=2, rng=6, workers=2
-        )
-        for a, b in zip(serial, pooled):
-            assert a == b
-
-
 class TestAdaptiveEngineAndFading:
     def test_auto_engine_records_backend(self):
         deployment = paper_deployment(n_devices=8, rng=3)
