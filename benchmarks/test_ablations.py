@@ -261,7 +261,7 @@ def test_receiver_complexity_constant(benchmark, n_devices):
     sim = NetworkSimulator(deployment, rng=6)
 
     def run():
-        return sim.run_round().delivery_ratio
+        return sim.run_rounds(1).delivery_ratio
 
     delivery = benchmark(run)
     assert delivery >= 0.0  # timing is the product here

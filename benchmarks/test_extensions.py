@@ -2,14 +2,13 @@
 
 * Fig. 10 association flow at waveform level,
 * the executable NetScatter-vs-Choir head-to-head (Section 2.2 made
-  runnable),
-* waveform-path vs fast-path cross-validation.
+  runnable).
+
+The waveform-path vs fast-path cross-validation is a tier-1 test of
+``tests/waveform_oracle.py`` (``tests/test_channel_simulator.py``).
 """
 
 from benchmarks.conftest import emit
-from repro.channel.simulator import cross_validate_paths
-from repro.core.config import NetScatterConfig
-from repro.core.dcss import DeviceTransmission
 from repro.experiments import choir_comparison, fig10_association
 
 
@@ -57,22 +56,3 @@ def test_network_session_dynamics(benchmark):
     )
     assert stats.mean_delivery > 0.8
     assert stats.power_steps > 0
-
-
-def test_waveform_vs_fast_path(benchmark):
-    """The two simulation fidelities must decode identically."""
-    config = NetScatterConfig()
-    txs = [
-        DeviceTransmission(shift=10, bits=[1, 0, 1, 1, 0, 1]),
-        DeviceTransmission(shift=130, bits=[0, 1, 1, 0, 0, 1]),
-        DeviceTransmission(shift=250, bits=[1, 1, 0, 0, 1, 0]),
-    ]
-
-    def run():
-        return cross_validate_paths(config, txs, snr_db=0.0, rng=33)
-
-    out = benchmark(run)
-    print(f"\n[extension:cross-validate] waveform == fast: "
-          f"{out['waveform'] == out['fast']}")
-    assert out["waveform"] == out["fast"]
-    assert out["waveform"][0] == [1, 0, 1, 1, 0, 1]

@@ -19,31 +19,31 @@ Quick start::
 Package layout
 --------------
 ``repro.phy``
-    Chirp spread spectrum substrate (chirps, dechirp+FFT, OOK, packets,
-    synchronisation, spectra).
+    Chirp spread spectrum substrate (chirps, dechirp+FFT, packets,
+    spectra, sparse and analytic readouts, noise streams).
 ``repro.channel``
-    Propagation substrate (AWGN, path loss, multipath, fading, offsets,
-    office deployments).
+    Propagation substrate (AWGN, path loss, fading, Doppler, office
+    deployments).
 ``repro.hardware``
-    Backscatter tag models (impedance switch network, envelope detector,
-    oscillator, MCU timing, power budget).
+    Backscatter tag models (impedance switch network, oscillator, MCU
+    timing, power budget, the composed device).
 ``repro.core``
     The paper's contribution: distributed CSS coding, the single-FFT
     concurrent receiver, power-aware allocation, power control,
     bandwidth aggregation, capacity analysis.
 ``repro.protocol``
-    Queries, association, scheduling, Aloha and the network simulator.
+    Queries, association, scheduling and the network simulator.
 ``repro.baselines``
     LoRa backscatter (TDMA, with/without rate adaptation), Choir and the
     multi-SF concurrency analysis.
 ``repro.analysis``
-    Air-time accounting, metrics and report formatting.
+    Air-time accounting and report formatting.
 ``repro.experiments``
     Drivers that regenerate every table and figure of the evaluation.
 """
 
 from repro.core.allocation import AllocationTable, power_aware_allocation
-from repro.core.config import NetScatterConfig, TABLE1_CONFIGS, deployment_config
+from repro.core.config import NetScatterConfig, TABLE1_CONFIGS
 from repro.core.receiver import NetScatterReceiver
 from repro.errors import ReproError
 from repro.phy.chirp import ChirpParams
@@ -55,7 +55,6 @@ __all__ = [
     "power_aware_allocation",
     "NetScatterConfig",
     "TABLE1_CONFIGS",
-    "deployment_config",
     "NetScatterReceiver",
     "ReproError",
     "ChirpParams",

@@ -1,26 +1,17 @@
-"""Evaluation analytics: air-time accounting, metrics and report tables.
+"""Evaluation analytics: air-time accounting and report tables.
 
 These helpers turn raw simulation outcomes into the quantities the
-paper's evaluation section reports: network PHY rate, link-layer data
-rate (with query and preamble overheads) and network latency.
+paper's evaluation section reports: the round and poll air times behind
+the link-layer data rate (with query and preamble overheads) and the
+network latency.
 """
 
 from repro.analysis.airtime import (
     netscatter_round_airtime_s,
     lora_backscatter_poll_airtime_s,
 )
-from repro.analysis.metrics import (
-    ber,
-    packet_error_rate,
-    network_phy_rate_bps,
-    link_layer_rate_bps,
-)
 
 __all__ = [
     "netscatter_round_airtime_s",
     "lora_backscatter_poll_airtime_s",
-    "ber",
-    "packet_error_rate",
-    "network_phy_rate_bps",
-    "link_layer_rate_bps",
 ]

@@ -85,29 +85,6 @@ def lora_backscatter_poll_airtime_s(
     return query_s + preamble_s + payload_s
 
 
-def netscatter_link_layer_rate_bps(
-    config: NetScatterConfig,
-    n_devices: int,
-    query_bits: int,
-    payload_bits: int = PAYLOAD_CRC_BITS,
-    delivery_ratio: float = 1.0,
-) -> float:
-    """End-to-end link-layer rate of one concurrent round.
-
-    Useful payload bits from all devices divided by the full round air
-    time (query + preamble + payload), derated by the measured packet
-    delivery ratio.
-    """
-    if n_devices < 1:
-        raise ConfigurationError("need at least one device")
-    if not 0.0 <= delivery_ratio <= 1.0:
-        raise ConfigurationError("delivery ratio must lie in [0, 1]")
-    structure = PacketStructure(payload_bits=payload_bits)
-    airtime = netscatter_round_airtime_s(config, query_bits, structure)
-    useful_bits = n_devices * payload_bits * delivery_ratio
-    return useful_bits / airtime.total_s
-
-
 def netscatter_network_latency_s(
     config: NetScatterConfig,
     query_bits: int,
@@ -116,24 +93,3 @@ def netscatter_network_latency_s(
     """Latency to collect one payload from every device: one round."""
     structure = PacketStructure(payload_bits=payload_bits)
     return netscatter_round_airtime_s(config, query_bits, structure).total_s
-
-
-def lora_network_latency_s(
-    per_device_bitrates_bps,
-    payload_bits: int = PAYLOAD_CRC_BITS,
-    per_device_preamble_s=None,
-    params: ChirpParams = None,
-) -> float:
-    """TDMA latency: the sum of every device's sequential poll."""
-    total = 0.0
-    rates = list(per_device_bitrates_bps)
-    if per_device_preamble_s is None:
-        per_device_preamble_s = [None] * len(rates)
-    for rate, preamble_s in zip(rates, per_device_preamble_s):
-        total += lora_backscatter_poll_airtime_s(
-            rate,
-            payload_bits=payload_bits,
-            preamble_s=preamble_s,
-            params=params,
-        )
-    return total

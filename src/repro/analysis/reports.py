@@ -46,44 +46,3 @@ def format_table(
     for row in body:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    x: Sequence[float],
-    y: Sequence[float],
-    x_label: str,
-    y_label: str,
-    title: str = "",
-    max_rows: int = 40,
-) -> str:
-    """Render an (x, y) series as a two-column table, downsampled."""
-    if len(x) != len(y):
-        raise ReproError("x and y must have the same length")
-    if len(x) == 0:
-        raise ReproError("empty series")
-    step = max(1, len(x) // max_rows)
-    rows = [
-        {x_label: float(x[i]), y_label: float(y[i])}
-        for i in range(0, len(x), step)
-    ]
-    return format_table(rows, [x_label, y_label], title=title)
-
-
-def format_comparison(
-    measured: Dict[str, float],
-    expected: Dict[str, float],
-    title: str = "",
-) -> str:
-    """Side-by-side measured-vs-paper table (for EXPERIMENTS.md)."""
-    keys = [k for k in expected if k in measured]
-    if not keys:
-        raise ReproError("no overlapping keys to compare")
-    rows = [
-        {
-            "quantity": key,
-            "paper": float(expected[key]),
-            "measured": float(measured[key]),
-        }
-        for key in keys
-    ]
-    return format_table(rows, ["quantity", "paper", "measured"], title=title)

@@ -4,8 +4,8 @@
   LoRa Backscatter [25], with and without ideal rate adaptation;
 * ``rate_adaptation`` — the SX1276 SNR -> (SF, BW) rate table used for
   the ideal-rate-adaptation variant;
-* ``choir`` — Choir's [12] fractional-FFT-bin disambiguation and the
-  analytic collision model of Section 2.2;
+* ``choir`` — the analytic models of Choir's [12] fractional-FFT-bin
+  disambiguation and its same-shift collisions (Section 2.2);
 * ``sf_pairs`` — the concurrent (SF, BW) pair analysis (19 slope-distinct
   pairs, 8 usable under sensitivity/bitrate constraints).
 """
@@ -13,10 +13,9 @@
 from repro.baselines.choir import (
     choir_distinct_fraction_probability,
     choir_same_shift_collision_probability,
-    ChoirDecoder,
 )
 from repro.baselines.lora_backscatter import LoRaBackscatterNetwork
-from repro.baselines.rate_adaptation import best_rate_bps, RateChoice
+from repro.baselines.rate_adaptation import best_choice, RateChoice
 from repro.baselines.sf_pairs import (
     slope_distinct_pairs,
     usable_concurrent_pairs,
@@ -25,9 +24,8 @@ from repro.baselines.sf_pairs import (
 __all__ = [
     "choir_distinct_fraction_probability",
     "choir_same_shift_collision_probability",
-    "ChoirDecoder",
     "LoRaBackscatterNetwork",
-    "best_rate_bps",
+    "best_choice",
     "RateChoice",
     "slope_distinct_pairs",
     "usable_concurrent_pairs",

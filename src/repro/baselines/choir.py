@@ -14,22 +14,13 @@ gives two reasons this cannot scale to backscatter:
    frequency spread ~90x to under a third of a bin (Fig. 4), so the
    fractions are not distinct in the first place.
 
-This module implements the analytic models and a working fractional-bin
-decoder so the claims can be demonstrated, not just asserted.
+This module implements the analytic models of reasons 1 and 2; the
+head-to-head experiment (``ext-choir``) demonstrates them end to end.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
-
-from repro.errors import ConfigurationError, DecodingError
-from repro.phy.chirp import ChirpParams
-from repro.phy.demodulation import Demodulator
-from repro.utils.rng import RngLike, make_rng
+from repro.errors import ConfigurationError
 
 CHOIR_FRACTION_RESOLUTION = 10
 """Choir resolves one-tenth of an FFT bin."""
@@ -72,139 +63,3 @@ def choir_same_shift_collision_probability(
             p_all_distinct *= 1.0 - (i - 1) / n_shifts
         return 1.0 - p_all_distinct
     return n_devices * (n_devices - 1) / (2 ** (spreading_factor + 1))
-
-
-@dataclass(frozen=True)
-class ChoirPeak:
-    """One FFT peak measured with sub-bin resolution."""
-
-    integer_bin: int
-    fraction: float
-
-    @property
-    def value(self) -> float:
-        return self.integer_bin + self.fraction
-
-
-class ChoirDecoder:
-    """A working fractional-bin concurrent decoder in Choir's style.
-
-    Each transmitter is enrolled with its characteristic fractional
-    offset (learned from its preamble in the real system). Per symbol the
-    decoder finds the strongest peaks, quantises each peak's fraction to
-    the 1/10-bin grid and attributes it to the enrolled transmitter with
-    the matching fraction. Attribution fails when fractions collide or
-    when two transmitters pick the same symbol value.
-    """
-
-    def __init__(
-        self,
-        params: ChirpParams,
-        zero_pad_factor: int = 10,
-        resolution: int = CHOIR_FRACTION_RESOLUTION,
-    ) -> None:
-        self._params = params
-        self._demod = Demodulator(params, zero_pad_factor=zero_pad_factor)
-        self._resolution = int(resolution)
-        self._enrolled: Dict[int, int] = {}
-
-    def enroll(self, device_id: int, fractional_offset: float) -> None:
-        """Register a transmitter's characteristic bin fraction."""
-        quantised = self.quantise_fraction(fractional_offset)
-        self._enrolled[device_id] = quantised
-
-    def quantise_fraction(self, fraction: float) -> int:
-        """Quantise a fractional offset to the 1/10-bin grid."""
-        return int(round((fraction % 1.0) * self._resolution)) % self._resolution
-
-    def fractions_distinct(self) -> bool:
-        """Whether the enrolled population is disambiguable at all."""
-        values = list(self._enrolled.values())
-        return len(set(values)) == len(values)
-
-    def decode_symbol(
-        self, symbol: np.ndarray, n_transmitters: Optional[int] = None
-    ) -> Dict[int, Optional[int]]:
-        """Attribute the strongest peaks to enrolled transmitters.
-
-        Returns ``device_id -> decoded shift`` (``None`` when the device's
-        peak could not be attributed unambiguously this symbol).
-        """
-        if not self._enrolled:
-            raise DecodingError("no transmitters enrolled")
-        if n_transmitters is None:
-            n_transmitters = len(self._enrolled)
-        result = self._demod.dechirp(symbol)
-        peaks = self._find_peaks(result, n_transmitters)
-        # Group peaks by quantised fraction.
-        by_fraction: Dict[int, List[ChoirPeak]] = {}
-        for peak in peaks:
-            by_fraction.setdefault(
-                self.quantise_fraction(peak.fraction), []
-            ).append(peak)
-        decoded: Dict[int, Optional[int]] = {}
-        for device_id, fraction in self._enrolled.items():
-            candidates = by_fraction.get(fraction, [])
-            if len(candidates) == 1:
-                decoded[device_id] = candidates[0].integer_bin
-            else:
-                # zero or multiple peaks at this fraction: ambiguous.
-                decoded[device_id] = None
-        return decoded
-
-    def _find_peaks(self, result, count: int) -> List[ChoirPeak]:
-        """Strongest ``count`` well-separated interpolated peaks."""
-        magnitude = result.magnitude.copy()
-        zp = result.zero_pad_factor
-        peaks: List[ChoirPeak] = []
-        guard = zp  # suppress one natural bin around each found peak
-        for _ in range(count):
-            index = int(np.argmax(magnitude))
-            if magnitude[index] <= 0:
-                break
-            value = index / zp
-            integer_bin = int(math.floor(value)) % self._params.n_shifts
-            peaks.append(
-                ChoirPeak(integer_bin=integer_bin, fraction=value % 1.0)
-            )
-            lo = max(0, index - guard)
-            hi = min(magnitude.size, index + guard + 1)
-            magnitude[lo:hi] = 0.0
-        return peaks
-
-
-def simulate_choir_scaling(
-    params: ChirpParams,
-    device_counts: Sequence[int],
-    offset_std_bins: float,
-    n_trials: int = 200,
-    rng: RngLike = None,
-) -> List[Dict[str, float]]:
-    """Monte-Carlo of Choir's attribution success vs population size.
-
-    Per trial, each device draws a stable fractional offset from a
-    zero-mean Gaussian with ``offset_std_bins`` (wide for radios, narrow
-    for backscatter) and the trial succeeds iff all quantised fractions
-    are distinct — the necessary condition for Choir to work at all.
-    """
-    generator = make_rng(rng)
-    resolution = CHOIR_FRACTION_RESOLUTION
-    rows: List[Dict[str, float]] = []
-    for n in device_counts:
-        successes = 0
-        for _ in range(n_trials):
-            offsets = generator.normal(scale=offset_std_bins, size=n)
-            fractions = set(
-                int(round((o % 1.0) * resolution)) % resolution
-                for o in offsets
-            )
-            if len(fractions) == n:
-                successes += 1
-        rows.append(
-            {
-                "n_devices": float(n),
-                "attribution_success": successes / n_trials,
-                "analytic_distinct": choir_distinct_fraction_probability(n),
-            }
-        )
-    return rows

@@ -11,7 +11,7 @@ rate/latency accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.airtime import lora_backscatter_poll_airtime_s
 from repro.baselines.rate_adaptation import best_choice
@@ -129,12 +129,3 @@ class LoRaBackscatterNetwork:
     def network_latency_s(self) -> float:
         """Time to hear from every device once (Fig. 19)."""
         return sum(p.poll_airtime_s for p in self.full_sweep())
-
-    def summary(self) -> Dict[str, float]:
-        """All three evaluation metrics in one map."""
-        return {
-            "n_devices": float(self.n_devices),
-            "network_phy_rate_bps": self.network_phy_rate_bps(),
-            "link_layer_rate_bps": self.link_layer_rate_bps(),
-            "network_latency_s": self.network_latency_s(),
-        }

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import SX1276_SNR_LIMIT_DB
 from repro.channel.awgn import noise_power_dbm
 from repro.constants import LORA_MAX_BITRATE_BPS
-from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpParams
 
 CANDIDATE_BANDWIDTHS_HZ = (125e3, 250e3, 500e3)
@@ -109,30 +108,3 @@ def best_choice(
     if not choices:
         return None
     return max(choices, key=lambda c: c.bitrate_bps)
-
-
-def best_rate_bps(
-    snr_db: float,
-    reference_bandwidth_hz: float = 500e3,
-    floor_bitrate_bps: float = 0.0,
-) -> float:
-    """Ideal rate-adaptation bitrate for a device at ``snr_db``.
-
-    Devices below even SF12's limit get ``floor_bitrate_bps`` (the
-    comparison drops them, as the paper's testbed had no such devices).
-    """
-    choice = best_choice(snr_db, reference_bandwidth_hz)
-    if choice is None:
-        return float(floor_bitrate_bps)
-    return choice.bitrate_bps
-
-
-def rates_for_population(
-    snrs_db: Sequence[float], reference_bandwidth_hz: float = 500e3
-) -> List[float]:
-    """Per-device ideal bitrates for a deployment's SNR vector."""
-    if len(snrs_db) == 0:
-        raise ConfigurationError("need at least one device")
-    return [
-        best_rate_bps(snr, reference_bandwidth_hz) for snr in snrs_db
-    ]

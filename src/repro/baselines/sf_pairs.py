@@ -129,15 +129,6 @@ def usable_concurrent_pairs(
     return _dedupe_by_slope(passing)
 
 
-def concurrency_ceiling(pairs: Sequence[SfBwPair]) -> int:
-    """Concurrent-transmission ceiling of the multi-SF approach.
-
-    One transmission per usable pair at a time — orders of magnitude
-    below NetScatter's 2^SF concurrent devices per band.
-    """
-    return len(list(pairs))
-
-
 def verify_pairwise_distinct_slopes(pairs: Sequence[SfBwPair]) -> bool:
     """Invariant check used by tests: no two pairs share a slope."""
     slopes: Set[float] = set()

@@ -65,6 +65,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -393,9 +394,15 @@ def _load_spec(args) -> CampaignSpec:
     if args.spec in PRESETS:
         kwargs = {"rng": args.seed if args.seed is not None else 0}
         if args.counts is not None:
-            kwargs["device_counts"] = tuple(
-                int(c) for c in args.counts.split(",") if c.strip()
-            )
+            try:
+                kwargs["device_counts"] = tuple(
+                    int(c) for c in args.counts.split(",") if c.strip()
+                )
+            except ValueError:
+                raise ReproError(
+                    "--counts must be comma-separated integers, "
+                    f"got {args.counts!r}"
+                ) from None
         if args.rounds is not None:
             kwargs["n_rounds"] = args.rounds
         if args.engine is not None:
@@ -459,7 +466,19 @@ def _check_store_arg(spec: str, store) -> None:
         )
 
 
+def _check_seconds(**flags) -> None:
+    """Refuse a seconds flag that is not finite and > 0, before the
+    command builds a store or a runner."""
+    for name, value in flags.items():
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ReproError(
+                f"--{name.replace('_', '-')} must be a finite number of "
+                f"seconds > 0, got {value!r}"
+            )
+
+
 def _cmd_run(args) -> int:
+    _check_seconds(timeout_s=args.timeout_s, lease_ttl_s=args.lease_ttl_s)
     spec = _load_spec(args)
     fault_plan = _parse_plan(args.fault_plan)
     storage_plan = _parse_plan(args.storage_fault_plan, "storage fault plan")
@@ -630,6 +649,7 @@ def _cmd_serve_api(args) -> int:
     # HTTP stack.
     from repro.campaign.service import CampaignService
 
+    _check_seconds(timeout_s=args.timeout_s)
     if args.storage_driver is not None:
         _check_store_arg(args.storage_driver, args.store)
         driver = build_driver(args.storage_driver, args.store)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -311,7 +312,9 @@ class CampaignRunner:
         seeded-jitter exponential backoff).
     point_timeout_s:
         Per-attempt wall-clock bound; a hung attempt is abandoned and
-        retried. ``None`` disables the bound.
+        retried. ``None`` disables the bound; any other value must be a
+        finite number of seconds > 0, so a serial and a pooled run
+        bound an attempt alike.
     use_leases / lease_ttl_s / owner:
         With a store, pending points are claimed through lease files so
         concurrent runners partition the work; ``use_leases=False``
@@ -352,6 +355,13 @@ class CampaignRunner:
             Callable[[int, "CampaignPointResult"], None]
         ] = None,
     ) -> None:
+        if point_timeout_s is not None and not (
+            math.isfinite(point_timeout_s) and point_timeout_s > 0
+        ):
+            raise ConfigurationError(
+                "point_timeout_s must be None or a finite number of "
+                f"seconds > 0, got {point_timeout_s!r}"
+            )
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )

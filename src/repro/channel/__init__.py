@@ -1,32 +1,28 @@
-"""Propagation substrate: noise, path loss, multipath, fading and offsets.
+"""Propagation substrate: noise, path loss, fading and Doppler.
 
 The paper's evaluation runs over an indoor office deployment; this package
 provides the synthetic equivalents — a log-distance indoor path-loss model
-with wall losses, Saleh-Valenzuela-style delay spread, a temporal fading
-process matching the measured +/-5 dB SNR variance (Fig. 9), and models of
-the timing/frequency offsets the hardware introduces.
+with wall losses, a temporal fading process matching the measured +/-5 dB
+SNR variance (Fig. 9), and the Doppler bin shift of a moving tag. The
+Saleh-Valenzuela delay-spread model lives with the waveform-level test
+oracle (``tests/waveform_oracle.py``).
 """
 
-from repro.channel.awgn import awgn, noise_power_dbm, snr_after_despreading_db
+from repro.channel.awgn import awgn, noise_power_dbm
 from repro.channel.deployment import Deployment, DeployedDevice, generate_office_deployment
 from repro.channel.fading import FadingProcess
-from repro.channel.link import LinkBudget, uplink_snr_db, downlink_rssi_dbm
-from repro.channel.offsets import TimingOffsetModel, FrequencyOffsetModel, doppler_bin_shift
+from repro.channel.link import LinkBudget
+from repro.channel.offsets import doppler_bin_shift
 from repro.channel.pathloss import indoor_path_loss_db, free_space_path_loss_db
 
 __all__ = [
     "awgn",
     "noise_power_dbm",
-    "snr_after_despreading_db",
     "Deployment",
     "DeployedDevice",
     "generate_office_deployment",
     "FadingProcess",
     "LinkBudget",
-    "uplink_snr_db",
-    "downlink_rssi_dbm",
-    "TimingOffsetModel",
-    "FrequencyOffsetModel",
     "doppler_bin_shift",
     "indoor_path_loss_db",
     "free_space_path_loss_db",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.constants import THERMAL_NOISE_DBM_PER_HZ
 from repro.errors import LinkBudgetError
-from repro.utils.conversions import db_to_linear, linear_to_db
+from repro.utils.conversions import db_to_linear
 from repro.utils.rng import RngLike, make_rng, standard_complex_normal
 
 
@@ -94,58 +94,8 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 6.0) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
 
 
-def processing_gain_db(spreading_factor: int) -> float:
-    """CSS despreading gain, ``10*log10(2^SF)`` dB."""
-    if spreading_factor < 1:
-        raise LinkBudgetError("spreading factor must be >= 1")
-    return 10.0 * np.log10(2 ** int(spreading_factor))
-
-
-def snr_after_despreading_db(snr_db: float, spreading_factor: int) -> float:
-    """Post-FFT per-bin SNR given the pre-despreading in-band SNR."""
-    return snr_db + processing_gain_db(spreading_factor)
-
-
-def sensitivity_dbm(
-    bandwidth_hz: float,
-    spreading_factor: int,
-    required_postfft_snr_db: float = 15.0,
-    noise_figure_db: float = 6.0,
-) -> float:
-    """Receive sensitivity of a CSS configuration (dBm).
-
-    The minimum signal power such that the post-despreading SNR meets
-    ``required_postfft_snr_db``. The 15 dB default reflects noncoherent
-    peak detection with margin and reproduces the SX1276 sensitivities
-    (and the paper's Table 1 values) to within about 1.5 dB — e.g.
-    about -123 dBm at 500 kHz / SF 9.
-    """
-    floor = noise_power_dbm(bandwidth_hz, noise_figure_db)
-    return floor + required_postfft_snr_db - processing_gain_db(spreading_factor)
-
-
 def snr_from_rssi_db(
     rssi_dbm: float, bandwidth_hz: float, noise_figure_db: float = 6.0
 ) -> float:
     """In-band SNR implied by an RSSI measurement."""
     return rssi_dbm - noise_power_dbm(bandwidth_hz, noise_figure_db)
-
-
-def rssi_from_snr_dbm(
-    snr_db: float, bandwidth_hz: float, noise_figure_db: float = 6.0
-) -> float:
-    """Inverse of :func:`snr_from_rssi_db`."""
-    return snr_db + noise_power_dbm(bandwidth_hz, noise_figure_db)
-
-
-def combined_snr_db(snrs_db: list) -> float:
-    """Aggregate SNR of independent same-band transmitters.
-
-    Section 3.1's capacity argument: N below-noise devices deposit N times
-    the single-device power at the AP, so the aggregate SNR is the linear
-    sum of the per-device SNRs.
-    """
-    if not snrs_db:
-        raise LinkBudgetError("need at least one SNR")
-    total = sum(db_to_linear(s) for s in snrs_db)
-    return linear_to_db(total)

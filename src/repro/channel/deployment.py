@@ -16,7 +16,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.channel.awgn import snr_from_rssi_db
 from repro.channel.fading import FadingProcess
 from repro.channel.link import LinkBudget
 from repro.errors import ReproError
@@ -240,27 +239,4 @@ def paper_deployment(
         rng=rng,
         budget=budget,
         min_distance_m=4.0,
-    )
-
-
-def snr_from_downlink_rssi(
-    rssi_dbm: float, budget: LinkBudget = None
-) -> float:
-    """Uplink SNR a tag can infer from the downlink query RSSI.
-
-    Channel reciprocity (Section 3.2.3's fine-grained power adjustment):
-    the downlink one-way loss predicts the uplink two-way loss, so the
-    query RSSI is a usable proxy for the tag's SNR at the AP.
-    """
-    if budget is None:
-        budget = LinkBudget()
-    one_way_loss = budget.ap_tx_power_dbm + budget.tag_antenna_gain_dbi - rssi_dbm
-    uplink_rssi = (
-        budget.ap_tx_power_dbm
-        + 2.0 * budget.tag_antenna_gain_dbi
-        - 2.0 * one_way_loss
-        - budget.backscatter_insertion_loss_db
-    )
-    return snr_from_rssi_db(
-        uplink_rssi, budget.bandwidth_hz, budget.noise_figure_db
     )

@@ -94,22 +94,3 @@ class LinkBudget:
         """Pre-despreading in-band uplink SNR at the AP."""
         rssi = self.uplink_rssi_dbm(distance_m, n_walls, tag_power_gain_db)
         return snr_from_rssi_db(rssi, self.bandwidth_hz, self.noise_figure_db)
-
-    def query_decodable(self, distance_m: float, n_walls: int = 0) -> bool:
-        """Whether the tag's envelope detector can hear the query."""
-        from repro.constants import ENVELOPE_DETECTOR_SENSITIVITY_DBM
-
-        return (
-            self.downlink_rssi_dbm(distance_m, n_walls)
-            >= ENVELOPE_DETECTOR_SENSITIVITY_DBM
-        )
-
-
-def uplink_snr_db(distance_m: float, n_walls: int = 0, **kwargs) -> float:
-    """Module-level convenience wrapper over :class:`LinkBudget`."""
-    return LinkBudget(**kwargs).uplink_snr_db(distance_m, n_walls)
-
-
-def downlink_rssi_dbm(distance_m: float, n_walls: int = 0, **kwargs) -> float:
-    """Module-level convenience wrapper over :class:`LinkBudget`."""
-    return LinkBudget(**kwargs).downlink_rssi_dbm(distance_m, n_walls)

@@ -58,33 +58,3 @@ def indoor_path_loss_db(
         return reference_loss + n_walls * wall_loss_db
     rolloff = 10.0 * exponent * math.log10(distance_m / reference_distance_m)
     return reference_loss + rolloff + n_walls * wall_loss_db
-
-
-def round_trip_backscatter_loss_db(
-    distance_m: float,
-    freq_hz: float,
-    n_walls: int = 0,
-    backscatter_insertion_loss_db: float = 6.0,
-    **kwargs,
-) -> float:
-    """Two-way (AP -> tag -> AP) loss of a monostatic backscatter link.
-
-    Backscatter reflects the AP's carrier, so the signal pays the path loss
-    twice plus the tag's modulation insertion loss (conversion efficiency
-    of the impedance switch; ~6 dB for ideal two-state square-wave OOK at
-    the fundamental).
-    """
-    one_way = indoor_path_loss_db(distance_m, freq_hz, n_walls=n_walls, **kwargs)
-    return 2.0 * one_way + backscatter_insertion_loss_db
-
-
-def time_of_flight_s(distance_m: float) -> float:
-    """One-way propagation delay."""
-    if distance_m < 0:
-        raise LinkBudgetError("distance must be non-negative")
-    return distance_m / SPEED_OF_LIGHT_M_S
-
-
-def round_trip_time_s(distance_m: float) -> float:
-    """Two-way propagation delay (the tag echoes the AP's carrier)."""
-    return 2.0 * time_of_flight_s(distance_m)

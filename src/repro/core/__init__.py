@@ -11,7 +11,6 @@ from repro.core.config import NetScatterConfig, TABLE1_CONFIGS
 from repro.core.dcss import (
     DeviceTransmission,
     compose_symbol,
-    compose_frame,
     compose_readout,
     compose_rounds,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "TABLE1_CONFIGS",
     "DeviceTransmission",
     "compose_symbol",
-    "compose_frame",
     "compose_readout",
     "compose_rounds",
     "NetScatterReceiver",

@@ -54,11 +54,6 @@ class AggregateBand:
         """Distinguishable frequency slots: ``m * 2^SF``."""
         return self.n_samples
 
-    @property
-    def slot_spacing_hz(self) -> float:
-        """Same bin spacing as the single band: ``BW / 2^SF``."""
-        return self.chirp_params.bin_spacing_hz
-
     def base_chirp(self) -> np.ndarray:
         """The shared chirp rendered at the aggregate sample rate.
 

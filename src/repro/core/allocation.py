@@ -339,16 +339,6 @@ class AllocationTable:
                 f"ring order does not match SNR order (device {bad})"
             )
 
-    def min_distance_between(
-        self, device_a: int, device_b: int
-    ) -> float:
-        """Cyclic bin distance between two allocated devices."""
-        return cyclic_bin_distance(
-            self.shift_of(device_a),
-            self.shift_of(device_b),
-            self._config.n_bins,
-        )
-
     def worst_case_exposure_db(
         self, side_lobe_profile=None
     ) -> Optional[float]:

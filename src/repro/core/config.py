@@ -100,15 +100,6 @@ class NetScatterConfig:
         return self.chirp_params.symbol_rate_hz
 
     @property
-    def aggregate_throughput_bps(self) -> float:
-        """Ideal aggregate PHY throughput with every shift in use.
-
-        ``2^SF`` concurrent devices at ``BW / 2^SF`` each sums to ``BW``
-        (Section 3.1's throughput-gain argument); SKIP reduces it.
-        """
-        return self.max_devices * self.device_bitrate_bps
-
-    @property
     def tolerable_timing_mismatch_s(self) -> float:
         """Largest timing error that stays within one FFT bin: ``1/BW``."""
         return 1.0 / self.bandwidth_hz
@@ -143,15 +134,6 @@ class NetScatterConfig:
         """The headline ``2^SF / SF`` gain of distributed CSS coding."""
         return self.n_bins / self.spreading_factor
 
-    def assigned_shifts(self) -> List[int]:
-        """All data cyclic shifts under the SKIP spacing.
-
-        Association shifts are carved out by
-        :class:`repro.core.allocation.AllocationTable`; this enumerates
-        the full SKIP-spaced grid.
-        """
-        return list(range(0, self.n_bins, self.skip))
-
     def describe(self) -> str:
         """One-line summary used by the benchmark harness."""
         return (
@@ -171,8 +153,3 @@ TABLE1_CONFIGS: List[NetScatterConfig] = [
     NetScatterConfig(bandwidth_hz=125e3, spreading_factor=7),
     NetScatterConfig(bandwidth_hz=125e3, spreading_factor=6),
 ]
-
-
-def deployment_config() -> NetScatterConfig:
-    """The paper's deployed configuration: 500 kHz, SF 9, SKIP 2."""
-    return NetScatterConfig()

@@ -2,11 +2,10 @@
 
 The paper's Fig. 2b: each concurrent device ON-OFF-keys its own assigned
 cyclic shift, and the air sums everything. This module composes those
-sums for simulation at two fidelities:
+sums on the dechirped grid (the waveform-level frame, each device's
+packet delayed, detuned and summed, is ``tests/waveform_oracle.py``'s
+``compose_frame``):
 
-* :func:`compose_frame` — waveform fidelity: per-device packets rendered
-  as complex baseband, each delayed by its hardware latency and rotated
-  by its CFO, then summed on a common timeline.
 * :func:`compose_symbol` — bin-domain fast path: one symbol of N devices
   composed directly as a sum of complex tones on the dechirped grid. A
   device at shift ``k`` with residual offset ``delta`` contributes the
@@ -47,14 +46,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpParams, downchirp
 from repro.phy.sparse_readout import _GEMM_MAX_MACS, SparseReadout
-from repro.phy.onoff import OnOffKeyedTransmitter
 from repro.utils.conversions import (
     amplitude_from_db,
     freq_offset_to_bins,
     timing_offset_to_bins,
 )
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.sampling import apply_cfo, fractional_delay
 
 
 @dataclass
@@ -175,59 +172,6 @@ def compose_preamble_and_payload_symbols(
             compose_symbol(params, marks, i + 1, random_phases=False)
         )
     return symbols
-
-
-def compose_frame(
-    params: ChirpParams,
-    actives: Sequence[DeviceTransmission],
-    n_preamble_upchirps: int = 6,
-    n_preamble_downchirps: int = 2,
-    leading_silence_samples: int = 0,
-    trailing_silence_samples: int = 0,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Waveform fidelity: full concurrent frame on a common timeline.
-
-    Every device's complete packet (preamble + OOK payload) is rendered,
-    fractionally delayed by its ``delay_s``, rotated by its ``cfo_hz``,
-    scaled and summed. Optional silence padding lets synchronisation tests
-    search for the packet start.
-    """
-    generator = make_rng(rng)
-    n_payload_bits = len(list(actives[0].bits)) if actives else 0
-    for tx in actives:
-        if len(list(tx.bits)) != n_payload_bits:
-            raise ConfigurationError("all devices must send equal-length payloads")
-    n_symbols = n_preamble_upchirps + n_preamble_downchirps + n_payload_bits
-    frame_len = n_symbols * params.n_samples
-    total = np.zeros(
-        leading_silence_samples + frame_len + trailing_silence_samples,
-        dtype=complex,
-    )
-    for tx in actives:
-        transmitter = OnOffKeyedTransmitter(
-            params, tx.shift, power_gain_db=tx.power_gain_db
-        )
-        packet = transmitter.packet(
-            list(tx.bits), n_preamble_upchirps, n_preamble_downchirps
-        )
-        delay_samples = tx.delay_s * params.bandwidth_hz
-        if abs(delay_samples) > 0:
-            packet = fractional_delay(packet, delay_samples)
-        if tx.cfo_hz != 0.0:
-            packet = apply_cfo(packet, tx.cfo_hz, params.bandwidth_hz)
-        phase = float(generator.uniform(0.0, 2.0 * np.pi))
-        total[
-            leading_silence_samples : leading_silence_samples + frame_len
-        ] += packet * np.exp(1j * phase)
-    return total
-
-
-def ideal_aggregate_power(actives: Sequence[DeviceTransmission]) -> float:
-    """Sum of linear powers of the active devices (capacity argument)."""
-    return float(
-        sum(amplitude_from_db(tx.power_gain_db) ** 2 for tx in actives)
-    )
 
 
 @lru_cache(maxsize=64)
@@ -356,7 +300,7 @@ def compose_readout(
     timings, so every host takes the same route):
 
     * **closed form** — each device tone's value at each bin is the
-      Dirichlet kernel (:meth:`SparseReadout.tone_kernel`), so the
+      Dirichlet kernel (:func:`repro.phy.sparse_readout.dirichlet_kernel`), so the
       compose -> dechirp -> readout chain collapses to one
       ``(symbols, devices) @ (devices, bins)`` product per round, taken
       block by block as the kernel is built
@@ -384,7 +328,7 @@ def compose_readout(
     halves the closed form's matmul/noise cost for very large device
     counts at ~1e-7 relative readout error (the kernel ratio is still
     evaluated in double and cast to single per block — see
-    :meth:`repro.phy.sparse_readout.SparseReadout.tone_ratio`;
+    :meth:`repro.phy.sparse_readout.SparseReadout.tone_sum`;
     decisions are unaffected at the operating points the sweeps visit,
     which the equivalence tests pin). The FFT route computes in double
     and casts its values.

@@ -44,27 +44,6 @@ class PowerControlPolicy:
         if self.hysteresis_db < 0:
             raise ConfigurationError("hysteresis must be non-negative")
 
-    @property
-    def adjustment_span_db(self) -> float:
-        """Total gain swing available to a tag."""
-        return max(self.levels_db) - min(self.levels_db)
-
-
-def choose_initial_level(
-    query_rssi_dbm: float,
-    low_rssi_threshold_dbm: float,
-    levels_db: Sequence[float] = POWER_GAIN_LEVELS_DB,
-) -> int:
-    """Association-time level choice (Section 3.2.3).
-
-    A weak downlink means a far tag: full power (level 0). Otherwise the
-    middle level, leaving headroom to step both ways later.
-    """
-    ordered = sorted(levels_db, reverse=True)
-    if query_rssi_dbm < low_rssi_threshold_dbm:
-        return 0
-    return len(ordered) // 2
-
 
 def reciprocity_step(
     baseline_rssi_dbm: float,

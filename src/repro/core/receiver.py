@@ -2,8 +2,9 @@
 
 Receiver pipeline (Sections 3.1 and 3.3.1):
 
-1. locate the packet start from the shared up/down preamble
-   (:meth:`NetScatterReceiver.decode_frame`),
+1. align each symbol on the shared preamble (the engine's inputs
+   arrive aligned; ``tests/waveform_oracle.py`` synchronises raw
+   streams),
 2. dechirp each symbol once and take a single zero-padded FFT,
 3. detect active devices: an FFT peak that repeats across all preamble
    symbols at an assigned shift marks that device as transmitting,
@@ -51,7 +52,6 @@ from repro.phy.sparse_readout import (
     located_bin_noise_covariance,
     natural_probe_readout,
 )
-from repro.phy.sync import PreambleSynchronizer
 from repro.utils.parallel import pipeline
 
 #: Elements per chunk of the batched power tensor: bounds peak memory of
@@ -84,11 +84,6 @@ class DeviceDecode:
     bit_powers: List[float] = field(default_factory=list)
 
     @property
-    def threshold(self) -> float:
-        """OOK decision threshold: half the preamble average power."""
-        return 0.5 * self.preamble_power
-
-    @property
     def estimated_snr_db(self) -> Optional[float]:
         """Post-despreading SNR estimate from the preamble.
 
@@ -108,10 +103,6 @@ class FrameDecode:
 
     devices: Dict[int, DeviceDecode]
     start_sample: Optional[int] = None
-
-    def detected_ids(self) -> List[int]:
-        """Devices whose preamble repeated (i.e., who transmitted)."""
-        return [d.device_id for d in self.devices.values() if d.detected]
 
     def bits_of(self, device_id: int) -> List[int]:
         """Decoded payload bits of one device."""
@@ -197,10 +188,6 @@ class RoundsDecode:
                 decode.bit_powers = self.bit_powers[r, :, column].tolist()
             devices[device_id] = decode
         return FrameDecode(devices=devices)
-
-    def frames(self) -> List[FrameDecode]:
-        """All rounds as per-round decodes."""
-        return [self.frame(r) for r in range(self.n_rounds)]
 
 
 class _ReadoutPlan:
@@ -657,9 +644,8 @@ class NetScatterReceiver:
         :meth:`decode_rounds`. ``"auto"`` picks the predicted-cheapest
         backend per call from the host-calibrated cost model
         (:mod:`repro.phy.backend_plan`). Decisions are bit-identical
-        whichever backend runs. The single-frame entry points
-        (:meth:`decode_fast_symbols`, :meth:`decode_frame`) always read
-        through ``fft``.
+        whichever backend runs. The single-frame entry point
+        (:meth:`decode_fast_symbols`) always reads through ``fft``.
     planner:
         Optional :class:`repro.phy.backend_plan.BackendPlanner`
         overriding the host-calibrated planner under ``readout="auto"``
@@ -731,58 +717,8 @@ class NetScatterReceiver:
         return dict(self._assignments)
 
     # ------------------------------------------------------------------ #
-    # single-frame entry points
+    # single-frame entry point
     # ------------------------------------------------------------------ #
-
-    def decode_frame(
-        self,
-        stream: np.ndarray,
-        n_payload_bits: int,
-        n_preamble_upchirps: int = 6,
-        n_preamble_downchirps: int = 2,
-        synchronize: bool = True,
-        start_sample: int = 0,
-    ) -> FrameDecode:
-        """Decode a raw baseband stream containing one concurrent frame.
-
-        Once the frame start is known (found by the synchroniser, or
-        ``start_sample``), its preamble upchirps and payload symbols are
-        decoded as one round by :meth:`decode_fast_symbols`; the
-        downchirps serve only the synchroniser.
-        """
-        _check_frame(1, n_preamble_upchirps + n_payload_bits,
-                     n_preamble_upchirps)
-        if n_preamble_downchirps < 0:
-            raise DecodingError("n_preamble_downchirps must be >= 0")
-        stream = np.asarray(stream, dtype=complex)
-        n = self._params.n_samples
-        if synchronize:
-            sync = PreambleSynchronizer(
-                self._params, n_preamble_upchirps, n_preamble_downchirps
-            )
-            coarse = sync.synchronize(stream).start_sample
-            start_sample = sync.refine_with_shifts(
-                stream, coarse, list(self._assignments.values())
-            )
-        if start_sample < 0:
-            raise DecodingError(
-                f"start_sample must be >= 0, got {start_sample}"
-            )
-        preamble_up_end = start_sample + n_preamble_upchirps * n
-        payload_start = start_sample + (
-            n_preamble_upchirps + n_preamble_downchirps
-        ) * n
-        end = payload_start + n_payload_bits * n
-        if end > stream.size:
-            raise DecodingError(
-                f"stream too short: need {end} samples, have {stream.size}"
-            )
-        symbols = np.concatenate(
-            [stream[start_sample:preamble_up_end], stream[payload_start:end]]
-        ).reshape(-1, n)
-        decode = self.decode_fast_symbols(symbols, n_preamble_upchirps)
-        decode.start_sample = start_sample
-        return decode
 
     def decode_fast_symbols(
         self,
@@ -865,7 +801,7 @@ class NetScatterReceiver:
             :func:`repro.channel.awgn.awgn` — is injected *at the
             readout bins* using the exact covariance of white noise seen
             through the readout (see
-            :meth:`repro.phy.sparse_readout.SparseReadout.noise_covariance`).
+            :meth:`repro.phy.sparse_readout.SparseReadout.analytic_noise_covariance`).
             Each device's window block and each probe bin get exactly
             their physical joint noise law; only the cross-correlation
             between different devices' windows (and windows vs probes)

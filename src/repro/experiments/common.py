@@ -80,28 +80,6 @@ class ExperimentResult:
         """Record one shape assertion."""
         self.checks[name] = bool(passed)
 
-    def column(self, key: str) -> List[object]:
-        """Extract one column across rows."""
-        if not self.rows or key not in self.rows[0]:
-            raise ReproError(f"column {key!r} not present")
-        return [row[key] for row in self.rows]
-
-
-def geometric_sweep(start: int, stop: int, factor: float = 2.0) -> List[int]:
-    """Geometric integer sweep helper for scaling experiments."""
-    if start < 1 or stop < start or factor <= 1.0:
-        raise ReproError("invalid sweep parameters")
-    values = []
-    current = float(start)
-    while current <= stop:
-        value = int(round(current))
-        if not values or value != values[-1]:
-            values.append(value)
-        current *= factor
-    if values[-1] != stop:
-        values.append(stop)
-    return values
-
 
 def sweep_deployment(
     deployment: Optional[Deployment],

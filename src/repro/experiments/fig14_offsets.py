@@ -131,8 +131,3 @@ def run_residual_bins(
         f"{tail_125:.4f} at 125 kHz/SF7"
     )
     return result
-
-
-def run(rng: RngLike = None, **kwargs) -> ExperimentResult:
-    """Combined driver (Fig. 14b is the headline panel)."""
-    return run_residual_bins(rng=rng, **kwargs)

@@ -204,8 +204,3 @@ def run_dynamic_range(
         f"at 256 = {far:.0f} dB (paper: 35 dB)"
     )
     return result
-
-
-def run(rng: RngLike = None, **kwargs) -> ExperimentResult:
-    """Combined driver (Fig. 15b is the headline panel)."""
-    return run_dynamic_range(rng=rng, **kwargs)

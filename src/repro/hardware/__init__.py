@@ -1,15 +1,12 @@
 """Backscatter tag hardware models.
 
 These models replace the paper's PCB prototype: the impedance switch
-network that realises multi-level transmit power (Fig. 7), the envelope
-detector used as the downlink receiver and RSSI sensor, the crystal
+network that realises multi-level transmit power (Fig. 7), the crystal
 oscillator (frequency offsets), the MCU/FPGA chain (timing jitter), the
 IC power budget, and the composed :class:`BackscatterDevice`.
 """
 
-from repro.hardware.chirp_generator import ChirpGenerator
 from repro.hardware.device import BackscatterDevice, DeviceState
-from repro.hardware.envelope_detector import EnvelopeDetector
 from repro.hardware.impedance import (
     reflection_coefficient,
     backscatter_power_gain_db,
@@ -21,10 +18,8 @@ from repro.hardware.power_model import IcPowerBudget
 from repro.hardware.switch_network import SwitchNetwork, PowerLevel
 
 __all__ = [
-    "ChirpGenerator",
     "BackscatterDevice",
     "DeviceState",
-    "EnvelopeDetector",
     "reflection_coefficient",
     "backscatter_power_gain_db",
     "gain_sweep",

@@ -1,9 +1,8 @@
 """The composed backscatter device (tag).
 
 Wires the hardware blocks together into a behavioural tag model:
-envelope detector (query RX + RSSI), crystal oscillator (CFO), MCU/FPGA
-chain (turnaround jitter), switch network (discrete TX power), and the
-ON-OFF keyed CSS transmitter. The device also hosts the tag-side half of
+crystal oscillator (CFO), MCU/FPGA chain (turnaround jitter) and switch
+network (discrete TX power). The device also hosts the tag-side half of
 the protocol state: association status, assigned cyclic shift, baseline
 RSSI and the fine-grained power-adjustment rule of Section 3.2.3.
 """
@@ -11,18 +10,13 @@ RSSI and the fine-grained power-adjustment rule of Section 3.2.3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.errors import HardwareModelError, ProtocolError
-from repro.hardware.envelope_detector import EnvelopeDetector
 from repro.hardware.mcu import McuTimingModel
 from repro.hardware.oscillator import CrystalOscillator, tag_oscillator
 from repro.hardware.switch_network import SwitchNetwork
 from repro.phy.chirp import ChirpParams
-from repro.phy.onoff import OnOffKeyedTransmitter
 from repro.utils.rng import RngLike, make_rng
 
 
@@ -32,15 +26,6 @@ class DeviceState(enum.Enum):
     UNASSOCIATED = "unassociated"
     ASSOCIATING = "associating"
     ASSOCIATED = "associated"
-
-
-@dataclass(frozen=True)
-class TransmitImpairments:
-    """Impairments stamped onto one transmission, for the channel to apply."""
-
-    hardware_delay_s: float
-    cfo_hz: float
-    power_gain_db: float
 
 
 class BackscatterDevice:
@@ -67,7 +52,6 @@ class BackscatterDevice:
         oscillator: Optional[CrystalOscillator] = None,
         timing: Optional[McuTimingModel] = None,
         switch: Optional[SwitchNetwork] = None,
-        detector: Optional[EnvelopeDetector] = None,
         rssi_low_threshold_dbm: float = -40.0,
         rng: RngLike = None,
     ) -> None:
@@ -81,44 +65,16 @@ class BackscatterDevice:
             self.oscillator.calibrate(self._rng)
         self.timing = timing or McuTimingModel()
         self.switch = switch or SwitchNetwork()
-        self.detector = detector or EnvelopeDetector()
         self.rssi_low_threshold_dbm = float(rssi_low_threshold_dbm)
 
         self.state = DeviceState.UNASSOCIATED
         self.assigned_shift: Optional[int] = None
         self.baseline_rssi_dbm: Optional[float] = None
         self.skipped_rounds = 0
-        self._transmitter: Optional[OnOffKeyedTransmitter] = None
 
     # ------------------------------------------------------------------ #
     # association-side behaviour
     # ------------------------------------------------------------------ #
-
-    def hear_query(self, true_rssi_dbm: float) -> Optional[float]:
-        """Measure the query RSSI; ``None`` if below detector sensitivity."""
-        return self.detector.measure_rssi_dbm(true_rssi_dbm, self._rng)
-
-    def receive_query_waveform(
-        self,
-        envelope: np.ndarray,
-        samples_per_bit: int,
-        true_rssi_dbm: float,
-        n_reassignment_devices: Optional[int] = None,
-    ):
-        """Demodulate and parse an ASK query waveform end-to-end.
-
-        The downlink path the MCU runs: envelope detector -> bit slicer
-        -> query parser. Returns ``(QueryMessage, rssi_dbm)``, or
-        ``(None, None)`` when the query is below sensitivity.
-        """
-        from repro.protocol.messages import parse_query_bits
-
-        rssi = self.hear_query(true_rssi_dbm)
-        if rssi is None:
-            return None, None
-        bits = self.detector.demodulate_ask(envelope, samples_per_bit)
-        query = parse_query_bits(bits, n_reassignment_devices)
-        return query, rssi
 
     def choose_association_power(self, query_rssi_dbm: float) -> float:
         """Initial power level for the association request.
@@ -151,9 +107,6 @@ class BackscatterDevice:
         self.baseline_rssi_dbm = float(query_rssi_dbm)
         self.state = DeviceState.ASSOCIATED
         self.skipped_rounds = 0
-        self._transmitter = OnOffKeyedTransmitter(
-            self.params, self.assigned_shift, self.switch.gain_db
-        )
 
     def reset_association(self) -> None:
         """Drop back to the unassociated state (triggers re-association)."""
@@ -161,7 +114,6 @@ class BackscatterDevice:
         self.assigned_shift = None
         self.baseline_rssi_dbm = None
         self.skipped_rounds = 0
-        self._transmitter = None
 
     # ------------------------------------------------------------------ #
     # fine-grained power adjustment (Section 3.2.3)
@@ -201,44 +153,4 @@ class BackscatterDevice:
             self.skipped_rounds += 1
             if self.skipped_rounds > self.MAX_SKIPPED_BEFORE_REASSOCIATION:
                 self.reset_association()
-        if self._transmitter is not None:
-            self._transmitter.power_gain_db = self.switch.gain_db
         return self.switch.gain_db, participate
-
-    # ------------------------------------------------------------------ #
-    # transmission
-    # ------------------------------------------------------------------ #
-
-    @property
-    def transmitter(self) -> OnOffKeyedTransmitter:
-        """The OOK transmitter bound to the assigned shift."""
-        if self._transmitter is None:
-            raise ProtocolError("device has no assigned cyclic shift")
-        return self._transmitter
-
-    def draw_impairments(self) -> TransmitImpairments:
-        """Per-packet impairment draw (turnaround delay + CFO)."""
-        return TransmitImpairments(
-            hardware_delay_s=self.timing.sample_latency_s(self._rng),
-            cfo_hz=self.oscillator.offset_hz(self._rng),
-            power_gain_db=self.switch.gain_db,
-        )
-
-    def transmit_packet(
-        self,
-        bits: Sequence[int],
-        n_upchirps: int = 6,
-        n_downchirps: int = 2,
-    ) -> Tuple[np.ndarray, TransmitImpairments]:
-        """Build one uplink packet waveform plus its impairment stamp.
-
-        The waveform is ideal complex baseband at the critical rate; the
-        returned impairments tell the channel how late and how detuned
-        this particular transmission is.
-        """
-        waveform = self.transmitter.packet(bits, n_upchirps, n_downchirps)
-        return waveform, self.draw_impairments()
-
-    def random_payload(self, n_bits: int) -> List[int]:
-        """Uniform random payload bits from the device's own stream."""
-        return self._rng.integers(0, 2, size=int(n_bits)).tolist()

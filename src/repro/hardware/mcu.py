@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import HW_DELAY_JITTER_MAX_S
 from repro.errors import HardwareModelError
 from repro.phy.chirp import ChirpParams
 from repro.utils.conversions import timing_offset_to_bins
@@ -99,14 +98,6 @@ class McuTimingModel:
             latency += float(generator.uniform(0.0, self.glitch_extra_s))
         return latency
 
-    def sample_bin_offset(
-        self, params: ChirpParams, rng: RngLike = None
-    ) -> float:
-        """Per-packet FFT-bin shift caused by the latency draw."""
-        return timing_offset_to_bins(
-            self.sample_latency_s(rng), params.bandwidth_hz
-        )
-
     def jitter_bins(self, params: ChirpParams) -> float:
         """Worst-case packet-to-packet bin wobble at this bandwidth.
 
@@ -145,10 +136,3 @@ class McuTimingModel:
                 0.0,
             )
         return latency
-
-
-def paper_timing_model() -> McuTimingModel:
-    """The default model, tuned to the paper's ~3.5 us measured maximum."""
-    model = McuTimingModel()
-    assert model.max_latency_s <= HW_DELAY_JITTER_MAX_S + 1e-9
-    return model

@@ -90,15 +90,6 @@ class SwitchNetwork:
         self._selected = index
         return self.selected
 
-    def select_gain_db(self, gain_db: float, tol_db: float = 0.5) -> PowerLevel:
-        """Select the level closest to ``gain_db`` (within ``tol_db``)."""
-        best = min(self._levels, key=lambda lv: abs(lv.gain_db - gain_db))
-        if abs(best.gain_db - gain_db) > tol_db:
-            raise HardwareModelError(
-                f"no level within {tol_db} dB of {gain_db} dB"
-            )
-        return self.select(best.index)
-
     def step_down(self) -> PowerLevel:
         """Move one level weaker, clamping at the weakest."""
         self._selected = min(self._selected + 1, self.n_levels - 1)

@@ -127,16 +127,6 @@ def cyclic_shifted_upchirp(params: ChirpParams, shift: int) -> np.ndarray:
     return np.roll(base, -shift)
 
 
-def cyclic_shifted_downchirp(params: ChirpParams, shift: int) -> np.ndarray:
-    """Downchirp carrying the same cyclic shift as the device's upchirp.
-
-    NetScatter preambles send two downchirps with the *device's own* shift
-    (Section 3.3.1); the shift direction is mirrored so the up/down pair is
-    symmetric around the symbol midpoint.
-    """
-    return np.conjugate(cyclic_shifted_upchirp(params, shift))
-
-
 def oversampled_upchirp(
     params: ChirpParams, oversampling: int, shift: int = 0
 ) -> np.ndarray:

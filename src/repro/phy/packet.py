@@ -3,13 +3,12 @@
 A NetScatter uplink packet is: six upchirp preamble symbols, two downchirp
 preamble symbols, then the OOK payload and checksum. All symbols of one
 device carry the same assigned cyclic shift. This module defines the
-structure (symbol counts, air times) and a payload container with CRC.
+structure: symbol counts and air times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
 
 from repro.constants import (
     PAYLOAD_CRC_BITS,
@@ -18,7 +17,6 @@ from repro.constants import (
 )
 from repro.errors import ProtocolError
 from repro.phy.chirp import ChirpParams
-from repro.utils.bits import append_crc8, check_crc8
 
 
 @dataclass(frozen=True)
@@ -65,45 +63,3 @@ class PacketStructure:
     def payload_airtime_s(self, params: ChirpParams) -> float:
         """On-air duration of the payload+CRC portion."""
         return self.n_payload_symbols * params.symbol_duration_s
-
-
-@dataclass
-class BackscatterPacket:
-    """A device's uplink payload with CRC-8 protection.
-
-    ``data_bits`` is the application payload; ``frame_bits`` appends the
-    checksum. The deployment's 40-bit payload+CRC field maps to 32 data
-    bits + 8 CRC bits.
-    """
-
-    device_id: int
-    data_bits: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.device_id < 0:
-            raise ProtocolError("device_id must be non-negative")
-        for bit in self.data_bits:
-            if bit not in (0, 1):
-                raise ProtocolError(f"payload bits must be 0/1, got {bit!r}")
-
-    @property
-    def frame_bits(self) -> List[int]:
-        """Payload bits with the CRC-8 appended."""
-        return append_crc8(self.data_bits)
-
-    @property
-    def n_frame_bits(self) -> int:
-        return len(self.data_bits) + 8
-
-    @staticmethod
-    def verify(frame_bits: Sequence[int]) -> bool:
-        """Check the CRC of a received frame."""
-        return check_crc8(list(frame_bits))
-
-    @staticmethod
-    def extract_data(frame_bits: Sequence[int]) -> List[int]:
-        """Strip the CRC from a verified frame, raising on CRC failure."""
-        bits = list(frame_bits)
-        if not check_crc8(bits):
-            raise ProtocolError("CRC check failed")
-        return bits[:-8]

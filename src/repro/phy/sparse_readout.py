@@ -27,9 +27,9 @@ For *tone-sum* inputs the time domain can be skipped altogether: a
 device whose dechirped contribution is the pure tone
 ``a * exp(j*(2*pi*b*t/N + phi))`` reads out at interpolated bin ``q``
 as ``a * exp(j*phi) * D_N(b - q/zp)`` where ``D_N`` is the Dirichlet
-kernel (:func:`dirichlet_kernel`). :meth:`SparseReadout.tone_kernel`
-evaluates that closed form at every readout bin without materialising
-any ``n_samples``-length waveform; the closed-form route of
+kernel (:func:`dirichlet_kernel`), a closed form that needs no
+``n_samples``-length waveform (``tests/readout_oracle.py`` evaluates it
+at every readout bin as the reference); the closed-form route of
 :func:`repro.core.dcss.compose_readout` contracts its factored form
 block by block (:meth:`SparseReadout.tone_sum`), so not even the
 ``(tones, bins)`` kernel grid is held whole. That route serves sparse
@@ -88,7 +88,7 @@ from repro.phy.chirp import ChirpParams, downchirp
 _DIRICHLET_SINGULAR_TOL = 1e-6
 
 #: Grid elements per block of the ratio kernel behind
-#: :meth:`SparseReadout.tone_ratio` and :meth:`SparseReadout.tone_sum`:
+#: :meth:`SparseReadout.tone_sum`:
 #: the block's numerator and denominator scratch (1 MB together, plus
 #: 0.5 MB for a quotient that is contracted rather than stored) stay
 #: cache-resident.
@@ -204,7 +204,7 @@ class SparseReadout:
     def _operator(self) -> np.ndarray:
         """The ``(N, K)`` readout matrix, built on first time-domain use.
 
-        Purely analytic consumers (:meth:`tone_kernel`) never touch it,
+        Purely analytic consumers (:meth:`tone_sum`) never touch it,
         so receivers on the analytic composition path skip the
         ``N * K`` complex-exponential build entirely.
         """
@@ -240,25 +240,6 @@ class SparseReadout:
         """Number of evaluated bins (columns of the operator)."""
         return self._bin_indices.size
 
-    @property
-    def operator_materialised(self) -> bool:
-        """Whether the lazy ``(N, K)`` operator has been built."""
-        return self._op is not None
-
-    @property
-    def operator_bytes(self) -> int:
-        """Actual memory held by the ``(N, K)`` operator right now.
-
-        0 while the lazy operator is unmaterialised — introspection must
-        never force the build (analytic-path receivers live their whole
-        life without it), and reporting the hypothetical size would
-        overstate a purely analytic consumer's footprint by the one
-        array it deliberately avoids allocating.
-        """
-        if self._op is None:
-            return 0
-        return self._op.nbytes
-
     def spectrum(self, symbols: np.ndarray) -> np.ndarray:
         """Complex spectrum values at the readout bins.
 
@@ -272,28 +253,16 @@ class SparseReadout:
             )
         return symbols @ self._operator
 
-    def powers(self, symbols: np.ndarray) -> np.ndarray:
-        """Power spectrum values at the readout bins."""
-        values = self.spectrum(symbols)
-        return (values.real**2 + values.imag**2)
-
-    def noise_covariance(self) -> np.ndarray:
+    def analytic_noise_covariance(self) -> np.ndarray:
         """Covariance of unit-power complex AWGN seen through this readout.
 
         For ``n`` iid circular CN(0, 1) time samples the readout values
         ``y = n @ op`` are jointly circular Gaussian with
-        ``E[y y^H] = op^T conj(op)`` (the folded downchirp drops out:
-        it is unit-modulus). Scaling by the physical noise power gives
-        the exact distribution of the noise at the read bins, which lets
-        the decode engine draw noise *after* the readout instead of over
-        the full time-domain tensor. Entry ``[k, j]`` has the closed form
-        ``D_N((q_j - q_k) / zp)`` (see :func:`dirichlet_kernel`), which
-        :func:`analytic_noise_covariance` evaluates without the operator.
-        """
-        return self._operator.T @ np.conjugate(self._operator)
-
-    def analytic_noise_covariance(self) -> np.ndarray:
-        """Closed-form :meth:`noise_covariance`, operator-free.
+        ``E[y y^H] = op^T conj(op)``, whose entry ``[k, j]`` has the
+        closed form ``D_N((q_j - q_k) / zp)`` (see
+        :func:`dirichlet_kernel`), evaluated here without the operator.
+        It lets the decode engine draw noise *after* the readout instead
+        of over the full time-domain tensor.
 
         Bit-for-bit independent of ``fold_downchirp`` (the unit-modulus
         fold cancels only up to round-off in the matmul form), so noise
@@ -310,7 +279,7 @@ class SparseReadout:
     def tone_phase_coeff(self) -> float:
         """Coefficient of the separable Dirichlet phase, ``pi*(N-1)/N``.
 
-        ``D_N(b - q/zp) = exp(1j*c*b) * exp(-1j*c*q/zp) * tone_ratio``
+        ``D_N(b - q/zp) = exp(1j*c*b) * exp(-1j*c*q/zp) * ratio``
         with ``c`` this coefficient: the complex part of the kernel is
         rank one over the ``(tones, bins)`` grid, so composition paths
         fold ``exp(1j*c*b)`` into the per-device weights and
@@ -338,50 +307,6 @@ class SparseReadout:
             )
         return self._bin_trig
 
-    def tone_ratio(
-        self,
-        effective_bins: np.ndarray,
-        dtype=np.float64,
-        columns: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Real part-ratio of the tone kernel, ``sin(pi*u)/sin(pi*u/N)``.
-
-        ``effective_bins`` is ``(..., n_tones)``; the result is the real
-        ``(..., n_tones, K)`` matrix such that multiplying by the
-        separable phases (:attr:`tone_phase_coeff`) yields
-        :meth:`tone_kernel`. Evaluated via angle-difference identities —
-        per-bin trigonometry is cached, per-tone trigonometry is linear
-        in the inputs, and the ``(n_tones, K)`` grid sees only in-place
-        multiply/subtract/divide passes (no transcendentals), which is
-        what makes per-round kernel builds cheaper than even one
-        time-domain readout matmul. ``dtype=numpy.float32`` stores the
-        result single-precision for the downstream real GEMMs; the
-        evaluation itself stays double — the denominator
-        ``sin(pi*u/N)`` suffers catastrophic cancellation in float32
-        for tones that graze a readout bin, which would corrupt
-        main-lobe values just outside the singular-limit branch.
-
-        ``columns`` evaluates each row at its own subset of this
-        readout's bins: for ``(R, n_tones)`` bins and an ``(R, K')``
-        array of positions into :attr:`bin_indices`, the result is
-        ``(R, n_tones, K')``, entry for entry equal to the full result
-        gathered at those positions. The decode engine reads payload
-        symbols this way, at each device's located ``±1`` bins only.
-
-        The L'Hopital entries are found per tone, not by a pass over the
-        grid (:meth:`_singular_entries`).
-        """
-        b = np.asarray(effective_bins, dtype=float)
-        # Without columns, every tone is one row against all bins.
-        tones = b.reshape(1, b.size) if columns is None else b
-        ratio = np.empty(tones.shape + (self._n_columns(b, columns),))
-        for _ in self._ratio_blocks(tones, columns, out=ratio):
-            pass
-        ratio = ratio.reshape(b.shape + ratio.shape[-1:])
-        if np.dtype(dtype) != np.float64:
-            ratio = ratio.astype(dtype)
-        return ratio
-
     def tone_sum(
         self,
         effective_bins: np.ndarray,
@@ -389,21 +314,34 @@ class SparseReadout:
         dtype=np.float64,
         columns: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``weights @ tone_ratio(effective_bins)``, never building the grid.
+        """``weights @ ratio``, never building the ratio grid.
+
+        The ratio is the real part-ratio of the tone kernel,
+        ``sin(pi*u)/sin(pi*u/N)`` at ``u = b - q/zp``, which the
+        separable phases (:attr:`tone_phase_coeff`) turn into
+        ``D_N(b - q/zp)``; ``tests/readout_oracle.py::tone_ratio`` builds
+        the whole grid as this method's reference.
 
         ``effective_bins`` is ``(R, n_tones)`` and ``weights``
         ``(R, S, n_tones)``; the result is the ``(R, S, K)`` contraction
-        over tones (``(R, S, K')`` with ``columns``, as in
-        :meth:`tone_ratio`). Each cache-sized block of the grid is
+        over tones. ``columns``, an ``(R, K')`` array of positions into
+        :attr:`bin_indices`, evaluates each row at its own subset of the
+        readout's bins, giving ``(R, S, K')``: the decode engine reads
+        payload symbols this way, at each device's located ``±1`` bins
+        only. Each cache-sized block of the grid is
         contracted with its slice of the weights as soon as the shared
         block kernel builds it, so the working set is one block instead
         of the ``(R, n_tones, K)`` grid, and each product goes to BLAS
         in calls of at most :data:`_GEMM_MAX_MACS` multiply-adds, split
-        by symbol rows. The entries are those of :meth:`tone_ratio`;
-        only the order of the sum over tones differs, by round-off.
+        by symbol rows. The entries are those of the full grid; only the
+        order of the sum over tones differs, by round-off. The grid is
+        evaluated in double via angle-difference identities: per-bin
+        trigonometry is cached, per-tone trigonometry is linear in the
+        inputs, and the grid sees only multiply/subtract/divide passes.
         ``dtype=numpy.float32`` casts each block and accumulates in
-        single precision, like a single-precision GEMM on a
-        ``tone_ratio(..., dtype=numpy.float32)`` grid.
+        single precision, like a single-precision GEMM on a float32
+        grid; the evaluation stays double because ``sin(pi*u/N)``
+        cancels catastrophically in float32 for tones that graze a bin.
         """
         b = np.asarray(effective_bins, dtype=float)
         weights = np.asarray(weights)
@@ -466,7 +404,7 @@ class SparseReadout:
         columns: Optional[np.ndarray],
         out: Optional[np.ndarray] = None,
     ):
-        """The one block kernel behind :meth:`tone_ratio` and :meth:`tone_sum`.
+        """The block kernel behind :meth:`tone_sum` (and the oracle's ratio grid).
 
         ``tones`` is ``(n_rows, n_tones)``; row ``r`` is evaluated at
         every readout bin, or at ``columns[r]``. Yields ``(rows, cut,
@@ -571,7 +509,7 @@ class SparseReadout:
     def _singular_entries(
         self, tones: np.ndarray, columns: Optional[np.ndarray]
     ) -> tuple:
-        """Candidate L'Hopital entries of a :meth:`tone_ratio` grid.
+        """Candidate L'Hopital entries of a ratio grid.
 
         ``sin(pi*u/N)`` drops below ``_DIRICHLET_SINGULAR_TOL`` only
         within ``n_grid * tol / pi`` grid steps (~0.002 at SF 9, zp 10)
@@ -616,24 +554,6 @@ class SparseReadout:
         starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
         return tone, order[starts + np.arange(tone.size)]
 
-    def tone_kernel(self, effective_bins: np.ndarray) -> np.ndarray:
-        """Closed-form readout of unit tones at fractional natural bins.
-
-        ``effective_bins`` is ``(..., n_tones)``; the result is
-        ``(..., n_tones, K)`` with entry ``D_N(b - q_k / zp)`` — the
-        value the padded FFT of the dechirped unit tone at fractional
-        bin ``b`` takes at readout bin ``q_k``. A weighted sum of rows
-        therefore reproduces :meth:`spectrum` of a composed tone-sum
-        symbol to round-off, with no waveform in between.
-
-        Hot paths (:func:`repro.core.dcss.compose_readout`) contract
-        the factored ratio with :meth:`tone_sum` and never materialise
-        this complex matrix; it is the reference/unit-test surface.
-        """
-        b = np.asarray(effective_bins, dtype=float)
-        ratio = self.tone_ratio(b)
-        phase_b = np.exp(1j * self.tone_phase_coeff * b)
-        return (phase_b[..., None] * self.bin_phase_factor()) * ratio
 
 
 def full_fft_values(

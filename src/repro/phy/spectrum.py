@@ -10,7 +10,7 @@ the window transform, plus helpers for spectrograms (Fig. 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -137,31 +137,6 @@ def power_spectral_density(
     return freqs, psd_db
 
 
-def spectrogram(
-    signal: np.ndarray, sample_rate_hz: float, nfft: int = 256
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrogram of a complex baseband signal (Fig. 16).
-
-    Returns (frequencies Hz, times s, power dB), with frequencies centred.
-    """
-    from scipy.signal import stft
-
-    signal = np.asarray(signal, dtype=complex)
-    if signal.size < nfft:
-        raise ConfigurationError("signal shorter than one STFT window")
-    freqs, times, z = stft(
-        signal,
-        fs=sample_rate_hz,
-        nperseg=nfft,
-        return_onesided=False,
-    )
-    freqs = np.fft.fftshift(freqs)
-    z = np.fft.fftshift(z, axes=0)
-    with np.errstate(divide="ignore"):
-        power_db = 20.0 * np.log10(np.maximum(np.abs(z), 1e-15))
-    return freqs, times, power_db
-
-
 def instantaneous_frequency(
     signal: np.ndarray, sample_rate_hz: float
 ) -> np.ndarray:
@@ -175,10 +150,3 @@ def instantaneous_frequency(
         raise ConfigurationError("need at least two samples")
     phase_steps = np.angle(signal[1:] * np.conjugate(signal[:-1]))
     return phase_steps * sample_rate_hz / (2.0 * np.pi)
-
-
-def occupied_bins(power_db: np.ndarray, threshold_db: float) -> List[int]:
-    """Indices of bins whose level exceeds ``threshold_db`` below the peak."""
-    power_db = np.asarray(power_db, dtype=float)
-    peak = float(np.max(power_db))
-    return [int(i) for i in np.flatnonzero(power_db >= peak + threshold_db)]

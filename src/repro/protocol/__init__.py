@@ -14,7 +14,6 @@ from repro.protocol.messages import QueryMessage, AssociationResponse
 from repro.protocol.network import (
     NetworkSimulator,
     NetworkMetrics,
-    RoundResult,
     sweep_device_counts,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "AssociationResponse",
     "NetworkSimulator",
     "NetworkMetrics",
-    "RoundResult",
     "sweep_device_counts",
 ]

@@ -51,12 +51,12 @@ statistics against it.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.airtime import RoundAirtime, netscatter_round_airtime_s
+from repro.analysis.airtime import netscatter_round_airtime_s
 from repro.channel.awgn import awgn_rounds
 from repro.channel.deployment import Deployment
 from repro.constants import PAYLOAD_CRC_BITS, QUERY_BITS_CONFIG1
@@ -86,63 +86,6 @@ DEFAULT_DEVICE_COUNTS = (1, 16, 32, 64, 96, 128, 160, 192, 224, 256)
 #: and in the campaigns: the deployment experiments run every device
 #: concurrently, so no association shifts are reserved.
 SWEEP_CONFIG = {"n_association_shifts": 0}
-
-
-@dataclass
-class RoundResult:
-    """Outcome of one concurrent round."""
-
-    n_devices: int
-    airtime: RoundAirtime
-    sent_bits: Dict[int, List[int]] = field(default_factory=dict)
-    received_bits: Dict[int, List[int]] = field(default_factory=dict)
-    detected: Dict[int, bool] = field(default_factory=dict)
-    #: Spectral backend that decoded this round ("analytic"/"sparse"/"fft").
-    backend: str = ""
-    #: Engine-noise stream that decoded this round ("payload"/"full",
-    #: or "none" when the noise entered the input tensor instead —
-    #: the time engine) and its version (see repro.phy.noise).
-    noise_mode: str = ""
-    noise_version: int = 0
-
-    @property
-    def total_bits_sent(self) -> int:
-        return sum(len(b) for b in self.sent_bits.values())
-
-    @property
-    def total_bits_correct(self) -> int:
-        correct = 0
-        for device_id, sent in self.sent_bits.items():
-            got = self.received_bits.get(device_id, [])
-            correct += sum(
-                1 for s, g in zip(sent, got) if s == g
-            )
-        return correct
-
-    @property
-    def packets_delivered(self) -> int:
-        """Packets with every bit correct (CRC would pass)."""
-        delivered = 0
-        for device_id, sent in self.sent_bits.items():
-            got = self.received_bits.get(device_id, [])
-            if len(got) == len(sent) and all(
-                s == g for s, g in zip(sent, got)
-            ):
-                delivered += 1
-        return delivered
-
-    @property
-    def bit_error_rate(self) -> float:
-        total = self.total_bits_sent
-        if total == 0:
-            return 0.0
-        return 1.0 - self.total_bits_correct / total
-
-    @property
-    def delivery_ratio(self) -> float:
-        if self.n_devices == 0:
-            return 1.0
-        return self.packets_delivered / self.n_devices
 
 
 @dataclass
@@ -207,7 +150,7 @@ class NetworkSimulator:
         ``"auto"`` additionally lets the calibrated backend planner
         switch to the sparse-matmul or padded-FFT readout when the
         occupancy makes them cheaper (same decisions, recorded in
-        ``RoundResult.backend`` / ``NetworkMetrics.backend``);
+        ``NetworkMetrics.backend``);
         ``"time"`` composes full time-domain tensors and adds AWGN over
         them (the reference path).
     readout_dtype:
@@ -455,34 +398,6 @@ class NetworkSimulator:
                 noisy, n_preamble_upchirps=n_preamble
             )
         return decode, payload, floors
-
-    def run_round(self, fading: bool = False) -> RoundResult:
-        """One full concurrent round: compose, add noise, decode, account.
-
-        SNR convention: the weakest *effective* device defines the noise
-        level (its amplitude is the reference at its SNR); every other
-        device's amplitude follows from its SNR relative to that.
-        """
-        decode, payload, _ = self._run_batch(1, fading)
-        frame = decode.frame(0)
-        airtime = netscatter_round_airtime_s(
-            self._config, self._query_bits, self._structure
-        )
-        result = RoundResult(
-            n_devices=self._deployment.n_devices,
-            airtime=airtime,
-            backend=decode.backend,
-            noise_mode=decode.noise_mode,
-            noise_version=decode.noise_version,
-        )
-        for index, device in enumerate(self._deployment.devices):
-            result.sent_bits[device.device_id] = payload[
-                0, :, index
-            ].tolist()
-            dec = frame.devices[index]
-            result.detected[device.device_id] = dec.detected
-            result.received_bits[device.device_id] = list(dec.bits)
-        return result
 
     def run_rounds(self, n_rounds: int, fading: bool = False) -> NetworkMetrics:
         """Run several rounds and aggregate into the Fig. 17-19 metrics.

@@ -16,8 +16,7 @@ Two layers live here:
 * **State + kernels** — :class:`Population` (struct-of-arrays with
   amortised growth and a sorted-id index) and the vectorised allocation
   kernels (:func:`spread_slot_indices`, :func:`spread_shifts`,
-  :func:`power_aware_shifts`, :func:`span_group_bounds`,
-  :func:`assign_cluster`) that replace the per-device loops in
+  :func:`span_group_bounds`, :func:`assign_cluster`) that replace the per-device loops in
   ``core/allocation.py`` and the scheduler. The kernels are pinned
   bit-identical to the per-device-object oracle by
   ``tests/test_population_scale.py``.
@@ -394,25 +393,6 @@ def spread_shifts(
     snrs = np.asarray(snrs_db, dtype=np.float64)
     n = snrs.size
     order = np.argsort(-snrs, kind="stable")
-    indices = spread_slot_indices(n, int(np.asarray(slots).size))
-    shifts = np.empty(n, dtype=np.int64)
-    shifts[order] = np.asarray(slots, dtype=np.int64)[indices]
-    return shifts
-
-
-def power_aware_shifts(
-    snrs_db: np.ndarray, slots: np.ndarray
-) -> np.ndarray:
-    """One-shot power-aware allocation kernel (argsort ranking).
-
-    The vectorised body of
-    :func:`repro.core.allocation.power_aware_allocation`: ranks with the
-    same ``np.argsort(snrs)[::-1]`` expression the legacy loop used (so
-    tie order is bit-identical) and gathers the folded spread slots.
-    """
-    snrs = np.asarray(snrs_db, dtype=np.float64)
-    n = snrs.size
-    order = np.argsort(snrs)[::-1]
     indices = spread_slot_indices(n, int(np.asarray(slots).size))
     shifts = np.empty(n, dtype=np.int64)
     shifts[order] = np.asarray(slots, dtype=np.int64)[indices]

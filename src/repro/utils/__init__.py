@@ -3,33 +3,23 @@
 Submodules
 ----------
 ``conversions``
-    Decibel / linear / dBm / watt conversions and timing-to-bin maps.
-``bits``
-    Bit packing, CRC checksums and pseudo-random bit sequences.
-``sampling``
-    Oversampling, fractional delay and resampling helpers.
+    Decibel / linear conversions and timing- and frequency-to-bin maps.
+``parallel``
+    Usable-CPU counting and the two-stage decode pipeline.
 ``stats``
-    Empirical CDFs, quantiles and confidence intervals for BER counting.
+    CDF lookups and confidence intervals for BER counting.
 ``rng``
     Seeded random generator plumbing so every experiment is reproducible.
 """
 
 from repro.utils.conversions import (
     db_to_linear,
-    linear_to_db,
-    dbm_to_watts,
-    watts_to_dbm,
-    power_db,
     amplitude_from_db,
 )
 from repro.utils.rng import make_rng
 
 __all__ = [
     "db_to_linear",
-    "linear_to_db",
-    "dbm_to_watts",
-    "watts_to_dbm",
-    "power_db",
     "amplitude_from_db",
     "make_rng",
 ]

@@ -7,8 +7,6 @@ in a link budget produces wrong BER curves that are hard to trace.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import LinkBudgetError
@@ -23,44 +21,6 @@ def db_to_linear(value_db: float) -> float:
     0.501...
     """
     return float(10.0 ** (np.asarray(value_db, dtype=float) / 10.0))
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear power ratio to decibels.
-
-    Raises :class:`LinkBudgetError` for non-positive input because a zero or
-    negative power has no decibel representation.
-    """
-    value = float(value)
-    if not value > 0.0 or math.isnan(value):
-        raise LinkBudgetError(f"cannot take dB of non-positive power {value!r}")
-    return 10.0 * math.log10(value)
-
-
-def dbm_to_watts(value_dbm: float) -> float:
-    """Convert dBm to watts.
-
-    >>> dbm_to_watts(30.0)
-    1.0
-    """
-    return 10.0 ** ((float(value_dbm) - 30.0) / 10.0)
-
-
-def watts_to_dbm(value_w: float) -> float:
-    """Convert watts to dBm."""
-    value_w = float(value_w)
-    if not value_w > 0.0 or math.isnan(value_w):
-        raise LinkBudgetError(f"cannot take dBm of non-positive power {value_w!r}")
-    return 10.0 * math.log10(value_w) + 30.0
-
-
-def power_db(signal: np.ndarray) -> float:
-    """Mean power of a complex signal, in dB relative to unit power."""
-    signal = np.asarray(signal)
-    if signal.size == 0:
-        raise LinkBudgetError("cannot compute power of an empty signal")
-    mean_power = float(np.mean(np.abs(signal) ** 2))
-    return linear_to_db(mean_power)
 
 
 def amplitude_from_db(gain_db: float) -> float:
@@ -84,13 +44,6 @@ def timing_offset_to_bins(delta_t_s: float, bandwidth_hz: float) -> float:
     return float(delta_t_s) * float(bandwidth_hz)
 
 
-def bins_to_timing_offset(delta_bin: float, bandwidth_hz: float) -> float:
-    """Inverse of :func:`timing_offset_to_bins`."""
-    if bandwidth_hz <= 0:
-        raise LinkBudgetError("bandwidth must be positive")
-    return float(delta_bin) / float(bandwidth_hz)
-
-
 def freq_offset_to_bins(
     delta_f_hz: float, bandwidth_hz: float, spreading_factor: int
 ) -> float:
@@ -104,17 +57,6 @@ def freq_offset_to_bins(
     if spreading_factor < 1:
         raise LinkBudgetError("spreading factor must be >= 1")
     return float(delta_f_hz) * (2 ** int(spreading_factor)) / float(bandwidth_hz)
-
-
-def bins_to_freq_offset(
-    delta_bin: float, bandwidth_hz: float, spreading_factor: int
-) -> float:
-    """Inverse of :func:`freq_offset_to_bins`."""
-    if bandwidth_hz <= 0:
-        raise LinkBudgetError("bandwidth must be positive")
-    if spreading_factor < 1:
-        raise LinkBudgetError("spreading factor must be >= 1")
-    return float(delta_bin) * float(bandwidth_hz) / (2 ** int(spreading_factor))
 
 
 def doppler_shift_hz(speed_m_s: float, carrier_freq_hz: float) -> float:

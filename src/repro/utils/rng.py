@@ -9,7 +9,7 @@ needs them.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -53,12 +53,6 @@ def child_rng(rng: np.random.Generator, index: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(rng, index))
 
 
-def spawn_rngs(seed: RngLike, count: int) -> list:
-    """Create ``count`` independent generators from one seed."""
-    base = make_rng(seed)
-    return [child_rng(base, i) for i in range(count)]
-
-
 def standard_complex_normal(
     rng: RngLike, shape, dtype=np.float64
 ) -> np.ndarray:
@@ -83,10 +77,3 @@ def standard_complex_normal(
     draws *= dtype.type(np.sqrt(0.5))
     complex_dtype = np.complex64 if dtype == np.float32 else complex
     return draws.view(complex_dtype).reshape(shape)
-
-
-def optional_seed(seed: RngLike) -> Optional[int]:
-    """Extract a reportable integer seed, or ``None`` for entropy seeding."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return None

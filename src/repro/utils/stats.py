@@ -9,29 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ReproError
-
-
-def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of ``samples``.
-
-    Returns sorted sample values and the CDF evaluated at each value.
-    """
-    data = np.sort(np.asarray(samples, dtype=float))
-    if data.size == 0:
-        raise ReproError("cannot compute CDF of an empty sample set")
-    y = np.arange(1, data.size + 1) / data.size
-    return data, y
-
-
-def complementary_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """1 - CDF, as used by the paper's log-scale tail plots (Fig. 14b)."""
-    x, y = empirical_cdf(samples)
-    return x, 1.0 - y + 1.0 / len(x)
 
 
 def cdf_at(samples: Sequence[float], threshold: float) -> float:
@@ -40,16 +22,6 @@ def cdf_at(samples: Sequence[float], threshold: float) -> float:
     if data.size == 0:
         raise ReproError("cannot evaluate CDF of an empty sample set")
     return float(np.mean(data <= threshold))
-
-
-def quantile(samples: Sequence[float], q: float) -> float:
-    """Quantile with input validation (q in [0, 1])."""
-    if not 0.0 <= q <= 1.0:
-        raise ReproError(f"quantile must lie in [0, 1], got {q}")
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ReproError("cannot take quantile of an empty sample set")
-    return float(np.quantile(data, q))
 
 
 @dataclass(frozen=True)
@@ -94,19 +66,3 @@ def ber_estimate(errors: int, trials: int, z: float = 1.96) -> BerEstimate:
         ci_low=max(0.0, centre - margin),
         ci_high=min(1.0, centre + margin),
     )
-
-
-def db_variance(series_db: Sequence[float]) -> float:
-    """Variance of a dB-valued series (used for Fig. 9's SNR variance)."""
-    data = np.asarray(series_db, dtype=float)
-    if data.size < 2:
-        raise ReproError("need at least two samples for a variance")
-    return float(np.var(data, ddof=1))
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (for gain-factor summaries)."""
-    data = np.asarray(values, dtype=float)
-    if data.size == 0 or np.any(data <= 0):
-        raise ReproError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(data))))

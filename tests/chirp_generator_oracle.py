@@ -1,4 +1,4 @@
-"""Digital chirp generator: the tag's FPGA/ASIC baseband block.
+"""The tag's digital chirp generator, kept as a test oracle.
 
 Section 4.1: the tag synthesises its chirp with a phase-accumulator
 driving 1-bit (square-wave) I/Q outputs into the switch network — not a
@@ -13,9 +13,9 @@ DAC. This model reproduces that chain:
   which the paper's cascaded-switch network is designed to cancel.
 
 The receiver only sees the fundamental (the harmonics fall out of band
-or are cancelled), which is why the rest of the library models the
-transmitted chirp as the ideal complex exponential; this module exists
-to *verify* that idealisation and to quantify the quantisation floor.
+or are cancelled), which is why the engine models the transmitted chirp
+as the ideal complex exponential; this model verifies that idealisation
+and quantifies the quantisation floor.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import HardwareModelError
 from repro.phy.chirp import ChirpParams, cyclic_shifted_upchirp
+from repro.phy.demodulation import Demodulator
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,5 @@ def decode_through_generator(
     equals ``shift`` when the quantisation floor is adequate — the test
     that justifies modelling tags as ideal chirp sources elsewhere.
     """
-    from repro.phy.demodulation import Demodulator
-
     generator = ChirpGenerator(params=params, acc_bits=acc_bits)
     return Demodulator(params).classic_decode(generator.fundamental(shift))

@@ -84,7 +84,7 @@ def decode_symbols(
             for result in payload_results:
                 power = power_at_index(result, located)
                 decode.bit_powers.append(power)
-                decode.bits.append(int(power > decode.threshold))
+                decode.bits.append(int(power > 0.5 * decode.preamble_power))
         devices[device_id] = decode
     return FrameDecode(devices=devices)
 

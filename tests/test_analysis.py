@@ -4,21 +4,10 @@ import pytest
 
 from repro.analysis.airtime import (
     lora_backscatter_poll_airtime_s,
-    lora_network_latency_s,
-    netscatter_link_layer_rate_bps,
     netscatter_network_latency_s,
     netscatter_round_airtime_s,
 )
-from repro.analysis.metrics import (
-    ber,
-    delivery_ratio,
-    gain_factor,
-    link_layer_rate_bps,
-    network_phy_rate_bps,
-    packet_error_rate,
-    summarize_series,
-)
-from repro.analysis.reports import format_comparison, format_series, format_table
+from repro.analysis.reports import format_table
 from repro.constants import QUERY_BITS_CONFIG1, QUERY_BITS_CONFIG2
 from repro.errors import ConfigurationError, ReproError
 
@@ -46,31 +35,9 @@ class TestNetScatterAirtime:
             netscatter_round_airtime_s(config, QUERY_BITS_CONFIG1).total_s
         )
 
-    def test_link_layer_rate_scales_with_devices(self, config):
-        one = netscatter_link_layer_rate_bps(config, 1, QUERY_BITS_CONFIG1)
-        many = netscatter_link_layer_rate_bps(
-            config, 256, QUERY_BITS_CONFIG1
-        )
-        assert many == pytest.approx(256 * one)
-
-    def test_delivery_derating(self, config):
-        full = netscatter_link_layer_rate_bps(
-            config, 10, QUERY_BITS_CONFIG1, delivery_ratio=1.0
-        )
-        derated = netscatter_link_layer_rate_bps(
-            config, 10, QUERY_BITS_CONFIG1, delivery_ratio=0.5
-        )
-        assert derated == pytest.approx(0.5 * full)
-
     def test_invalid_inputs(self, config):
         with pytest.raises(ConfigurationError):
             netscatter_round_airtime_s(config, -1)
-        with pytest.raises(ConfigurationError):
-            netscatter_link_layer_rate_bps(config, 0, 32)
-        with pytest.raises(ConfigurationError):
-            netscatter_link_layer_rate_bps(
-                config, 1, 32, delivery_ratio=1.5
-            )
 
 
 class TestLoRaAirtime:
@@ -85,42 +52,9 @@ class TestLoRaAirtime:
         with pytest.raises(ConfigurationError):
             lora_backscatter_poll_airtime_s(8.7e3)
 
-    def test_network_latency_sums(self, params):
-        single = lora_backscatter_poll_airtime_s(8.7e3, params=params)
-        total = lora_network_latency_s([8.7e3] * 10, params=params)
-        assert total == pytest.approx(10 * single)
-
     def test_invalid_bitrate(self, params):
         with pytest.raises(ConfigurationError):
             lora_backscatter_poll_airtime_s(0.0, params=params)
-
-
-class TestMetrics:
-    def test_ber(self):
-        assert ber([1, 0, 1, 0], [1, 1, 1, 0]) == pytest.approx(0.25)
-
-    def test_ber_empty_rejected(self):
-        with pytest.raises(ReproError):
-            ber([], [])
-
-    def test_per_and_delivery(self):
-        outcomes = [True, True, False, True]
-        assert packet_error_rate(outcomes) == pytest.approx(0.25)
-        assert delivery_ratio(outcomes) == pytest.approx(0.75)
-
-    def test_rates(self):
-        assert network_phy_rate_bps(1000.0, 1.0) == 1000.0
-        assert link_layer_rate_bps(1000.0, 2.0) == 500.0
-
-    def test_gain_factor(self):
-        assert gain_factor(62.0, 1.0) == 62.0
-        with pytest.raises(ReproError):
-            gain_factor(1.0, 0.0)
-
-    def test_summary(self):
-        rows = [{"x": 1.0}, {"x": 3.0}]
-        summary = summarize_series(rows, "x")
-        assert summary == {"mean": 2.0, "min": 1.0, "max": 3.0}
 
 
 class TestReports:
@@ -133,23 +67,3 @@ class TestReports:
     def test_table_missing_column_rejected(self):
         with pytest.raises(ReproError):
             format_table([{"a": 1}], ["a", "missing"])
-
-    def test_series_downsamples(self):
-        x = list(range(1000))
-        y = list(range(1000))
-        text = format_series(x, y, "x", "y", max_rows=10)
-        assert len(text.splitlines()) < 120
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ReproError):
-            format_series([1], [1, 2], "x", "y")
-
-    def test_comparison(self):
-        text = format_comparison(
-            {"gain": 58.0}, {"gain": 61.9}, title="fig18"
-        )
-        assert "61.9" in text and "58" in text
-
-    def test_comparison_no_overlap_rejected(self):
-        with pytest.raises(ReproError):
-            format_comparison({"a": 1.0}, {"b": 1.0})

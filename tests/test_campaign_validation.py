@@ -27,6 +27,7 @@ from repro.campaign.faults import (
     FaultPlan,
 )
 from repro.campaign.objectstore import HttpDriver
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.storage import RetryingDriver
 from repro.errors import ConfigurationError, PersistentStorageError
 
@@ -209,3 +210,51 @@ def test_cli_rejects_unknown_rule_key_in_one_line(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+class TestPointTimeout:
+    """``0`` used to mean "no bound" serially and "time out now" in a
+    pool; now only ``None`` or a finite value > 0 builds a runner."""
+
+    @pytest.mark.parametrize("timeout_s", [0, 0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_runner_rejects(self, timeout_s):
+        with pytest.raises(ConfigurationError, match="point_timeout_s"):
+            CampaignRunner(point_timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("timeout_s", [None, 0.5, 30])
+    def test_runner_accepts(self, timeout_s):
+        CampaignRunner(point_timeout_s=timeout_s)
+
+
+class TestCliValues:
+    """Malformed ``run`` values end in one ``error:`` line and exit 2,
+    before a store is made."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--counts", "1,x"],
+            ["--counts", "1", "--lease-ttl-s", "0"],
+            ["--counts", "1", "--lease-ttl-s", "-1"],
+            ["--counts", "1", "--timeout-s", "-1"],
+            ["--counts", "1", "--timeout-s", "nan"],
+            ["--counts", "1", "--timeout-s", "0"],
+        ],
+        ids=["counts", "ttl-zero", "ttl-negative", "timeout-negative", "timeout-nan",
+             "timeout-zero"],
+    )
+    def test_run_refuses_up_front(self, extra, capsys, tmp_path):
+        store = tmp_path / "store"
+        code = entrypoint(
+            ["run", "--spec", "fig17", "--rounds", "1", "--engine", "analytic",
+             "--store", str(store)] + extra
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not store.exists()
+
+    def test_serve_api_refuses_a_bad_timeout(self, capsys):
+        assert entrypoint(["serve-api", "--port", "0", "--timeout-s", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --timeout-s")

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel.deployment import (
-    generate_office_deployment,
-    paper_deployment,
-    snr_from_downlink_rssi,
-)
+from repro.channel.deployment import generate_office_deployment, paper_deployment
 from repro.channel.link import LinkBudget
-from repro.constants import ENVELOPE_DETECTOR_SENSITIVITY_DBM
 from repro.errors import ReproError
 
 
@@ -29,21 +24,6 @@ class TestLinkBudget:
         full = budget.uplink_rssi_dbm(10.0, tag_power_gain_db=0.0)
         reduced = budget.uplink_rssi_dbm(10.0, tag_power_gain_db=-10.0)
         assert full - reduced == pytest.approx(10.0)
-
-    def test_query_decodable_at_short_range(self):
-        budget = LinkBudget()
-        assert budget.query_decodable(2.0)
-
-    def test_query_sensitivity_boundary(self):
-        budget = LinkBudget()
-        # Find a distance where the downlink is just below sensitivity.
-        for distance in np.linspace(1.0, 500.0, 200):
-            if not budget.query_decodable(float(distance)):
-                rssi = budget.downlink_rssi_dbm(float(distance))
-                assert rssi < ENVELOPE_DETECTOR_SENSITIVITY_DBM
-                break
-        else:
-            pytest.skip("query decodable at all tested ranges")
 
     def test_walls_reduce_both_directions(self):
         budget = LinkBudget()
@@ -138,25 +118,3 @@ class TestPrefixContract:
         assert prefix == full
         for built, cut in zip(prefix.devices, full.devices):
             assert built.fading._state_db == cut.fading._state_db
-
-
-class TestReciprocity:
-    def test_rssi_predicts_snr_monotonically(self):
-        """Stronger downlink RSSI must imply higher inferred uplink SNR —
-        the property the tag's power control needs."""
-        budget = LinkBudget()
-        rssi_values = [-30.0, -35.0, -40.0, -45.0]
-        inferred = [
-            snr_from_downlink_rssi(r, budget) for r in rssi_values
-        ]
-        assert all(a > b for a, b in zip(inferred, inferred[1:]))
-
-    def test_reciprocity_consistency(self):
-        """Inferring SNR from the true downlink RSSI at a distance must
-        match the direct uplink computation."""
-        budget = LinkBudget()
-        for distance in (5.0, 10.0, 20.0):
-            rssi = budget.downlink_rssi_dbm(distance)
-            inferred = snr_from_downlink_rssi(rssi, budget)
-            direct = budget.uplink_snr_db(distance)
-            assert inferred == pytest.approx(direct, abs=0.1)

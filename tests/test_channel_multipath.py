@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.channel.multipath import (
+from repro.errors import ReproError
+from waveform_oracle import (
     MultipathChannel,
     MultipathTap,
     delay_spread_in_bins,
     paper_delay_spread_range_bins,
     saleh_valenzuela_channel,
 )
-from repro.errors import ReproError
 
 
 class TestTapsAndChannel:

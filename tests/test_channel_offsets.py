@@ -1,80 +1,8 @@
-"""Unit tests for repro.channel.offsets — timing/frequency/Doppler."""
+"""Unit tests for repro.channel.offsets — Doppler."""
 
 import pytest
 
-from repro.channel.offsets import (
-    FrequencyOffsetModel,
-    TimingOffsetModel,
-    backscatter_frequency_model,
-    doppler_bin_shift,
-    radio_frequency_model,
-    residual_bin_offset,
-)
-from repro.errors import ReproError
-
-
-class TestTimingOffsetModel:
-    def test_delays_within_bounds(self, rng):
-        model = TimingOffsetModel()
-        for _ in range(200):
-            delay = model.sample_delay_s(rng)
-            assert 0.0 <= delay <= model.max_delay_s
-
-    def test_worst_case_bins_paper(self, params):
-        """3.5 us of jitter at 500 kHz exceeds one FFT bin (Section
-        3.2.1's motivation for SKIP)."""
-        model = TimingOffsetModel(max_delay_s=3.5e-6)
-        assert model.worst_case_bins(params) == pytest.approx(1.75)
-
-    def test_bin_offset_scales_with_bandwidth(self, rng):
-        model = TimingOffsetModel()
-        from repro.phy.chirp import ChirpParams
-
-        wide = ChirpParams(500e3, 9)
-        narrow = ChirpParams(125e3, 7)
-        # Same delay distribution: 4x the bandwidth, 4x the bins.
-        assert model.worst_case_bins(wide) == pytest.approx(
-            4 * model.worst_case_bins(narrow)
-        )
-
-    def test_invalid_params(self):
-        with pytest.raises(ReproError):
-            TimingOffsetModel(max_delay_s=-1.0)
-
-
-class TestFrequencyOffsetModel:
-    def test_max_offset(self):
-        model = FrequencyOffsetModel(
-            oscillator_freq_hz=3e6, tolerance_ppm=100.0
-        )
-        assert model.max_offset_hz == pytest.approx(300.0)
-
-    def test_samples_within_tolerance(self, rng):
-        model = FrequencyOffsetModel(
-            oscillator_freq_hz=3e6, tolerance_ppm=50.0
-        )
-        for _ in range(200):
-            assert abs(model.sample_offset_hz(rng)) <= model.max_offset_hz
-
-    def test_backscatter_vs_radio_ratio(self):
-        """Section 2.2: tags synthesise ~3 MHz vs 900 MHz for radios,
-        so their frequency offsets are 300x smaller at equal ppm."""
-        tag = backscatter_frequency_model(tolerance_ppm=50.0)
-        radio = radio_frequency_model(tolerance_ppm=50.0)
-        assert radio.max_offset_hz / tag.max_offset_hz == pytest.approx(
-            300.0
-        )
-
-    def test_tag_offset_below_one_bin(self, params, rng):
-        """At (500 kHz, SF 9) the tag's crystal error stays well below
-        one FFT bin — the paper's negligibility claim."""
-        model = backscatter_frequency_model(tolerance_ppm=100.0)
-        for _ in range(100):
-            assert abs(model.sample_bin_offset(params, rng)) < 1.0
-
-    def test_invalid_params(self):
-        with pytest.raises(ReproError):
-            FrequencyOffsetModel(oscillator_freq_hz=0.0)
+from repro.channel.offsets import doppler_bin_shift
 
 
 class TestDoppler:
@@ -86,15 +14,3 @@ class TestDoppler:
 
     def test_static_no_shift(self, params):
         assert doppler_bin_shift(0.0, params) == 0.0
-
-
-class TestResidual:
-    def test_combines_both_sources(self, params, rng):
-        timing = TimingOffsetModel()
-        freq = backscatter_frequency_model()
-        values = [
-            residual_bin_offset(params, timing, freq, rng)
-            for _ in range(100)
-        ]
-        assert all(v >= 0 for v in values)
-        assert max(values) <= timing.worst_case_bins(params) + 1.0

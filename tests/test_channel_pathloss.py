@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.channel.pathloss import (
-    free_space_path_loss_db,
-    indoor_path_loss_db,
-    round_trip_backscatter_loss_db,
-    round_trip_time_s,
-    time_of_flight_s,
-)
+from repro.channel.pathloss import free_space_path_loss_db, indoor_path_loss_db
 from repro.errors import LinkBudgetError
 
 
@@ -60,30 +54,3 @@ class TestIndoor:
     def test_invalid_walls(self):
         with pytest.raises(LinkBudgetError):
             indoor_path_loss_db(10.0, 900e6, n_walls=-1)
-
-
-class TestRoundTrip:
-    def test_doubles_one_way(self):
-        one_way = indoor_path_loss_db(10.0, 900e6)
-        round_trip = round_trip_backscatter_loss_db(
-            10.0, 900e6, backscatter_insertion_loss_db=6.0
-        )
-        assert round_trip == pytest.approx(2 * one_way + 6.0)
-
-    def test_insertion_loss_parameter(self):
-        a = round_trip_backscatter_loss_db(5.0, 900e6, backscatter_insertion_loss_db=0.0)
-        b = round_trip_backscatter_loss_db(5.0, 900e6, backscatter_insertion_loss_db=10.0)
-        assert b - a == pytest.approx(10.0)
-
-
-class TestTimeOfFlight:
-    def test_paper_example(self):
-        # Section 3.2.1: 100 m -> round trip 666 ns.
-        assert round_trip_time_s(100.0) == pytest.approx(666e-9, rel=0.01)
-
-    def test_one_way(self):
-        assert time_of_flight_s(300.0) == pytest.approx(1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(LinkBudgetError):
-            time_of_flight_s(-1.0)

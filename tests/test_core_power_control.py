@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.power_control import (
     PowerControlPolicy,
-    choose_initial_level,
     reciprocity_step,
     simulate_power_control,
     snr_groups,
@@ -17,21 +16,12 @@ class TestPolicy:
     def test_defaults(self):
         policy = PowerControlPolicy()
         assert policy.levels_db == (0.0, -4.0, -10.0)
-        assert policy.adjustment_span_db == pytest.approx(10.0)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             PowerControlPolicy(levels_db=())
         with pytest.raises(ConfigurationError):
             PowerControlPolicy(hysteresis_db=-1.0)
-
-
-class TestInitialLevel:
-    def test_far_device_full_power(self):
-        assert choose_initial_level(-45.0, -40.0) == 0
-
-    def test_near_device_middle(self):
-        assert choose_initial_level(-30.0, -40.0) == 1
 
 
 class TestReciprocityStep:

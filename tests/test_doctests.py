@@ -25,12 +25,10 @@ import repro.phy.backend_plan
 import repro.phy.noise
 import repro.protocol.population
 import repro.phy.sparse_readout
-import repro.utils.bits
 import repro.utils.conversions
 
 MODULES_WITH_DOCTESTS = [
     repro.utils.conversions,
-    repro.utils.bits,
     repro.phy.sparse_readout,
     repro.phy.backend_plan,
     repro.phy.noise,

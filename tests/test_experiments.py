@@ -24,7 +24,7 @@ from repro.experiments import (
     sec22_analytics,
     table1_configs,
 )
-from repro.experiments.common import ExperimentResult, geometric_sweep
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import QUICK_KWARGS
 from repro.protocol.network import sweep_device_counts
 
@@ -50,19 +50,6 @@ class TestCommon:
         result = ExperimentResult(experiment_id="x", title="demo")
         with pytest.raises(Exception):
             result.report()
-
-    def test_column_extraction(self):
-        result = ExperimentResult(
-            experiment_id="x",
-            title="demo",
-            rows=[{"a": 1.0}, {"a": 2.0}],
-            columns=["a"],
-        )
-        assert result.column("a") == [1.0, 2.0]
-
-    def test_geometric_sweep(self):
-        assert geometric_sweep(1, 16) == [1, 2, 4, 8, 16]
-        assert geometric_sweep(1, 10)[-1] == 10
 
 
 class TestAnalyticExperiments:

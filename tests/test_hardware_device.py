@@ -1,6 +1,5 @@
 """Unit tests for the composed BackscatterDevice behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
@@ -49,12 +48,6 @@ class TestAssociationBehaviour:
         device.reset_association()
         assert device.state is DeviceState.UNASSOCIATED
         assert device.assigned_shift is None
-
-    def test_query_below_sensitivity_unheard(self, device):
-        assert device.hear_query(-60.0) is None
-
-    def test_query_above_sensitivity_heard(self, device):
-        assert device.hear_query(-30.0) is not None
 
 
 class TestPowerAdjustment:
@@ -115,39 +108,3 @@ class TestPowerAdjustment:
         device.adjust_power(-30.0)  # back in range
         assert device.skipped_rounds == 0
         assert device.state is DeviceState.ASSOCIATED
-
-
-class TestTransmission:
-    def test_transmitter_requires_shift(self, device):
-        with pytest.raises(ProtocolError):
-            _ = device.transmitter
-
-    def test_packet_waveform_length(self, params):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        device.begin_association(-30.0)
-        device.complete_association(20, -30.0)
-        waveform, impairments = device.transmit_packet([1, 0, 1, 1])
-        assert waveform.size == (8 + 4) * params.n_samples
-        assert impairments.hardware_delay_s >= 0.0
-        assert impairments.power_gain_db == device.switch.gain_db
-
-    def test_impairments_vary_per_packet(self, params):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        draws = {device.draw_impairments().hardware_delay_s for _ in range(10)}
-        assert len(draws) > 1
-
-    def test_random_payload(self, params):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        bits = device.random_payload(32)
-        assert len(bits) == 32
-        assert set(bits) <= {0, 1}
-
-    def test_transmit_power_tracks_adjustment(self, params):
-        device = BackscatterDevice(device_id=1, params=params, rng=3)
-        device.begin_association(-30.0)
-        device.complete_association(20, -30.0)
-        device.adjust_power(-25.0)  # hotter channel -> step down
-        waveform, _ = device.transmit_packet([1])
-        n = params.n_samples
-        preamble_power = float(np.mean(np.abs(waveform[:n]) ** 2))
-        assert preamble_power == pytest.approx(10 ** (-1.0), rel=0.01)

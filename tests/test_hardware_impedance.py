@@ -99,16 +99,6 @@ class TestSwitchNetwork:
     def test_middle_index(self):
         assert SwitchNetwork().middle_index() == 1
 
-    def test_select_gain_db(self):
-        network = SwitchNetwork()
-        level = network.select_gain_db(-4.2, tol_db=0.5)
-        assert level.gain_db == -4.0
-
-    def test_select_gain_out_of_tolerance(self):
-        network = SwitchNetwork()
-        with pytest.raises(HardwareModelError):
-            network.select_gain_db(-7.0, tol_db=0.5)
-
     def test_invalid_index(self):
         with pytest.raises(HardwareModelError):
             SwitchNetwork().select(3)

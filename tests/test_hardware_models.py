@@ -1,11 +1,10 @@
-"""Unit tests for envelope detector, oscillator, MCU and power models."""
+"""Unit tests for the oscillator, MCU and power models."""
 
 import numpy as np
 import pytest
 
 from repro.errors import HardwareModelError
-from repro.hardware.envelope_detector import EnvelopeDetector, ask_modulate
-from repro.hardware.mcu import McuTimingModel, paper_timing_model
+from repro.hardware.mcu import McuTimingModel
 from repro.hardware.oscillator import (
     CrystalOscillator,
     OscillatorBank,
@@ -14,51 +13,6 @@ from repro.hardware.oscillator import (
 )
 from repro.hardware.power_model import IcPowerBudget
 from repro.phy.packet import PacketStructure
-
-
-class TestEnvelopeDetector:
-    def test_sensitivity_gate(self):
-        detector = EnvelopeDetector()
-        assert detector.can_decode(-48.0)
-        assert not detector.can_decode(-50.0)
-
-    def test_rssi_none_below_sensitivity(self, rng):
-        detector = EnvelopeDetector()
-        assert detector.measure_rssi_dbm(-60.0, rng) is None
-
-    def test_rssi_noise(self, rng):
-        detector = EnvelopeDetector(rssi_noise_std_db=1.0)
-        readings = [detector.measure_rssi_dbm(-30.0, rng) for _ in range(500)]
-        assert np.mean(readings) == pytest.approx(-30.0, abs=0.2)
-        assert np.std(readings) == pytest.approx(1.0, rel=0.2)
-
-    def test_noiseless_reading(self, rng):
-        detector = EnvelopeDetector(rssi_noise_std_db=0.0)
-        assert detector.measure_rssi_dbm(-30.0, rng) == -30.0
-
-    def test_ask_roundtrip(self, rng):
-        detector = EnvelopeDetector()
-        bits = rng.integers(0, 2, size=64).tolist()
-        envelope = ask_modulate(bits, samples_per_bit=8)
-        assert detector.demodulate_ask(envelope, samples_per_bit=8) == bits
-
-    def test_ask_roundtrip_with_noise(self, rng):
-        detector = EnvelopeDetector()
-        bits = rng.integers(0, 2, size=64).tolist()
-        envelope = ask_modulate(bits, samples_per_bit=16)
-        noisy = envelope + rng.normal(scale=0.1, size=envelope.size)
-        assert detector.demodulate_ask(np.abs(noisy), 16) == bits
-
-    def test_ask_validation(self):
-        with pytest.raises(HardwareModelError):
-            ask_modulate([2], 4)
-        with pytest.raises(HardwareModelError):
-            ask_modulate([1], 0)
-
-    def test_demodulate_too_short(self):
-        detector = EnvelopeDetector()
-        with pytest.raises(HardwareModelError):
-            detector.demodulate_ask(np.ones(3), samples_per_bit=8)
 
 
 class TestOscillator:
@@ -147,7 +101,7 @@ class TestMcuTiming:
             assert model.min_latency_s <= latency <= model.max_latency_s
 
     def test_paper_model_max_under_3_5us(self):
-        model = paper_timing_model()
+        model = McuTimingModel()
         assert model.max_latency_s <= 3.5e-6 + 1e-9
 
     def test_jitter_bins_at_deployment_config(self, params):

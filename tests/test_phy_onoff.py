@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.phy.chirp import cyclic_shifted_upchirp
 from repro.phy.demodulation import Demodulator
-from repro.phy.onoff import OnOffKeyedTransmitter
+from waveform_oracle import OnOffKeyedTransmitter
 
 
 class TestSymbols:

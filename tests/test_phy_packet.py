@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.phy.packet import BackscatterPacket, PacketStructure
+from repro.phy.packet import PacketStructure
 
 
 class TestPacketStructure:
@@ -36,37 +36,3 @@ class TestPacketStructure:
     def test_one_payload_symbol_per_bit(self):
         s = PacketStructure(payload_bits=17)
         assert s.n_payload_symbols == 17
-
-
-class TestBackscatterPacket:
-    def test_frame_appends_crc(self):
-        packet = BackscatterPacket(device_id=3, data_bits=[1, 0, 1, 1])
-        assert len(packet.frame_bits) == 12
-        assert packet.n_frame_bits == 12
-
-    def test_crc_roundtrip(self):
-        packet = BackscatterPacket(device_id=1, data_bits=[0, 1] * 16)
-        frame = packet.frame_bits
-        assert BackscatterPacket.verify(frame)
-        assert BackscatterPacket.extract_data(frame) == packet.data_bits
-
-    def test_corruption_detected(self):
-        packet = BackscatterPacket(device_id=1, data_bits=[0, 1] * 16)
-        frame = packet.frame_bits
-        frame[0] ^= 1
-        assert not BackscatterPacket.verify(frame)
-        with pytest.raises(ProtocolError):
-            BackscatterPacket.extract_data(frame)
-
-    def test_deployment_sized_payload(self):
-        # 32 data bits + 8 CRC = the 40-bit payload+CRC of Figs. 18-19.
-        packet = BackscatterPacket(device_id=0, data_bits=[1] * 32)
-        assert packet.n_frame_bits == 40
-
-    def test_invalid_device_id(self):
-        with pytest.raises(ProtocolError):
-            BackscatterPacket(device_id=-1)
-
-    def test_invalid_bits(self):
-        with pytest.raises(ProtocolError):
-            BackscatterPacket(device_id=0, data_bits=[2])

@@ -1,4 +1,4 @@
-"""Unit tests for repro.phy.spectrum — side lobes, PSD, spectrogram."""
+"""Unit tests for repro.phy.spectrum — side lobes, PSD, instantaneous frequency."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from repro.phy.chirp import oversampled_upchirp, upchirp
 from repro.phy.spectrum import (
     dirichlet_side_lobe_db,
     instantaneous_frequency,
-    occupied_bins,
     power_spectral_density,
     side_lobe_profile,
-    spectrogram,
 )
 
 
@@ -87,19 +85,6 @@ class TestPsd:
         assert np.median(psd_db[in_band]) > np.median(psd_db[out_band]) + 10
 
 
-class TestSpectrogram:
-    def test_shapes(self, params):
-        signal = np.tile(upchirp(params), 4)
-        freqs, times, power_db = spectrogram(
-            signal, params.bandwidth_hz, nfft=128
-        )
-        assert power_db.shape == (freqs.size, times.size)
-
-    def test_too_short_rejected(self, params):
-        with pytest.raises(ConfigurationError):
-            spectrogram(np.ones(10, dtype=complex), 1e6, nfft=128)
-
-
 class TestInstantaneousFrequency:
     def test_constant_tone(self):
         fs = 1000.0
@@ -119,14 +104,3 @@ class TestInstantaneousFrequency:
     def test_too_short_rejected(self):
         with pytest.raises(ConfigurationError):
             instantaneous_frequency(np.ones(1, dtype=complex), 1e6)
-
-
-class TestOccupiedBins:
-    def test_single_peak(self):
-        power_db = np.full(100, -60.0)
-        power_db[42] = 0.0
-        assert occupied_bins(power_db, -20.0) == [42]
-
-    def test_threshold_widens_selection(self):
-        power_db = np.array([-30.0, -10.0, 0.0, -10.0, -30.0])
-        assert occupied_bins(power_db, -15.0) == [1, 2, 3]

@@ -5,9 +5,12 @@ import pytest
 
 from repro.channel.awgn import awgn
 from repro.errors import SynchronizationError
-from repro.phy.onoff import OnOffKeyedTransmitter
-from repro.phy.sync import PreambleSynchronizer, estimate_cfo_bins
-from repro.utils.sampling import apply_cfo
+from waveform_oracle import (
+    OnOffKeyedTransmitter,
+    PreambleSynchronizer,
+    apply_cfo,
+    estimate_cfo_bins,
+)
 
 
 def _stream_with_packet(params, shift, start, payload, rng, snr_db=None):

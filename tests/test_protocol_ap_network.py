@@ -208,14 +208,6 @@ class TestNetworkSimulator:
         # 32/160k + 48 * 1.024 ms = 49.35 ms.
         assert metrics.latency_s == pytest.approx(49.35e-3, abs=0.1e-3)
 
-    def test_round_result_bookkeeping(self):
-        deployment = paper_deployment(n_devices=4, rng=3)
-        sim = NetworkSimulator(deployment, rng=4)
-        result = sim.run_round()
-        assert result.total_bits_sent == 4 * 40
-        assert 0 <= result.packets_delivered <= 4
-        assert set(result.sent_bits) == set(result.received_bits)
-
     def test_oversubscription_rejected(self):
         deployment = paper_deployment(n_devices=64, rng=3)
         config = NetScatterConfig(
@@ -234,8 +226,8 @@ class TestNetworkSimulator:
     def test_fading_round_runs(self):
         deployment = paper_deployment(n_devices=8, rng=3)
         sim = NetworkSimulator(deployment, rng=4)
-        result = sim.run_round(fading=True)
-        assert result.n_devices == 8
+        metrics = sim.run_rounds(1, fading=True)
+        assert metrics.n_devices == 8
 
 
 class TestSweep:
@@ -266,14 +258,6 @@ class TestSweep:
                 8 * 40
             )
 
-    def test_airtime_is_typed(self):
-        deployment = paper_deployment(n_devices=4, rng=3)
-        result = NetworkSimulator(deployment, rng=4).run_round()
-        from repro.analysis.airtime import RoundAirtime
-
-        assert isinstance(result.airtime, RoundAirtime)
-        assert result.airtime.total_s > 0
-
     def test_float32_threshold_applies_to_large_points(self):
         deployment = paper_deployment(n_devices=32, rng=3)
         metrics = sweep_device_counts(
@@ -293,8 +277,7 @@ class TestAdaptiveEngineAndFading:
         metrics = sim.run_rounds(2)
         assert metrics.backend in ("analytic", "sparse", "fft")
         assert metrics.delivery_ratio == pytest.approx(1.0)
-        result = sim.run_round()
-        assert result.backend == metrics.backend
+        assert sim.run_rounds(1).backend == metrics.backend
 
     def test_fixed_engines_record_their_backend(self):
         deployment = paper_deployment(n_devices=4, rng=3)

@@ -1,12 +1,8 @@
-"""Unit tests for the group scheduler and Aloha association extension."""
+"""Unit tests for the group scheduler."""
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.protocol.aloha import (
-    AlohaAssociation,
-    expected_rounds_upper_bound,
-)
 from repro.protocol.scheduler import GroupScheduler
 
 
@@ -76,44 +72,3 @@ class TestGroupScheduler:
 
     def test_empty_round(self):
         assert GroupScheduler(max_group_size=4).next_round() == []
-
-
-class TestAloha:
-    def test_single_device_immediate(self, rng):
-        stats = AlohaAssociation(1, rng=rng).run()
-        assert stats.n_succeeded == 1
-        assert stats.completion_round() == 1
-
-    def test_all_devices_eventually_join(self, rng):
-        aloha = AlohaAssociation(20, rng=rng)
-        stats = aloha.run(max_rounds=5000)
-        assert stats.n_succeeded == 20
-        assert aloha.n_pending == 0
-
-    def test_collisions_happen_with_contention(self, rng):
-        stats = AlohaAssociation(20, rng=rng).run(max_rounds=5000)
-        assert stats.collisions > 0
-
-    def test_completion_within_bound(self, rng):
-        stats = AlohaAssociation(30, rng=rng).run(max_rounds=10000)
-        assert stats.completion_round() < expected_rounds_upper_bound(30) * 5
-
-    def test_backoff_window_grows(self, rng):
-        from repro.protocol.aloha import BackoffState
-
-        state = BackoffState()
-        state.on_collision(64, rng)
-        assert state.window == 2
-        state.on_collision(64, rng)
-        assert state.window == 4
-        for _ in range(10):
-            state.on_collision(64, rng)
-        assert state.window == 64  # clamped
-
-    def test_invalid_params(self, rng):
-        with pytest.raises(ProtocolError):
-            AlohaAssociation(0, rng=rng)
-        with pytest.raises(ProtocolError):
-            AlohaAssociation(5, max_window=1, rng=rng)
-        with pytest.raises(ProtocolError):
-            expected_rounds_upper_bound(0)

@@ -15,7 +15,7 @@ from repro.errors import (
     ReproError,
     SynchronizationError,
 )
-from repro.utils.rng import child_rng, make_rng, optional_seed, spawn_rngs
+from repro.utils.rng import child_rng, make_rng
 
 
 class TestRng:
@@ -33,19 +33,6 @@ class TestRng:
         children = [child_rng(base, i) for i in range(4)]
         draws = [c.integers(0, 2**31) for c in children]
         assert len(set(draws)) == len(draws)
-
-    def test_spawn_rngs_count(self):
-        assert len(spawn_rngs(3, 5)) == 5
-
-    def test_spawn_deterministic(self):
-        a = [g.integers(0, 1000) for g in spawn_rngs(9, 3)]
-        b = [g.integers(0, 1000) for g in spawn_rngs(9, 3)]
-        assert a == b
-
-    def test_optional_seed(self):
-        assert optional_seed(5) == 5
-        assert optional_seed(np.random.default_rng(0)) is None
-        assert optional_seed(None) is None
 
 
 class TestErrorHierarchy:

@@ -1,22 +1,14 @@
 """Unit tests for repro.utils.conversions."""
 
-import math
-
 import pytest
 
 from repro.errors import LinkBudgetError
 from repro.utils.conversions import (
     amplitude_from_db,
-    bins_to_freq_offset,
-    bins_to_timing_offset,
     db_to_linear,
-    dbm_to_watts,
     doppler_shift_hz,
     freq_offset_to_bins,
-    linear_to_db,
-    power_db,
     timing_offset_to_bins,
-    watts_to_dbm,
 )
 
 
@@ -27,60 +19,12 @@ class TestDbConversions:
     def test_ten_db_is_ten(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
 
-    def test_roundtrip(self):
-        for value in (0.1, 1.0, 3.0, 42.0, 1e-6):
-            assert db_to_linear(linear_to_db(value)) == pytest.approx(value)
+    def test_matches_definition(self):
+        for value_db in (-60.0, -3.0, 0.0, 16.2, 42.0):
+            assert db_to_linear(value_db) == pytest.approx(10.0 ** (value_db / 10.0))
 
     def test_negative_db(self):
         assert db_to_linear(-30.0) == pytest.approx(1e-3)
-
-    def test_linear_to_db_rejects_zero(self):
-        with pytest.raises(LinkBudgetError):
-            linear_to_db(0.0)
-
-    def test_linear_to_db_rejects_negative(self):
-        with pytest.raises(LinkBudgetError):
-            linear_to_db(-1.0)
-
-    def test_linear_to_db_rejects_nan(self):
-        with pytest.raises(LinkBudgetError):
-            linear_to_db(float("nan"))
-
-
-class TestDbmConversions:
-    def test_30_dbm_is_one_watt(self):
-        assert dbm_to_watts(30.0) == pytest.approx(1.0)
-
-    def test_0_dbm_is_one_milliwatt(self):
-        assert dbm_to_watts(0.0) == pytest.approx(1e-3)
-
-    def test_roundtrip(self):
-        for dbm in (-120.0, -49.0, 0.0, 30.0):
-            assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm)
-
-    def test_watts_to_dbm_rejects_nonpositive(self):
-        with pytest.raises(LinkBudgetError):
-            watts_to_dbm(0.0)
-
-
-class TestSignalPower:
-    def test_unit_tone(self, rng):
-        import numpy as np
-
-        tone = np.exp(1j * rng.uniform(0, 2 * math.pi, size=1000))
-        assert power_db(tone) == pytest.approx(0.0, abs=1e-9)
-
-    def test_scaled_signal(self):
-        import numpy as np
-
-        signal = 0.5 * np.ones(64, dtype=complex)
-        assert power_db(signal) == pytest.approx(-6.02, abs=0.01)
-
-    def test_empty_signal_rejected(self):
-        import numpy as np
-
-        with pytest.raises(LinkBudgetError):
-            power_db(np.array([]))
 
 
 class TestAmplitude:
@@ -92,7 +36,7 @@ class TestAmplitude:
 
     def test_power_consistency(self):
         amp = amplitude_from_db(-7.0)
-        assert linear_to_db(amp**2) == pytest.approx(-7.0)
+        assert amp**2 == pytest.approx(db_to_linear(-7.0))
 
 
 class TestBinOffsets:
@@ -100,19 +44,15 @@ class TestBinOffsets:
         # 2 us at 500 kHz is exactly one FFT bin (Table 1).
         assert timing_offset_to_bins(2e-6, 500e3) == pytest.approx(1.0)
 
-    def test_timing_roundtrip(self):
-        dt = 3.3e-6
-        bins = timing_offset_to_bins(dt, 250e3)
-        assert bins_to_timing_offset(bins, 250e3) == pytest.approx(dt)
+    def test_timing_scales_with_bandwidth(self):
+        assert timing_offset_to_bins(3.3e-6, 250e3) == pytest.approx(3.3e-6 * 250e3)
 
     def test_freq_paper_example(self):
         # 976 Hz at (500 kHz, SF 9) is one bin (Table 1).
         assert freq_offset_to_bins(976.5625, 500e3, 9) == pytest.approx(1.0)
 
-    def test_freq_roundtrip(self):
-        df = 123.4
-        bins = freq_offset_to_bins(df, 125e3, 7)
-        assert bins_to_freq_offset(bins, 125e3, 7) == pytest.approx(df)
+    def test_freq_in_bin_spacings(self):
+        assert freq_offset_to_bins(123.4, 125e3, 7) == pytest.approx(123.4 / (125e3 / 2**7))
 
     def test_timing_rejects_bad_bandwidth(self):
         with pytest.raises(LinkBudgetError):

@@ -1,39 +1,12 @@
 """Unit tests for repro.utils.stats."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.utils.stats import (
     ber_estimate,
     cdf_at,
-    complementary_cdf,
-    db_variance,
-    empirical_cdf,
-    geometric_mean,
-    quantile,
 )
-
-
-class TestEmpiricalCdf:
-    def test_sorted_output(self, rng):
-        x, y = empirical_cdf(rng.normal(size=100))
-        assert np.all(np.diff(x) >= 0)
-        assert np.all(np.diff(y) > 0)
-
-    def test_reaches_one(self, rng):
-        _, y = empirical_cdf(rng.normal(size=50))
-        assert y[-1] == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            empirical_cdf([])
-
-    def test_complementary(self, rng):
-        samples = rng.normal(size=100)
-        x, ccdf = complementary_cdf(samples)
-        assert ccdf[0] == pytest.approx(1.0)
-        assert np.all(np.diff(ccdf) <= 0)
 
 
 class TestCdfAt:
@@ -45,15 +18,6 @@ class TestCdfAt:
 
     def test_above_all(self):
         assert cdf_at([1, 2, 3], 10.0) == 1.0
-
-
-class TestQuantile:
-    def test_median(self):
-        assert quantile([1.0, 2.0, 3.0], 0.5) == pytest.approx(2.0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ReproError):
-            quantile([1.0], 1.5)
 
 
 class TestBerEstimate:
@@ -85,30 +49,3 @@ class TestBerEstimate:
 
     def test_str_mentions_counts(self):
         assert "10/1000" in str(ber_estimate(10, 1000))
-
-
-class TestDbVariance:
-    def test_constant_series(self):
-        assert db_variance([3.0, 3.0, 3.0]) == pytest.approx(0.0)
-
-    def test_known_variance(self):
-        assert db_variance([0.0, 2.0]) == pytest.approx(2.0)
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(ReproError):
-            db_variance([1.0])
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_scale_invariance(self, rng):
-        values = rng.uniform(1.0, 10.0, size=20)
-        assert geometric_mean(10 * values) == pytest.approx(
-            10 * geometric_mean(values)
-        )
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ReproError):
-            geometric_mean([1.0, 0.0])

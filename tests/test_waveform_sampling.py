@@ -1,48 +1,10 @@
-"""Unit tests for repro.utils.sampling."""
+"""Unit tests for the oracle's fractional delay and CFO rotation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.utils.sampling import (
-    apply_cfo,
-    decimate,
-    fractional_delay,
-    integer_roll,
-    oversample,
-    pad_to_length,
-)
-
-
-class TestOversample:
-    def test_length(self):
-        assert oversample(np.arange(4), 3).size == 12
-
-    def test_hold_semantics(self):
-        out = oversample(np.array([1.0, 2.0]), 2)
-        assert out.tolist() == [1.0, 1.0, 2.0, 2.0]
-
-    def test_identity_factor(self):
-        x = np.arange(5)
-        assert np.array_equal(oversample(x, 1), x)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ReproError):
-            oversample(np.arange(4), 0)
-
-
-class TestDecimate:
-    def test_inverse_of_oversample(self):
-        x = np.arange(8, dtype=float)
-        assert np.array_equal(decimate(oversample(x, 4), 4), x)
-
-    def test_phase_offset(self):
-        x = np.arange(8)
-        assert decimate(x, 2, phase=1).tolist() == [1, 3, 5, 7]
-
-    def test_invalid_phase(self):
-        with pytest.raises(ReproError):
-            decimate(np.arange(4), 2, phase=2)
+from waveform_oracle import apply_cfo, fractional_delay
 
 
 class TestFractionalDelay:
@@ -91,19 +53,3 @@ class TestCfo:
     def test_invalid_sample_rate(self):
         with pytest.raises(ReproError):
             apply_cfo(np.ones(4, dtype=complex), 10.0, 0.0)
-
-
-class TestPadAndRoll:
-    def test_pad_preserves_prefix(self):
-        x = np.arange(4, dtype=complex)
-        padded = pad_to_length(x, 10)
-        assert padded.size == 10
-        assert np.array_equal(padded[:4], x)
-        assert np.all(padded[4:] == 0)
-
-    def test_pad_rejects_shrink(self):
-        with pytest.raises(ReproError):
-            pad_to_length(np.arange(10), 4)
-
-    def test_integer_roll_wraps(self):
-        assert integer_roll(np.array([1, 2, 3]), 1).tolist() == [3, 1, 2]
