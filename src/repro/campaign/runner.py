@@ -296,6 +296,18 @@ class CampaignRun:
         return [r.metrics for r in self.results]
 
 
+def check_point_timeout(point_timeout_s: Optional[float]) -> None:
+    """Refuse a per-attempt bound that is not ``None`` or a finite number
+    of seconds > 0, so a serial and a pooled run bound an attempt alike."""
+    if point_timeout_s is not None and not (
+        math.isfinite(point_timeout_s) and point_timeout_s > 0
+    ):
+        raise ConfigurationError(
+            "point_timeout_s must be None or a finite number of "
+            f"seconds > 0, got {point_timeout_s!r}"
+        )
+
+
 class CampaignRunner:
     """Run campaign specs against an optional persistent store.
 
@@ -355,13 +367,7 @@ class CampaignRunner:
             Callable[[int, "CampaignPointResult"], None]
         ] = None,
     ) -> None:
-        if point_timeout_s is not None and not (
-            math.isfinite(point_timeout_s) and point_timeout_s > 0
-        ):
-            raise ConfigurationError(
-                "point_timeout_s must be None or a finite number of "
-                f"seconds > 0, got {point_timeout_s!r}"
-            )
+        check_point_timeout(point_timeout_s)
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )

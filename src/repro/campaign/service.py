@@ -96,7 +96,11 @@ from repro.campaign.objectstore import (
     HttpService,
     HttpServiceHandler,
 )
-from repro.campaign.runner import CampaignPointResult, CampaignRunner
+from repro.campaign.runner import (
+    CampaignPointResult,
+    CampaignRunner,
+    check_point_timeout,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.errors import (
@@ -602,6 +606,7 @@ class CampaignService(HttpService):
         max_backlog: int = 256,
         stall_timeout_s: float = 30.0,
     ) -> None:
+        check_point_timeout(point_timeout_s)
         if store is None:
             from repro.campaign.storage import MemoryDriver
 

@@ -302,15 +302,7 @@ class PosixDriver(StorageDriver):
     def put_exclusive(self, key: str, data: bytes) -> bool:
         path = self._path(key)
         try:
-            # Apart from the open: a parent that exists as a file raises
-            # FileExistsError here, which must not read as "key taken".
             path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            self._record("put_exclusive", error=True)
-            raise TransientStorageError(
-                f"put_exclusive({key!r}): {error}"
-            ) from error
-        try:
             fd = os.open(
                 path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
             )

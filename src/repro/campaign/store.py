@@ -411,12 +411,7 @@ class CampaignStore:
             try:
                 raw = self._driver.get(self._npz_key(content_hash))
                 with np.load(io.BytesIO(raw)) as data:
-                    arrays = {k: data[k] for k in data.files}
-                # np.load hands back a member without the .npy magic as
-                # raw bytes rather than raising.
-                if not all(isinstance(v, np.ndarray) for v in arrays.values()):
-                    raise ValueError("array payload member is not an array")
-                payload["arrays"] = arrays
+                    payload["arrays"] = {k: data[k] for k in data.files}
             except Exception:
                 raise self._quarantine_and_raise(
                     content_hash, "unreadable-array-payload"

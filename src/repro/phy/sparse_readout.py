@@ -402,15 +402,14 @@ class SparseReadout:
         self,
         tones: np.ndarray,
         columns: Optional[np.ndarray],
-        out: Optional[np.ndarray] = None,
     ):
         """The block kernel behind :meth:`tone_sum` (and the oracle's ratio grid).
 
         ``tones`` is ``(n_rows, n_tones)``; row ``r`` is evaluated at
         every readout bin, or at ``columns[r]``. Yields ``(rows, cut,
         block)`` with ``block`` the grid entries ``[rows, cut, :]``,
-        L'Hopital entries included: a view of ``out`` when given, else
-        a scratch buffer the next block overwrites.
+        L'Hopital entries included, in a scratch buffer the next block
+        overwrites.
 
         The grid is large and bandwidth-bound, so the numerator and
         denominator of each block are built in a cache-sized scratch
@@ -442,12 +441,7 @@ class SparseReadout:
         if row_block == 1:
             tone_block = max(1, _RATIO_BLOCK_ELEMENTS // max(1, n_cols))
         scratch = np.empty(
-            (
-                2 if out is not None else 3,
-                min(row_block, n_rows),
-                min(tone_block, n_tones),
-                n_cols,
-            )
+            (3, min(row_block, n_rows), min(tone_block, n_tones), n_cols)
         )
         for row in range(0, n_rows, row_block):
             rows = slice(row, row + row_block)
@@ -456,8 +450,7 @@ class SparseReadout:
             for start in range(0, n_tones, tone_block):
                 cut = slice(start, start + tone_block)
                 t = min(tone_block, n_tones - start)
-                tmp, den = scratch[:2, :r, :t]
-                block = out[rows, cut] if out is not None else scratch[2, :r, :t]
+                tmp, den, block = scratch[:, :r, :t]
                 # sin(pi*(b - q)) / sin(pi*(b - q)/N); the L'Hopital
                 # entries, whose quotient is meaningless, are
                 # overwritten below.

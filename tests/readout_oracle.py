@@ -40,8 +40,8 @@ def tone_ratio(
     # Without columns, every tone is one row against all bins.
     tones = b.reshape(1, b.size) if columns is None else b
     ratio = np.empty(tones.shape + (readout._n_columns(b, columns),))
-    for _ in readout._ratio_blocks(tones, columns, out=ratio):
-        pass
+    for rows, cut, block in readout._ratio_blocks(tones, columns):
+        ratio[rows, cut] = block
     ratio = ratio.reshape(b.shape + ratio.shape[-1:])
     if np.dtype(dtype) != np.float64:
         ratio = ratio.astype(dtype)

@@ -211,7 +211,6 @@ class TestPosixDriverOsErrors:
         [
             ("get", ("a/b",)),
             ("put_atomic", ("a/b", b"x")),
-            ("put_exclusive", ("a/b", b"x")),
             ("replace", ("a/b", b"x")),
             ("delete", ("a/b",)),
             ("stat", ("a/b",)),
@@ -274,19 +273,13 @@ class TestChunkQuarantine:
             store.verify_chunk(content_hash)
         assert store.quarantined() == {content_hash: "torn-array-payload"}
 
-    @pytest.mark.parametrize(
-        "member",
-        [b"not an array", None],
-        ids=["no-npy-magic", "truncated-npy"],
-    )
-    def test_unreadable_array_payload_is_quarantined(self, tmp_path, member):
+    def test_truncated_array_payload_is_quarantined(self, tmp_path):
         store, _, content_hash = self._saved(
             tmp_path, arrays={"trace": np.arange(3.0)}
         )
-        if member is None:
-            encoded = io.BytesIO()
-            np.save(encoded, np.arange(3.0))
-            member = encoded.getvalue()[:-8]
+        encoded = io.BytesIO()
+        np.save(encoded, np.arange(3.0))
+        member = encoded.getvalue()[:-8]
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w") as archive:
             archive.writestr("trace.npy", member)

@@ -28,6 +28,7 @@ from repro.campaign.faults import (
 )
 from repro.campaign.objectstore import HttpDriver
 from repro.campaign.runner import CampaignRunner
+from repro.campaign.service import CampaignService
 from repro.campaign.storage import RetryingDriver
 from repro.errors import ConfigurationError, PersistentStorageError
 
@@ -224,6 +225,11 @@ class TestPointTimeout:
     @pytest.mark.parametrize("timeout_s", [None, 0.5, 30])
     def test_runner_accepts(self, timeout_s):
         CampaignRunner(point_timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, math.nan])
+    def test_service_rejects_before_serving(self, timeout_s):
+        with pytest.raises(ConfigurationError, match="point_timeout_s"):
+            CampaignService(point_timeout_s=timeout_s)
 
 
 class TestCliValues:

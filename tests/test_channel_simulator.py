@@ -132,3 +132,13 @@ class TestCrossValidation:
         txs = [DeviceTransmission(shift=100, bits=[1, 1, 0, 1, 0, 0])]
         out = cross_validate_paths(config, txs, snr_db=-8.0, rng=6)
         assert out["waveform"] == out["fast"] == {0: [1, 1, 0, 1, 0, 0]}
+
+    def test_paths_agree_across_the_band(self, config):
+        txs = [
+            DeviceTransmission(shift=10, bits=[1, 0, 1, 1, 0, 1]),
+            DeviceTransmission(shift=130, bits=[0, 1, 1, 0, 0, 1]),
+            DeviceTransmission(shift=250, bits=[1, 1, 0, 0, 1, 0]),
+        ]
+        out = cross_validate_paths(config, txs, snr_db=0.0, rng=33)
+        assert out["waveform"] == out["fast"]
+        assert out["waveform"][0] == [1, 0, 1, 1, 0, 1]

@@ -3,7 +3,6 @@
     python tools/reach.py                 # run every surface, print the table
     python tools/reach.py --check         # ... and fail on an unlisted gap
     python tools/reach.py --repo DIR      # measure another checkout
-    python tools/reach.py --json out.json # also write the full report
 
 Every surface runs in a child Python whose ``sitecustomize`` (a
 temporary directory put first on ``PYTHONPATH``) loads this file and
@@ -348,6 +347,9 @@ BAD_STORAGE_PLANS = [
     '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error", "bogus": 1}]}',
     '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error", "calls": 5}]}',
 ]
+#: Seconds one surface may run before it is cut and logged with no exit code.
+SURFACE_TIMEOUT_S = 900.0
+
 #: The small campaign every CI campaign leg runs.
 POINTS = ["--spec", "fig17", "--counts", "1,2,4", "--rounds", "1", "--engine", "analytic"]
 
@@ -491,10 +493,10 @@ def run_surfaces(session: Session) -> None:
     run(["-c", BENCH_SNIPPET, "dense-256", "fading-64", "population-1e5", "campaign-service"])
 
 
-def measure(repo: Path, timeout_s: float = 900.0) -> Tuple[Dict[Key, Function], Set[Key], list]:
+def measure(repo: Path) -> Tuple[Dict[Key, Function], Set[Key], list]:
     """The functions of ``repo``'s package, the reached keys and the surface log."""
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
-        session = Session(repo, Path(work), timeout_s)
+        session = Session(repo, Path(work), SURFACE_TIMEOUT_S)
         run_surfaces(session)
         reached = load_reached(session.out)
     if not reached:
@@ -551,28 +553,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unreached, unlisted function outside campaign/")
-    parser.add_argument("--json", type=Path, default=None, help="write the full report here")
-    parser.add_argument("--timeout-s", type=float, default=900.0, help="cap per surface")
     args = parser.parse_args(argv)
     if args.check and _usable_cpus() < 2:
         print("reach check needs 2 usable CPUs: on one, the pooled paths run serially")
         return 2
-    found, reached, log = measure(args.repo.resolve(), args.timeout_s)
+    found, reached, log = measure(args.repo.resolve())
     for command, code in log:
         if code != 0:
             print(f"surface exited {code}: {command[:100]}")
     rows = table(found, reached)
     print(_format(rows))
-    if args.json is not None:
-        args.json.write_text(json.dumps({
-            "surfaces": [{"command": command, "exit": code} for command, code in log],
-            "packages": rows,
-            "functions": [
-                dict(name=f.name, first=f.first, last=f.last, lines=f.lines,
-                     reached=key in reached)
-                for key, f in sorted(found.items())
-            ],
-        }, indent=1) + "\n")
     if not args.check:
         return 0
     problems = check(found, reached)
