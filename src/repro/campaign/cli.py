@@ -627,21 +627,24 @@ def _cmd_serve(args) -> int:
             args.storage_fault_plan, "storage fault plan"
         ),
     )
-    service.start()
     backing = args.root if args.root is not None else "memory://"
-    print(
-        f"serving {backing} at {service.url} "
-        f"(--storage-driver {service.url})",
-        flush=True,
-    )
+    with service:
+        print(
+            f"serving {backing} at {service.url} "
+            f"(--storage-driver {service.url})",
+            flush=True,
+        )
+        _serve_until_interrupted()
+    return 0
+
+
+def _serve_until_interrupted() -> None:
+    """Block the main thread until Ctrl-C; the service threads serve."""
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         pass
-    finally:
-        service.stop()
-    return 0
 
 
 def _cmd_serve_api(args) -> int:
@@ -677,26 +680,21 @@ def _cmd_serve_api(args) -> int:
         ),
         **kwargs,
     )
-    service.start()
-    print(
-        f"serving campaign API over {backing} at {service.url} "
-        f"(submit with: python -m repro.campaign submit "
-        f"--service {service.url} --spec ...)",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
+    with service:
+        print(
+            f"serving campaign API over {backing} at {service.url} "
+            f"(submit with: python -m repro.campaign submit "
+            f"--service {service.url} --spec ...)",
+            flush=True,
+        )
+        _serve_until_interrupted()
     return 0
 
 
 def _cmd_submit(args) -> int:
     from repro.campaign.client import CampaignServiceClient
 
+    _check_seconds(timeout_s=args.timeout_s)
     spec = _load_spec(args)
     kwargs = {}
     if args.max_attempts is not None:

@@ -1,7 +1,7 @@
 """Client for the campaign service node (:mod:`repro.campaign.service`).
 
-:class:`CampaignServiceClient` drives the NDJSON submit/status/healthz
-protocol end-to-end and degrades through the same machinery as the
+:class:`CampaignServiceClient` drives the NDJSON submit protocol
+end-to-end and degrades through the same machinery as the
 storage layer: wire-level failures (refused connections, 5xx/429
 responses, torn streams) surface as
 :class:`~repro.errors.TransientStorageError` and are retried through
@@ -29,6 +29,7 @@ a partial suffix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Dict, List, Optional, Tuple
@@ -51,7 +52,6 @@ from repro.errors import (
     ConfigurationError,
     TransientStorageError,
 )
-from repro.protocol.network import NetworkMetrics
 
 
 def parse_service_url(url: str) -> Tuple[str, str]:
@@ -105,12 +105,6 @@ class CampaignServiceRun:
         ]
 
     @property
-    def metrics(self) -> List[NetworkMetrics]:
-        return [
-            NetworkMetrics(**e["metrics"]) for e in self.point_events
-        ]
-
-    @property
     def n_computed(self) -> int:
         return int(self.summary.get("points_computed", 0))
 
@@ -150,6 +144,11 @@ class CampaignServiceClient:
         self._retry = TransientRetry(
             retry if retry is not None else STORAGE_RETRY
         )
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ConfigurationError(
+                f"timeout_s must be a finite number of seconds > 0, "
+                f"got {timeout_s!r}"
+            )
         self._timeout_s = float(timeout_s)
         self._breaker = (
             breaker
@@ -162,10 +161,6 @@ class CampaignServiceClient:
     @property
     def url(self) -> str:
         return self._url
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        return self._breaker
 
     @property
     def n_retries(self) -> int:
@@ -212,61 +207,9 @@ class CampaignServiceClient:
             response.status, response.getheader("Retry-After"), message
         ) or CampaignServiceError(message)
 
-    def _get_json(self, path: str, op: str) -> Dict[str, object]:
-        connection = self._connect()
-        try:
-            try:
-                connection.request("GET", path)
-                response = connection.getresponse()
-            except (HTTPException, OSError, ValueError) as error:
-                raise TransientStorageError(
-                    f"{op} {self._url}{path} failed: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
-            self._check_response(op, response)
-            try:
-                body = response.read()
-                payload = json.loads(body.decode("utf-8"))
-            except (HTTPException, OSError, ValueError) as error:
-                raise TransientStorageError(
-                    f"{op}: response torn mid-body: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
-            if not isinstance(payload, dict):
-                raise TransientStorageError(
-                    f"{op}: non-object JSON response"
-                )
-            return payload
-        finally:
-            connection.close()
-
     # ------------------------------------------------------------------ #
     # API
     # ------------------------------------------------------------------ #
-
-    def healthz(self) -> Dict[str, object]:
-        result, _ = self._call(
-            "healthz", "", lambda: self._get_json("/healthz", "healthz")
-        )
-        return result
-
-    def status(self, campaign_id: str) -> Dict[str, object]:
-        result, _ = self._call(
-            "status",
-            campaign_id,
-            lambda: self._get_json(
-                f"/campaigns/{campaign_id}/status", "status"
-            ),
-        )
-        return result
-
-    def list_campaigns(self) -> List[Dict[str, object]]:
-        result, _ = self._call(
-            "list_campaigns",
-            "",
-            lambda: self._get_json("/campaigns", "list_campaigns"),
-        )
-        return list(result.get("campaigns", []))
 
     def submit(
         self, spec, *, raise_on_failed: bool = True

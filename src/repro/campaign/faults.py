@@ -87,8 +87,6 @@ True
 >>> FaultSelector(torn, "objectstore").consult("put_atomic", "points/a")
 >>> FaultSelector(torn, "driver").consult("put_atomic", "points/a").kind
 'torn'
->>> FaultPlan.from_json(json.dumps(torn.to_dict())) == torn
-True
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -374,11 +372,6 @@ def _rule(entry) -> FaultRule:
     return FaultRule(**entry)
 
 
-def _in_pool_worker() -> bool:
-    """True when running inside a spawned/forked worker process."""
-    return multiprocessing.parent_process() is not None
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded tuple of :class:`FaultRule`\\ s, and its one JSON, file
@@ -443,19 +436,6 @@ class FaultPlan:
         raw = os.environ.get(variable, "").strip()
         return cls.from_spec(raw) if raw else None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": PLAN_SCHEMA,
-            "seed": self.seed,
-            "rules": [
-                {
-                    key: list(value) if isinstance(value, tuple) else value
-                    for key, value in asdict(rule).items()
-                }
-                for rule in self.rules
-            ],
-        }
-
     def unit(self, op: str, key: str, index: int) -> float:
         """Seeded uniform draw in [0, 1) for one (op, key, index)."""
         digest = hashlib.sha256(
@@ -484,7 +464,7 @@ class FaultPlan:
             time.sleep(rule.hang_s)
             return
         if rule.kind == "kill":
-            if _in_pool_worker():
+            if multiprocessing.parent_process() is not None:
                 # Hard-kill the worker: the parent sees a
                 # BrokenProcessPool and must degrade to serial.
                 os._exit(86)

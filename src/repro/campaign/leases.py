@@ -11,9 +11,10 @@ recomputes a point whose chunk write is idempotent (bit-identical
 content under the same hash). Leases only prevent wasted duplicate
 computation and give ``status`` a live "running" view.
 
-Protocol (one key per claimed point, ``<hash>.lease``), expressed
-entirely in :class:`~repro.campaign.storage.StorageDriver` primitives
-so it works unchanged over posix, memory, or a future remote backend:
+Protocol (one key per claimed point, ``leases/<hash>.lease`` on the
+store's own driver), expressed entirely in
+:class:`~repro.campaign.storage.StorageDriver` primitives so it works
+unchanged over posix, memory, or the remote object store:
 
 * **Claim** — ``put_exclusive`` (atomic create-if-absent): exactly one
   worker wins a vacant point.
@@ -52,9 +53,9 @@ import socket
 import threading
 import time
 import uuid
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.campaign.storage import PosixDriver, StorageDriver
+from repro.campaign.storage import StorageDriver
 from repro.errors import StorageError
 
 log = logging.getLogger("repro.campaign.leases")
@@ -101,8 +102,8 @@ def parse_lease(data: bytes) -> Optional[Dict[str, object]]:
 
 
 def _lease_key(content_hash: str) -> str:
-    """The key of a point's lease in a lease-scoped driver."""
-    return f"{content_hash}.lease"
+    """The key of a point's lease."""
+    return f"leases/{content_hash}.lease"
 
 
 def _read_lease(
@@ -127,11 +128,11 @@ def live_lease(
 
 
 def scan_lease_backend(driver: StorageDriver) -> List[Dict[str, object]]:
-    """All readable leases in a lease-scoped driver (may include
-    expired). Torn or concurrently-deleted entries are skipped."""
+    """All readable leases under ``leases/`` in a store's driver (may
+    include expired). Torn or concurrently-deleted entries are skipped."""
     leases = []
     try:
-        keys = driver.list()
+        keys = driver.list("leases/")
     except StorageError:
         return []
     for key in keys:
@@ -147,16 +148,14 @@ def scan_lease_backend(driver: StorageDriver) -> List[Dict[str, object]]:
 
 
 class LeaseManager:
-    """Claim, renew, and release point leases in one backend.
+    """Claim, renew, and release point leases in one store.
 
     Parameters
     ----------
-    backend:
-        Either a lease-scoped :class:`~repro.campaign.storage.
-        StorageDriver` (the store hands out its ``lease_backend``), or
-        a filesystem directory (``<store>/leases``) which is wrapped
-        in a :class:`~repro.campaign.storage.PosixDriver` — the
-        pre-driver call sites keep working.
+    driver:
+        The store's :class:`~repro.campaign.storage.StorageDriver`
+        (:attr:`~repro.campaign.store.CampaignStore.driver`); leases
+        live under its ``leases/`` keys.
     owner:
         Stable id stamped into every lease this manager writes.
     ttl_s:
@@ -165,16 +164,13 @@ class LeaseManager:
 
     def __init__(
         self,
-        backend: Union[StorageDriver, str, "os.PathLike[str]"],
+        driver: StorageDriver,
         owner: Optional[str] = None,
         ttl_s: float = DEFAULT_TTL_S,
     ) -> None:
         if ttl_s <= 0:
             raise ValueError(f"lease ttl must be positive, got {ttl_s}")
-        if isinstance(backend, StorageDriver):
-            self._driver = backend
-        else:
-            self._driver = PosixDriver(backend)
+        self._driver = driver
         self._owner = owner or default_owner_id()
         self._ttl_s = float(ttl_s)
         self._held: Dict[str, int] = {}  # hash -> renewal count
@@ -187,10 +183,6 @@ class LeaseManager:
     @property
     def ttl_s(self) -> float:
         return self._ttl_s
-
-    @property
-    def backend(self) -> StorageDriver:
-        return self._driver
 
     @property
     def held(self) -> List[str]:
@@ -315,10 +307,6 @@ class LeaseManager:
     def release_all(self) -> None:
         for content_hash in self.held:
             self.release(content_hash)
-
-    def holder(self, content_hash: str) -> Optional[Dict[str, object]]:
-        """The live lease on a point, or ``None`` if vacant/expired."""
-        return live_lease(self._driver, content_hash)
 
 
 class HeartbeatThread:

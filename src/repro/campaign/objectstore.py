@@ -30,6 +30,9 @@ Wire protocol (single bucket, keys are driver keys)
 ``X-Repro-Rename-To``     primitive); 404 when the source is absent
 ========================  =============================================
 
+Every request names its driver operation in ``X-Repro-Op``; the
+service refuses one that names none (400) before it touches the store.
+
 Integrity is end-to-end: both directions carry ``X-Repro-Sha256`` and
 both sides verify it before trusting a byte — a mismatch (bit rot,
 truncation, a proxy mangling the body) surfaces as
@@ -100,7 +103,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
-from repro.campaign.faults import FaultPlan, FaultSelector
+from repro.campaign.faults import DRIVER_OPS, FaultPlan, FaultSelector
 from repro.campaign.storage import (
     MemoryDriver,
     StorageDriver,
@@ -199,10 +202,6 @@ class HttpDriver(StorageDriver):
         self._timeout_s = float(timeout_s)
         self.spec = f"{parts.scheme}://{parts.netloc}/{bucket}"
         self.name = f"http({parts.netloc}/{bucket})"
-
-    @property
-    def url(self) -> str:
-        return self.spec
 
     # ------------------------------------------------------------------ #
     # transport
@@ -736,13 +735,12 @@ class HttpServiceHandler(BaseHTTPRequestHandler):
 class HttpService:
     """Lifecycle and bookkeeping shared by the two HTTP services.
 
-    In-process for tests (``with Service() as service:``, or
-    :meth:`start`/:meth:`stop`) and blocking behind the CLI
-    (:meth:`serve_forever`). A subclass names its ``handler`` (an
-    :class:`HttpServiceHandler`) and passes its fault ``consumer`` (its
-    column of :data:`~repro.campaign.faults.FIRES`); the plan's rules
-    of other kinds are left to other consumers without advancing their
-    counters.
+    A context manager (``with Service() as service:``, as the CLI
+    serves), or :meth:`start`/:meth:`stop`. A subclass names its
+    ``handler`` (an :class:`HttpServiceHandler`) and passes its fault
+    ``consumer`` (its column of :data:`~repro.campaign.faults.FIRES`);
+    the plan's rules of other kinds are left to other consumers without
+    advancing their counters.
 
     Mid-response client disconnects are counted
     (``n_client_disconnects``), noted in ``log_lines`` and logged once
@@ -828,10 +826,6 @@ class HttpService:
         self._server = None
         self._thread = None
 
-    def serve_forever(self) -> None:
-        """Blocking serve loop for the CLI."""
-        self._bind().serve_forever(poll_interval=0.2)
-
     def __enter__(self):
         return self.start()
 
@@ -849,23 +843,14 @@ class _Handler(HttpServiceHandler):
         if unquote(segments[0]) != self.service.bucket:
             self._send_json(404, {"error": "unknown bucket"})
             return None
+        op = self.headers.get(OP_HEADER, "")
+        if op not in DRIVER_OPS:
+            self._send_json(
+                400, {"error": f"{OP_HEADER} must name a driver op, got {op!r}"}
+            )
+            return None
         key = unquote(segments[1]) if len(segments) > 1 else ""
-        query = parse_qs(parts.query)
-        op = self.headers.get(OP_HEADER, "") or self._default_op(key, query)
-        return key, op, query
-
-    def _default_op(self, key: str, query: Dict[str, List[str]]) -> str:
-        return {
-            "GET": "list" if (not key or "list" in query) else "get",
-            "HEAD": "stat",
-            "PUT": (
-                "put_exclusive"
-                if self.headers.get("If-None-Match") == "*"
-                else "put_atomic"
-            ),
-            "DELETE": "delete",
-            "POST": "rename",
-        }.get(self.command, "get")
+        return key, op, parse_qs(parts.query)
 
     def _read_body(self) -> Optional[bytes]:
         """Request body verified against its integrity header, or
@@ -979,8 +964,6 @@ class _Handler(HttpServiceHandler):
                 self.service.note_write(new_key)
                 self.service.driver.rename(key, new_key)
                 self._send_json(200, {"ok": True}, truncate=truncate)
-            else:
-                self._send_json(400, {"error": f"unknown op {op!r}"})
         except StorageMissingError:
             self._send_json(404, {"error": f"no value at {key!r}"})
         except ConfigurationError as error:

@@ -426,7 +426,7 @@ class CampaignRunner:
 
         leases = (
             LeaseManager(
-                self._store.lease_backend,
+                self._store.driver,
                 owner=self._owner,
                 ttl_s=self._lease_ttl_s,
             )

@@ -204,10 +204,6 @@ class CampaignExecution:
         self._thread.start()
         return self
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
-
     def _run(self) -> None:
         summary: Dict[str, object]
         try:

@@ -144,29 +144,6 @@ class CampaignPoint:
             _canonical_json(payload).encode()
         ).hexdigest()
 
-    def matches(self, **criteria: object) -> bool:
-        """True when every ``field=value`` criterion equals this point's.
-
-        The selection helper behind fault-plan rules and CLI filters:
-        ``point.matches(n_devices=64, engine="auto")``. A criterion of
-        ``hash_prefix=`` matches on :meth:`content_hash` instead.
-
-        >>> CampaignPoint(
-        ...     deployment={"kind": "paper", "n_devices": 4, "seed": 1},
-        ...     config={}, n_devices=2, n_rounds=1, query_bits=32,
-        ...     engine="analytic", noise_mode="payload", fading=False,
-        ...     readout_dtype=None, seed=5).matches(n_devices=2)
-        True
-        """
-        fields = self.to_dict()
-        for key, wanted in criteria.items():
-            if key == "hash_prefix":
-                if not self.content_hash().startswith(str(wanted)):
-                    return False
-            elif fields.get(key) != wanted:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class CampaignSpec:

@@ -18,7 +18,10 @@ The driver contract
 
 Keys are relative POSIX-style paths (``"points/<hash>.json"``). All
 operations are synchronous. The guarantees below are what the store and
-the lease protocol are built on — any new driver MUST provide them:
+the lease protocol are built on — any new driver MUST provide them. The
+lease protocol (:mod:`repro.campaign.leases`) runs on the store's own
+retrying driver and names its keys in full, ``leases/<hash>.lease``, so
+fault rules and retry keys see the same key the backend stores:
 
 ``get(key) -> bytes``
     Returns the *complete* value most recently committed at ``key``;
@@ -302,7 +305,15 @@ class PosixDriver(StorageDriver):
     def put_exclusive(self, key: str, data: bytes) -> bool:
         path = self._path(key)
         try:
+            # Outside the O_EXCL handler: a parent that exists as a file
+            # is a broken store, not a taken key.
             path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            self._record("put_exclusive", error=True)
+            raise TransientStorageError(
+                f"put_exclusive({key!r}): {error}"
+            ) from error
+        try:
             fd = os.open(
                 path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
             )
@@ -490,56 +501,6 @@ class MemoryDriver(StorageDriver):
                 raise StorageMissingError(f"no value at {key!r}")
             self._data[new_key] = self._data.pop(key)
             self._mtimes[new_key] = self._mtimes.pop(key)
-
-
-class PrefixDriver(StorageDriver):
-    """Namespace view of another driver under a fixed key prefix.
-
-    Used to hand subsystems (the lease protocol) a scoped slice of the
-    store's driver without threading path strings around.
-    """
-
-    def __init__(self, inner: StorageDriver, prefix: str) -> None:
-        super().__init__()
-        if prefix and not prefix.endswith("/"):
-            prefix += "/"
-        self._inner = inner
-        self._prefix = prefix
-        self.name = f"{inner.name}:{prefix or '/'}"
-
-    def _k(self, key: str) -> str:
-        return self._prefix + _check_key(key)
-
-    def get(self, key: str) -> bytes:
-        return self._inner.get(self._k(key))
-
-    def put_atomic(self, key: str, data: bytes) -> None:
-        self._inner.put_atomic(self._k(key), data)
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._inner.put_exclusive(self._k(key), data)
-
-    def replace(self, key: str, data: bytes) -> None:
-        self._inner.replace(self._k(key), data)
-
-    def delete(self, key: str) -> bool:
-        return self._inner.delete(self._k(key))
-
-    def list(self, prefix: str = "") -> List[str]:
-        n = len(self._prefix)
-        return [k[n:] for k in self._inner.list(self._prefix + prefix)]
-
-    def exists(self, key: str) -> bool:
-        return self._inner.exists(self._k(key))
-
-    def stat(self, key: str) -> StorageStat:
-        return self._inner.stat(self._k(key))
-
-    def rename(self, key: str, new_key: str) -> None:
-        self._inner.rename(self._k(key), self._k(new_key))
-
-    def stats(self) -> Dict[str, object]:
-        return self._inner.stats()
 
 
 class WrappingDriver(StorageDriver):
@@ -879,7 +840,6 @@ __all__ = [
     "FaultyDriver",
     "MemoryDriver",
     "PosixDriver",
-    "PrefixDriver",
     "RetryingDriver",
     "StorageDriver",
     "StorageStat",

@@ -83,7 +83,6 @@ from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
     PosixDriver,
-    PrefixDriver,
     RetryingDriver,
     StorageDriver,
 )
@@ -169,13 +168,6 @@ class CampaignStore:
     def driver(self) -> RetryingDriver:
         """The (retry-wrapped) storage driver all store I/O goes through."""
         return self._driver
-
-    @property
-    def lease_backend(self) -> StorageDriver:
-        """A lease-scoped view of the driver for :class:`~repro.
-        campaign.leases.LeaseManager` — same backend, ``leases/``
-        namespace, same retry envelope."""
-        return PrefixDriver(self._driver, "leases/")
 
     # ------------------------------------------------------------------ #
     # chunk access
@@ -343,7 +335,7 @@ class CampaignStore:
                 payload = json.loads(raw.decode("utf-8"))
                 break
             except (UnicodeDecodeError, ValueError):
-                holder = live_lease(self.lease_backend, content_hash)
+                holder = live_lease(self._driver, content_hash)
                 if holder is None or holder.get("owner") == owner:
                     raise self._quarantine_and_raise(
                         content_hash, "undecodable-json"
@@ -411,11 +403,16 @@ class CampaignStore:
             try:
                 raw = self._driver.get(self._npz_key(content_hash))
                 with np.load(io.BytesIO(raw)) as data:
-                    payload["arrays"] = {k: data[k] for k in data.files}
+                    arrays = {k: data[k] for k in data.files}
+                # np.load hands back the raw bytes of a member that
+                # lacks the .npy magic instead of raising.
+                if not all(isinstance(a, np.ndarray) for a in arrays.values()):
+                    raise ValueError("array payload member is not an array")
             except Exception:
                 raise self._quarantine_and_raise(
                     content_hash, "unreadable-array-payload"
                 )
+            payload["arrays"] = arrays
         return payload
 
     # ------------------------------------------------------------------ #
@@ -585,7 +582,7 @@ class CampaignStore:
         now = time.time()
         return [
             lease
-            for lease in scan_lease_backend(self.lease_backend)
+            for lease in scan_lease_backend(self._driver)
             if float(lease.get("deadline", 0.0)) > now
         ]
 

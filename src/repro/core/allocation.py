@@ -143,17 +143,19 @@ def _data_slots(config: NetScatterConfig) -> List[int]:
 def _association_shifts_cached(
     config: NetScatterConfig,
 ) -> Tuple[int, ...]:
-    if config.n_association_shifts == 0:
-        return ()
-    if config.n_association_shifts == 1:
-        return (0,)
-    shifts = [0, (config.n_bins // 2) // config.skip * config.skip]
-    extra = config.n_association_shifts - 2
-    for i in range(extra):
-        # Additional association slots interleave at quarter positions.
-        quarter = (config.n_bins * (i + 1) // 4) // config.skip * config.skip
-        shifts.append(quarter)
-    return tuple(shifts[: config.n_association_shifts])
+    n_bins, skip, count = config.n_bins, config.skip, config.n_association_shifts
+    shifts = [0, (n_bins // 2) // skip * skip][:count]
+    # Further slots bisect the ring's gaps on the SKIP grid: quarters,
+    # then eighths, ... skipping positions already taken. The config
+    # allows at most one slot per grid position, so this ends.
+    denominator = 4
+    while len(shifts) < count:
+        for numerator in range(1, denominator, 2):
+            shift = (n_bins * numerator // denominator) // skip * skip
+            if shift not in shifts and len(shifts) < count:
+                shifts.append(shift)
+        denominator *= 2
+    return tuple(shifts)
 
 
 def association_shifts(config: NetScatterConfig) -> List[int]:

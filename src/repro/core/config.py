@@ -70,6 +70,11 @@ class NetScatterConfig:
             )
         # Validate BW/SF via ChirpParams' own checks.
         _ = self.chirp_params
+        if self.n_association_shifts > self.n_bins // self.skip:
+            raise ConfigurationError(
+                f"n_association_shifts {self.n_association_shifts} exceeds "
+                f"the {self.n_bins // self.skip} shifts of the SKIP grid"
+            )
 
     @property
     def chirp_params(self) -> ChirpParams:

@@ -13,6 +13,7 @@ Two contracts under test:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,9 +108,9 @@ class TestCostModel:
 
     def test_invalid_workloads_rejected(self):
         planner = BackendPlanner(DEFAULT_COEFFICIENTS)
-        with pytest.raises(ConfigurationError):
-            planner.costs(_workload(0))  # tone input needs devices
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="tone-input workloads need"):
+            planner.costs(replace(_workload(4), n_devices=0))
+        with pytest.raises(ConfigurationError, match="dimensions must be >= 1"):
             planner.costs(_workload(4, n_symbols=0))
 
     def test_coefficients_validated(self):
@@ -513,12 +514,10 @@ class TestNoiseCostModel:
 
     def test_noise_validation(self):
         planner = BackendPlanner(DEFAULT_COEFFICIENTS)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="noise_mode must be None or one of"):
             planner.costs(_workload(8, noise_mode="bogus"))
-        with pytest.raises(ConfigurationError):
-            planner.costs(
-                _workload(8, window_width=0, noise_mode="payload")
-            )
+        with pytest.raises(ConfigurationError, match="need window_width >= 1"):
+            planner.costs(replace(_workload(8, noise_mode="payload"), window_width=0))
 
     def test_calibrate_measures_gauss_primitive(self):
         coefficients = calibrate()

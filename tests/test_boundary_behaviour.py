@@ -20,7 +20,7 @@ from repro.core.aggregation import AggregateBand
 from repro.core.allocation import AllocationTable, association_shifts
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import DeviceTransmission, compose_symbol
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.hardware.switch_network import SwitchNetwork
 from repro.phy import backend_plan
 from repro.phy.chirp import ChirpParams
@@ -115,11 +115,18 @@ class TestAggregateBand:
 class TestAssociationShifts:
     @pytest.mark.parametrize(
         "n_shifts, expected",
-        [(0, []), (1, [0]), (2, [0, 32]), (3, [0, 32, 16])],
+        [(0, []), (1, [0]), (2, [0, 32]), (3, [0, 32, 16]), (4, [0, 32, 16, 48]),
+         (5, [0, 32, 16, 48, 8])],
     )
     def test_reserved_positions(self, n_shifts, expected):
         config = replace(SMALL_CONFIG, n_association_shifts=n_shifts)
         assert association_shifts(config) == expected
+
+    def test_every_grid_position_can_be_reserved_once(self):
+        config = replace(SMALL_CONFIG, skip=16, n_association_shifts=4)
+        assert sorted(association_shifts(config)) == [0, 16, 32, 48]
+        with pytest.raises(ConfigurationError, match="exceeds the 4 shifts"):
+            replace(config, n_association_shifts=5)
 
     @pytest.mark.parametrize("rssi_dbm", [-10.0, -70.0])
     def test_single_reserved_shift_serves_every_device(self, rssi_dbm):

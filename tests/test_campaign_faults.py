@@ -31,6 +31,7 @@ from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultSelector
 from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
+    live_lease,
     parse_lease,
     scan_lease_backend,
 )
@@ -89,10 +90,14 @@ def tear(store, key):
     store.driver.replace(key, data[: max(1, len(data) // 2)])
 
 
-def plan_from(rules, seed=0):
-    return FaultPlan.from_dict(
+def plan_json(rules, seed=0):
+    return json.dumps(
         {"schema": "repro-fault-plan-v1", "seed": seed, "rules": rules}
     )
+
+
+def plan_from(rules, seed=0):
+    return FaultPlan.from_json(plan_json(rules, seed))
 
 
 def crash_rule(attempts=(1,), **match):
@@ -148,7 +153,7 @@ class TestRetryPolicy:
 
 
 class TestFaultPlan:
-    def test_round_trips_through_dict_and_json(self):
+    def test_v1_rules_load_as_execute_rules(self):
         plan = plan_from(
             [
                 crash_rule(n_devices=16),
@@ -162,8 +167,11 @@ class TestFaultPlan:
             ],
             seed=7,
         )
-        rebuilt = FaultPlan.from_json(json.dumps(plan.to_dict()))
-        assert rebuilt == plan
+        assert plan.seed == 7
+        crash, hang = plan.rules
+        assert (crash.op, crash.kind, crash.calls) == ("execute", "crash", (1,))
+        assert dict(crash.match) == {"n_devices": 16}
+        assert (hang.key_prefix, hang.calls, hang.hang_s) == ("3f", (1, 2), 0.5)
 
     def test_matches_on_fields_attempts_and_hash_prefix(self):
         point = make_point()
@@ -192,11 +200,12 @@ class TestFaultPlan:
     def test_from_env_inline_file_and_unset(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         assert FaultPlan.from_env() is None
-        plan = plan_from([crash_rule(n_devices=1)])
-        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan.to_dict()))
+        text = plan_json([crash_rule(n_devices=1)])
+        plan = FaultPlan.from_json(text)
+        monkeypatch.setenv(FAULT_PLAN_ENV, text)
         assert FaultPlan.from_env() == plan
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()))
+        path.write_text(text)
         monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
         assert FaultPlan.from_env() == plan
         monkeypatch.setenv(FAULT_PLAN_ENV, "")
@@ -259,7 +268,7 @@ class TestFaultPlan:
 
     def test_kill_degrades_to_crash_in_main_process(self, monkeypatch):
         monkeypatch.setattr(
-            faults_module, "_in_pool_worker", lambda: False
+            faults_module.multiprocessing, "parent_process", lambda: None
         )
         plan = plan_from(
             [{"stage": "execute", "kind": "kill", "match": {}}]
@@ -270,7 +279,7 @@ class TestFaultPlan:
 
     def test_kill_hard_exits_in_pool_worker(self, monkeypatch):
         monkeypatch.setattr(
-            faults_module, "_in_pool_worker", lambda: True
+            faults_module.multiprocessing, "parent_process", object
         )
         calls = []
 
@@ -290,42 +299,43 @@ class TestFaultPlan:
 
 class TestLeaseManager:
     def test_acquire_vacant_and_conflict(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=10.0)
-        b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=10.0)
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
         assert a.acquire("h1")
         assert not b.acquire("h1")
         assert a.held == ["h1"]
         assert b.held == []
-        lease = parse_lease(PosixDriver(tmp_path).get("h1.lease"))
+        lease = parse_lease(PosixDriver(tmp_path).get("leases/h1.lease"))
         assert lease["owner"] == "a"
 
     def test_expired_lease_is_stolen(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=0.05)
-        b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.05)
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
         assert a.acquire("h1")
         time.sleep(0.1)
         assert b.acquire("h1")
-        assert b.holder("h1")["owner"] == "b"
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == "b"
 
     def test_torn_lease_file_is_stolen(self, tmp_path):
-        (tmp_path / "h1.lease").write_text("{ not json")
-        b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
+        (tmp_path / "leases").mkdir()
+        (tmp_path / "leases" / "h1.lease").write_text("{ not json")
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
         assert b.acquire("h1")
-        assert b.holder("h1")["owner"] == "b"
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == "b"
 
     def test_renew_pushes_deadline_forward(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=5.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=5.0)
         assert a.acquire("h1")
-        first = a.holder("h1")["deadline"]
+        first = live_lease(PosixDriver(tmp_path), "h1")["deadline"]
         time.sleep(0.02)
         assert a.renew("h1")
-        renewed = a.holder("h1")
+        renewed = live_lease(PosixDriver(tmp_path), "h1")
         assert renewed["deadline"] > first
         assert renewed["renewals"] == 1
 
     def test_renew_after_steal_reports_loss(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=0.05)
-        b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.05)
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
         assert a.acquire("h1")
         time.sleep(0.1)
         assert b.acquire("h1")
@@ -333,40 +343,40 @@ class TestLeaseManager:
         assert a.held == []
 
     def test_release_only_unlinks_own_lease(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=10.0)
-        b = LeaseManager(tmp_path, owner="b", ttl_s=10.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=10.0)
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
         assert a.acquire("h1")
         b.release("h1")  # not b's lease: must stay
-        assert (tmp_path / "h1.lease").exists()
+        assert (tmp_path / "leases" / "h1.lease").exists()
         a.release("h1")
-        assert not (tmp_path / "h1.lease").exists()
+        assert not (tmp_path / "leases" / "h1.lease").exists()
 
-    def test_holder_none_when_vacant_or_expired(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=0.05)
-        assert a.holder("h1") is None
+    def test_live_lease_none_when_vacant_or_expired(self, tmp_path):
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.05)
+        assert live_lease(PosixDriver(tmp_path), "h1") is None
         assert a.acquire("h1")
-        assert a.holder("h1")["owner"] == "a"
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == "a"
         time.sleep(0.1)
-        assert a.holder("h1") is None
+        assert live_lease(PosixDriver(tmp_path), "h1") is None
 
     def test_scan_skips_torn_leases(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=10.0)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=10.0)
         assert a.acquire("h1")
-        (tmp_path / "h2.lease").write_text("not json")
+        (tmp_path / "leases" / "h2.lease").write_text("not json")
         leases = scan_lease_backend(PosixDriver(tmp_path))
         assert [lease["content_hash"] for lease in leases] == ["h1"]
 
     def test_heartbeat_keeps_short_ttl_alive(self, tmp_path):
-        a = LeaseManager(tmp_path, owner="a", ttl_s=0.3)
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.3)
         assert a.acquire("h1")
         with HeartbeatThread(a):
             time.sleep(0.8)
-            assert a.holder("h1") is not None  # renewed past 2x ttl
+            assert live_lease(PosixDriver(tmp_path), "h1") is not None  # renewed past 2x ttl
         a.release("h1")
 
     def test_rejects_nonpositive_ttl(self, tmp_path):
         with pytest.raises(ValueError):
-            LeaseManager(tmp_path, owner="a", ttl_s=0.0)
+            LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.0)
 
 
 class TestStoreIntegrity:
@@ -826,23 +836,19 @@ class TestConcurrentRunners:
 
         # Victim A hangs forever on the first point while holding its
         # lease (heartbeat keeps it live until A dies).
-        victim_plan = json.dumps(
-            plan_from(
-                [
-                    {
-                        "stage": "execute",
-                        "kind": "hang",
-                        "match": {"n_devices": 1},
-                        "attempts": [1, 2, 3],
-                        "hang_s": 120.0,
-                    }
-                ]
-            ).to_dict()
+        victim_plan = plan_json(
+            [
+                {
+                    "stage": "execute",
+                    "kind": "hang",
+                    "match": {"n_devices": 1},
+                    "attempts": [1, 2, 3],
+                    "hang_s": 120.0,
+                }
+            ]
         )
         # Survivor B also weathers a transient crash of its own.
-        survivor_plan = json.dumps(
-            plan_from([crash_rule(n_devices=2)]).to_dict()
-        )
+        survivor_plan = plan_json([crash_rule(n_devices=2)])
 
         context = multiprocessing.get_context("fork")
         victim = context.Process(
@@ -862,10 +868,10 @@ class TestConcurrentRunners:
         survivor_started = False
         try:
             victim.start()
-            observer = LeaseManager(store_root / "leases", owner="observer")
+            observer = PosixDriver(store_root)
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                lease = observer.holder(hashes[0])
+                lease = live_lease(observer, hashes[0])
                 if lease is not None and lease["owner"] == "victim":
                     break
                 time.sleep(0.02)
@@ -965,7 +971,7 @@ class TestCliFaultFlags:
     ):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_from([crash_rule(n_devices=1)])
+        plan = plan_json([crash_rule(n_devices=1)])
         code = campaign_cli(
             [
                 "run",
@@ -980,7 +986,7 @@ class TestCliFaultFlags:
                 "--store",
                 str(tmp_path / "store"),
                 "--fault-plan",
-                json.dumps(plan.to_dict()),
+                plan,
                 "--max-attempts",
                 "3",
                 "--no-leases",
@@ -994,7 +1000,7 @@ class TestCliFaultFlags:
     def test_run_permanent_failure_exits_nonzero(self, tmp_path, capsys):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_from([crash_rule(attempts=(1, 2), n_devices=1)])
+        plan = plan_json([crash_rule(attempts=(1, 2), n_devices=1)])
         code = campaign_cli(
             [
                 "run",
@@ -1009,7 +1015,7 @@ class TestCliFaultFlags:
                 "--store",
                 str(tmp_path / "store"),
                 "--fault-plan",
-                json.dumps(plan.to_dict()),
+                plan,
                 "--max-attempts",
                 "2",
                 "--no-leases",
@@ -1023,7 +1029,7 @@ class TestCliFaultFlags:
     def test_run_allow_partial_lists_failures(self, tmp_path, capsys):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_from([crash_rule(attempts=(1, 2), n_devices=1)])
+        plan = plan_json([crash_rule(attempts=(1, 2), n_devices=1)])
         code = campaign_cli(
             [
                 "run",
@@ -1038,7 +1044,7 @@ class TestCliFaultFlags:
                 "--store",
                 str(tmp_path / "store"),
                 "--fault-plan",
-                json.dumps(plan.to_dict()),
+                plan,
                 "--max-attempts",
                 "2",
                 "--no-leases",

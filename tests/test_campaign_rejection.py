@@ -188,12 +188,17 @@ class TestObjectStoreServiceLifecycle:
 
     def test_http_driver_reports_its_spec(self):
         driver = HttpDriver("http://127.0.0.1:1/campaign/")
-        assert driver.url == "http://127.0.0.1:1/campaign"
-        assert parse_driver_spec(driver.url)["bucket"] == "campaign"
+        assert driver.spec == "http://127.0.0.1:1/campaign"
+        assert parse_driver_spec(driver.spec)["bucket"] == "campaign"
 
     def test_client_url_drops_the_trailing_slash(self):
         client = CampaignServiceClient("http://127.0.0.1:1/")
         assert client.url == "http://127.0.0.1:1"
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
+    def test_client_refuses_a_bad_timeout(self, timeout_s):
+        with pytest.raises(ConfigurationError, match="timeout_s must be a finite"):
+            CampaignServiceClient("http://127.0.0.1:1", timeout_s=timeout_s)
 
 
 class TestPosixDriverOsErrors:
@@ -220,6 +225,14 @@ class TestPosixDriverOsErrors:
     def test_maps_to_transient_error(self, driver, op, args):
         with pytest.raises(TransientStorageError, match=op):
             getattr(driver, op)(*args)
+        assert driver.get("a") == b"file"
+
+    def test_exclusive_create_under_a_file_is_an_error_not_a_lost_claim(
+        self, driver
+    ):
+        # A broken store must not read as "key taken by someone else".
+        with pytest.raises(TransientStorageError, match="put_exclusive"):
+            driver.put_exclusive("a/b", b"x")
         assert driver.get("a") == b"file"
 
     def test_reading_a_directory_is_a_transient_error(self, driver):
@@ -293,6 +306,23 @@ class TestChunkQuarantine:
             content_hash: "unreadable-array-payload"
         }
 
+    def test_array_member_without_npy_magic_is_quarantined(self, tmp_path):
+        # np.load returns such a member as raw bytes instead of raising.
+        store, _, content_hash = self._saved(
+            tmp_path, arrays={"trace": np.arange(3.0)}
+        )
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("trace.npy", b"not an array")
+        (tmp_path / "points" / f"{content_hash}.npz").write_bytes(
+            buffer.getvalue()
+        )
+        with pytest.raises(CampaignIntegrityError, match="unreadable"):
+            store.load_hash(content_hash)
+        assert store.quarantined() == {
+            content_hash: "unreadable-array-payload"
+        }
+
     def test_intact_array_payload_loads(self, tmp_path):
         store, _, content_hash = self._saved(
             tmp_path, arrays={"trace": np.arange(3.0)}
@@ -339,8 +369,9 @@ class TestLeasePayloads:
         driver = MemoryDriver()
         lease = {"schema": LEASE_SCHEMA, "content_hash": "h1",
                  "owner": "a", "deadline": 1.0}
-        driver.put_atomic("h1.lease", json.dumps(lease).encode())
-        driver.put_atomic("notes.txt", json.dumps(lease).encode())
+        driver.put_atomic("leases/h1.lease", json.dumps(lease).encode())
+        driver.put_atomic("leases/notes.txt", json.dumps(lease).encode())
+        driver.put_atomic("points/h2.lease", json.dumps(lease).encode())
         assert scan_lease_backend(driver) == [lease]
 
     def test_scan_of_an_unlistable_backend_is_empty(self):
@@ -353,7 +384,7 @@ class TestLeasePayloads:
     def test_scan_skips_unreadable_leases(self):
         class Flaky(MemoryDriver):
             def get(self, key):
-                if key == "h2.lease":
+                if key == "leases/h2.lease":
                     raise TransientStorageError("read down")
                 return super().get(key)
 
@@ -361,22 +392,33 @@ class TestLeasePayloads:
         for name in ("h1", "h2"):
             payload = {"schema": LEASE_SCHEMA, "content_hash": name,
                        "owner": "a", "deadline": 1.0}
-            driver.put_atomic(f"{name}.lease", json.dumps(payload).encode())
+            driver.put_atomic(f"leases/{name}.lease",
+                              json.dumps(payload).encode())
         assert [lease["content_hash"]
                 for lease in scan_lease_backend(driver)] == ["h1"]
 
 
-class TestPointMatching:
+class TestExecuteRuleSelection:
+    """Execute rules select points through ``FaultRule.selects``: the
+    key is the content hash, ``match`` constrains point fields."""
+
     def test_hash_prefix_selects_one_point(self):
         point = make_point()
         prefix = point.content_hash()[:10]
-        assert point.matches(hash_prefix=prefix)
-        assert not make_point(seed=1).matches(hash_prefix=prefix)
+        rule = FaultRule(kind="crash", op="execute", key_prefix=prefix)
+        assert rule.selects("execute", point.content_hash(), point.to_dict())
+        other = make_point(seed=1)
+        assert not rule.selects("execute", other.content_hash(), other.to_dict())
 
     def test_any_mismatching_field_rejects(self):
         point = make_point()
-        assert point.matches(n_devices=8, engine="analytic")
-        assert not point.matches(n_devices=8, engine="fft")
+        key, fields = point.content_hash(), point.to_dict()
+        match = {"n_devices": 8, "engine": "analytic"}
+        assert FaultRule(kind="crash", op="execute", match=match).selects(
+            "execute", key, fields)
+        assert not FaultRule(kind="crash", op="execute",
+                             match={**match, "engine": "fft"}).selects(
+            "execute", key, fields)
 
 
 class TestCallWithTimeout:
@@ -437,6 +479,17 @@ class TestSubmitCli:
         assert code == 1
         assert "1 failed" in out
         assert "[FAIL]" in out
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_bad_timeout_is_refused_before_any_request(self, timeout, capsys):
+        # Nothing listens on port 1: a retried request would fail slowly.
+        code = entrypoint(["submit", "--service", "http://127.0.0.1:1",
+                           "--spec", "fig17", "--counts", "1",
+                           "--timeout-s", timeout])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --timeout-s must be a finite number")
+        assert "FAILED" not in err
 
     def test_dead_endpoint_exits_1(self, capsys):
         with socket.socket() as probe:

@@ -25,6 +25,8 @@ import json
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.campaign.client import (
     parse_service_url,
 )
 from repro.campaign.faults import FaultPlan, FaultRule
+from repro.campaign.objectstore import CircuitBreaker
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import EXEC_LOG_ENV, CampaignRunner
 from repro.campaign.service import (
@@ -47,6 +50,7 @@ from repro.errors import (
     ConfigurationError,
     PersistentStorageError,
 )
+from repro.protocol.network import NetworkMetrics
 
 #: Fast client retry policy (real backoffs, tiny delays).
 from repro.campaign.retry import RetryPolicy
@@ -82,6 +86,16 @@ def client_for(svc, **kwargs):
     kwargs.setdefault("retry", FAST_RETRY)
     kwargs.setdefault("timeout_s", 30.0)
     return CampaignServiceClient(svc.url, **kwargs)
+
+
+def get_json(svc, path):
+    """``(status, payload)`` of a GET on one of the service's JSON
+    endpoints, read the way a monitor reads them with ``curl``."""
+    try:
+        with urllib.request.urlopen(svc.url + path, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 def slow_execute(monkeypatch, delay_s=0.05):
@@ -133,15 +147,15 @@ class TestWireProtocol:
         spec = small_spec()
         run = client_for(svc).submit(spec)
         local = CampaignRunner(store=None, use_leases=False).run(spec)
-        assert run.metrics == local.metrics
+        assert [
+            NetworkMetrics(**e["metrics"]) for e in run.point_events
+        ] == local.metrics
 
     def test_unknown_paths_and_bad_bodies_answer_4xx(self, request):
         svc = live_service(request)
-        client = client_for(svc)
-        with pytest.raises(CampaignServiceError, match="404"):
-            client._get_json("/nope", "status")
-        with pytest.raises(CampaignServiceError, match="404"):
-            client.status("deadbeef" * 8)
+        assert get_json(svc, "/nope")[0] == 404
+        status, payload = get_json(svc, f"/campaigns/{'deadbeef' * 8}/status")
+        assert status == 404 and "unknown campaign" in payload["error"]
 
         host, port = parse_service_url(svc.url)[1].split(":")
         from http.client import HTTPConnection
@@ -163,11 +177,11 @@ class TestWireProtocol:
 
     def test_status_and_list_track_an_execution(self, request):
         svc = live_service(request)
-        client = client_for(svc)
         spec = small_spec()
-        run = client.submit(spec)
+        run = client_for(svc).submit(spec)
 
-        status = client.status(run.campaign_id)
+        code, status = get_json(svc, f"/campaigns/{run.campaign_id}/status")
+        assert code == 200
         assert status["campaign_id"] == run.campaign_id
         assert status["state"] == "complete"
         assert status["n_points"] == 2
@@ -175,21 +189,21 @@ class TestWireProtocol:
         assert status["points_failed"] == 0
         assert "elapsed_s" in status
 
-        campaigns = client.list_campaigns()
-        assert [c["campaign_id"] for c in campaigns] == [
+        code, listing = get_json(svc, "/campaigns")
+        assert code == 200
+        assert [c["campaign_id"] for c in listing["campaigns"]] == [
             run.campaign_id
         ]
 
     def test_healthz_counters(self, request):
         svc = live_service(request)
-        client = client_for(svc)
-        health = client.healthz()
+        health = get_json(svc, "/healthz")[1]
         assert health["status"] == "ok"
         assert health["campaigns_total"] == 0
         assert "memory" in health["store"]
 
-        client.submit(small_spec())
-        health = client.healthz()
+        client_for(svc).submit(small_spec())
+        health = get_json(svc, "/healthz")[1]
         assert health["campaigns_total"] == 1
         assert health["campaigns_in_flight"] == 0
         assert health["n_submitted"] == 1
@@ -278,7 +292,7 @@ class TestDedup:
         assert sum(run.created for run in runs) == 1
         assert all(run.summary["status"] == "complete" for run in runs)
 
-        health = client_for(svc).healthz()
+        health = get_json(svc, "/healthz")[1]
         assert health["n_submitted"] == n_clients
         assert health["n_deduped"] == n_clients - 1
 
@@ -373,7 +387,6 @@ class TestBackpressure:
             if line is None:
                 break
             lines.append(line)
-        execution.join(timeout=30)
 
         assert len(lines) == 6  # every point, despite the laggard
         assert [json.loads(l)["index"] for l in lines] == list(range(6))
@@ -424,7 +437,7 @@ class TestRequestChaos:
                 [
                     {
                         "kind": "http_error",
-                        "op": "healthz",
+                        "op": "submit",
                         "calls": [1],
                         "status": 503,
                         "retry_after_s": 0.01,
@@ -433,7 +446,7 @@ class TestRequestChaos:
             ),
         )
         client = client_for(svc)
-        assert client.healthz()["status"] == "ok"
+        assert client.submit(small_spec()).summary["status"] == "complete"
         assert client.n_retries == 1
 
     def test_delay_is_survived_within_timeout(self, request):
@@ -489,18 +502,19 @@ class TestRequestChaos:
                 [
                     {
                         "kind": "refuse",
-                        "op": "healthz",
+                        "op": "submit",
                         "calls": list(range(1, 40)),
                     }
                 ]
             ),
         )
-        client = client_for(svc)
+        breaker = CircuitBreaker(svc.url)
+        client = client_for(svc, breaker=breaker)
         with pytest.raises(PersistentStorageError):
-            client.healthz()
-        assert client.breaker.state == "open"
+            client.submit(small_spec())
+        assert breaker.state == "open"
         with pytest.raises(CircuitOpenError):
-            client.healthz()
+            client.submit(small_spec())
 
     def test_dead_endpoint_exhausts_to_persistent_error(self, request):
         svc = live_service(request)
@@ -510,7 +524,7 @@ class TestRequestChaos:
             url, retry=FAST_RETRY, timeout_s=2.0
         )
         with pytest.raises(PersistentStorageError):
-            client.healthz()
+            client.submit(small_spec())
 
 
 class TestAcceptance:
@@ -604,6 +618,6 @@ class TestAcceptance:
             runs[0].point_lines
         )
 
-        health = client_for(svc).healthz()
+        health = get_json(svc, "/healthz")[1]
         assert health["status"] == "ok"
         assert health["campaigns_in_flight"] == 0

@@ -27,6 +27,7 @@ from repro.campaign.faults import (
     FaultPlan,
 )
 from repro.campaign.objectstore import HttpDriver
+from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.service import CampaignService
 from repro.campaign.storage import RetryingDriver
@@ -84,8 +85,9 @@ class TestHttpDateRetryAfter:
     def test_client_retries_then_escalates(self, unavailable_url):
         url, hits = unavailable_url
         client = CampaignServiceClient(url)
+        spec = fig17_campaign(rng=0, device_counts=(1,), n_rounds=1, engine="analytic")
         with pytest.raises(PersistentStorageError):
-            client.healthz()
+            client.submit(spec)
         assert client.n_retries == 3
         assert len(hits) == 4
 

@@ -33,7 +33,7 @@ import pytest
 
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.faults import FaultPlan, FaultRule
-from repro.campaign.leases import LeaseManager
+from repro.campaign.leases import LeaseManager, live_lease
 from repro.campaign.objectstore import (
     CircuitBreakerDriver,
     HttpDriver,
@@ -50,7 +50,6 @@ from repro.campaign.storage import (
     FaultyDriver,
     MemoryDriver,
     PosixDriver,
-    PrefixDriver,
     RetryingDriver,
     build_driver,
 )
@@ -142,7 +141,7 @@ class TestWireProtocol:
         from http.client import HTTPConnection
         from urllib.parse import urlsplit
 
-        from repro.campaign.objectstore import SHA_HEADER
+        from repro.campaign.objectstore import OP_HEADER, SHA_HEADER
 
         netloc = urlsplit(service.url).netloc
         conn = HTTPConnection(netloc, timeout=5.0)
@@ -151,7 +150,7 @@ class TestWireProtocol:
                 "PUT",
                 "/campaign/points/torn.json",
                 body=b"actual bytes",
-                headers={SHA_HEADER: "0" * 64},
+                headers={OP_HEADER: "put_atomic", SHA_HEADER: "0" * 64},
             )
             response = conn.getresponse()
             response.read()
@@ -159,6 +158,27 @@ class TestWireProtocol:
             conn.close()
         assert response.status == 422
         assert not service.driver.exists("points/torn.json")
+
+    @pytest.mark.parametrize("op", [None, "", "bogus"])
+    def test_server_refuses_a_request_without_a_driver_op(self, service, op):
+        # A request from outside the driver (say, curl) must name its op;
+        # the service answers 400 before it touches the store.
+        from http.client import HTTPConnection
+        from urllib.parse import urlsplit
+
+        from repro.campaign.objectstore import OP_HEADER
+
+        conn = HTTPConnection(urlsplit(service.url).netloc, timeout=5.0)
+        try:
+            headers = {} if op is None else {OP_HEADER: op}
+            conn.request("PUT", "/campaign/points/a.json", body=b"x", headers=headers)
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert b"must name a driver op" in body
+        assert not service.driver.exists("points/a.json")
 
     def test_backend_transient_fault_maps_to_retryable_503(self, request):
         # The service's *backing* driver hiccups -> 503 on the wire ->
@@ -492,27 +512,24 @@ class TestDelayedLandingWrites:
                 }
             ],
         )
-        backend = PrefixDriver(
-            RetryingDriver(
-                HttpDriver(svc.url, timeout_s=5.0),
-                RetryPolicy(
-                    max_attempts=3,
-                    base_delay_s=0.2,  # retry only after the landing
-                    max_delay_s=0.3,
-                    jitter=0.0,
-                ),
-                op_timeout_s=0.05,
+        driver = RetryingDriver(
+            HttpDriver(svc.url, timeout_s=5.0),
+            RetryPolicy(
+                max_attempts=3,
+                base_delay_s=0.2,  # retry only after the landing
+                max_delay_s=0.3,
+                jitter=0.0,
             ),
-            "leases/",
+            op_timeout_s=0.05,
         )
-        manager = LeaseManager(backend, owner="w1", ttl_s=5.0)
+        manager = LeaseManager(driver, owner="w1", ttl_s=5.0)
         # The exclusive create times out client-side but lands
         # server-side; the retry then loses to *our own* stale entry,
         # and acquire()'s read-back recognises the owner and steals it
         # back — the claim is granted, not deadlocked.
         assert manager.acquire("abc123") is True
         assert manager.held == ["abc123"]
-        holder = manager.holder("abc123")
+        holder = live_lease(driver, "abc123")
         assert holder is not None and holder["owner"] == "w1"
 
 
@@ -762,7 +779,7 @@ class TestClientDisconnects:
                 )
                 sock.sendall(
                     b"GET /campaign/points/big.bin HTTP/1.1\r\n"
-                    b"Host: store\r\n\r\n"
+                    b"Host: store\r\nX-Repro-Op: get\r\n\r\n"
                 )
                 sock.recv(1024)  # headers + first body bytes
             finally:

@@ -165,3 +165,24 @@ def test_check_reports_unlisted_and_stale_entries(package):
     assert len(problems) == 2
     assert problems[0].startswith("unreached and not allowlisted: mod.py::uncalled")
     assert problems[1] == "allowlisted but not found: mod.py::gone"
+
+
+def test_abstract_methods_are_not_counted(tmp_path):
+    (tmp_path / "base.py").write_text(textwrap.dedent('''\
+        import abc
+        from abc import ABC, abstractmethod
+
+
+        class Base(ABC):
+            @abstractmethod
+            def declared(self):
+                """Never runs."""
+
+            @abc.abstractmethod
+            def also_declared(self):
+                """Never runs either."""
+
+            def concrete(self):
+                return 1
+    '''))
+    assert {f.qualname for f in reach.functions(tmp_path).values()} == {"Base.concrete"}

@@ -38,7 +38,7 @@ from repro.campaign.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.campaign.leases import HeartbeatThread, LeaseManager
+from repro.campaign.leases import HeartbeatThread, LeaseManager, live_lease
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import (
     EXEC_LOG_ENV,
@@ -50,7 +50,6 @@ from repro.campaign.storage import (
     FaultyDriver,
     MemoryDriver,
     PosixDriver,
-    PrefixDriver,
     RetryingDriver,
     WrappingDriver,
     build_driver,
@@ -77,6 +76,12 @@ def small_spec(counts=(1, 2), **overrides):
     return fig17_campaign(**kwargs)
 
 
+def storage_plan_json(rules, seed=0):
+    return json.dumps(
+        {"schema": "repro-storage-fault-plan-v1", "seed": seed, "rules": rules}
+    )
+
+
 def storage_plan(rules, seed=0):
     return FaultPlan(
         rules=tuple(FaultRule(**rule) for rule in rules),
@@ -90,12 +95,11 @@ def make_driver(kind, tmp_path):
     return MemoryDriver()
 
 
-@pytest.fixture(params=["posix", "memory", "http", "prefix-http"])
+@pytest.fixture(params=["posix", "memory", "http"])
 def driver(request, tmp_path):
     """Every backend through the same contract suite — the remote
-    driver (bare and under a ``PrefixDriver``, the lease protocol's
-    view of it) rides along against a per-test in-process server."""
-    if request.param in ("http", "prefix-http"):
+    driver rides along against a per-test in-process server."""
+    if request.param == "http":
         from repro.campaign.objectstore import (
             HttpDriver,
             ObjectStoreService,
@@ -104,10 +108,7 @@ def driver(request, tmp_path):
         service = ObjectStoreService()
         service.start()
         request.addfinalizer(service.stop)
-        http_driver = HttpDriver(service.url, timeout_s=5.0)
-        if request.param == "prefix-http":
-            return PrefixDriver(http_driver, "scoped/")
-        return http_driver
+        return HttpDriver(service.url, timeout_s=5.0)
     return make_driver(request.param, tmp_path)
 
 
@@ -217,19 +218,6 @@ class TestPosixDurability:
         )
         PosixDriver(tmp_path).put_exclusive("leases/a.lease", b"1")
         assert len(synced) >= 2
-
-
-class TestPrefixDriver:
-    def test_namespaces_keys(self):
-        inner = MemoryDriver()
-        scoped = PrefixDriver(inner, "leases/")
-        scoped.put_exclusive("a.lease", b"1")
-        assert inner.list("") == ["leases/a.lease"]
-        assert scoped.list("") == ["a.lease"]
-        scoped.replace("a.lease", b"2")
-        assert scoped.get("a.lease") == b"2"
-        assert scoped.delete("a.lease") is True
-        assert inner.list("") == []
 
 
 class TestFaultyDriver:
@@ -353,16 +341,6 @@ class TestFaultyDriver:
         with pytest.raises(PersistentStorageError):
             faulty.put_atomic("x", b"1")
 
-    def test_plan_round_trips_through_json(self):
-        plan = storage_plan(
-            [
-                {"kind": "torn", "op": "replace", "offset": 2},
-                {"kind": "error", "p": 0.25, "max_fires": 3},
-            ],
-            seed=9,
-        )
-        assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
-
     def test_invalid_rules_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultRule(kind="torn", op="get")
@@ -378,7 +356,7 @@ class TestFaultyDriver:
         assert FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV) is None
         monkeypatch.setenv(
             STORAGE_FAULT_PLAN_ENV,
-            json.dumps(storage_plan([{"kind": "error"}]).to_dict()),
+            '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error"}]}',
         )
         plan = FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV)
         assert plan is not None and plan.rules[0].kind == "error"
@@ -574,7 +552,7 @@ class TestHeartbeatResilience:
                 deadline = time.monotonic() + 5.0
                 renewed = False
                 while time.monotonic() < deadline:
-                    holder = leases.holder("h1")
+                    holder = live_lease(faulty, "h1")
                     if holder is not None and int(holder["renewals"]) >= 1:
                         renewed = True
                         break
@@ -610,7 +588,7 @@ class TestHeartbeatResilience:
         leases = LeaseManager(faulty, owner="w1", ttl_s=5.0)
         assert leases.acquire("h1") is False  # fault → claim lost
         assert leases.acquire("h1") is True  # clean retry wins
-        assert leases.holder("h1")["owner"] == "w1"
+        assert live_lease(faulty, "h1")["owner"] == "w1"
 
 
 def _faulty_store(root, plan, retry=FAST_STORAGE_RETRY):
@@ -818,7 +796,7 @@ class TestTornWriteUnderLiveLease:
             ),
             retry=ReadBeforeRetry(max_attempts=4, base_delay_s=0.001),
         )
-        assert LeaseManager(writer.lease_backend, owner="w1").acquire(
+        assert LeaseManager(writer.driver, owner="w1").acquire(
             content_hash
         )
         reader = self._reader(
@@ -849,7 +827,7 @@ class TestTornWriteUnderLiveLease:
         point = self._point()
         self._torn_chunk(root, point)
         reader = self._reader(root)
-        leases = LeaseManager(reader.lease_backend, owner="w1")
+        leases = LeaseManager(reader.driver, owner="w1")
         assert leases.acquire(point.content_hash())
         assert reader.has(point, owner="w2") is False
         assert reader.quarantined() == {}
@@ -871,7 +849,7 @@ class TestTornWriteUnderLiveLease:
         if lease != "vacant":
             ttl_s = 0.01 if lease == "expired" else 30.0
             assert LeaseManager(
-                reader.lease_backend, owner="w1", ttl_s=ttl_s
+                reader.driver, owner="w1", ttl_s=ttl_s
             ).acquire(point.content_hash())
             time.sleep(0.05)
         owner = "w1" if lease == "own" else "w2"
@@ -1076,43 +1054,39 @@ class TestFaultyDriverAcceptance:
         # plus one injected storage hang; w2: seeded transient errors
         # across reads and lease claims. All within the retry budget,
         # so no attempt ever escalates or recomputes.
-        w1_plan = json.dumps(
-            storage_plan(
-                [
-                    {
-                        "kind": "torn",
-                        "op": "put_atomic",
-                        "key_prefix": "points/",
-                        "calls": [1, 3],
-                    },
-                    {
-                        "kind": "hang",
-                        "op": "get",
-                        "calls": [2],
-                        "hang_s": 0.2,
-                    },
-                ],
-                seed=1,
-            ).to_dict()
+        w1_plan = storage_plan_json(
+            [
+                {
+                    "kind": "torn",
+                    "op": "put_atomic",
+                    "key_prefix": "points/",
+                    "calls": [1, 3],
+                },
+                {
+                    "kind": "hang",
+                    "op": "get",
+                    "calls": [2],
+                    "hang_s": 0.2,
+                },
+            ],
+            seed=1,
         )
-        w2_plan = json.dumps(
-            storage_plan(
-                [
-                    {
-                        "kind": "error",
-                        "op": "get",
-                        "p": 0.1,
-                        "max_fires": 4,
-                    },
-                    {
-                        "kind": "error",
-                        "op": "put_exclusive",
-                        "key_prefix": "leases/",
-                        "calls": [2],
-                    },
-                ],
-                seed=2,
-            ).to_dict()
+        w2_plan = storage_plan_json(
+            [
+                {
+                    "kind": "error",
+                    "op": "get",
+                    "p": 0.1,
+                    "max_fires": 4,
+                },
+                {
+                    "kind": "error",
+                    "op": "put_exclusive",
+                    "key_prefix": "leases/",
+                    "calls": [2],
+                },
+            ],
+            seed=2,
         )
 
         context = multiprocessing.get_context("fork")
@@ -1185,17 +1159,15 @@ class TestCliStorageFlags:
         assert "1 points" in out and "memory" in out
 
     def test_run_with_storage_fault_plan_heals(self, tmp_path, capsys):
-        plan = json.dumps(
-            storage_plan(
-                [
-                    {
-                        "kind": "error",
-                        "op": "put_atomic",
-                        "key_prefix": "points/",
-                        "calls": [1],
-                    }
-                ]
-            ).to_dict()
+        plan = storage_plan_json(
+            [
+                {
+                    "kind": "error",
+                    "op": "put_atomic",
+                    "key_prefix": "points/",
+                    "calls": [1],
+                }
+            ]
         )
         code = campaign_cli(
             [
