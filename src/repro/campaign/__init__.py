@@ -7,7 +7,7 @@ declarative, cacheable artifacts:
   into content-hashable :class:`CampaignPoint` values (every random
   ingredient an explicit seed);
 * :mod:`repro.campaign.store` — :class:`CampaignStore`, a per-point
-  JSON/npz chunk store keyed by content hash with a rebuildable
+  JSON chunk store keyed by content hash with a rebuildable
   manifest, chunk-integrity verification, and a quarantine for corrupt
   chunks (reruns skip completed points bit-for-bit);
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, sharding

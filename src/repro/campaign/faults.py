@@ -102,7 +102,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, FaultInjectedError
+from repro.errors import (
+    ConfigurationError,
+    FaultInjectedError,
+    require_integer,
+)
 
 #: Environment variables carrying a plan (inline JSON, or a path to a
 #: JSON file; empty/unset means no injection): the runner's, and the
@@ -157,24 +161,6 @@ _MATCH_FIELDS = (
     "fading",
     "seed",
 )
-
-
-def _integer(name: str, value, low: Optional[int] = None) -> int:
-    """``value`` as an int (>= ``low``): a bool, a fraction or a
-    non-number is refused."""
-    whole = isinstance(value, int) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if (
-        isinstance(value, bool)
-        or not whole
-        or (low is not None and value < low)
-    ):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigurationError(
-            f"fault {name} must be an integer{bound}, got {value!r}"
-        )
-    return int(value)
 
 
 def _seconds(name: str, value) -> None:
@@ -273,22 +259,26 @@ class FaultRule:
                     f"fault calls must be a list of 1-based indices, "
                     f"got {calls!r}"
                 )
-            calls = tuple(_integer("calls", index, 1) for index in calls)
+            calls = tuple(
+                require_integer("fault calls", index, 1) for index in calls
+            )
         object.__setattr__(self, "calls", calls)
         if self.max_fires is not None:
             object.__setattr__(
-                self, "max_fires", _integer("max_fires", self.max_fires, 0)
+                self,
+                "max_fires",
+                require_integer("fault max_fires", self.max_fires, 0),
             )
         _seconds("hang_s", self.hang_s)
         if self.offset is not None:
             object.__setattr__(
-                self, "offset", _integer("offset", self.offset, 0)
+                self, "offset", require_integer("fault offset", self.offset, 0)
             )
         if not isinstance(self.silent, bool):
             raise ConfigurationError(
                 f"fault silent must be true or false, got {self.silent!r}"
             )
-        status = _integer("status", self.status, 400)
+        status = require_integer("fault status", self.status, 400)
         if status > 599:
             raise ConfigurationError(
                 f"fault status must be a 4xx/5xx code, got {self.status!r}"
@@ -386,7 +376,9 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(
+            self, "seed", require_integer("fault seed", self.seed)
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":

@@ -11,7 +11,7 @@ recomputing them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.campaign.spec import CampaignSpec, derive_seeds
 from repro.channel.deployment import PAPER_DEPLOYMENT_DEVICES
@@ -36,7 +36,6 @@ def fig17_campaign(
     n_rounds: int = 3,
     engine: str = "auto",
     noise_mode: str = "payload",
-    float32_min_devices: Optional[int] = None,
     name: str = "fig17",
 ) -> CampaignSpec:
     """The Fig. 17 PHY-rate sweep as a campaign.
@@ -61,7 +60,6 @@ def fig17_campaign(
         fading=(False,),
         n_rounds=n_rounds,
         query_bits=QUERY_BITS_CONFIG1,
-        float32_min_devices=float32_min_devices,
     )
 
 
@@ -71,7 +69,6 @@ def fig18_campaign(
     n_rounds: int = 3,
     engine: str = "auto",
     noise_mode: str = "payload",
-    float32_min_devices: Optional[int] = None,
 ) -> CampaignSpec:
     """The Fig. 18 link-layer sweep as a campaign.
 
@@ -86,7 +83,6 @@ def fig18_campaign(
         n_rounds=n_rounds,
         engine=engine,
         noise_mode=noise_mode,
-        float32_min_devices=float32_min_devices,
         name="fig18",
     )
     return CampaignSpec.from_dict(

@@ -149,7 +149,6 @@ def execute_point(point: CampaignPoint) -> Tuple[Dict, Dict]:
         rng=np.random.default_rng(point.seed),
         engine=point.engine,
         noise_mode=point.noise_mode,
-        float32=point.readout_dtype == "complex64",
         fading=point.fading,
     )
     provenance = {

@@ -658,16 +658,7 @@ class CampaignService(HttpService):
         of the identical spec (the dedup path). A finished execution
         is re-run — which answers entirely from the content-hash cache.
         """
-        try:
-            spec = CampaignSpec.from_dict(dict(spec_dict))
-        except ReproError:
-            raise
-        except (TypeError, ValueError, KeyError) as error:
-            # Unknown/missing spec fields surface as stdlib errors from
-            # the dataclass constructor; a bad request is an answer.
-            raise ConfigurationError(
-                f"invalid campaign spec: {type(error).__name__}: {error}"
-            ) from error
+        spec = CampaignSpec.from_dict(spec_dict)
         campaign_id = campaign_id_for(spec.to_dict())
         with self._lock:
             self._n_submitted += 1

@@ -21,7 +21,7 @@ moves the hash:
 ...     config={"n_association_shifts": 0},
 ...     n_devices=8, n_rounds=2, query_bits=32,
 ...     engine="analytic", noise_mode="payload", fading=False,
-...     readout_dtype=None, seed=1234)
+...     seed=1234)
 >>> point.content_hash() == point.content_hash()
 True
 >>> from dataclasses import replace
@@ -36,18 +36,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.core.config import NetScatterConfig
+from repro.errors import ConfigurationError, require_integer
 from repro.phy.noise import NOISE_MODES
-from repro.protocol.network import ENGINES, float32_readout
+from repro.protocol.network import ENGINES
 from repro.utils.rng import RngLike, child_seed, make_rng
 
 #: Version stamp hashed into every point: bump it when the meaning of a
 #: stored result changes (e.g. a new noise-stream default), so stale
 #: cache entries stop matching instead of silently serving old physics.
-POINT_SCHEMA = "repro-campaign-point-v1"
+POINT_SCHEMA = "repro-campaign-point-v2"
+
+#: ``NetScatterConfig`` fields a spec's ``config`` may override.
+_CONFIG_FIELDS = frozenset(f.name for f in fields(NetScatterConfig))
 
 #: Deployment kinds the runner knows how to rebuild from a descriptor.
 DEPLOYMENT_KINDS = ("paper",)
@@ -72,7 +76,8 @@ class CampaignPoint:
         builds only the ``n_devices`` prefix the point uses, which is
         bit-identical to that prefix of the full build.
     config:
-        ``NetScatterConfig`` keyword overrides shared by the campaign.
+        ``NetScatterConfig`` keyword overrides shared by the campaign;
+        a key that names no field is refused.
     n_devices:
         The subset size this point simulates (the sweep axis).
     seed:
@@ -80,8 +85,6 @@ class CampaignPoint:
         ``sweep_device_counts`` derives its per-count generator from
         the same base seed; ``tests/test_campaign.py`` compares the
         two surfaces' results.
-    readout_dtype:
-        ``None`` or ``"complex64"`` (the float32 analytic operators).
     """
 
     deployment: Mapping[str, object]
@@ -92,7 +95,6 @@ class CampaignPoint:
     engine: str
     noise_mode: str
     fading: bool
-    readout_dtype: Optional[str]
     seed: int
 
     def __post_init__(self) -> None:
@@ -105,26 +107,35 @@ class CampaignPoint:
                 f"noise_mode must be one of {NOISE_MODES}, "
                 f"got {self.noise_mode!r}"
             )
-        if self.readout_dtype not in (None, "complex64"):
-            raise ConfigurationError(
-                "readout_dtype must be None or 'complex64', "
-                f"got {self.readout_dtype!r}"
-            )
         kind = dict(self.deployment).get("kind")
         if kind not in DEPLOYMENT_KINDS:
             raise ConfigurationError(
                 f"deployment kind must be one of {DEPLOYMENT_KINDS}, "
                 f"got {kind!r}"
             )
-        if not 1 <= int(self.n_devices) <= int(
-            dict(self.deployment)["n_devices"]
-        ):
+        n_devices = require_integer("n_devices", self.n_devices, 1)
+        if n_devices > int(dict(self.deployment)["n_devices"]):
             raise ConfigurationError(
-                f"n_devices {self.n_devices} outside the deployment's "
+                f"n_devices {n_devices} outside the deployment's "
                 f"1..{dict(self.deployment)['n_devices']}"
             )
-        if int(self.n_rounds) < 1:
-            raise ConfigurationError("n_rounds must be >= 1")
+        object.__setattr__(self, "n_devices", n_devices)
+        object.__setattr__(
+            self, "seed", require_integer("seed", self.seed, 0)
+        )
+        object.__setattr__(
+            self, "n_rounds", require_integer("n_rounds", self.n_rounds, 1)
+        )
+        object.__setattr__(
+            self,
+            "query_bits",
+            require_integer("query_bits", self.query_bits, 0),
+        )
+        unknown = sorted(set(dict(self.config)) - _CONFIG_FIELDS)
+        if unknown:
+            raise ConfigurationError(
+                f"config keys {unknown} are not NetScatterConfig fields"
+            )
         # Freeze the mappings into plain dicts so asdict/JSON round-trip.
         object.__setattr__(self, "deployment", dict(self.deployment))
         object.__setattr__(self, "config", dict(self.config))
@@ -170,17 +181,25 @@ class CampaignSpec:
     fading: Tuple[bool, ...] = (False,)
     n_rounds: int = 3
     query_bits: int = 32
-    float32_min_devices: Optional[int] = None
     description: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deployment", dict(self.deployment))
         object.__setattr__(self, "config", dict(self.config))
         object.__setattr__(
-            self, "device_counts", tuple(int(c) for c in self.device_counts)
+            self,
+            "device_counts",
+            tuple(
+                require_integer("device_counts", c, 1)
+                for c in self.device_counts
+            ),
         )
         object.__setattr__(
-            self, "point_seeds", tuple(int(s) for s in self.point_seeds)
+            self,
+            "point_seeds",
+            tuple(
+                require_integer("point_seeds", s, 0) for s in self.point_seeds
+            ),
         )
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "noise_modes", tuple(self.noise_modes))
@@ -218,9 +237,6 @@ class CampaignSpec:
                     for count, seed in zip(
                         self.device_counts, self.point_seeds
                     ):
-                        float32 = float32_readout(
-                            engine, count, self.float32_min_devices
-                        )
                         yield CampaignPoint(
                             deployment=self.deployment,
                             config=self.config,
@@ -230,7 +246,6 @@ class CampaignSpec:
                             engine=engine,
                             noise_mode=noise_mode,
                             fading=fading,
-                            readout_dtype="complex64" if float32 else None,
                             seed=seed,
                         )
 
@@ -241,13 +256,30 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
+        """The spec of a :meth:`to_dict` payload (a spec file, a
+        service request); any way it is malformed, an unknown key
+        included, is a :class:`~repro.errors.ConfigurationError`."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError("a campaign spec must be an object")
         payload = dict(data)
         schema = payload.pop("schema", "repro-campaign-spec-v1")
         if schema != "repro-campaign-spec-v1":
             raise ConfigurationError(
                 f"unsupported campaign spec schema {schema!r}"
             )
-        return cls(**payload)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown campaign spec keys {unknown}"
+            )
+        try:
+            return cls(**payload)
+        except (TypeError, ValueError, KeyError) as error:
+            # A missing field or a value of the wrong type surfaces as
+            # a stdlib error from the constructor.
+            raise ConfigurationError(
+                f"invalid campaign spec: {type(error).__name__}: {error}"
+            ) from error
 
 
 def derive_seeds(

@@ -1,8 +1,8 @@
 """Pluggable fault-tolerant storage drivers for the campaign store.
 
-Every byte of campaign state — point chunks, npz payloads, the
-manifest, lease files, failure records, quarantine stamps — flows
-through a :class:`StorageDriver`. The driver layer is where I/O faults
+Every byte of campaign state — point chunks, the manifest, lease
+files, failure records, quarantine stamps — flows through a
+:class:`StorageDriver`. The driver layer is where I/O faults
 are absorbed: bounded retries with seeded-jitter backoff and optional
 per-operation timeouts live in :class:`RetryingDriver`, crash-consistent
 durability lives in :class:`PosixDriver` (fsync-on-commit), and the

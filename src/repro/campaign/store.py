@@ -6,7 +6,6 @@ Layout (one key namespace per store, identical on every backend)::
       manifest.json          index: {hash: summary row}, rebuildable
       points/<hash>.json     one chunk per completed point (source of
                              truth: point + metrics + provenance)
-      points/<hash>.npz      optional array payload for the point
       leases/<hash>.lease    live worker claims (repro.campaign.leases)
       failures/<hash>.json   per-point failure record (attempts, errors)
       quarantine/            corrupt chunks moved aside, with a reason
@@ -33,9 +32,8 @@ exactly — ``json`` emits shortest round-trip reprs) and computes only
 what is missing.
 
 Integrity: every chunk read re-verifies the record — the JSON must
-decode, carry the store schema, embed a point whose recomputed
-``content_hash`` equals the key, and any referenced ``.npz`` payload
-must be a readable archive. A chunk failing any check is moved to
+decode, carry the store schema, and embed a point whose recomputed
+``content_hash`` equals the key. A chunk failing any check is moved to
 ``quarantine/`` with a reason stamp and treated as missing, so a torn
 write that *landed silently* (a non-atomic backend, a bad disk, or
 manual tampering) can never poison the bit-for-bit warm-rerun
@@ -54,7 +52,7 @@ Doctest — save, hit, reload:
 ...     deployment={"kind": "paper", "n_devices": 4, "seed": 3},
 ...     config={}, n_devices=2, n_rounds=1, query_bits=32,
 ...     engine="analytic", noise_mode="payload", fading=False,
-...     readout_dtype=None, seed=99)
+...     seed=99)
 >>> store = CampaignStore(tempfile.mkdtemp())
 >>> store.has(point)
 False
@@ -68,15 +66,11 @@ True
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import time
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
-
-import numpy as np
 
 from repro.campaign.leases import live_lease, scan_lease_backend
 from repro.campaign.retry import RetryPolicy
@@ -96,7 +90,7 @@ from repro.errors import (
 log = logging.getLogger("repro.campaign.store")
 
 #: Schema stamped on the manifest and on every chunk.
-STORE_SCHEMA = "repro-campaign-store-v1"
+STORE_SCHEMA = "repro-campaign-store-v2"
 
 #: Schema stamped on per-point failure records.
 FAILURE_SCHEMA = "repro-campaign-failure-v1"
@@ -176,9 +170,6 @@ class CampaignStore:
     def _chunk_key(self, content_hash: str) -> str:
         return f"points/{content_hash}.json"
 
-    def _npz_key(self, content_hash: str) -> str:
-        return f"points/{content_hash}.npz"
-
     def has(self, point: CampaignPoint, owner: Optional[str] = None) -> bool:
         """True when a *verified* chunk exists for this exact content.
 
@@ -200,7 +191,6 @@ class CampaignStore:
         point: CampaignPoint,
         metrics: Mapping[str, object],
         provenance: Mapping[str, object],
-        arrays: Optional[Mapping[str, np.ndarray]] = None,
         elapsed_s: Optional[float] = None,
     ):
         """Persist one completed point; returns the chunk location
@@ -224,13 +214,6 @@ class CampaignStore:
         if elapsed_s is not None:
             payload["elapsed_s"] = float(elapsed_s)
         payload["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        if arrays:
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, **dict(arrays))
-            self._driver.put_atomic(
-                self._npz_key(content_hash), buffer.getvalue()
-            )
-            payload["arrays_file"] = f"{content_hash}.npz"
         chunk_data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
         self._driver.put_atomic(chunk_key, chunk_data)
         self.clear_failure(content_hash)
@@ -243,29 +226,20 @@ class CampaignStore:
     ) -> Dict[str, object]:
         """Full stored payload for ``point`` (metrics, provenance, …).
 
-        Array payloads saved alongside the chunk are loaded back under
-        the ``"arrays"`` key. ``owner`` is the reader's lease owner (see
-        :meth:`verify_chunk`).
+        ``owner`` is the reader's lease owner (see :meth:`verify_chunk`).
         """
-        return self.load_hash(point.content_hash(), owner)
+        return self.verify_chunk(point.content_hash(), owner)
 
     # ------------------------------------------------------------------ #
     # integrity + quarantine
     # ------------------------------------------------------------------ #
 
     def quarantine_chunk(self, content_hash: str, reason: str) -> str:
-        """Move a chunk (and its npz) out of ``points/`` with a reason
-        stamp; returns the quarantined chunk key. Idempotent."""
+        """Move a chunk out of ``points/`` with a reason stamp; returns
+        the quarantined chunk key. Idempotent."""
         moved = f"quarantine/{content_hash}.json"
         try:
             self._driver.rename(self._chunk_key(content_hash), moved)
-        except StorageMissingError:
-            pass
-        try:
-            self._driver.rename(
-                self._npz_key(content_hash),
-                f"quarantine/{content_hash}.npz",
-            )
         except StorageMissingError:
             pass
         stamp = json.dumps(
@@ -305,10 +279,9 @@ class CampaignStore:
         """Verified chunk payload; quarantines and raises on corruption.
 
         Checks, in order: the JSON decodes to a dict, carries the store
-        schema, names its own hash, embeds a point whose *recomputed*
-        content hash equals the key (so a renamed or tampered chunk can
-        never serve the wrong physics), and any referenced array
-        payload is a readable archive.
+        schema, names its own hash, and embeds a point whose
+        *recomputed* content hash equals the key (so a renamed or
+        tampered chunk can never serve the wrong physics).
 
         A chunk that does not decode while another holder's lease on
         it is live is a write in progress, not corruption: a torn
@@ -369,17 +342,6 @@ class CampaignStore:
             raise self._quarantine_and_raise(
                 content_hash, "content-hash-mismatch"
             )
-        if "arrays_file" in payload:
-            try:
-                npz_raw = self._driver.get(self._npz_key(content_hash))
-            except StorageMissingError:
-                raise self._quarantine_and_raise(
-                    content_hash, "torn-array-payload"
-                )
-            if not zipfile.is_zipfile(io.BytesIO(npz_raw)):
-                raise self._quarantine_and_raise(
-                    content_hash, "torn-array-payload"
-                )
         return payload
 
     def _quarantine_and_raise(
@@ -390,30 +352,6 @@ class CampaignStore:
             f"chunk {content_hash[:12]}… failed integrity check "
             f"({reason}); moved to quarantine/"
         )
-
-    def _read_chunk(self, content_hash: str) -> Dict[str, object]:
-        """The chunk's verified JSON payload, without loading arrays."""
-        return self.verify_chunk(content_hash)
-
-    def load_hash(
-        self, content_hash: str, owner: Optional[str] = None
-    ) -> Dict[str, object]:
-        payload = self.verify_chunk(content_hash, owner)
-        if "arrays_file" in payload:
-            try:
-                raw = self._driver.get(self._npz_key(content_hash))
-                with np.load(io.BytesIO(raw)) as data:
-                    arrays = {k: data[k] for k in data.files}
-                # np.load hands back the raw bytes of a member that
-                # lacks the .npy magic instead of raising.
-                if not all(isinstance(a, np.ndarray) for a in arrays.values()):
-                    raise ValueError("array payload member is not an array")
-            except Exception:
-                raise self._quarantine_and_raise(
-                    content_hash, "unreadable-array-payload"
-                )
-            payload["arrays"] = arrays
-        return payload
 
     # ------------------------------------------------------------------ #
     # failure records
@@ -544,7 +482,7 @@ class CampaignStore:
         }
         for content_hash in self._chunk_hashes():
             try:
-                payload = self._read_chunk(content_hash)
+                payload = self.verify_chunk(content_hash)
             except CampaignIntegrityError:
                 continue
             manifest["points"][content_hash] = self._summary_row(payload)
@@ -634,7 +572,7 @@ class CampaignStore:
         rows = []
         for content_hash in self._chunk_hashes():
             try:
-                payload = self._read_chunk(content_hash)
+                payload = self.verify_chunk(content_hash)
             except CampaignIntegrityError:
                 continue
             row: Dict[str, object] = {"content_hash": content_hash}

@@ -285,7 +285,6 @@ def compose_readout(
     phases_rad: np.ndarray,
     bit_tensor: np.ndarray,
     readout: SparseReadout,
-    dtype=None,
     n_preamble_rows: int = 0,
     columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -324,15 +323,6 @@ def compose_readout(
     grazes a read bin, whose L'Hopital branch is ~1e-7 off at SF 9 (see
     :data:`repro.phy.sparse_readout._DIRICHLET_SINGULAR_TOL`).
 
-    ``dtype`` selects the accumulation precision: ``numpy.complex64``
-    halves the closed form's matmul/noise cost for very large device
-    counts at ~1e-7 relative readout error (the kernel ratio is still
-    evaluated in double and cast to single per block — see
-    :meth:`repro.phy.sparse_readout.SparseReadout.tone_sum`;
-    decisions are unaffected at the operating points the sweeps visit,
-    which the equivalence tests pin). The FFT route computes in double
-    and casts its values.
-
     ``n_preamble_rows`` declares the leading symbol rows of
     ``bit_tensor`` identical per round (the all-on preamble): their
     readout row is then computed *once* per round and broadcast instead
@@ -355,11 +345,6 @@ def compose_readout(
         raise ConfigurationError(
             "readout was built for different chirp parameters"
         )
-    if dtype is None:
-        dtype = np.complex128
-    dtype = np.dtype(dtype)
-    if dtype.kind != "c":
-        raise ConfigurationError("dtype must be a complex dtype")
     n_symbols = bit_tensor.shape[1]
     dedup = _shared_preamble_rows(bit_tensor, n_preamble_rows)
     if dedup:
@@ -371,12 +356,11 @@ def compose_readout(
             phases_rad,
             bit_tensor[:, dedup - 1 :],
             readout,
-            dtype,
             columns,
         )
         values = np.empty(
             (bit_tensor.shape[0], n_symbols, reduced.shape[2]),
-            dtype=dtype,
+            dtype=complex,
         )
         values[:, :dedup] = reduced[:, :1]
         values[:, dedup:] = reduced[:, 1:]
@@ -387,7 +371,6 @@ def compose_readout(
         phases_rad,
         bit_tensor,
         readout,
-        dtype,
         columns,
     )
 
@@ -450,7 +433,6 @@ def _readout_values(
     phases_rad: np.ndarray,
     bit_tensor: np.ndarray,
     readout: SparseReadout,
-    dtype,
     columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The cheaper route of :func:`compose_readout` for distinct rows.
@@ -473,7 +455,6 @@ def _readout_values(
                 phases_rad,
                 bit_tensor,
                 readout,
-                dtype,
                 layout,
             )
     return _compose_readout_values(
@@ -482,7 +463,6 @@ def _readout_values(
         phases_rad,
         bit_tensor,
         readout,
-        dtype,
         columns,
     )
 
@@ -552,7 +532,6 @@ def _fft_readout_values(
     phases_rad: np.ndarray,
     bit_tensor: np.ndarray,
     readout: SparseReadout,
-    dtype,
     layout: tuple,
 ) -> np.ndarray:
     """The FFT route of :func:`compose_readout`: synthesise, transform,
@@ -563,8 +542,7 @@ def _fft_readout_values(
     grid is one ``N``-point FFT of the twiddled row
     (:func:`_residue_layout`), and the readout's bins are gathered from
     those spectra. The tone's value at a bin is the exact padded DFT,
-    so this route has no singular branch; it computes in double and
-    casts to ``dtype`` at the end.
+    so this route has no singular branch.
     """
     residues, gather = layout
     n = readout.params.n_samples
@@ -578,7 +556,7 @@ def _fft_readout_values(
     rows_per = max(1, _FFT_BLOCK_ELEMENTS // (residues.size * n))
     rounds_per = max(1, rows_per // n_rows)
     weights = bit_tensor * (amplitudes * np.exp(1j * phases_rad))[:, None, :]
-    values = np.empty((n_rounds, n_rows, gather.size), dtype=dtype)
+    values = np.empty((n_rounds, n_rows, gather.size), dtype=complex)
     for start in range(0, n_rounds, rounds_per):
         rounds = slice(start, start + rounds_per)
         low, high = _tone_factors(effective_bins[rounds], n)
@@ -663,11 +641,9 @@ def _compose_readout_values(
     phases_rad: np.ndarray,
     bit_tensor: np.ndarray,
     readout: SparseReadout,
-    dtype,
     columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The factored-kernel evaluation behind :func:`compose_readout`."""
-    real_dtype = np.float32 if dtype == np.complex64 else np.float64
     # Factored kernel: D_N(b - q/zp) = e^{jcb} * ratio * e^{-jcq/zp}.
     # The device-side phase e^{jcb} joins the carrier phase inside the
     # weights and the bin-side phase scales the output, so the heavy
@@ -685,15 +661,11 @@ def _compose_readout_values(
         ),
         axis=1,
     )
-    if real_dtype != np.float64:
-        weights = weights.astype(real_dtype)
-    parts = readout.tone_sum(
-        effective_bins, weights, dtype=real_dtype, columns=columns
-    )
-    values = parts[:, :n_symbols].astype(dtype)
+    parts = readout.tone_sum(effective_bins, weights, columns=columns)
+    values = parts[:, :n_symbols].astype(complex)
     values.imag = parts[:, n_symbols:]
     bin_phase = readout.bin_phase_factor()
     if columns is not None:
         bin_phase = bin_phase[columns][:, None, :]
-    values *= bin_phase.astype(dtype)
+    values *= bin_phase
     return values

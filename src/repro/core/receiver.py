@@ -439,7 +439,6 @@ def _draw_span_noise(
     n_rounds: int,
     n_symbols: int,
     n_preamble: int,
-    dtype,
     defer_located: bool = False,
 ) -> Optional[_SpanNoise]:
     """Every engine draw of one span, in the stream's layout.
@@ -451,33 +450,23 @@ def _draw_span_noise(
     ``(R, S - n_preamble, D, 3)`` block for each device's located
     ``±1`` payload bins. The shapes depend on the span alone, never on
     a decoded value, so the draws may run before the span is read or
-    decided; spans must be drawn in order. ``dtype`` is the readout
-    values' complex dtype: ``complex64`` values get float32 draws (same
-    law, about half the generation and mixing cost), while the default
-    double path consumes the generator exactly as before. With
-    ``defer_located`` the located block is drawn only when the decision
-    takes it, after the window block is mixed, so the two are never
-    alive at once; nothing may draw in between. ``None`` without a
-    stream.
+    decided; spans must be drawn in order. With ``defer_located`` the
+    located block is drawn only when the decision takes it, after the
+    window block is mixed, so the two are never alive at once; nothing
+    may draw in between. ``None`` without a stream.
     """
     if stream is None:
         return None
-    real_dtype = np.float32 if dtype == np.complex64 else np.float64
     full_stream = stream.mode == "full"
     rows = n_symbols if full_stream else n_preamble
     devices, width = plan.n_devices, plan.window_width
-    window = stream.standard_complex(
-        (n_rounds, rows, devices, width), dtype=real_dtype
-    )
-    probe = stream.standard_complex(
-        (n_rounds, plan.n_probes), dtype=real_dtype
-    )
+    window = stream.standard_complex((n_rounds, rows, devices, width))
+    probe = stream.standard_complex((n_rounds, plan.n_probes))
     blocks = {"window": window, "probe": probe}
     if not full_stream:
         located = partial(
             stream.standard_complex,
             (n_rounds, n_symbols - n_preamble, devices, 3),
-            dtype=real_dtype,
         )
         blocks["located"] = located if defer_located else located()
     return _SpanNoise(full_stream, blocks)
@@ -503,17 +492,11 @@ def _inject_readout_noise(
     block and in the probe draws, and returned as the noisy values;
     ``window_values`` may be a read-only broadcast view.
     """
-    single = window_values.dtype == np.complex64
-    real_dtype = np.float32 if single else np.float64
-    factor = plan.window_noise_factor
-    if single:
-        factor = factor.astype(np.complex64)
-        noise_scale = noise_scale.astype(np.float32)
-    window = noise.take("window") @ factor.T
+    window = noise.take("window") @ plan.window_noise_factor.T
     window *= noise_scale[:, None, None, None]
     window += window_values
     probe = noise.take("probe")
-    probe *= noise_scale[:, None] * real_dtype(np.sqrt(float(plan.n_samples)))
+    probe *= noise_scale[:, None] * np.sqrt(float(plan.n_samples))
     probe += probe_values
     return window, probe
 
@@ -536,11 +519,7 @@ def _inject_located_noise(
     the ``"full"`` stream would have drawn there, at ~``W/3`` fewer
     draws per payload symbol.
     """
-    factor = plan.payload_noise_factor
-    if located_values.dtype == np.complex64:
-        factor = factor.astype(np.complex64)
-        noise_scale = noise_scale.astype(np.float32)
-    located = noise.take("located") @ factor.T
+    located = noise.take("located") @ plan.payload_noise_factor.T
     located *= noise_scale[:, None, None, None]
     located_values += located
     return located_values
@@ -580,7 +559,6 @@ def _compose_located(
     plan: _ReadoutPlan,
     tones: tuple,
     payload_bits: np.ndarray,
-    dtype,
     located: np.ndarray,
 ) -> np.ndarray:
     """Analytic payload values at each device's located ``±1`` bins.
@@ -598,7 +576,6 @@ def _compose_located(
         *tones,
         payload_bits,
         plan.window_readout,
-        dtype=dtype,
         columns=plan.located_columns(located),
     )
     return values.reshape(values.shape[:2] + (plan.n_devices, 3))
@@ -998,7 +975,6 @@ class NetScatterReceiver:
         noise_snr_db=None,
         rng=None,
         signal_power: float = 1.0,
-        dtype=None,
         noise_mode: Optional[str] = None,
     ) -> RoundsDecode:
         """Analytic entry point: decode tone-sum rounds waveform-free.
@@ -1024,8 +1000,7 @@ class NetScatterReceiver:
         :meth:`decode_rounds` (same covariance, same stream layout and
         draw order — a shared generator state yields identical noise on
         both paths for single-span batches, whichever ``noise_mode``
-        is in force). ``dtype=numpy.complex64`` switches the kernel and
-        matmuls to single precision for very large device counts.
+        is in force).
 
         Under ``readout="auto"`` the calibrated cost model picks the
         cheapest spectral backend for this batch's occupancy: the
@@ -1143,7 +1118,6 @@ class NetScatterReceiver:
                     *span_tones,
                     bit_tensor[rounds, :window_rows],
                     plan.window_readout,
-                    dtype=dtype,
                     n_preamble_rows=n_preamble_upchirps,
                 )
                 windows = window_flat.reshape(
@@ -1155,7 +1129,6 @@ class NetScatterReceiver:
                     *span_tones,
                     bit_tensor[rounds, :1],
                     plan.probe_readout,
-                    dtype=dtype,
                 )[:, 0, :]
                 read_payload = None
                 if not full_stream:
@@ -1164,7 +1137,6 @@ class NetScatterReceiver:
                         plan,
                         span_tones,
                         bit_tensor[rounds, n_preamble_upchirps:],
-                        dtype,
                     )
                 return span, windows, probes, read_payload
 
@@ -1258,10 +1230,10 @@ class NetScatterReceiver:
         """
 
         def draw(staged, defer_located=False):
-            (start, stop), windows, _, _ = staged
+            (start, stop), _, _, _ = staged
             return _draw_span_noise(
                 stream, plan, stop - start, n_symbols, n_preamble,
-                windows.dtype, defer_located,
+                defer_located,
             )
 
         def decide(staged, noise):

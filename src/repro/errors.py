@@ -4,6 +4,8 @@ All library-specific errors derive from :class:`ReproError` so callers can
 catch everything raised by this package with a single ``except`` clause.
 """
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -11,6 +13,24 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A modulation / protocol configuration is inconsistent or unsupported."""
+
+
+def require_integer(name: str, value, low=None) -> int:
+    """``value`` as an int (>= ``low``): a bool, a fraction or a
+    non-number is a :class:`ConfigurationError` naming ``name``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if (
+        isinstance(value, bool)
+        or not whole
+        or (low is not None and value < low)
+    ):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigurationError(
+            f"{name} must be an integer{bound}, got {value!r}"
+        )
+    return int(value)
 
 
 class AllocationError(ReproError):

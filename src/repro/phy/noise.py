@@ -144,7 +144,7 @@ class NoiseStream:
         """Complex CN(0,1) elements drawn so far (cost introspection)."""
         return self._draws
 
-    def standard_complex(self, shape, dtype=np.float64) -> np.ndarray:
+    def standard_complex(self, shape) -> np.ndarray:
         """iid circular CN(0,1) draws, consuming the wrapped generator.
 
         Identical consumption to
@@ -154,7 +154,7 @@ class NoiseStream:
         """
         shape = tuple(shape)
         self._draws += math.prod(shape)
-        return standard_complex_normal(self._rng, shape, dtype)
+        return standard_complex_normal(self._rng, shape)
 
 
 def covariance_factor(covariance: np.ndarray) -> np.ndarray:

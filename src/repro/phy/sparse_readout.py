@@ -311,7 +311,6 @@ class SparseReadout:
         self,
         effective_bins: np.ndarray,
         weights: np.ndarray,
-        dtype=np.float64,
         columns: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``weights @ ratio``, never building the ratio grid.
@@ -338,10 +337,6 @@ class SparseReadout:
         evaluated in double via angle-difference identities: per-bin
         trigonometry is cached, per-tone trigonometry is linear in the
         inputs, and the grid sees only multiply/subtract/divide passes.
-        ``dtype=numpy.float32`` casts each block and accumulates in
-        single precision, like a single-precision GEMM on a float32
-        grid; the evaluation stays double because ``sin(pi*u/N)``
-        cancels catastrophically in float32 for tones that graze a bin.
         """
         b = np.asarray(effective_bins, dtype=float)
         weights = np.asarray(weights)
@@ -354,14 +349,10 @@ class SparseReadout:
                 "weights must be (n_rows, n_symbols, n_tones) for "
                 "(n_rows, n_tones) effective bins"
             )
-        dtype = np.dtype(dtype)
         total = np.zeros(
-            (b.shape[0], weights.shape[1], self._n_columns(b, columns)),
-            dtype=dtype,
+            (b.shape[0], weights.shape[1], self._n_columns(b, columns))
         )
         for rows, cut, block in self._ratio_blocks(b, columns):
-            if dtype != np.float64:
-                block = block.astype(dtype)
             part = weights[rows, :, cut]
             step = max(1, _GEMM_MAX_MACS // max(1, block[0].size))
             for start in range(0, part.shape[1], step):

@@ -153,10 +153,6 @@ class NetworkSimulator:
         ``NetworkMetrics.backend``);
         ``"time"`` composes full time-domain tensors and adds AWGN over
         them (the reference path).
-    readout_dtype:
-        Optional complex dtype of the analytic readout matmuls —
-        ``numpy.complex64`` halves kernel cost/memory for very large
-        device counts. ``None`` keeps full double precision.
     noise_mode:
         Engine-noise stream of the ``"analytic"``/``"auto"`` engines
         (see :class:`repro.core.receiver.NetScatterReceiver`):
@@ -179,7 +175,6 @@ class NetworkSimulator:
         power_control: bool = True,
         rng: RngLike = None,
         engine: str = "analytic",
-        readout_dtype=None,
         noise_mode: str = "payload",
     ) -> None:
         if engine not in ENGINES:
@@ -210,7 +205,6 @@ class NetworkSimulator:
         self._power_control = bool(power_control)
         self._rng = make_rng(rng)
         self._engine = engine
-        self._readout_dtype = readout_dtype
         self._structure = PacketStructure(payload_bits=self._payload_bits)
 
         # Per-device impairment models (fixed per device, drawn per packet).
@@ -387,7 +381,6 @@ class NetworkSimulator:
                 n_preamble_upchirps=n_preamble,
                 noise_snr_db=floors,
                 rng=self._rng,
-                dtype=self._readout_dtype,
             )
         else:
             symbols = compose_rounds(
@@ -469,23 +462,6 @@ def check_device_counts(
     return tuple(int(count) for count in counts)
 
 
-def float32_readout(
-    engine: str, count: int, float32_min_devices: Optional[int]
-) -> bool:
-    """Whether a sweep point runs the ``complex64`` analytic operators.
-
-    Points with at least ``float32_min_devices`` devices do, under the
-    ``"analytic"`` and ``"auto"`` engines (under ``"auto"`` only when
-    the planner keeps the analytic backend); the time-domain engine
-    ignores the threshold.
-    """
-    return (
-        float32_min_devices is not None
-        and engine in ("analytic", "auto")
-        and count >= int(float32_min_devices)
-    )
-
-
 def run_sweep_point(
     deployment: Deployment,
     n_rounds: int,
@@ -495,7 +471,6 @@ def run_sweep_point(
     rng: RngLike,
     engine: str,
     noise_mode: str,
-    float32: bool = False,
     fading: bool = False,
 ) -> NetworkMetrics:
     """Build one sweep point's simulator over ``deployment`` and run it.
@@ -512,7 +487,6 @@ def run_sweep_point(
         query_bits=query_bits,
         rng=rng,
         engine=engine,
-        readout_dtype=np.complex64 if float32 else None,
         noise_mode=noise_mode,
     )
     return simulator.run_rounds(n_rounds, fading=fading)
@@ -526,7 +500,6 @@ def sweep_device_counts(
     query_bits: int = QUERY_BITS_CONFIG1,
     rng: RngLike = None,
     engine: str = "analytic",
-    float32_min_devices: Optional[int] = None,
     noise_mode: str = "payload",
 ) -> List[NetworkMetrics]:
     """Fig. 17-19 sweep: metrics at each device count.
@@ -543,11 +516,6 @@ def sweep_device_counts(
 
     Parameters
     ----------
-    float32_min_devices:
-        When set, points with at least that many devices use
-        ``numpy.complex64`` analytic operators (e.g. ``256`` to halve
-        the cost of the largest Fig. 17 points); see
-        :func:`float32_readout`.
     noise_mode:
         Engine-noise stream of every sweep point (default the
         located-bin ``"payload"`` stream; ``"full"`` pins the
@@ -574,7 +542,6 @@ def sweep_device_counts(
             rng=point_rng,
             engine=engine,
             noise_mode=noise_mode,
-            float32=float32_readout(engine, count, float32_min_devices),
         )
         for count, point_rng in zip(counts, point_rngs)
     ]

@@ -53,9 +53,7 @@ def child_rng(rng: np.random.Generator, index: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(rng, index))
 
 
-def standard_complex_normal(
-    rng: RngLike, shape, dtype=np.float64
-) -> np.ndarray:
+def standard_complex_normal(rng: RngLike, shape) -> np.ndarray:
     """iid circular CN(0, 1) draws of the given shape.
 
     One interleaved real Gaussian call re-viewed as complex — identical
@@ -63,17 +61,10 @@ def standard_complex_normal(
     overhead. Each component has unit *complex* variance (real and
     imaginary parts each carry 1/2), so callers scale by the square
     root of the desired complex noise power.
-
-    ``dtype`` is the *real* component dtype: ``numpy.float32`` yields
-    ``complex64`` draws at roughly twice the generation rate (used by
-    the single-precision analytic readout path; note the float32
-    generator consumes a different stream than the float64 one).
     """
     generator = make_rng(rng)
     shape = tuple(shape)
-    dtype = np.dtype(dtype)
-    draws = generator.standard_normal(shape + (2,), dtype=dtype)
+    draws = generator.standard_normal(shape + (2,))
     # Scaled in place: a scaled copy would double the peak of a large draw.
-    draws *= dtype.type(np.sqrt(0.5))
-    complex_dtype = np.complex64 if dtype == np.float32 else complex
-    return draws.view(complex_dtype).reshape(shape)
+    draws *= np.sqrt(0.5)
+    return draws.view(complex).reshape(shape)

@@ -25,10 +25,9 @@ from repro.phy.sparse_readout import SparseReadout
 def tone_ratio(
     readout: SparseReadout,
     effective_bins: np.ndarray,
-    dtype=np.float64,
     columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The whole ratio grid; ``dtype`` casts the double evaluation.
+    """The whole ratio grid.
 
     ``effective_bins`` is ``(..., n_tones)``. ``columns`` evaluates each
     row at its own subset of the readout's bins: for ``(R, n_tones)``
@@ -42,10 +41,7 @@ def tone_ratio(
     ratio = np.empty(tones.shape + (readout._n_columns(b, columns),))
     for rows, cut, block in readout._ratio_blocks(tones, columns):
         ratio[rows, cut] = block
-    ratio = ratio.reshape(b.shape + ratio.shape[-1:])
-    if np.dtype(dtype) != np.float64:
-        ratio = ratio.astype(dtype)
-    return ratio
+    return ratio.reshape(b.shape + ratio.shape[-1:])
 
 
 def tone_kernel(readout: SparseReadout, effective_bins: np.ndarray) -> np.ndarray:

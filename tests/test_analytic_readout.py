@@ -92,13 +92,8 @@ def _assert_close_to_exact(values, exact, rel):
 #: Bounds of each route against the exact sum, in units of the batch's
 #: largest value. The FFT route is exact up to float64 round-off; the
 #: closed form's L'Hopital branch is ~1e-7 off on tones that graze a
-#: read bin (see ``_DIRICHLET_SINGULAR_TOL``). complex64 output rounds
-#: each value to single precision (2**-24).
-EXACT_REL = {
-    ("fft", np.complex128): 1e-12,
-    ("fft", np.complex64): 1e-7,
-    ("closed", np.complex128): 1e-7,
-}
+#: read bin (see ``_DIRICHLET_SINGULAR_TOL``).
+EXACT_REL = {"fft": 1e-12, "closed": 1e-7}
 
 
 class TestDirichletKernel:
@@ -175,18 +170,6 @@ class TestToneKernel:
         expected[np.arange(3), b.astype(int)] = n
         assert np.allclose(kernel, expected, atol=1e-6)
 
-    def test_float32_ratio_close_to_float64(self):
-        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=9)
-        rng = np.random.default_rng(3)
-        readout = SparseReadout(
-            params, 10, rng.integers(0, 5120, size=200)
-        )
-        b = rng.uniform(0, 512, size=(4, 8))
-        r64 = readout_oracle.tone_ratio(readout, b)
-        r32 = readout_oracle.tone_ratio(readout, b, dtype=np.float32)
-        assert r32.dtype == np.float32
-        assert np.allclose(r32, r64, rtol=2e-5, atol=2e-4 * 512)
-
     def test_analytic_noise_covariance_matches_operator(self):
         params = ChirpParams(bandwidth_hz=500e3, spreading_factor=8)
         rng = np.random.default_rng(5)
@@ -234,7 +217,7 @@ class TestComposeReadout:
         reference = readout.spectrum(symbols)
         assert np.allclose(values, reference, rtol=1e-9, atol=1e-6)
 
-    def test_rejects_bad_shapes_and_dtypes(self):
+    def test_rejects_bad_shapes_and_params(self):
         config = NetScatterConfig(n_association_shifts=0)
         params = config.chirp_params
         readout = SparseReadout(params, 10, np.array([0, 20]))
@@ -248,8 +231,6 @@ class TestComposeReadout:
             compose_readout(
                 params, np.zeros((3,)), *good[1:], readout
             )
-        with pytest.raises(ConfigurationError):
-            compose_readout(params, *good, readout, dtype=np.float64)
         other = ChirpParams(bandwidth_hz=500e3, spreading_factor=7)
         with pytest.raises(ConfigurationError):
             compose_readout(other, *good, readout)
@@ -344,34 +325,6 @@ class TestDecodeEquivalence:
         assert np.array_equal(a.bits, s.bits)
         assert np.array_equal(a.detected, s.detected)
         assert np.allclose(a.noise_power, s.noise_power, rtol=1e-9)
-
-    def test_float32_decisions_stable(self):
-        """complex64 readout reproduces the float64 decisions."""
-        config = NetScatterConfig(n_association_shifts=0)
-        assignments = {i: 2 * i for i in range(64)}
-        rng = np.random.default_rng(13)
-        shifts = np.array(list(assignments.values()), dtype=float)
-        bins, amps, phases, bt = _random_batch(
-            config, shifts, 3, 10, rng
-        )
-        receiver = NetScatterReceiver(
-            config, assignments, readout="analytic"
-        )
-        d64 = receiver.decode_readout(bins, amps, phases, bt)
-        d32 = receiver.decode_readout(
-            bins, amps, phases, bt, dtype=np.complex64
-        )
-        assert np.array_equal(d64.bits, d32.bits)
-        assert np.array_equal(d64.detected, d32.detected)
-        # Powers agree to single precision almost everywhere; the rare
-        # larger deviations are near-tie peak locations landing one
-        # interpolated bin apart, which the decision equality above
-        # already shows to be harmless.
-        relative = np.abs(d64.preamble_power - d32.preamble_power) / (
-            np.abs(d64.preamble_power) + 1e-30
-        )
-        assert np.median(relative) < 1e-4
-        assert np.mean(relative < 1e-3) > 0.97
 
     def test_decode_readout_validation(self):
         config = NetScatterConfig(n_association_shifts=0)
@@ -669,40 +622,36 @@ class TestLocatedPayloadReadout:
         )
         exact = _exact_readout_values(*head)
         _assert_close_to_exact(
-            _compose_on("fft", *head), exact, EXACT_REL[("fft", np.complex128)]
+            _compose_on("fft", *head), exact, EXACT_REL["fft"]
         )
         _assert_close_to_exact(
             located_values[:1, :3],
             np.take_along_axis(exact, columns[:1, None, :], axis=2),
-            EXACT_REL[("closed", np.complex128)],
+            EXACT_REL["closed"],
         )
 
 
 def _grid_readout_values(
     effective_bins, amplitudes, phases_rad, bit_tensor, readout,
-    dtype=np.complex128, columns=None,
+    columns=None,
 ):
     """Test oracle: ``compose_readout``'s evaluation before streaming.
 
     The whole ``(rounds, tones, bins)`` ratio grid is built by
     ``tone_ratio``, then contracted by two real GEMMs, ``w @ ratio``.
     """
-    real_dtype = np.float32 if dtype == np.complex64 else np.float64
     ratio = readout_oracle.tone_ratio(
-        readout, effective_bins, dtype=real_dtype, columns=columns
+        readout, effective_bins, columns=columns
     )
     angles = phases_rad + readout.tone_phase_coeff * effective_bins
     w_real = bit_tensor * (amplitudes * np.cos(angles))[:, None, :]
     w_imag = bit_tensor * (amplitudes * np.sin(angles))[:, None, :]
-    if real_dtype != np.float64:
-        w_real = w_real.astype(real_dtype)
-        w_imag = w_imag.astype(real_dtype)
-    values = (w_real @ ratio).astype(dtype)
+    values = (w_real @ ratio).astype(complex)
     values.imag += w_imag @ ratio
     bin_phase = readout.bin_phase_factor()
     if columns is not None:
         bin_phase = bin_phase[columns][:, None, :]
-    values *= bin_phase.astype(dtype)
+    values *= bin_phase
     return values
 
 
@@ -717,18 +666,16 @@ def _assert_close_to_grid(streamed, grid, rel):
     assert np.max(np.abs(streamed - grid)) <= rel * np.max(np.abs(grid))
 
 
-#: Relative tolerances of the streamed contraction against the grid
-#: oracle: float64 round-off, and the complex64 tolerance of
-#: ``test_float32_ratio_close_to_float64``.
-STREAMED_REL = {np.complex128: 1e-12, np.complex64: 2e-5}
+#: Relative tolerance of the streamed contraction against the grid
+#: oracle: float64 round-off.
+STREAMED_REL = 1e-12
 
 
 class TestStreamedToneSum:
     """compose_readout's streamed contraction == the full-grid GEMM."""
 
-    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("sf", [7, 9, 12])
-    def test_tones_on_and_grazing_readout_bins(self, sf, dtype):
+    def test_tones_on_and_grazing_readout_bins(self, sf):
         """On-bin tones take the L'Hopital branch inside a block."""
         params = ChirpParams(bandwidth_hz=500e3, spreading_factor=sf)
         n = params.n_samples
@@ -743,18 +690,17 @@ class TestStreamedToneSum:
         bt = rng.integers(0, 2, (3, 5, 200)).astype(float)
         args = (tones, amps, phases, bt, readout)
         _assert_close_to_grid(
-            _compose_on("closed", params, *args, dtype=dtype),
-            _grid_readout_values(*args, dtype=dtype),
-            STREAMED_REL[dtype],
+            _compose_on("closed", params, *args),
+            _grid_readout_values(*args),
+            STREAMED_REL,
         )
         _assert_close_to_exact(
-            _compose_on("fft", params, *args, dtype=dtype),
+            _compose_on("fft", params, *args),
             _exact_readout_values(params, *args),
-            EXACT_REL[("fft", dtype)],
+            EXACT_REL["fft"],
         )
 
-    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-    def test_wrapping_windows_columns_and_multi_round_chunks(self, dtype):
+    def test_wrapping_windows_columns_and_multi_round_chunks(self):
         """Windows that wrap the grid edge, read whole and at located
         columns, over a 7-round chunk of a receiver's readout plan."""
         config, assignments, bins, amps, phases, bt = _payload_batch(
@@ -772,39 +718,36 @@ class TestStreamedToneSum:
             1, plan.window_width - 1, size=(7, plan.n_devices)
         )
         params = config.chirp_params
-        rel = STREAMED_REL[dtype]
         args = (bins, amps, phases, bt[:, 6:], window)
         for columns in (None, plan.located_columns(located)):
             _assert_close_to_grid(
-                _compose_on(
-                    "closed", params, *args, dtype=dtype, columns=columns
-                ),
-                _grid_readout_values(*args, dtype=dtype, columns=columns),
-                rel,
+                _compose_on("closed", params, *args, columns=columns),
+                _grid_readout_values(*args, columns=columns),
+                STREAMED_REL,
             )
         deduped = _compose_on(
-            "closed", params, bins, amps, phases, bt, window, dtype=dtype,
+            "closed", params, bins, amps, phases, bt, window,
             n_preamble_rows=6,
         )
         _assert_close_to_grid(
             deduped,
             _grid_readout_values(
-                bins, amps, phases, bt, window, dtype=dtype
+                bins, amps, phases, bt, window
             ),
-            rel,
+            STREAMED_REL,
         )
         # The FFT route over the deduplicated preamble and 3 payload
         # rows, against the exact sum of the distinct rows.
         routed = _compose_on(
             "fft", params, bins, amps, phases, bt[:, :9], window,
-            dtype=dtype, n_preamble_rows=6,
+            n_preamble_rows=6,
         )
         _assert_close_to_exact(
             routed[:, 5:],
             _exact_readout_values(
                 params, bins, amps, phases, bt[:, 5:9], window
             ),
-            EXACT_REL[("fft", dtype)],
+            EXACT_REL["fft"],
         )
         assert all(
             np.array_equal(routed[:, 5], routed[:, s]) for s in range(5)
@@ -892,7 +835,7 @@ class TestStreamedToneSum:
         _assert_close_to_exact(
             _compose_on("fft", *preamble),
             _exact_readout_values(*preamble),
-            EXACT_REL[("fft", np.complex128)],
+            EXACT_REL["fft"],
         )
 
 
@@ -927,7 +870,7 @@ class TestReadoutRoutes:
         _assert_close_to_exact(
             _compose_on(route, *case),
             _exact_readout_values(*case),
-            EXACT_REL[(route, np.complex128)],
+            EXACT_REL[route],
         )
 
     @pytest.mark.xfail(
@@ -952,7 +895,7 @@ class TestReadoutRoutes:
         _assert_close_to_exact(
             _compose_on("closed", *case),
             _exact_readout_values(*case),
-            EXACT_REL[("closed", np.complex128)],
+            EXACT_REL["closed"],
         )
 
     @staticmethod
@@ -976,7 +919,7 @@ class TestReadoutRoutes:
         ):
             def spy(*args, _route=route, _kernel=getattr(dcss, name)):
                 readout = "probe" if args[4] is probes else "window"
-                if _route == "closed" and args[6] is not None:
+                if _route == "closed" and args[5] is not None:
                     readout = "located"
                 served.setdefault(_route, set()).add(
                     (readout, args[3].shape[1])

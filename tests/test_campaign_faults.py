@@ -76,7 +76,6 @@ def make_point(**overrides):
         engine="analytic",
         noise_mode="payload",
         fading=False,
-        readout_dtype=None,
         seed=1234,
     )
     kwargs.update(overrides)
@@ -391,29 +390,6 @@ class TestStoreIntegrity:
         assert not chunk.exists()
         assert (
             tmp_path / "quarantine" / f"{point.content_hash()}.json"
-        ).exists()
-
-    def test_torn_npz_payload_is_quarantined(self, tmp_path):
-        import numpy as np
-
-        store = CampaignStore(tmp_path)
-        point = make_point()
-        store.save(
-            point,
-            {"phy_rate_bps": 1.0},
-            {"backend": "x"},
-            arrays={"trace": np.arange(4.0)},
-        )
-        assert store.has(point)
-        tear(store, f"points/{point.content_hash()}.npz")
-        assert not store.has(point)
-        assert (
-            store.quarantined()[point.content_hash()]
-            == "torn-array-payload"
-        )
-        # The npz moved out of points/ with its chunk.
-        assert not (
-            tmp_path / "points" / f"{point.content_hash()}.npz"
         ).exists()
 
     def test_tampered_point_content_is_rejected(self, tmp_path):

@@ -20,6 +20,7 @@ from repro.campaign.objectstore import (
     HttpDriver,
     ObjectStoreService,
 )
+from repro.campaign.presets import fig17_campaign, noise_grid_campaign
 from repro.campaign.runner import RetryPolicy
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import CampaignPoint
@@ -171,6 +172,31 @@ class TestStatsPins:
         ]
 
 
+#: Content hashes of preset points (seed 0, one round). Each equals the
+#: SHA-256 of the ``repro-campaign-point-v2`` schema over the point the
+#: v1 schema hashed, less its ``readout_dtype`` field: the v2 bump moved
+#: no other content.
+POINT_HASHES = {
+    ("fig17", 1): "e294daa9e5be285f2eaba8db963169543f6b35b34077c364d2e4ac45590ab2c7",
+    ("fig17", 16): "f26d88dc6afc1f018be6fc3d648ad02bc6bb893466b681b9401654349bf6ac0b",
+    ("noise-grid", 0): "4cbdd0c7164f5ef46c140d6f5388a2ef071f41d5a5be946e44a6e08af78d7fbd",
+    ("noise-grid", 1): "5ea55a04e6da9c86d0e66bc77f46c5ce0d1fe1967cf7c41c361b75d69b0471a5",
+    ("noise-grid", 2): "fceb8db0e7589ac1651bae1ecbd257447ada0d9036f49e14a036d82ee50b1403",
+    ("noise-grid", 3): "d286a107f35fe84bac55ce3b654e23aede7a110abbac6bd8108cc665e435b68d",
+}
+
+
+@pytest.mark.parametrize("preset, index", sorted(POINT_HASHES))
+def test_preset_point_hashes_are_pinned(preset, index):
+    if preset == "fig17":
+        spec = fig17_campaign(rng=0, device_counts=(1, 16), n_rounds=1)
+        point = {p.n_devices: p for p in spec.points()}[index]
+    else:
+        spec = noise_grid_campaign(rng=0, device_counts=(4,), n_rounds=1)
+        point = list(spec.points())[index]
+    assert point.content_hash() == POINT_HASHES[(preset, index)]
+
+
 class TestStatusJsonPin:
     def test_driver_block(self, tmp_path, capsys):
         point = CampaignPoint(
@@ -182,7 +208,6 @@ class TestStatusJsonPin:
             engine="analytic",
             noise_mode="payload",
             fading=False,
-            readout_dtype=None,
             seed=1234,
         )
         root = tmp_path / "store"
@@ -196,7 +221,7 @@ class TestStatusJsonPin:
         assert storage == {
             "driver": "retrying(posix)",
             "inner": {
-                "bytes_read": 596,
+                "bytes_read": 569,
                 "bytes_written": 425,
                 "driver": "posix",
                 "n_errors": 1,
@@ -319,7 +344,6 @@ def _point(n_devices):
         engine="analytic",
         noise_mode="payload",
         fading=False,
-        readout_dtype=None,
         seed=1234,
     )
 

@@ -9,16 +9,18 @@ right error.
   ``TransientStorageError`` (retryable), never as a bare ``OSError``
   or as a wrong answer.
 * Every way a stored chunk can rot lands it in ``quarantine/`` under
-  its own reason, and torn or foreign lease payloads read as vacant.
+  its own reason, a store written under an older schema included, and
+  torn or foreign lease payloads read as vacant.
 * ``python -m repro.campaign submit`` prints one line per point, the
   raw stream with ``--json``, and exits 1 when a point or the
   transport fails.
 """
 
-import io
+import hashlib
 import json
 import socket
-import zipfile
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from repro.campaign.objectstore import (
     ObjectStoreService,
 )
 from repro.campaign.retry import RetryPolicy, call_with_timeout
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.storage import (
@@ -51,6 +54,7 @@ from repro.errors import (
     ConfigurationError,
     PointTimeoutError,
     TransientStorageError,
+    require_integer,
 )
 
 
@@ -64,7 +68,6 @@ def make_point(**overrides):
         engine="analytic",
         noise_mode="payload",
         fading=False,
-        readout_dtype=None,
         seed=1234,
     )
     kwargs.update(overrides)
@@ -159,6 +162,74 @@ CONSTRUCTION_REJECTIONS = [
     pytest.param(lambda: CampaignSpec.from_dict(
                      {**spec_kwargs(), "schema": "repro-campaign-spec-v0"}),
                  "unsupported campaign spec schema", id="spec-old-schema"),
+    pytest.param(lambda: CampaignSpec.from_dict(
+                     {**spec_kwargs(), "float32_min_devices": 256}),
+                 "unknown campaign spec keys \\['float32_min_devices'\\]",
+                 id="spec-unknown-key"),
+    pytest.param(lambda: CampaignSpec.from_dict(
+                     {**spec_kwargs(), "readout_dtype": None, "bogus": 1}),
+                 "unknown campaign spec keys \\['bogus', 'readout_dtype'\\]",
+                 id="spec-unknown-keys-sorted"),
+    pytest.param(lambda: CampaignSpec.from_dict(["tiny"]),
+                 "must be an object", id="spec-not-object"),
+    pytest.param(lambda: CampaignSpec.from_dict(
+                     spec_kwargs(device_counts=["one", 2])),
+                 "device_counts must be an integer >= 1, got 'one'",
+                 id="spec-count-not-int"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(device_counts=(2.5, 2))),
+                 "device_counts must be an integer >= 1, got 2.5",
+                 id="spec-fractional-count"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(device_counts=(True, 2))),
+                 "device_counts must be an integer >= 1, got True",
+                 id="spec-bool-count"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(device_counts=(0, 2))),
+                 "device_counts must be an integer >= 1, got 0",
+                 id="spec-zero-count"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(point_seeds=(1.9, 2))),
+                 "point_seeds must be an integer >= 0, got 1.9",
+                 id="spec-fractional-seed"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(point_seeds=(11, False))),
+                 "point_seeds must be an integer >= 0, got False",
+                 id="spec-bool-seed"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(point_seeds=(11, -1))),
+                 "point_seeds must be an integer >= 0, got -1",
+                 id="spec-negative-seed"),
+    pytest.param(lambda: make_point(n_devices=1.5),
+                 "n_devices must be an integer >= 1, got 1.5",
+                 id="point-fractional-devices"),
+    pytest.param(lambda: make_point(seed="11"),
+                 "seed must be an integer >= 0, got '11'",
+                 id="point-string-seed"),
+    pytest.param(lambda: CampaignSpec.from_dict(
+                     spec_kwargs(deployment={"kind": "paper"})),
+                 "invalid campaign spec: KeyError", id="spec-deployment-size"),
+    pytest.param(lambda: CampaignSpec.from_dict(
+                     {k: v for k, v in spec_kwargs().items()
+                      if k != "point_seeds"}),
+                 "point_seeds", id="spec-missing-key"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(query_bits=-5)),
+                 "query_bits must be an integer >= 0",
+                 id="spec-negative-query-bits"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(query_bits="32")),
+                 "query_bits must be an integer", id="spec-string-query-bits"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(query_bits=1.5)),
+                 "query_bits must be an integer", id="spec-fractional-query"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(n_rounds=0)),
+                 "n_rounds must be an integer >= 1", id="spec-zero-rounds"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(n_rounds="3")),
+                 "n_rounds must be an integer >= 1", id="spec-string-rounds"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(n_rounds=2.5)),
+                 "n_rounds must be an integer >= 1",
+                 id="spec-fractional-rounds"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(n_rounds=True)),
+                 "n_rounds must be an integer >= 1", id="spec-bool-rounds"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(config={"bogus": 1})),
+                 "config keys \\['bogus'\\] are not NetScatterConfig",
+                 id="spec-unknown-config-key"),
+    pytest.param(lambda: CampaignSpec(**spec_kwargs(
+                     config={"skip": 2, "zz": 1, "bogus": 1})),
+                 "config keys \\['bogus', 'zz'\\]",
+                 id="spec-unknown-config-keys-sorted"),
 ]
 
 
@@ -166,6 +237,22 @@ CONSTRUCTION_REJECTIONS = [
 def test_refused_at_construction(build, words):
     with pytest.raises(ConfigurationError, match=words):
         build()
+
+
+@pytest.mark.parametrize(
+    "value", [True, 2.5, "3", None, float("nan"), float("inf"), -1]
+)
+def test_require_integer_refuses(value):
+    with pytest.raises(ConfigurationError, match="n must be an integer >= 0"):
+        require_integer("n", value, 0)
+
+
+@pytest.mark.parametrize(
+    "value", [3, 3.0, pytest.param(np.int64(3), id="numpy-3")]
+)
+def test_require_integer_accepts_whole_numbers(value):
+    got = require_integer("n", value, 0)
+    assert got == 3 and type(got) is int
 
 
 def test_store_needs_a_root_or_a_driver():
@@ -244,11 +331,10 @@ class TestPosixDriverOsErrors:
 class TestChunkQuarantine:
     """Each way a stored chunk can rot is quarantined under its reason."""
 
-    def _saved(self, tmp_path, arrays=None):
+    def _saved(self, tmp_path):
         store = CampaignStore(tmp_path)
         point = make_point()
-        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"},
-                   arrays=arrays)
+        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         return store, point, point.content_hash()
 
     def _rewrite(self, tmp_path, content_hash, edit):
@@ -266,8 +352,12 @@ class TestChunkQuarantine:
              "invalid-point"),
             (lambda payload: {k: v for k, v in payload.items()
                               if k != "point"}, "invalid-point"),
+            (lambda payload: {**payload, "point": {
+                **payload["point"], "readout_dtype": None}},
+             "invalid-point"),
         ],
-        ids=["list", "schema", "point-missing-fields", "point-absent"],
+        ids=["list", "schema", "point-missing-fields", "point-absent",
+             "point-retired-field"],
     )
     def test_rotten_chunk_is_quarantined(self, tmp_path, edit, reason):
         store, point, content_hash = self._saved(tmp_path)
@@ -276,59 +366,6 @@ class TestChunkQuarantine:
             store.verify_chunk(content_hash)
         assert store.quarantined() == {content_hash: reason}
         assert not store.has(point)
-
-    def test_missing_array_payload_is_quarantined(self, tmp_path):
-        store, _, content_hash = self._saved(
-            tmp_path, arrays={"trace": np.arange(3.0)}
-        )
-        (tmp_path / "points" / f"{content_hash}.npz").unlink()
-        with pytest.raises(CampaignIntegrityError):
-            store.verify_chunk(content_hash)
-        assert store.quarantined() == {content_hash: "torn-array-payload"}
-
-    def test_truncated_array_payload_is_quarantined(self, tmp_path):
-        store, _, content_hash = self._saved(
-            tmp_path, arrays={"trace": np.arange(3.0)}
-        )
-        encoded = io.BytesIO()
-        np.save(encoded, np.arange(3.0))
-        member = encoded.getvalue()[:-8]
-        buffer = io.BytesIO()
-        with zipfile.ZipFile(buffer, "w") as archive:
-            archive.writestr("trace.npy", member)
-        (tmp_path / "points" / f"{content_hash}.npz").write_bytes(
-            buffer.getvalue()
-        )
-        store.verify_chunk(content_hash)  # a zip: passes the cheap check
-        with pytest.raises(CampaignIntegrityError, match="unreadable"):
-            store.load_hash(content_hash)
-        assert store.quarantined() == {
-            content_hash: "unreadable-array-payload"
-        }
-
-    def test_array_member_without_npy_magic_is_quarantined(self, tmp_path):
-        # np.load returns such a member as raw bytes instead of raising.
-        store, _, content_hash = self._saved(
-            tmp_path, arrays={"trace": np.arange(3.0)}
-        )
-        buffer = io.BytesIO()
-        with zipfile.ZipFile(buffer, "w") as archive:
-            archive.writestr("trace.npy", b"not an array")
-        (tmp_path / "points" / f"{content_hash}.npz").write_bytes(
-            buffer.getvalue()
-        )
-        with pytest.raises(CampaignIntegrityError, match="unreadable"):
-            store.load_hash(content_hash)
-        assert store.quarantined() == {
-            content_hash: "unreadable-array-payload"
-        }
-
-    def test_intact_array_payload_loads(self, tmp_path):
-        store, _, content_hash = self._saved(
-            tmp_path, arrays={"trace": np.arange(3.0)}
-        )
-        payload = store.load_hash(content_hash)
-        assert np.array_equal(payload["arrays"]["trace"], np.arange(3.0))
 
     def test_unreadable_reason_stamp_reads_unknown(self, tmp_path):
         store, _, content_hash = self._saved(tmp_path)
@@ -343,6 +380,41 @@ class TestChunkQuarantine:
         moved = store.quarantine_chunk("f" * 64, "operator")
         assert moved == f"quarantine/{'f' * 64}.json"
         assert store.quarantined() == {"f" * 64: "operator"}
+
+    def test_chunk_of_an_older_schema_is_refused_and_recomputed(
+        self, tmp_path
+    ):
+        """A chunk as the v1 store wrote it: v1 store schema, a point
+        with the retired ``readout_dtype`` field, keyed by its v1 hash."""
+        spec = CampaignSpec(**spec_kwargs(device_counts=(1,),
+                                          point_seeds=(11,)))
+        old_point = {**next(spec.points()).to_dict(), "readout_dtype": None}
+        old_hash = hashlib.sha256(json.dumps(
+            {"schema": "repro-campaign-point-v1", "point": old_point},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()).hexdigest()
+        chunk = tmp_path / "points" / f"{old_hash}.json"
+
+        def write_old_chunk():
+            chunk.parent.mkdir(exist_ok=True)
+            chunk.write_text(json.dumps({
+                "schema": "repro-campaign-store-v1",
+                "content_hash": old_hash,
+                "point": old_point,
+                "metrics": {"phy_rate_bps": 1.0},
+                "provenance": {"backend": "analytic"},
+            }))
+
+        store = CampaignStore(tmp_path)
+        write_old_chunk()
+        assert store.status()["n_points"] == 0
+        write_old_chunk()
+        assert store.export_rows() == []
+        assert store.quarantined() == {
+            old_hash: "schema-mismatch:'repro-campaign-store-v1'"
+        }
+        assert (tmp_path / "quarantine" / f"{old_hash}.json").exists()
+        assert CampaignRunner(store=store).run(spec).n_computed == 1
 
 
 class TestLeasePayloads:
@@ -500,6 +572,38 @@ class TestSubmitCli:
                            "--max-attempts", "1"])
         assert code == 1
         assert "submit FAILED" in capsys.readouterr().err
+
+
+class TestUnknownSpecKeys:
+    """A spec with a key that is no spec field is refused by name."""
+
+    SPEC = {**CampaignSpec(**spec_kwargs()).to_dict(),
+            "float32_min_devices": 256}
+
+    def test_cli_run_reports_the_key(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPEC))
+        code = entrypoint(["run", "--spec", str(path),
+                           "--store", str(tmp_path / "store")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown campaign spec keys")
+        assert "float32_min_devices" in err
+
+    def test_service_answers_400(self, request):
+        svc = CampaignService()
+        svc.start()
+        request.addfinalizer(svc.stop)
+        post = urllib.request.Request(
+            f"{svc.url}/campaigns", data=json.dumps(self.SPEC).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as answer:
+            urllib.request.urlopen(post, timeout=30)
+        assert answer.value.code == 400
+        error = json.loads(answer.value.read())["error"]
+        assert error.startswith("ConfigurationError: unknown campaign spec")
+        assert "float32_min_devices" in error
 
 
 def test_status_without_a_store_is_refused(capsys):

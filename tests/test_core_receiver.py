@@ -457,7 +457,7 @@ class TestStageBMixing:
         def draw(defer):
             stream = NoiseStream(np.random.default_rng(9))
             noise = receiver_module._draw_span_noise(
-                stream, plan, 2, 8, 6, np.complex128, defer_located=defer
+                stream, plan, 2, 8, 6, defer_located=defer
             )
             drawn = stream.draws
             blocks = [noise.take(n) for n in ("window", "probe", "located")]
@@ -477,7 +477,7 @@ class TestStageBMixing:
         n_rounds, n_symbols, n_pre = 2, 8, 6
         noise = receiver_module._draw_span_noise(
             NoiseStream(np.random.default_rng(9)), plan, n_rounds,
-            n_symbols, n_pre, np.complex128, defer_located=defer,
+            n_symbols, n_pre, defer_located=defer,
         )
         refs = [
             weakref.ref(noise._blocks[name])

@@ -215,13 +215,12 @@ class TestPipelineHelperPool:
 class TestSerialEqualsPooledDecode:
     """Every decode array is equal whether or not the pipeline runs."""
 
-    @pytest.mark.parametrize("dtype", [None, np.complex64])
     @pytest.mark.parametrize("noise", [None, "payload", "full"])
     @pytest.mark.parametrize("n_rounds, n_chunks", [(2, 1), (4, 2), (5, 3)])
     @pytest.mark.parametrize("sf", [7, 9, 12])
     def test_pool_and_serial_decodes_are_identical(
         self, monkeypatch, cpus, started, chunk_counts,
-        sf, n_rounds, n_chunks, noise, dtype,
+        sf, n_rounds, n_chunks, noise,
     ):
         config, assignments, batch = _scenario(sf, n_rounds)
         receiver = NetScatterReceiver(
@@ -238,7 +237,7 @@ class TestSerialEqualsPooledDecode:
                 kwargs = dict(
                     noise_snr_db=snrs, rng=np.random.default_rng(77)
                 )
-            return receiver.decode_readout(*batch, dtype=dtype, **kwargs)
+            return receiver.decode_readout(*batch, **kwargs)
 
         cpus(1)
         serial = decode()
@@ -596,9 +595,9 @@ class TestDrawPlacementPool:
         draw = receiver_module.NoiseStream.standard_complex
         decode_readout = NetScatterReceiver.decode_readout
 
-        def recording_draw(self, shape, dtype=np.float64):
+        def recording_draw(self, shape):
             draws.append((threading.current_thread().name, tuple(shape)))
-            return draw(self, shape, dtype)
+            return draw(self, shape)
 
         def recording_decode(self, *args, **kwargs):
             decodes.append(decode_readout(self, *args, **kwargs))

@@ -206,8 +206,8 @@ def _record_draws(monkeypatch) -> list:
     draws = []
     original = NoiseStream.standard_complex
 
-    def recording(self, shape, dtype=np.float64):
-        values = original(self, shape, dtype)
+    def recording(self, shape):
+        values = original(self, shape)
         draws.append(np.ascontiguousarray(values).tobytes())
         return values
 
@@ -441,11 +441,6 @@ class TestNoiseStream:
         )
         assert np.array_equal(a, twin)
 
-    def test_float32_draws(self):
-        stream = NoiseStream(np.random.default_rng(0))
-        z = stream.standard_complex((5,), dtype=np.float32)
-        assert z.dtype == np.complex64
-
 
 class TestLocatedBinCovariance:
     def test_factor_reproduces_covariance(self):
@@ -582,9 +577,9 @@ class TestPayloadStream:
         counts = {}
         original = noise_module.standard_complex_normal
 
-        def counting(rng, shape, dtype=np.float64):
+        def counting(rng, shape):
             counting.total += int(np.prod(shape))
-            return original(rng, shape, dtype)
+            return original(rng, shape)
 
         monkeypatch.setattr(
             noise_module, "standard_complex_normal", counting
@@ -676,18 +671,6 @@ class TestPayloadStream:
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.bit_powers, b.bit_powers)
         assert (a.noise_mode, a.noise_version) == ("none", 0)
-
-    def test_payload_complex64_runs(self):
-        config, assignments, bins, amps, phases, bt = _network_batch()
-        decode = NetScatterReceiver(
-            config, assignments, readout="analytic"
-        ).decode_readout(
-            bins, amps, phases, bt,
-            noise_snr_db=-16.0, rng=np.random.default_rng(2),
-            dtype=np.complex64,
-        )
-        assert decode.noise_version == 2
-        assert decode.bit_powers.dtype == np.float32
 
 
 # --------------------------------------------------------------------- #

@@ -95,7 +95,6 @@ def points(draw):
         engine=draw(st.sampled_from(ENGINES)),
         noise_mode=draw(st.sampled_from(NOISE_MODES)),
         fading=draw(st.booleans()),
-        readout_dtype=draw(st.sampled_from([None, "complex64"])),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
 

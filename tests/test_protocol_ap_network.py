@@ -258,17 +258,6 @@ class TestSweep:
                 8 * 40
             )
 
-    def test_float32_threshold_applies_to_large_points(self):
-        deployment = paper_deployment(n_devices=32, rng=3)
-        metrics = sweep_device_counts(
-            deployment,
-            (8, 32),
-            n_rounds=1,
-            rng=5,
-            float32_min_devices=16,
-        )
-        assert [m.n_devices for m in metrics] == [8, 32]
-        assert all(m.delivery_ratio > 0.9 for m in metrics)
 
 class TestAdaptiveEngineAndFading:
     def test_auto_engine_records_backend(self):

@@ -646,38 +646,6 @@ class TestTornWriteSweep:
             clean_root / "manifest.json"
         ).read_bytes()
 
-    def test_silent_torn_npz_payload_quarantined(self, tmp_path):
-        spec = small_spec(counts=(1,))
-        point = next(iter(spec.points()))
-        root = tmp_path / "store"
-        store = _faulty_store(
-            root,
-            storage_plan(
-                [
-                    {
-                        "kind": "torn",
-                        "op": "put_atomic",
-                        "key_prefix": f"points/{point.content_hash()}.npz",
-                        "calls": [1],
-                        "offset": 10,
-                        "silent": True,
-                    }
-                ]
-            ),
-        )
-        import numpy as np
-
-        store.save(
-            point,
-            {"m": 1.0},
-            {"backend": "x"},
-            arrays={"a": np.arange(4)},
-        )
-        assert store.has(point) is False  # quarantined, not served
-        assert store.quarantined() == {
-            point.content_hash(): "torn-array-payload"
-        }
-
     def test_raised_torn_write_heals_without_recompute(
         self, tmp_path, monkeypatch
     ):

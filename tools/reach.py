@@ -182,9 +182,6 @@ ALLOWLIST: Dict[str, str] = {
         _safety("chunk quarantine", _QUARANTINE_TEST),
     "campaign/store.py::CampaignStore._quarantine_and_raise":
         _safety("chunk quarantine", _QUARANTINE_TEST),
-    "campaign/store.py::CampaignStore._npz_key": _safety(
-        "chunk quarantine moves the array payload aside too",
-        f"{_FAULTS}::TestStoreIntegrity::test_torn_npz_payload_is_quarantined"),
     "campaign/storage.py::PosixDriver.rename":
         _safety("rename, the quarantine primitive", _QUARANTINE_TEST),
     "campaign/storage.py::WrappingDriver.rename":
