@@ -34,8 +34,8 @@ declarative, cacheable artifacts:
 * :mod:`repro.campaign.faults` — deterministic fault injection: one
   rule grammar (:class:`FaultRule`: an op, a kind, a selector, a
   trigger), one seeded :class:`FaultPlan` loading both v1 JSON forms
-  (``REPRO_FAULT_PLAN`` for the runner, ``REPRO_STORAGE_FAULT_PLAN``
-  for the fault-injecting driver), and one
+  (``--fault-plan`` for the runner, ``--storage-fault-plan`` for the
+  fault-injecting driver), and one
   :class:`~repro.campaign.faults.FaultSelector` per consumer — runner,
   driver, object-store and service handlers, each firing only its
   kinds of the op → consumer → kinds table (``FIRES``) — exercising

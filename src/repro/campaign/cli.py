@@ -19,13 +19,13 @@ Usage::
     python -m repro.campaign run --spec fig17 --store runs/fig17 \\
         --timeout-s 120 --max-attempts 5 --fault-plan plan.json
 
-    # storage drivers: posix (default, fsync-durable), memory
-    # (ephemeral smoke runs), faulty (posix + injected storage faults
-    # from a seeded plan; also honours $REPRO_STORAGE_FAULT_PLAN).
-    # URL specs select the same backends explicitly — posix:///path,
-    # memory://, http://host:port/bucket (remote object store)
+    # storage drivers: without --storage-driver, posix at --store
+    # (fsync-durable); otherwise a URL spec — posix:///path,
+    # memory:// (ephemeral smoke runs), http://host:port/bucket
+    # (remote object store). --storage-fault-plan wraps any of them
+    # in seeded injected storage faults.
     python -m repro.campaign run --spec fig17 --store runs/fig17 \\
-        --storage-driver faulty --storage-fault-plan storage-plan.json
+        --storage-fault-plan storage-plan.json
     python -m repro.campaign run --spec fig17 \\
         --storage-driver http://127.0.0.1:8123/campaign
 
@@ -65,7 +65,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -76,16 +75,13 @@ from repro.campaign.presets import PRESETS, build_preset
 from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.storage import (
-    DRIVER_NAMES,
-    build_driver,
-    parse_driver_spec,
-)
+from repro.campaign.storage import build_driver
 from repro.campaign.store import CampaignStore
 from repro.errors import (
     CampaignExecutionError,
     ReproError,
     StorageError,
+    require_seconds,
 )
 
 
@@ -180,16 +176,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "fault-injection plan: inline JSON or a path "
-            "(test/CI harness; also honours $REPRO_FAULT_PLAN)"
+            "(test/CI harness)"
         ),
     )
     run.add_argument(
         "--storage-driver",
-        default="posix",
+        default=None,
         help=(
-            f"storage backend: a name ({', '.join(DRIVER_NAMES)}) or "
-            "a URL spec — posix:///path, memory://, "
-            "http://host:port/bucket (remote object store)"
+            "storage backend as a URL spec — posix:///path, memory://, "
+            "http://host:port/bucket (remote object store); default: "
+            "posix at --store"
         ),
     )
     run.add_argument(
@@ -197,8 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "storage fault-injection plan: inline JSON or a path; "
-            "implies a fault-injecting driver (test/CI harness; also "
-            "honours $REPRO_STORAGE_FAULT_PLAN)"
+            "wraps the driver in a fault-injecting one (test/CI harness)"
         ),
     )
 
@@ -452,29 +447,12 @@ def _parse_plan(raw, label="fault plan"):
         ) from error
 
 
-def _check_store_arg(spec: str, store) -> None:
-    """A posix-rooted driver spec needs ``--store``; URL backends with
-    their own root (or none) do not."""
-    parsed = parse_driver_spec(spec)
-    needs_root = (
-        parsed["scheme"] in ("posix", "faulty") and "root" not in parsed
-    )
-    if needs_root and store is None:
-        raise ReproError(
-            f"--store is required with --storage-driver {spec!r} "
-            "(posix-backed stores need a directory)"
-        )
-
-
 def _check_seconds(**flags) -> None:
     """Refuse a seconds flag that is not finite and > 0, before the
     command builds a store or a runner."""
     for name, value in flags.items():
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ReproError(
-                f"--{name.replace('_', '-')} must be a finite number of "
-                f"seconds > 0, got {value!r}"
-            )
+        if value is not None:
+            require_seconds(f"--{name.replace('_', '-')}", value)
 
 
 def _cmd_run(args) -> int:
@@ -482,7 +460,11 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     fault_plan = _parse_plan(args.fault_plan)
     storage_plan = _parse_plan(args.storage_fault_plan, "storage fault plan")
-    _check_store_arg(args.storage_driver, args.store)
+    if args.storage_driver is None and args.store is None:
+        raise ReproError(
+            "--store is required without --storage-driver (the default "
+            "posix store needs a directory)"
+        )
     driver = build_driver(
         args.storage_driver, args.store, storage_fault_plan=storage_plan
     )
@@ -568,9 +550,7 @@ def _open_store(args) -> CampaignStore:
                 "(URL spec such as http://host:port/bucket)"
             )
         return CampaignStore(args.store)
-    _check_store_arg(spec, args.store)
-    driver = build_driver(spec, args.store)
-    return CampaignStore(driver=driver)
+    return CampaignStore(driver=build_driver(spec))
 
 
 def _cmd_status(args) -> int:
@@ -654,8 +634,7 @@ def _cmd_serve_api(args) -> int:
 
     _check_seconds(timeout_s=args.timeout_s)
     if args.storage_driver is not None:
-        _check_store_arg(args.storage_driver, args.store)
-        driver = build_driver(args.storage_driver, args.store)
+        driver = build_driver(args.storage_driver)
         store = CampaignStore(driver=driver)
         backing = driver.name
     elif args.store is not None:

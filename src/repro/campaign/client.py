@@ -29,7 +29,6 @@ a partial suffix.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Dict, List, Optional, Tuple
@@ -51,6 +50,7 @@ from repro.errors import (
     CampaignServiceError,
     ConfigurationError,
     TransientStorageError,
+    require_seconds,
 )
 
 
@@ -124,9 +124,7 @@ class CampaignServiceClient:
     :data:`~repro.campaign.retry.STORAGE_RETRY`, as for the storage
     drivers); ``timeout_s`` bounds each socket read — it must exceed
     the longest single-point computation, since the stream goes quiet
-    while a point runs. ``breaker`` accepts a
-    pre-built :class:`CircuitBreaker` to share failure state across
-    clients of one endpoint.
+    while a point runs.
     """
 
     def __init__(
@@ -135,28 +133,14 @@ class CampaignServiceClient:
         *,
         retry: Optional[RetryPolicy] = None,
         timeout_s: float = 60.0,
-        failure_threshold: int = 5,
-        reset_after_s: float = 30.0,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self._scheme, self._netloc = parse_service_url(url)
         self._url = f"{self._scheme}://{self._netloc}"
         self._retry = TransientRetry(
             retry if retry is not None else STORAGE_RETRY
         )
-        if not (math.isfinite(timeout_s) and timeout_s > 0):
-            raise ConfigurationError(
-                f"timeout_s must be a finite number of seconds > 0, "
-                f"got {timeout_s!r}"
-            )
-        self._timeout_s = float(timeout_s)
-        self._breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(
-                self._url, failure_threshold, reset_after_s
-            )
-        )
+        self._timeout_s = require_seconds("timeout_s", timeout_s)
+        self._breaker = CircuitBreaker(self._url)
 
     @property
     def url(self) -> str:

@@ -55,14 +55,14 @@ retry_after_s``, ``disconnect`` truncates the response after the
 operation, and ``stale_read`` serves the previous committed state.
 
 Plans are JSON (``{"schema", "seed", "rules"}``) and reach consumers
-by value, through ``REPRO_FAULT_PLAN`` / ``REPRO_STORAGE_FAULT_PLAN``
-(inline JSON or a file path), or through the ``--fault-plan``,
-``--storage-fault-plan`` and ``--service-fault-plan`` flags. Both v1
-forms load: ``repro-storage-fault-plan-v1`` rules are already in this
-grammar, and a ``repro-fault-plan-v1`` rule (``stage: "execute"``,
-``attempts``, ``match.hash_prefix``, ``hang_s`` default 1 s) reads as
-``op: "execute"``, ``calls``, ``key_prefix``. The v1 ``write`` stage
-is refused: chunks tear in the storage layer (``torn`` + ``silent``).
+by value: as constructor arguments, or through the ``--fault-plan``,
+``--storage-fault-plan`` and ``--service-fault-plan`` flags (inline
+JSON or a file path). Both v1 forms load:
+``repro-storage-fault-plan-v1`` rules are already in this grammar, and
+a ``repro-fault-plan-v1`` rule (``stage: "execute"``, ``attempts``,
+``match.hash_prefix``, ``hang_s`` default 1 s) reads as ``op:
+"execute"``, ``calls``, ``key_prefix``. The v1 ``write`` stage is
+refused: chunks tear in the storage layer (``torn`` + ``silent``).
 
 Doctest — a v1 plan fires only on its declared attempt, and a driver
 rule only for the driver:
@@ -107,12 +107,6 @@ from repro.errors import (
     FaultInjectedError,
     require_integer,
 )
-
-#: Environment variables carrying a plan (inline JSON, or a path to a
-#: JSON file; empty/unset means no injection): the runner's, and the
-#: fault-injecting storage driver's.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-STORAGE_FAULT_PLAN_ENV = "REPRO_STORAGE_FAULT_PLAN"
 
 PLAN_SCHEMA = "repro-fault-plan-v1"
 STORAGE_PLAN_SCHEMA = "repro-storage-fault-plan-v1"
@@ -320,7 +314,7 @@ def _execute_v1(entry: Dict[str, object]) -> Dict[str, object]:
             "fault stage 'write' is gone: tear chunks in the storage "
             'layer, e.g. {"op": "put_atomic", "kind": "torn", '
             '"key_prefix": "points/", "silent": true} in '
-            "--storage-fault-plan / REPRO_STORAGE_FAULT_PLAN"
+            "--storage-fault-plan"
         )
     if stage != "execute":
         raise ConfigurationError(
@@ -364,8 +358,8 @@ def _rule(entry) -> FaultRule:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded tuple of :class:`FaultRule`\\ s, and its one JSON, file
-    and environment loader.
+    """A seeded tuple of :class:`FaultRule`\\ s, and its one JSON and
+    file loader.
 
     Frozen and picklable, so the runner ships it to pool workers by
     value; ``seed`` drives the per-call draws of ``p`` rules.
@@ -411,22 +405,11 @@ class FaultPlan:
     @classmethod
     def from_spec(cls, raw: str) -> "FaultPlan":
         """Inline JSON when ``raw`` starts with ``{``, otherwise a path
-        to a JSON file (the form the environment variables and the CLI
-        flags take)."""
+        to a JSON file (the form the CLI flags take)."""
         raw = raw.strip()
         if raw.startswith("{"):
             return cls.from_json(raw)
         return cls.from_json(Path(raw).read_text())
-
-    @classmethod
-    def from_env(
-        cls, variable: str = FAULT_PLAN_ENV
-    ) -> Optional["FaultPlan"]:
-        """The ambient plan in ``variable``, or ``None`` when it is
-        unset or empty — how plans reach subprocess-launched runners
-        without threading an argument everywhere."""
-        raw = os.environ.get(variable, "").strip()
-        return cls.from_spec(raw) if raw else None
 
     def unit(self, op: str, key: str, index: int) -> float:
         """Seeded uniform draw in [0, 1) for one (op, key, index)."""
@@ -543,11 +526,9 @@ class FaultSelector:
 
 __all__ = [
     "DRIVER_OPS",
-    "FAULT_PLAN_ENV",
     "FIRES",
     "PLAN_SCHEMA",
     "SERVICE_OPS",
-    "STORAGE_FAULT_PLAN_ENV",
     "STORAGE_PLAN_SCHEMA",
     "FaultPlan",
     "FaultRule",

@@ -56,7 +56,7 @@ import uuid
 from typing import Dict, List, Optional
 
 from repro.campaign.storage import StorageDriver
-from repro.errors import StorageError
+from repro.errors import StorageError, require_seconds
 
 log = logging.getLogger("repro.campaign.leases")
 
@@ -168,11 +168,9 @@ class LeaseManager:
         owner: Optional[str] = None,
         ttl_s: float = DEFAULT_TTL_S,
     ) -> None:
-        if ttl_s <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl_s}")
+        self._ttl_s = require_seconds("ttl_s", ttl_s)
         self._driver = driver
         self._owner = owner or default_owner_id()
-        self._ttl_s = float(ttl_s)
         self._held: Dict[str, int] = {}  # hash -> renewal count
         self._lock = threading.Lock()
 

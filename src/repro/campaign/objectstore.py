@@ -64,8 +64,8 @@ the lease read-back reconciles.
 Circuit breaker (:class:`CircuitBreakerDriver`, stacked under the
 store's ``RetryingDriver``) state machine::
 
-    closed --(failure_threshold consecutive faults)--> open
-    open   --(reset_after_s elapsed)----------------> half-open
+    closed --(FAILURE_THRESHOLD consecutive faults)--> open
+    open   --(RESET_AFTER_S elapsed)----------------> half-open
     half-open --probe succeeds--> closed
     half-open --probe fails-----> open (timer restarts)
 
@@ -164,6 +164,10 @@ def transient_status_error(
     return TransientStorageError(message, retry_after_s=hint)
 
 
+#: Socket timeout of each :class:`HttpDriver` request.
+HTTP_TIMEOUT_S = 10.0
+
+
 class HttpDriver(StorageDriver):
     """Remote :class:`~repro.campaign.storage.StorageDriver` over the
     object-store wire protocol (see the module docstring).
@@ -180,7 +184,7 @@ class HttpDriver(StorageDriver):
 
     name = "http"
 
-    def __init__(self, url: str, timeout_s: float = 10.0) -> None:
+    def __init__(self, url: str) -> None:
         super().__init__()
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https"):
@@ -194,12 +198,9 @@ class HttpDriver(StorageDriver):
                 f"HttpDriver needs exactly one bucket path segment, "
                 f"got {url!r}"
             )
-        if timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
         self._scheme = parts.scheme
         self._netloc = parts.netloc
         self._bucket = bucket
-        self._timeout_s = float(timeout_s)
         self.spec = f"{parts.scheme}://{parts.netloc}/{bucket}"
         self.name = f"http({parts.netloc}/{bucket})"
 
@@ -227,7 +228,7 @@ class HttpDriver(StorageDriver):
         conn_cls = (
             HTTPSConnection if self._scheme == "https" else HTTPConnection
         )
-        conn = conn_cls(self._netloc, timeout=self._timeout_s)
+        conn = conn_cls(self._netloc, timeout=HTTP_TIMEOUT_S)
         sent = dict(headers or {})
         sent[OP_HEADER] = op
         if body is not None:
@@ -420,32 +421,27 @@ class HttpDriver(StorageDriver):
             self._unexpected("rename", key, status, body)
 
 
+#: Consecutive failed calls that open a :class:`CircuitBreaker`.
+FAILURE_THRESHOLD = 5
+#: Seconds an open breaker waits before letting a half-open probe by.
+RESET_AFTER_S = 30.0
+
+
 class CircuitBreaker:
     """Reusable fail-fast state machine (module-docstring diagram).
 
-    Counts *consecutive* failed calls; at ``failure_threshold`` the
+    Counts *consecutive* failed calls; at :data:`FAILURE_THRESHOLD` the
     breaker opens and :meth:`guard` raises
     :class:`~repro.errors.CircuitOpenError` without invoking the
-    guarded call. After ``reset_after_s`` one half-open probe is let
+    guarded call. After :data:`RESET_AFTER_S` one half-open probe is let
     through — its success closes the breaker, its failure reopens it.
     The same machine protects storage operations
     (:class:`CircuitBreakerDriver`) and campaign-service requests
     (:class:`repro.campaign.client.CampaignServiceClient`).
     """
 
-    def __init__(
-        self,
-        name: str = "endpoint",
-        failure_threshold: int = 5,
-        reset_after_s: float = 30.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be >= 1")
-        if reset_after_s < 0:
-            raise ConfigurationError("reset_after_s must be >= 0")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._threshold = int(failure_threshold)
-        self._reset_after_s = float(reset_after_s)
         self._lock = threading.Lock()
         self._state = "closed"
         self._consecutive_failures = 0
@@ -464,7 +460,7 @@ class CircuitBreaker:
         # Caller holds the lock.
         if (
             self._state == "open"
-            and time.monotonic() - self._opened_at >= self._reset_after_s
+            and time.monotonic() - self._opened_at >= RESET_AFTER_S
         ):
             self._state = "half-open"
             self._probe_in_flight = False
@@ -481,9 +477,7 @@ class CircuitBreaker:
                 return True
             self._n_short_circuited += 1
             remaining = max(
-                0.0,
-                self._reset_after_s
-                - (time.monotonic() - self._opened_at),
+                0.0, RESET_AFTER_S - (time.monotonic() - self._opened_at)
             )
             raise CircuitOpenError(
                 f"circuit open for {self.name}: {op}({key!r}) "
@@ -505,7 +499,7 @@ class CircuitBreaker:
                 probe
                 or (
                     self._state == "closed"
-                    and self._consecutive_failures >= self._threshold
+                    and self._consecutive_failures >= FAILURE_THRESHOLD
                 )
             )
             if tripped:
@@ -562,16 +556,9 @@ class CircuitBreakerDriver(WrappingDriver):
     produces), so bounded retries run above and fail-fast below.
     """
 
-    def __init__(
-        self,
-        inner: StorageDriver,
-        failure_threshold: int = 5,
-        reset_after_s: float = 30.0,
-    ) -> None:
+    def __init__(self, inner: StorageDriver) -> None:
         super().__init__(inner, "breaker")
-        self._breaker = CircuitBreaker(
-            inner.name, failure_threshold, reset_after_s
-        )
+        self._breaker = CircuitBreaker(inner.name)
         spec = getattr(inner, "spec", None)
         if spec is not None:
             self.spec = spec

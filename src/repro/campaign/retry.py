@@ -6,10 +6,10 @@ retries transient storage faults, and
 :class:`~repro.campaign.client.CampaignServiceClient` retries
 transient wire failures. All of them draw their delays from
 :class:`RetryPolicy` — seeded-jitter exponential backoff whose delay
-for a ``(key, attempt)`` pair is a pure function of the policy seed,
-so retry schedules are reproducible across runs and hosts. The key
-names what is retried: the runner passes a point's content hash, the
-storage and client layers pass ``"<op>:<key>"``.
+for a ``(key, attempt)`` pair is a pure function of
+:data:`BACKOFF_SEED`, so retry schedules are reproducible across runs
+and hosts. The key names what is retried: the runner passes a point's
+content hash, the storage and client layers pass ``"<op>:<key>"``.
 
 >>> policy = RetryPolicy(max_attempts=3, base_delay_s=0.1)
 >>> a = policy.backoff_s("deadbeef", 1)
@@ -40,6 +40,11 @@ log = logging.getLogger("repro.campaign.retry")
 
 T = TypeVar("T")
 
+#: Jitter stretches each backoff by a seeded factor in [1, 1 + JITTER).
+JITTER = 0.25
+#: Seed of the jitter draws.
+BACKOFF_SEED = 0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -52,8 +57,6 @@ class RetryPolicy:
     max_attempts: int = 3
     base_delay_s: float = 0.1
     max_delay_s: float = 5.0
-    jitter: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -62,17 +65,15 @@ class RetryPolicy:
             raise ConfigurationError(
                 "need 0 <= base_delay_s <= max_delay_s"
             )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError("jitter must be within [0, 1]")
 
     def backoff_s(self, key: str, attempt: int) -> float:
         """Deterministic delay before retrying ``attempt`` (1-based)."""
         digest = hashlib.sha256(
-            f"{self.seed}:{key}:{attempt}".encode()
+            f"{BACKOFF_SEED}:{key}:{attempt}".encode()
         ).digest()
         unit = int.from_bytes(digest[:8], "big") / 2.0**64
         delay = self.base_delay_s * 2.0 ** (attempt - 1)
-        return min(self.max_delay_s, delay) * (1.0 + self.jitter * unit)
+        return min(self.max_delay_s, delay) * (1.0 + JITTER * unit)
 
 
 #: The storage driver stack's and the service client's policy: many

@@ -28,10 +28,9 @@ Fault tolerance (pinned by ``tests/test_campaign_faults.py``):
   the remaining points to serial execution instead of aborting the
   campaign.
 * **Fault injection** — the ``execute`` rules of a
-  :class:`~repro.campaign.faults.FaultPlan` (or ``REPRO_FAULT_PLAN``)
-  deterministically inject crashes, hangs and kills, and a
-  ``FaultyDriver`` under the store tears writes, so every path above
-  runs in CI.
+  :class:`~repro.campaign.faults.FaultPlan` deterministically inject
+  crashes, hangs and kills, and a ``FaultyDriver`` under the store
+  tears writes, so every path above runs in CI.
 * **Storage faults** — all store/lease I/O flows through a
   :class:`~repro.campaign.storage.StorageDriver` with bounded retries
   and seeded-jitter backoff; when writes fail *persistently* the
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +77,7 @@ from repro.errors import (
     PersistentStorageError,
     PointTimeoutError,
     ReproError,
+    require_seconds,
 )
 from repro.protocol.network import NetworkMetrics, run_sweep_point
 from repro.utils import parallel
@@ -295,16 +294,15 @@ class CampaignRun:
         return [r.metrics for r in self.results]
 
 
+#: Poll cadence while waiting for points another runner holds.
+WAIT_POLL_S = 0.1
+
+
 def check_point_timeout(point_timeout_s: Optional[float]) -> None:
     """Refuse a per-attempt bound that is not ``None`` or a finite number
     of seconds > 0, so a serial and a pooled run bound an attempt alike."""
-    if point_timeout_s is not None and not (
-        math.isfinite(point_timeout_s) and point_timeout_s > 0
-    ):
-        raise ConfigurationError(
-            "point_timeout_s must be None or a finite number of "
-            f"seconds > 0, got {point_timeout_s!r}"
-        )
+    if point_timeout_s is not None:
+        require_seconds("point_timeout_s", point_timeout_s)
 
 
 class CampaignRunner:
@@ -329,12 +327,11 @@ class CampaignRunner:
     use_leases / lease_ttl_s / owner:
         With a store, pending points are claimed through lease files so
         concurrent runners partition the work; ``use_leases=False``
-        restores the PR-5 single-runner behaviour.
+        restores the PR-5 single-runner behaviour. Points another
+        runner holds are re-polled every :data:`WAIT_POLL_S`; expired
+        leases are reclaimed.
     fault_plan:
-        Deterministic fault injection (default: ``REPRO_FAULT_PLAN``).
-    wait_poll_s / wait_timeout_s:
-        Poll cadence (and optional overall bound) while waiting for
-        points another runner holds; expired leases are reclaimed.
+        Deterministic fault injection (default: none).
     allow_partial:
         When True, permanently-failed points are reported on
         :attr:`CampaignRun.failures` instead of raising
@@ -359,17 +356,13 @@ class CampaignRunner:
         lease_ttl_s: float = DEFAULT_TTL_S,
         owner: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
-        wait_poll_s: float = 0.1,
-        wait_timeout_s: Optional[float] = None,
         allow_partial: bool = False,
         on_result: Optional[
             Callable[[int, "CampaignPointResult"], None]
         ] = None,
     ) -> None:
         check_point_timeout(point_timeout_s)
-        self._fault_plan = (
-            fault_plan if fault_plan is not None else FaultPlan.from_env()
-        )
+        self._fault_plan = fault_plan
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self._store = store
@@ -377,10 +370,8 @@ class CampaignRunner:
         self._retry = retry or RetryPolicy()
         self._point_timeout_s = point_timeout_s
         self._use_leases = bool(use_leases) and store is not None
-        self._lease_ttl_s = float(lease_ttl_s)
+        self._lease_ttl_s = require_seconds("lease_ttl_s", lease_ttl_s)
         self._owner = owner
-        self._wait_poll_s = float(wait_poll_s)
-        self._wait_timeout_s = wait_timeout_s
         self._allow_partial = bool(allow_partial)
         self._on_result = on_result
         self._storage_degraded = False
@@ -692,7 +683,6 @@ class CampaignRunner:
         terminates: every pass either makes progress or sleeps, and a
         dead runner's leases expire within the TTL.
         """
-        started = time.monotonic()
         pending = list(pending)
         owner = leases.owner if leases is not None else None
         while pending:
@@ -765,17 +755,7 @@ class CampaignRunner:
                 progressed = True
             pending = waiting
             if pending and not progressed:
-                if (
-                    self._wait_timeout_s is not None
-                    and time.monotonic() - started > self._wait_timeout_s
-                ):
-                    held = ", ".join(hashes[i][:12] + "…" for i in pending)
-                    raise CampaignExecutionError(
-                        f"timed out after {self._wait_timeout_s:g}s "
-                        f"waiting for points held by other runners: "
-                        f"{held}"
-                    )
-                time.sleep(self._wait_poll_s)
+                time.sleep(WAIT_POLL_S)
 
     def _execute_with_retries(
         self,

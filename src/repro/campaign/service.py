@@ -49,8 +49,8 @@ every point from the store's cache (``points_computed == 0``).
 
 Backpressure: one shared ordered event log per execution with
 per-subscriber cursors. The publisher blocks while the slowest live
-subscriber lags more than ``max_backlog`` events; a subscriber that
-stays that far behind for ``stall_timeout_s`` is dropped (it receives
+subscriber lags :data:`MAX_BACKLOG` events or more; a subscriber that
+stays that far behind for :data:`STALL_TIMEOUT_S` is dropped (it receives
 an ``error`` event) so one stalled client can never wedge the shared
 computation. A client disconnecting mid-stream merely unsubscribes —
 the runner thread is independent of every handler thread.
@@ -103,11 +103,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
-from repro.errors import (
-    CampaignServiceError,
-    ConfigurationError,
-    ReproError,
-)
+from repro.errors import CampaignServiceError, ReproError
 
 #: Response headers naming the campaign and whether this request
 #: started the execution (vs joining a deduplicated one).
@@ -135,6 +131,13 @@ def campaign_id_for(spec_dict: Mapping[str, object]) -> str:
     return hashlib.sha256(_canonical(spec_dict)).hexdigest()
 
 
+#: Events the slowest live subscriber may lag before the publisher waits.
+MAX_BACKLOG = 256
+#: Seconds a subscriber may stay :data:`MAX_BACKLOG` behind before it is
+#: dropped.
+STALL_TIMEOUT_S = 30.0
+
+
 class CampaignExecution:
     """One running (or finished) campaign with a shared event stream.
 
@@ -151,18 +154,10 @@ class CampaignExecution:
         runner_factory: Callable[
             [Callable[[int, CampaignPointResult], None]], CampaignRunner
         ],
-        max_backlog: int = 256,
-        stall_timeout_s: float = 30.0,
     ) -> None:
-        if max_backlog < 1:
-            raise ConfigurationError("max_backlog must be >= 1")
-        if stall_timeout_s < 0:
-            raise ConfigurationError("stall_timeout_s must be >= 0")
         self.campaign_id = campaign_id
         self.spec = spec
         self._runner_factory = runner_factory
-        self._max_backlog = int(max_backlog)
-        self._stall_timeout_s = float(stall_timeout_s)
         self._hashes = [p.content_hash() for p in spec.points()]
         self._n_points = len(self._hashes)
         self.accepted_line = _event_line(
@@ -304,18 +299,18 @@ class CampaignExecution:
 
     def _publish_locked(self, line: bytes) -> None:
         # Backpressure: wait for the slowest live subscriber, dropping
-        # any that stay >= max_backlog behind for stall_timeout_s.
-        deadline = time.monotonic() + self._stall_timeout_s
+        # any that stay >= MAX_BACKLOG behind for STALL_TIMEOUT_S.
+        deadline = time.monotonic() + STALL_TIMEOUT_S
         while self._cursors and (
             len(self._events) - min(self._cursors.values())
-            >= self._max_backlog
+            >= MAX_BACKLOG
         ):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for subscriber in [
                     s
                     for s, cursor in self._cursors.items()
-                    if len(self._events) - cursor >= self._max_backlog
+                    if len(self._events) - cursor >= MAX_BACKLOG
                 ]:
                     del self._cursors[subscriber]
                     self._dropped.add(subscriber)
@@ -358,7 +353,7 @@ class CampaignExecution:
                     self._dropped.discard(token)
                     raise CampaignServiceError(
                         f"subscriber fell more than "
-                        f"{self._max_backlog} events behind campaign "
+                        f"{MAX_BACKLOG} events behind campaign "
                         f"{self.campaign_id[:12]} and was dropped"
                     )
                 cursor = self._cursors.get(token)
@@ -599,8 +594,6 @@ class CampaignService(HttpService):
         allow_partial: bool = True,
         fault_plan=None,
         service_fault_plan: Optional[FaultPlan] = None,
-        max_backlog: int = 256,
-        stall_timeout_s: float = 30.0,
     ) -> None:
         check_point_timeout(point_timeout_s)
         if store is None:
@@ -617,8 +610,6 @@ class CampaignService(HttpService):
         self._use_leases = bool(use_leases)
         self._allow_partial = bool(allow_partial)
         self._fault_plan = fault_plan
-        self._max_backlog = int(max_backlog)
-        self._stall_timeout_s = float(stall_timeout_s)
         self._lock = threading.Lock()
         self._executions: Dict[str, CampaignExecution] = {}
         self._n_submitted = 0
@@ -667,11 +658,7 @@ class CampaignService(HttpService):
                 self._n_deduped += 1
                 return existing, False
             execution = CampaignExecution(
-                campaign_id,
-                spec,
-                self._runner_factory,
-                max_backlog=self._max_backlog,
-                stall_timeout_s=self._stall_timeout_s,
+                campaign_id, spec, self._runner_factory
             )
             self._executions[campaign_id] = execution
         execution.start()

@@ -88,11 +88,7 @@ from pathlib import Path, PurePosixPath
 from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
-from repro.campaign.faults import (
-    STORAGE_FAULT_PLAN_ENV,
-    FaultPlan,
-    FaultSelector,
-)
+from repro.campaign.faults import FaultPlan, FaultSelector
 from repro.campaign.retry import (
     STORAGE_RETRY,
     RetryPolicy,
@@ -220,20 +216,18 @@ class PosixDriver(StorageDriver):
 
     Writes commit via a temporary file in ``<root>/.tmp/`` followed by
     ``os.replace`` — readers and :meth:`list` never observe
-    temporaries. With ``fsync=True`` (the default) every commit fsyncs
-    the file contents *and* the destination directory entry, so a host
-    crash immediately after :meth:`put_atomic` returns can no longer
-    leave a zero-length or missing chunk behind a manifest that saw it
-    (the pre-driver ``_write_atomic`` skipped both fsyncs).
+    temporaries. Every commit fsyncs the file contents *and* the
+    destination directory entry, so a host crash immediately after
+    :meth:`put_atomic` returns can no longer leave a zero-length or
+    missing chunk behind a manifest that saw it.
     """
 
     name = "posix"
 
-    def __init__(self, root, fsync: bool = True) -> None:
+    def __init__(self, root) -> None:
         super().__init__()
         self._root = Path(root)
         self._tmp_dir = self._root / ".tmp"
-        self._fsync = bool(fsync)
         self._root.mkdir(parents=True, exist_ok=True)
 
     @property
@@ -249,8 +243,6 @@ class PosixDriver(StorageDriver):
         return self._root / PurePosixPath(_check_key(key))
 
     def _fsync_dir(self, directory: Path) -> None:
-        if not self._fsync:
-            return
         fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -258,7 +250,7 @@ class PosixDriver(StorageDriver):
             os.close(fd)
 
     def _write_tmp(self, key: str, data: bytes) -> Path:
-        """Write ``data`` to a unique tmp file, fsynced when configured."""
+        """Write ``data`` to a unique tmp file and fsync it."""
         self._tmp_dir.mkdir(parents=True, exist_ok=True)
         tmp = self._tmp_dir / (
             f"{PurePosixPath(key).name}.{os.getpid()}."
@@ -267,8 +259,7 @@ class PosixDriver(StorageDriver):
         fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
         try:
             os.write(fd, data)
-            if self._fsync:
-                os.fsync(fd)
+            os.fsync(fd)
         finally:
             os.close(fd)
         return tmp
@@ -328,8 +319,7 @@ class PosixDriver(StorageDriver):
         try:
             try:
                 os.write(fd, data)
-                if self._fsync:
-                    os.fsync(fd)
+                os.fsync(fd)
             finally:
                 os.close(fd)
             self._fsync_dir(path.parent)
@@ -594,14 +584,8 @@ class FaultyDriver(WrappingDriver):
     kinds, say) are skipped without advancing their counters.
     """
 
-    def __init__(
-        self,
-        inner: StorageDriver,
-        plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, inner: StorageDriver, plan: FaultPlan) -> None:
         super().__init__(inner, "faulty")
-        if plan is None:
-            plan = FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV) or FaultPlan()
         self._selector = FaultSelector(plan, "driver")
 
     @property
@@ -706,20 +690,12 @@ class RetryingDriver(WrappingDriver):
         }
 
 
-#: CLI driver-name registry (``--storage-driver``). URL-style specs
-#: (``posix:///path``, ``memory://``, ``http://host:port/bucket``) are
-#: additionally accepted by :func:`build_driver`.
-DRIVER_NAMES = ("posix", "memory", "faulty")
-
 #: URL schemes :func:`parse_driver_spec` understands.
 DRIVER_SCHEMES = ("posix", "memory", "http", "https")
 
 
 def parse_driver_spec(spec: str) -> Dict[str, object]:
-    """Parse a ``--storage-driver`` value into its constituent parts.
-
-    Accepts the legacy bare names (``posix``/``memory``/``faulty``) and
-    URL-style specs:
+    """Parse a ``--storage-driver`` URL spec into its constituent parts:
 
     * ``posix:///abs/path`` — posix driver rooted at ``/abs/path``
       (overrides the store path for driver state);
@@ -738,17 +714,12 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
     '/tmp/store'
     >>> parse_driver_spec("http://127.0.0.1:8123/campaign")["url"]
     'http://127.0.0.1:8123/campaign'
-    >>> parse_driver_spec("posix")["scheme"]
-    'posix'
     """
     if "://" not in spec:
-        if spec not in DRIVER_NAMES:
-            raise ConfigurationError(
-                f"unknown storage driver {spec!r}; pick one of "
-                f"{DRIVER_NAMES} or a URL spec "
-                f"({'|'.join(DRIVER_SCHEMES)}://...)"
-            )
-        return {"scheme": spec}
+        raise ConfigurationError(
+            f"storage driver {spec!r} is not a URL spec; use "
+            "posix:///path, memory:// or http(s)://host:port/bucket"
+        )
     parts = urlsplit(spec)
     scheme = parts.scheme.lower()
     if scheme not in DRIVER_SCHEMES:
@@ -790,30 +761,36 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
 
 
 def build_driver(
-    name: str,
+    spec: Optional[str] = None,
     root=None,
     storage_fault_plan: Optional[FaultPlan] = None,
-    fsync: bool = True,
 ) -> StorageDriver:
     """Construct a driver from a ``--storage-driver`` spec.
 
-    ``name`` is a legacy bare name from :data:`DRIVER_NAMES` or a
-    URL-style spec (see :func:`parse_driver_spec`). ``"faulty"`` wraps
-    posix with the given (or ambient ``REPRO_STORAGE_FAULT_PLAN``)
-    fault plan; passing a plan with any other spec also wraps, so
-    ``--storage-fault-plan`` alone implies client-side injection.
-    ``http(s)://`` specs come wrapped in the circuit breaker
+    ``spec`` is a URL spec (see :func:`parse_driver_spec`), or ``None``
+    for posix at ``root``. ``http(s)://`` specs come wrapped in the
+    circuit breaker
     (:class:`~repro.campaign.objectstore.CircuitBreakerDriver`) so
-    persistent network failure degrades instead of wedging. ``root``
-    backs posix-rooted specs and may be omitted for rootless ones
-    (``memory://``, ``http(s)://``, ``posix:///path``).
+    persistent network failure degrades instead of wedging. A
+    ``storage_fault_plan`` wraps any driver in a :class:`FaultyDriver`,
+    so ``--storage-fault-plan`` alone implies client-side injection.
     """
-    parsed = parse_driver_spec(name)
-    scheme = parsed["scheme"]
+    parsed = (
+        {"scheme": "posix", "root": root}
+        if spec is None
+        else parse_driver_spec(spec)
+    )
     base: StorageDriver
-    if scheme == "memory":
+    if parsed["scheme"] == "memory":
         base = MemoryDriver()
-    elif scheme in ("http", "https"):
+    elif parsed["scheme"] == "posix":
+        if parsed["root"] is None:
+            raise ConfigurationError(
+                "a posix driver needs a store root (a directory, or a "
+                "posix:///path spec)"
+            )
+        base = PosixDriver(parsed["root"])
+    else:
         # Imported lazily: objectstore builds on this module.
         from repro.campaign.objectstore import (
             CircuitBreakerDriver,
@@ -821,21 +798,12 @@ def build_driver(
         )
 
         base = CircuitBreakerDriver(HttpDriver(parsed["url"]))
-    else:
-        posix_root = parsed.get("root", root)
-        if posix_root is None:
-            raise ConfigurationError(
-                f"driver spec {name!r} needs a store root "
-                f"(a directory, or a posix:///path spec)"
-            )
-        base = PosixDriver(posix_root, fsync=fsync)
-    if scheme == "faulty" or storage_fault_plan is not None:
+    if storage_fault_plan is not None:
         base = FaultyDriver(base, storage_fault_plan)
     return base
 
 
 __all__ = [
-    "DRIVER_NAMES",
     "DRIVER_SCHEMES",
     "FaultyDriver",
     "MemoryDriver",

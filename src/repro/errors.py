@@ -4,7 +4,9 @@ All library-specific errors derive from :class:`ReproError` so callers can
 catch everything raised by this package with a single ``except`` clause.
 """
 
+import math
 import numbers
+import threading
 
 
 class ReproError(Exception):
@@ -31,6 +33,23 @@ def require_integer(name: str, value, low=None) -> int:
             f"{name} must be an integer{bound}, got {value!r}"
         )
     return int(value)
+
+
+def require_seconds(name: str, value) -> float:
+    """``value`` as a float in (0, ``threading.TIMEOUT_MAX``], the
+    longest wait a thread, lock or socket accepts: NaN, inf, zero, a
+    negative, a longer span, a bool or a non-number is a
+    :class:`ConfigurationError` naming ``name``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and 0 < value <= threading.TIMEOUT_MAX)
+    ):
+        raise ConfigurationError(
+            f"{name} must be a finite number of seconds > 0 and "
+            f"<= {threading.TIMEOUT_MAX:g}, got {value!r}"
+        )
+    return float(value)
 
 
 class AllocationError(ReproError):

@@ -26,8 +26,9 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro.campaign.faults as faults_module
+import repro.campaign.retry as retry_module
 import repro.campaign.runner as campaign_runner
-from repro.campaign.faults import FAULT_PLAN_ENV, FaultPlan, FaultSelector
+from repro.campaign.faults import FaultPlan, FaultSelector
 from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
@@ -110,29 +111,29 @@ def crash_rule(attempts=(1,), **match):
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic(self):
-        policy = RetryPolicy(seed=3)
+        policy = RetryPolicy()
         assert policy.backoff_s("abc", 1) == policy.backoff_s("abc", 1)
-        assert policy.backoff_s("abc", 1) == RetryPolicy(seed=3).backoff_s(
+        assert policy.backoff_s("abc", 1) == RetryPolicy().backoff_s(
             "abc", 1
         )
 
-    def test_backoff_varies_with_seed_and_hash(self):
-        a = RetryPolicy(seed=0).backoff_s("abc", 1)
-        assert a != RetryPolicy(seed=1).backoff_s("abc", 1)
-        assert a != RetryPolicy(seed=0).backoff_s("abd", 1)
+    def test_backoff_varies_with_seed_and_hash(self, monkeypatch):
+        a = RetryPolicy().backoff_s("abc", 1)
+        assert a != RetryPolicy().backoff_s("abd", 1)
+        monkeypatch.setattr(retry_module, "BACKOFF_SEED", 1)
+        assert a != RetryPolicy().backoff_s("abc", 1)
 
     def test_backoff_grows_and_stays_bounded(self):
-        policy = RetryPolicy(
-            base_delay_s=0.1, max_delay_s=1.0, jitter=0.25
-        )
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0)
         delays = [policy.backoff_s("deadbeef", a) for a in range(1, 10)]
         assert delays[1] > delays[0]
         for attempt, delay in enumerate(delays, start=1):
             assert delay >= min(1.0, 0.1 * 2 ** (attempt - 1))
             assert delay <= 1.0 * 1.25
 
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(base_delay_s=0.5, max_delay_s=64.0, jitter=0.0)
+    def test_zero_jitter_is_pure_exponential(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "JITTER", 0.0)
+        policy = RetryPolicy(base_delay_s=0.5, max_delay_s=64.0)
         assert policy.backoff_s("x", 1) == 0.5
         assert policy.backoff_s("x", 3) == 2.0
 
@@ -140,8 +141,6 @@ class TestRetryPolicy:
         "kwargs",
         [
             {"max_attempts": 0},
-            {"jitter": 1.5},
-            {"jitter": -0.1},
             {"base_delay_s": -1.0},
             {"base_delay_s": 2.0, "max_delay_s": 1.0},
         ],
@@ -196,19 +195,13 @@ class TestFaultPlan:
         other = make_point(n_devices=4).to_dict()
         assert runner.consult("execute", "ffff", 2, other) is None
 
-    def test_from_env_inline_file_and_unset(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        assert FaultPlan.from_env() is None
+    def test_from_spec_inline_and_file(self, tmp_path):
         text = plan_json([crash_rule(n_devices=1)])
         plan = FaultPlan.from_json(text)
-        monkeypatch.setenv(FAULT_PLAN_ENV, text)
-        assert FaultPlan.from_env() == plan
+        assert FaultPlan.from_spec(text) == plan
         path = tmp_path / "plan.json"
         path.write_text(text)
-        monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
-        assert FaultPlan.from_env() == plan
-        monkeypatch.setenv(FAULT_PLAN_ENV, "")
-        assert FaultPlan.from_env() is None
+        assert FaultPlan.from_spec(str(path)) == plan
 
     @pytest.mark.parametrize(
         "rule",
@@ -374,7 +367,7 @@ class TestLeaseManager:
         a.release("h1")
 
     def test_rejects_nonpositive_ttl(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="ttl_s"):
             LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.0)
 
 
@@ -781,7 +774,6 @@ def _child_run(store_root, spec_dict, plan_json, owner, lease_ttl_s):
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
         owner=owner,
         lease_ttl_s=lease_ttl_s,
-        wait_poll_s=0.05,
     ).run(spec)
 
 

@@ -8,20 +8,25 @@ prints to fleet monitors. A refactor of the retry, wrapper-driver or
 HTTP layers has to keep every assertion here unchanged.
 """
 
+import dataclasses
+import inspect
 import json
 import time
 
 import pytest
 
+import repro.campaign.retry as retry_module
 from repro.campaign.cli import main
+from repro.campaign.client import CampaignServiceClient
 from repro.campaign.faults import FaultPlan
 from repro.campaign.objectstore import (
+    CircuitBreaker,
     CircuitBreakerDriver,
     HttpDriver,
     ObjectStoreService,
 )
 from repro.campaign.presets import fig17_campaign, noise_grid_campaign
-from repro.campaign.runner import RetryPolicy
+from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
@@ -29,12 +34,13 @@ from repro.campaign.storage import (
     MemoryDriver,
     PosixDriver,
     RetryingDriver,
+    build_driver,
 )
 from repro.campaign.store import CampaignStore
 from repro.errors import FaultInjectedError
 
 #: RetryPolicy().backoff_s("deadbeef", attempt) for attempts 1-4, by
-#: seed (the runner's per-point key form, runner defaults).
+#: BACKOFF_SEED (the runner's per-point key form, runner defaults).
 RUNNER_BACKOFF = {
     0: [
         0.12461102754466434,
@@ -69,23 +75,19 @@ STORAGE_BACKOFF = {
 }
 
 
-def _storage_policy(seed):
-    return RetryPolicy(
-        max_attempts=4, base_delay_s=0.02, max_delay_s=1.0, seed=seed
-    )
-
-
 class TestBackoffPins:
     @pytest.mark.parametrize("seed", sorted(RUNNER_BACKOFF))
-    def test_runner_key_form(self, seed):
-        policy = RetryPolicy(seed=seed)
+    def test_runner_key_form(self, seed, monkeypatch):
+        monkeypatch.setattr(retry_module, "BACKOFF_SEED", seed)
+        policy = RetryPolicy()
         assert [
             policy.backoff_s("deadbeef", attempt) for attempt in (1, 2, 3, 4)
         ] == RUNNER_BACKOFF[seed]
 
     @pytest.mark.parametrize("seed", sorted(STORAGE_BACKOFF))
-    def test_storage_key_form(self, seed):
-        policy = _storage_policy(seed)
+    def test_storage_key_form(self, seed, monkeypatch):
+        monkeypatch.setattr(retry_module, "BACKOFF_SEED", seed)
+        policy = RetryPolicy(max_attempts=4, base_delay_s=0.02, max_delay_s=1.0)
         assert [
             policy.backoff_s("get:points/a.json", attempt)
             for attempt in (1, 2, 3, 4)
@@ -115,7 +117,7 @@ class TestStatsPins:
             {"rules": [{"kind": "error", "op": "get", "calls": [1]}]}
         )
         stack = RetryingDriver(
-            FaultyDriver(PosixDriver(tmp_path, fsync=False), plan)
+            FaultyDriver(PosixDriver(tmp_path), plan)
         )
         stack.put_atomic("points/a.json", b"abc")
         assert stack.get("points/a.json") == b"abc"
@@ -361,20 +363,19 @@ def _consult_fired(selector, plan, script):
     return fired, selector.n_injected
 
 
-def _driver(monkeypatch, plan_json):
-    """A fault-injecting driver loaded from the storage plan variable,
-    the way subprocess-launched runners receive a plan."""
-    monkeypatch.setenv("REPRO_STORAGE_FAULT_PLAN", plan_json)
-    return FaultyDriver(MemoryDriver())
+def _driver(plan_json):
+    """A fault-injecting driver loaded from a plan's JSON, the way
+    ``--storage-fault-plan`` loads it."""
+    return FaultyDriver(MemoryDriver(), FaultPlan.from_spec(plan_json))
 
 
-def _driver_fired(monkeypatch, plan_json):
-    selector = _driver(monkeypatch, plan_json)._selector
+def _driver_fired(plan_json):
+    selector = _driver(plan_json)._selector
     return _consult_fired(selector, selector.plan, STORAGE_SCRIPT)
 
 
-def _server_fired(monkeypatch, plan_json, script):
-    plan = _driver(monkeypatch, plan_json)._selector.plan
+def _server_fired(plan_json, script):
+    plan = _driver(plan_json)._selector.plan
     if script is SERVICE_SCRIPT:
         selector = CampaignService(service_fault_plan=plan).selector
     else:
@@ -414,30 +415,69 @@ class TestFiringSequencePins:
             monkeypatch, DOCTEST_EXECUTE_PLAN
         ) == FIRING_PINS["doctest-execute"]
 
-    def test_ci_storage_plan_with_seeded_capped_rule(self, monkeypatch):
-        fired, n_injected = _driver_fired(monkeypatch, CI_STORAGE_PLAN)
+    def test_ci_storage_plan_with_seeded_capped_rule(self):
+        fired, n_injected = _driver_fired(CI_STORAGE_PLAN)
         assert (fired, n_injected) == FIRING_PINS["ci-storage"]
         # The seeded p rule reaches its max_fires cap inside the script.
         assert [index for _, index in fired].count(1) == 4
 
-    def test_doctest_storage_plan(self, monkeypatch):
-        assert _driver_fired(
-            monkeypatch, DOCTEST_STORAGE_PLAN
-        ) == FIRING_PINS["doctest-storage"]
+    def test_doctest_storage_plan(self):
+        assert _driver_fired(DOCTEST_STORAGE_PLAN) == FIRING_PINS[
+            "doctest-storage"
+        ]
 
-    def test_ci_network_plan(self, monkeypatch):
-        assert _server_fired(
-            monkeypatch, CI_NETWORK_PLAN, STORAGE_SCRIPT
-        ) == FIRING_PINS["ci-network"]
+    def test_ci_network_plan(self):
+        assert _server_fired(CI_NETWORK_PLAN, STORAGE_SCRIPT) == FIRING_PINS[
+            "ci-network"
+        ]
 
-    def test_ci_service_plan(self, monkeypatch):
-        assert _server_fired(
-            monkeypatch, CI_SERVICE_PLAN, SERVICE_SCRIPT
-        ) == FIRING_PINS["ci-service"]
+    def test_ci_service_plan(self):
+        assert _server_fired(CI_SERVICE_PLAN, SERVICE_SCRIPT) == FIRING_PINS[
+            "ci-service"
+        ]
 
-    def test_shared_plan_kind_filtered_pair(self, monkeypatch):
+    def test_shared_plan_kind_filtered_pair(self):
         # One plan, two consumers over the same calls: each fires only
         # its own kinds, and neither advances the other's counters.
-        driver = _driver_fired(monkeypatch, SHARED_PLAN)
-        server = _server_fired(monkeypatch, SHARED_PLAN, STORAGE_SCRIPT)
+        driver = _driver_fired(SHARED_PLAN)
+        server = _server_fired(SHARED_PLAN, STORAGE_SCRIPT)
         assert {"driver": driver, "server": server} == FIRING_PINS["shared"]
+
+
+#: Every value a caller can set on the campaign stack's constructors and
+#: on a RetryPolicy. A knob comes back only by editing this pin; each
+#: value that no surface sets is a module constant instead (for example
+#: ``runner.WAIT_POLL_S``, ``service.MAX_BACKLOG``,
+#: ``objectstore.FAILURE_THRESHOLD``, ``retry.JITTER``).
+SETTABLE = {
+    CampaignRunner: [
+        "store", "workers", "retry", "point_timeout_s", "use_leases",
+        "lease_ttl_s", "owner", "fault_plan", "allow_partial", "on_result",
+    ],
+    CampaignService: [
+        "store", "host", "port", "workers", "retry", "point_timeout_s",
+        "use_leases", "allow_partial", "fault_plan", "service_fault_plan",
+    ],
+    CampaignServiceClient: ["url", "retry", "timeout_s"],
+    CircuitBreaker: ["name"],
+    CircuitBreakerDriver: ["inner"],
+    HttpDriver: ["url"],
+    PosixDriver: ["root"],
+    FaultyDriver: ["inner", "plan"],
+    build_driver: ["spec", "root", "storage_fault_plan"],
+}
+
+
+@pytest.mark.parametrize(
+    "target", list(SETTABLE), ids=lambda target: target.__name__
+)
+def test_settable_parameters_are_pinned(target):
+    assert list(inspect.signature(target).parameters) == SETTABLE[target]
+
+
+def test_retry_policy_fields_are_pinned():
+    assert [field.name for field in dataclasses.fields(RetryPolicy)] == [
+        "max_attempts",
+        "base_delay_s",
+        "max_delay_s",
+    ]

@@ -1,7 +1,7 @@
 """Campaign-stack inputs refused up front, and damage mapped to the
 right error.
 
-* Fault rules, fault plans, service and driver URLs, breaker knobs,
+* Fault rules, fault plans, service and driver URLs, lease TTLs,
   bucket names and campaign specs that cannot work are refused at
   construction with ``ConfigurationError`` — not halfway through a
   sharded run.
@@ -30,15 +30,12 @@ from repro.campaign.client import CampaignServiceClient, parse_service_url
 from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.leases import (
     LEASE_SCHEMA,
+    LeaseManager,
     _deadline,
     parse_lease,
     scan_lease_backend,
 )
-from repro.campaign.objectstore import (
-    CircuitBreaker,
-    HttpDriver,
-    ObjectStoreService,
-)
+from repro.campaign.objectstore import HttpDriver, ObjectStoreService
 from repro.campaign.retry import RetryPolicy, call_with_timeout
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.service import CampaignService
@@ -90,6 +87,9 @@ def spec_kwargs(**overrides):
     return kwargs
 
 
+TTLS = [("nan", float("nan")), ("inf", float("inf")), ("zero", 0.0),
+        ("negative", -1.0), ("past-timeout-max", 1e12)]
+
 CONSTRUCTION_REJECTIONS = [
     # fault rules
     pytest.param(lambda: FaultRule(kind="error", op="chmod"),
@@ -132,19 +132,26 @@ CONSTRUCTION_REJECTIONS = [
                  "one bucket path segment", id="http_driver-nested-bucket"),
     pytest.param(lambda: HttpDriver("http:///bucket"),
                  "one bucket path segment", id="http_driver-no-host"),
-    pytest.param(lambda: HttpDriver("http://127.0.0.1:1/b", timeout_s=0.0),
-                 "timeout_s must be positive", id="http_driver-zero-timeout"),
     pytest.param(lambda: parse_driver_spec("http:///bucket"),
                  "needs host", id="driver_spec-http-no-host"),
     pytest.param(lambda: parse_driver_spec("https://127.0.0.1:1/"),
                  "one bucket path segment", id="driver_spec-https-no-bucket"),
     pytest.param(lambda: parse_driver_spec("http://127.0.0.1:1/a/b"),
                  "one bucket path segment", id="driver_spec-nested-bucket"),
-    # breaker and object-store knobs
-    pytest.param(lambda: CircuitBreaker(failure_threshold=0),
-                 "failure_threshold", id="breaker-zero-threshold"),
-    pytest.param(lambda: CircuitBreaker(reset_after_s=-1.0),
-                 "reset_after_s", id="breaker-negative-reset"),
+    # lease TTLs: a NaN or infinite deadline breaks the heartbeat
+    *[
+        pytest.param(lambda ttl=ttl: CampaignRunner(lease_ttl_s=ttl),
+                     "lease_ttl_s must be a finite number of seconds > 0",
+                     id=f"runner-lease-ttl-{name}")
+        for name, ttl in TTLS
+    ],
+    *[
+        pytest.param(lambda ttl=ttl: LeaseManager(MemoryDriver(), ttl_s=ttl),
+                     "ttl_s must be a finite number of seconds > 0",
+                     id=f"lease-manager-ttl-{name}")
+        for name, ttl in TTLS
+    ],
+    # object-store knobs
     pytest.param(lambda: ObjectStoreService(bucket="a/b"),
                  "one path segment", id="objectstore-nested-bucket"),
     pytest.param(lambda: ObjectStoreService(bucket=""),

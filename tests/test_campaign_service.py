@@ -11,7 +11,7 @@ The load-bearing pins:
   one execution (exec log) and byte-identical streams; a client
   disconnecting mid-stream never aborts the shared computation;
 * **backpressure** — a stalled subscriber is dropped after
-  ``stall_timeout_s`` without wedging the publisher or live readers;
+  ``STALL_TIMEOUT_S`` without wedging the publisher or live readers;
 * **request chaos** — every request-level fault kind (``refuse``,
   ``http_error`` + Retry-After, ``disconnect`` before ``done``,
   ``delay``) heals inside the client's retry/breaker stack;
@@ -35,9 +35,9 @@ from repro.campaign.client import (
     parse_service_url,
 )
 from repro.campaign.faults import FaultPlan, FaultRule
-from repro.campaign.objectstore import CircuitBreaker
 from repro.campaign.presets import fig17_campaign
 from repro.campaign.runner import EXEC_LOG_ENV, CampaignRunner
+import repro.campaign.service as service_module
 from repro.campaign.service import (
     CampaignExecution,
     CampaignService,
@@ -47,7 +47,6 @@ from repro.campaign.store import CampaignStore
 from repro.errors import (
     CampaignServiceError,
     CircuitOpenError,
-    ConfigurationError,
     PersistentStorageError,
 )
 from repro.protocol.network import NetworkMetrics
@@ -352,32 +351,23 @@ class TestBackpressure:
     """Unit tests straight on :class:`CampaignExecution`."""
 
     @staticmethod
-    def execution(spec, max_backlog=2, stall_timeout_s=0.2):
+    def execution(spec):
         def factory(on_result):
             return CampaignRunner(
                 store=None, use_leases=False, on_result=on_result
             )
 
         return CampaignExecution(
-            campaign_id_for(spec.to_dict()),
-            spec,
-            factory,
-            max_backlog=max_backlog,
-            stall_timeout_s=stall_timeout_s,
+            campaign_id_for(spec.to_dict()), spec, factory
         )
 
-    def test_knob_validation(self):
-        spec = small_spec()
-        with pytest.raises(ConfigurationError):
-            self.execution(spec, max_backlog=0)
-        with pytest.raises(ConfigurationError):
-            self.execution(spec, stall_timeout_s=-1)
-
-    def test_stalled_subscriber_dropped_fast_reader_unaffected(self):
+    def test_stalled_subscriber_dropped_fast_reader_unaffected(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_BACKLOG", 2)
+        monkeypatch.setattr(service_module, "STALL_TIMEOUT_S", 0.1)
         spec = small_spec(counts=(1, 2, 3, 4, 5, 6))
-        execution = self.execution(
-            spec, max_backlog=2, stall_timeout_s=0.1
-        )
+        execution = self.execution(spec)
         laggard = execution.subscribe()  # never reads
         fast = execution.subscribe()
         lines = []
@@ -508,13 +498,14 @@ class TestRequestChaos:
                 ]
             ),
         )
-        breaker = CircuitBreaker(svc.url)
-        client = client_for(svc, breaker=breaker)
+        client = client_for(svc)
         with pytest.raises(PersistentStorageError):
             client.submit(small_spec())
-        assert breaker.state == "open"
+        # The breaker is open: the next submit fails fast, unretried.
+        retries = client.n_retries
         with pytest.raises(CircuitOpenError):
             client.submit(small_spec())
+        assert client.n_retries == retries
 
     def test_dead_endpoint_exhausts_to_persistent_error(self, request):
         svc = live_service(request)

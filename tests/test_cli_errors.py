@@ -52,9 +52,7 @@ class TestBadStorageDriver:
         assert err.startswith("error: ")
 
     def test_posix_driver_without_store_exits_2(self, capsys):
-        code, _, err = run_entry(
-            capsys, "run", "--spec", "fig17", "--storage-driver", "posix"
-        )
+        code, _, err = run_entry(capsys, "run", "--spec", "fig17")
         assert code == 2
         assert "--store is required" in err
 

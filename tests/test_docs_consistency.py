@@ -69,7 +69,7 @@ DOC_ANCHORS = {
         "resolve_pool_workers",
         "child_seed",
         "python -m repro.campaign",
-        "REPRO_FAULT_PLAN",
+        "--fault-plan",
         "FaultSelector",
         "faults.FIRES",
         "repro-fault-plan-v1",
@@ -80,7 +80,7 @@ DOC_ANCHORS = {
         "StorageDriver",
         "put_atomic",
         "put_exclusive",
-        "REPRO_STORAGE_FAULT_PLAN",
+        "--storage-fault-plan",
         "PersistentStorageError",
         "read-only serving",
         "python -m repro.campaign serve",
@@ -94,7 +94,7 @@ DOC_ANCHORS = {
         "/healthz",
         "campaign_id_for",
         "CampaignServiceClient",
-        "max_backlog",
+        "MAX_BACKLOG",
         "points_computed == 0",
     ],
     "docs/SCALING.md": [
@@ -122,10 +122,10 @@ DOC_ANCHORS = {
         "bench/run.py",
         "python -m repro.campaign",
         ".github/workflows/ci.yml",
-        "REPRO_FAULT_PLAN",
+        "--fault-plan",
         "timeout-minutes",
         "--storage-driver",
-        "REPRO_STORAGE_FAULT_PLAN",
+        "--storage-fault-plan",
         "repro.campaign serve",
         "http://hostA:8123/campaign",
         "network-chaos",
@@ -186,7 +186,7 @@ class TestCiPipeline:
             "ruff check",
             "bench-smoke",
             "bench/run.py --workload dense-256",
-            "REPRO_FAULT_PLAN",
+            "--max-attempts 3 --fault-plan",
             "fault-injection",
             "storage-fault",
             "--storage-fault-plan",

@@ -34,6 +34,8 @@ import pytest
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.leases import LeaseManager, live_lease
+import repro.campaign.objectstore as objectstore_module
+import repro.campaign.retry as retry_module
 from repro.campaign.objectstore import (
     CircuitBreakerDriver,
     HttpDriver,
@@ -114,22 +116,19 @@ class TestWireProtocol:
     suite (which already runs the full driver contract over HTTP)."""
 
     def test_writes_to_unknown_bucket_fail_loudly(self, service):
-        driver = HttpDriver(
-            service.url.rsplit("/", 1)[0] + "/wrong-bucket",
-            timeout_s=5.0,
-        )
+        driver = HttpDriver(service.url.rsplit("/", 1)[0] + "/wrong-bucket")
         with pytest.raises(PersistentStorageError):
             driver.put_atomic("points/a.json", b"x")
 
     def test_corrupt_response_body_is_transient(self, service):
-        driver = HttpDriver(service.url, timeout_s=5.0)
+        driver = HttpDriver(service.url)
         with pytest.raises(TransientStorageError):
             driver._verify(
                 "get", "points/a.json", b"body", "0" * 64
             )
 
     def test_lost_etag_readback_retries_the_write(self, service):
-        driver = HttpDriver(service.url, timeout_s=5.0)
+        driver = HttpDriver(service.url)
         driver._request = lambda *a, **k: (200, {"etag": '"bogus"'}, b"")
         with pytest.raises(TransientStorageError) as info:
             driver.put_atomic("points/a.json", b"payload")
@@ -197,7 +196,7 @@ class TestWireProtocol:
         svc.start()
         request.addfinalizer(svc.stop)
         retrying = RetryingDriver(
-            HttpDriver(svc.url, timeout_s=5.0), FAST_RETRY
+            HttpDriver(svc.url), FAST_RETRY
         )
         retrying.put_atomic("points/a.json", b"x")
         assert retrying.get("points/a.json") == b"x"
@@ -213,7 +212,7 @@ class TestNetworkChaosKinds:
             request, [{"kind": "refuse", "op": "get", "calls": [1]}]
         )
         retrying = RetryingDriver(
-            HttpDriver(svc.url, timeout_s=5.0), FAST_RETRY
+            HttpDriver(svc.url), FAST_RETRY
         )
         retrying.put_atomic("points/a.json", b"x")
         assert retrying.get("points/a.json") == b"x"
@@ -233,7 +232,7 @@ class TestNetworkChaosKinds:
                 }
             ],
         )
-        driver = HttpDriver(svc.url, timeout_s=5.0)
+        driver = HttpDriver(svc.url)
         driver.put_atomic("points/a.json", b"x")
         with pytest.raises(TransientStorageError) as info:
             driver.get("points/a.json")
@@ -255,7 +254,7 @@ class TestNetworkChaosKinds:
             ],
         )
         retrying = RetryingDriver(
-            HttpDriver(svc.url, timeout_s=5.0),
+            HttpDriver(svc.url),
             RetryPolicy(
                 max_attempts=3, base_delay_s=0.001, max_delay_s=0.5
             ),
@@ -274,7 +273,7 @@ class TestNetworkChaosKinds:
             request,
             [{"kind": "disconnect", "op": "replace", "calls": [1]}],
         )
-        raw = HttpDriver(svc.url, timeout_s=5.0)
+        raw = HttpDriver(svc.url)
         raw.put_atomic("points/a.json", b"old")
         with pytest.raises(TransientStorageError):
             raw.replace("points/a.json", b"new")
@@ -295,7 +294,7 @@ class TestNetworkChaosKinds:
                 }
             ],
         )
-        driver = HttpDriver(svc.url, timeout_s=5.0)
+        driver = HttpDriver(svc.url)
         driver.put_atomic("points/a.json", b"x")
         start = time.monotonic()
         assert driver.get("points/a.json") == b"x"
@@ -306,7 +305,7 @@ class TestNetworkChaosKinds:
             request,
             [{"kind": "stale_read", "op": "get", "calls": [2]}],
         )
-        driver = HttpDriver(svc.url, timeout_s=5.0)
+        driver = HttpDriver(svc.url)
         driver.put_atomic("points/a.json", b"v1")
         assert driver.get("points/a.json") == b"v1"
         driver.replace("points/a.json", b"v2")
@@ -321,21 +320,27 @@ class TestNetworkChaosKinds:
             request,
             [{"kind": "stale_read", "op": "get", "calls": [1]}],
         )
-        driver = HttpDriver(svc.url, timeout_s=5.0)
+        driver = HttpDriver(svc.url)
         driver.put_atomic("points/a.json", b"v1")
         with pytest.raises(StorageMissingError):
             driver.get("points/a.json")
         assert driver.get("points/a.json") == b"v1"
 
 
+def breaker_settings(monkeypatch, threshold, reset_after_s):
+    """For this test, breakers trip after ``threshold`` consecutive
+    failures and probe after ``reset_after_s``."""
+    monkeypatch.setattr(objectstore_module, "FAILURE_THRESHOLD", threshold)
+    monkeypatch.setattr(objectstore_module, "RESET_AFTER_S", reset_after_s)
+
+
 class TestCircuitBreaker:
-    def test_consecutive_failures_trip_then_fail_fast(self, request):
+    def test_consecutive_failures_trip_then_fail_fast(
+        self, request, monkeypatch
+    ):
+        breaker_settings(monkeypatch, 3, 60.0)
         url = dead_url(request)
-        breaker = CircuitBreakerDriver(
-            HttpDriver(url, timeout_s=1.0),
-            failure_threshold=3,
-            reset_after_s=60.0,
-        )
+        breaker = CircuitBreakerDriver(HttpDriver(url))
         for _ in range(3):
             with pytest.raises(TransientStorageError):
                 breaker.get("points/a.json")
@@ -346,16 +351,14 @@ class TestCircuitBreaker:
         assert stats["n_trips"] == 1
         assert stats["n_short_circuited"] == 1
 
-    def test_circuit_open_error_degrades_like_persistent(self, request):
+    def test_circuit_open_error_degrades_like_persistent(
+        self, request, monkeypatch
+    ):
         assert issubclass(CircuitOpenError, PersistentStorageError)
+        breaker_settings(monkeypatch, 1, 60.0)
         url = dead_url(request)
         retrying = RetryingDriver(
-            CircuitBreakerDriver(
-                HttpDriver(url, timeout_s=1.0),
-                failure_threshold=1,
-                reset_after_s=60.0,
-            ),
-            FAST_RETRY,
+            CircuitBreakerDriver(HttpDriver(url)), FAST_RETRY
         )
         with pytest.raises(PersistentStorageError):
             retrying.get("points/a.json")
@@ -366,18 +369,18 @@ class TestCircuitBreaker:
             retrying.get("points/a.json")
         assert retrying.n_retries == before
 
-    def test_missing_keys_are_answers_not_failures(self, service):
-        breaker = CircuitBreakerDriver(
-            HttpDriver(service.url, timeout_s=5.0),
-            failure_threshold=1,
-            reset_after_s=60.0,
-        )
+    def test_missing_keys_are_answers_not_failures(
+        self, service, monkeypatch
+    ):
+        breaker_settings(monkeypatch, 1, 60.0)
+        breaker = CircuitBreakerDriver(HttpDriver(service.url))
         for _ in range(3):
             with pytest.raises(StorageMissingError):
                 breaker.get("points/absent.json")
         assert breaker.state == "closed"
 
-    def test_half_open_probe_closes_on_recovery(self):
+    def test_half_open_probe_closes_on_recovery(self, monkeypatch):
+        breaker_settings(monkeypatch, 1, 0.05)
         flaky = FaultyDriver(
             MemoryDriver(),
             FaultPlan(
@@ -388,9 +391,7 @@ class TestCircuitBreaker:
                 )
             ),
         )
-        breaker = CircuitBreakerDriver(
-            flaky, failure_threshold=1, reset_after_s=0.05
-        )
+        breaker = CircuitBreakerDriver(flaky)
         breaker.put_atomic("points/a.json", b"x")
         with pytest.raises(TransientStorageError):
             breaker.get("points/a.json")
@@ -402,13 +403,10 @@ class TestCircuitBreaker:
         assert breaker.get("points/a.json") == b"x"  # the probe
         assert breaker.state == "closed"
 
-    def test_failed_probe_reopens(self, request):
+    def test_failed_probe_reopens(self, request, monkeypatch):
+        breaker_settings(monkeypatch, 1, 0.05)
         url = dead_url(request)
-        breaker = CircuitBreakerDriver(
-            HttpDriver(url, timeout_s=1.0),
-            failure_threshold=1,
-            reset_after_s=0.05,
-        )
+        breaker = CircuitBreakerDriver(HttpDriver(url))
         with pytest.raises(TransientStorageError):
             breaker.get("points/a.json")
         time.sleep(0.06)
@@ -423,14 +421,14 @@ class TestRunnerDegradation:
     breaker's fail-fast CircuitOpenError rides the runner's existing
     allow_partial read-only path."""
 
+    @pytest.fixture(autouse=True)
+    def _one_failure_trips(self, monkeypatch):
+        breaker_settings(monkeypatch, 1, 60.0)
+
     def _dead_store(self, request):
         url = dead_url(request)
         driver = RetryingDriver(
-            CircuitBreakerDriver(
-                HttpDriver(url, timeout_s=0.5),
-                failure_threshold=1,
-                reset_after_s=60.0,
-            ),
+            CircuitBreakerDriver(HttpDriver(url)),
             RetryPolicy(
                 max_attempts=2, base_delay_s=0.001, max_delay_s=0.002
             ),
@@ -479,7 +477,7 @@ class TestDelayedLandingWrites:
                 }
             ],
         )
-        raw = HttpDriver(svc.url, timeout_s=5.0)
+        raw = HttpDriver(svc.url)
         raw.put_atomic("points/a.json", b"old")
         retrying = RetryingDriver(
             raw,
@@ -499,7 +497,10 @@ class TestDelayedLandingWrites:
         time.sleep(0.35)  # let the abandoned write land too
         assert raw.get("points/a.json") == b"new"
 
-    def test_timed_out_claim_reconciled_by_lease_acquire(self, request):
+    def test_timed_out_claim_reconciled_by_lease_acquire(
+        self, request, monkeypatch
+    ):
+        monkeypatch.setattr(retry_module, "JITTER", 0.0)
         svc = chaos_service(
             request,
             [
@@ -513,12 +514,11 @@ class TestDelayedLandingWrites:
             ],
         )
         driver = RetryingDriver(
-            HttpDriver(svc.url, timeout_s=5.0),
+            HttpDriver(svc.url),
             RetryPolicy(
                 max_attempts=3,
                 base_delay_s=0.2,  # retry only after the landing
                 max_delay_s=0.3,
-                jitter=0.0,
             ),
             op_timeout_s=0.05,
         )
@@ -602,7 +602,7 @@ class TestServeCli:
             assert "serving" in banner
             url = banner.split("--storage-driver ")[1].rstrip(")\n")
             driver = RetryingDriver(
-                HttpDriver(url, timeout_s=5.0), FAST_RETRY
+                HttpDriver(url), FAST_RETRY
             )
             driver.put_atomic("notes/a.json", b"{}")
             assert driver.get("notes/a.json") == b"{}"
@@ -637,7 +637,6 @@ def _child_run_http(url, spec_dict, owner, lease_ttl_s):
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
         owner=owner,
         lease_ttl_s=lease_ttl_s,
-        wait_poll_s=0.05,
     ).run(CampaignSpec.from_dict(spec_dict))
 
 

@@ -32,9 +32,10 @@ import time
 
 import pytest
 
+import repro.campaign.cli as cli_module
+from repro.campaign.cli import entrypoint as campaign_entrypoint
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.faults import (
-    STORAGE_FAULT_PLAN_ENV,
     FaultPlan,
     FaultRule,
 )
@@ -108,7 +109,7 @@ def driver(request, tmp_path):
         service = ObjectStoreService()
         service.start()
         request.addfinalizer(service.stop)
-        return HttpDriver(service.url, timeout_s=5.0)
+        return HttpDriver(service.url)
     return make_driver(request.param, tmp_path)
 
 
@@ -203,12 +204,6 @@ class TestPosixDurability:
         # One fsync for the tmp file's contents, one for the
         # destination directory entry after the rename.
         assert len(synced) >= 2
-
-    def test_fsync_false_skips_syncs(self, tmp_path, monkeypatch):
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        PosixDriver(tmp_path, fsync=False).put_atomic("a", b"1")
-        assert synced == []
 
     def test_exclusive_create_also_synced(self, tmp_path, monkeypatch):
         synced = []
@@ -351,16 +346,6 @@ class TestFaultyDriver:
         with pytest.raises(ConfigurationError):
             FaultRule(kind="nope")
 
-    def test_from_env_inline_and_unset(self, monkeypatch):
-        monkeypatch.delenv(STORAGE_FAULT_PLAN_ENV, raising=False)
-        assert FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV) is None
-        monkeypatch.setenv(
-            STORAGE_FAULT_PLAN_ENV,
-            '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error"}]}',
-        )
-        plan = FaultPlan.from_env(STORAGE_FAULT_PLAN_ENV)
-        assert plan is not None and plan.rules[0].kind == "error"
-
 
 class TestRetryingDriver:
     def test_transient_errors_heal_within_budget(self):
@@ -443,7 +428,6 @@ class TestRetryingDriver:
             {"max_attempts": 0},
             {"base_delay_s": -1.0},
             {"max_delay_s": 0.0, "base_delay_s": 1.0},
-            {"jitter": 2.0},
             {"op_timeout_s": 0.0},
         ],
     )
@@ -456,21 +440,55 @@ class TestRetryingDriver:
 
 
 class TestBuildDriver:
-    def test_names_and_fault_plan_wrapping(self, tmp_path):
-        assert isinstance(
-            build_driver("posix", tmp_path / "s"), PosixDriver
-        )
-        assert isinstance(build_driver("memory", tmp_path), MemoryDriver)
-        faulty = build_driver("faulty", tmp_path / "s")
-        assert isinstance(faulty, FaultyDriver)
+    def test_default_posix_and_fault_plan_wrapping(self, tmp_path):
+        assert isinstance(build_driver(None, tmp_path / "s"), PosixDriver)
         wrapped = build_driver(
-            "posix",
-            tmp_path / "s",
+            "memory://",
             storage_fault_plan=storage_plan([{"kind": "error"}]),
         )
         assert isinstance(wrapped, FaultyDriver)
-        with pytest.raises(ConfigurationError):
-            build_driver("s3", tmp_path)
+        with pytest.raises(ConfigurationError, match="store root"):
+            build_driver(None)
+
+    @pytest.mark.parametrize("name", ["posix", "memory", "faulty", "s3"])
+    def test_bare_names_are_refused(self, name, tmp_path):
+        with pytest.raises(
+            ConfigurationError,
+            match="posix:///path, memory:// or http\\(s\\)://",
+        ):
+            build_driver(name, tmp_path)
+
+    @pytest.mark.parametrize(
+        "flags, built",
+        [
+            (["--storage-driver", "posix"], None),
+            ([], PosixDriver),
+            (["--storage-fault-plan", '{"rules": []}'], FaultyDriver),
+        ],
+        ids=["bare-name-exits-2", "no-flag-posix", "fault-plan-wraps"],
+    )
+    def test_cli_driver_selection(
+        self, flags, built, tmp_path, monkeypatch, capsys
+    ):
+        drivers = []
+
+        def recording_build_driver(*args, **kwargs):
+            drivers.append(build_driver(*args, **kwargs))
+            return drivers[-1]
+
+        monkeypatch.setattr(cli_module, "build_driver", recording_build_driver)
+        code = campaign_entrypoint(
+            ["run", "--spec", "fig17", "--counts", "1", "--rounds", "1",
+             "--engine", "analytic", "--store", str(tmp_path / "s"),
+             "--no-leases"] + flags
+        )
+        err = capsys.readouterr().err
+        if built is None:
+            assert code == 2 and drivers == []
+            assert err.startswith("error: ") and "posix:///path" in err
+        else:
+            assert code == 0
+            assert [type(driver) for driver in drivers] == [built]
 
     def test_url_specs_parse_and_round_trip(self, tmp_path):
         from repro.campaign.storage import parse_driver_spec
@@ -493,10 +511,6 @@ class TestBuildDriver:
         assert (
             parse_driver_spec(parsed["url"]) == parsed
         )  # round trip through the canonical url
-
-        # Legacy bare names keep parsing (backward compatibility).
-        for name in ("posix", "memory", "faulty"):
-            assert parse_driver_spec(name) == {"scheme": name}
 
     def test_http_spec_builds_breaker_wrapped_driver(self):
         from repro.campaign.objectstore import (
@@ -918,7 +932,6 @@ class TestMemoryDriverCampaign:
                 store=store,
                 owner=owner,
                 lease_ttl_s=5.0,
-                wait_poll_s=0.02,
                 fault_plan=FaultPlan(),
             ).run(spec)
 
@@ -990,7 +1003,6 @@ def _child_run_faulty(root, spec_dict, plan_json, owner, lease_ttl_s):
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
         owner=owner,
         lease_ttl_s=lease_ttl_s,
-        wait_poll_s=0.05,
     ).run(CampaignSpec.from_dict(spec_dict))
 
 
@@ -1118,7 +1130,7 @@ class TestCliStorageFlags:
                 "--store",
                 str(tmp_path / "mem"),
                 "--storage-driver",
-                "memory",
+                "memory://",
                 "--no-leases",
             ]
         )
@@ -1148,8 +1160,6 @@ class TestCliStorageFlags:
                 "1",
                 "--store",
                 str(tmp_path / "store"),
-                "--storage-driver",
-                "faulty",
                 "--storage-fault-plan",
                 plan,
                 "--no-leases",

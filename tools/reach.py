@@ -485,18 +485,16 @@ class Session:
             REPRO_BACKEND_CALIBRATION=str(work / "calibration.json"),
             **{OUT_ENV: str(self.out), SRC_ENV: str(repo / "src" / "repro")},
         )
-        self.env.pop("REPRO_FAULT_PLAN", None)
-        self.env.pop("REPRO_STORAGE_FAULT_PLAN", None)
         self.log: List[Tuple[str, Optional[int]]] = []
 
     def _argv(self, args: List[str]) -> List[str]:
         return [sys.executable] + [a.replace("{work}", str(self.work)) for a in args]
 
-    def run(self, args: List[str], **env: str) -> None:
+    def run(self, args: List[str]) -> None:
         """Run one surface to its end; its exit code is logged."""
         try:
             code = subprocess.run(
-                self._argv(args), cwd=self.repo, env=dict(self.env, **env),
+                self._argv(args), cwd=self.repo, env=self.env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=self.timeout_s,
             ).returncode
@@ -570,8 +568,7 @@ def run_surfaces(session: Session) -> None:
     run(campaign + ["run", "--spec", "fig17", "--seed", "0", "--counts", "1,16", "--rounds",
                     "1", "--store", "{work}/pooled", "--workers", "2"])
     run(campaign + ["run"] + POINTS + ["--store", "{work}/faulty", "--timeout-s", "5",
-                                       "--max-attempts", "3"],
-        REPRO_FAULT_PLAN=FAULT_PLAN)
+                                       "--max-attempts", "3", "--fault-plan", FAULT_PLAN])
     run(campaign + ["run"] + POINTS + ["--store", "{work}/clean"])
     for preset in ("fig18", "noise-grid"):
         run(campaign + ["run", "--spec", preset, "--counts", "1", "--rounds", "1", "--store",
@@ -583,8 +580,8 @@ def run_surfaces(session: Session) -> None:
                 ["--counts", "1", "--timeout-s", "-1"]):
         run(campaign + ["run", "--spec", "fig17", "--rounds", "1", "--engine", "analytic",
                         "--store", "{work}/bad"] + bad)
-    run(campaign + ["run"] + POINTS + ["--store", "{work}/storage-faulty", "--storage-driver",
-                                       "faulty", "--storage-fault-plan", STORAGE_FAULT_PLAN])
+    run(campaign + ["run"] + POINTS + ["--store", "{work}/storage-faulty", "--storage-fault-plan",
+                                       STORAGE_FAULT_PLAN])
     run(campaign + ["status", "--json", "--store", "{work}/storage-faulty"])
     run(campaign + ["status", "--store", "{work}/clean"])
     run(campaign + ["export", "--store", "{work}/clean"])
