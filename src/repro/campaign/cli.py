@@ -20,10 +20,11 @@ Usage::
         --timeout-s 120 --max-attempts 5 --fault-plan plan.json
 
     # storage drivers: without --storage-driver, posix at --store
-    # (fsync-durable); otherwise a URL spec — posix:///path,
-    # memory:// (ephemeral smoke runs), http://host:port/bucket
-    # (remote object store). --storage-fault-plan wraps any of them
-    # in seeded injected storage faults.
+    # (fsync-durable); otherwise, and never beside --store, a URL
+    # spec — posix:///path, memory:// (ephemeral smoke runs),
+    # http://host:port/bucket (remote object store).
+    # --storage-fault-plan wraps any of them in seeded injected
+    # storage faults.
     python -m repro.campaign run --spec fig17 --store runs/fig17 \\
         --storage-fault-plan storage-plan.json
     python -m repro.campaign run --spec fig17 \\
@@ -79,6 +80,7 @@ from repro.campaign.storage import build_driver
 from repro.campaign.store import CampaignStore
 from repro.errors import (
     CampaignExecutionError,
+    ConfigurationError,
     ReproError,
     StorageError,
     require_seconds,
@@ -111,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "store directory (created if missing; reruns resume "
-            "here); optional when --storage-driver is a rootless URL "
-            "spec (memory://, http://host:port/bucket)"
+            "here); required without --storage-driver, refused "
+            "beside it"
         ),
     )
     run.add_argument(
@@ -185,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "storage backend as a URL spec — posix:///path, memory://, "
             "http://host:port/bucket (remote object store); default: "
-            "posix at --store"
+            "posix at --store; refused beside --store"
         ),
     )
     run.add_argument(
@@ -198,13 +200,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     status = sub.add_parser("status", help="summarise a store")
-    status.add_argument("--store", default=None)
+    status.add_argument(
+        "--store",
+        default=None,
+        help="posix store directory; refused beside --storage-driver",
+    )
     status.add_argument(
         "--storage-driver",
         default=None,
         help=(
             "driver spec for non-posix stores "
-            "(e.g. http://host:port/bucket)"
+            "(e.g. http://host:port/bucket); refused beside --store"
         ),
     )
     status.add_argument(
@@ -216,13 +222,17 @@ def _build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="merged per-point results table from a store"
     )
-    export.add_argument("--store", default=None)
+    export.add_argument(
+        "--store",
+        default=None,
+        help="posix store directory; refused beside --storage-driver",
+    )
     export.add_argument(
         "--storage-driver",
         default=None,
         help=(
             "driver spec for non-posix stores "
-            "(e.g. http://host:port/bucket)"
+            "(e.g. http://host:port/bucket); refused beside --store"
         ),
     )
     export.add_argument(
@@ -275,7 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_api.add_argument(
         "--store",
         default=None,
-        help="posix store directory backing the cache (default: memory)",
+        help=(
+            "posix store directory backing the cache (default: memory); "
+            "refused beside --storage-driver"
+        ),
     )
     serve_api.add_argument(
         "--storage-driver",
@@ -283,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "driver spec for the backing store — posix:///path, "
             "memory://, http://host:port/bucket (a remote object-store "
-            "data node)"
+            "data node); refused beside --store"
         ),
     )
     serve_api.add_argument("--host", default="127.0.0.1")
@@ -455,8 +468,19 @@ def _check_seconds(**flags) -> None:
             require_seconds(f"--{name.replace('_', '-')}", value)
 
 
+def _check_one_store(args) -> None:
+    """Refuse ``--store`` beside ``--storage-driver``: a driver spec
+    names its own store, so the directory would be silently ignored."""
+    if args.store is not None and args.storage_driver is not None:
+        raise ConfigurationError(
+            "--store and --storage-driver each name a store; pass one "
+            "(posix:///path names a directory as a driver spec)"
+        )
+
+
 def _cmd_run(args) -> int:
     _check_seconds(timeout_s=args.timeout_s, lease_ttl_s=args.lease_ttl_s)
+    _check_one_store(args)
     spec = _load_spec(args)
     fault_plan = _parse_plan(args.fault_plan)
     storage_plan = _parse_plan(args.storage_fault_plan, "storage fault plan")
@@ -541,8 +565,9 @@ def _cmd_run(args) -> int:
 
 
 def _open_store(args) -> CampaignStore:
-    """A read-side store from ``--store`` and/or ``--storage-driver``."""
-    spec = getattr(args, "storage_driver", None)
+    """A read-side store from ``--store`` or ``--storage-driver``."""
+    _check_one_store(args)
+    spec = args.storage_driver
     if spec is None:
         if args.store is None:
             raise ReproError(
@@ -633,6 +658,7 @@ def _cmd_serve_api(args) -> int:
     from repro.campaign.service import CampaignService
 
     _check_seconds(timeout_s=args.timeout_s)
+    _check_one_store(args)
     if args.storage_driver is not None:
         driver = build_driver(args.storage_driver)
         store = CampaignStore(driver=driver)

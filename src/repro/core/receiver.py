@@ -30,8 +30,11 @@ tone inputs (``analytic``).
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,11 +63,18 @@ from repro.utils.parallel import pipeline
 #: draws, power tensors) then stays near L2/L3 size, which measures
 #: ~25% faster on 100-round fading batches with identical decisions
 #: (chunk boundaries only reorder the noise *stream*, never the law).
-#: When decode_readout pipelines its chunks, the next chunk's window and
-#: probe values are composed (and on the analytic backend its noise
-#: drawn) while the current chunk is decided, so up to two chunks'
-#: stage-A arrays are live at once and the two threads share the cache.
+#: When a decode pipelines its chunks, the next chunk's window and
+#: probe values are read (and on the analytic backend its noise drawn)
+#: while the current chunk is decided, so up to two chunks' stage-A
+#: arrays are live at once and the two threads share the cache. On the
+#: ``fft`` backend both threads read: the caller reads the rest of the
+#: next chunk's rounds once it has decided the current one.
 _CHUNK_ELEMENT_BUDGET = 1 << 20
+
+#: Rows per padded FFT of the ``fft`` stage A: each reading thread holds
+#: one grid of this many rows (655 KB at SF 9, zp 10), not one per
+#: round's 41-46 rows, which measured no slower and ~4 MB lower in peak.
+_FFT_BLOCK_ROWS = 8
 
 #: Cap on the number of noise-probe bins carried by the readout plan
 #: (a strided subsample of the natural-bin grid at large SF).
@@ -278,30 +288,39 @@ class _ReadoutPlan:
     ) -> None:
         """The padded-FFT read of one ``(S, 2^SF)`` round, in place.
 
-        The round's padded FFT fills ``grid`` (``(S, 2^SF * zp)``,
-        reused by every round of a decode) and its window and symbol-0
-        probe bins are gathered into the round's ``(S, D, W)`` and
-        ``(n_probes,)`` rows of a span's output. Equal, bit for bit, to
-        a batch :func:`full_fft_values` of the rounds it fills gathered
-        at the same bins.
+        The round is transformed in blocks of ``grid``'s rows (``(rows,
+        2^SF * zp)``, one per reading thread, reused by every round it
+        reads), and each block's window bins, then symbol 0's probe
+        bins, are gathered into the round's ``(S, D, W)`` and
+        ``(n_probes,)`` rows of a span's output. Each row's FFT is that
+        row's alone, so this equals, bit for bit, a batch
+        :func:`full_fft_values` of the rounds it fills gathered at the
+        same bins.
         """
-        full_fft_values(
-            self.window_readout.params,
-            self.window_readout.zero_pad_factor,
-            symbols,
-            fold_downchirp=self._fold,
-            out=grid,
-        )
-        # Every index is in range, so ``clip`` only spares ``take`` the
-        # buffered copy it makes of ``out`` under the default ``raise``.
-        np.take(
-            grid,
-            self.window_idx.ravel(),
-            axis=-1,
-            out=windows.reshape(grid.shape[0], -1),
-            mode="clip",
-        )
-        np.take(grid[0], self.probe_idx, out=probes, mode="clip")
+        n_rows = symbols.shape[0]
+        flat = windows.reshape(n_rows, -1)
+        for first in range(0, n_rows, grid.shape[0]):
+            block = symbols[first : first + grid.shape[0]]
+            spectrum = grid[: block.shape[0]]
+            full_fft_values(
+                self.window_readout.params,
+                self.window_readout.zero_pad_factor,
+                block,
+                fold_downchirp=self._fold,
+                out=spectrum,
+            )
+            # Every index is in range, so ``clip`` only spares ``take``
+            # the buffered copy it makes of ``out`` under the default
+            # ``raise``.
+            np.take(
+                spectrum,
+                self.window_idx.ravel(),
+                axis=-1,
+                out=flat[first : first + block.shape[0]],
+                mode="clip",
+            )
+            if first == 0:
+                np.take(grid[0], self.probe_idx, out=probes, mode="clip")
 
     @property
     def window_noise_factor(self) -> np.ndarray:
@@ -1155,14 +1174,20 @@ class NetScatterReceiver:
         round_symbols: Callable[[int], np.ndarray],
         n_preamble: int = 0,
     ):
-        """Stage A of the ``fft`` backend: one padded FFT per round.
+        """Stage A of the ``fft`` backend: one part per round.
 
         ``round_symbols(r)`` gives round ``r``'s ``(n_rows, 2^SF)``
-        symbol rows. Each round is transformed into one padded grid that
-        every round of the decode reuses and gathered into its span's
+        symbol rows. ``read(span)`` returns ``(parts, finish)`` for
+        :func:`repro.utils.parallel.pipeline`: one part per round of the
+        span, which the stage thread and the caller share, and a finish
+        step that hands the span's output to stage B. Each part
+        transforms its round in blocks of :data:`_FFT_BLOCK_ROWS` rows
+        into its thread's own grid and gathers them into the span's
         output (:meth:`_ReadoutPlan.read_round`), so no span-sized grid
-        is ever held. The pipeline runs stage A on one thread at a
-        time, so the grid is never shared.
+        is ever held and no grid is shared between threads. The outputs
+        come from two slots, allocated once per decode: the pipeline
+        produces span k+2 only once span k is consumed, and every
+        decision is a fresh array, so no slot is read after its reuse.
 
         With ``n_preamble`` the rows are the round's distinct ones: its
         shared preamble row, then its payload rows. Stage B then gets
@@ -1171,26 +1196,47 @@ class NetScatterReceiver:
         (:meth:`_ReadoutPlan.gather_located`), the values a full read
         would give, bit for bit.
         """
-        grid = np.empty(
-            (n_rows, plan.n_samples * self._config.zero_pad_factor),
-            dtype=complex,
-        )
+        grids = threading.local()
+        slots = [None, None]
+        produced = itertools.count()
+
+        def read_round(r, windows, probes):
+            grid = getattr(grids, "grid", None)
+            if grid is None:
+                grid = grids.grid = np.empty(
+                    (
+                        min(n_rows, _FFT_BLOCK_ROWS),
+                        plan.n_samples * self._config.zero_pad_factor,
+                    ),
+                    dtype=complex,
+                )
+            plan.read_round(round_symbols(r), grid, windows, probes)
 
         def read(span):
             start, stop = span
-            windows = np.empty(
-                (stop - start, n_rows, plan.n_devices, plan.window_width),
-                dtype=complex,
-            )
-            probes = np.empty((stop - start, plan.n_probes), dtype=complex)
-            for row, r in enumerate(range(start, stop)):
-                plan.read_round(
-                    round_symbols(r), grid, windows[row], probes[row]
+            n_rounds = stop - start
+            slot = next(produced) % 2
+            if slots[slot] is None or len(slots[slot][1]) < n_rounds:
+                slots[slot] = (
+                    np.empty(
+                        (n_rounds, n_rows, plan.n_devices, plan.window_width),
+                        dtype=complex,
+                    ),
+                    np.empty((n_rounds, plan.n_probes), dtype=complex),
                 )
+            windows, probes = (block[:n_rounds] for block in slots[slot])
+            parts = [
+                partial(read_round, start + row, windows[row], probes[row])
+                for row in range(n_rounds)
+            ]
+            return parts, lambda _: finish(span, windows, probes)
+
+        def finish(span, windows, probes):
             if not n_preamble:
                 return span, windows, probes, None
             preamble = np.broadcast_to(
-                windows[:, :1], (stop - start, n_preamble) + windows.shape[2:]
+                windows[:, :1],
+                (windows.shape[0], n_preamble) + windows.shape[2:],
             )
             payload = partial(plan.gather_located, windows[:, 1:])
             return span, preamble, probes, payload
@@ -1210,23 +1256,28 @@ class NetScatterReceiver:
     ) -> RoundsDecode:
         """The span loop every decode runs through.
 
-        ``read(span)`` is the backend's stage A: it returns ``(span,
-        windows, probes, read_payload)``, the arguments of
-        :meth:`_decide_chunk` for the span's rounds. With more than one
-        span and more than one usable CPU the next span is read on the
+        ``read(span)`` is the backend's stage A. On ``analytic`` and
+        ``sparse`` it returns ``(span, windows, probes, read_payload)``,
+        the arguments of :meth:`_decide_chunk` for the span's rounds,
+        and runs as one part; on ``fft`` it returns one part per round
+        and a finish step that returns them (:meth:`_fft_reader`). With
+        more than one span and more than one usable CPU the
         pipeline's stage thread (:func:`repro.utils.parallel.pipeline`)
-        while this thread decides the current one.
+        reads the next span while this thread decides the current one,
+        and this thread then reads the rest of the next span's rounds
+        with it.
 
         Each span's engine noise (:func:`_draw_span_noise`) is drawn in
         the stage that does not bound the unit. On ``analytic`` the
-        decisions outweigh the closed-form read, so stage A draws right
-        after it reads; on ``fft`` and ``sparse`` the read outweighs
-        the decisions, so stage B draws before it decides, and draws
-        the located payload block only once the window block is mixed
-        in. Either way one thread at a time draws, span after span, in
-        the stream's order, so the result is that of a serial decode,
-        bit for bit. After a failure the generator may have advanced
-        past a serial decode's by the one span stage A runs ahead.
+        decisions outweigh the closed-form read, so stage A's one part
+        draws right after it reads; on ``fft`` and ``sparse`` the read
+        outweighs the decisions, so stage B draws before it decides,
+        and draws the located payload block only once the window block
+        is mixed in. Either way one thread at a time draws, span after
+        span, in the stream's order, so the result is that of a serial
+        decode, bit for bit. After a failure the generator may have
+        advanced past a serial decode's by the one span stage A runs
+        ahead.
         """
 
         def draw(staged, defer_located=False):
@@ -1248,15 +1299,20 @@ class NetScatterReceiver:
                 read_payload,
             )
 
+        def one_part(stage_a):
+            return lambda span: ([partial(stage_a, span)], itemgetter(0))
+
         if backend == "analytic":
             def read_and_draw(span):
                 staged = read(span)
                 return staged, draw(staged)
 
-            pieces = pipeline(read_and_draw, lambda pair: decide(*pair), spans)
+            pieces = pipeline(
+                one_part(read_and_draw), lambda pair: decide(*pair), spans
+            )
         else:
             pieces = pipeline(
-                read,
+                read if backend == "fft" else one_part(read),
                 lambda staged: decide(staged, draw(staged, True)),
                 spans,
             )

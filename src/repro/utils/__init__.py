@@ -5,7 +5,8 @@ Submodules
 ``conversions``
     Decibel / linear conversions and timing- and frequency-to-bin maps.
 ``parallel``
-    Usable-CPU counting and the two-stage decode pipeline.
+    Usable-CPU counting and the decode pipeline, whose reads a stage
+    thread and the caller share.
 ``stats``
     CDF lookups and confidence intervals for BER counting.
 ``rng``

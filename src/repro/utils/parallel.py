@@ -2,8 +2,9 @@
 
 Every concurrent path of the repository asks here: the campaign
 process pool (:func:`repro.campaign.runner.resolve_pool_workers`),
-the Monte-Carlo leg threads of a population cycle and the two-stage
-decode pipeline (:func:`pipeline`). A computation that already runs as
+the Monte-Carlo leg threads of a population cycle and the decode
+pipeline (:func:`pipeline`), whose stage thread and caller share each
+span's reads. A computation that already runs as
 one of several threads of a pool in this process is marked
 (:func:`mark_parallel`), so that it opens no stage thread of its own:
 the pool already fills the CPUs, and a nested stage thread only adds
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, TypeVar
+import threading
+from typing import Any, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 _Item = TypeVar("_Item")
 _Staged = TypeVar("_Staged")
@@ -59,47 +60,148 @@ def in_parallel() -> bool:
 
 
 def pipeline(
-    produce: Callable[[_Item], _Staged],
+    produce: Callable[
+        [_Item], Tuple[List[Callable[[], Any]], Callable[[List[Any]], _Staged]]
+    ],
     consume: Callable[[_Staged], _Result],
     items: Iterable[_Item],
 ) -> List[_Result]:
-    """``[consume(produce(item)) for item in items]``, two stages at once.
+    """Each item read in parts on two threads, then consumed on the caller.
 
-    ``produce`` of the next item runs on one worker thread while the
-    calling thread runs ``consume`` of the current one, so the worker
-    holds at most one item ahead. The ``produce`` calls run one at a
-    time in item order, and so do the ``consume`` calls, which stay on
-    the caller. Order-dependent work, such as random draws from one
-    generator, may therefore sit in either stage, as long as it stays
-    in one of them. Each ``produce`` call runs in a copy of the
-    caller's context, so context-carried state such as trace spans
-    keeps its parent.
+    ``produce(item)`` splits an item into ``(parts, finish)``: ``parts``
+    is a list of independent calls, and ``finish`` turns their results,
+    in part order, into the item's staged value. The result is
+    ``[consume(finish([part() for part in parts])) for parts, finish in
+    map(produce, items)]``, computed on two threads:
+
+    * a stage thread runs the next item's parts while the caller runs
+      ``consume`` of the current one; once done, the caller helps with
+      the remaining parts of the item it needs next;
+    * the stage thread opens every item by taking its first part, so a
+      one-part item runs on the stage thread alone;
+    * parts of one item may run at once, but the next item's parts
+      start only once all of this item's parts are done, so work that
+      runs one part per item, such as random draws from one generator,
+      stays in item order;
+    * ``produce``, ``finish`` and ``consume`` run on the caller, in
+      item order, and ``produce`` of item k+2 runs only once item k is
+      consumed, so at most two items are in flight.
+
+    Each part the stage thread runs runs in a copy of the caller's
+    context, taken when its item is produced, so context-carried state
+    such as trace spans keeps its parent.
 
     It runs serially, with no thread at all, for fewer than two items,
     on one usable CPU (:func:`usable_cpus`), or inside a pool thread
-    (:func:`in_parallel`). The executor lives only for this call: a
-    failure in either stage reaches the caller with its own type once no
-    stage thread is left. A ``produce`` failure at item k surfaces when
-    item k is due, before item k+1 is submitted; a ``consume`` failure
-    at item k leaves at most item k+1 produced.
+    (:func:`in_parallel`). The stage thread lives only for this call: a
+    failure on either thread reaches the caller with its own type once
+    no stage thread is left. A part failure at item k surfaces when
+    item k is due, before item k+1 is produced; a ``consume`` failure
+    at item k leaves at most item k+1 read.
     """
     items = list(items)
     if len(items) < 2 or usable_cpus() <= 1 or in_parallel():
-        return [consume(produce(item)) for item in items]
+        return [consume(_read_serially(*produce(item))) for item in items]
 
-    stage = ThreadPoolExecutor(1, thread_name_prefix=STAGE_THREAD_PREFIX)
+    # Guards the three names below and every _Parts' counters.
+    turn = threading.Condition()
+    reading = _Parts([])  # the item whose parts are handed out
+    failure: Optional[BaseException] = None
+    closed = False
 
-    def submit(item):
-        return stage.submit(contextvars.copy_context().run, produce, item)
+    def stage():
+        nonlocal failure
+        while True:
+            with turn:
+                while not closed and not reading.open_to(stage=True):
+                    turn.wait()
+                if closed:
+                    return
+                item, index = reading, reading.take()
+                # The caller may be waiting for the item to open.
+                turn.notify_all()
+            try:
+                result = item.context.run(item.parts[index])
+            except BaseException as error:
+                with turn:
+                    failure = error
+                    turn.notify_all()
+                return
+            with turn:
+                item.finish_part(index, result)
+                turn.notify_all()
 
+    def read(item):
+        """The caller's share of ``item``'s parts, then its results."""
+        while True:
+            with turn:
+                while True:
+                    if failure is not None:
+                        raise failure
+                    if item.done == len(item.parts):
+                        return item.results
+                    if item.open_to(stage=False):
+                        index = item.take()
+                        break
+                    turn.wait()
+            result = item.parts[index]()
+            with turn:
+                item.finish_part(index, result)
+                turn.notify_all()
+
+    def publish(item):
+        nonlocal reading
+        parts, finish = produce(item)
+        with turn:
+            reading = _Parts(parts)
+            turn.notify_all()
+        return reading, finish
+
+    thread = threading.Thread(target=stage, name=STAGE_THREAD_PREFIX)
+    thread.start()
     results = []
     try:
-        ahead = submit(items[0])
+        current, finish = publish(items[0])
         for item in items[1:]:
-            staged = ahead.result()
-            ahead = submit(item)
+            staged = finish(read(current))
+            current, finish = publish(item)
             results.append(consume(staged))
-        results.append(consume(ahead.result()))
+        results.append(consume(finish(read(current))))
     finally:
-        stage.shutdown(wait=True, cancel_futures=True)
+        with turn:
+            closed = True
+            turn.notify_all()
+        thread.join()
     return results
+
+
+def _read_serially(parts, finish):
+    """One item of :func:`pipeline`, read on the calling thread."""
+    return finish([part() for part in parts])
+
+
+class _Parts:
+    """One item's parts as the two threads of :func:`pipeline` take them.
+
+    Guarded by the pipeline's condition: parts are taken in order, and
+    the caller takes one only after the stage thread opened the item.
+    """
+
+    def __init__(self, parts: List[Callable[[], Any]]) -> None:
+        self.parts = parts
+        self.results: List[Any] = [None] * len(parts)
+        self.taken = 0
+        self.done = 0
+        self.context = contextvars.copy_context()
+
+    def open_to(self, stage: bool) -> bool:
+        """Whether the stage thread (or else the caller) may take a part."""
+        return (stage or self.taken > 0) and self.taken < len(self.parts)
+
+    def take(self) -> int:
+        self.taken += 1
+        return self.taken - 1
+
+    def finish_part(self, index: int, result: Any) -> None:
+        self.results[index] = result
+        self.done += 1

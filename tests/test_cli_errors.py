@@ -25,14 +25,12 @@ def run_entry(capsys, *argv):
 
 
 class TestBadStorageDriver:
-    def test_unknown_scheme_exits_2(self, capsys, tmp_path):
+    def test_unknown_scheme_exits_2(self, capsys):
         code, _, err = run_entry(
             capsys,
             "run",
             "--spec",
             "fig17",
-            "--store",
-            str(tmp_path / "store"),
             "--storage-driver",
             "ftp://host/bucket",
         )

@@ -5,11 +5,13 @@ round span (stage A) on a stage thread while the caller decides the
 previous span (stage B), through :func:`repro.utils.parallel.pipeline`.
 In ``decode_readout``, on the analytic backend stage A composes the
 span's preamble windows and symbol-0 probes and then draws the span's
-engine noise; on the ``fft`` and ``sparse`` backends it synthesises
-the span's tone sum and reads it, the ``fft`` one round at a time into
-one reused grid, and stage B draws the noise before it decides.
-``decode_rounds`` reads its symbol tensor the same two ways. Four
-contracts:
+engine noise, as one part per span; on the ``fft`` backend it
+synthesises and reads the span's tone sum one round at a time, one
+part per round, in 8-row blocks into a grid each reading thread owns,
+and the caller, once it has decided a span, reads the rounds of the
+next span the stage thread has not taken. Stage B draws the noise
+before it decides there. ``decode_rounds`` reads its symbol tensor the
+same ways (``sparse`` as one part per span). Four contracts:
 
 * **serial equals pipelined** — every ``RoundsDecode`` array is equal,
   bit for bit, whether one, two or four CPUs are usable, across chunk
@@ -33,6 +35,8 @@ import contextvars
 import dataclasses
 import sys
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -159,12 +163,23 @@ def _assert_same_decode(a, b):
     )
 
 
+def _whole(make_staged):
+    """A ``produce`` whose items are one part each."""
+    return lambda item: ([lambda: make_staged(item)], lambda done: done[0])
+
+
+class _PartFailure(RuntimeError):
+    pass
+
+
 class TestPipelineHelperPool:
+    """The helper's contract, with a faked second CPU."""
+
     def test_pool_consumes_on_the_caller_in_order(self, cpus):
         cpus(2)
         produced, consumed = [], []
 
-        def produce(item):
+        def make_staged(item):
             produced.append((item, threading.current_thread().name))
             return item * 10
 
@@ -173,12 +188,135 @@ class TestPipelineHelperPool:
             return staged + 1
 
         caller = threading.current_thread().name
-        assert pipeline(produce, consume, range(4)) == [1, 11, 21, 31]
+        assert pipeline(_whole(make_staged), consume, range(4)) == [
+            1, 11, 21, 31
+        ]
         assert consumed == [(10 * i, caller) for i in range(4)]
+        # A one-part item runs on the stage thread alone.
         assert [item for item, _ in produced] == [0, 1, 2, 3]
         assert all(
             name.startswith(STAGE_THREAD_PREFIX) for _, name in produced
         )
+        assert not _stage_threads_alive()
+
+    def test_pool_parts_of_one_item_run_on_both_threads(self, cpus):
+        """Two parts that each wait for the other can only finish on two
+        threads; ``finish`` gets their results in part order."""
+        cpus(2)
+        ran = []
+
+        def produce(item):
+            meet = threading.Barrier(2, timeout=10)
+
+            def part(index):
+                meet.wait()
+                ran.append((item, threading.current_thread().name))
+                return (item, index)
+
+            return (
+                [partial(part, 0), partial(part, 1)],
+                lambda results: results,
+            )
+
+        caller = threading.current_thread().name
+        consumed = []
+
+        def consume(staged):
+            consumed.append(threading.current_thread().name)
+            return staged
+
+        assert pipeline(produce, consume, range(3)) == [
+            [(i, 0), (i, 1)] for i in range(3)
+        ]
+        assert consumed == [caller] * 3
+        for item in range(3):
+            threads = {name for i, name in ran if i == item} - {caller}
+            assert len(threads) == 1
+            assert threads.pop().startswith(STAGE_THREAD_PREFIX)
+        assert not _stage_threads_alive()
+
+    def test_pool_next_item_starts_once_this_items_parts_are_done(
+        self, cpus
+    ):
+        """Across many items of many parts, no part of item k+1 starts
+        before every part of item k has ended, and no more than two
+        items are ever produced and not yet consumed."""
+        cpus(2)
+        events, lock = [], threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def produce(item):
+            # The slot an item's reads fill, held until it is consumed.
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+
+            def part(index):
+                with lock:
+                    events.append(("start", item))
+                time.sleep(0.001 * (1 + (item + index) % 3))
+                with lock:
+                    events.append(("end", item))
+
+            return [partial(part, i) for i in range(5)], lambda _: item
+
+        def consume(item):
+            in_flight[0] -= 1
+            return item
+
+        assert pipeline(produce, consume, range(12)) == list(range(12))
+        assert peak[0] == 2
+        for position, (kind, item) in enumerate(events):
+            if kind == "start" and item > 0:
+                earlier = events[:position]
+                assert earlier.count(("end", item - 1)) == 5
+        assert not _stage_threads_alive()
+
+    @pytest.mark.parametrize("on_caller", [False, True])
+    @pytest.mark.parametrize("failing_item", [0, 2])
+    def test_pool_part_failure_reaches_the_caller(
+        self, cpus, on_caller, failing_item
+    ):
+        """A part that fails on either thread raises its own type at the
+        caller, before any part of the next item runs."""
+        cpus(2)
+        caller = threading.current_thread()
+        started_items = []
+
+        def produce(item):
+            meet = threading.Barrier(2, timeout=10)
+
+            def part():
+                started_items.append(item)
+                meet.wait()
+                if item == failing_item and (
+                    (threading.current_thread() is caller) == on_caller
+                ):
+                    raise _PartFailure(f"item {item}")
+
+            return [part, part], lambda _: item
+
+        with pytest.raises(_PartFailure, match=f"item {failing_item}"):
+            pipeline(produce, lambda item: item, range(5))
+        assert max(started_items) == failing_item
+        assert not _stage_threads_alive()
+
+    def test_pool_consume_failure_reaches_the_caller(self, cpus):
+        cpus(2)
+        read = []
+
+        def consume(item):
+            if item == 1:
+                raise _PartFailure("consume")
+            return item
+
+        with pytest.raises(_PartFailure, match="consume"):
+            pipeline(
+                _whole(lambda item: read.append(item) or item),
+                consume,
+                range(5),
+            )
+        # Consuming item 1 leaves at most item 2 read.
+        assert read[:2] == [0, 1] and max(read) <= 2
         assert not _stage_threads_alive()
 
     def test_pool_stage_runs_in_the_callers_context(self, cpus):
@@ -186,7 +324,9 @@ class TestPipelineHelperPool:
         parent = contextvars.ContextVar("span_parent")
         token = parent.set("decode")
         try:
-            seen = pipeline(lambda item: parent.get(None), str, range(3))
+            seen = pipeline(
+                _whole(lambda item: parent.get(None)), str, range(3)
+            )
         finally:
             parent.reset(token)
         assert seen == ["decode"] * 3
@@ -196,7 +336,18 @@ class TestPipelineHelperPool:
         self, cpus, started, n_cpus, n_items
     ):
         cpus(n_cpus)
-        assert pipeline(str, len, range(n_items)) == [1] * n_items
+        caller = threading.current_thread().name
+        threads = []
+
+        def produce(item):
+            def part():
+                threads.append(threading.current_thread().name)
+                return str(item)
+
+            return [part, part], "".join
+
+        assert pipeline(produce, len, range(n_items)) == [2] * n_items
+        assert threads == [caller] * 2 * n_items
         assert started == []
 
     def test_no_pool_inside_a_marked_context(self, cpus, started):
@@ -204,7 +355,7 @@ class TestPipelineHelperPool:
 
         def marked():
             parallel_module.mark_parallel()
-            return pipeline(str, len, range(3))
+            return pipeline(_whole(str), len, range(3))
 
         assert contextvars.copy_context().run(marked) == [1, 1, 1]
         assert started == []
@@ -274,26 +425,31 @@ class TestSerialEqualsPooledDecode:
         assert started.named(STAGE_THREAD_PREFIX)
 
 
-    def test_pool_stress_with_cold_shared_caches(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("backend", ["analytic", "fft"])
+    def test_pool_stress_with_cold_shared_caches(
+        self, monkeypatch, cpus, backend
+    ):
         """Four callers decode at once, each with its own stage thread
         (eight threads on two cores), a 1 us switch interval, and the
-        readout caches emptied first so the stages race to fill them:
-        every decode equals the serial one."""
+        readout caches emptied first so the stages race to fill them;
+        on ``fft`` each caller also shares its spans' rounds with its
+        stage thread: every decode equals the serial one."""
         config, assignments, batch = _scenario(9, 10)
 
+        def receiver():
+            if backend == "fft":
+                return _waveform_receiver(config, assignments)
+            return NetScatterReceiver(config, assignments, readout="analytic")
+
         def decode():
-            receiver = NetScatterReceiver(
-                config, assignments, readout="analytic"
-            )
-            return receiver.decode_readout(
+            return receiver().decode_readout(
                 *batch, noise_snr_db=-10.0, rng=np.random.default_rng(3)
             )
 
-        _force_chunk_rounds(
-            monkeypatch,
-            NetScatterReceiver(config, assignments, readout="analytic"),
-            16, 6, CHUNK_ROUNDS,
-        )
+        if backend == "fft":
+            _force_span_rounds(monkeypatch, receiver(), 16, CHUNK_ROUNDS)
+        else:
+            _force_chunk_rounds(monkeypatch, receiver(), 16, 6, CHUNK_ROUNDS)
 
         cpus(1)
         serial = decode()
@@ -836,16 +992,40 @@ class TestStreamedReadPool:
         assert np.array_equal(streamed_windows, windows)
         assert np.array_equal(streamed_probes, probes)
 
+    def test_pool_block_ffts_equal_the_whole_round_fft(self):
+        """Each row's padded FFT is that row's alone: a 41-row SF 9
+        round (5120-point FFTs, the distinct rows of ``dense-256``) read
+        in 8-row blocks equals its whole-round transform, bit for bit."""
+        config = NetScatterConfig(n_association_shifts=0)
+        n_grid = config.chirp_params.n_samples * config.zero_pad_factor
+        assert n_grid == 5120
+        rng = np.random.default_rng(41)
+        symbols = rng.normal(size=(41, 512)) + 1j * rng.normal(size=(41, 512))
+        whole = sparse_readout.full_fft_values(
+            config.chirp_params, config.zero_pad_factor, symbols,
+            fold_downchirp=False,
+        )
+        grid = np.empty((receiver_module._FFT_BLOCK_ROWS, n_grid), complex)
+        for first in range(0, 41, grid.shape[0]):
+            block = symbols[first : first + grid.shape[0]]
+            out = grid[: block.shape[0]]
+            sparse_readout.full_fft_values(
+                config.chirp_params, config.zero_pad_factor, block,
+                fold_downchirp=False, out=out,
+            )
+            assert np.array_equal(out, whole[first : first + out.shape[0]])
+
     def test_pool_stage_a_composes_and_transforms_each_round(
         self, monkeypatch, cpus
     ):
-        """One composition and one FFT per round, every FFT into the
-        same grid."""
+        """One composition per round and one FFT per block of at most
+        8 rows; each reading thread transforms into one grid of its
+        own."""
         cpus(2)
         config, assignments, batch = _scenario(9, 5)
         receiver = _waveform_receiver(config, assignments)
         _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
-        composed, grids = [], set()
+        composed, grids, blocks = [], {}, []
         compose = dcss_module.compose_rounds
         fft = receiver_module.full_fft_values
 
@@ -853,15 +1033,26 @@ class TestStreamedReadPool:
             composed.append(bins.shape[0])
             return compose(params, bins, *args, **kwargs)
 
-        def recording_fft(*args, out=None, **kwargs):
-            grids.add(id(out))
-            return fft(*args, out=out, **kwargs)
+        def recording_fft(params, zp, symbols, *args, out=None, **kwargs):
+            blocks.append(symbols.shape[0])
+            grid = out if out.base is None else out.base
+            grids.setdefault(threading.current_thread().name, set()).add(
+                id(grid)
+            )
+            return fft(params, zp, symbols, *args, out=out, **kwargs)
 
         monkeypatch.setattr(dcss_module, "compose_rounds", counting_compose)
         monkeypatch.setattr(receiver_module, "full_fft_values", recording_fft)
         _waveform_decode(receiver, batch, "payload", 5)
         assert composed == [1] * 5
-        assert len(grids) == 1 and id(None) not in grids
+        assert sorted(blocks) == sorted([8, 3] * 5)
+        caller = threading.current_thread().name
+        assert len(grids) <= 2 and all(
+            name == caller or name.startswith(STAGE_THREAD_PREFIX)
+            for name in grids
+        )
+        assert all(len(ids) == 1 for ids in grids.values())
+        assert len(set.union(*grids.values())) == len(grids)
 
 
 def _distinct_row_batch(sf, n_devices, n_rounds=3, n_pre=6, n_payload=10):
@@ -897,8 +1088,8 @@ class TestDistinctRowRead:
         plan = receiver._readout_plan(dechirped=True)
         n_rounds, n_symbols, n_pre = bits.shape[0], bits.shape[1], 6
 
-        def reader(first, n_preamble):
-            return receiver._fft_reader(
+        def read(first, n_preamble):
+            parts, finish = receiver._fft_reader(
                 plan, n_symbols - first,
                 lambda r: dcss_module.compose_rounds(
                     config.chirp_params, bins[r : r + 1], amps[r : r + 1],
@@ -906,12 +1097,11 @@ class TestDistinctRowRead:
                     respread=False,
                 )[0],
                 n_preamble,
-            )
+            )((0, n_rounds))
+            return finish([part() for part in parts])
 
-        _, windows, probes, no_payload = reader(0, 0)((0, n_rounds))
-        _, preamble, distinct_probes, payload = reader(n_pre - 1, n_pre)(
-            (0, n_rounds)
-        )
+        _, windows, probes, no_payload = read(0, 0)
+        _, preamble, distinct_probes, payload = read(n_pre - 1, n_pre)
         assert no_payload is None
         assert preamble.shape == windows[:, :n_pre].shape
         assert np.array_equal(preamble, windows[:, :n_pre])
@@ -972,7 +1162,10 @@ class TestDistinctRowRead:
         n_rows = bits.shape[1]
         if equal_preamble and noise != "full" and n_payload:
             n_rows -= 5
-        assert rows == [("compose", n_rows), ("fft", n_rows)] * 3
+        blocks = [
+            ("fft", min(8, n_rows - first)) for first in range(0, n_rows, 8)
+        ]
+        assert rows == ([("compose", n_rows)] + blocks) * 3
 
         tensor = dcss_module.compose_rounds(
             config.chirp_params, bins, amps, phases, bits, respread=False

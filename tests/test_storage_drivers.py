@@ -458,18 +458,39 @@ class TestBuildDriver:
         ):
             build_driver(name, tmp_path)
 
+    RUN = [
+        "run", "--spec", "fig17", "--counts", "1", "--rounds", "1",
+        "--engine", "analytic", "--no-leases",
+    ]
+    BOTH = ["--store", "STORE", "--storage-driver", "memory://"]
+
     @pytest.mark.parametrize(
-        "flags, built",
+        "argv, built",
         [
-            (["--storage-driver", "posix"], None),
-            ([], PosixDriver),
-            (["--storage-fault-plan", '{"rules": []}'], FaultyDriver),
+            (RUN + ["--storage-driver", "posix"], "posix:///path"),
+            (RUN + ["--store", "STORE"], PosixDriver),
+            (
+                RUN + ["--store", "STORE", "--storage-fault-plan",
+                       '{"rules": []}'],
+                FaultyDriver,
+            ),
+            (RUN + BOTH, "--store and --storage-driver"),
+            (["status"] + BOTH, "--store and --storage-driver"),
+            (["export"] + BOTH, "--store and --storage-driver"),
+            (["serve-api", "--port", "0"] + BOTH,
+             "--store and --storage-driver"),
         ],
-        ids=["bare-name-exits-2", "no-flag-posix", "fault-plan-wraps"],
+        ids=[
+            "bare-name-exits-2", "no-flag-posix", "fault-plan-wraps",
+            "run-refuses-both", "status-refuses-both",
+            "export-refuses-both", "serve-api-refuses-both",
+        ],
     )
     def test_cli_driver_selection(
-        self, flags, built, tmp_path, monkeypatch, capsys
+        self, argv, built, tmp_path, monkeypatch, capsys
     ):
+        """A refused command (``built`` is the error it names) exits 2
+        before it builds any driver or store."""
         drivers = []
 
         def recording_build_driver(*args, **kwargs):
@@ -477,15 +498,17 @@ class TestBuildDriver:
             return drivers[-1]
 
         monkeypatch.setattr(cli_module, "build_driver", recording_build_driver)
+        # A serve-api that is not refused returns instead of serving.
+        monkeypatch.setattr(cli_module, "_serve_until_interrupted", lambda: None)
+        store = tmp_path / "s"
         code = campaign_entrypoint(
-            ["run", "--spec", "fig17", "--counts", "1", "--rounds", "1",
-             "--engine", "analytic", "--store", str(tmp_path / "s"),
-             "--no-leases"] + flags
+            [str(store) if arg == "STORE" else arg for arg in argv]
         )
         err = capsys.readouterr().err
-        if built is None:
+        if isinstance(built, str):
             assert code == 2 and drivers == []
-            assert err.startswith("error: ") and "posix:///path" in err
+            assert err.startswith("error: ") and built in err
+            assert not store.exists()
         else:
             assert code == 0
             assert [type(driver) for driver in drivers] == [built]
@@ -1127,8 +1150,6 @@ class TestCliStorageFlags:
                 "1",
                 "--rounds",
                 "1",
-                "--store",
-                str(tmp_path / "mem"),
                 "--storage-driver",
                 "memory://",
                 "--no-leases",

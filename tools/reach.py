@@ -34,7 +34,8 @@ codes are reported, not judged.
 ``campaign/`` entry is fault-recovery code the seeded legs never
 trigger or a read-only accessor, and names the tier-1 test that
 exercises it. The check needs two usable CPUs: on one, the process
-pool, the Monte-Carlo thread pool and the decode pipeline run serially,
+pool, the Monte-Carlo thread pool and the decode pipeline run serially
+(the pipeline's stage thread and its share of the reads never start),
 so their functions read as unreached; it exits 2 before running
 anything there.
 """
