@@ -375,6 +375,78 @@ def compose_readout(
     )
 
 
+def compose_windows_and_probes(
+    params: ChirpParams,
+    effective_bins: np.ndarray,
+    amplitudes: np.ndarray,
+    phases_rad: np.ndarray,
+    bit_tensor: np.ndarray,
+    window_readout: SparseReadout,
+    probe_readout: SparseReadout,
+    joint_readout: SparseReadout,
+    n_preamble_rows: int = 0,
+) -> tuple:
+    """Window values of every row and probe values of the first row.
+
+    Returns ``(windows, probes)``, bit for bit the two reads
+    ``compose_readout(..., bit_tensor, window_readout, n_preamble_rows)``
+    and ``compose_readout(..., bit_tensor[:, :1], probe_readout)[:, 0]``
+    (see :func:`compose_readout` for the arguments). ``joint_readout``
+    reads the window bins, then the probe bins.
+
+    Where every row of ``bit_tensor`` is one of ``n_preamble_rows``
+    shared preamble rows and the route model sends the window read, the
+    probe read and the joint read to the FFT route, one read through
+    ``joint_readout`` serves both: one tone synthesis and one set of
+    residue FFTs, the probes gathered at residue 0. On the FFT route a
+    bin's value depends only on its row's synthesis and its residue's
+    FFT, whatever else the call reads. ``windows`` is then a read-only
+    broadcast of the one row; callers must not write to it. Elsewhere
+    the two reads are made apart: the closed form's tone blocking
+    depends on the bin count, so a joint closed-form read would move
+    bits, and with several distinct rows a joint read would gather the
+    probe bins on every row where only the first row's are used.
+    """
+    bit_tensor = np.asarray(bit_tensor, dtype=float)
+    n_symbols = bit_tensor.shape[1]
+    one_row = _shared_preamble_rows(bit_tensor, n_preamble_rows) == n_symbols
+    if one_row and all(
+        _fft_route(readout, np.shape(effective_bins)[1], 1)
+        for readout in (window_readout, probe_readout, joint_readout)
+    ):
+        values = compose_readout(
+            params,
+            effective_bins,
+            amplitudes,
+            phases_rad,
+            bit_tensor[:, -1:],
+            joint_readout,
+        )
+        width = window_readout.n_bins
+        windows = np.broadcast_to(
+            values[..., :width], (values.shape[0], n_symbols, width)
+        )
+        return windows, values[:, 0, width:]
+    windows = compose_readout(
+        params,
+        effective_bins,
+        amplitudes,
+        phases_rad,
+        bit_tensor,
+        window_readout,
+        n_preamble_rows=n_preamble_rows,
+    )
+    probes = compose_readout(
+        params,
+        effective_bins,
+        amplitudes,
+        phases_rad,
+        bit_tensor[:, :1],
+        probe_readout,
+    )[:, 0, :]
+    return windows, probes
+
+
 def _shared_preamble_rows(bit_tensor: np.ndarray, n_preamble_rows: int) -> int:
     """``n_preamble_rows`` if the leading rows of every round of the
     ``(n_rounds, n_symbols, n_devices)`` keying tensor are equal, else 0.
@@ -438,25 +510,19 @@ def _readout_values(
     """The cheaper route of :func:`compose_readout` for distinct rows.
 
     Located columns are few per round and always take the closed form;
-    otherwise :func:`_fft_route_cheaper` decides from the shapes alone.
+    otherwise :func:`_fft_route` decides from the shapes alone.
     """
-    if columns is None:
-        layout = _residue_layout(readout)
-        if _fft_route_cheaper(
-            readout.params.n_samples,
-            effective_bins.shape[1],
-            readout.n_bins,
-            bit_tensor.shape[1],
-            layout[0].size,
-        ):
-            return _fft_readout_values(
-                effective_bins,
-                amplitudes,
-                phases_rad,
-                bit_tensor,
-                readout,
-                layout,
-            )
+    if columns is None and _fft_route(
+        readout, effective_bins.shape[1], bit_tensor.shape[1]
+    ):
+        return _fft_readout_values(
+            effective_bins,
+            amplitudes,
+            phases_rad,
+            bit_tensor,
+            readout,
+            _residue_layout(readout),
+        )
     return _compose_readout_values(
         effective_bins,
         amplitudes,
@@ -464,6 +530,19 @@ def _readout_values(
         bit_tensor,
         readout,
         columns,
+    )
+
+
+def _fft_route(readout: SparseReadout, n_tones: int, n_rows: int) -> bool:
+    """Whether :func:`compose_readout` reads ``n_rows`` distinct rows of
+    ``n_tones`` tones at ``readout``'s bins on the FFT route (without
+    ``columns``; after its preamble dedup)."""
+    return _fft_route_cheaper(
+        readout.params.n_samples,
+        n_tones,
+        readout.n_bins,
+        n_rows,
+        _residue_layout(readout)[0].size,
     )
 
 

@@ -212,13 +212,19 @@ class _ReadoutPlan:
     * a probe block on the (possibly strided) natural-bin grid for the
       shared noise-floor estimator, with a mask of probes that sit clear
       of every assignment;
-    * :class:`SparseReadout` operators evaluating exactly those bins —
-      split in two because the windows are read at symbol rate while the
-      probes are read once per round;
-    * the Cholesky factor of one window's AWGN covariance, for the
-      readout-domain noise fast path. Every device's window is the same
-      bin pattern translated along the grid, so a single ``(W, W)``
-      factor serves all devices.
+    * :class:`SparseReadout` layouts of exactly those bins: the
+      windows', the probes', and both joined (the window bins, then the
+      probe bins). The ``sparse`` backend reads the windows at symbol
+      rate and the probes once per round through the first two; the
+      analytic decode hands all three to
+      :func:`repro.core.dcss.compose_windows_and_probes`, which reads
+      through the joined layout where one FFT-route call serves both;
+    * the factor of one window's AWGN covariance, for the
+      readout-domain noise fast path, taken from its eigendecomposition
+      (:func:`repro.phy.noise.covariance_factor`: the covariance is
+      rank-deficient, so a Cholesky factor fails). Every device's
+      window is the same bin pattern translated along the grid, so a
+      single ``(W, W)`` factor serves all devices.
 
     The noise factors depend only on the layout, so they come from small
     caches keyed on their exact inputs (:func:`_window_noise_factor`,
@@ -259,6 +265,12 @@ class _ReadoutPlan:
         )
         self.probe_readout = natural_probe_readout(
             params, zp, probe_stride, fold_downchirp=fold_downchirp
+        )
+        self.joint_readout = SparseReadout(
+            params,
+            zp,
+            np.concatenate((window_idx.ravel(), probe_idx)),
+            fold_downchirp=fold_downchirp,
         )
         self._fold = fold_downchirp
 
@@ -504,12 +516,13 @@ def _inject_readout_noise(
     at the read bins is drawn with its exact per-block covariance instead
     of being materialised over the whole ``(rounds, symbols, 2^SF)``
     tensor: each device window gets correlated noise via the shared
-    Cholesky factor; the natural-grid probes are mutually orthogonal and
-    get iid noise of per-bin power ``2^SF * noise_power``. ``noise``
-    holds the span's draws; its window block has ``window_values``'
-    shape. The noise is scaled and summed in place, in its correlated
-    block and in the probe draws, and returned as the noisy values;
-    ``window_values`` may be a read-only broadcast view.
+    ``(W, W)`` factor (:attr:`_ReadoutPlan.window_noise_factor`); the
+    natural-grid probes are mutually orthogonal and get iid noise of
+    per-bin power ``2^SF * noise_power``. ``noise`` holds the span's
+    draws; its window block has ``window_values``' shape. The noise is
+    scaled and summed in place, in its correlated block and in the probe
+    draws, and returned as the noisy values; ``window_values`` may be a
+    read-only broadcast view.
     """
     window = noise.take("window") @ plan.window_noise_factor.T
     window *= noise_scale[:, None, None, None]
@@ -1002,9 +1015,15 @@ class NetScatterReceiver:
         :func:`repro.core.dcss.compose_rounds` —
         ``(n_rounds, n_devices)`` fractional effective bins, amplitudes
         and phases plus the ``(n_rounds, n_symbols, n_devices)`` keying
-        tensor — and evaluates each device tone directly at this
-        receiver's readout bins via the closed-form Dirichlet kernel
-        (:func:`repro.core.dcss.compose_readout`). No
+        tensor — and evaluates the tone sum directly at this receiver's
+        readout bins (:func:`repro.core.dcss.compose_readout`, by its
+        closed-form Dirichlet kernel or its FFT route). Stage A reads
+        each span's windows and symbol-0 probes through
+        :func:`repro.core.dcss.compose_windows_and_probes`: where the
+        windows read one distinct row (the shared preamble row outside
+        the ``"full"`` stream) and the FFT route serves every read, one
+        call through the plan's joint layout, so one synthesis and one
+        set of residue FFTs serve both; otherwise two calls. No
         ``(rounds, symbols, 2^SF)`` tensor is ever materialised and the
         sparse-readout operator is never built; the values then flow
         through exactly the detection/decision logic of
@@ -1034,8 +1053,8 @@ class NetScatterReceiver:
         """
         from repro.core.dcss import (
             _shared_preamble_rows,
-            compose_readout,
             compose_rounds,
+            compose_windows_and_probes,
         )
 
         effective_bins = np.asarray(effective_bins, dtype=float)
@@ -1133,22 +1152,19 @@ class NetScatterReceiver:
             def read(span):
                 span_tones = tones(span)
                 rounds = slice(*span)
-                window_flat = compose_readout(
+                # The noise floor reads only the first symbol's probes.
+                window_flat, probes = compose_windows_and_probes(
                     *span_tones,
                     bit_tensor[rounds, :window_rows],
                     plan.window_readout,
+                    plan.probe_readout,
+                    plan.joint_readout,
                     n_preamble_rows=n_preamble_upchirps,
                 )
                 windows = window_flat.reshape(
                     window_flat.shape[:2]
                     + (plan.n_devices, plan.window_width)
                 )
-                # The noise floor reads only the first symbol's probes.
-                probes = compose_readout(
-                    *span_tones,
-                    bit_tensor[rounds, :1],
-                    plan.probe_readout,
-                )[:, 0, :]
                 read_payload = None
                 if not full_stream:
                     read_payload = partial(
@@ -1269,9 +1285,10 @@ class NetScatterReceiver:
 
         Each span's engine noise (:func:`_draw_span_noise`) is drawn in
         the stage that does not bound the unit. On ``analytic`` the
-        decisions outweigh the closed-form read, so stage A's one part
-        draws right after it reads; on ``fft`` and ``sparse`` the read
-        outweighs the decisions, so stage B draws before it decides,
+        decisions outweigh the span's one read (or two, window and
+        probe, where the joint read does not serve), so stage A's one
+        part draws right after it reads; on ``fft`` and ``sparse`` the
+        read outweighs the decisions, so stage B draws before it decides,
         and draws the located payload block only once the window block
         is mixed in. Either way one thread at a time draws, span after
         span, in the stream's order, so the result is that of a serial

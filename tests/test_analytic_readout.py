@@ -900,28 +900,35 @@ class TestReadoutRoutes:
 
     @staticmethod
     def _served(monkeypatch, config, assignments, noise_mode="payload"):
-        """``{route: {(readout, rows)}}`` over one noisy decode.
+        """``{route: [(readout, rows), ...]}`` over one noisy decode, in
+        call order.
 
-        ``readout`` is ``"window"``, ``"probe"`` or ``"located"`` (the
-        payload rows at located columns); ``rows`` counts the distinct
-        rows of the call.
+        ``readout`` is ``"window"``, ``"probe"``, ``"joint"`` (the
+        window bins, then the probe bins) or ``"located"`` (the payload
+        rows at located columns); ``rows`` counts the distinct rows of
+        the call.
         """
         import repro.core.dcss as dcss
 
         receiver = NetScatterReceiver(
             config, assignments, readout="analytic", noise_mode=noise_mode
         )
-        probes = receiver._readout_plan(dechirped=True).probe_readout
+        plan = receiver._readout_plan(dechirped=True)
+        names = {
+            id(plan.window_readout): "window",
+            id(plan.probe_readout): "probe",
+            id(plan.joint_readout): "joint",
+        }
         served = {}
         for route, name in (
             ("closed", "_compose_readout_values"),
             ("fft", "_fft_readout_values"),
         ):
             def spy(*args, _route=route, _kernel=getattr(dcss, name)):
-                readout = "probe" if args[4] is probes else "window"
+                readout = names[id(args[4])]
                 if _route == "closed" and args[5] is not None:
                     readout = "located"
-                served.setdefault(_route, set()).add(
+                served.setdefault(_route, []).append(
                     (readout, args[3].shape[1])
                 )
                 return _kernel(*args)
@@ -967,13 +974,207 @@ class TestReadoutRoutes:
 
     @pytest.mark.parametrize("n_devices", [64, 256])
     def test_fft_route_serves_dense_windows(self, n_devices, monkeypatch):
-        """At SF 9 the FFT route reads the one distinct preamble row and
-        the probes; the located payload bins stay on the closed form."""
+        """At SF 9 one FFT-route call per span reads the one distinct
+        preamble row at the window bins and the probes together; the
+        located payload bins stay on the closed form, one call per
+        span."""
         config = NetScatterConfig(n_association_shifts=0)
         served = self._served(
             monkeypatch, config, {i: 2 * i for i in range(n_devices)}
         )
-        assert served == {
-            "fft": {("window", 1), ("probe", 1)},
-            "closed": {("located", 10)},
-        }
+        assert set(served) == {"fft", "closed"}
+        assert set(served["fft"]) == {("joint", 1)}
+        assert set(served["closed"]) == {("located", 10)}
+        assert len(served["fft"]) == len(served["closed"])
+
+    def test_full_stream_reads_windows_and_probes_apart(self, monkeypatch):
+        """On the full stream the windows read every distinct row, so
+        the FFT route reads them and the probes in two calls per span:
+        a joint call would gather the probe bins on every row."""
+        config = NetScatterConfig(n_association_shifts=0)
+        served = self._served(
+            monkeypatch, config, {i: 2 * i for i in range(256)}, "full"
+        )
+        assert set(served) == {"fft"}
+        assert served["fft"][:2] == [("window", 11), ("probe", 1)]
+        assert set(served["fft"]) == {("window", 11), ("probe", 1)}
+
+
+def _joint_case(sf, n_tones, noise_mode, n_rounds=13, n_payload=10, seed=3):
+    """An analytic receiver of ``n_tones`` devices at SF ``sf``, its
+    chirp parameters, a tone batch and the window rows of
+    ``noise_mode``'s stream."""
+    config = NetScatterConfig(spreading_factor=sf, n_association_shifts=0)
+    assignments = {i: config.skip * i for i in range(n_tones)}
+    receiver = NetScatterReceiver(
+        config, assignments, readout="analytic", noise_mode=noise_mode
+    )
+    shifts = np.array(list(assignments.values()), dtype=float)
+    batch = _random_batch(
+        config, shifts, n_rounds, n_payload, np.random.default_rng(seed)
+    )
+    window_rows = batch[3].shape[1] if noise_mode == "full" else 6
+    return receiver, config.chirp_params, batch, window_rows
+
+
+def _separate_reads(
+    params, effective_bins, amplitudes, phases_rad, bit_tensor,
+    window_readout, probe_readout, joint_readout, n_preamble_rows=0,
+):
+    """The window and probe reads as two ``compose_readout`` calls."""
+    tones = (params, effective_bins, amplitudes, phases_rad)
+    windows = compose_readout(
+        *tones, bit_tensor, window_readout, n_preamble_rows=n_preamble_rows
+    )
+    probes = compose_readout(*tones, bit_tensor[:, :1], probe_readout)
+    return windows, probes[:, 0]
+
+
+def _joint_reads(monkeypatch, plan):
+    """A list that gets, per window-and-probe read, whether one call
+    through the plan's joint layout served it."""
+    import repro.core.dcss as dcss
+
+    reads = []
+    compose = dcss.compose_readout
+
+    def spy(*args, **kwargs):
+        readout = args[5]
+        if readout is plan.joint_readout:
+            reads.append(True)
+        elif readout is plan.window_readout and "columns" not in kwargs:
+            reads.append(False)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(dcss, "compose_readout", spy)
+    return reads
+
+
+_DECODE_FIELDS = (
+    "detected", "bits", "bit_powers", "preamble_power", "noise_power",
+)
+
+
+class TestJointRead:
+    """``compose_windows_and_probes`` gives, bit for bit, the window and
+    probe reads as two ``compose_readout`` calls, and makes one call
+    through the plan's joint layout only where the windows read one
+    distinct row and the route model sends the window read, the probe
+    read and the joint read to the FFT route."""
+
+    #: ``(sf, tones, stream, joint)`` on both sides of each read's
+    #: route crossover. On the payload stream the window read has one
+    #: distinct row: SF 7 windows and probes cross at 8 tones, SF 9
+    #: windows at 25, SF 12 probes at 27 and windows at 84. On the full
+    #: stream (10 payload rows, so 11 distinct rows) the reads stay two
+    #: on either side of the window crossover (SF 7 at 40 tones, SF 9
+    #: at 81).
+    CASES = [
+        (7, 7, "payload", False),
+        (7, 8, "payload", True),
+        (9, 24, "payload", False),
+        (9, 25, "payload", True),
+        (9, 64, "payload", True),
+        (12, 26, "payload", False),
+        (12, 83, "payload", False),
+        (12, 84, "payload", True),
+        (7, 39, "full", False),
+        (7, 40, "full", False),
+        (9, 80, "full", False),
+        (9, 81, "full", False),
+    ]
+
+    @pytest.mark.parametrize("sf, n_tones, noise_mode, joint", CASES)
+    def test_read_equals_the_separate_reads(
+        self, sf, n_tones, noise_mode, joint, monkeypatch
+    ):
+        from repro.core.dcss import compose_windows_and_probes
+
+        receiver, params, batch, window_rows = _joint_case(
+            sf, n_tones, noise_mode
+        )
+        plan = receiver._readout_plan(dechirped=True)
+        args = (
+            params, *batch[:3], batch[3][:, :window_rows],
+            plan.window_readout, plan.probe_readout, plan.joint_readout,
+        )
+        reads = _joint_reads(monkeypatch, plan)
+        windows, probes = compose_windows_and_probes(
+            *args, n_preamble_rows=6
+        )
+        monkeypatch.undo()
+        assert reads == [joint]
+        expected = _separate_reads(*args, n_preamble_rows=6)
+        assert np.array_equal(windows, expected[0])
+        assert np.array_equal(probes, expected[1])
+
+    @pytest.mark.parametrize(
+        "sf, n_tones, noise_mode",
+        [(7, 8, "payload"), (9, 64, "payload"), (12, 84, "payload"),
+         (9, 81, "full")],
+    )
+    def test_decode_is_unchanged(self, sf, n_tones, noise_mode, monkeypatch):
+        """A whole noisy decode gives the separate reads' decisions."""
+        import repro.core.dcss as dcss
+
+        receiver, _, batch, _ = _joint_case(sf, n_tones, noise_mode)
+
+        def decode():
+            return receiver.decode_readout(
+                *batch, noise_snr_db=-8.0, rng=np.random.default_rng(4)
+            )
+
+        joint = decode()
+        monkeypatch.setattr(
+            dcss, "compose_windows_and_probes", _separate_reads
+        )
+        separate = decode()
+        for name in _DECODE_FIELDS:
+            assert np.array_equal(
+                getattr(joint, name), getattr(separate, name)
+            ), name
+
+
+class TestJointReadPool:
+    """The window-and-probe read on the stage thread and on the serial
+    fallback: a multi-span noisy decode is equal, bit for bit, whether
+    one or two CPUs are usable, and equal to the separate reads'."""
+
+    @pytest.mark.parametrize("noise_mode", ["payload", "full"])
+    def test_pool_serial_equals_two_threads(self, noise_mode, monkeypatch):
+        import repro.core.dcss as dcss
+        import repro.core.receiver as receiver_module
+        import repro.utils.parallel as parallel_module
+
+        n_tones = 64 if noise_mode == "payload" else 81
+        receiver, _, batch, _ = _joint_case(9, n_tones, noise_mode)
+        plan = receiver._readout_plan(dechirped=True)
+        per_round = batch[3].shape[1] * plan.window_readout.n_bins + (
+            n_tones * (plan.window_readout.n_bins + plan.probe_readout.n_bins)
+        )
+        # Three rounds per span: 13 rounds decode as 5 spans.
+        monkeypatch.setattr(
+            receiver_module, "_CHUNK_ELEMENT_BUDGET", 3 * per_round
+        )
+        reads = _joint_reads(monkeypatch, plan)
+
+        def decode(cpus):
+            monkeypatch.setattr(parallel_module, "usable_cpus", lambda: cpus)
+            return receiver.decode_readout(
+                *batch, noise_snr_db=-8.0, rng=np.random.default_rng(6)
+            )
+
+        serial, pooled = decode(1), decode(2)
+        # The joint read serves the payload stream's one preamble row.
+        assert reads == [noise_mode == "payload"] * 10
+        monkeypatch.setattr(
+            dcss, "compose_windows_and_probes", _separate_reads
+        )
+        separate = decode(2)
+        for name in _DECODE_FIELDS:
+            assert np.array_equal(
+                getattr(serial, name), getattr(pooled, name)
+            ), name
+            assert np.array_equal(
+                getattr(serial, name), getattr(separate, name)
+            ), name
