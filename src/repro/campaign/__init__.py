@@ -22,24 +22,14 @@ declarative, cacheable artifacts:
   service client share;
 * :mod:`repro.campaign.storage` — the pluggable
   :class:`StorageDriver` layer every byte of campaign state flows
-  through (posix with fsync-on-commit, in-memory, fault-injecting),
-  with bounded per-operation retries; the wrapping layers share one
-  forwarding base;
+  through (posix with fsync-on-commit, in-memory), with bounded
+  per-operation retries; the wrapping layers share one forwarding
+  base;
 * :mod:`repro.campaign.objectstore` — the remote half:
   :class:`HttpDriver` speaking a minimal S3-style REST protocol to
   :class:`ObjectStoreService` (``python -m repro.campaign serve``),
-  with server-side network-chaos injection and a client-side
-  :class:`CircuitBreakerDriver`; it also holds the HTTP service and
-  handler base both services build on;
-* :mod:`repro.campaign.faults` — deterministic fault injection: one
-  rule grammar (:class:`FaultRule`: an op, a kind, a selector, a
-  trigger), one seeded :class:`FaultPlan` loading both v1 JSON forms
-  (``--fault-plan`` for the runner, ``--storage-fault-plan`` for the
-  fault-injecting driver), and one
-  :class:`~repro.campaign.faults.FaultSelector` per consumer — runner,
-  driver, object-store and service handlers, each firing only its
-  kinds of the op → consumer → kinds table (``FIRES``) — exercising
-  every recovery path above in CI;
+  with a client-side :class:`CircuitBreakerDriver`; it also holds the
+  HTTP service and handler base both services build on;
 * :mod:`repro.campaign.service` / :mod:`repro.campaign.client` — the
   HSDS-style service node: :class:`CampaignService`
   (``python -m repro.campaign serve-api``) accepts JSON campaign
@@ -52,10 +42,14 @@ declarative, cacheable artifacts:
 * ``python -m repro.campaign`` — ``run`` / ``status`` / ``export`` /
   ``serve`` / ``serve-api`` / ``submit``.
 
+The layer keeps its recovery paths and no fault injectors: the tests
+inject faults through the extension points above (a wrapping driver, a
+handler subclass, the ``runner.execute_point`` binding) from
+``tests/chaos.py``.
+
 See the Campaign layer sections of ``docs/ARCHITECTURE.md``.
 """
 
-from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.client import (
     CampaignServiceClient,
     CampaignServiceRun,
@@ -69,7 +63,6 @@ from repro.campaign.objectstore import (
 )
 from repro.campaign.service import CampaignService, campaign_id_for
 from repro.campaign.storage import (
-    FaultyDriver,
     MemoryDriver,
     PosixDriver,
     RetryingDriver,
@@ -108,9 +101,6 @@ __all__ = [
     "CampaignStore",
     "CircuitBreaker",
     "CircuitBreakerDriver",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyDriver",
     "HttpDriver",
     "LeaseManager",
     "MemoryDriver",

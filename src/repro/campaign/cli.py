@@ -14,24 +14,19 @@ Usage::
     # a spec saved as JSON (CampaignSpec.to_dict round-trip)
     python -m repro.campaign run --spec runs/grid/spec.json --store ...
 
-    # fault tolerance: bounded retries, per-point timeouts, and (for
-    # CI) a deterministic fault-injection plan
+    # fault tolerance: bounded retries and per-point timeouts
     python -m repro.campaign run --spec fig17 --store runs/fig17 \\
-        --timeout-s 120 --max-attempts 5 --fault-plan plan.json
+        --timeout-s 120 --max-attempts 5
 
     # storage drivers: without --storage-driver, posix at --store
     # (fsync-durable); otherwise, and never beside --store, a URL
     # spec — posix:///path, memory:// (ephemeral smoke runs),
     # http://host:port/bucket (remote object store).
-    # --storage-fault-plan wraps any of them in seeded injected
-    # storage faults.
-    python -m repro.campaign run --spec fig17 --store runs/fig17 \\
-        --storage-fault-plan storage-plan.json
     python -m repro.campaign run --spec fig17 \\
         --storage-driver http://127.0.0.1:8123/campaign
 
     # serve a store over HTTP for remote runners (hermetic object
-    # store; --storage-fault-plan network rules inject seeded chaos)
+    # store)
     python -m repro.campaign serve --root runs/fig17 --port 8123
 
     # serve the campaign *API* (HSDS-style service node): JSON specs
@@ -71,10 +66,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.campaign.faults import FaultPlan
 from repro.campaign.presets import PRESETS, build_preset
 from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.runner import CampaignRunner, check_workers
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.storage import build_driver
 from repro.campaign.store import CampaignStore
@@ -174,28 +168,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report permanently-failed points instead of erroring",
     )
     run.add_argument(
-        "--fault-plan",
-        default=None,
-        help=(
-            "fault-injection plan: inline JSON or a path "
-            "(test/CI harness)"
-        ),
-    )
-    run.add_argument(
         "--storage-driver",
         default=None,
         help=(
             "storage backend as a URL spec — posix:///path, memory://, "
             "http://host:port/bucket (remote object store); default: "
             "posix at --store; refused beside --store"
-        ),
-    )
-    run.add_argument(
-        "--storage-fault-plan",
-        default=None,
-        help=(
-            "storage fault-injection plan: inline JSON or a path; "
-            "wraps the driver in a fault-injecting one (test/CI harness)"
         ),
     )
 
@@ -266,14 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="campaign",
         help="bucket path segment clients must address",
     )
-    serve.add_argument(
-        "--storage-fault-plan",
-        default=None,
-        help=(
-            "seeded fault plan whose *network* rules are injected "
-            "server-side (chaos testing; inline JSON or a path)"
-        ),
-    )
 
     serve_api = sub.add_parser(
         "serve-api",
@@ -328,23 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-leases",
         action="store_true",
         help="skip the point-lease protocol (single-node stores)",
-    )
-    serve_api.add_argument(
-        "--fault-plan",
-        default=None,
-        help=(
-            "execute-stage fault plan applied to service-side runs "
-            "(test/CI harness; inline JSON or a path)"
-        ),
-    )
-    serve_api.add_argument(
-        "--service-fault-plan",
-        default=None,
-        help=(
-            "seeded network-chaos plan applied to API *requests* — "
-            "refuse/503/disconnect/delay on submit/status/healthz "
-            "(inline JSON or a path)"
-        ),
     )
 
     submit = sub.add_parser(
@@ -444,22 +397,6 @@ def _load_spec(args) -> CampaignSpec:
     return CampaignSpec.from_dict(json.loads(path.read_text()))
 
 
-def _parse_plan(raw, label="fault plan"):
-    """A ``--*fault-plan`` value (inline JSON or a file path) as a
-    :class:`FaultPlan`, or ``None`` when the flag is absent."""
-    if raw is None:
-        return None
-    try:
-        return FaultPlan.from_spec(raw)
-    except (ValueError, OSError) as error:
-        # Malformed JSON / unreadable file: one actionable line, not a
-        # json.JSONDecodeError traceback (plan-schema violations are
-        # already ConfigurationError and pass through).
-        raise ReproError(
-            f"malformed {label} {raw.strip()[:80]!r}: {error}"
-        ) from error
-
-
 def _check_seconds(**flags) -> None:
     """Refuse a seconds flag that is not finite and > 0, before the
     command builds a store or a runner."""
@@ -480,18 +417,15 @@ def _check_one_store(args) -> None:
 
 def _cmd_run(args) -> int:
     _check_seconds(timeout_s=args.timeout_s, lease_ttl_s=args.lease_ttl_s)
+    check_workers(args.workers)
     _check_one_store(args)
     spec = _load_spec(args)
-    fault_plan = _parse_plan(args.fault_plan)
-    storage_plan = _parse_plan(args.storage_fault_plan, "storage fault plan")
     if args.storage_driver is None and args.store is None:
         raise ReproError(
             "--store is required without --storage-driver (the default "
             "posix store needs a directory)"
         )
-    driver = build_driver(
-        args.storage_driver, args.store, storage_fault_plan=storage_plan
-    )
+    driver = build_driver(args.storage_driver, args.store)
     store = CampaignStore(driver=driver)
     store_label = store.root if store.root is not None else driver.name
     if args.save_spec:
@@ -512,7 +446,6 @@ def _cmd_run(args) -> int:
         workers=args.workers,
         point_timeout_s=args.timeout_s,
         use_leases=not args.no_leases,
-        fault_plan=fault_plan,
         allow_partial=args.allow_partial,
         **runner_kwargs,
     )
@@ -617,20 +550,15 @@ def _cmd_export(args) -> int:
 def _cmd_serve(args) -> int:
     # Imported here so the plain run/status paths never pay for the
     # HTTP stack.
-    from repro.campaign.objectstore import ObjectStoreService
+    from repro.campaign.objectstore import ObjectStoreService, check_port
     from repro.campaign.storage import PosixDriver
 
+    check_port(args.port)
     driver = (
         PosixDriver(args.root) if args.root is not None else None
     )
     service = ObjectStoreService(
-        driver=driver,
-        host=args.host,
-        port=args.port,
-        bucket=args.bucket,
-        fault_plan=_parse_plan(
-            args.storage_fault_plan, "storage fault plan"
-        ),
+        driver=driver, host=args.host, port=args.port, bucket=args.bucket
     )
     backing = args.root if args.root is not None else "memory://"
     with service:
@@ -655,9 +583,12 @@ def _serve_until_interrupted() -> None:
 def _cmd_serve_api(args) -> int:
     # Imported here so the plain run/status paths never pay for the
     # HTTP stack.
+    from repro.campaign.objectstore import check_port
     from repro.campaign.service import CampaignService
 
     _check_seconds(timeout_s=args.timeout_s)
+    check_workers(args.workers)
+    check_port(args.port)
     _check_one_store(args)
     if args.storage_driver is not None:
         driver = build_driver(args.storage_driver)
@@ -679,10 +610,6 @@ def _cmd_serve_api(args) -> int:
         workers=args.workers,
         point_timeout_s=args.timeout_s,
         use_leases=not args.no_leases,
-        fault_plan=_parse_plan(args.fault_plan),
-        service_fault_plan=_parse_plan(
-            args.service_fault_plan, "service fault plan"
-        ),
         **kwargs,
     )
     with service:
@@ -775,8 +702,8 @@ def main(argv=None) -> int:
 
 def entrypoint(argv=None) -> int:
     """:func:`main` with CLI-grade error reporting: any
-    :class:`~repro.errors.ReproError` (bad driver spec, malformed
-    fault plan, unusable spec file) becomes one actionable stderr line
+    :class:`~repro.errors.ReproError` (bad driver spec, unusable spec
+    file, a port the host cannot bind) becomes one actionable stderr line
     and exit code 2, never a traceback. Library callers use
     :func:`main`, which lets the typed errors propagate."""
     try:

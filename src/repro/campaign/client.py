@@ -10,8 +10,8 @@ backoff (``Retry-After`` hints floor the delay), a
 :class:`~repro.campaign.objectstore.CircuitBreaker` fails fast once
 the endpoint looks dead (:class:`~repro.errors.CircuitOpenError`), and
 retry exhaustion raises
-:class:`~repro.errors.PersistentStorageError` — so fault plans from
-:mod:`repro.campaign.faults` apply to the service layer unchanged.
+:class:`~repro.errors.PersistentStorageError`, exactly as over
+:class:`~repro.campaign.objectstore.HttpDriver`.
 
 A mid-stream disconnect is safe to retry: the service deduplicates by
 campaign id, so a re-submit either joins the still-running execution

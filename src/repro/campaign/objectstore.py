@@ -32,6 +32,9 @@ Wire protocol (single bucket, keys are driver keys)
 
 Every request names its driver operation in ``X-Repro-Op``; the
 service refuses one that names none (400) before it touches the store.
+A backend fault answers 503 (transient: the driver retries it) or, when
+the backend gave up, 500 with ``X-Repro-Persistent: 1``, which the
+driver raises as :class:`~repro.errors.PersistentStorageError` at once.
 
 Integrity is end-to-end: both directions carry ``X-Repro-Sha256`` and
 both sides verify it before trusting a byte — a mismatch (bit rot,
@@ -47,19 +50,12 @@ steal stays replace-then-read-back.
 
 Consistency assumptions: the service commits through one local driver,
 so reads-after-write and read-your-writes hold (what the lease
-read-back requires). The ``stale_read`` fault kind exists precisely to
-violate that on purpose in tests — it serves the *previous* committed
-state once, emulating an eventually-consistent backend.
-
-Chaos harness: the object-store handler is the ``objectstore``
-consumer of a seeded :class:`~repro.campaign.faults.FaultPlan` — it
-fires the network kinds (``refuse``, ``http_error``, ``disconnect``,
-``delay``, and ``stale_read`` on reads) *server-side*, while the same
-plan's disk kinds drive the client-side ``FaultyDriver``; each
-consumer fires only its own kinds. ``disconnect`` performs the
-operation and then truncates the response mid-body — the client sees
-a failure for a write that *landed*, the eventually-landing-write case
-the lease read-back reconciles.
+read-back requires). The tests violate that on purpose by handing the
+service a driver that serves a key's *previous* committed state,
+emulating an eventually-consistent backend; their wire faults
+(refused connections, 5xx answers, responses cut mid-body after a
+write that *landed*) come from a handler subclass. Both live in the
+test harness (``tests/chaos.py``), not here.
 
 Circuit breaker (:class:`CircuitBreakerDriver`, stacked under the
 store's ``RetryingDriver``) state machine::
@@ -103,8 +99,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
-from repro.campaign.faults import DRIVER_OPS, FaultPlan, FaultSelector
 from repro.campaign.storage import (
+    DRIVER_OPS,
     MemoryDriver,
     StorageDriver,
     StorageStat,
@@ -115,8 +111,10 @@ from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
     PersistentStorageError,
+    ReproError,
     StorageMissingError,
     TransientStorageError,
+    require_integer,
 )
 
 #: Integrity / protocol headers (both directions where applicable).
@@ -173,10 +171,10 @@ class HttpDriver(StorageDriver):
     object-store wire protocol (see the module docstring).
 
     One short-lived connection per operation: simple, thread-safe, and
-    robust to the server-side disconnect faults the chaos harness
-    injects (a poisoned keep-alive connection can never leak across
-    operations). Transport failures — refused connections, resets,
-    truncated bodies, timeouts, 5xx responses — all surface as
+    robust to server-side disconnects (a poisoned keep-alive
+    connection can never leak across operations). Transport failures
+    — refused connections, resets, truncated bodies, timeouts, 5xx
+    responses — all surface as
     :class:`~repro.errors.TransientStorageError` for the retrying
     wrapper; a ``Retry-After`` header rides along as the error's
     ``retry_after_s`` hint.
@@ -248,6 +246,14 @@ class HttpDriver(StorageDriver):
             ) from error
         finally:
             conn.close()
+        if got.get(PERSISTENT_HEADER.lower()) == "1":
+            # The service's own backend gave up: retrying here would
+            # only spend a second budget on the same failure.
+            self._record(op, error=True)
+            raise PersistentStorageError(
+                f"{op}({key!r}) over {self.spec}: persistent backend "
+                f"fault {data[:200].decode('utf-8', 'replace')}"
+            )
         error = transient_status_error(
             response.status,
             got.get("retry-after"),
@@ -583,7 +589,7 @@ class CircuitBreakerDriver(WrappingDriver):
 
 
 #: Exceptions that mean "the client hung up mid-request" — routine
-#: under chaos plans and impatient clients, never a server bug.
+#: with impatient clients, never a server bug.
 DISCONNECT_ERRORS = (
     BrokenPipeError,
     ConnectionResetError,
@@ -596,8 +602,8 @@ class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
 
     The stock ``socketserver`` prints a full traceback to stderr every
     time a handler thread dies on ``BrokenPipeError`` /
-    ``ConnectionResetError`` — which under a chaos plan (or a client
-    that simply stopped reading a stream) spams CI logs with noise.
+    ``ConnectionResetError`` — which a client that simply stopped
+    reading a stream makes routine.
     Disconnects are counted on the owning service
     (``note_client_disconnect``) and logged once; everything else still
     gets the stock traceback.
@@ -618,10 +624,8 @@ class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
 class HttpServiceHandler(BaseHTTPRequestHandler):
     """Request plumbing shared by the object store and the campaign API.
 
-    Responses (optionally cut mid-body), request logging into the
-    owning service's ``log_lines``, and the server-side half of the
-    chaos harness: :meth:`_apply_pre_fault` consults the service's
-    fault selector and acts on the network-class rule that fires.
+    Responses and request logging into the owning service's
+    ``log_lines``.
     """
 
     protocol_version = "HTTP/1.1"
@@ -635,36 +639,18 @@ class HttpServiceHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         self.service.log_lines.append(format % args)
 
-    def _hang_up(self) -> None:
-        """Drop the connection without sending anything more."""
-        self.close_connection = True
-        try:
-            self.connection.shutdown(2)  # SHUT_RDWR
-        except OSError:
-            pass
-
     def _send(
         self,
         status: int,
         body: bytes = b"",
         headers: Optional[Dict[str, str]] = None,
-        truncate: bool = False,
     ) -> None:
         self.send_response(status)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        if self.command == "HEAD":
-            return
-        if truncate:
-            # Mid-body disconnect: declared Content-Length exceeds
-            # what lands, so the client's read raises IncompleteRead.
-            self.wfile.write(body[: len(body) // 2])
-            self.wfile.flush()
-            self._hang_up()
-            return
-        if body:
+        if body and self.command != "HEAD":
             self.wfile.write(body)
 
     def _send_json(
@@ -672,51 +658,18 @@ class HttpServiceHandler(BaseHTTPRequestHandler):
         status: int,
         payload: Mapping[str, object],
         headers: Optional[Dict[str, str]] = None,
-        truncate: bool = False,
     ) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send(
-            status,
-            body,
-            {**(headers or {}), **self.json_headers},
-            truncate=truncate,
-        )
+        self._send(status, body, {**(headers or {}), **self.json_headers})
 
-    def _apply_pre_fault(self, op: str, key: str) -> str:
-        """Consult the fault plan and apply a fault that acts
-        before/instead of the operation.
 
-        Returns ``"handled"`` when a response (or deliberate silence)
-        was already produced, ``"truncate"`` when the operation should
-        proceed but its response must be cut mid-body, ``"stale"``
-        when a read should serve the previous committed state, and
-        ``"proceed"`` otherwise.
-        """
-        selector = self.service.selector
-        rule = selector.consult(op, key) if selector is not None else None
-        if rule is None:
-            return "proceed"
-        if rule.kind == "refuse":
-            # Drop the connection before any response bytes: the
-            # client sees a reset/torn status line.
-            self._hang_up()
-            return "handled"
-        if rule.kind == "http_error":
-            headers = {}
-            if rule.retry_after_s is not None:
-                headers["Retry-After"] = f"{rule.retry_after_s:g}"
-            self._send_json(
-                rule.status,
-                {"error": f"injected HTTP {rule.status}"},
-                headers,
-            )
-            return "handled"
-        if rule.kind == "delay":
-            time.sleep(rule.hang_s)
-            return "proceed"
-        if rule.kind == "disconnect":
-            return "truncate"
-        return "stale"
+def check_port(port) -> int:
+    """``port`` as an int in 0-65535, else a :class:`ConfigurationError`
+    (the CLI checks it before it makes a store)."""
+    port = require_integer("port", port, 0)
+    if port > 65535:
+        raise ConfigurationError(f"port must be <= 65535, got {port!r}")
+    return port
 
 
 class HttpService:
@@ -724,35 +677,22 @@ class HttpService:
 
     A context manager (``with Service() as service:``, as the CLI
     serves), or :meth:`start`/:meth:`stop`. A subclass names its
-    ``handler`` (an :class:`HttpServiceHandler`) and passes its fault
-    ``consumer`` (its column of :data:`~repro.campaign.faults.FIRES`);
-    the plan's rules of other kinds are left to other consumers without
-    advancing their counters.
+    ``handler`` (an :class:`HttpServiceHandler`). ``port`` must be an
+    integer in 0-65535 (0 picks an ephemeral port), and a port the host
+    cannot bind is a :class:`~repro.errors.ReproError` naming it.
 
     Mid-response client disconnects are counted
     (``n_client_disconnects``), noted in ``log_lines`` and logged once
-    — never a traceback: chaos plans disconnect on purpose, hundreds of
-    times per CI run.
+    — never a traceback.
     """
 
     handler: type
     thread_name: str
     server_class = DisconnectTolerantHTTPServer
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        fault_plan: Optional[FaultPlan],
-        consumer: str,
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self._host = host
-        self._port = int(port)
-        self.selector = (
-            FaultSelector(fault_plan, consumer)
-            if fault_plan is not None and fault_plan.rules
-            else None
-        )
+        self._port = check_port(port)
         self.log_lines: List[str] = []
         self.n_client_disconnects = 0
         self._disconnect_lock = threading.Lock()
@@ -785,9 +725,15 @@ class HttpService:
 
     def _bind(self) -> DisconnectTolerantHTTPServer:
         if self._server is None:
-            self._server = self.server_class(
-                (self._host, self._port), self.handler
-            )
+            try:
+                self._server = self.server_class(
+                    (self._host, self._port), self.handler
+                )
+            except OSError as error:
+                raise ReproError(
+                    f"cannot listen on {self._host}:{self._port}: "
+                    f"{error.strerror or error}"
+                ) from error
             self._server.service = self
         return self._server
 
@@ -865,80 +811,54 @@ class _Handler(HttpServiceHandler):
         if parsed is None:
             return
         key, op, query = parsed
-        action = self._apply_pre_fault(op, key)
-        if action == "handled":
-            return
-        truncate = action == "truncate"
-        stale = action == "stale"
+        driver = self.service.driver
         try:
             if op == "list":
                 prefix = (query.get("prefix") or [""])[0]
-                keys = self.service.driver.list(unquote(prefix))
-                body = json.dumps(keys).encode("utf-8")
-                self._send(
-                    200,
-                    body,
-                    {SHA_HEADER: _sha256(body)},
-                    truncate=truncate,
-                )
+                body = json.dumps(driver.list(unquote(prefix))).encode("utf-8")
+                self._send(200, body, {SHA_HEADER: _sha256(body)})
             elif op == "get":
-                data = self.service.read_for(key, stale=stale)
+                data = driver.get(key)
                 sha = _sha256(data)
-                self._send(
-                    200,
-                    data,
-                    {SHA_HEADER: sha, "ETag": f'"{sha}"'},
-                    truncate=truncate,
-                )
-            elif op in ("exists", "stat"):
-                if stale:
-                    # Serve the historical view: size from the
-                    # recorded bytes, mtime approximate (an emulation
-                    # knob, not a durability promise).
-                    data = self.service.read_for(key, stale=True)
-                    size, mtime = len(data), time.time()
-                else:
-                    stat = self.service.driver.stat(key)
-                    size, mtime = stat.size, stat.mtime
+                self._send(200, data, {SHA_HEADER: sha, "ETag": f'"{sha}"'})
+            elif op == "exists":
+                if not driver.exists(key):
+                    raise StorageMissingError(f"no value at {key!r}")
+                self._send(200)
+            elif op == "stat":
+                stat = driver.stat(key)
                 self._send(
                     200,
                     b"",
                     {
-                        SIZE_HEADER: str(size),
-                        MTIME_HEADER: f"{mtime!r}",
+                        SIZE_HEADER: str(stat.size),
+                        MTIME_HEADER: f"{stat.mtime!r}",
                     },
                 )
             elif op in ("put_atomic", "replace", "put_exclusive"):
                 body = self._read_body()
                 if body is None:
                     return
-                self.service.note_write(key)
                 if op == "put_exclusive":
-                    created = self.service.driver.put_exclusive(key, body)
-                    if not created:
-                        self._send_json(
-                            412, {"error": "key exists"}, truncate=truncate
-                        )
+                    if not driver.put_exclusive(key, body):
+                        self._send_json(412, {"error": "key exists"})
                         return
                 elif op == "replace":
-                    self.service.driver.replace(key, body)
+                    driver.replace(key, body)
                 else:
-                    self.service.driver.put_atomic(key, body)
+                    driver.put_atomic(key, body)
                 sha = _sha256(body)
                 self._send_json(
                     201 if op == "put_exclusive" else 200,
                     {"ok": True},
                     {"ETag": f'"{sha}"', SHA_HEADER: sha},
-                    truncate=truncate,
                 )
             elif op == "delete":
-                self.service.note_write(key)
-                removed = self.service.driver.delete(key)
+                removed = driver.delete(key)
                 self._send_json(
                     200,
                     {"ok": True},
                     {DELETED_HEADER: "1" if removed else "0"},
-                    truncate=truncate,
                 )
             elif op == "rename":
                 new_key = unquote(self.headers.get(RENAME_HEADER, ""))
@@ -947,10 +867,8 @@ class _Handler(HttpServiceHandler):
                         400, {"error": f"missing {RENAME_HEADER}"}
                     )
                     return
-                self.service.note_write(key)
-                self.service.note_write(new_key)
-                self.service.driver.rename(key, new_key)
-                self._send_json(200, {"ok": True}, truncate=truncate)
+                driver.rename(key, new_key)
+                self._send_json(200, {"ok": True})
         except StorageMissingError:
             self._send_json(404, {"error": f"no value at {key!r}"})
         except ConfigurationError as error:
@@ -976,8 +894,7 @@ class ObjectStoreService(HttpService):
     behind ``python -m repro.campaign serve`` for real deployments. The
     backing ``driver`` defaults to a fresh
     :class:`~repro.campaign.storage.MemoryDriver`; hand it a
-    ``PosixDriver`` for a durable store. ``fault_plan``'s network-class
-    rules are injected server-side (see the module docstring).
+    ``PosixDriver`` for a durable store.
     """
 
     handler = _Handler
@@ -989,52 +906,14 @@ class ObjectStoreService(HttpService):
         host: str = "127.0.0.1",
         port: int = 0,
         bucket: str = "campaign",
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if "/" in bucket or not bucket:
             raise ConfigurationError(
                 f"bucket must be one path segment, got {bucket!r}"
             )
-        super().__init__(host, port, fault_plan, "objectstore")
+        super().__init__(host, port)
         self.driver = driver if driver is not None else MemoryDriver()
         self.bucket = bucket
-        self._track_stale = fault_plan is not None and any(
-            rule.kind == "stale_read" for rule in fault_plan.rules
-        )
-        self._history: Dict[str, bytes] = {}
-        self._history_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # stale-read history (one-deep, recorded only when a plan wants it)
-    # ------------------------------------------------------------------ #
-
-    def note_write(self, key: str) -> None:
-        """Record the pre-write committed state of ``key`` so a
-        ``stale_read`` fault can serve it later."""
-        if not self._track_stale:
-            return
-        with self._history_lock:
-            try:
-                self._history[key] = self.driver.get(key)
-            except StorageMissingError:
-                self._history.pop(key, None)
-
-    def read_for(self, key: str, stale: bool = False) -> bytes:
-        """Committed bytes at ``key`` — or, under a ``stale_read``
-        fault, the previous committed state (absence raises, emulating
-        a not-yet-visible write)."""
-        if stale:
-            with self._history_lock:
-                if key in self._history:
-                    return self._history[key]
-            # No recorded history: the key predates tracking, so the
-            # current state *is* the stale view — unless it was never
-            # written through this server, in which case a fresh write
-            # is simply not visible yet.
-            raise StorageMissingError(
-                f"stale read: {key!r} not yet visible"
-            )
-        return self.driver.get(key)
 
     @property
     def url(self) -> str:
@@ -1051,5 +930,6 @@ __all__ = [
     "HttpService",
     "HttpServiceHandler",
     "ObjectStoreService",
+    "check_port",
     "transient_status_error",
 ]

@@ -10,7 +10,9 @@ loses at most the points in flight; re-running the same spec loads the
 completed points bit-for-bit and computes only the remainder (pinned by
 ``tests/test_campaign.py``).
 
-Fault tolerance (pinned by ``tests/test_campaign_faults.py``):
+Fault tolerance (pinned by ``tests/test_campaign_faults.py`` and
+``tests/test_campaign_chaos.py``, whose faults come from the test-side
+harness ``tests/chaos.py``):
 
 * **Leases** — with a store, pending points are claimed through the
   lease protocol (:mod:`repro.campaign.leases`), so N concurrent
@@ -27,10 +29,6 @@ Fault tolerance (pinned by ``tests/test_campaign_faults.py``):
 * **Degradation** — a broken process pool (killed worker) downgrades
   the remaining points to serial execution instead of aborting the
   campaign.
-* **Fault injection** — the ``execute`` rules of a
-  :class:`~repro.campaign.faults.FaultPlan` deterministically inject
-  crashes, hangs and kills, and a ``FaultyDriver`` under the store
-  tears writes, so every path above runs in CI.
 * **Storage faults** — all store/lease I/O flows through a
   :class:`~repro.campaign.storage.StorageDriver` with bounded retries
   and seeded-jitter backoff; when writes fail *persistently* the
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -60,7 +57,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.campaign.faults import FaultPlan
 from repro.campaign.leases import (
     DEFAULT_TTL_S,
     HeartbeatThread,
@@ -77,18 +73,13 @@ from repro.errors import (
     PersistentStorageError,
     PointTimeoutError,
     ReproError,
+    require_integer,
     require_seconds,
 )
 from repro.protocol.network import NetworkMetrics, run_sweep_point
 from repro.utils import parallel
 
 log = logging.getLogger("repro.campaign.runner")
-
-#: When set, every *completed* point execution appends one
-#: ``"<hash> <pid>"`` line here (O_APPEND, atomic for short lines).
-#: The fault-tolerance tests use it to prove that concurrent runners
-#: never compute the same point twice.
-EXEC_LOG_ENV = "REPRO_CAMPAIGN_EXEC_LOG"
 
 
 def build_deployment(
@@ -159,6 +150,13 @@ def execute_point(point: CampaignPoint) -> Tuple[Dict, Dict]:
     return asdict(metrics), provenance
 
 
+def check_workers(workers: Optional[int]) -> None:
+    """Refuse a ``workers=`` request that is not ``None`` or an
+    integer >= 0, before a store or a pool is made."""
+    if workers is not None:
+        require_integer("workers", workers, 0)
+
+
 def resolve_pool_workers(workers: Optional[int]) -> int:
     """Effective process-pool size for a ``workers=`` request.
 
@@ -167,55 +165,31 @@ def resolve_pool_workers(workers: Optional[int]) -> int:
     rules (regression-tested in ``tests/test_campaign.py``):
 
     * ``None``, ``0`` or ``1`` → serial (a 1-worker pool only adds
-      pickling overhead);
+      pickling overhead); a negative or fractional request is a
+      :class:`~repro.errors.ConfigurationError`;
     * any request where only one CPU is usable
       (:func:`repro.utils.parallel.usable_cpus`) →
       serial — a pool cannot run points concurrently there, so spawning
       one would pay process start-up and pickling for nothing;
     * otherwise the request is honoured as given (deliberate
-      oversubscription stays possible on multi-core hosts).
+      oversubscription stays possible on multi-core hosts); the pool
+      phase caps it at the points it claims, since a pool forks all its
+      workers up front.
 
     Results never depend on the outcome: every campaign point owns a
     pre-derived seed, so serial and pooled runs are identical.
     """
-    if workers is None:
+    check_workers(workers)
+    if workers is None or workers <= 1 or parallel.usable_cpus() <= 1:
         return 0
-    requested = int(workers)
-    if requested <= 1:
-        return 0
-    if parallel.usable_cpus() <= 1:
-        return 0
-    return requested
+    return int(workers)
 
 
-def _log_execution(content_hash: str) -> None:
-    """Append a completion line to the exec log, when one is configured."""
-    log_path = os.environ.get(EXEC_LOG_ENV)
-    if not log_path:
-        return
-    line = f"{content_hash} {os.getpid()}\n".encode()
-    fd = os.open(log_path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-
-
-def _pool_execute(
-    point: CampaignPoint,
-    attempt: int = 1,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[Dict, Dict, float]:
-    """Pool wrapper: inject faults and time the execution in the worker."""
-    if fault_plan is not None:
-        fault_plan.fire_execute(
-            point.to_dict(), point.content_hash(), attempt
-        )
+def _pool_execute(point: CampaignPoint) -> Tuple[Dict, Dict, float]:
+    """Pool wrapper: time the execution in the worker."""
     started = time.perf_counter()
     metrics_dict, provenance = execute_point(point)
-    elapsed = time.perf_counter() - started
-    _log_execution(point.content_hash())
-    return metrics_dict, provenance, elapsed
+    return metrics_dict, provenance, time.perf_counter() - started
 
 
 class _PointFailed(Exception):
@@ -330,8 +304,6 @@ class CampaignRunner:
         restores the PR-5 single-runner behaviour. Points another
         runner holds are re-polled every :data:`WAIT_POLL_S`; expired
         leases are reclaimed.
-    fault_plan:
-        Deterministic fault injection (default: none).
     allow_partial:
         When True, permanently-failed points are reported on
         :attr:`CampaignRun.failures` instead of raising
@@ -355,14 +327,13 @@ class CampaignRunner:
         use_leases: bool = True,
         lease_ttl_s: float = DEFAULT_TTL_S,
         owner: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
         allow_partial: bool = False,
         on_result: Optional[
             Callable[[int, "CampaignPointResult"], None]
         ] = None,
     ) -> None:
         check_point_timeout(point_timeout_s)
-        self._fault_plan = fault_plan
+        check_workers(workers)
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self._store = store
@@ -546,22 +517,22 @@ class CampaignRunner:
             return sorted(deferred + claimable)
 
         broken = False
-        pool = ProcessPoolExecutor(max_workers=pool_workers)
+        pool = ProcessPoolExecutor(
+            max_workers=min(pool_workers, len(claimable))
+        )
         try:
             futures = [
-                (
-                    index,
-                    pool.submit(
-                        _pool_execute,
-                        points[index],
-                        1,
-                        self._fault_plan,
-                    ),
-                )
+                (index, pool.submit(_pool_execute, points[index]))
                 for index in claimable
             ]
             for index, future in futures:
-                if broken:
+                # A future that finished before the pool broke keeps
+                # its result; only the rest go back to the serial path.
+                if broken and (
+                    not future.done()
+                    or future.cancelled()
+                    or future.exception() is not None
+                ):
                     self._note_attempt_failure(
                         points[index],
                         hashes[index],
@@ -768,21 +739,12 @@ class CampaignRunner:
         once the attempt budget is spent."""
         attempts_record: List[Dict[str, object]] = []
         attempt = start_attempt
-        point_fields = point.to_dict()
         owner = leases.owner if leases is not None else None
         while True:
             started = time.perf_counter()
-
-            def attempt_once():
-                if self._fault_plan is not None:
-                    self._fault_plan.fire_execute(
-                        point_fields, content_hash, attempt
-                    )
-                return execute_point(point)
-
             try:
                 metrics_dict, provenance = call_with_timeout(
-                    attempt_once,
+                    lambda: execute_point(point),
                     self._point_timeout_s,
                     PointTimeoutError,
                     "point execution",
@@ -814,7 +776,6 @@ class CampaignRunner:
                 attempt += 1
                 continue
             elapsed = time.perf_counter() - started
-            _log_execution(content_hash)
             # ``attempt`` is the global (pool + serial) attempt number
             # that succeeded, reported on the result.
             return metrics_dict, provenance, elapsed, attempt
@@ -888,7 +849,6 @@ class CampaignRunner:
 
 
 __all__ = [
-    "EXEC_LOG_ENV",
     "CampaignPointFailure",
     "CampaignPointResult",
     "CampaignRun",

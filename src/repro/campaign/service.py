@@ -55,16 +55,10 @@ an ``error`` event) so one stalled client can never wedge the shared
 computation. A client disconnecting mid-stream merely unsubscribes —
 the runner thread is independent of every handler thread.
 
-Chaos: the request handler is the ``service`` consumer of a
-``service_fault_plan`` — its rules on the request ops
-(:data:`~repro.campaign.faults.SERVICE_OPS` — ``submit``, ``status``,
-``list_campaigns``, ``healthz``) are injected server-side exactly like
-the object store's chaos harness: ``refuse``
-drops the connection cold, ``http_error`` answers 503/``Retry-After``,
-``delay`` sleeps, and ``disconnect`` streams the results but cuts the
-connection before the ``done`` line — the client sees a truncated
-stream for a computation that *landed*, which a re-submit reconciles
-through the cache.
+Recovery: a client whose stream is cut before the ``done`` line —
+for a computation that *landed* — re-submits, and the cache answers
+it. The tests drive that path, and refused or 503-answered requests,
+through a handler subclass in the test harness (``tests/chaos.py``).
 
 Doctest — the dedup key is invariant under JSON key order:
 
@@ -89,7 +83,6 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.campaign.faults import FaultPlan
 from repro.campaign.objectstore import (
     DISCONNECT_ERRORS,
     DisconnectTolerantHTTPServer,
@@ -100,6 +93,7 @@ from repro.campaign.runner import (
     CampaignPointResult,
     CampaignRunner,
     check_point_timeout,
+    check_workers,
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
@@ -419,9 +413,6 @@ class _ServiceHandler(HttpServiceHandler):
         if path != "/campaigns":
             self._send_json(404, {"error": f"unknown path {path!r}"})
             return
-        action = self._apply_pre_fault("submit", "")
-        if action == "handled":
-            return
         length = int(self.headers.get("Content-Length", 0) or 0)
         body = self.rfile.read(length) if length else b""
         if len(body) != length:
@@ -452,29 +443,17 @@ class _ServiceHandler(HttpServiceHandler):
                 400, {"error": f"{type(error).__name__}: {error}"}
             )
             return
-        self._stream(execution, created, truncate=action == "truncate")
+        self._stream(execution, created)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self.close_connection = True
         path = urlsplit(self.path).path.rstrip("/")
         if path == "/healthz":
-            action = self._apply_pre_fault("healthz", "")
-            if action == "handled":
-                return
-            self._send_json(
-                200,
-                self.service.healthz(),
-                truncate=action == "truncate",
-            )
+            self._send_json(200, self.service.healthz())
             return
         if path == "/campaigns":
-            action = self._apply_pre_fault("list_campaigns", "")
-            if action == "handled":
-                return
             self._send_json(
-                200,
-                {"campaigns": self.service.list_campaigns()},
-                truncate=action == "truncate",
+                200, {"campaigns": self.service.list_campaigns()}
             )
             return
         segments = path.lstrip("/").split("/")
@@ -484,9 +463,6 @@ class _ServiceHandler(HttpServiceHandler):
             and (len(segments) == 2 or segments[2] == "status")
         ):
             campaign_id = segments[1]
-            action = self._apply_pre_fault("status", campaign_id)
-            if action == "handled":
-                return
             snapshot = self.service.campaign_status(campaign_id)
             if snapshot is None:
                 self._send_json(
@@ -494,7 +470,7 @@ class _ServiceHandler(HttpServiceHandler):
                     {"error": f"unknown campaign {campaign_id!r}"},
                 )
                 return
-            self._send_json(200, snapshot, truncate=action == "truncate")
+            self._send_json(200, snapshot)
             return
         self._send_json(404, {"error": f"unknown path {path!r}"})
 
@@ -508,12 +484,7 @@ class _ServiceHandler(HttpServiceHandler):
         )
         self.wfile.flush()
 
-    def _stream(
-        self,
-        execution: CampaignExecution,
-        created: bool,
-        truncate: bool = False,
-    ) -> None:
+    def _stream(self, execution: CampaignExecution, created: bool) -> None:
         token = execution.subscribe()
         try:
             self.send_response(200)
@@ -528,13 +499,6 @@ class _ServiceHandler(HttpServiceHandler):
                 if line is None:
                     break
                 self._write_chunk(line)
-            if truncate:
-                # Injected mid-stream disconnect: the results streamed,
-                # the ``done`` line never arrives, the terminal chunk
-                # is withheld — the client's read sees a torn stream
-                # for a computation that landed.
-                self._hang_up()
-                return
             self._write_chunk(execution.summary_line())
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
@@ -569,10 +533,9 @@ class CampaignService(HttpService):
     :class:`~repro.campaign.storage.StorageDriver`-backed store works,
     including ``http://`` drivers pointing at a remote object-store
     data node. Runner knobs (``workers``, ``retry``,
-    ``point_timeout_s``, ``use_leases``, ``allow_partial``,
-    ``fault_plan``) configure the one :class:`CampaignRunner` each
-    distinct spec gets; ``service_fault_plan`` injects request-level
-    chaos (module docstring). ``allow_partial`` defaults to True: a
+    ``point_timeout_s``, ``use_leases``, ``allow_partial``) configure
+    the one :class:`CampaignRunner` each distinct spec gets.
+    ``allow_partial`` defaults to True: a
     permanently-failed point becomes a ``failed`` event and a
     ``partial`` summary instead of killing every subscriber's stream.
     """
@@ -592,24 +555,22 @@ class CampaignService(HttpService):
         point_timeout_s: Optional[float] = None,
         use_leases: bool = True,
         allow_partial: bool = True,
-        fault_plan=None,
-        service_fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         check_point_timeout(point_timeout_s)
+        check_workers(workers)
         if store is None:
             from repro.campaign.storage import MemoryDriver
 
             store = CampaignStore(driver=MemoryDriver())
         elif not isinstance(store, CampaignStore):
             store = CampaignStore(store)
-        super().__init__(host, port, service_fault_plan, "service")
+        super().__init__(host, port)
         self._store = store
         self._workers = workers
         self._retry = retry
         self._point_timeout_s = point_timeout_s
         self._use_leases = bool(use_leases)
         self._allow_partial = bool(allow_partial)
-        self._fault_plan = fault_plan
         self._lock = threading.Lock()
         self._executions: Dict[str, CampaignExecution] = {}
         self._n_submitted = 0
@@ -634,7 +595,6 @@ class CampaignService(HttpService):
             workers=self._workers,
             point_timeout_s=self._point_timeout_s,
             use_leases=self._use_leases,
-            fault_plan=self._fault_plan,
             allow_partial=self._allow_partial,
             on_result=on_result,
             **kwargs,

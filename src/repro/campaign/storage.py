@@ -5,13 +5,13 @@ files, failure records, quarantine stamps — flows through a
 :class:`StorageDriver`. The driver layer is where I/O faults
 are absorbed: bounded retries with seeded-jitter backoff and optional
 per-operation timeouts live in :class:`RetryingDriver`, crash-consistent
-durability lives in :class:`PosixDriver` (fsync-on-commit), and the
-whole contract is exercised in CI by :class:`FaultyDriver`, which
-injects I/O errors, torn writes, and latency from a seeded declarative
-:class:`~repro.campaign.faults.FaultPlan`. A remote/object-store
-driver only has to honour the same contract to inherit the campaign
-layer's entire fault story (HSDS's ``storUtil`` posix/S3/Azure split is
-the model).
+durability lives in :class:`PosixDriver` (fsync-on-commit). Faults
+reach the stack through :class:`WrappingDriver`: the test harness
+(``tests/chaos.py``) wraps a driver to inject I/O errors, torn writes
+and latency, the way :class:`RetryingDriver` wraps one to absorb them.
+A remote/object-store driver only has to honour the same contract to
+inherit the campaign layer's entire fault story (HSDS's ``storUtil``
+posix/S3/Azure split is the model).
 
 The driver contract
 ===================
@@ -36,7 +36,8 @@ fault rules and retry keys see the same key the backend stores:
     value also survives a host crash (fsync-on-commit).
 ``put_exclusive(key, data) -> bool``
     Atomic create-if-absent — the lease *claim* primitive. Exactly one
-    of N concurrent callers on a vacant key returns ``True``.
+    of N concurrent callers on a vacant key returns ``True``, and no
+    reader sees the key before its whole value.
 ``replace(key, data)``
     Atomic unconditional overwrite — the lease *steal/heartbeat*
     primitive. Visible-after-return with read-your-writes: a ``get``
@@ -88,7 +89,6 @@ from pathlib import Path, PurePosixPath
 from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
-from repro.campaign.faults import FaultPlan, FaultSelector
 from repro.campaign.retry import (
     STORAGE_RETRY,
     RetryPolicy,
@@ -97,10 +97,24 @@ from repro.campaign.retry import (
 )
 from repro.errors import (
     ConfigurationError,
-    PersistentStorageError,
     StorageMissingError,
     TransientStorageError,
 )
+
+#: The driver contract's operations (the names the object-store wire
+#: protocol carries in ``X-Repro-Op``).
+DRIVER_OPS = (
+    "get",
+    "put_atomic",
+    "put_exclusive",
+    "replace",
+    "delete",
+    "list",
+    "exists",
+    "stat",
+    "rename",
+)
+
 
 @dataclass(frozen=True)
 class StorageStat:
@@ -296,18 +310,21 @@ class PosixDriver(StorageDriver):
     def put_exclusive(self, key: str, data: bytes) -> bool:
         path = self._path(key)
         try:
-            # Outside the O_EXCL handler: a parent that exists as a file
+            # Outside the link's handler: a parent that exists as a file
             # is a broken store, not a taken key.
             path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = self._write_tmp(key, data)
         except OSError as error:
             self._record("put_exclusive", error=True)
             raise TransientStorageError(
                 f"put_exclusive({key!r}): {error}"
             ) from error
         try:
-            fd = os.open(
-                path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
+            # The key appears whole or not at all: an O_EXCL create
+            # would show it empty until written, and a concurrent
+            # claimer would steal that as a torn lease.
+            os.link(tmp, path)
+            self._fsync_dir(path.parent)
         except FileExistsError:
             self._record("put_exclusive")
             return False
@@ -316,18 +333,8 @@ class PosixDriver(StorageDriver):
             raise TransientStorageError(
                 f"put_exclusive({key!r}): {error}"
             ) from error
-        try:
-            try:
-                os.write(fd, data)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._fsync_dir(path.parent)
-        except OSError as error:
-            self._record("put_exclusive", error=True)
-            raise TransientStorageError(
-                f"put_exclusive({key!r}): {error}"
-            ) from error
+        finally:
+            tmp.unlink(missing_ok=True)
         self._record("put_exclusive", wrote=len(data))
         return True
 
@@ -501,7 +508,7 @@ class WrappingDriver(StorageDriver):
     ``rename``) and a thunk performing it on :attr:`inner`; write
     operations also pass their payload as ``data``. A subclass supplies
     only that hook and its :meth:`stats`, which nest the inner layer's
-    under ``"inner"`` so a stack such as ``retrying(faulty(posix))``
+    under ``"inner"`` so a stack such as ``retrying(breaker(http))``
     reports every layer without key collisions.
     """
 
@@ -556,81 +563,6 @@ class WrappingDriver(StorageDriver):
         return self._call(
             "rename", key, lambda: self._inner.rename(key, new_key)
         )
-
-
-class FaultyDriver(WrappingDriver):
-    """Wrapper injecting storage faults from a seeded declarative plan.
-
-    The ``driver`` consumer of a :class:`~repro.campaign.faults.
-    FaultPlan`: rules select driver calls by operation and key prefix,
-    then fire on explicit call indices or with seeded per-call
-    probability. Kinds:
-
-    * ``error`` / ``persistent`` — raise Transient-/
-      PersistentStorageError *before* the operation touches the
-      backend (the old state is intact);
-    * ``hang`` — sleep ``hang_s``, then perform the operation (a slow
-      disk / network stall; trips per-operation timeouts);
-    * ``torn`` — write operations only: land ``data[:offset]``
-      (default: half) through the raw backend, then raise
-      TransientStorageError — or return successfully when ``silent``,
-      simulating an *undetected* torn write on a non-atomic backend
-      that the store's integrity verification must catch later.
-
-    Call counting is per rule within this driver instance (via its
-    :class:`~repro.campaign.faults.FaultSelector`), so injection is
-    reproducible for a given operation sequence without shared mutable
-    state. Rules of other consumers' kinds (the object store's network
-    kinds, say) are skipped without advancing their counters.
-    """
-
-    def __init__(self, inner: StorageDriver, plan: FaultPlan) -> None:
-        super().__init__(inner, "faulty")
-        self._selector = FaultSelector(plan, "driver")
-
-    @property
-    def n_injected(self) -> int:
-        return self._selector.n_injected
-
-    def _call(self, op: str, key: str, fn, data: Optional[bytes] = None):
-        rule = self._selector.consult(op, key)
-        if rule is None:
-            return fn()
-        if rule.kind == "hang":
-            time.sleep(rule.hang_s)
-            return fn()
-        if rule.kind == "persistent":
-            raise PersistentStorageError(
-                f"injected persistent storage fault at {op}({key!r})"
-            )
-        if rule.kind == "torn":
-            assert data is not None
-            offset = (
-                len(data) // 2
-                if rule.offset is None
-                else min(rule.offset, len(data))
-            )
-            # The partial payload lands through the *raw* backend: this
-            # models a non-atomic write (or a crash mid-copy) that the
-            # atomicity contract forbids — exactly what the store's
-            # integrity verification exists to catch.
-            self._inner.replace(key, data[:offset])
-            if rule.silent:
-                return None
-            raise TransientStorageError(
-                f"injected torn write at {op}({key!r}) "
-                f"(kept {offset} of {len(data)} bytes)"
-            )
-        raise TransientStorageError(
-            f"injected transient storage fault at {op}({key!r})"
-        )
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "driver": self.name,
-            "n_injected_faults": self.n_injected,
-            "inner": self._inner.stats(),
-        }
 
 
 class RetryingDriver(WrappingDriver):
@@ -760,52 +692,38 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
     }
 
 
-def build_driver(
-    spec: Optional[str] = None,
-    root=None,
-    storage_fault_plan: Optional[FaultPlan] = None,
-) -> StorageDriver:
+def build_driver(spec: Optional[str] = None, root=None) -> StorageDriver:
     """Construct a driver from a ``--storage-driver`` spec.
 
     ``spec`` is a URL spec (see :func:`parse_driver_spec`), or ``None``
     for posix at ``root``. ``http(s)://`` specs come wrapped in the
     circuit breaker
     (:class:`~repro.campaign.objectstore.CircuitBreakerDriver`) so
-    persistent network failure degrades instead of wedging. A
-    ``storage_fault_plan`` wraps any driver in a :class:`FaultyDriver`,
-    so ``--storage-fault-plan`` alone implies client-side injection.
+    persistent network failure degrades instead of wedging.
     """
     parsed = (
         {"scheme": "posix", "root": root}
         if spec is None
         else parse_driver_spec(spec)
     )
-    base: StorageDriver
     if parsed["scheme"] == "memory":
-        base = MemoryDriver()
-    elif parsed["scheme"] == "posix":
+        return MemoryDriver()
+    if parsed["scheme"] == "posix":
         if parsed["root"] is None:
             raise ConfigurationError(
                 "a posix driver needs a store root (a directory, or a "
                 "posix:///path spec)"
             )
-        base = PosixDriver(parsed["root"])
-    else:
-        # Imported lazily: objectstore builds on this module.
-        from repro.campaign.objectstore import (
-            CircuitBreakerDriver,
-            HttpDriver,
-        )
+        return PosixDriver(parsed["root"])
+    # Imported lazily: objectstore builds on this module.
+    from repro.campaign.objectstore import CircuitBreakerDriver, HttpDriver
 
-        base = CircuitBreakerDriver(HttpDriver(parsed["url"]))
-    if storage_fault_plan is not None:
-        base = FaultyDriver(base, storage_fault_plan)
-    return base
+    return CircuitBreakerDriver(HttpDriver(parsed["url"]))
 
 
 __all__ = [
+    "DRIVER_OPS",
     "DRIVER_SCHEMES",
-    "FaultyDriver",
     "MemoryDriver",
     "PosixDriver",
     "RetryingDriver",

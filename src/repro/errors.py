@@ -148,8 +148,3 @@ class CampaignServiceError(CampaignError):
 
 class PointTimeoutError(CampaignError):
     """A campaign point exceeded its per-point execution timeout."""
-
-
-class FaultInjectedError(CampaignError):
-    """A synthetic failure raised by the deterministic fault-injection
-    harness (:mod:`repro.campaign.faults`) — never by real physics."""

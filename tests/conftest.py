@@ -38,3 +38,28 @@ def small_config():
         bandwidth_hz=125e3, spreading_factor=6, skip=2,
         n_association_shifts=0,
     )
+
+
+@pytest.fixture
+def execute_chaos(monkeypatch, tmp_path):
+    """Install ``tests/chaos.py``'s execute faults for one test:
+    ``execute_chaos(*rules)`` wraps ``runner.execute_point``; teardown
+    releases every hang and checks that no hung thread and no child
+    process outlives the test."""
+    import chaos
+    import repro.campaign.runner as campaign_runner
+
+    installed = []
+
+    def install(*rules, seed=0):
+        injector = chaos.ExecuteChaos(
+            chaos.plan(*rules, seed=seed),
+            tmp_path / f"execute-chaos-{len(installed)}",
+        )
+        monkeypatch.setattr(campaign_runner, "execute_point", injector)
+        installed.append(injector)
+        return injector
+
+    yield install
+    for injector in installed:
+        injector.release()

@@ -18,6 +18,7 @@ The load-bearing pins:
 """
 
 import json
+import logging
 import os
 from dataclasses import asdict, replace
 
@@ -410,6 +411,30 @@ def _legacy_execute_point(point):
     return asdict(metrics), provenance
 
 
+class TestProgressCallback:
+    def test_on_result_sees_every_point_in_grid_order(self, tmp_path):
+        seen = []
+        spec = small_spec()
+        CampaignRunner(store=tmp_path).run(spec)
+        run = CampaignRunner(
+            store=tmp_path,
+            on_result=lambda index, result: seen.append((index, result)),
+        ).run(small_spec(device_counts=COUNTS + (2,)))
+        assert [index for index, _ in seen] == [0, 1, 2]
+        assert [result.cached for _, result in seen] == [True, True, False]
+        assert [result for _, result in seen] == run.results
+
+    def test_a_failing_on_result_is_logged_not_fatal(self, caplog):
+        def observer(index, result):
+            raise RuntimeError("progress bar broke")
+
+        with caplog.at_level(logging.ERROR, "repro.campaign.runner"):
+            run = CampaignRunner(on_result=observer).run(small_spec())
+        assert run.metrics == campaign_metrics(small_spec())
+        assert caplog.text.count("on_result progress callback failed") == 2
+        assert "progress bar broke" in caplog.text
+
+
 class TestPrefixBuild:
     """The runner builds only the devices a point simulates."""
 
@@ -512,6 +537,38 @@ class TestPoolFallback:
         assert resolve_pool_workers(4) == 4
         monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
         assert resolve_pool_workers(4) == 0
+
+    @pytest.mark.parametrize("workers", [-1, 2.5, True, "4"])
+    def test_resolve_refuses_a_malformed_request(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            resolve_pool_workers(workers)
+
+    def test_pool_is_capped_at_the_claimed_points(
+        self, monkeypatch, tmp_path
+    ):
+        """A pool forks all its workers up front, so ``workers=500``
+        over two points must ask for two, never 500 (recorded here
+        without starting any process)."""
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 8)
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def submit(self, fn, *args):
+                from concurrent.futures import Future
+
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(campaign_runner, "ProcessPoolExecutor", RecordingPool)
+        run = CampaignRunner(store=tmp_path, workers=500).run(small_spec())
+        assert requested == [len(COUNTS)] and run.n_computed == len(COUNTS)
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
         """A process pinned to one CPU of a many-CPU host counts one."""
@@ -678,6 +735,22 @@ class TestCli:
             str(tmp_path),
         ) == 0
         assert "(2 cached, 0 computed)" in capsys.readouterr().out
+
+    def test_lease_ttl_flag_reaches_the_leases(self, tmp_path, monkeypatch, capsys):
+        ttls = []
+        real = campaign_runner.LeaseManager
+
+        def recording(driver, owner=None, ttl_s=None):
+            ttls.append(ttl_s)
+            return real(driver, owner, ttl_s)
+
+        monkeypatch.setattr(campaign_runner, "LeaseManager", recording)
+        argv = ["run", "--spec", "fig17", "--seed", "0", "--counts", "1",
+                "--rounds", "1", "--store", str(tmp_path)]
+        assert self.run_cli(*argv, "--lease-ttl-s", "7.5") == 0
+        assert self.run_cli(*argv, "--no-leases") == 0
+        capsys.readouterr()
+        assert ttls == [7.5]
 
     def test_unknown_spec_errors(self, tmp_path):
         with pytest.raises(ReproError):

@@ -15,20 +15,24 @@ The load-bearing pins:
   recomputed, healing the store;
 * **degradation** — a broken process pool downgrades the campaign (and
   the direct network sweep) to serial execution instead of dying.
+
+The faults come from ``tests/chaos.py``: execute faults through the
+``execute_chaos`` fixture, storage faults through its wrapping driver.
 """
 
 import json
+import logging
 import multiprocessing
-import os
+import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro.campaign.faults as faults_module
+import chaos
 import repro.campaign.retry as retry_module
 import repro.campaign.runner as campaign_runner
-from repro.campaign.faults import FaultPlan, FaultSelector
 from repro.campaign.leases import (
     HeartbeatThread,
     LeaseManager,
@@ -37,19 +41,14 @@ from repro.campaign.leases import (
     scan_lease_backend,
 )
 from repro.campaign.presets import fig17_campaign
-from repro.campaign.runner import (
-    EXEC_LOG_ENV,
-    CampaignRunner,
-    RetryPolicy,
-)
+from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.spec import CampaignPoint, CampaignSpec
-from repro.campaign.storage import FaultyDriver, PosixDriver
+from repro.campaign.storage import PosixDriver, WrappingDriver
 from repro.campaign.store import CampaignStore
 from repro.errors import (
     CampaignExecutionError,
     CampaignIntegrityError,
     ConfigurationError,
-    FaultInjectedError,
 )
 
 COUNTS = (1, 2)
@@ -90,23 +89,12 @@ def tear(store, key):
     store.driver.replace(key, data[: max(1, len(data) // 2)])
 
 
-def plan_json(rules, seed=0):
-    return json.dumps(
-        {"schema": "repro-fault-plan-v1", "seed": seed, "rules": rules}
-    )
-
-
-def plan_from(rules, seed=0):
-    return FaultPlan.from_json(plan_json(rules, seed))
+def execute_rule(kind, attempts=(1,), **match):
+    return chaos.Rule(kind, op="execute", match=match, calls=attempts)
 
 
 def crash_rule(attempts=(1,), **match):
-    return {
-        "stage": "execute",
-        "kind": "crash",
-        "match": match,
-        "attempts": list(attempts),
-    }
+    return execute_rule("crash", attempts, **match)
 
 
 class TestRetryPolicy:
@@ -151,127 +139,61 @@ class TestRetryPolicy:
 
 
 class TestFaultPlan:
-    def test_v1_rules_load_as_execute_rules(self):
-        plan = plan_from(
-            [
-                crash_rule(n_devices=16),
-                {
-                    "stage": "execute",
-                    "kind": "hang",
-                    "match": {"hash_prefix": "3f"},
-                    "attempts": [1, 2],
-                    "hang_s": 0.5,
-                },
-            ],
-            seed=7,
-        )
-        assert plan.seed == 7
-        crash, hang = plan.rules
-        assert (crash.op, crash.kind, crash.calls) == ("execute", "crash", (1,))
-        assert dict(crash.match) == {"n_devices": 16}
-        assert (hang.key_prefix, hang.calls, hang.hang_s) == ("3f", (1, 2), 0.5)
-
     def test_matches_on_fields_attempts_and_hash_prefix(self):
         point = make_point()
         fields = point.to_dict()
         content = point.content_hash()
-        plan = plan_from(
-            [
-                crash_rule(attempts=(2,), n_devices=8),
-                {
-                    "stage": "execute",
-                    "kind": "hang",
-                    "match": {"hash_prefix": content[:6]},
-                    "attempts": [1],
-                },
-            ]
+        plan = chaos.plan(
+            crash_rule(attempts=(2,), n_devices=8),
+            chaos.Rule("hang", op="execute", key_prefix=content[:6]),
         )
-        runner = FaultSelector(plan, "runner")
+        runner = chaos.Selector(plan, chaos.EXECUTE_KINDS)
         assert runner.consult("execute", content, 2, fields).kind == "crash"
         assert runner.consult("execute", content, 1, fields).kind == "hang"
         assert runner.consult("execute", "ffff", 1, fields) is None
-        driver = FaultSelector(plan, "driver")
+        driver = chaos.Selector(plan, chaos.DISK_KINDS)
         assert driver.consult("put_atomic", content) is None
         other = make_point(n_devices=4).to_dict()
         assert runner.consult("execute", "ffff", 2, other) is None
 
-    def test_from_spec_inline_and_file(self, tmp_path):
-        text = plan_json([crash_rule(n_devices=1)])
-        plan = FaultPlan.from_json(text)
-        assert FaultPlan.from_spec(text) == plan
-        path = tmp_path / "plan.json"
-        path.write_text(text)
-        assert FaultPlan.from_spec(str(path)) == plan
-
-    @pytest.mark.parametrize(
-        "rule",
-        [
-            {"stage": "nope", "kind": "crash"},
-            {"stage": "execute", "kind": "nope"},
-            {"stage": "execute", "kind": "torn"},  # torn is a driver kind
-            {"stage": "write", "kind": "crash"},  # the write stage is gone
-            {
-                "stage": "execute",
-                "kind": "crash",
-                "match": {"frobnicate": 1},
-            },
-        ],
-    )
-    def test_invalid_rules_rejected(self, rule):
-        with pytest.raises(ConfigurationError):
-            plan_from([rule])
-
-    def test_v1_write_stage_refused_with_the_storage_form(self):
-        with pytest.raises(ConfigurationError, match='"kind": "torn"'):
-            plan_from([{"stage": "write", "kind": "torn", "match": {}}])
-
-    def test_unknown_plan_keys_and_schema_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict({"schema": "other", "rules": []})
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict(
-                {"schema": "repro-fault-plan-v1", "bogus": 1}
-            )
-
-    def test_fire_execute_crash_raises(self):
-        plan = plan_from([crash_rule(n_devices=8)])
+    def test_fire_execute_crash_raises(self, execute_chaos):
+        injector = execute_chaos(crash_rule(n_devices=8))
+        injector.real = lambda point: ({}, {})
         point = make_point()
-        with pytest.raises(FaultInjectedError):
-            plan.fire_execute(point.to_dict(), point.content_hash(), 1)
-        # Off-attempt: no fault.
-        plan.fire_execute(point.to_dict(), point.content_hash(), 2)
+        with pytest.raises(chaos.InjectedCrash):
+            injector(point)
+        # Off-attempt: no fault, and the completion is logged.
+        assert injector(point) == ({}, {})
+        assert injector.executed() == [point.content_hash()]
 
-    def test_fire_execute_hang_sleeps(self):
-        plan = plan_from(
-            [
-                {
-                    "stage": "execute",
-                    "kind": "hang",
-                    "match": {},
-                    "attempts": [1],
-                    "hang_s": 0.05,
-                }
-            ]
-        )
-        point = make_point()
-        started = time.perf_counter()
-        plan.fire_execute(point.to_dict(), point.content_hash(), 1)
-        assert time.perf_counter() - started >= 0.05
+    def test_fire_execute_hang_sleeps(self, execute_chaos):
+        # A hang blocks until the test releases it, then fails the
+        # attempt instead of computing.
+        injector = execute_chaos(execute_rule("hang"))
+        errors = []
 
-    def test_kill_degrades_to_crash_in_main_process(self, monkeypatch):
+        def call():
+            try:
+                injector(make_point())
+            except chaos.InjectedCrash as error:
+                errors.append(str(error))
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(0.1)
+        assert thread.is_alive()
+        injector.release()
+        assert not thread.is_alive()
+        assert "released hang" in errors[0] and injector.executed() == []
+
+    def test_kill_degrades_to_crash_in_main_process(self, execute_chaos):
+        injector = execute_chaos(execute_rule("kill"))
+        with pytest.raises(chaos.InjectedCrash, match="kill"):
+            injector(make_point())
+
+    def test_kill_hard_exits_in_pool_worker(self, execute_chaos, monkeypatch):
         monkeypatch.setattr(
-            faults_module.multiprocessing, "parent_process", lambda: None
-        )
-        plan = plan_from(
-            [{"stage": "execute", "kind": "kill", "match": {}}]
-        )
-        point = make_point()
-        with pytest.raises(FaultInjectedError, match="kill"):
-            plan.fire_execute(point.to_dict(), point.content_hash(), 1)
-
-    def test_kill_hard_exits_in_pool_worker(self, monkeypatch):
-        monkeypatch.setattr(
-            faults_module.multiprocessing, "parent_process", object
+            chaos.multiprocessing, "parent_process", object
         )
         calls = []
 
@@ -279,13 +201,10 @@ class TestFaultPlan:
             calls.append(code)
             raise SystemExit(code)
 
-        monkeypatch.setattr(faults_module.os, "_exit", fake_exit)
-        plan = plan_from(
-            [{"stage": "execute", "kind": "kill", "match": {}}]
-        )
-        point = make_point()
+        monkeypatch.setattr(chaos.os, "_exit", fake_exit)
+        injector = execute_chaos(execute_rule("kill"))
         with pytest.raises(SystemExit):
-            plan.fire_execute(point.to_dict(), point.content_hash(), 1)
+            injector(make_point())
         assert calls == [86]
 
 
@@ -369,6 +288,79 @@ class TestLeaseManager:
     def test_rejects_nonpositive_ttl(self, tmp_path):
         with pytest.raises(ConfigurationError, match="ttl_s"):
             LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.0)
+
+    def test_concurrent_claims_on_a_vacant_point_have_one_winner(
+        self, tmp_path, monkeypatch
+    ):
+        # b claims while a's exclusive create is still writing its
+        # payload: b must not find the key empty, take it for a torn
+        # lease and steal it, or both would compute the point.
+        import os
+
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=10.0)
+        b = LeaseManager(PosixDriver(tmp_path), owner="b", ttl_s=10.0)
+        real_write = os.write
+        b_claimed = []
+
+        def write_while_b_claims(fd, data):
+            if not b_claimed and b'"owner": "a"' in data:
+                claim = threading.Thread(
+                    target=lambda: b_claimed.append(b.acquire("h1"))
+                )
+                claim.start()
+                claim.join()
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write_while_b_claims)
+        a_claimed = a.acquire("h1")
+        monkeypatch.undo()
+        assert sorted([a_claimed, b_claimed[0]]) == [False, True]
+        winner = "a" if a_claimed else "b"
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == winner
+
+    def test_release_survives_a_failed_delete(self, tmp_path):
+        # The lease is dropped from the holder's books at once; its
+        # file stays until it expires, never blocking completion.
+        driver = chaos.FaultyDriver(
+            PosixDriver(tmp_path),
+            chaos.plan(chaos.Rule("persistent", op="delete")),
+        )
+        a = LeaseManager(driver, owner="a", ttl_s=10.0)
+        assert a.acquire("h1")
+        a.release("h1")
+        assert a.held == [] and driver.n_injected == 1
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == "a"
+
+    def test_release_all_drops_every_held_lease(self, tmp_path):
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=10.0)
+        assert a.acquire("h1") and a.acquire("h2")
+        a.release_all()
+        assert a.held == []
+        assert scan_lease_backend(PosixDriver(tmp_path)) == []
+
+    def test_steal_lost_at_read_back_is_refused(self, tmp_path):
+        # Two stealers replace an expired lease at once; the read-back
+        # shows the other one's payload, so this claim loses.
+        rival = LeaseManager(PosixDriver(tmp_path), owner="c", ttl_s=10.0)
+
+        class RivalLandsLast(WrappingDriver):
+            def _call(self, op, key, fn, data=None):
+                result = fn()
+                if op == "replace":
+                    self.inner.replace(key, rival._payload("h1", 0))
+                return result
+
+        a = LeaseManager(PosixDriver(tmp_path), owner="a", ttl_s=0.05)
+        assert a.acquire("h1")
+        time.sleep(0.1)
+        b = LeaseManager(
+            RivalLandsLast(PosixDriver(tmp_path), "rival"),
+            owner="b",
+            ttl_s=10.0,
+        )
+        assert not b.acquire("h1")
+        assert b.held == []
+        assert live_lease(PosixDriver(tmp_path), "h1")["owner"] == "c"
 
 
 class TestStoreIntegrity:
@@ -492,13 +484,85 @@ class TestStoreIntegrity:
         assert store.failures() == []
 
 
+def persistent_on(tmp_path, op, key_prefix=""):
+    """A store over ``tmp_path`` whose every ``op`` on ``key_prefix``
+    keys fails persistently (never retried)."""
+    return CampaignStore(
+        driver=chaos.FaultyDriver(
+            PosixDriver(tmp_path),
+            chaos.plan(
+                chaos.Rule(
+                    "persistent", op=op, key_prefix=key_prefix, p=1.0
+                )
+            ),
+        )
+    )
+
+
+class TestStoreDegradation:
+    """Store bookkeeping that a storage fault must not turn into a
+    failed run: each path serves what it can and heals later."""
+
+    def test_failure_record_survives_a_failed_clear(self, tmp_path):
+        point = make_point()
+        CampaignStore(tmp_path).record_failure(
+            point,
+            [{"attempt": 1, "error": "E", "message": "m"}],
+            status="retrying",
+        )
+        store = persistent_on(tmp_path, "delete", "failures/")
+        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
+        assert store.has(point)
+        # The stale record only costs a later clear.
+        assert store.load_failure(point.content_hash())["status"] == "retrying"
+        CampaignStore(tmp_path).clear_failure(point.content_hash())
+        assert CampaignStore(tmp_path).failures() == []
+
+    def test_failures_skip_keys_that_are_not_records(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        point = make_point()
+        store.record_failure(
+            point,
+            [{"attempt": 1, "error": "E", "message": "m"}],
+            status="failed",
+        )
+        store.driver.put_atomic("failures/README.txt", b"notes\n")
+        store.driver.put_atomic("failures/torn.json", b"{ torn")
+        assert [r["content_hash"] for r in store.failures()] == [
+            point.content_hash()
+        ]
+
+    def test_rebuilt_manifest_is_served_when_it_cannot_be_written(
+        self, tmp_path, caplog
+    ):
+        point = make_point()
+        CampaignStore(tmp_path).save(
+            point, {"phy_rate_bps": 1.0}, {"backend": "x"}
+        )
+        (tmp_path / "manifest.json").write_text("{ torn")
+        store = persistent_on(tmp_path, "put_atomic", "manifest.json")
+        with caplog.at_level(logging.WARNING, "repro.campaign.store"):
+            manifest = store.manifest()
+        assert sorted(manifest["points"]) == [point.content_hash()]
+        assert "could not persist rebuilt manifest" in caplog.text
+        assert (tmp_path / "manifest.json").read_text() == "{ torn"
+
+    def test_status_skips_a_chunk_it_cannot_stat(self, tmp_path):
+        point = make_point()
+        CampaignStore(tmp_path).save(
+            point, {"phy_rate_bps": 1.0}, {"backend": "x"}
+        )
+        status = persistent_on(tmp_path, "stat", "points/").status()
+        assert status["n_points"] == 1
+        assert status["store_bytes"] == 0
+
+
 class TestRunnerRetries:
-    def test_crash_then_success_records_attempts(self, tmp_path):
+    def test_crash_then_success_records_attempts(self, tmp_path, execute_chaos):
         spec = small_spec()
-        plan = plan_from([crash_rule(n_devices=1)])
+        execute_chaos(crash_rule(n_devices=1))
         runner = CampaignRunner(
             store=tmp_path / "store",
-            fault_plan=plan,
             retry=FAST_RETRY,
             use_leases=False,
         )
@@ -510,16 +574,15 @@ class TestRunnerRetries:
         # The transient failure record was cleared by the checkpoint.
         assert runner.store.failures() == []
 
-    def test_retry_budget_exhaustion_raises(self, tmp_path):
+    def test_retry_budget_exhaustion_raises(self, tmp_path, execute_chaos):
         spec = small_spec()
-        plan = plan_from([crash_rule(attempts=(1, 2, 3), n_devices=1)])
+        execute_chaos(crash_rule(attempts=(1, 2, 3), n_devices=1))
         runner = CampaignRunner(
             store=tmp_path / "store",
-            fault_plan=plan,
             retry=FAST_RETRY,
             use_leases=False,
         )
-        with pytest.raises(CampaignExecutionError, match="FaultInjected"):
+        with pytest.raises(CampaignExecutionError, match="InjectedCrash"):
             runner.run(spec)
         # The good point still checkpointed; the bad one left a record.
         store = runner.store
@@ -530,12 +593,11 @@ class TestRunnerRetries:
         assert len(records[0]["attempts"]) == 3
         assert store.status()["n_failed"] == 1
 
-    def test_allow_partial_reports_failures(self, tmp_path):
+    def test_allow_partial_reports_failures(self, tmp_path, execute_chaos):
         spec = small_spec()
-        plan = plan_from([crash_rule(attempts=(1, 2, 3), n_devices=1)])
+        execute_chaos(crash_rule(attempts=(1, 2, 3), n_devices=1))
         runner = CampaignRunner(
             store=tmp_path / "store",
-            fault_plan=plan,
             retry=FAST_RETRY,
             use_leases=False,
             allow_partial=True,
@@ -546,44 +608,33 @@ class TestRunnerRetries:
         assert failure.point.n_devices == 1
         assert [a["attempt"] for a in failure.attempts] == [1, 2, 3]
         assert all(
-            a["error"] == "FaultInjectedError" for a in failure.attempts
+            a["error"] == "InjectedCrash" for a in failure.attempts
         )
 
-    def test_failed_point_recovers_on_clean_rerun(self, tmp_path):
+    def test_failed_point_recovers_on_clean_rerun(
+        self, tmp_path, execute_chaos
+    ):
         spec = small_spec()
-        plan = plan_from([crash_rule(attempts=(1, 2, 3), n_devices=1)])
+        injector = execute_chaos(crash_rule(attempts=(1, 2, 3), n_devices=1))
         store_root = tmp_path / "store"
         with pytest.raises(CampaignExecutionError):
             CampaignRunner(
                 store=store_root,
-                fault_plan=plan,
                 retry=FAST_RETRY,
                 use_leases=False,
             ).run(spec)
-        clean = CampaignRunner(
-            store=store_root, fault_plan=FaultPlan(), use_leases=False
-        )
+        injector.plan = chaos.Plan()  # the clean rerun
+        clean = CampaignRunner(store=store_root, use_leases=False)
         run = clean.run(spec)
         assert run.n_cached == 1 and run.n_computed == 1
         assert clean.store.failures() == []
         assert clean.store.status()["n_failed"] == 0
 
-    def test_hang_is_timed_out_and_retried(self, tmp_path):
+    def test_hang_is_timed_out_and_retried(self, tmp_path, execute_chaos):
         spec = small_spec()
-        plan = plan_from(
-            [
-                {
-                    "stage": "execute",
-                    "kind": "hang",
-                    "match": {"n_devices": 1},
-                    "attempts": [1],
-                    "hang_s": 5.0,
-                }
-            ]
-        )
+        execute_chaos(execute_rule("hang", n_devices=1))
         runner = CampaignRunner(
             store=tmp_path / "store",
-            fault_plan=plan,
             retry=FAST_RETRY,
             point_timeout_s=0.3,
             use_leases=False,
@@ -608,26 +659,19 @@ class TestRunnerRetries:
             for point in spec.points()
             if point.n_devices == 1
         ]
-        plan = FaultPlan.from_dict(
-            {
-                "schema": "repro-storage-fault-plan-v1",
-                "rules": [
-                    {
-                        "op": "put_atomic",
-                        "kind": "torn",
-                        "key_prefix": f"points/{torn_hash}.json",
-                        "silent": True,
-                    }
-                ],
-            }
+        plan = chaos.plan(
+            chaos.Rule(
+                "torn",
+                op="put_atomic",
+                key_prefix=f"points/{torn_hash}.json",
+                silent=True,
+            )
         )
         torn_store = CampaignStore(
-            driver=FaultyDriver(PosixDriver(store_root), plan)
+            driver=chaos.FaultyDriver(PosixDriver(store_root), plan)
         )
         CampaignRunner(store=torn_store, use_leases=False).run(spec)
-        healer = CampaignRunner(
-            store=store_root, fault_plan=FaultPlan(), use_leases=False
-        )
+        healer = CampaignRunner(store=store_root, use_leases=False)
         run = healer.run(spec)
         assert run.n_computed == 1 and run.n_cached == 1
         store = healer.store
@@ -637,9 +681,7 @@ class TestRunnerRetries:
         }
 
         clean_root = tmp_path / "clean"
-        clean = CampaignRunner(
-            store=clean_root, fault_plan=FaultPlan(), use_leases=False
-        )
+        clean = CampaignRunner(store=clean_root, use_leases=False)
         clean.run(spec)
         store.manifest(), clean.store.manifest()
         assert (store_root / "manifest.json").read_bytes() == (
@@ -650,18 +692,12 @@ class TestRunnerRetries:
         spec = small_spec()
         runner = CampaignRunner(
             store=tmp_path / "store",
-            fault_plan=FaultPlan(),
             lease_ttl_s=5.0,
         )
         run = runner.run(spec)
         assert run.n_computed == 2
         assert runner.store.active_leases() == []
         assert list((tmp_path / "store" / "leases").glob("*.lease")) == []
-
-
-class _BrokenFuture:
-    def result(self, timeout=None):
-        raise BrokenProcessPool("injected worker death")
 
 
 class _ExplodingPool:
@@ -671,7 +707,9 @@ class _ExplodingPool:
         pass
 
     def submit(self, fn, *args, **kwargs):
-        return _BrokenFuture()
+        future = Future()
+        future.set_exception(BrokenProcessPool("injected worker death"))
+        return future
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
@@ -723,7 +761,6 @@ class TestPoolDegradation:
         runner = CampaignRunner(
             store=tmp_path / "store",
             workers=2,
-            fault_plan=FaultPlan(),
             retry=FAST_RETRY,
             use_leases=False,
         )
@@ -733,25 +770,65 @@ class TestPoolDegradation:
         assert all(r.attempts == 2 for r in run.results)
         assert runner.store.failures() == []
 
-    def test_injected_worker_kill_completes_campaign(self, tmp_path):
+    @pytest.mark.parametrize("fault", ["broken", "timeout"])
+    def test_result_finished_before_the_pool_broke_is_kept(
+        self, tmp_path, monkeypatch, fault
+    ):
+        """The first point's future breaks (or never finishes); the
+        second finished before that, so its result is kept and only the
+        first is computed again, serially."""
+
+        class ScriptedPool:
+            def __init__(self, max_workers=None):
+                self.n_submitted = 0
+
+            def submit(self, fn, *args):
+                future = Future()
+                if self.n_submitted == 0:
+                    if fault == "broken":
+                        future.set_exception(BrokenProcessPool("died"))
+                else:
+                    future.set_result(fn(*args))
+                self.n_submitted += 1
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        executed = []
+        real = campaign_runner.execute_point
+
+        def counting(point):
+            executed.append(point.n_devices)
+            return real(point)
+
+        monkeypatch.setattr(campaign_runner, "execute_point", counting)
+        monkeypatch.setattr(campaign_runner, "ProcessPoolExecutor", ScriptedPool)
+        monkeypatch.setattr(campaign_runner, "resolve_pool_workers", lambda w: 2)
+        runner = CampaignRunner(
+            store=tmp_path / "store",
+            workers=2,
+            retry=FAST_RETRY,
+            point_timeout_s=0.5 if fault == "timeout" else None,
+            use_leases=False,
+        )
+        run = runner.run(small_spec())
+        assert not run.failures
+        assert sorted(executed) == [1, 2]  # nothing computed twice
+        attempts = {r.point.n_devices: r.attempts for r in run.results}
+        assert attempts == {1: 2, 2: 1}
+
+    def test_injected_worker_kill_completes_campaign(
+        self, tmp_path, execute_chaos
+    ):
         """End to end: a kill fault in a real pool worker (or, on a
         1-CPU host, its crash degradation in the serial path) never
         loses the campaign."""
         spec = small_spec()
-        plan = plan_from(
-            [
-                {
-                    "stage": "execute",
-                    "kind": "kill",
-                    "match": {"n_devices": 1},
-                    "attempts": [1],
-                }
-            ]
-        )
+        execute_chaos(execute_rule("kill", n_devices=1))
         runner = CampaignRunner(
             store=tmp_path / "store",
             workers=2,
-            fault_plan=plan,
             retry=FAST_RETRY,
             use_leases=False,
         )
@@ -761,16 +838,14 @@ class TestPoolDegradation:
         assert len(runner.store) == 2
 
 
-def _child_run(store_root, spec_dict, plan_json, owner, lease_ttl_s):
-    """Run one campaign in a forked child (acceptance-test worker)."""
-    plan = (
-        FaultPlan.from_json(plan_json) if plan_json else FaultPlan()
-    )
+def _child_run(store_root, spec_dict, plan, owner, lease_ttl_s, workdir):
+    """Run one campaign in a forked child (acceptance-test worker) under
+    ``plan``'s execute faults; completions log to ``workdir/exec.log``."""
+    campaign_runner.execute_point = chaos.ExecuteChaos(plan, workdir)
     spec = CampaignSpec.from_dict(spec_dict)
     CampaignRunner(
         store=store_root,
         workers=None,
-        fault_plan=plan,
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
         owner=owner,
         lease_ttl_s=lease_ttl_s,
@@ -783,9 +858,7 @@ class TestConcurrentRunners:
     byte-identical to a single-shot clean run with zero duplicated
     point computations."""
 
-    def test_killed_runner_is_reclaimed_and_store_converges(
-        self, tmp_path, monkeypatch
-    ):
+    def test_killed_runner_is_reclaimed_and_store_converges(self, tmp_path):
         spec = small_spec(counts=(1, 2, 3))
         spec_dict = spec.to_dict()
         points = list(spec.points())
@@ -794,34 +867,24 @@ class TestConcurrentRunners:
 
         # Reference: single-shot clean run (no exec log, no faults).
         clean_root = tmp_path / "clean"
-        CampaignRunner(
-            store=clean_root, fault_plan=FaultPlan(), use_leases=False
-        ).run(spec)
+        CampaignRunner(store=clean_root, use_leases=False).run(spec)
         CampaignStore(clean_root).manifest()
 
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
-
-        # Victim A hangs forever on the first point while holding its
-        # lease (heartbeat keeps it live until A dies).
-        victim_plan = plan_json(
-            [
-                {
-                    "stage": "execute",
-                    "kind": "hang",
-                    "match": {"n_devices": 1},
-                    "attempts": [1, 2, 3],
-                    "hang_s": 120.0,
-                }
-            ]
+        # Victim A hangs until killed on the first point while holding
+        # its lease (heartbeat keeps it live until A dies).
+        victim_plan = chaos.plan(
+            execute_rule("hang", attempts=(1, 2, 3), n_devices=1)
         )
         # Survivor B also weathers a transient crash of its own.
-        survivor_plan = plan_json([crash_rule(n_devices=2)])
+        survivor_plan = chaos.plan(crash_rule(n_devices=2))
 
+        workdir = tmp_path / "chaos"
         context = multiprocessing.get_context("fork")
         victim = context.Process(
             target=_child_run,
-            args=(str(store_root), spec_dict, victim_plan, "victim", 1.0),
+            args=(
+                str(store_root), spec_dict, victim_plan, "victim", 1.0, workdir
+            ),
         )
         survivor = context.Process(
             target=_child_run,
@@ -831,6 +894,7 @@ class TestConcurrentRunners:
                 survivor_plan,
                 "survivor",
                 1.0,
+                workdir,
             ),
         )
         survivor_started = False
@@ -886,27 +950,27 @@ class TestConcurrentRunners:
 
         # Zero duplicated computations: every completed execution
         # logged exactly once, all by the surviving runner.
-        logged = [
-            line.split()[0]
-            for line in exec_log.read_text().splitlines()
-            if line.strip()
-        ]
+        logged = (workdir / "exec.log").read_text().split()[::2]
         assert sorted(logged) == sorted(hashes)
 
-    def test_two_live_runners_partition_without_duplicates(
-        self, tmp_path, monkeypatch
-    ):
+    def test_two_live_runners_partition_without_duplicates(self, tmp_path):
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [point.content_hash() for point in spec.points()]
         store_root = tmp_path / "store"
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        workdir = tmp_path / "chaos"
 
         context = multiprocessing.get_context("fork")
         workers = [
             context.Process(
                 target=_child_run,
-                args=(str(store_root), spec.to_dict(), None, name, 5.0),
+                args=(
+                    str(store_root),
+                    spec.to_dict(),
+                    chaos.Plan(),
+                    name,
+                    5.0,
+                    workdir,
+                ),
             )
             for name in ("w1", "w2")
         ]
@@ -924,22 +988,18 @@ class TestConcurrentRunners:
 
         store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
-        logged = [
-            line.split()[0]
-            for line in exec_log.read_text().splitlines()
-            if line.strip()
-        ]
+        logged = (workdir / "exec.log").read_text().split()[::2]
         assert sorted(logged) == sorted(hashes)
         assert len(logged) == len(set(logged))
 
 
 class TestCliFaultFlags:
     def test_run_with_fault_plan_retries_and_reports(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, execute_chaos
     ):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_json([crash_rule(n_devices=1)])
+        execute_chaos(crash_rule(n_devices=1))
         code = campaign_cli(
             [
                 "run",
@@ -953,8 +1013,6 @@ class TestCliFaultFlags:
                 "analytic",
                 "--store",
                 str(tmp_path / "store"),
-                "--fault-plan",
-                plan,
                 "--max-attempts",
                 "3",
                 "--no-leases",
@@ -965,10 +1023,12 @@ class TestCliFaultFlags:
         assert "(0 cached, 2 computed)" in out
         assert "attempts=2" in out
 
-    def test_run_permanent_failure_exits_nonzero(self, tmp_path, capsys):
+    def test_run_permanent_failure_exits_nonzero(
+        self, tmp_path, capsys, execute_chaos
+    ):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_json([crash_rule(attempts=(1, 2), n_devices=1)])
+        execute_chaos(crash_rule(attempts=(1, 2), n_devices=1))
         code = campaign_cli(
             [
                 "run",
@@ -982,8 +1042,6 @@ class TestCliFaultFlags:
                 "analytic",
                 "--store",
                 str(tmp_path / "store"),
-                "--fault-plan",
-                plan,
                 "--max-attempts",
                 "2",
                 "--no-leases",
@@ -994,10 +1052,12 @@ class TestCliFaultFlags:
         assert "FAILED" in captured.err
         assert "--allow-partial" in captured.err
 
-    def test_run_allow_partial_lists_failures(self, tmp_path, capsys):
+    def test_run_allow_partial_lists_failures(
+        self, tmp_path, capsys, execute_chaos
+    ):
         from repro.campaign.cli import main as campaign_cli
 
-        plan = plan_json([crash_rule(attempts=(1, 2), n_devices=1)])
+        execute_chaos(crash_rule(attempts=(1, 2), n_devices=1))
         code = campaign_cli(
             [
                 "run",
@@ -1011,8 +1071,6 @@ class TestCliFaultFlags:
                 "analytic",
                 "--store",
                 str(tmp_path / "store"),
-                "--fault-plan",
-                plan,
                 "--max-attempts",
                 "2",
                 "--no-leases",
@@ -1042,18 +1100,3 @@ class TestCliFaultFlags:
             "quarantine_reasons",
         ):
             assert key in status
-
-
-class TestExecLog:
-    def test_disabled_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(EXEC_LOG_ENV, raising=False)
-        campaign_runner._log_execution("abc")  # no-op, no file
-
-    def test_appends_one_line_per_completion(self, tmp_path, monkeypatch):
-        log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(log))
-        campaign_runner._log_execution("abc")
-        campaign_runner._log_execution("def")
-        lines = log.read_text().splitlines()
-        assert [line.split()[0] for line in lines] == ["abc", "def"]
-        assert all(line.split()[1] == str(os.getpid()) for line in lines)

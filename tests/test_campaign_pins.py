@@ -15,10 +15,10 @@ import time
 
 import pytest
 
+import chaos
 import repro.campaign.retry as retry_module
 from repro.campaign.cli import main
 from repro.campaign.client import CampaignServiceClient
-from repro.campaign.faults import FaultPlan
 from repro.campaign.objectstore import (
     CircuitBreaker,
     CircuitBreakerDriver,
@@ -30,14 +30,12 @@ from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
-    FaultyDriver,
     MemoryDriver,
     PosixDriver,
     RetryingDriver,
     build_driver,
 )
 from repro.campaign.store import CampaignStore
-from repro.errors import FaultInjectedError
 
 #: RetryPolicy().backoff_s("deadbeef", attempt) for attempts 1-4, by
 #: BACKOFF_SEED (the runner's per-point key form, runner defaults).
@@ -98,12 +96,10 @@ class TestBackoffPins:
         # schedule for seed 0, then escalates after the 4th attempt.
         slept = []
         monkeypatch.setattr(time, "sleep", slept.append)
-        plan = FaultPlan.from_dict(
-            {"rules": [{"kind": "error", "op": "get", "p": 1.0}]}
-        )
+        plan = chaos.plan(chaos.Rule("error", op="get", p=1.0))
         inner = MemoryDriver()
         inner.put_atomic("points/a.json", b"x")
-        retrying = RetryingDriver(FaultyDriver(inner, plan))
+        retrying = RetryingDriver(chaos.FaultyDriver(inner, plan))
         with pytest.raises(Exception) as raised:
             retrying.get("points/a.json")
         assert type(raised.value).__name__ == "PersistentStorageError"
@@ -113,11 +109,9 @@ class TestBackoffPins:
 
 class TestStatsPins:
     def test_retrying_faulty_posix(self, tmp_path):
-        plan = FaultPlan.from_dict(
-            {"rules": [{"kind": "error", "op": "get", "calls": [1]}]}
-        )
+        plan = chaos.plan(chaos.Rule("error", op="get", calls=(1,)))
         stack = RetryingDriver(
-            FaultyDriver(PosixDriver(tmp_path), plan)
+            chaos.FaultyDriver(PosixDriver(tmp_path), plan)
         )
         stack.put_atomic("points/a.json", b"abc")
         assert stack.get("points/a.json") == b"abc"
@@ -234,55 +228,43 @@ class TestStatusJsonPin:
 
 
 # ---------------------------------------------------------------------- #
-# fault-plan firing sequences
+# fault-plan firing sequences (tests/chaos.py)
 # ---------------------------------------------------------------------- #
 
-#: The valid plan literals of the CI fault jobs, as the jobs pass them.
-CI_EXECUTE_PLAN = """{"schema": "repro-fault-plan-v1", "rules": [
-  {"stage": "execute", "kind": "crash",
-   "match": {"n_devices": 1}, "attempts": [1]},
-  {"stage": "execute", "kind": "hang",
-   "match": {"n_devices": 4}, "attempts": [1], "hang_s": 30.0}]}"""
-CI_STORAGE_PLAN = """{"schema": "repro-storage-fault-plan-v1", "seed": 0, "rules": [
-  {"kind": "torn", "op": "put_atomic",
-   "key_prefix": "points/", "calls": [1, 3]},
-  {"kind": "error", "op": "get", "p": 0.1, "max_fires": 4},
-  {"kind": "hang", "op": "get", "calls": [2], "hang_s": 0.2}]}"""
-CI_NETWORK_PLAN = """{"schema": "repro-storage-fault-plan-v1", "seed": 7, "rules": [
-  {"kind": "refuse", "op": "get", "calls": [3]},
-  {"kind": "http_error", "op": "get", "calls": [6],
-   "status": 503, "retry_after_s": 0.02},
-  {"kind": "disconnect", "op": "put_atomic",
-   "key_prefix": "points/", "calls": [1, 3]},
-  {"kind": "stale_read", "op": "exists",
-   "key_prefix": "points/", "calls": [1]}]}"""
-CI_SERVICE_PLAN = """{"schema": "repro-storage-fault-plan-v1", "seed": 7, "rules": [
-  {"kind": "refuse", "op": "submit", "calls": [2]},
-  {"kind": "http_error", "op": "submit", "calls": [4],
-   "status": 503, "retry_after_s": 0.02},
-  {"kind": "delay", "op": "submit", "calls": [3],
-   "hang_s": 0.05}]}"""
-#: The two plans of the ``faults.py`` doctests.
-DOCTEST_EXECUTE_PLAN = (
-    '{"schema": "repro-fault-plan-v1", "rules": ['
-    '{"stage": "execute", "kind": "crash",'
-    ' "match": {"n_devices": 8}, "attempts": [1]}]}'
+#: The plans the CI chaos legs ran when they were shell jobs (now
+#: ``tests/test_campaign_chaos.py``).
+CI_EXECUTE_PLAN = chaos.plan(
+    chaos.Rule("crash", op="execute", match={"n_devices": 1}),
+    chaos.Rule("hang", op="execute", match={"n_devices": 4}),
 )
-DOCTEST_STORAGE_PLAN = (
-    '{"schema": "repro-storage-fault-plan-v1", "rules": ['
-    '{"op": "put_atomic", "key_prefix": "points/",'
-    ' "kind": "torn", "calls": [1]}]}'
+CI_STORAGE_PLAN = chaos.plan(
+    chaos.Rule("torn", op="put_atomic", key_prefix="points/", calls=(1, 3)),
+    chaos.Rule("error", op="get", p=0.1, max_fires=4),
+    chaos.Rule("hang", op="get", calls=(2,), hang_s=0.2),
+)
+CI_NETWORK_PLAN = chaos.plan(
+    chaos.Rule("refuse", op="get", calls=(3,)),
+    chaos.Rule("http_error", op="get", calls=(6,), retry_after_s=0.02),
+    chaos.Rule("disconnect", op="put_atomic", key_prefix="points/", calls=(1, 3)),
+    chaos.Rule("stale_read", op="exists", key_prefix="points/"),
+    seed=7,
+)
+CI_SERVICE_PLAN = chaos.plan(
+    chaos.Rule("refuse", op="submit", calls=(2,)),
+    chaos.Rule("http_error", op="submit", calls=(4,), retry_after_s=0.02),
+    chaos.Rule("delay", op="submit", calls=(3,)),
+    seed=7,
+)
+#: The two plans of the former ``faults.py`` doctest.
+DOCTEST_EXECUTE_PLAN = chaos.plan(
+    chaos.Rule("crash", op="execute", match={"n_devices": 8})
+)
+DOCTEST_STORAGE_PLAN = chaos.plan(
+    chaos.Rule("torn", op="put_atomic", key_prefix="points/")
 )
 #: One plan carrying both the disk and the wire rules, for the
 #: kind-filtered consumer pair (indices 0-2 disk, 3-6 wire).
-SHARED_PLAN = json.dumps(
-    {
-        "schema": "repro-storage-fault-plan-v1",
-        "seed": 7,
-        "rules": json.loads(CI_STORAGE_PLAN)["rules"]
-        + json.loads(CI_NETWORK_PLAN)["rules"],
-    }
-)
+SHARED_PLAN = chaos.Plan(CI_STORAGE_PLAN.rules + CI_NETWORK_PLAN.rules, seed=7)
 
 _STORAGE_OPS = (
     "get",
@@ -314,11 +296,11 @@ SERVICE_SCRIPT = [
 EXECUTE_SCRIPT = [(n, attempt) for n in (1, 2, 4, 8) for attempt in (1, 2, 3)]
 
 #: Per plan and consumer: the (0-based call, rule index) of every call
-#: that fired, in script order. Recorded before the two rule stacks
-#: were merged; the merged selector must reproduce them exactly.
+#: that fired, in script order, and the count. Recorded when the
+#: injectors still lived in ``src/``; the harness reproduces them.
 FIRING_PINS = {
-    "ci-execute": ([(0, 0), (6, 1)], 2, [30.0]),
-    "doctest-execute": ([(9, 0)], 1, []),
+    "ci-execute": ([(0, 0), (6, 1)], 2),
+    "doctest-execute": ([(9, 0)], 1),
     "ci-storage": (
         [(1, 0), (3, 2), (31, 0), (33, 1), (83, 1), (90, 1), (153, 1)],
         7,
@@ -350,69 +332,49 @@ def _point(n_devices):
     )
 
 
-def _rule_index(plan, rule):
-    return next(i for i, known in enumerate(plan.rules) if known is rule)
-
-
-def _consult_fired(selector, plan, script):
+def _fired(selectors, plan, script):
+    """Consult each selector on every call of ``script``; a call fires
+    where one of them picks a rule."""
     fired = []
     for call, (op, key) in enumerate(script):
-        rule = selector.consult(op, key)
-        if rule is not None:
-            fired.append((call, _rule_index(plan, rule)))
-    return fired, selector.n_injected
+        for selector in selectors:
+            rule = selector.consult(op, key)
+            if rule is not None:
+                fired.append((call, plan.rules.index(rule)))
+    return fired, sum(selector.n_injected for selector in selectors)
 
 
-def _driver(plan_json):
-    """A fault-injecting driver loaded from a plan's JSON, the way
-    ``--storage-fault-plan`` loads it."""
-    return FaultyDriver(MemoryDriver(), FaultPlan.from_spec(plan_json))
+def _driver_fired(plan):
+    return _fired([chaos.FaultyDriver(MemoryDriver(), plan).selector], plan, STORAGE_SCRIPT)
 
 
-def _driver_fired(plan_json):
-    selector = _driver(plan_json)._selector
-    return _consult_fired(selector, selector.plan, STORAGE_SCRIPT)
-
-
-def _server_fired(plan_json, script):
-    plan = _driver(plan_json)._selector.plan
+def _server_fired(plan, script):
     if script is SERVICE_SCRIPT:
-        selector = CampaignService(service_fault_plan=plan).selector
-    else:
-        selector = ObjectStoreService(fault_plan=plan).selector
-    return _consult_fired(selector, plan, script)
+        return _fired([chaos.ChaosService(plan).selector], plan, script)
+    service = chaos.ChaosObjectStore(plan)
+    return _fired([service.selector, service.driver.selector], plan, script)
 
 
-def _execute_fired(monkeypatch, plan_json):
-    """Drive the runner's firing hook; a crash raises, a hang sleeps
-    (recorded, not slept), and each plan's kinds are distinct."""
-    plan = FaultPlan.from_json(plan_json)
-    kinds = [rule.kind for rule in plan.rules]
-    slept = []
-    monkeypatch.setattr(time, "sleep", slept.append)
+def _execute_fired(plan, tmp_path):
+    """The (call, rule) pairs the execute injector picks per attempt."""
+    injector = chaos.ExecuteChaos(plan, tmp_path)
     fired = []
     for call, (n_devices, attempt) in enumerate(EXECUTE_SCRIPT):
-        point = _point(n_devices)
-        n_slept = len(slept)
-        try:
-            plan.fire_execute(point.to_dict(), point.content_hash(), attempt)
-        except FaultInjectedError as error:
-            fired.append((call, kinds.index(str(error).split()[1])))
-            continue
-        if len(slept) > n_slept:
-            fired.append((call, kinds.index("hang")))
-    return fired, len(fired), slept
+        rule = injector.rule_for(_point(n_devices), attempt)
+        if rule is not None:
+            fired.append((call, plan.rules.index(rule)))
+    return fired, len(fired)
 
 
 class TestFiringSequencePins:
-    def test_ci_execute_plan(self, monkeypatch):
-        assert _execute_fired(monkeypatch, CI_EXECUTE_PLAN) == FIRING_PINS[
+    def test_ci_execute_plan(self, tmp_path):
+        assert _execute_fired(CI_EXECUTE_PLAN, tmp_path) == FIRING_PINS[
             "ci-execute"
         ]
 
-    def test_doctest_execute_plan(self, monkeypatch):
+    def test_doctest_execute_plan(self, tmp_path):
         assert _execute_fired(
-            monkeypatch, DOCTEST_EXECUTE_PLAN
+            DOCTEST_EXECUTE_PLAN, tmp_path
         ) == FIRING_PINS["doctest-execute"]
 
     def test_ci_storage_plan_with_seeded_capped_rule(self):
@@ -452,19 +414,18 @@ class TestFiringSequencePins:
 SETTABLE = {
     CampaignRunner: [
         "store", "workers", "retry", "point_timeout_s", "use_leases",
-        "lease_ttl_s", "owner", "fault_plan", "allow_partial", "on_result",
+        "lease_ttl_s", "owner", "allow_partial", "on_result",
     ],
     CampaignService: [
         "store", "host", "port", "workers", "retry", "point_timeout_s",
-        "use_leases", "allow_partial", "fault_plan", "service_fault_plan",
+        "use_leases", "allow_partial",
     ],
     CampaignServiceClient: ["url", "retry", "timeout_s"],
     CircuitBreaker: ["name"],
     CircuitBreakerDriver: ["inner"],
     HttpDriver: ["url"],
     PosixDriver: ["root"],
-    FaultyDriver: ["inner", "plan"],
-    build_driver: ["spec", "root", "storage_fault_plan"],
+    build_driver: ["spec", "root"],
 }
 
 

@@ -1,8 +1,8 @@
 """Campaign-stack inputs refused up front, and damage mapped to the
 right error.
 
-* Fault rules, fault plans, service and driver URLs, lease TTLs,
-  bucket names and campaign specs that cannot work are refused at
+* Service and driver URLs, lease TTLs, listen ports, bucket names,
+  worker counts and campaign specs that cannot work are refused at
   construction with ``ConfigurationError`` — not halfway through a
   sharded run.
 * A filesystem error under a posix driver surfaces as
@@ -25,9 +25,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from chaos import Rule
 from repro.campaign.cli import entrypoint
 from repro.campaign.client import CampaignServiceClient, parse_service_url
-from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.leases import (
     LEASE_SCHEMA,
     LeaseManager,
@@ -91,34 +91,6 @@ TTLS = [("nan", float("nan")), ("inf", float("inf")), ("zero", 0.0),
         ("negative", -1.0), ("past-timeout-max", 1e12)]
 
 CONSTRUCTION_REJECTIONS = [
-    # fault rules
-    pytest.param(lambda: FaultRule(kind="error", op="chmod"),
-                 "fault op must be one of", id="rule-unknown-op"),
-    pytest.param(lambda: FaultRule(kind="error", op=3),
-                 "fault op must be one of", id="rule-non-string-op"),
-    pytest.param(lambda: FaultRule(kind="crash", op="execute", match=[1]),
-                 "match must be an object", id="rule-match-not-object"),
-    pytest.param(lambda: FaultRule(kind="error", op="get",
-                                   match={"n_devices": 4}),
-                 "only op 'execute'", id="rule-match-on-storage-op"),
-    pytest.param(lambda: FaultRule(kind="error", op="get", key_prefix=7),
-                 "key_prefix must be a string", id="rule-prefix-not-string"),
-    pytest.param(lambda: FaultRule(kind="torn", op="put_atomic", silent=1),
-                 "silent must be true or false", id="rule-silent-not-bool"),
-    pytest.param(lambda: FaultRule(kind="http_error", op="get", status=600),
-                 "4xx/5xx", id="rule-status-above-599"),
-    pytest.param(lambda: FaultRule(kind="http_error", op="get", status=200),
-                 "status must be an integer >= 400",
-                 id="rule-status-success-code"),
-    # fault plans
-    pytest.param(lambda: FaultPlan.from_dict([{"kind": "crash"}]),
-                 "a fault plan must be an object", id="plan-not-object"),
-    pytest.param(lambda: FaultPlan.from_dict({"rules": {"kind": "crash"}}),
-                 "rules must be a list", id="plan-rules-not-list"),
-    pytest.param(lambda: FaultPlan.from_dict(
-                     {"rules": [{"stage": "execute", "kind": "crash",
-                                 "match": "n_devices=4"}]}),
-                 "match must be an object", id="plan-v1-match-not-object"),
     # service and driver URLs
     pytest.param(lambda: parse_service_url("http://"), "has no host",
                  id="service-url-no-host"),
@@ -156,6 +128,15 @@ CONSTRUCTION_REJECTIONS = [
                  "one path segment", id="objectstore-nested-bucket"),
     pytest.param(lambda: ObjectStoreService(bucket=""),
                  "one path segment", id="objectstore-empty-bucket"),
+    # listen ports and worker counts
+    pytest.param(lambda: ObjectStoreService(port=70000), "port must be <= 65535",
+                 id="objectstore-port-above-65535"),
+    pytest.param(lambda: CampaignService(port=-1), "port must be an integer >= 0",
+                 id="service-port-negative"),
+    pytest.param(lambda: CampaignRunner(workers=-1),
+                 "workers must be an integer >= 0", id="runner-workers-negative"),
+    pytest.param(lambda: CampaignService(workers=2.5),
+                 "workers must be an integer >= 0", id="service-workers-fractional"),
     # campaign specs
     pytest.param(lambda: CampaignSpec(**spec_kwargs(device_counts=(),
                                                     point_seeds=())),
@@ -478,13 +459,14 @@ class TestLeasePayloads:
 
 
 class TestExecuteRuleSelection:
-    """Execute rules select points through ``FaultRule.selects``: the
-    key is the content hash, ``match`` constrains point fields."""
+    """The test harness's execute rules select points through
+    ``chaos.Rule.selects``: the key is the content hash, ``match``
+    constrains point fields."""
 
     def test_hash_prefix_selects_one_point(self):
         point = make_point()
         prefix = point.content_hash()[:10]
-        rule = FaultRule(kind="crash", op="execute", key_prefix=prefix)
+        rule = Rule(kind="crash", op="execute", key_prefix=prefix)
         assert rule.selects("execute", point.content_hash(), point.to_dict())
         other = make_point(seed=1)
         assert not rule.selects("execute", other.content_hash(), other.to_dict())
@@ -493,10 +475,10 @@ class TestExecuteRuleSelection:
         point = make_point()
         key, fields = point.content_hash(), point.to_dict()
         match = {"n_devices": 8, "engine": "analytic"}
-        assert FaultRule(kind="crash", op="execute", match=match).selects(
+        assert Rule(kind="crash", op="execute", match=match).selects(
             "execute", key, fields)
-        assert not FaultRule(kind="crash", op="execute",
-                             match={**match, "engine": "fft"}).selects(
+        assert not Rule(kind="crash", op="execute",
+                        match={**match, "engine": "fft"}).selects(
             "execute", key, fields)
 
 
@@ -547,12 +529,12 @@ class TestSubmitCli:
             "accepted", "point", "point", "done"
         ]
 
-    def test_failed_point_is_listed_and_exits_1(self, service, capsys):
-        crash = FaultPlan(rules=(FaultRule(kind="crash", op="execute",
-                                           match={"n_devices": 2},
-                                           calls=(1, 2, 3)),))
-        svc = service(fault_plan=crash,
-                      retry=RetryPolicy(max_attempts=1))
+    def test_failed_point_is_listed_and_exits_1(
+        self, service, capsys, execute_chaos
+    ):
+        execute_chaos(Rule(kind="crash", op="execute",
+                           match={"n_devices": 2}, calls=(1, 2, 3)))
+        svc = service(retry=RetryPolicy(max_attempts=1))
         code = entrypoint(["submit", "--service", svc.url, *self.ARGS])
         out = capsys.readouterr().out
         assert code == 1

@@ -34,9 +34,10 @@ from repro.campaign.client import (
     CampaignServiceClient,
     parse_service_url,
 )
-from repro.campaign.faults import FaultPlan, FaultRule
+import chaos
+from repro.campaign.objectstore import HttpService, HttpServiceHandler
 from repro.campaign.presets import fig17_campaign
-from repro.campaign.runner import EXEC_LOG_ENV, CampaignRunner
+from repro.campaign.runner import CampaignRunner
 import repro.campaign.service as service_module
 from repro.campaign.service import (
     CampaignExecution,
@@ -45,6 +46,7 @@ from repro.campaign.service import (
 )
 from repro.campaign.store import CampaignStore
 from repro.errors import (
+    CampaignExecutionError,
     CampaignServiceError,
     CircuitOpenError,
     PersistentStorageError,
@@ -68,14 +70,17 @@ def small_spec(counts=(1, 2), **overrides):
 
 
 def request_plan(rules, seed=0):
-    return FaultPlan(
-        rules=tuple(FaultRule(**rule) for rule in rules),
-        seed=seed,
+    return chaos.plan(*rules, seed=seed)
+
+
+def live_service(request, service_fault_plan=None, **kwargs):
+    """A started service; ``service_fault_plan`` (a ``chaos.Plan``)
+    makes it the test harness's request-chaos subclass."""
+    svc = (
+        CampaignService(**kwargs)
+        if service_fault_plan is None
+        else chaos.ChaosService(service_fault_plan, **kwargs)
     )
-
-
-def live_service(request, **kwargs):
-    svc = CampaignService(**kwargs)
     svc.start()
     request.addfinalizer(svc.stop)
     return svc
@@ -246,10 +251,9 @@ class TestReadThroughCache:
 
 class TestDedup:
     def test_concurrent_identical_submits_execute_once(
-        self, request, tmp_path, monkeypatch
+        self, request, tmp_path, monkeypatch, execute_chaos
     ):
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         slow_execute(monkeypatch, delay_s=0.05)
 
         svc = live_service(request, store=tmp_path / "store")
@@ -279,10 +283,7 @@ class TestDedup:
         assert errors == [None] * n_clients
 
         # Exactly one execution per point, ever.
-        logged = exec_log.read_text().splitlines()
-        assert sorted(line.split()[0] for line in logged) == sorted(
-            hashes
-        )
+        assert sorted(executions.executed()) == sorted(hashes)
 
         # Every client saw the identical byte stream, and exactly one
         # request started the execution.
@@ -296,10 +297,9 @@ class TestDedup:
         assert health["n_deduped"] == n_clients - 1
 
     def test_mid_stream_disconnect_leaves_shared_run_alive(
-        self, request, tmp_path, monkeypatch
+        self, request, tmp_path, monkeypatch, execute_chaos
     ):
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         slow_execute(monkeypatch, delay_s=0.08)
 
         svc = live_service(request, store=tmp_path / "store")
@@ -338,10 +338,7 @@ class TestDedup:
         run = survivor_run["run"]
         assert run.summary["status"] == "complete"
         assert [e["content_hash"] for e in run.point_events] == hashes
-        logged = exec_log.read_text().splitlines()
-        assert sorted(line.split()[0] for line in logged) == sorted(
-            hashes
-        )
+        assert sorted(executions.executed()) == sorted(hashes)
         assert wait_until(
             lambda: svc.healthz()["campaigns_in_flight"] == 0
         )
@@ -458,10 +455,9 @@ class TestRequestChaos:
         assert run.summary["status"] == "complete"
 
     def test_disconnect_before_done_resubmits_through_cache(
-        self, request, tmp_path, monkeypatch
+        self, request, tmp_path, execute_chaos
     ):
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         svc = live_service(
             request,
             store=tmp_path / "store",
@@ -478,10 +474,7 @@ class TestRequestChaos:
         assert run.attempts == 2
         assert run.summary["status"] == "complete"
         assert run.n_computed == 0 and run.n_cached == 3
-        logged = exec_log.read_text().splitlines()
-        assert sorted(line.split()[0] for line in logged) == sorted(
-            hashes
-        )
+        assert sorted(executions.executed()) == sorted(hashes)
 
     def test_persistent_refusal_exhausts_then_trips_breaker(
         self, request
@@ -518,9 +511,252 @@ class TestRequestChaos:
             client.submit(small_spec())
 
 
+class _CannedStreamHandler(HttpServiceHandler):
+    """Answers every submit with the service's canned chunked body."""
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self.close_connection = True
+        self.rfile.read(int(self.headers.get("Content-Length", 0) or 0))
+        self.service.n_requests += 1
+        self.send_response(200)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        self.wfile.write(self.service.body)
+        self.wfile.flush()
+
+
+class CannedStreamService(HttpService):
+    """A submit endpoint whose stream breaks the way ``body`` does."""
+
+    handler = _CannedStreamHandler
+    thread_name = "canned-stream"
+
+    def __init__(self, body: bytes) -> None:
+        super().__init__("127.0.0.1", 0)
+        self.body = body
+        self.n_requests = 0
+
+
+def _chunk(data: bytes) -> bytes:
+    return f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n"
+
+
+ACCEPTED = b'{"event":"accepted","n_points":1}\n'
+#: Streams that never reach ``done``, each with the failure it names.
+BROKEN_STREAMS = {
+    "torn-line": (
+        _chunk(ACCEPTED) + _chunk(b'{"event":"poi\n') + b"0\r\n\r\n",
+        "submit stream line torn",
+    ),
+    "ends-before-done": (
+        _chunk(ACCEPTED) + b"0\r\n\r\n",
+        "submit stream ended before the done event",
+    ),
+    "subscriber-dropped": (
+        _chunk(ACCEPTED)
+        + _chunk(b'{"event":"error","error":"fell behind"}\n')
+        + b"0\r\n\r\n",
+        "service dropped this subscriber: fell behind",
+    ),
+    "cut-mid-chunk": (
+        _chunk(ACCEPTED) + b"40\r\n{\"event\"",
+        "submit stream broke mid-read: IncompleteRead",
+    ),
+}
+
+
+class TestClientStreamFaults:
+    """Every way a submit stream can break before its ``done`` line is
+    transient: the client re-submits, then escalates with the cause."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_STREAMS))
+    def test_broken_stream_is_retried_then_named(self, request, case):
+        body, cause = BROKEN_STREAMS[case]
+        svc = CannedStreamService(body)
+        svc.start()
+        request.addfinalizer(svc.stop)
+        client = CampaignServiceClient(
+            svc.url,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.001),
+            timeout_s=5.0,
+        )
+        with pytest.raises(PersistentStorageError) as info:
+            client.submit(small_spec())
+        assert "after 2 attempts" in str(info.value)
+        assert cause in str(info.value)
+        assert svc.n_requests == 2 and client.n_retries == 1
+
+    def test_unexpected_status_is_a_service_answer(self, request):
+        svc = live_service(
+            request,
+            service_fault_plan=request_plan(
+                [chaos.Rule("http_error", op="submit", status=409)]
+            ),
+        )
+        client = client_for(svc)
+        with pytest.raises(CampaignServiceError, match="HTTP 409"):
+            client.submit(small_spec())
+        assert client.n_retries == 0
+        # The endpoint answered: the breaker stays closed and the next
+        # submit goes through.
+        assert client.submit(small_spec()).summary["status"] == "complete"
+
+    def test_dropped_subscriber_resubmits_and_completes(
+        self, request, monkeypatch, execute_chaos
+    ):
+        # The backpressure policy drops the first subscription
+        # mid-stream; the service says so in an error line and the
+        # client's re-submit joins or replays the execution, which
+        # computes each point once.
+        executions = execute_chaos()
+        real = service_module.CampaignExecution.next_event
+        dropped = []
+
+        def next_event(execution, token):
+            if not dropped:
+                dropped.append(token)
+                raise CampaignServiceError("subscriber fell behind")
+            return real(execution, token)
+
+        monkeypatch.setattr(
+            service_module.CampaignExecution, "next_event", next_event
+        )
+        svc = live_service(request)
+        spec = small_spec()
+        run = client_for(svc).submit(spec)
+        assert run.attempts == 2
+        assert run.summary["status"] == "complete"
+        assert [e["index"] for e in run.point_events] == [0, 1]
+        assert sorted(executions.executed()) == sorted(
+            p.content_hash() for p in spec.points()
+        )
+
+    def test_submit_takes_the_spec_dict_form(self, request):
+        svc = live_service(request)
+        spec = small_spec()
+        by_dict = client_for(svc).submit(spec.to_dict())
+        assert by_dict.campaign_id == campaign_id_for(spec.to_dict())
+        assert by_dict.raw_lines[1:-1] == client_for(svc).submit(spec).raw_lines[1:-1]
+
+    def test_failed_campaign_raises_unless_told_not_to(
+        self, request, execute_chaos
+    ):
+        execute_chaos(chaos.Rule("crash", op="execute", calls=(1, 2, 3)))
+        svc = live_service(
+            request,
+            allow_partial=False,
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.001),
+        )
+        client = client_for(svc)
+        with pytest.raises(CampaignExecutionError, match="failed server-side"):
+            client.submit(small_spec())
+        run = client.submit(small_spec(), raise_on_failed=False)
+        assert run.summary["status"] == "failed"
+        assert "injected crash" in run.summary["error"]
+        assert client.n_retries == 0
+
+
+class TestServerRefusals:
+    def test_post_to_an_unknown_path_is_404(self, request):
+        svc = live_service(request)
+        from http.client import HTTPConnection
+
+        connection = HTTPConnection(parse_service_url(svc.url)[1], timeout=10)
+        try:
+            connection.request("POST", "/campaign", body=b"{}")
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 404
+        assert "unknown path" in payload["error"]
+        assert svc.healthz()["n_submitted"] == 0
+
+    def test_truncated_request_body_is_400(self, request):
+        # The client declares more body than it sends, then closes its
+        # side: nothing is submitted.
+        svc = live_service(request)
+        host, port = parse_service_url(svc.url)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /campaigns HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n{\"spec\": "
+            )
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"truncated request body" in reply
+        assert svc.healthz()["n_submitted"] == 0
+
+
+class TestServeApiCli:
+    """``serve-api`` and ``submit`` in-process: the banner names the
+    URL the service answers on, over the store the flags name."""
+
+    @pytest.mark.parametrize("flag", ["--store", "--storage-driver"])
+    def test_serve_api_serves_the_named_store(
+        self, monkeypatch, capsys, tmp_path, flag
+    ):
+        from repro.campaign import cli
+
+        root = tmp_path / "store"
+        value = str(root) if flag == "--store" else f"posix://{root}"
+        spec = small_spec()
+        runs = []
+
+        def one_submit():
+            banner = capsys.readouterr().out
+            assert "serving campaign API over " in banner
+            url = banner.split("--service ")[1].split()[0]
+            runs.append(CampaignServiceClient(url, retry=FAST_RETRY).submit(spec))
+
+        monkeypatch.setattr(cli, "_serve_until_interrupted", one_submit)
+        assert cli.main(["serve-api", flag, value, "--port", "0"]) == 0
+        assert runs[0].summary["status"] == "complete"
+        assert len(CampaignStore(root)) == len(list(spec.points()))
+
+    def test_serve_without_a_root_serves_memory(self, monkeypatch, capsys):
+        from repro.campaign import cli
+        from repro.campaign.objectstore import HttpDriver
+
+        read = []
+
+        def one_round_trip():
+            banner = capsys.readouterr().out
+            assert banner.startswith("serving memory:// at ")
+            driver = HttpDriver(banner.split("--storage-driver ")[1].rstrip(")\n"))
+            driver.put_atomic("notes/a.json", b"{}")
+            read.append(driver.get("notes/a.json"))
+
+        monkeypatch.setattr(cli, "_serve_until_interrupted", one_round_trip)
+        assert cli.main(["serve", "--port", "0"]) == 0
+        assert read == [b"{}"]
+
+    def test_submit_reports_a_server_side_failure(
+        self, request, capsys, execute_chaos
+    ):
+        from repro.campaign.cli import entrypoint
+
+        execute_chaos(chaos.Rule("crash", op="execute", calls=(1, 2, 3)))
+        svc = live_service(
+            request,
+            allow_partial=False,
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.001),
+        )
+        code = entrypoint(
+            ["submit", "--service", svc.url, "--spec", "fig17",
+             "--counts", "1", "--rounds", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "FAILED server-side" in err and "injected crash" in err
+
+
 class TestAcceptance:
     def test_n_clients_under_chaos_converge_byte_identical(
-        self, request, tmp_path, monkeypatch
+        self, request, tmp_path, monkeypatch, execute_chaos
     ):
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [p.content_hash() for p in spec.points()]
@@ -533,8 +769,7 @@ class TestAcceptance:
         ).run(spec)
         CampaignStore(clean_root).manifest()
 
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         slow_execute(monkeypatch, delay_s=0.03)
 
         store_root = tmp_path / "store"
@@ -590,10 +825,7 @@ class TestAcceptance:
         assert all(r.summary["status"] == "complete" for r in runs)
 
         # Exactly one execution per point across all the chaos.
-        logged = exec_log.read_text().splitlines()
-        assert sorted(line.split()[0] for line in logged) == sorted(
-            hashes
-        )
+        assert sorted(executions.executed()) == sorted(hashes)
 
         # The chaos store converged to the clean run's manifest, byte
         # for byte.

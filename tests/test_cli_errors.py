@@ -2,17 +2,19 @@
 ``python -m repro``.
 
 :func:`repro.campaign.cli.entrypoint` is the console boundary: every
-:class:`~repro.errors.ReproError` — bad driver URL, malformed fault
-plan, unusable spec — must become one actionable ``error:`` line on
+:class:`~repro.errors.ReproError` — bad driver URL, unusable spec, a
+port the host cannot bind — must become one actionable ``error:`` line on
 stderr and exit code 2, never a traceback. :func:`main` keeps raising
 typed errors for library callers (pinned in ``test_campaign.py``).
 Run-level failures (failed points) stay exit code 1.
 """
 
 import json
+import socket
 
 import pytest
 
+import chaos
 from repro.__main__ import main as experiment_main
 from repro.campaign.cli import entrypoint, main
 from repro.errors import ReproError
@@ -67,72 +69,42 @@ class TestBadStorageDriver:
             )
 
 
-class TestMalformedFaultPlans:
-    def test_malformed_fault_plan_json_exits_2(self, capsys, tmp_path):
-        code, _, err = run_entry(
-            capsys,
-            "run",
-            "--spec",
-            "fig17",
-            "--store",
-            str(tmp_path / "store"),
-            "--fault-plan",
-            '{"rules": [}',
-        )
-        assert code == 2
-        assert "malformed fault plan" in err
-        assert "Traceback" not in err
+class TestBadPorts:
+    """``serve`` and ``serve-api`` refuse a port outside 0-65535 and a
+    port already in use with one line, never a bind traceback."""
 
-    def test_malformed_storage_fault_plan_exits_2(
-        self, capsys, tmp_path
+    @pytest.fixture
+    def busy_port(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            yield str(sock.getsockname()[1])
+
+    @pytest.mark.parametrize("command", ["serve", "serve-api"])
+    @pytest.mark.parametrize("port", ["70000", "-1", "busy"])
+    def test_bad_port_exits_2_in_one_line(
+        self, capsys, command, port, busy_port
     ):
-        code, _, err = run_entry(
-            capsys,
-            "run",
-            "--spec",
-            "fig17",
-            "--store",
-            str(tmp_path / "store"),
-            "--storage-fault-plan",
-            '{"rules": [{"op": }]}',
-        )
+        port = busy_port if port == "busy" else port
+        code, out, err = run_entry(capsys, command, "--port", port)
         assert code == 2
-        assert "malformed storage fault plan" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "serving" not in out
+        assert "port" in err or f"127.0.0.1:{port}" in err
 
-    def test_missing_fault_plan_file_exits_2(self, capsys, tmp_path):
-        code, _, err = run_entry(
-            capsys,
-            "run",
-            "--spec",
-            "fig17",
-            "--store",
-            str(tmp_path / "store"),
-            "--fault-plan",
-            str(tmp_path / "nope.json"),
-        )
-        assert code == 2
-        assert "malformed fault plan" in err
-
-    def test_schema_violation_is_reported_not_tracebacked(
-        self, capsys, tmp_path
+    @pytest.mark.parametrize(
+        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
+    )
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_bad_port_leaves_no_store_behind(
+        self, capsys, tmp_path, command, store_flag, port
     ):
-        # Valid JSON, invalid rule schema: ConfigurationError is a
-        # ReproError, so it still exits 2 with one line.
-        plan = json.dumps(
-            {"rules": [{"stage": "execute", "kind": "nonsense"}]}
-        )
+        store = tmp_path / "store"
         code, _, err = run_entry(
-            capsys,
-            "run",
-            "--spec",
-            "fig17",
-            "--store",
-            str(tmp_path / "store"),
-            "--fault-plan",
-            plan,
+            capsys, command, store_flag, str(store), "--port", port
         )
-        assert code == 2
-        assert "fault kind" in err
+        assert code == 2 and "port" in err
+        assert not store.exists()
 
 
 class TestExportAndSpecErrors:
@@ -199,24 +171,16 @@ class TestExportAndSpecErrors:
         assert "http(s)" in err
 
 
-CRASH_ALL_ATTEMPTS = json.dumps(
-    {
-        "rules": [
-            {
-                "stage": "execute",
-                "kind": "crash",
-                "match": {"n_devices": 2},
-                "attempts": [1, 2],
-            }
-        ]
-    }
+CRASH_ALL_ATTEMPTS = chaos.Rule(
+    "crash", op="execute", match={"n_devices": 2}, calls=(1, 2)
 )
 
 
 class TestRunFailureExitCodes:
     def test_allow_partial_with_remaining_failures_exits_1(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, execute_chaos
     ):
+        execute_chaos(CRASH_ALL_ATTEMPTS)
         code, out, _ = run_entry(
             capsys,
             "run",
@@ -234,16 +198,15 @@ class TestRunFailureExitCodes:
             "--max-attempts",
             "2",
             "--allow-partial",
-            "--fault-plan",
-            CRASH_ALL_ATTEMPTS,
         )
         assert code == 1
         assert "1 failed" in out
         assert "[FAIL ]" in out
 
     def test_without_allow_partial_failure_exits_1_with_hint(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, execute_chaos
     ):
+        execute_chaos(CRASH_ALL_ATTEMPTS)
         code, _, err = run_entry(
             capsys,
             "run",
@@ -260,16 +223,15 @@ class TestRunFailureExitCodes:
             "--no-leases",
             "--max-attempts",
             "2",
-            "--fault-plan",
-            CRASH_ALL_ATTEMPTS,
         )
         assert code == 1
         assert "FAILED" in err
         assert "--allow-partial" in err
 
     def test_allow_partial_then_clean_rerun_exits_0(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, execute_chaos
     ):
+        injector = execute_chaos(CRASH_ALL_ATTEMPTS)
         store = str(tmp_path / "store")
         first, _, _ = run_entry(
             capsys,
@@ -288,12 +250,11 @@ class TestRunFailureExitCodes:
             "--max-attempts",
             "2",
             "--allow-partial",
-            "--fault-plan",
-            CRASH_ALL_ATTEMPTS,
         )
         assert first == 1
-        # Without the fault plan the failed point heals; the cached
-        # point is not recomputed.
+        # Without the fault the failed point heals; the cached point
+        # is not recomputed.
+        injector.plan = chaos.Plan()
         second, out, _ = run_entry(
             capsys,
             "run",

@@ -543,12 +543,10 @@ class TestPoolFailures:
         assert not _stage_threads_alive()
 
 
-def _point_in_pool_worker(point, attempt=1, fault_plan=None):
+def _point_in_pool_worker(point):
     """Campaign pool probe: records the worker's view in the provenance."""
     with recorded_thread_starts() as names:
-        metrics, provenance, elapsed = _REAL_POOL_EXECUTE(
-            point, attempt, fault_plan
-        )
+        metrics, provenance, elapsed = _REAL_POOL_EXECUTE(point)
     provenance = dict(
         provenance,
         in_parallel=parallel_module.in_parallel(),

@@ -30,7 +30,6 @@ DOCUMENTED_MODULES = [
     "repro.phy.noise",
     "repro.campaign.spec",
     "repro.campaign.store",
-    "repro.campaign.faults",
     "repro.campaign.runner",
     "repro.campaign.storage",
     "repro.campaign.objectstore",
@@ -69,18 +68,16 @@ DOC_ANCHORS = {
         "resolve_pool_workers",
         "child_seed",
         "python -m repro.campaign",
-        "--fault-plan",
-        "FaultSelector",
-        "faults.FIRES",
-        "repro-fault-plan-v1",
-        "repro-storage-fault-plan-v1",
+        "tests/chaos.py",
+        "WrappingDriver",
+        "execute_point",
+        "tests/test_campaign_chaos.py",
         "RetryPolicy",
         "quarantine",
         "leases/<hash>.lease",
         "StorageDriver",
         "put_atomic",
         "put_exclusive",
-        "--storage-fault-plan",
         "PersistentStorageError",
         "read-only serving",
         "python -m repro.campaign serve",
@@ -122,17 +119,15 @@ DOC_ANCHORS = {
         "bench/run.py",
         "python -m repro.campaign",
         ".github/workflows/ci.yml",
-        "--fault-plan",
+        "tests/chaos.py",
         "timeout-minutes",
         "--storage-driver",
-        "--storage-fault-plan",
         "repro.campaign serve",
         "http://hostA:8123/campaign",
-        "network-chaos",
+        "tests/test_campaign_chaos.py",
         "serve-api",
         "--service http://hostA:8124",
         "/healthz",
-        "service-chaos",
         "docs/SCALING.md",
         "--devices 100000",
         "hybrid fidelity",
@@ -186,18 +181,8 @@ class TestCiPipeline:
             "ruff check",
             "bench-smoke",
             "bench/run.py --workload dense-256",
-            "--max-attempts 3 --fault-plan",
-            "fault-injection",
-            "storage-fault",
-            "--storage-fault-plan",
-            "status --json",
-            "network-chaos",
-            "repro.campaign serve",
-            "--storage-driver http://",
-            "service-chaos",
-            "serve-api",
-            "--service-fault-plan",
-            "submit --service",
+            "bench/run.py --workload campaign-service",
+            "tests/test_campaign_chaos.py",
             "scale-smoke",
             "test_population_scale.py",
             "pooled-paths",

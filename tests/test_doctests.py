@@ -11,7 +11,6 @@ import doctest
 import pytest
 
 import repro.campaign.client
-import repro.campaign.faults
 import repro.campaign.objectstore
 import repro.campaign.retry
 import repro.campaign.runner
@@ -35,7 +34,6 @@ MODULES_WITH_DOCTESTS = [
     repro.campaign.spec,
     repro.campaign.store,
     repro.campaign.storage,
-    repro.campaign.faults,
     repro.campaign.retry,
     repro.campaign.runner,
     repro.campaign.objectstore,

@@ -8,8 +8,8 @@ The load-bearing pins:
   bucket fail loudly, and backend faults map onto retryable 5xx;
 * **network chaos** — every network-class fault kind (``refuse``,
   ``http_error`` + Retry-After, ``disconnect`` mid-body, ``delay``,
-  ``stale_read``) injected server-side heals inside the client retry
-  stack with zero recomputation;
+  ``stale_read``) injected server-side by ``tests/chaos.py`` heals
+  inside the client retry stack with zero recomputation;
 * **circuit breaker** — consecutive transport failures trip the
   breaker into fail-fast ``CircuitOpenError``; a half-open probe
   closes it again once the endpoint heals; missing keys are answers,
@@ -31,8 +31,8 @@ import time
 
 import pytest
 
+import chaos
 from repro.campaign.cli import main as campaign_cli
-from repro.campaign.faults import FaultPlan, FaultRule
 from repro.campaign.leases import LeaseManager, live_lease
 import repro.campaign.objectstore as objectstore_module
 import repro.campaign.retry as retry_module
@@ -42,14 +42,9 @@ from repro.campaign.objectstore import (
     ObjectStoreService,
 )
 from repro.campaign.presets import fig17_campaign
-from repro.campaign.runner import (
-    EXEC_LOG_ENV,
-    CampaignRunner,
-    RetryPolicy,
-)
+from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.storage import (
-    FaultyDriver,
     MemoryDriver,
     PosixDriver,
     RetryingDriver,
@@ -78,10 +73,7 @@ def small_spec(counts=(1, 2), **overrides):
 
 
 def network_plan(rules, seed=0):
-    return FaultPlan(
-        rules=tuple(FaultRule(**rule) for rule in rules),
-        seed=seed,
-    )
+    return chaos.plan(*rules, seed=seed)
 
 
 @pytest.fixture
@@ -94,9 +86,7 @@ def service(request):
 
 
 def chaos_service(request, rules, driver=None, seed=0):
-    svc = ObjectStoreService(
-        driver=driver, fault_plan=network_plan(rules, seed=seed)
-    )
+    svc = chaos.ChaosObjectStore(network_plan(rules, seed=seed), driver=driver)
     svc.start()
     request.addfinalizer(svc.stop)
     return svc
@@ -182,15 +172,8 @@ class TestWireProtocol:
     def test_backend_transient_fault_maps_to_retryable_503(self, request):
         # The service's *backing* driver hiccups -> 503 on the wire ->
         # TransientStorageError client-side -> the retry wrapper heals.
-        backing = FaultyDriver(
-            MemoryDriver(),
-            FaultPlan(
-                rules=(
-                    FaultRule(
-                        kind="error", op="get", calls=(1,)
-                    ),
-                )
-            ),
+        backing = chaos.FaultyDriver(
+            MemoryDriver(), chaos.plan(chaos.Rule("error", op="get"))
         )
         svc = ObjectStoreService(driver=backing)
         svc.start()
@@ -201,6 +184,127 @@ class TestWireProtocol:
         retrying.put_atomic("points/a.json", b"x")
         assert retrying.get("points/a.json") == b"x"
         assert retrying.n_retries == 1
+
+    def test_backend_persistent_fault_is_not_retried(self, request):
+        # The backend gave up (500 + X-Repro-Persistent): the client
+        # raises at once instead of spending its own retry budget.
+        inner = MemoryDriver()
+        inner.put_atomic("points/a.json", b"x")
+        backing = chaos.FaultyDriver(
+            inner, chaos.plan(chaos.Rule("persistent", op="get"))
+        )
+        svc = ObjectStoreService(driver=backing)
+        svc.start()
+        request.addfinalizer(svc.stop)
+        retrying = RetryingDriver(HttpDriver(svc.url), FAST_RETRY)
+        with pytest.raises(PersistentStorageError, match="persistent backend"):
+            retrying.get("points/a.json")
+        assert retrying.n_retries == 0
+        assert retrying.get("points/a.json") == b"x"  # one call fired
+
+    def test_server_refuses_a_rename_without_its_target(self, service):
+        from http.client import HTTPConnection
+        from urllib.parse import urlsplit
+
+        from repro.campaign.objectstore import OP_HEADER
+
+        service.driver.put_atomic("points/a.json", b"x")
+        conn = HTTPConnection(urlsplit(service.url).netloc, timeout=5.0)
+        try:
+            conn.request(
+                "POST",
+                "/campaign/points/a.json",
+                body=b"",
+                headers={OP_HEADER: "rename"},
+            )
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert b"missing X-Repro-Rename-To" in body
+        assert service.driver.get("points/a.json") == b"x"
+
+    def test_server_answers_a_malformed_key_with_400(self, service):
+        # The key check runs in the backing driver; its
+        # ConfigurationError is the client's mistake, not a fault.
+        from http.client import HTTPConnection
+        from urllib.parse import urlsplit
+
+        from repro.campaign.objectstore import OP_HEADER
+
+        conn = HTTPConnection(urlsplit(service.url).netloc, timeout=5.0)
+        try:
+            conn.request(
+                "GET", "/campaign/points//a.json", headers={OP_HEADER: "get"}
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "normalised" in body["error"]
+
+
+#: One call per driver op, for the answers every op must map alike.
+DRIVER_CALLS = {
+    "get": lambda d: d.get("points/a.json"),
+    "put_atomic": lambda d: d.put_atomic("points/a.json", b"x"),
+    "replace": lambda d: d.replace("points/a.json", b"x"),
+    "put_exclusive": lambda d: d.put_exclusive("leases/a.lease", b"x"),
+    "delete": lambda d: d.delete("points/a.json"),
+    "list": lambda d: d.list("points/"),
+    "exists": lambda d: d.exists("points/a.json"),
+    "stat": lambda d: d.stat("points/a.json"),
+    "rename": lambda d: d.rename("points/a.json", "quarantine/a.json"),
+}
+
+
+class TestUnexpectedAnswers:
+    """A status the protocol never sends is a definitive failure
+    (never retried); a 200 whose body or headers do not parse is a
+    transport fault (retried)."""
+
+    @pytest.mark.parametrize("op", sorted(DRIVER_CALLS))
+    def test_unexpected_status_is_persistent_and_not_retried(
+        self, request, op
+    ):
+        svc = chaos_service(
+            request, [chaos.Rule("http_error", op=op, status=409)]
+        )
+        retrying = RetryingDriver(HttpDriver(svc.url), FAST_RETRY)
+        with pytest.raises(PersistentStorageError) as info:
+            DRIVER_CALLS[op](retrying)
+        assert f"{op}(" in str(info.value)
+        assert "unexpected HTTP 409" in str(info.value)
+        assert retrying.n_retries == 0
+        assert svc.selector.n_injected == 1
+
+    def test_put_exclusive_etag_readback_mismatch_is_transient(self):
+        driver = HttpDriver("http://127.0.0.1:9/campaign")
+        driver._request = lambda *a, **k: (201, {"etag": '"bogus"'}, b"")
+        with pytest.raises(TransientStorageError, match="ETag"):
+            driver.put_exclusive("leases/a.lease", b"owner")
+
+    def test_undecodable_listing_is_transient(self):
+        driver = HttpDriver("http://127.0.0.1:9/campaign")
+        driver._request = lambda *a, **k: (200, {}, b"[not json")
+        with pytest.raises(TransientStorageError, match="undecodable"):
+            driver.list("points/")
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            {"x-repro-mtime": "1.0"},
+            {"x-repro-size": "3", "x-repro-mtime": "yesterday"},
+        ],
+        ids=["size-missing", "mtime-not-a-number"],
+    )
+    def test_malformed_stat_headers_are_transient(self, headers):
+        driver = HttpDriver("http://127.0.0.1:9/campaign")
+        driver._request = lambda *a, **k: (200, headers, b"")
+        with pytest.raises(TransientStorageError, match="stat headers"):
+            driver.stat("points/a.json")
 
 
 class TestNetworkChaosKinds:
@@ -381,15 +485,8 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_closes_on_recovery(self, monkeypatch):
         breaker_settings(monkeypatch, 1, 0.05)
-        flaky = FaultyDriver(
-            MemoryDriver(),
-            FaultPlan(
-                rules=(
-                    FaultRule(
-                        kind="error", op="get", calls=(1,)
-                    ),
-                )
-            ),
+        flaky = chaos.FaultyDriver(
+            MemoryDriver(), chaos.plan(chaos.Rule("error", op="get"))
         )
         breaker = CircuitBreakerDriver(flaky)
         breaker.put_atomic("points/a.json", b"x")
@@ -440,7 +537,6 @@ class TestRunnerDegradation:
         run = CampaignRunner(
             store=store,
             workers=None,
-            fault_plan=FaultPlan(),
             use_leases=False,
             allow_partial=True,
         ).run(small_spec(counts=(1,)))
@@ -454,7 +550,6 @@ class TestRunnerDegradation:
             CampaignRunner(
                 store=store,
                 workers=None,
-                fault_plan=FaultPlan(),
                 use_leases=False,
             ).run(small_spec(counts=(1,)))
 
@@ -633,7 +728,6 @@ def _child_run_http(url, spec_dict, owner, lease_ttl_s):
     CampaignRunner(
         store=store,
         workers=None,
-        fault_plan=FaultPlan(),
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
         owner=owner,
         lease_ttl_s=lease_ttl_s,
@@ -648,7 +742,7 @@ class TestHttpAcceptance:
     run with zero duplicated computations."""
 
     def test_two_runners_over_http_converge(
-        self, request, tmp_path, monkeypatch
+        self, request, tmp_path, execute_chaos
     ):
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [p.content_hash() for p in spec.points()]
@@ -661,8 +755,7 @@ class TestHttpAcceptance:
         ).run(spec)
         CampaignStore(clean_root).manifest()
 
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()  # forked runners inherit it
 
         # Server-side chaos: refused connections and 503s on reads, a
         # 503 on a lease claim, truncated response bodies on chunk
@@ -724,7 +817,7 @@ class TestHttpAcceptance:
                     process.join(timeout=10.0)
 
         # Every planned rule fired at least the chaos it promised.
-        assert svc.selector.n_injected >= 5
+        assert svc.n_injected >= 5
 
         store = CampaignStore(store_root)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
@@ -738,11 +831,7 @@ class TestHttpAcceptance:
         ).read_bytes()
 
         # Zero duplicated computations despite every injected fault.
-        logged = [
-            line.split()[0]
-            for line in exec_log.read_text().splitlines()
-            if line.strip()
-        ]
+        logged = executions.executed()
         assert len(logged) == len(set(logged))
         assert sorted(logged) == sorted(hashes)
 

@@ -17,15 +17,14 @@ The load-bearing pins:
 * **torn-write sweep** — a silent torn chunk at every interesting
   offset is quarantined by integrity verification and the campaign
   converges byte-identical to a clean run;
-* **acceptance** — two concurrent runners over ``FaultyDriver``
-  (seeded transient errors, torn writes, one injected hang) converge
-  to a manifest byte-identical to a single-shot clean ``PosixDriver``
-  run with zero duplicated computations; the campaign behaves
-  identically on ``MemoryDriver``.
+* **memory backend** — the campaign behaves identically on
+  ``MemoryDriver``.
+
+Two concurrent runners over a fault-injecting posix store are
+``tests/test_campaign_chaos.py``'s storage leg.
 """
 
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -33,22 +32,14 @@ import time
 import pytest
 
 import repro.campaign.cli as cli_module
+from chaos import FaultyDriver
+from chaos import plan as chaos_plan
 from repro.campaign.cli import entrypoint as campaign_entrypoint
 from repro.campaign.cli import main as campaign_cli
-from repro.campaign.faults import (
-    FaultPlan,
-    FaultRule,
-)
 from repro.campaign.leases import HeartbeatThread, LeaseManager, live_lease
 from repro.campaign.presets import fig17_campaign
-from repro.campaign.runner import (
-    EXEC_LOG_ENV,
-    CampaignRunner,
-    RetryPolicy,
-)
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.storage import (
-    FaultyDriver,
     MemoryDriver,
     PosixDriver,
     RetryingDriver,
@@ -77,17 +68,8 @@ def small_spec(counts=(1, 2), **overrides):
     return fig17_campaign(**kwargs)
 
 
-def storage_plan_json(rules, seed=0):
-    return json.dumps(
-        {"schema": "repro-storage-fault-plan-v1", "seed": seed, "rules": rules}
-    )
-
-
 def storage_plan(rules, seed=0):
-    return FaultPlan(
-        rules=tuple(FaultRule(**rule) for rule in rules),
-        seed=seed,
-    )
+    return chaos_plan(*rules, seed=seed)
 
 
 def make_driver(kind, tmp_path):
@@ -336,16 +318,6 @@ class TestFaultyDriver:
         with pytest.raises(PersistentStorageError):
             faulty.put_atomic("x", b"1")
 
-    def test_invalid_rules_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultRule(kind="torn", op="get")
-        with pytest.raises(ConfigurationError):
-            FaultRule(kind="error", calls=(1,), p=0.5)
-        with pytest.raises(ConfigurationError):
-            FaultRule(kind="error", p=1.5)
-        with pytest.raises(ConfigurationError):
-            FaultRule(kind="nope")
-
 
 class TestRetryingDriver:
     def test_transient_errors_heal_within_budget(self):
@@ -440,13 +412,8 @@ class TestRetryingDriver:
 
 
 class TestBuildDriver:
-    def test_default_posix_and_fault_plan_wrapping(self, tmp_path):
+    def test_default_posix_and_missing_root(self, tmp_path):
         assert isinstance(build_driver(None, tmp_path / "s"), PosixDriver)
-        wrapped = build_driver(
-            "memory://",
-            storage_fault_plan=storage_plan([{"kind": "error"}]),
-        )
-        assert isinstance(wrapped, FaultyDriver)
         with pytest.raises(ConfigurationError, match="store root"):
             build_driver(None)
 
@@ -469,11 +436,6 @@ class TestBuildDriver:
         [
             (RUN + ["--storage-driver", "posix"], "posix:///path"),
             (RUN + ["--store", "STORE"], PosixDriver),
-            (
-                RUN + ["--store", "STORE", "--storage-fault-plan",
-                       '{"rules": []}'],
-                FaultyDriver,
-            ),
             (RUN + BOTH, "--store and --storage-driver"),
             (["status"] + BOTH, "--store and --storage-driver"),
             (["export"] + BOTH, "--store and --storage-driver"),
@@ -481,7 +443,7 @@ class TestBuildDriver:
              "--store and --storage-driver"),
         ],
         ids=[
-            "bare-name-exits-2", "no-flag-posix", "fault-plan-wraps",
+            "bare-name-exits-2", "no-flag-posix",
             "run-refuses-both", "status-refuses-both",
             "export-refuses-both", "serve-api-refuses-both",
         ],
@@ -684,12 +646,11 @@ class TestTornWriteSweep:
         ).read_bytes()
 
     def test_raised_torn_write_heals_without_recompute(
-        self, tmp_path, monkeypatch
+        self, tmp_path, execute_chaos
     ):
         """Pre-rename torn write (the crash-mid-commit case) raises:
         driver-level retry heals it with zero recomputation."""
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         spec = small_spec(counts=(1, 2))
         root = tmp_path / "store"
         store = _faulty_store(
@@ -710,9 +671,8 @@ class TestTornWriteSweep:
         assert store.quarantined() == {}
         # Zero duplicated computations: the torn attempts were healed
         # below the execution layer.
-        logged = exec_log.read_text().split()
         hashes = [p.content_hash() for p in spec.points()]
-        assert sorted(logged[::2]) == sorted(hashes)
+        assert sorted(executions.executed()) == sorted(hashes)
 
 
 class _GatedChunkReads(WrappingDriver):
@@ -942,10 +902,9 @@ class TestMemoryDriverCampaign:
         ).read_bytes()
 
     def test_two_threaded_runners_partition_one_memory_store(
-        self, tmp_path, monkeypatch
+        self, execute_chaos
     ):
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+        executions = execute_chaos()
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [p.content_hash() for p in spec.points()]
         store = CampaignStore(driver=MemoryDriver())
@@ -955,7 +914,6 @@ class TestMemoryDriverCampaign:
                 store=store,
                 owner=owner,
                 lease_ttl_s=5.0,
-                fault_plan=FaultPlan(),
             ).run(spec)
 
         threads = [
@@ -967,12 +925,7 @@ class TestMemoryDriverCampaign:
         for thread in threads:
             thread.join(timeout=120.0)
         assert sorted(store.manifest()["points"]) == sorted(hashes)
-        logged = [
-            line.split()[0]
-            for line in exec_log.read_text().splitlines()
-            if line.strip()
-        ]
-        assert sorted(logged) == sorted(hashes)
+        assert sorted(executions.executed()) == sorted(hashes)
 
     def test_store_status_reports_driver_stats(self):
         store = CampaignStore(driver=MemoryDriver())
@@ -1009,136 +962,6 @@ class TestMemoryDriverCampaign:
         assert base["ops"]["get"] == 1
 
 
-def _child_run_faulty(root, spec_dict, plan_json, owner, lease_ttl_s):
-    """One campaign over FaultyDriver(Posix) in a forked child."""
-    store = CampaignStore(
-        driver=FaultyDriver(
-            PosixDriver(root), FaultPlan.from_json(plan_json)
-        ),
-        retry=RetryPolicy(
-            max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
-        ),
-    )
-    CampaignRunner(
-        store=store,
-        workers=None,
-        fault_plan=FaultPlan(),
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
-        owner=owner,
-        lease_ttl_s=lease_ttl_s,
-    ).run(CampaignSpec.from_dict(spec_dict))
-
-
-class TestFaultyDriverAcceptance:
-    """The PR's acceptance bar: two concurrent runners over
-    ``FaultyDriver`` (seeded transient I/O errors, torn writes, one
-    injected hang) converge to a manifest byte-identical to a
-    single-shot clean ``PosixDriver`` run, with zero duplicated
-    computations."""
-
-    def test_two_runners_over_faulty_driver_converge(
-        self, tmp_path, monkeypatch
-    ):
-        spec = small_spec(counts=(1, 2, 3, 4))
-        hashes = [p.content_hash() for p in spec.points()]
-        store_root = tmp_path / "store"
-
-        clean_root = tmp_path / "clean"
-        CampaignRunner(
-            store=CampaignStore(clean_root),
-            use_leases=False,
-        ).run(spec)
-        CampaignStore(clean_root).manifest()
-
-        exec_log = tmp_path / "exec.log"
-        monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
-
-        # w1: torn chunk writes (raising — driver retry heals them)
-        # plus one injected storage hang; w2: seeded transient errors
-        # across reads and lease claims. All within the retry budget,
-        # so no attempt ever escalates or recomputes.
-        w1_plan = storage_plan_json(
-            [
-                {
-                    "kind": "torn",
-                    "op": "put_atomic",
-                    "key_prefix": "points/",
-                    "calls": [1, 3],
-                },
-                {
-                    "kind": "hang",
-                    "op": "get",
-                    "calls": [2],
-                    "hang_s": 0.2,
-                },
-            ],
-            seed=1,
-        )
-        w2_plan = storage_plan_json(
-            [
-                {
-                    "kind": "error",
-                    "op": "get",
-                    "p": 0.1,
-                    "max_fires": 4,
-                },
-                {
-                    "kind": "error",
-                    "op": "put_exclusive",
-                    "key_prefix": "leases/",
-                    "calls": [2],
-                },
-            ],
-            seed=2,
-        )
-
-        context = multiprocessing.get_context("fork")
-        workers = [
-            context.Process(
-                target=_child_run_faulty,
-                args=(
-                    str(store_root),
-                    spec.to_dict(),
-                    plan,
-                    name,
-                    5.0,
-                ),
-            )
-            for name, plan in (("w1", w1_plan), ("w2", w2_plan))
-        ]
-        try:
-            for process in workers:
-                process.start()
-            for process in workers:
-                process.join(timeout=120.0)
-                assert process.exitcode == 0
-        finally:
-            for process in workers:
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=10.0)
-
-        store = CampaignStore(store_root)
-        assert sorted(store.manifest()["points"]) == sorted(hashes)
-        assert store.active_leases() == []
-        assert store.failures() == []
-        assert store.quarantined() == {}
-
-        # Byte-identical to the clean single-shot posix manifest.
-        assert (store_root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
-
-        # Zero duplicated computations despite every injected fault.
-        logged = [
-            line.split()[0]
-            for line in exec_log.read_text().splitlines()
-            if line.strip()
-        ]
-        assert sorted(logged) == sorted(hashes)
-        assert len(logged) == len(set(logged))
-
-
 class TestCliStorageFlags:
     def test_run_on_memory_driver(self, tmp_path, capsys):
         code = campaign_cli(
@@ -1159,8 +982,10 @@ class TestCliStorageFlags:
         assert code == 0
         assert "1 points" in out and "memory" in out
 
-    def test_run_with_storage_fault_plan_heals(self, tmp_path, capsys):
-        plan = storage_plan_json(
+    def test_run_with_storage_fault_plan_heals(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        plan = storage_plan(
             [
                 {
                     "kind": "error",
@@ -1169,6 +994,11 @@ class TestCliStorageFlags:
                     "calls": [1],
                 }
             ]
+        )
+        monkeypatch.setattr(
+            cli_module,
+            "build_driver",
+            lambda *args: FaultyDriver(build_driver(*args), plan),
         )
         code = campaign_cli(
             [
@@ -1181,8 +1011,6 @@ class TestCliStorageFlags:
                 "1",
                 "--store",
                 str(tmp_path / "store"),
-                "--storage-fault-plan",
-                plan,
                 "--no-leases",
             ]
         )

@@ -22,18 +22,20 @@ runs, so it is not counted.
 
 The surfaces are the repository's user entry points: the experiment CLI
 (``list``, ``all --quick`` and the runs the CI ``examples`` job makes),
-every example, every ``repro.campaign`` subcommand as the CI campaign
-legs run it, every campaign preset, ``serve`` and ``serve-api`` on their
-default in-memory store, the service's JSON endpoints, and the four
+every example, every ``repro.campaign`` subcommand (``run`` serially,
+on a process pool and over HTTP, with refused values), every campaign
+preset, ``serve`` and ``serve-api`` on a posix and on their default
+in-memory store, two concurrent ``submit`` clients, the service's JSON
+endpoints, and the four
 benchmark workloads at their test size, set up and run in-process
 (``bench/run.py`` sets its workers' ``PYTHONPATH`` itself). Their exit
 codes are reported, not judged.
 
 ``--check`` exits 1 when a function is unreached and not in
 :data:`ALLOWLIST`, or when an allowlist entry names no function. A
-``campaign/`` entry is fault-recovery code the seeded legs never
-trigger or a read-only accessor, and names the tier-1 test that
-exercises it. The check needs two usable CPUs: on one, the process
+``campaign/`` entry is fault-recovery code that only injected faults
+trigger (``tests/chaos.py``) or a read-only accessor, and names the
+tier-1 test that exercises it. The check needs two usable CPUs: on one, the process
 pool, the Monte-Carlo thread pool and the decode pipeline run serially
 (the pipeline's stage thread and its share of the reads never start),
 so their functions read as unreached; it exits 2 before running
@@ -76,7 +78,7 @@ def _paper(claim: str) -> str:
 
 
 def _safety(what: str, test: str) -> str:
-    return f"fault-recovery code ({what}) that no seeded leg triggers; {test} exercises it"
+    return f"fault-recovery code ({what}) that only injected faults trigger; {test} exercises it"
 
 
 def _read_by(test: str) -> str:
@@ -94,6 +96,10 @@ _POOL_TEST = f"{_FAULTS}::TestPoolDegradation::test_runner_degrades_broken_pool_
 _DISCONNECT_TEST = (f"{_OBJECTSTORE}::TestClientDisconnects::"
                     "test_mid_response_hangup_is_counted_not_tracebacked")
 _BREAKER_TEST = f"{_OBJECTSTORE}::TestCircuitBreaker::test_consecutive_failures_trip_then_fail_fast"
+_CHAOS = "tests/test_campaign_chaos.py"
+_CRASH_TEST = f"{_CHAOS}::TestExecuteFaults::test_crash_and_hang_converge[serial]"
+_STORAGE_FAULT_TEST = (f"{_CHAOS}::TestStorageFaults::"
+                       "test_torn_writes_and_transient_errors_heal_in_the_driver_stack")
 
 
 #: Unreached functions kept in ``src/`` on purpose: ``path::qualname``
@@ -201,6 +207,18 @@ ALLOWLIST: Dict[str, str] = {
         "a point that spends its retry budget",
         f"{_FAULTS}::TestRunnerRetries::test_retry_budget_exhaustion_raises"),
     "campaign/runner.py::_terminate_pool": _safety("a hung or killed pool worker", _POOL_TEST),
+    "campaign/runner.py::CampaignRunner._record_failure_guarded":
+        _safety("a failed attempt leaves a failure record", _CRASH_TEST),
+    "campaign/store.py::CampaignStore.record_failure":
+        _safety("a failed attempt leaves a failure record", _CRASH_TEST),
+    "campaign/retry.py::RetryPolicy.backoff_s":
+        _safety("the backoff before a retry", _CRASH_TEST),
+    "campaign/storage.py::PosixDriver.replace":
+        _safety("replace, the torn-write and lease-steal primitive", _STORAGE_FAULT_TEST),
+    "errors.py::TransientStorageError.__init__":
+        _safety("a transient storage error the driver stack retries", _STORAGE_FAULT_TEST),
+    "campaign/objectstore.py::CircuitBreaker._on_failure":
+        _safety("a failed call counts toward opening the breaker", _BREAKER_TEST),
     "campaign/runner.py::CampaignRunner._note_attempt_failure":
         _safety("a failed pool attempt retries serially", _POOL_TEST),
     # Lease renewal and steal.
@@ -235,14 +253,6 @@ ALLOWLIST: Dict[str, str] = {
         "rejection of a status the wire protocol does not define",
         f"{_OBJECTSTORE}::TestWireProtocol::test_writes_to_unknown_bucket_fail_loudly"),
     # Campaign accessors.
-    "campaign/faults.py::FaultSelector.plan": _read_by(
-        f"{_PINS}::TestFiringSequencePins::test_ci_storage_plan_with_seeded_capped_rule"),
-    "campaign/faults.py::FaultSelector.n_injected":
-        _read_by(f"{_PINS}::TestStatsPins::test_retrying_faulty_posix"),
-    "campaign/storage.py::FaultyDriver.n_injected":
-        _read_by(f"{_STORAGE}::TestFaultyDriver::test_error_fires_on_selected_calls_only"),
-    "campaign/storage.py::FaultyDriver.stats":
-        _read_by(f"{_PINS}::TestStatsPins::test_retrying_faulty_posix"),
     "campaign/storage.py::PosixDriver.spec":
         _read_by(f"{_STORAGE}::TestBuildDriver::test_url_specs_parse_and_round_trip"),
     "campaign/objectstore.py::CircuitBreaker.state": _read_by(_BREAKER_TEST),
@@ -435,36 +445,10 @@ for name in sys.argv[1:]:
     print(name, "errors:", errors, "problems:", problems)
 """
 
-FAULT_PLAN = json.dumps({"schema": "repro-fault-plan-v1", "rules": [
-    {"stage": "execute", "kind": "crash", "match": {"n_devices": 1}, "attempts": [1]},
-    {"stage": "execute", "kind": "hang", "match": {"n_devices": 4}, "attempts": [1],
-     "hang_s": 30.0},
-]})
-STORAGE_FAULT_PLAN = json.dumps({"schema": "repro-storage-fault-plan-v1", "seed": 0, "rules": [
-    {"kind": "torn", "op": "put_atomic", "key_prefix": "points/", "calls": [1, 3]},
-    {"kind": "error", "op": "get", "p": 0.1, "max_fires": 4},
-    {"kind": "hang", "op": "get", "calls": [2], "hang_s": 0.2},
-]})
-NETWORK_FAULT_PLAN = json.dumps({"schema": "repro-storage-fault-plan-v1", "seed": 7, "rules": [
-    {"kind": "refuse", "op": "get", "calls": [3]},
-    {"kind": "http_error", "op": "get", "calls": [6], "status": 503, "retry_after_s": 0.02},
-    {"kind": "disconnect", "op": "put_atomic", "key_prefix": "points/", "calls": [1, 3]},
-    {"kind": "stale_read", "op": "exists", "key_prefix": "points/", "calls": [1]},
-]})
-SERVICE_FAULT_PLAN = json.dumps({"schema": "repro-storage-fault-plan-v1", "seed": 7, "rules": [
-    {"kind": "refuse", "op": "submit", "calls": [2]},
-    {"kind": "http_error", "op": "submit", "calls": [4], "status": 503, "retry_after_s": 0.02},
-    {"kind": "delay", "op": "submit", "calls": [3], "hang_s": 0.05},
-]})
-BAD_STORAGE_PLANS = [
-    '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "hang", "hang_s": -1}]}',
-    '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error", "bogus": 1}]}',
-    '{"schema": "repro-storage-fault-plan-v1", "rules": [{"kind": "error", "calls": 5}]}',
-]
 #: Seconds one surface may run before it is cut and logged with no exit code.
 SURFACE_TIMEOUT_S = 900.0
 
-#: The small campaign every CI campaign leg runs.
+#: The small campaign of the campaign surfaces.
 POINTS = ["--spec", "fig17", "--counts", "1,2,4", "--rounds", "1", "--engine", "analytic"]
 
 
@@ -568,30 +552,23 @@ def run_surfaces(session: Session) -> None:
     campaign = ["-m", "repro.campaign"]
     run(campaign + ["run", "--spec", "fig17", "--seed", "0", "--counts", "1,16", "--rounds",
                     "1", "--store", "{work}/pooled", "--workers", "2"])
-    run(campaign + ["run"] + POINTS + ["--store", "{work}/faulty", "--timeout-s", "5",
-                                       "--max-attempts", "3", "--fault-plan", FAULT_PLAN])
-    run(campaign + ["run"] + POINTS + ["--store", "{work}/clean"])
+    run(campaign + ["run"] + POINTS + ["--store", "{work}/clean", "--timeout-s", "30",
+                                       "--max-attempts", "3"])
     for preset in ("fig18", "noise-grid"):
         run(campaign + ["run", "--spec", preset, "--counts", "1", "--rounds", "1", "--store",
                         "{work}/presets"])
-    for plan in BAD_STORAGE_PLANS:
-        run(campaign + ["run", "--spec", "fig17", "--counts", "1", "--rounds", "1", "--engine",
-                        "analytic", "--store", "{work}/bad", "--storage-fault-plan", plan])
     for bad in (["--counts", "1,x"], ["--counts", "1", "--lease-ttl-s", "0"],
-                ["--counts", "1", "--timeout-s", "-1"]):
+                ["--counts", "1", "--timeout-s", "-1"], ["--counts", "1", "--workers", "-1"]):
         run(campaign + ["run", "--spec", "fig17", "--rounds", "1", "--engine", "analytic",
                         "--store", "{work}/bad"] + bad)
-    run(campaign + ["run"] + POINTS + ["--store", "{work}/storage-faulty", "--storage-fault-plan",
-                                       STORAGE_FAULT_PLAN])
-    run(campaign + ["status", "--json", "--store", "{work}/storage-faulty"])
+    run(campaign + ["status", "--json", "--store", "{work}/clean"])
     run(campaign + ["status", "--store", "{work}/clean"])
     run(campaign + ["export", "--store", "{work}/clean"])
     run(campaign + ["export", "--store", "{work}/clean", "--format", "csv", "--output",
                     "{work}/export.csv"])
 
     port = _free_port()
-    serve = campaign + ["serve", "--root", "{work}/served", "--port", str(port),
-                        "--storage-fault-plan", NETWORK_FAULT_PLAN]
+    serve = campaign + ["serve", "--root", "{work}/served", "--port", str(port)]
     server = session.start(serve, port)
     url = f"http://127.0.0.1:{port}/campaign"
     run(campaign + ["run"] + POINTS + ["--storage-driver", url])
@@ -614,7 +591,7 @@ def run_surfaces(session: Session) -> None:
 
     port = _free_port()
     serve_api = campaign + ["serve-api", "--store", "{work}/service", "--port", str(port),
-                            "--no-leases", "--service-fault-plan", SERVICE_FAULT_PLAN]
+                            "--no-leases"]
     server = session.start(serve_api, port)
     submit = campaign + ["submit", "--service", f"http://127.0.0.1:{port}"] + POINTS + ["--json"]
     clients = [threading.Thread(target=run, args=(submit,)) for _ in range(2)]
