@@ -58,9 +58,11 @@ when its leases expire. See docs/ARCHITECTURE.md §7.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -554,14 +556,19 @@ def _cmd_serve(args) -> int:
     from repro.campaign.storage import PosixDriver
 
     check_port(args.port)
-    driver = (
-        PosixDriver(args.root) if args.root is not None else None
-    )
-    service = ObjectStoreService(
-        driver=driver, host=args.host, port=args.port, bucket=args.bucket
-    )
     backing = args.root if args.root is not None else "memory://"
-    with service:
+    with contextlib.ExitStack() as running:
+        with _removed_unless_started(args.root):
+            service = running.enter_context(
+                ObjectStoreService(
+                    driver=(
+                        PosixDriver(args.root) if args.root is not None else None
+                    ),
+                    host=args.host,
+                    port=args.port,
+                    bucket=args.bucket,
+                )
+            )
         print(
             f"serving {backing} at {service.url} "
             f"(--storage-driver {service.url})",
@@ -569,6 +576,31 @@ def _cmd_serve(args) -> int:
         )
         _serve_until_interrupted()
     return 0
+
+
+@contextlib.contextmanager
+def _removed_unless_started(root):
+    """Remove the directories of ``root`` the block made, if it fails.
+
+    A service on a posix store makes the store's directory before it
+    binds its port. If the block, which builds and starts the service
+    and serves nothing yet, fails (a port the host cannot bind), the
+    directories of ``root`` that did not exist before it are removed
+    again; one that existed stays.
+    """
+    made = None
+    if root is not None:
+        made = Path(root).absolute()
+        while not made.parent.exists():
+            made = made.parent
+        if made.exists():
+            made = None
+    try:
+        yield
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def _serve_until_interrupted() -> None:
@@ -590,29 +622,32 @@ def _cmd_serve_api(args) -> int:
     check_workers(args.workers)
     check_port(args.port)
     _check_one_store(args)
-    if args.storage_driver is not None:
-        driver = build_driver(args.storage_driver)
-        store = CampaignStore(driver=driver)
-        backing = driver.name
-    elif args.store is not None:
-        store = CampaignStore(args.store)
-        backing = args.store
-    else:
-        store = None
-        backing = "memory://"
     kwargs = {}
     if args.max_attempts is not None:
         kwargs["retry"] = RetryPolicy(max_attempts=args.max_attempts)
-    service = CampaignService(
-        store=store,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        point_timeout_s=args.timeout_s,
-        use_leases=not args.no_leases,
-        **kwargs,
-    )
-    with service:
+    with contextlib.ExitStack() as running:
+        with _removed_unless_started(args.store):
+            if args.storage_driver is not None:
+                driver = build_driver(args.storage_driver)
+                store = CampaignStore(driver=driver)
+                backing = driver.name
+            elif args.store is not None:
+                store = CampaignStore(args.store)
+                backing = args.store
+            else:
+                store = None
+                backing = "memory://"
+            service = running.enter_context(
+                CampaignService(
+                    store=store,
+                    host=args.host,
+                    port=args.port,
+                    workers=args.workers,
+                    point_timeout_s=args.timeout_s,
+                    use_leases=not args.no_leases,
+                    **kwargs,
+                )
+            )
         print(
             f"serving campaign API over {backing} at {service.url} "
             f"(submit with: python -m repro.campaign submit "

@@ -699,7 +699,8 @@ def _factored_tone_sum(
     ``(S * H, D) @ (D, B)`` product per round, so no ``(D, n)`` tone
     matrix is built. Products go to BLAS in calls of at most
     ``_GEMM_MAX_MACS`` multiply-adds, split by rows, as in
-    :meth:`repro.phy.sparse_readout.SparseReadout.tone_sum`.
+    :meth:`repro.phy.sparse_readout.SparseReadout.tone_sum`; a complex
+    multiply-add counts as four real ones, as BLAS counts it.
     """
     n_rounds, n_rows, n_tones = weights.shape
     n_high, n_low = high.shape[-1], low.shape[-1]
@@ -707,7 +708,7 @@ def _factored_tone_sum(
         weights[:, :, None, :] * high.transpose(0, 2, 1)[:, None]
     ).reshape(n_rounds, n_rows * n_high, n_tones)
     out = np.empty((n_rounds, n_rows * n_high, n_low), dtype=complex)
-    step = max(1, _GEMM_MAX_MACS // max(1, n_tones * n_low))
+    step = max(1, _GEMM_MAX_MACS // max(1, 4 * n_tones * n_low))
     for start in range(0, lhs.shape[1], step):
         part = slice(start, start + step)
         np.matmul(lhs[:, part], low, out=out[:, part])

@@ -94,12 +94,13 @@ _DIRICHLET_SINGULAR_TOL = 1e-6
 #: cache-resident.
 _RATIO_BLOCK_ELEMENTS = 1 << 16
 
-#: Largest product, in multiply-adds, that :meth:`SparseReadout.tone_sum`
-#: hands BLAS in one call. BLAS libraries split larger products over a
-#: thread pool of their own (OpenBLAS above 2^18), which oversubscribes
-#: the CPUs when callers already run contractions concurrently, as the
-#: population cycle's Monte-Carlo legs do; below it every call stays on
-#: its caller's thread.
+#: Largest product, in real multiply-adds, that :meth:`SparseReadout.tone_sum`
+#: hands BLAS in one call (a complex multiply-add counts as four, as in
+#: ``core/dcss.py::_factored_tone_sum``). BLAS libraries split larger
+#: products over a thread pool of their own (OpenBLAS above 2^18), which
+#: oversubscribes the CPUs when callers already run contractions
+#: concurrently, as the population cycle's Monte-Carlo leg processes do,
+#: one per CPU; below it every call stays on its caller's thread.
 _GEMM_MAX_MACS = 1 << 18
 
 

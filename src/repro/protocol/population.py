@@ -69,8 +69,8 @@ The seeded fidelity split is deterministic in ``(snrs, rule, seed)``:
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -784,44 +784,185 @@ def _monte_carlo_group_metrics(
 
 
 def _pooled_leg(*job) -> Tuple[float, float]:
-    """One Monte-Carlo leg on a pool thread, marked as a pool thread."""
+    """One Monte-Carlo leg on the caller, marked as a pool worker."""
     parallel.mark_parallel()
     return _monte_carlo_group_metrics(*job)
 
 
-def _monte_carlo_legs(jobs: Sequence[tuple]) -> List[Tuple[float, float]]:
-    """Run Monte-Carlo legs (:func:`_monte_carlo_group_metrics` argument
-    tuples); returns their results in job order.
+class _MonteCarloLegs:
+    """The Monte-Carlo legs of one cycle, run by forked workers and the caller.
 
-    Every leg owns its pre-derived child seed, so the legs are
-    independent: they run on a thread pool of ``min(usable CPUs, legs)``
-    threads, with no pool at all on one CPU. NumPy's grid passes, GEMMs
-    and generator fills release the GIL, which is what lets the threads
-    overlap. Each leg runs in a copy of the caller's context, so
-    context-carried state such as trace spans keeps its parent.
+    ``jobs`` are :func:`_monte_carlo_group_metrics` argument tuples.
+    Entering the block forks ``min(usable CPUs, legs) - 1`` worker
+    processes, which start on the legs at once; :meth:`run` then runs
+    the caller's share and returns every leg's result in job order. The
+    caller can do other work in between, such as scoring the closed
+    form. Every leg owns its pre-derived child seed, so which process
+    runs it changes nothing.
 
-    If a leg raises, the legs not yet started are cancelled, the running
-    ones finish, and the first failure in job order is raised once no
-    worker thread is left. Workers take legs in job order, so every
-    cancelled leg comes after every started one.
+    * **Sharing.** The workers inherit the jobs by the fork, so no
+      population column is copied or pickled. Each sends back only its
+      legs' results, over a pipe of its own. Forking needs no other
+      thread of the caller to hold a lock the legs take; the cycle
+      starts no thread before it forks.
+    * **Claiming.** Job 0 is the caller's, so the caller always runs at
+      least one leg. Every other leg is claimed from one shared counter,
+      in job order, by the workers and, once it is done with job 0, by
+      the caller.
+    * **Marking.** Each leg runs marked as a pool worker
+      (:func:`repro.utils.parallel.mark_parallel`), so its decode opens
+      no stage thread of its own. The caller's legs run in a copy of its
+      context, so the mark ends with the leg, and context-carried state
+      such as trace spans keeps its parent.
+    * **Failures.** Once a leg fails no new leg starts, the running ones
+      finish, and :meth:`run` raises the first failure in job order. A
+      leg whose worker died without sending its result is a failure too.
+    * **Lifetime.** No worker outlives the block: :meth:`run` joins them
+      all, and leaving the block early (a failure of the caller's other
+      work, ``KeyboardInterrupt``) terminates and joins them.
 
-    A pooled leg is marked as a pool thread
-    (:func:`repro.utils.parallel.mark_parallel`), so its decode runs its
-    chunks serially instead of opening a stage thread of its own.
+    On one usable CPU, for at most one leg, or inside a pool worker
+    (:func:`repro.utils.parallel.in_parallel`), nothing is forked and
+    :meth:`run` runs the legs serially on the caller.
     """
-    workers = min(parallel.usable_cpus(), len(jobs))
-    if workers <= 1:
-        return [_monte_carlo_group_metrics(*job) for job in jobs]
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="monte-carlo-leg")
-    try:
-        futures = [
-            pool.submit(contextvars.copy_context().run, _pooled_leg, *job)
-            for job in jobs
-        ]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return [future.result() for future in futures]
+
+    def __init__(self, jobs: Sequence[tuple]) -> None:
+        self.jobs = list(jobs)
+        self.n_workers = min(parallel.usable_cpus(), len(self.jobs)) - 1
+        if parallel.in_parallel():
+            self.n_workers = 0
+        self.workers: List[tuple] = []  # (process, reader), until joined
+        self.outcomes: Dict[int, Tuple[bool, object]] = {}
+        self.exitcodes: List[int] = []
+
+    def __enter__(self) -> "_MonteCarloLegs":
+        if self.n_workers < 1:
+            return self
+        # Imported here so that importing the program and a serial
+        # cycle never pay for multiprocessing.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._lock = context.Lock()
+        self._next = context.RawValue("q", 1)
+        self._stopped = context.RawValue("b", 0)
+        try:
+            for index in range(self.n_workers):
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=self._work,
+                    args=(writer,),
+                    name=f"monte-carlo-leg-{index}",
+                    daemon=True,
+                )
+                self.workers.append((process, reader))
+                process.start()
+                # Only the worker may hold the write end, so its exit
+                # reads as end of file.
+                writer.close()
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+        return self
+
+    def __exit__(self, kind, error, trace) -> None:
+        for process, reader in self.workers:
+            if process.pid is not None:
+                process.terminate()
+                process.join()
+            reader.close()
+        self.workers = []
+
+    def run(self) -> List[Tuple[float, float]]:
+        """Every leg's result in job order; the caller runs its share."""
+        if self.n_workers < 1:
+            return [_monte_carlo_group_metrics(*job) for job in self.jobs]
+        for job in itertools.chain([0], iter(self._claim, None)):
+            try:
+                result = contextvars.copy_context().run(
+                    _pooled_leg, *self.jobs[job]
+                )
+            except Exception as failure:
+                self._stop()
+                self.outcomes[job] = (False, failure)
+                break
+            self.outcomes[job] = (True, result)
+            self._gather(block=False)
+        self._gather(block=True)
+        results = []
+        for job in range(len(self.jobs)):
+            # A leg that never started comes after a failed one.
+            if job not in self.outcomes:
+                raise RuntimeError(
+                    f"Monte-Carlo leg {job} returned no result: its worker "
+                    f"process died (worker exit codes {self.exitcodes})"
+                )
+            ok, value = self.outcomes[job]
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+    def _claim(self) -> Optional[int]:
+        """The next unstarted leg, or ``None`` once none is left."""
+        with self._lock:
+            job = self._next.value
+            if self._stopped.value or job >= len(self.jobs):
+                return None
+            self._next.value = job + 1
+            return job
+
+    def _stop(self) -> None:
+        with self._lock:
+            self._stopped.value = 1
+
+    def _work(self, writer) -> None:
+        """A worker process: claim legs and send their outcomes.
+
+        It ignores ``SIGINT``: an interrupted caller terminates it.
+        """
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        parallel.mark_parallel()
+        for job in iter(self._claim, None):
+            try:
+                writer.send(
+                    (job, True, _monte_carlo_group_metrics(*self.jobs[job]))
+                )
+            except Exception as failure:
+                self._stop()
+                writer.send((job, False, failure))
+                return
+
+    def _gather(self, block: bool) -> None:
+        """Read the outcomes the workers sent; join the ones that ended.
+
+        With ``block``, wait until every worker has ended.
+        """
+        from multiprocessing import connection
+
+        while self.workers:
+            if block:
+                connection.wait(
+                    [reader for _, reader in self.workers]
+                    + [process.sentinel for process, _ in self.workers]
+                )
+            for process, reader in list(self.workers):
+                ended = not process.is_alive()
+                while reader.poll():
+                    try:
+                        job, ok, value = reader.recv()
+                    except EOFError:
+                        break
+                    self.outcomes[job] = (ok, value)
+                if ended:
+                    process.join()
+                    reader.close()
+                    self.exitcodes.append(process.exitcode)
+                    self.workers.remove((process, reader))
+            if not block:
+                return
 
 
 def hybrid_population_round(
@@ -843,10 +984,11 @@ def hybrid_population_round(
     result and record the |closed form - engine| delivery gap.
 
     The Monte-Carlo groups decode concurrently on the usable CPUs
-    (:func:`_monte_carlo_legs`); their results are gathered by group
-    index and accumulated in group order, so every sum, every
-    ``audit_gaps`` entry and the result as a whole are those of a serial
-    run.
+    (:class:`_MonteCarloLegs`): forked workers start on the legs while
+    the caller scores the closed form, then the caller joins them. The
+    results are gathered by group index and accumulated in group order,
+    so every sum, every ``audit_gaps`` entry and the result as a whole
+    are those of a serial run.
 
     The population's ``snr_db`` column is taken as the *effective*
     (post power-control) uplink SNR; both fidelity modes consume the
@@ -866,16 +1008,6 @@ def hybrid_population_round(
         snrs, groups, rule, seed, force_monte_carlo=force_monte_carlo
     )
 
-    closed_form = _closed_form_group_metrics(
-        snrs,
-        groups,
-        [
-            g
-            for g, reason in enumerate(split.reasons)
-            if reason in ("closed_form", "audit")
-        ],
-        config,
-    )
     legged = np.flatnonzero(split.monte_carlo).tolist()
     jobs = [
         (
@@ -887,7 +1019,20 @@ def hybrid_population_round(
         )
         for g in legged
     ]
-    legs = dict(zip(legged, _monte_carlo_legs(jobs)))
+    # The leg workers start before the closed form is scored, so the
+    # caller scores it while they run legs, then joins them.
+    with _MonteCarloLegs(jobs) as monte_carlo:
+        closed_form = _closed_form_group_metrics(
+            snrs,
+            groups,
+            [
+                g
+                for g, reason in enumerate(split.reasons)
+                if reason in ("closed_form", "audit")
+            ],
+            config,
+        )
+        legs = dict(zip(legged, monte_carlo.run()))
     delivered = 0.0
     ber_weighted = 0.0
     cf_groups = mc_groups = cf_devices = mc_devices = 0

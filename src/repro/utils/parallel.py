@@ -2,17 +2,16 @@
 
 Every concurrent path of the repository asks here: the campaign
 process pool (:func:`repro.campaign.runner.resolve_pool_workers`),
-the Monte-Carlo leg threads of a population cycle and the decode
-pipeline (:func:`pipeline`), whose stage thread and caller share each
-span's reads. A computation that already runs as
-one of several threads of a pool in this process is marked
+the Monte-Carlo leg pool of a population cycle (forked worker
+processes and the caller) and the decode pipeline (:func:`pipeline`),
+whose stage thread and caller share each span's reads. A computation
+that already runs as one worker of a pool is marked
 (:func:`mark_parallel`), so that it opens no stage thread of its own:
-the pool already fills the CPUs, and a nested stage thread only adds
-contention for the one interpreter lock (a 10^4-device cycle with
-8-round legs runs ~10% slower without the mark; docs/PERFORMANCE.md
-§7). Process-pool workers are not marked: each has its own
-interpreter, and there a stage thread measured neither faster nor
-slower.
+the pool already fills the CPUs. Every Monte-Carlo leg is marked,
+whether a forked leg worker or the caller runs it; the caller marks
+each of its legs in a copy of its context, so the mark ends with the
+leg. Campaign process-pool workers are not marked: there a stage
+thread measured neither faster nor slower (docs/PERFORMANCE.md §7).
 """
 
 from __future__ import annotations
@@ -46,16 +45,17 @@ def usable_cpus() -> int:
 
 
 def mark_parallel() -> None:
-    """Mark the current context as one thread of a pool.
+    """Mark the current context as one worker of a pool.
 
-    Set by each Monte-Carlo leg inside its own copy of the caller's
-    context, so the mark ends with the leg.
+    Set by each forked Monte-Carlo leg worker for its whole life, and
+    by the caller for each leg it runs, inside a copy of its context,
+    so there the mark ends with the leg.
     """
     _INSIDE_POOL.set(True)
 
 
 def in_parallel() -> bool:
-    """Whether the current context runs as one thread of a pool."""
+    """Whether the current context runs as one worker of a pool."""
     return _INSIDE_POOL.get()
 
 
@@ -92,7 +92,7 @@ def pipeline(
     such as trace spans keeps its parent.
 
     It runs serially, with no thread at all, for fewer than two items,
-    on one usable CPU (:func:`usable_cpus`), or inside a pool thread
+    on one usable CPU (:func:`usable_cpus`), or inside a pool worker
     (:func:`in_parallel`). The stage thread lives only for this call: a
     failure on either thread reaches the caller with its own type once
     no stage thread is left. A part failure at item k surfaces when

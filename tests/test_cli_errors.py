@@ -106,6 +106,39 @@ class TestBadPorts:
         assert code == 2 and "port" in err
         assert not store.exists()
 
+    @pytest.mark.parametrize(
+        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
+    )
+    @pytest.mark.parametrize("store", ["store", "made/on/the/way"])
+    def test_busy_port_leaves_no_store_behind(
+        self, capsys, tmp_path, busy_port, command, store_flag, store
+    ):
+        """The store is made before the port is bound; a port another
+        socket holds leaves no directory of the command's making."""
+        code, out, err = run_entry(
+            capsys, command, store_flag, str(tmp_path / store),
+            "--port", busy_port,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"127.0.0.1:{busy_port}" in err and "serving" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
+    )
+    def test_busy_port_keeps_an_existing_store(
+        self, capsys, tmp_path, busy_port, command, store_flag
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "kept").write_text("data")
+        code, _, err = run_entry(
+            capsys, command, store_flag, str(store), "--port", busy_port
+        )
+        assert code == 2 and err.count("\n") == 1, err
+        assert (store / "kept").read_text() == "data"
+
 
 class TestExportAndSpecErrors:
     def test_export_on_empty_store_is_clean(self, capsys, tmp_path):

@@ -19,9 +19,10 @@ same ways (``sparse`` as one part per span). Four contracts:
 * **failures surface cleanly** — a stage failure reaches the caller
   with its own type, nothing runs far ahead, and no stage thread
   outlives the call;
-* **no nested threads** — single-chunk decodes and Monte-Carlo leg
-  threads never open a stage thread, while a process-pool worker (its
-  own interpreter) pipelines its multi-chunk points like a serial run;
+* **no nested threads** — single-chunk decodes and Monte-Carlo legs
+  (on their forked workers and on the caller) never open a stage
+  thread, while a campaign process-pool worker (its own interpreter)
+  pipelines its multi-chunk points like a serial run;
 * **draws follow the backend** — the analytic draws run on the stage
   thread and the ``fft`` draws on the caller, in the serial decode's
   order and shapes.
@@ -33,10 +34,12 @@ The class and test names carry ``pool`` so CI's multi-core
 import contextlib
 import contextvars
 import dataclasses
+import multiprocessing
 import sys
 import threading
 import time
 from functools import partial
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -73,7 +76,15 @@ CHUNK_ROUNDS = 2
 
 
 class StartedThreads(list):
-    """Names of every thread started while the fixture is active."""
+    """Names of every thread started in this process while the fixture
+    is active. ``processes`` names the processes this process started,
+    and ``stage_anywhere`` counts the stage threads started in this
+    process or in a process it forked."""
+
+    def __init__(self):
+        super().__init__()
+        self.processes = []
+        self.stage_anywhere = multiprocessing.get_context("fork").Value("i", 0)
 
     def named(self, prefix):
         return [name for name in self if name.startswith(prefix)]
@@ -83,16 +94,26 @@ class StartedThreads(list):
 def recorded_thread_starts():
     names = StartedThreads()
     start = threading.Thread.start
+    start_process = BaseProcess.start
 
     def recording_start(thread):
         names.append(thread.name)
+        if thread.name.startswith(STAGE_THREAD_PREFIX):
+            with names.stage_anywhere.get_lock():
+                names.stage_anywhere.value += 1
         return start(thread)
 
+    def recording_process_start(process):
+        names.processes.append(process.name)
+        return start_process(process)
+
     threading.Thread.start = recording_start
+    BaseProcess.start = recording_process_start
     try:
         yield names
     finally:
         threading.Thread.start = start
+        BaseProcess.start = start_process
 
 
 @pytest.fixture
@@ -574,19 +595,21 @@ class TestNoNestedPoolThreads:
         self, cpus, started, chunk_counts
     ):
         """A 10⁴-device cycle with 8-round legs: pooled equals serial
-        field for field, and the leg threads decode their chunks
-        serially."""
+        field for field, and the legs decode their chunks serially, on
+        the forked worker and on the caller alike."""
         pop = office_population(10_000, rng=8, snr_scale_db=-26.0)
         rule = FidelityRule(monte_carlo_rounds=8)
         cpus(1)
         serial = hybrid_population_round(pop, rule=rule, seed=5)
-        assert started == []
+        assert started == [] and started.processes == []
         cpus(2)
         pooled = hybrid_population_round(pop, rule=rule, seed=5)
         assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
-        assert started.named("monte-carlo-leg")
+        assert started.processes == ["monte-carlo-leg-0"]
+        assert started.stage_anywhere.value == 0
         assert not started.named(STAGE_THREAD_PREFIX)
-        assert max(chunk_counts) >= 2  # the legs are multi-chunk
+        # The caller's legs are multi-chunk.
+        assert max(chunk_counts) >= 2
 
         # The same leg outside any pool does pipeline its chunks.
         snrs = pop.snr_db
@@ -1224,9 +1247,10 @@ class TestNoNestedWaveformPoolThreads:
     def test_monte_carlo_pool_legs_read_waveforms_without_stage_threads(
         self, monkeypatch, cpus, started, chunk_counts
     ):
-        """Pooled legs that each decode five fft spans open no stage
-        thread; the same legs outside the pool pipeline, with equal
-        results."""
+        """Pooled legs that each decode five fft spans, on the forked
+        worker or the caller, open no stage thread; the same legs
+        outside the pool pipeline, with equal results. Each pooled leg
+        returns the chunk counts its own process recorded."""
         cpus(2)
         config, assignments, batch = _scenario(9, 10)
         _force_span_rounds(
@@ -1241,12 +1265,21 @@ class TestNoNestedWaveformPoolThreads:
             )
             return float(decode.bit_powers.sum()), float(decode.bits.sum())
 
+        def reporting_leg(seed):
+            before = len(chunk_counts)
+            return fft_leg(seed), chunk_counts[before:]
+
         monkeypatch.setattr(
-            population_module, "_monte_carlo_group_metrics", fft_leg
+            population_module, "_monte_carlo_group_metrics", reporting_leg
         )
-        pooled = population_module._monte_carlo_legs([(1,), (2,), (3,)])
-        assert started.named("monte-carlo-leg")
+        jobs = [(1,), (2,), (3,)]
+        with population_module._MonteCarloLegs(jobs) as legs:
+            pooled = legs.run()
+        assert started.processes == ["monte-carlo-leg-0"]
+        assert started.stage_anywhere.value == 0
         assert not started.named(STAGE_THREAD_PREFIX)
-        assert chunk_counts == [5] * 3
-        assert [fft_leg(seed) for seed in (1, 2, 3)] == pooled
+        assert [chunks for _, chunks in pooled] == [[5]] * 3
+        assert [fft_leg(seed) for seed in (1, 2, 3)] == [
+            result for result, _ in pooled
+        ]
         assert started.named(STAGE_THREAD_PREFIX)

@@ -23,6 +23,8 @@ Pins the tentpole invariants of the flat-array population layer:
 import contextvars
 import dataclasses
 import enum
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -63,6 +65,7 @@ from repro.protocol.population import (
     assign_cluster,
 )
 from repro.protocol.scheduler import GroupScheduler
+from repro.utils import parallel
 
 SPREADING_FACTORS = (7, 9, 12)
 DEVICE_COUNTS = (1, 2, 3, 17, 64, 256)
@@ -1173,20 +1176,18 @@ class TestPopulationEngineBridge:
         assert via_pop.delivery_ratio == via_dep.delivery_ratio
 
 
-MONTE_CARLO_THREAD = "monte-carlo-leg"
-
-
-def _monte_carlo_threads():
-    return [
-        t for t in threading.enumerate()
-        if t.name.startswith(MONTE_CARLO_THREAD)
-    ]
+def _fork_shared(typecode, size=None):
+    """A value (or array) forked leg workers share with the test."""
+    context = multiprocessing.get_context("fork")
+    if size is None:
+        return context.Value(typecode, 0)
+    return context.Array(typecode, size)
 
 
 class TestMonteCarloPool:
-    """The Monte-Carlo legs of a cycle run on a thread pool sized by
-    the usable CPUs; a pooled cycle equals the serial one field for
-    field."""
+    """The Monte-Carlo legs of a cycle run on forked worker processes
+    and the caller, sized by the usable CPUs; a pooled cycle equals the
+    serial one field for field, and no worker outlives it."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -1199,20 +1200,35 @@ class TestMonteCarloPool:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Sizes of the thread pools the population layer opens."""
-        from concurrent.futures import ThreadPoolExecutor
-
+        """Worker processes forked by each leg pool the cycle opens."""
         sizes = []
+        enter = population_module._MonteCarloLegs.__enter__
 
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+        def counting_enter(legs):
+            entered = enter(legs)
+            if legs.workers:
+                sizes.append(len(legs.workers))
+            return entered
 
         monkeypatch.setattr(
-            population_module, "ThreadPoolExecutor", CountingPool
+            population_module._MonteCarloLegs, "__enter__", counting_enter
         )
         return sizes
+
+    @staticmethod
+    def _job_of(pop):
+        """Job index of each Monte-Carlo leg, keyed by its seed."""
+        split = split_fidelity(
+            pop.snr_db,
+            assign_cluster(pop.snr_db, _config(9)),
+            FidelityRule(),
+            5,
+            force_monte_carlo=True,
+        )
+        return {
+            int(seed): job
+            for job, seed in enumerate(split.group_seeds[split.monte_carlo])
+        }
 
     @pytest.mark.parametrize(
         "pop_rng, scale_db, seed, force",
@@ -1227,50 +1243,57 @@ class TestMonteCarloPool:
             pop, seed=seed, force_monte_carlo=force
         )
         assert pools == []  # one usable CPU: no pool at all
-        cpus(4)
-        pooled = hybrid_population_round(
-            pop, seed=seed, force_monte_carlo=force
-        )
-        assert pools == [4]
-        assert serial.n_monte_carlo_groups > 4
-        # Every field, audit_gaps in group order included.
-        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
-        assert not _monte_carlo_threads()
+        assert serial.n_monte_carlo_groups > 8
+        for n_cpus in (4, 8):
+            cpus(n_cpus)
+            pooled = hybrid_population_round(
+                pop, seed=seed, force_monte_carlo=force
+            )
+            # Every field, audit_gaps in group order included.
+            assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+            assert multiprocessing.active_children() == []
+            assert not parallel.in_parallel()
+        assert pools == [3, 7]  # the caller is the last of the CPUs
 
     def test_pool_fft_route_cycle_matches_serial(
         self, cpus, pools, monkeypatch
     ):
         """Full groups read their preamble windows and probes through
         compose_readout's FFT route, above its crossover; pooled legs
-        running that route concurrently give the serial cycle."""
+        running that route in several processes give the serial cycle."""
         import repro.core.dcss as dcss
 
-        routed = []
+        routed = _fork_shared("i")
+        narrowest = _fork_shared("i")
         kernel = dcss._fft_readout_values
 
         def counting(effective_bins, *args):
-            routed.append(effective_bins.shape[1])
+            with routed.get_lock():
+                routed.value += 1
+                width = effective_bins.shape[1]
+                if narrowest.value == 0 or width < narrowest.value:
+                    narrowest.value = width
             return kernel(effective_bins, *args)
 
         monkeypatch.setattr(dcss, "_fft_readout_values", counting)
         pop = office_population(10_000, rng=8, snr_scale_db=-26.0)
         cpus(1)
         serial = hybrid_population_round(pop, seed=5)
-        n_routed = len(routed)
+        n_routed = routed.value
         # Two calls (windows, probes) per leg of at least 64 tones.
-        assert n_routed >= 2 * 4 and min(routed) >= 64
+        assert n_routed >= 2 * 4 and narrowest.value >= 64
         cpus(4)
         pooled = hybrid_population_round(pop, seed=5)
-        assert pools == [4]
-        assert len(routed) == 2 * n_routed
+        assert pools == [3]
+        assert routed.value == 2 * n_routed
         assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
-        assert not _monte_carlo_threads()
+        assert multiprocessing.active_children() == []
 
     def test_pool_stress_with_cold_shared_caches(self, cpus, pools):
-        """More threads than cores, a 1 us switch interval, and the
-        caches the legs share (probe readouts, noise factors, the FFT
-        route's twiddles) emptied first, so the legs race to fill them:
-        the cycle is unchanged."""
+        """More workers than cores, a 1 us switch interval, and the
+        caches the legs read (probe readouts, noise factors, the FFT
+        route's twiddles) emptied first, so every process fills its own
+        copy: the cycle is unchanged."""
         import sys
 
         from repro.core import dcss, receiver
@@ -1300,22 +1323,41 @@ class TestMonteCarloPool:
             )
         finally:
             sys.setswitchinterval(interval)
-        assert error is None and pools == [8]
+        assert error is None and pools == [7]
         assert dataclasses.asdict(outcome[0]) == dataclasses.asdict(serial)
+        assert multiprocessing.active_children() == []
 
     def test_pool_is_no_larger_than_the_legs(self, cpus, pools):
         pop = office_population(2048, rng=3, snr_scale_db=-60.0)
         cpus(64)
         result = hybrid_population_round(pop, seed=11)
-        assert pools == [result.n_monte_carlo_groups] == [9]
+        assert [pools[0] + 1] == [result.n_monte_carlo_groups] == [9]
+
+    def test_pool_opens_for_two_legs_with_one_worker(self, cpus, pools):
+        """On two CPUs one worker is forked; the caller runs the rest."""
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        cpus(1)
+        serial = hybrid_population_round(pop, seed=5, force_monte_carlo=True)
+        cpus(2)
+        pooled = hybrid_population_round(pop, seed=5, force_monte_carlo=True)
+        assert pools == [1]
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
 
     def test_pool_legs_run_in_the_callers_context(self, cpus, monkeypatch):
+        """Every leg sees the caller's context and runs marked as a pool
+        worker; the caller runs at least one leg, and the mark does not
+        leak into it."""
         parent = contextvars.ContextVar("span_parent")
-        seen = []
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        job_of = self._job_of(pop)
+        ran_on = _fork_shared("i", len(job_of))
 
         def leg(snrs, device_ids, config, seed, n_rounds):
-            seen.append((parent.get(None), threading.current_thread().name))
-            return float(snrs.size), 0.0
+            ran_on[job_of[seed]] = os.getpid()
+            time.sleep(0.02)  # long enough for the worker to take legs
+            seen = parent.get(None) == "cycle" and parallel.in_parallel()
+            # A leg that saw the context and the mark delivers all.
+            return float(snrs.size) if seen else 0.0, 0.0
 
         monkeypatch.setattr(
             population_module, "_monte_carlo_group_metrics", leg
@@ -1324,41 +1366,30 @@ class TestMonteCarloPool:
         token = parent.set("cycle")
         try:
             result = hybrid_population_round(
-                office_population(4096, rng=17, snr_scale_db=-30.0),
-                seed=5,
-                force_monte_carlo=True,
+                pop, seed=5, force_monte_carlo=True
             )
         finally:
             parent.reset(token)
         assert result.delivery_ratio == 1.0
-        assert {value for value, _ in seen} == {"cycle"}
-        assert {name.startswith(MONTE_CARLO_THREAD) for _, name in seen} == {
-            True
-        }
+        # Both the caller and the one worker ran legs.
+        assert os.getpid() in ran_on[:] and len(set(ran_on)) == 2
+        assert not parallel.in_parallel()
+        assert multiprocessing.active_children() == []
 
     def test_pool_failure_surfaces_cancels_pending_and_joins(
         self, cpus, monkeypatch
     ):
-        """The first failing leg in group order is raised, after the
-        running legs finish; legs not yet started never start."""
+        """The first failing leg in job order is raised, after the
+        running legs finish; legs not yet started never start. Job 0 is
+        the caller's, so jobs 1 and 2 fail on workers."""
         pop = office_population(4096, rng=17, snr_scale_db=-30.0)
-        split = split_fidelity(
-            pop.snr_db,
-            assign_cluster(pop.snr_db, _config(9)),
-            FidelityRule(),
-            5,
-            force_monte_carlo=True,
-        )
-        job_of = {
-            int(seed): job
-            for job, seed in enumerate(split.group_seeds[split.monte_carlo])
-        }
+        job_of = self._job_of(pop)
         assert len(job_of) >= 12
-        started = []
+        started = _fork_shared("b", len(job_of))
 
         def leg(snrs, device_ids, config, seed, n_rounds):
             job = job_of[seed]
-            started.append(job)
+            started[job] = 1
             if job == 2:
                 raise RuntimeError("leg 2 failed")
             time.sleep(0.1)
@@ -1378,9 +1409,100 @@ class TestMonteCarloPool:
         )
         assert isinstance(error, RuntimeError)
         assert str(error) == "leg 1 failed"
-        assert not _monte_carlo_threads()
-        assert len(started) < len(job_of)
-        assert {0, 1, 2} <= set(started)
+        assert multiprocessing.active_children() == []
+        assert sum(started) < len(job_of)
+        assert started[0] == started[1] == started[2] == 1
+
+    def test_pool_failure_on_the_caller_surfaces_first_in_job_order(
+        self, cpus, monkeypatch
+    ):
+        """The caller's job 0 fails after a worker's later job did: job
+        0's failure is raised, once every worker is joined."""
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        job_of = self._job_of(pop)
+        caller = os.getpid()
+        ran_on = _fork_shared("i", len(job_of))
+
+        def leg(snrs, device_ids, config, seed, n_rounds):
+            job = job_of[seed]
+            ran_on[job] = os.getpid()
+            if job == 0:
+                time.sleep(0.2)
+                raise RuntimeError("leg 0 failed")
+            if job == 1:
+                raise RuntimeError("leg 1 failed")
+            time.sleep(0.05)
+            return float(snrs.size), 0.0
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", leg
+        )
+        cpus(2)
+        error = _error_within(
+            lambda: hybrid_population_round(
+                pop, seed=5, force_monte_carlo=True
+            )
+        )
+        assert isinstance(error, RuntimeError)
+        assert str(error) == "leg 0 failed"
+        assert ran_on[0] == caller
+        assert ran_on[1] not in (0, caller)
+        assert multiprocessing.active_children() == []
+        assert not parallel.in_parallel()
+
+    def test_pool_worker_death_raises_and_joins(self, cpus, monkeypatch):
+        """A worker that dies inside a leg fails the cycle with an error
+        naming the leg it lost, instead of hanging it."""
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+        caller = os.getpid()
+
+        def leg(snrs, device_ids, config, seed, n_rounds):
+            if os.getpid() != caller:
+                os._exit(3)
+            time.sleep(0.05)
+            return float(snrs.size), 0.0
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", leg
+        )
+        cpus(2)
+        error = _error_within(
+            lambda: hybrid_population_round(
+                pop, seed=5, force_monte_carlo=True
+            )
+        )
+        assert isinstance(error, RuntimeError)
+        assert "its worker process died" in str(error)
+        assert "exit codes [3]" in str(error)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_interrupted_caller_terminates_its_workers(
+        self, cpus, monkeypatch
+    ):
+        """An interrupt while the workers run legs (here, during the
+        closed form) terminates and joins them at once."""
+        pop = office_population(4096, rng=17, snr_scale_db=-30.0)
+
+        def leg(snrs, device_ids, config, seed, n_rounds):
+            time.sleep(60.0)
+            return float(snrs.size), 0.0
+
+        def interrupted(*args):
+            time.sleep(0.1)  # the workers are inside their legs
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            population_module, "_monte_carlo_group_metrics", leg
+        )
+        monkeypatch.setattr(
+            population_module, "_closed_form_group_metrics", interrupted
+        )
+        cpus(4)
+        begin = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            hybrid_population_round(pop, seed=5, force_monte_carlo=True)
+        assert time.monotonic() - begin < 10.0
+        assert multiprocessing.active_children() == []
 
 
 class DictIndexedPopulation(Population):

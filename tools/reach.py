@@ -36,7 +36,7 @@ codes are reported, not judged.
 ``campaign/`` entry is fault-recovery code that only injected faults
 trigger (``tests/chaos.py``) or a read-only accessor, and names the
 tier-1 test that exercises it. The check needs two usable CPUs: on one, the process
-pool, the Monte-Carlo thread pool and the decode pipeline run serially
+pool, the Monte-Carlo leg pool and the decode pipeline run serially
 (the pipeline's stage thread and its share of the reads never start),
 so their functions read as unreached; it exits 2 before running
 anything there.
@@ -184,6 +184,11 @@ ALLOWLIST: Dict[str, str] = {
     "protocol/population.py::FidelitySplit.n_monte_carlo": _ACCESSOR,
     "protocol/scheduler.py::GroupScheduler.n_groups": _ACCESSOR,
     "protocol/scheduler.py::GroupScheduler.groups": _ACCESSOR,
+    # A failing Monte-Carlo leg stops the leg pool; no surface's leg fails.
+    "protocol/population.py::_MonteCarloLegs._stop": (
+        "failure path of the Monte-Carlo leg pool, which only a failing leg enters; "
+        "tests/test_population_scale.py::TestMonteCarloPool::"
+        "test_pool_failure_surfaces_cancels_pending_and_joins exercises it"),
     # Campaign fault recovery: chunk quarantine and its rename primitive.
     "campaign/store.py::CampaignStore.quarantine_chunk":
         _safety("chunk quarantine", _QUARANTINE_TEST),
