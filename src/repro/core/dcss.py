@@ -521,7 +521,7 @@ def _readout_values(
             phases_rad,
             bit_tensor,
             readout,
-            _residue_layout(readout),
+            readout.residue_layout(),
         )
     return _compose_readout_values(
         effective_bins,
@@ -542,7 +542,7 @@ def _fft_route(readout: SparseReadout, n_tones: int, n_rows: int) -> bool:
         n_tones,
         readout.n_bins,
         n_rows,
-        _residue_layout(readout)[0].size,
+        readout.residue_layout()[0].size,
     )
 
 
@@ -576,24 +576,6 @@ def _fft_route_cheaper(
     return fft < closed
 
 
-def _residue_layout(readout: SparseReadout) -> tuple:
-    """Where the FFT route finds each readout bin.
-
-    Bin ``q = m * zp + r`` of the padded grid is bin ``m`` of the
-    ``N``-point DFT of the row twiddled by ``exp(-2j*pi*r*t/(N*zp))``,
-    so only the residues ``r`` the readout reads need a transform.
-    Returns the sorted residues and, per bin, its flat index into the
-    ``(residues, N)`` spectra.
-    """
-    n = readout.params.n_samples
-    zp = readout.zero_pad_factor
-    bins = readout.bin_indices
-    residue = bins % zp
-    present = np.bincount(residue, minlength=zp) > 0
-    slot = np.cumsum(present) - 1
-    return np.flatnonzero(present), slot[residue] * n + bins // zp
-
-
 @lru_cache(maxsize=16)
 def _residue_twiddles(n: int, zp: int, residues: tuple) -> np.ndarray:
     """``(len(residues), n)`` twiddles ``exp(-2j*pi*r*t/(n*zp))``, cached."""
@@ -619,9 +601,9 @@ def _fft_readout_values(
     Each distinct row's dechirped tone sum is synthesised in factored
     form (:func:`_factored_tone_sum`), each read residue of the padded
     grid is one ``N``-point FFT of the twiddled row
-    (:func:`_residue_layout`), and the readout's bins are gathered from
-    those spectra. The tone's value at a bin is the exact padded DFT,
-    so this route has no singular branch.
+    (:meth:`SparseReadout.residue_layout`), and the readout's bins are
+    gathered from those spectra. The tone's value at a bin is the exact
+    padded DFT, so this route has no singular branch.
     """
     residues, gather = layout
     n = readout.params.n_samples

@@ -16,10 +16,10 @@ The dechirp + FFT is done once per symbol regardless of the number of
 devices — the receiver-complexity claim the paper makes.
 
 Every entry point runs steps 2-5 through one span loop
-(:meth:`NetScatterReceiver._decode_spans`): a backend's stage A reads a
-span of rounds at each device's search window and at the noise probes,
-one function draws the span's engine noise in the stream's layout
-(:func:`_draw_span_noise`), and one decision rule
+(:meth:`NetScatterReceiver._decode_spans`): each span's stage A draws
+the span's engine noise in the stream's layout
+(:func:`_draw_span_noise`) and then reads its rounds at each device's
+search window and at the noise probes, and one decision rule
 (:meth:`NetScatterReceiver._decide_chunk`) mixes that noise in, locates
 the peaks, estimates the floor and decides.
 The backends differ only in how stage A gets those bins: the padded FFT
@@ -452,7 +452,7 @@ class _SpanNoise:
     ``"full"`` stream (whose window block covers every symbol row),
     ``"located"``. :meth:`take` hands each out once and keeps no
     reference, so a block is freed as soon as its mixer is done with
-    it, not when the span is. A deferred block is drawn when taken.
+    it, not when the span is.
     """
 
     def __init__(self, full: bool, blocks: dict) -> None:
@@ -460,8 +460,7 @@ class _SpanNoise:
         self._blocks = blocks
 
     def take(self, name: str) -> np.ndarray:
-        block = self._blocks.pop(name)
-        return block() if callable(block) else block
+        return self._blocks.pop(name)
 
 
 def _draw_span_noise(
@@ -470,7 +469,6 @@ def _draw_span_noise(
     n_rounds: int,
     n_symbols: int,
     n_preamble: int,
-    defer_located: bool = False,
 ) -> Optional[_SpanNoise]:
     """Every engine draw of one span, in the stream's layout.
 
@@ -481,25 +479,21 @@ def _draw_span_noise(
     ``(R, S - n_preamble, D, 3)`` block for each device's located
     ``±1`` payload bins. The shapes depend on the span alone, never on
     a decoded value, so the draws may run before the span is read or
-    decided; spans must be drawn in order. With ``defer_located`` the
-    located block is drawn only when the decision takes it, after the
-    window block is mixed, so the two are never alive at once; nothing
-    may draw in between. ``None`` without a stream.
+    decided; spans must be drawn in order. ``None`` without a stream.
     """
     if stream is None:
         return None
     full_stream = stream.mode == "full"
     rows = n_symbols if full_stream else n_preamble
     devices, width = plan.n_devices, plan.window_width
-    window = stream.standard_complex((n_rounds, rows, devices, width))
-    probe = stream.standard_complex((n_rounds, plan.n_probes))
-    blocks = {"window": window, "probe": probe}
+    blocks = {
+        "window": stream.standard_complex((n_rounds, rows, devices, width)),
+        "probe": stream.standard_complex((n_rounds, plan.n_probes)),
+    }
     if not full_stream:
-        located = partial(
-            stream.standard_complex,
-            (n_rounds, n_symbols - n_preamble, devices, 3),
+        blocks["located"] = stream.standard_complex(
+            (n_rounds, n_symbols - n_preamble, devices, 3)
         )
-        blocks["located"] = located if defer_located else located()
     return _SpanNoise(full_stream, blocks)
 
 
@@ -1274,37 +1268,42 @@ class NetScatterReceiver:
 
         ``read(span)`` is the backend's stage A. On ``analytic`` and
         ``sparse`` it returns ``(span, windows, probes, read_payload)``,
-        the arguments of :meth:`_decide_chunk` for the span's rounds,
-        and runs as one part; on ``fft`` it returns one part per round
-        and a finish step that returns them (:meth:`_fft_reader`). With
-        more than one span and more than one usable CPU the
-        pipeline's stage thread (:func:`repro.utils.parallel.pipeline`)
-        reads the next span while this thread decides the current one,
-        and this thread then reads the rest of the next span's rounds
-        with it.
+        the arguments of :meth:`_decide_chunk` for the span's rounds; on
+        ``fft`` it returns one part per round and a finish step that
+        returns them (:meth:`_fft_reader`).
 
-        Each span's engine noise (:func:`_draw_span_noise`) is drawn in
-        the stage that does not bound the unit. On ``analytic`` the
-        decisions outweigh the span's one read (or two, window and
-        probe, where the joint read does not serve), so stage A's one
-        part draws right after it reads; on ``fft`` and ``sparse`` the
-        read outweighs the decisions, so stage B draws before it decides,
-        and draws the located payload block only once the window block
-        is mixed in. Either way one thread at a time draws, span after
-        span, in the stream's order, so the result is that of a serial
-        decode, bit for bit. After a failure the generator may have
-        advanced past a serial decode's by the one span stage A runs
-        ahead.
+        Every span is one item of :func:`repro.utils.parallel.pipeline`
+        with one shape: part 0 draws the span's engine noise
+        (:func:`_draw_span_noise`), the other parts are the backend's
+        reads (one per round on ``fft``, one on ``analytic`` and
+        ``sparse``), and stage B only decides. With more than one span
+        and more than one usable CPU, the pipeline's stage thread opens
+        each span by taking its draw and then reads, while this thread
+        decides the previous span and then reads the rounds of the next
+        span the stage thread has not taken. The next span's parts start
+        only once this span's are done, so every draw runs on one
+        thread, span after span, in the stream's order, and the result
+        is that of a serial decode, bit for bit. After a failure the
+        generator may have advanced past a serial decode's by the one
+        span stage A runs ahead.
         """
+        if backend == "fft":
+            split = read
+        else:
+            def split(span):
+                return [partial(read, span)], itemgetter(0)
 
-        def draw(staged, defer_located=False):
-            (start, stop), _, _, _ = staged
-            return _draw_span_noise(
+        def draw_then_read(span):
+            start, stop = span
+            parts, finish = split(span)
+            draw = partial(
+                _draw_span_noise,
                 stream, plan, stop - start, n_symbols, n_preamble,
-                defer_located,
             )
+            return [draw, *parts], lambda done: (finish(done[1:]), done[0])
 
-        def decide(staged, noise):
+        def decide(staged_noise):
+            staged, noise = staged_noise
             (start, stop), windows, probes, read_payload = staged
             return self._decide_chunk(
                 windows,
@@ -1316,23 +1315,7 @@ class NetScatterReceiver:
                 read_payload,
             )
 
-        def one_part(stage_a):
-            return lambda span: ([partial(stage_a, span)], itemgetter(0))
-
-        if backend == "analytic":
-            def read_and_draw(span):
-                staged = read(span)
-                return staged, draw(staged)
-
-            pieces = pipeline(
-                one_part(read_and_draw), lambda pair: decide(*pair), spans
-            )
-        else:
-            pieces = pipeline(
-                read if backend == "fft" else one_part(read),
-                lambda staged: decide(staged, draw(staged, True)),
-                spans,
-            )
+        pieces = pipeline(draw_then_read, decide, spans)
         return self._assemble_decode(pieces, backend, stream)
 
     def _noise_scale(self, noise_snr_db, rng, signal_power, n_rounds):
@@ -1418,13 +1401,13 @@ class NetScatterReceiver:
         are elementwise (:func:`_max3`).
 
         ``noise`` holds the span's engine draws, made in the stream's
-        layout (:func:`_draw_span_noise`); this only mixes them in, in
+        layout (:func:`_draw_span_noise`) as part 0 of the span's stage
+        A on every backend, so this only decides: it mixes them in, in
         place, and takes each block once, so each is freed once mixed.
-        A deferred located block is drawn here, after the window block
-        is mixed. The ``"full"`` stream (version 1) noise-loads the whole
-        window tensor up front — the historical layout, pinned
-        bit-for-bit by the version-1 goldens — so it needs every window
-        row and no ``read_payload``. The ``"payload"`` stream (version
+        The ``"full"`` stream (version 1) noise-loads the whole window
+        tensor up front — the historical layout, pinned bit-for-bit by
+        the version-1 goldens — so it needs every window row and no
+        ``read_payload``. The ``"payload"`` stream (version
         2) noise-loads only the preamble rows and probes, locates each
         device's peak from those noisy preambles (exactly the full
         stream's located-bin law), then adds payload noise only at the

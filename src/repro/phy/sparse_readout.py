@@ -199,6 +199,7 @@ class SparseReadout:
         self._fold_downchirp = bool(fold_downchirp)
         self._op: Optional[np.ndarray] = None
         self._bin_trig: Optional[tuple] = None
+        self._residues: Optional[tuple] = None
         self._sorted_bins: Optional[tuple] = None
 
     @property
@@ -307,6 +308,29 @@ class SparseReadout:
                 np.cos(np.pi * qp / n),
             )
         return self._bin_trig
+
+    def residue_layout(self) -> tuple:
+        """Where the FFT route of :func:`repro.core.dcss.compose_readout`
+        finds each readout bin, cached and read-only.
+
+        Bin ``q = m * zp + r`` of the padded grid is bin ``m`` of the
+        ``N``-point DFT of the row twiddled by ``exp(-2j*pi*r*t/(N*zp))``,
+        so only the residues ``r`` the readout reads need a transform.
+        Returns the sorted residues and, per bin, its flat index into the
+        ``(residues, N)`` spectra.
+        """
+        if self._residues is None:
+            n = self._params.n_samples
+            zp = self._zero_pad_factor
+            bins = self.bin_indices
+            residue = bins % zp
+            present = np.bincount(residue, minlength=zp) > 0
+            slot = np.cumsum(present) - 1
+            layout = (np.flatnonzero(present), slot[residue] * n + bins // zp)
+            for array in layout:
+                array.flags.writeable = False
+            self._residues = layout
+        return self._residues
 
     def tone_sum(
         self,

@@ -4,8 +4,9 @@ Every concurrent path of the repository asks here: the campaign
 process pool (:func:`repro.campaign.runner.resolve_pool_workers`),
 the Monte-Carlo leg pool of a population cycle (forked worker
 processes and the caller) and the decode pipeline (:func:`pipeline`),
-whose stage thread and caller share each span's reads. A computation
-that already runs as one worker of a pool is marked
+whose stage thread opens each span by drawing its noise and whose
+caller, once it has decided a span, shares the next span's reads. A
+computation that already runs as one worker of a pool is marked
 (:func:`mark_parallel`), so that it opens no stage thread of its own:
 the pool already fills the CPUs. Every Monte-Carlo leg is marked,
 whether a forked leg worker or the caller runs it; the caller marks
@@ -77,8 +78,9 @@ def pipeline(
     * a stage thread runs the next item's parts while the caller runs
       ``consume`` of the current one; once done, the caller helps with
       the remaining parts of the item it needs next;
-    * the stage thread opens every item by taking its first part, so a
-      one-part item runs on the stage thread alone;
+    * the stage thread opens every item by taking its first part, so
+      every first part, and all of a one-part item, runs on the stage
+      thread;
     * parts of one item may run at once, but the next item's parts
       start only once all of this item's parts are done, so work that
       runs one part per item, such as random draws from one generator,

@@ -448,28 +448,7 @@ class TestStageBMixing:
             equal_nan=True,
         )
 
-    def test_deferred_located_block_is_drawn_when_taken(self):
-        """Deferring the located block keeps the stream's draw order and
-        values; it is drawn only when the decision takes it."""
-        receiver, _, _ = _tone_batch()
-        plan = receiver._readout_plan(dechirped=True)
-
-        def draw(defer):
-            stream = NoiseStream(np.random.default_rng(9))
-            noise = receiver_module._draw_span_noise(
-                stream, plan, 2, 8, 6, defer_located=defer
-            )
-            drawn = stream.draws
-            blocks = [noise.take(n) for n in ("window", "probe", "located")]
-            return drawn, stream.draws, blocks
-
-        eager, deferred = draw(False), draw(True)
-        assert eager[0] == eager[1] == deferred[1] > deferred[0]
-        for a, b in zip(eager[2], deferred[2]):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("defer", [False, True])
-    def test_noise_blocks_are_freed_once_mixed(self, defer):
+    def test_noise_blocks_are_freed_once_mixed(self):
         """Stage B takes each draw block once, so a span's draws are not
         kept alive by the staged span that still holds its noise."""
         receiver, _, _ = _tone_batch()
@@ -477,12 +456,11 @@ class TestStageBMixing:
         n_rounds, n_symbols, n_pre = 2, 8, 6
         noise = receiver_module._draw_span_noise(
             NoiseStream(np.random.default_rng(9)), plan, n_rounds,
-            n_symbols, n_pre, defer_located=defer,
+            n_symbols, n_pre,
         )
         refs = [
             weakref.ref(noise._blocks[name])
             for name in ("window", "probe", "located")
-            if not callable(noise._blocks[name])
         ]
         shape = (n_rounds, n_pre, plan.n_devices, plan.window_width)
         receiver._decide_chunk(
@@ -496,6 +474,5 @@ class TestStageBMixing:
                 (n_rounds, n_symbols - n_pre, plan.n_devices, 3), complex
             ),
         )
-        assert len(refs) == (2 if defer else 3)
         assert all(ref() is None for ref in refs)
         assert noise._blocks == {}

@@ -3,15 +3,15 @@
 Every ``NetScatterReceiver`` decode runs one span loop: it reads each
 round span (stage A) on a stage thread while the caller decides the
 previous span (stage B), through :func:`repro.utils.parallel.pipeline`.
-In ``decode_readout``, on the analytic backend stage A composes the
-span's preamble windows and symbol-0 probes and then draws the span's
-engine noise, as one part per span; on the ``fft`` backend it
-synthesises and reads the span's tone sum one round at a time, one
-part per round, in 8-row blocks into a grid each reading thread owns,
-and the caller, once it has decided a span, reads the rounds of the
-next span the stage thread has not taken. Stage B draws the noise
-before it decides there. ``decode_rounds`` reads its symbol tensor the
-same ways (``sparse`` as one part per span). Four contracts:
+Every span has one shape: its first part draws the span's engine
+noise, and its other parts read it. In ``decode_readout``, on the
+analytic backend one part composes the span's preamble windows and
+symbol-0 probes; on the ``fft`` backend one part per round synthesises
+and reads that round's tone sum, in 8-row blocks into a grid each
+reading thread owns, and the caller, once it has decided a span, reads
+the rounds of the next span the stage thread has not taken.
+``decode_rounds`` reads its symbol tensor the same ways (``sparse`` as
+one part per span). Stage B only decides. Four contracts:
 
 * **serial equals pipelined** — every ``RoundsDecode`` array is equal,
   bit for bit, whether one, two or four CPUs are usable, across chunk
@@ -23,9 +23,10 @@ same ways (``sparse`` as one part per span). Four contracts:
   (on their forked workers and on the caller) never open a stage
   thread, while a campaign process-pool worker (its own interpreter)
   pipelines its multi-chunk points like a serial run;
-* **draws follow the backend** — the analytic draws run on the stage
-  thread and the ``fft`` draws on the caller, in the serial decode's
-  order and shapes.
+* **one span schedule** — on every backend a span's first part draws
+  its engine noise, so every pooled draw runs on the stage thread, in
+  the serial decode's order and shapes, and a failing draw reaches
+  the caller like any stage failure.
 
 The class and test names carry ``pool`` so CI's multi-core
 ``pooled-paths`` job (``pytest -k pool``) runs the concurrent branch.
@@ -761,67 +762,91 @@ class TestSerialEqualsPooledWaveformDecode:
 
 
 class TestDrawPlacementPool:
-    """Each span's engine noise is drawn in the stage that does not bound
-    the unit: stage A on ``analytic``, stage B on ``fft``."""
+    """Every backend's span draws its engine noise as stage A's first
+    part, so the stage thread, which opens every span, makes every
+    pooled draw."""
 
     @staticmethod
-    def _recorded(monkeypatch, run):
-        """``run()`` with every draw's thread and shape and every
-        ``decode_readout`` result recorded."""
-        draws, decodes = [], []
+    def _recorded_draws(monkeypatch, run):
+        """``run()``'s decodes, with every draw's thread and shape."""
+        draws = []
         draw = receiver_module.NoiseStream.standard_complex
-        decode_readout = NetScatterReceiver.decode_readout
 
         def recording_draw(self, shape):
             draws.append((threading.current_thread().name, tuple(shape)))
             return draw(self, shape)
-
-        def recording_decode(self, *args, **kwargs):
-            decodes.append(decode_readout(self, *args, **kwargs))
-            return decodes[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(
                 receiver_module.NoiseStream, "standard_complex",
                 recording_draw,
             )
-            patch.setattr(
-                NetScatterReceiver, "decode_readout", recording_decode
-            )
-            run()
+            decodes = run()
         return draws, decodes
 
     @staticmethod
-    def _fading_64():
-        NetworkSimulator(
-            paper_deployment(n_devices=64, rng=11),
-            config=NetScatterConfig(n_association_shifts=0),
-            rng=np.random.default_rng(3),
-            engine="analytic",
-        ).run_rounds(200, fading=True)
+    def _simulated(monkeypatch, n_devices, n_rounds, engine, fading):
+        """A simulator's rounds, with every ``decode_readout`` result."""
+        decode_readout = NetScatterReceiver.decode_readout
+
+        def run():
+            decodes = []
+
+            def recording_decode(self, *args, **kwargs):
+                decodes.append(decode_readout(self, *args, **kwargs))
+                return decodes[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    NetScatterReceiver, "decode_readout", recording_decode
+                )
+                NetworkSimulator(
+                    paper_deployment(n_devices=n_devices, rng=11),
+                    config=NetScatterConfig(n_association_shifts=0),
+                    rng=np.random.default_rng(3),
+                    engine=engine,
+                ).run_rounds(n_rounds, fading=fading)
+            return decodes
+
+        return run
 
     @staticmethod
-    def _dense_256():
-        NetworkSimulator(
-            paper_deployment(n_devices=256, rng=11),
-            config=NetScatterConfig(n_association_shifts=0),
-            rng=np.random.default_rng(3),
-            engine="auto",
-        ).run_rounds(20)
+    def _sparse_tensor(monkeypatch):
+        """``decode_rounds`` of a 5-round symbol tensor in 3 spans."""
+        config, assignments, (bins, amps, phases, bits) = _scenario(9, 5)
+        receiver = NetScatterReceiver(config, assignments, readout="sparse")
+        per_round = 16 * receiver.readout_plan.window_readout.n_bins
+        monkeypatch.setattr(
+            receiver_module, "_CHUNK_ELEMENT_BUDGET", CHUNK_ROUNDS * per_round
+        )
+        symbols = dcss_module.compose_rounds(
+            config.chirp_params, bins, amps, phases, bits
+        )
+        return lambda: [
+            receiver.decode_rounds(
+                symbols, noise_snr_db=np.linspace(-14.0, -8.0, 5),
+                rng=np.random.default_rng(77),
+            )
+        ]
 
-    @pytest.mark.parametrize("backend", ["analytic", "fft"])
-    def test_pool_draws_follow_the_backend_in_serial_order(
+    @pytest.mark.parametrize("backend", ["analytic", "fft", "sparse"])
+    def test_pool_draws_run_on_the_stage_thread_in_serial_order(
         self, monkeypatch, cpus, chunk_counts, backend
     ):
         monkeypatch.setattr(
             backend_plan, "_HOST_PLANNER", _ForcedPlanner("fft")
         )
-        run = self._fading_64 if backend == "analytic" else self._dense_256
+        if backend == "analytic":  # fading-64's batches
+            run = self._simulated(monkeypatch, 64, 200, "analytic", True)
+        elif backend == "fft":  # dense-256's batch
+            run = self._simulated(monkeypatch, 256, 20, "auto", False)
+        else:
+            run = self._sparse_tensor(monkeypatch)
         caller = threading.current_thread().name
         cpus(1)
-        serial_draws, serial_decodes = self._recorded(monkeypatch, run)
+        serial_draws, serial_decodes = self._recorded_draws(monkeypatch, run)
         cpus(2)
-        pooled_draws, pooled_decodes = self._recorded(monkeypatch, run)
+        pooled_draws, pooled_decodes = self._recorded_draws(monkeypatch, run)
 
         assert chunk_counts[0] == chunk_counts[-1] >= 2
         assert {d.backend for d in serial_decodes} == {backend}
@@ -829,14 +854,10 @@ class TestDrawPlacementPool:
             shape for _, shape in serial_draws
         ]
         assert {name for name, _ in serial_draws} == {caller}
-        pooled_threads = {name for name, _ in pooled_draws}
-        if backend == "analytic":
-            assert all(
-                name.startswith(STAGE_THREAD_PREFIX)
-                for name in pooled_threads
-            )
-        else:
-            assert pooled_threads == {caller}
+        assert pooled_draws
+        assert all(
+            name.startswith(STAGE_THREAD_PREFIX) for name, _ in pooled_draws
+        )
         assert len(pooled_decodes) == len(serial_decodes)
         for pooled, serial in zip(pooled_decodes, serial_decodes):
             _assert_same_decode(pooled, serial)
@@ -1229,6 +1250,48 @@ class TestWaveformPoolFailures:
         with pytest.raises(_StageFailure, match=f"span {failing_span}"):
             _waveform_decode(receiver, batch, "payload", self.N_ROUNDS)
         assert max(composed) <= failing_span + 1
+        assert not _stage_threads_alive()
+
+    @pytest.mark.parametrize("failing_span", [0, 1, 3])
+    def test_pool_draw_failure_reaches_the_caller(
+        self, monkeypatch, cpus, failing_span
+    ):
+        """A draw that raises on the stage thread reaches the caller with
+        its own type, once the spans before it are decided and before
+        any further span is produced."""
+        cpus(2)
+        config, assignments, batch = _scenario(9, self.N_ROUNDS)
+        receiver = _waveform_receiver(config, assignments)
+        _force_span_rounds(monkeypatch, receiver, 16, CHUNK_ROUNDS)
+        draw = receiver_module._draw_span_noise
+        drawn, produced, decided = [], [], []
+
+        def failing_draw(*args):
+            drawn.append(threading.current_thread().name)
+            if len(drawn) - 1 == failing_span:
+                raise _StageFailure(f"span {failing_span}")
+            return draw(*args)
+
+        def recording_pipeline(produce, consume, items):
+            def recording_produce(span):
+                produced.append(span)
+                return produce(span)
+
+            def recording_consume(staged):
+                decided.append(staged[0][0])
+                return consume(staged)
+
+            return pipeline(recording_produce, recording_consume, items)
+
+        monkeypatch.setattr(receiver_module, "_draw_span_noise", failing_draw)
+        monkeypatch.setattr(receiver_module, "pipeline", recording_pipeline)
+        with pytest.raises(_StageFailure, match=f"span {failing_span}"):
+            _waveform_decode(receiver, batch, "payload", self.N_ROUNDS)
+        spans = [(2 * k, 2 * k + 2) for k in range(failing_span + 1)]
+        assert produced == spans
+        assert decided == spans[:-1]
+        assert len(drawn) == failing_span + 1
+        assert all(name.startswith(STAGE_THREAD_PREFIX) for name in drawn)
         assert not _stage_threads_alive()
 
 

@@ -338,8 +338,8 @@ class TestMultiSpanGoldenPool:
 #: and of (detected, bits), for :func:`_dense_fft_scenario` decoded on
 #: the ``fft`` backend at noise_snr_db=-22, rng seed 46. Recorded before
 #: the ``fft`` stage A read each round's shared preamble row once and
-#: stage B deferred its located draws, so these pin that both left the
-#: draws and decisions as they were.
+#: before the draws moved from stage B to the first part of stage A, so
+#: these pin that both left the draws and decisions as they were.
 DENSE_FFT_GOLDEN = ("1e580559e387ac72", "6816c184db02f7ad")
 
 

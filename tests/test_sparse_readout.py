@@ -375,3 +375,34 @@ class TestLazyOperator:
         plan = receiver._readout_plan(dechirped=True)
         for readout in (plan.window_readout, plan.probe_readout):
             assert readout._op is None
+
+
+class TestResidueLayout:
+    """Where the FFT route of ``compose_readout`` finds each bin: cached
+    per readout, like its trigonometry, and read-only."""
+
+    @pytest.mark.parametrize(
+        "zp, bins",
+        [
+            (10, [5119, 0, 1, 3, 3, 27, 100, 4090]),  # wraps, repeats
+            (10, [0, 10, 20, 5110]),  # natural-grid probes: residue 0
+            (1, [7, 2, 511]),
+            (4, [1, 2, 5, 6, 2047]),
+        ],
+    )
+    def test_cached_layout_equals_a_fresh_computation(self, zp, bins):
+        params = ChirpParams(bandwidth_hz=500e3, spreading_factor=9)
+        n = params.n_samples
+        readout = SparseReadout(params, zp, np.array(bins))
+        layout = readout.residue_layout()
+        assert readout.residue_layout() is layout
+        residues = sorted({q % zp for q in bins})
+        gather = [residues.index(q % zp) * n + q // zp for q in bins]
+        assert layout[0].tolist() == residues
+        assert layout[1].tolist() == gather
+        fresh = SparseReadout(params, zp, np.array(bins)).residue_layout()
+        for cached, computed in zip(layout, fresh):
+            assert np.array_equal(cached, computed)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 1
