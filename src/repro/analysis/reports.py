@@ -1,8 +1,8 @@
-"""Plain-text table/series formatting for the benchmark harness.
+"""Plain-text table/series formatting for the experiment reports.
 
 Every experiment prints its figure/table as aligned text rows so the
-bench output can be compared with the paper directly; no plotting
-dependencies are required.
+``python -m repro`` output can be compared with the paper directly; no
+plotting dependencies are required.
 """
 
 from __future__ import annotations

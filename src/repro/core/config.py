@@ -140,7 +140,7 @@ class NetScatterConfig:
         return self.n_bins / self.spreading_factor
 
     def describe(self) -> str:
-        """One-line summary used by the benchmark harness."""
+        """One-line summary for reports and error messages."""
         return (
             f"BW={self.bandwidth_hz / 1e3:.0f}kHz SF={self.spreading_factor} "
             f"SKIP={self.skip} -> {self.max_devices} devices @ "

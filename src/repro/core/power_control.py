@@ -2,14 +2,15 @@
 
 The tag-side step logic lives on :class:`repro.hardware.device
 .BackscatterDevice`; this module provides the network-side view — target
-SNR windows, the closed-loop simulation used by the power-control
-ablation, and the SNR-based grouping the AP uses for the query group ID.
+SNR windows and the closed-loop simulation used by the power-control
+ablation. The SNR-based grouping the AP uses for the query group ID is
+:func:`repro.protocol.population.assign_cluster`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,32 +129,3 @@ def simulate_power_control(
         "final_levels": np.asarray(current_levels),
     }
 
-
-def snr_groups(
-    snrs_db: Sequence[float], group_span_db: float = 35.0
-) -> List[List[int]]:
-    """Group device indices into similar-SNR groups (query group IDs).
-
-    Section 3.3.3: a large network splits devices into groups of similar
-    signal strength so each concurrent round stays inside the tolerable
-    dynamic range. Greedy span-limited grouping over the sorted SNRs.
-    """
-    if group_span_db <= 0:
-        raise ConfigurationError("group span must be positive")
-    order = np.argsort(np.asarray(snrs_db, dtype=float))[::-1]
-    groups: List[List[int]] = []
-    current: List[int] = []
-    group_top: Optional[float] = None
-    for idx in order:
-        snr = float(snrs_db[idx])
-        if group_top is None or group_top - snr <= group_span_db:
-            current.append(int(idx))
-            if group_top is None:
-                group_top = snr
-        else:
-            groups.append(current)
-            current = [int(idx)]
-            group_top = snr
-    if current:
-        groups.append(current)
-    return groups

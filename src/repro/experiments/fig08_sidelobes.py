@@ -53,8 +53,7 @@ def run(
     # lobe (~3.47 bins, -20.8 dB). We verify both lobes, plus the
     # worst-case exposure over each neighbour's residual-offset window
     # (which for SKIP = 3 is bounded by the second lobe at -17.8 dB —
-    # slightly more conservative than the annotation; see
-    # EXPERIMENTS.md).
+    # slightly more conservative than the annotation).
     lobe1 = profile.worst_in_range(1.0, 2.0)
     lobe3 = profile.worst_in_range(3.0, 4.0)
     skip2_window = profile.worst_in_range(1.5, 2.5)

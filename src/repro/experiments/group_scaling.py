@@ -18,8 +18,8 @@ from repro.baselines.lora_backscatter import LoRaBackscatterNetwork
 from repro.channel.deployment import paper_deployment
 from repro.constants import PAYLOAD_CRC_BITS, QUERY_BITS_CONFIG1
 from repro.core.config import NetScatterConfig
-from repro.core.power_control import snr_groups
 from repro.experiments.common import ExperimentResult
+from repro.protocol.population import assign_cluster
 from repro.utils.rng import RngLike, child_rng, make_rng
 
 
@@ -50,13 +50,9 @@ def run(
         deployment = paper_deployment(
             n_devices=population, rng=child_rng(generator, population)
         )
-        snrs = deployment.snrs_db().tolist()
+        snrs = deployment.snrs_db()
         # Group by SNR span, then split to the concurrency ceiling.
-        raw_groups = snr_groups(snrs, group_span_db)
-        n_groups = 0
-        for group in raw_groups:
-            n_groups += math.ceil(len(group) / config.max_devices)
-        n_groups = max(1, n_groups)
+        n_groups = len(assign_cluster(snrs, config, group_span_db))
         netscatter_latency = n_groups * round_time
         lora_latency = LoRaBackscatterNetwork(snrs).network_latency_s()
         result.rows.append(

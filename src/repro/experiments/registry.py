@@ -6,6 +6,7 @@ wants to enumerate everything the reproduction can regenerate.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, List
 
 from repro.errors import ReproError
@@ -87,12 +88,9 @@ def run_experiment(experiment_id: str, quick: bool = False, seed: int = 0):
             f"choose from {', '.join(EXPERIMENTS)}"
         )
     kwargs = dict(QUICK_KWARGS.get(experiment_id, {})) if quick else {}
-    kwargs["rng"] = seed
     driver = EXPERIMENTS[experiment_id]
-    try:
-        return driver(**kwargs)
-    except TypeError:
-        # A few drivers (table1, fig07, fig08) are deterministic and
-        # take no rng/scale arguments.
-        kwargs.pop("rng", None)
-        return driver(**kwargs)
+    # A few drivers (table1, fig07, fig08) are deterministic and take
+    # no rng.
+    if "rng" in inspect.signature(driver).parameters:
+        kwargs["rng"] = seed
+    return driver(**kwargs)

@@ -26,7 +26,7 @@ PAPER_ROWS: Dict[Tuple[int, int], Tuple[float, float, float, float]] = {
 SENSITIVITY_TOLERANCE_DB = 4.5
 """Sensitivity depends on the assumed noise figure and demodulator SNR
 limits; we allow a few dB of modelling slack against the printed column
-(the (125 kHz, SF 6) row differs most, see EXPERIMENTS.md)."""
+(the (125 kHz, SF 6) row differs most)."""
 
 
 def run() -> ExperimentResult:

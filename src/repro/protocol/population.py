@@ -404,11 +404,11 @@ def span_group_bounds(
 ) -> List[int]:
     """Greedy span-group boundaries over descending-sorted SNRs.
 
-    Returns the start index of each group (the vectorised form of
-    :func:`repro.core.power_control.snr_groups`'s greedy walk: a group
-    extends while ``top - snr <= group_span_db``). The loop runs once
-    per *group*, not per device. A NaN span or a non-finite SNR would
-    stall the walk, so both are rejected.
+    Returns the start index of each group of Section 3.3.3's greedy
+    walk over the sorted SNRs: a group extends while ``top - snr <=
+    group_span_db``. The loop runs once per *group*, not per device. A
+    NaN span or a non-finite SNR would stall the walk, so both are
+    rejected.
     """
     if not group_span_db > 0:
         raise ConfigurationError(
@@ -445,10 +445,11 @@ def assign_cluster(
 ) -> List[np.ndarray]:
     """Partition a population into schedulable similar-SNR groups.
 
-    Greedy span grouping over the descending-SNR order (identical to
-    :func:`repro.core.power_control.snr_groups` plus a max-size
-    split), each group capped at ``config.max_devices``. Returns one
-    row-index array per group, members in descending-SNR order.
+    Section 3.3.3: greedy span grouping over the descending-SNR order
+    (:func:`span_group_bounds`), so each concurrent round stays inside
+    the tolerable dynamic range, then a max-size split capping each
+    group at ``config.max_devices``. Returns one row-index array per
+    group, members in descending-SNR order.
     """
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.size == 0:

@@ -2,7 +2,7 @@
 
 Every stochastic component in the library accepts either a
 ``numpy.random.Generator`` or a plain integer seed. Centralising the
-coercion here keeps experiments reproducible: the benchmark harness passes
+coercion here keeps experiments reproducible: the experiment runner passes
 integer seeds, and each module derives independent child streams where it
 needs them.
 """

@@ -2,7 +2,7 @@
 
 Most NetScatter evaluation figures are empirical CDFs (Figs. 4, 9, 14) or
 complementary CDFs on log axes (Figs. 14b, 15a). These helpers turn raw
-sample arrays into the (x, y) series the benchmark harness prints.
+sample arrays into the (x, y) series the experiment reports print.
 """
 
 from __future__ import annotations

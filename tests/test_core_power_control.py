@@ -7,9 +7,10 @@ from repro.core.power_control import (
     PowerControlPolicy,
     reciprocity_step,
     simulate_power_control,
-    snr_groups,
 )
+from repro.core.config import NetScatterConfig
 from repro.errors import ConfigurationError
+from repro.protocol.population import assign_cluster
 
 
 class TestPolicy:
@@ -95,27 +96,36 @@ class TestClosedLoop:
 
 
 class TestSnrGroups:
+    """Section 3.3.3's similar-SNR groups (the query group IDs)."""
+
+    @staticmethod
+    def groups(snrs, group_span_db):
+        config = NetScatterConfig(n_association_shifts=0)
+        return [
+            g.tolist() for g in assign_cluster(snrs, config, group_span_db)
+        ]
+
     def test_single_group_within_span(self):
-        groups = snr_groups([0.0, 10.0, 20.0], group_span_db=35.0)
+        groups = self.groups([0.0, 10.0, 20.0], group_span_db=35.0)
         assert len(groups) == 1
         assert sorted(groups[0]) == [0, 1, 2]
 
     def test_splits_beyond_span(self):
-        groups = snr_groups([0.0, 50.0], group_span_db=35.0)
+        groups = self.groups([0.0, 50.0], group_span_db=35.0)
         assert len(groups) == 2
 
     def test_groups_ordered_by_snr(self):
-        groups = snr_groups([0.0, 50.0, 49.0, 1.0], group_span_db=10.0)
+        groups = self.groups([0.0, 50.0, 49.0, 1.0], group_span_db=10.0)
         assert len(groups) == 2
         assert set(groups[0]) == {1, 2}
         assert set(groups[1]) == {0, 3}
 
     def test_every_device_grouped(self, rng):
         snrs = rng.uniform(-20, 60, size=50).tolist()
-        groups = snr_groups(snrs, group_span_db=20.0)
+        groups = self.groups(snrs, group_span_db=20.0)
         allocated = [i for g in groups for i in g]
         assert sorted(allocated) == list(range(50))
 
     def test_invalid_span(self):
         with pytest.raises(ConfigurationError):
-            snr_groups([0.0], group_span_db=0.0)
+            self.groups([0.0], group_span_db=0.0)

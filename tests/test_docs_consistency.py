@@ -11,11 +11,13 @@ Three classes of drift this catches in tier-1:
 * the benchmark trail must stay whole: every workload ``BENCHMARK.json``
   declares keeps a CI job that runs it, and the frozen history of the
   retired single-shot harness (``docs/PERFORMANCE.md`` §4) keeps the
-  ratios that harness recorded.
+  ratios that harness recorded, and no CI job or doc runs the retired
+  pytest-benchmark tree.
 """
 
 import doctest
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,15 @@ BENCHMARK_WORKLOADS = [
 ]
 
 
+#: The docs a reader follows to run the project.
+USER_DOCS = ["README.md", "bench/README.md"] + sorted(
+    str(p.relative_to(REPO_ROOT)) for p in (REPO_ROOT / "docs").glob("*.md")
+)
+
+#: ``benchmarks/`` as a path of its own (not ``.benchmarks/``).
+RETIRED_TREE = re.compile(r"(?<![\w./])benchmarks/")
+
+
 def _history_table():
     """Parse the frozen history table into ``{column: [cell, ...]}``."""
     text = (REPO_ROOT / "docs/PERFORMANCE.md").read_text()
@@ -177,7 +188,6 @@ class TestCiPipeline:
         assert path.exists(), "CI workflow is missing"
         text = path.read_text()
         for anchor in (
-            "REPRO_SKIP_PERF_GUARD",
             "ruff check",
             "bench-smoke",
             "bench/run.py --workload dense-256",
@@ -190,6 +200,25 @@ class TestCiPipeline:
             "-k pool",
         ):
             assert anchor in text, f"ci.yml lost {anchor!r}"
+
+    def test_no_job_installs_pytest_benchmark(self):
+        # bench/ is the one timing harness; tier-1 holds plain checks.
+        text = (
+            REPO_ROOT / ".github" / "workflows" / "ci.yml"
+        ).read_text()
+        assert "pytest-benchmark" not in text
+
+    @pytest.mark.parametrize("relpath", USER_DOCS)
+    def test_no_doc_runs_the_retired_benchmarks_tree(self, relpath):
+        # The pytest-benchmark tree ``benchmarks/`` is gone; a doc may
+        # still name its retired files as history, never run them.
+        lines = (REPO_ROOT / relpath).read_text().splitlines()
+        runs = [
+            line for line in lines
+            if RETIRED_TREE.search(line)
+            and re.search(r"\bpy(test|thon)\b", line)
+        ]
+        assert not runs, f"{relpath} tells readers to run benchmarks/: {runs}"
 
     def test_every_job_is_time_bounded(self):
         # A hung job must never burn a runner's 6-hour default: each

@@ -1,7 +1,8 @@
-"""Smoke tests: every experiment driver runs at reduced scale and its
-shape checks hold. Full-scale runs back EXPERIMENTS.md and the benches."""
+"""Every experiment driver runs and its shape checks hold: at reduced
+scale, and once at the scale and seed of its paper-scale regeneration."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -25,8 +26,9 @@ from repro.experiments import (
     table1_configs,
 )
 from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import QUICK_KWARGS
+from repro.experiments.registry import EXPERIMENTS, QUICK_KWARGS
 from repro.protocol.network import sweep_device_counts
+from repro.protocol.session import NetworkSession
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +206,71 @@ class TestSweepDrivers:
             json.dumps(rows, sort_keys=True).encode()
         ).hexdigest()
         assert digest == DRIVER_GOLDEN[(name, seed)]
+
+
+#: Each registered experiment's paper-scale run: its arguments and seed.
+#: The Figs. 17-19 sweeps also get ``office_256``, the calibrated
+#: 256-device office deployment.
+PAPER_SCALE_KWARGS = {
+    "fig04": dict(n_devices=48, n_packets=60, rng=4),
+    "table1": dict(),
+    "fig07": dict(n_points=101),
+    "fig08": dict(),
+    "fig09": dict(n_devices=8, duration_s=1800.0, rng=9),
+    "fig10": dict(n_trials=8, rng=10),
+    "fig12": dict(
+        snrs_db=(-20, -18, -16, -14, -12, -10), n_symbols=4000, rng=12
+    ),
+    "fig14a": dict(n_devices=256, n_packets=20, rng=14),
+    "fig14b": dict(n_devices=64, n_packets=40, rng=15),
+    "fig15a": dict(n_samples=2000, rng=15),
+    "fig15b": dict(
+        separations_bins=(2, 4, 8, 16, 64, 128, 256), n_symbols=600, rng=16
+    ),
+    "fig16": dict(n_symbols=16, rng=16),
+    "fig17": dict(
+        device_counts=(1, 16, 32, 64, 96, 128, 160, 192, 224, 256),
+        n_rounds=3,
+        rng=17,
+    ),
+    "fig18": dict(device_counts=(1, 16, 64, 128, 192, 256), n_rounds=2, rng=18),
+    "fig19": dict(
+        device_counts=(1, 16, 32, 64, 96, 128, 160, 192, 224, 256), rng=19
+    ),
+    "sec22": dict(n_trials=20000, rng=22),
+    "ext-choir": dict(n_rounds=300, rng=22),
+    "ext-groups": dict(rng=5),
+}
+
+
+@pytest.fixture(scope="module")
+def office_256():
+    return paper_deployment(n_devices=256, rng=2026)
+
+
+class TestPaperScale:
+    def test_every_experiment_has_a_paper_scale_run(self):
+        assert list(PAPER_SCALE_KWARGS) == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment_id", list(PAPER_SCALE_KWARGS))
+    def test_run_passes_its_checks(self, experiment_id, request):
+        driver = EXPERIMENTS[experiment_id]
+        kwargs = dict(PAPER_SCALE_KWARGS[experiment_id])
+        if "deployment" in inspect.signature(driver).parameters:
+            kwargs["deployment"] = request.getfixturevalue("office_256")
+        result = driver(**kwargs)
+        assert result.all_checks_pass(), result.report()
+
+    def test_network_session_dynamics(self):
+        """The Section 3.2.3/3.3.2 closed loop over 40 fading rounds:
+        power steps, sit-outs, re-association and reassignment queries,
+        while the network keeps delivering."""
+        session = NetworkSession(
+            deployment=paper_deployment(n_devices=64, rng=8),
+            fading_std_db=3.0,
+            rng=9,
+        )
+        stats = session.run(40)
+        assert stats.mean_delivery > 0.8
+        assert stats.power_steps > 0
+

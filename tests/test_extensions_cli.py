@@ -96,6 +96,18 @@ class TestRegistry:
         with pytest.raises(ReproError):
             run_experiment("fig99")
 
+    def test_driver_type_error_propagates_after_one_run(self, monkeypatch):
+        calls = []
+
+        def driver(rng=None):
+            calls.append(rng)
+            raise TypeError("raised inside the driver")
+
+        monkeypatch.setitem(EXPERIMENTS, "demo", driver)
+        with pytest.raises(TypeError, match="inside the driver"):
+            run_experiment("demo", seed=3)
+        assert calls == [3]
+
     def test_registry_callables(self):
         for driver in EXPERIMENTS.values():
             assert callable(driver)

@@ -44,7 +44,6 @@ from repro.core.allocation import (
     power_aware_allocation,
 )
 from repro.core.config import NetScatterConfig
-from repro.core.power_control import snr_groups
 from repro.errors import (
     AllocationError,
     AssociationError,
@@ -91,6 +90,28 @@ def _table_state(table: AllocationTable):
 # scheduler. Ranking and grouping go through the same
 # ``spread_slot_indices`` and ``snr_groups`` calls the flat kernels were
 # derived from, so any drift of the flat path shows as a mismatch here.
+
+
+def snr_groups(snrs_db, group_span_db: float = 35.0) -> List[List[int]]:
+    """Greedy span-limited grouping over the sorted SNRs, one device at
+    a time (Section 3.3.3's query group IDs)."""
+    order = np.argsort(np.asarray(snrs_db, dtype=float))[::-1]
+    groups: List[List[int]] = []
+    current: List[int] = []
+    group_top: Optional[float] = None
+    for idx in order:
+        snr = float(snrs_db[idx])
+        if group_top is None or group_top - snr <= group_span_db:
+            current.append(int(idx))
+            if group_top is None:
+                group_top = snr
+        else:
+            groups.append(current)
+            current = [int(idx)]
+            group_top = snr
+    if current:
+        groups.append(current)
+    return groups
 
 
 @dataclass
