@@ -17,11 +17,11 @@ devices — the receiver-complexity claim the paper makes.
 
 Every entry point runs steps 2-5 through one span loop
 (:meth:`NetScatterReceiver._decode_spans`): each span's stage A draws
-the span's engine noise in the stream's layout
-(:func:`_draw_span_noise`) and then reads its rounds at each device's
-search window and at the noise probes, and one decision rule
-(:meth:`NetScatterReceiver._decide_chunk`) mixes that noise in, locates
-the peaks, estimates the floor and decides.
+the span's engine noise in the stream's layout and finishes it,
+correlated and scaled (:func:`_draw_span_noise`), and then reads its
+rounds at each device's search window and at the noise probes, and one
+decision rule (:meth:`NetScatterReceiver._decide_chunk`) adds that noise
+in place, locates the peaks, estimates the floor and decides.
 The backends differ only in how stage A gets those bins: the padded FFT
 (``fft``, and every single-frame decode), a precomputed matmul over a
 symbol tensor (``sparse``) or the closed-form Dirichlet kernel over
@@ -50,6 +50,7 @@ from repro.phy.noise import (
     exclusion_mask,
 )
 from repro.phy.sparse_readout import (
+    _GEMM_MAX_MACS,
     SparseReadout,
     full_fft_values,
     located_bin_noise_covariance,
@@ -446,13 +447,13 @@ def _located_noise_factor(
 
 
 class _SpanNoise:
-    """One span's CN(0,1) engine draws (:func:`_draw_span_noise`).
+    """One span's finished engine noise (:func:`_draw_span_noise`).
 
     The blocks are ``"window"``, ``"probe"`` and, except on the
     ``"full"`` stream (whose window block covers every symbol row),
     ``"located"``. :meth:`take` hands each out once and keeps no
-    reference, so a block is freed as soon as its mixer is done with
-    it, not when the span is.
+    reference, so a block is freed as soon as stage B has added it,
+    not when the span is.
     """
 
     def __init__(self, full: bool, blocks: dict) -> None:
@@ -463,92 +464,112 @@ class _SpanNoise:
         return self._blocks.pop(name)
 
 
+def _correlated(
+    draws: np.ndarray, factor: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """``(draws @ factor.T) * scale`` over ``(R, ..., D, W)`` draws, in place.
+
+    With two or more devices the draws are flattened to ``(R * ... * D,
+    W)`` rows and multiplied in 2-D products of whole ``(D, W)`` stacks,
+    at most :data:`_GEMM_MAX_MACS` real multiply-adds each (or one stack),
+    so each stays on its caller's thread, rather than in numpy's loop of
+    one small product per stack. Every row of a 2-D product of two or
+    more rows is the same dot products, so the values are identical bit
+    for bit. One device's stacks are single rows, which numpy's stacked
+    product sends down BLAS's one-row path, whose sums differ in the last
+    bit, so they keep that product. Each product's rows are written back
+    over the draws they came from, so a finished block needs one
+    product's rows beside it, not a second block. ``scale`` is the
+    ``(R,)`` per-round noise amplitude.
+    """
+    devices, width = draws.shape[-2:]
+    if devices < 2:
+        draws[...] = draws @ factor.T
+    else:
+        flat = draws.reshape(-1, width)
+        # A complex multiply-add counts as four, as in every capped
+        # product.
+        stacks = max(1, _GEMM_MAX_MACS // (4 * factor.size * devices))
+        step = stacks * devices
+        for start in range(0, flat.shape[0], step):
+            rows = flat[start : start + step]
+            rows[...] = rows @ factor.T
+    draws *= scale.reshape((-1,) + (1,) * (draws.ndim - 1))
+    return draws
+
+
 def _draw_span_noise(
     stream: Optional[NoiseStream],
     plan: _ReadoutPlan,
     n_rounds: int,
     n_symbols: int,
     n_preamble: int,
+    noise_scale: Optional[np.ndarray],
 ) -> Optional[_SpanNoise]:
-    """Every engine draw of one span, in the stream's layout.
+    """Every engine draw of one span, finished: correlated and scaled.
 
-    The one owner of that layout. Per span, in this order: one window
-    block, ``(R, S, D, W)`` on the ``"full"`` stream (version 1) or
-    ``(R, n_preamble, D, W)`` on the ``"payload"`` stream (version 2);
-    one ``(R, n_probes)`` probe block; and on the payload stream one
-    ``(R, S - n_preamble, D, 3)`` block for each device's located
-    ``±1`` payload bins. The shapes depend on the span alone, never on
-    a decoded value, so the draws may run before the span is read or
+    The one owner of the stream's layout. Per span, in this order: one
+    window block, ``(R, S, D, W)`` on the ``"full"`` stream (version 1)
+    or ``(R, n_preamble, D, W)`` on the ``"payload"`` stream (version
+    2); one ``(R, n_probes)`` probe block; and on the payload stream one
+    ``(R, S - n_preamble, D, 3)`` block for each device's located ``±1``
+    payload bins. The shapes depend on the span alone, never on a
+    decoded value, so the draws may run before the span is read or
     decided; spans must be drawn in order. ``None`` without a stream.
+
+    White time-domain noise maps linearly onto the readout, so the noise
+    at the read bins is drawn with its exact joint law instead of being
+    materialised over the whole ``(rounds, symbols, 2^SF)`` tensor. With
+    ``σ`` the span's ``(R,)`` ``noise_scale``:
+
+    * each device window gets ``(ζ @ Lᵀ)·σ`` through the shared
+      ``(W, W)`` factor ``L`` (:attr:`_ReadoutPlan.window_noise_factor`);
+    * the natural-grid probes are mutually orthogonal and get iid noise
+      ``ζ·σ·√N``, of per-bin power ``2^SF * noise_power``;
+    * the located ``±1`` payload bins are adjacent, so their joint law
+      is the shared 3×3 Toeplitz factor ``P``
+      (:attr:`_ReadoutPlan.payload_noise_factor`) whatever the located
+      position: ``(ζ @ Pᵀ)·σ``, the marginal of exactly the noise the
+      ``"full"`` stream would have drawn there, at ~``W/3`` fewer draws
+      per payload symbol.
+
+    Stage B (:meth:`NetScatterReceiver._decide_chunk`) only adds them.
     """
     if stream is None:
         return None
     full_stream = stream.mode == "full"
     rows = n_symbols if full_stream else n_preamble
     devices, width = plan.n_devices, plan.window_width
-    blocks = {
-        "window": stream.standard_complex((n_rounds, rows, devices, width)),
-        "probe": stream.standard_complex((n_rounds, plan.n_probes)),
-    }
+    window = _correlated(
+        stream.standard_complex((n_rounds, rows, devices, width)),
+        plan.window_noise_factor,
+        noise_scale,
+    )
+    probe = stream.standard_complex((n_rounds, plan.n_probes))
+    probe *= noise_scale[:, None] * np.sqrt(float(plan.n_samples))
+    blocks = {"window": window, "probe": probe}
     if not full_stream:
-        blocks["located"] = stream.standard_complex(
-            (n_rounds, n_symbols - n_preamble, devices, 3)
+        blocks["located"] = _correlated(
+            stream.standard_complex(
+                (n_rounds, n_symbols - n_preamble, devices, 3)
+            ),
+            plan.payload_noise_factor,
+            noise_scale,
         )
     return _SpanNoise(full_stream, blocks)
 
 
-def _inject_readout_noise(
-    plan: _ReadoutPlan,
-    window_values: np.ndarray,
-    probe_values: np.ndarray,
-    noise_scale: np.ndarray,
-    noise: _SpanNoise,
-):
-    """Add channel AWGN directly at the window + probe readout bins.
-
-    White time-domain noise maps linearly onto the readout, so the noise
-    at the read bins is drawn with its exact per-block covariance instead
-    of being materialised over the whole ``(rounds, symbols, 2^SF)``
-    tensor: each device window gets correlated noise via the shared
-    ``(W, W)`` factor (:attr:`_ReadoutPlan.window_noise_factor`); the
-    natural-grid probes are mutually orthogonal and get iid noise of
-    per-bin power ``2^SF * noise_power``. ``noise`` holds the span's
-    draws; its window block has ``window_values``' shape. The noise is
-    scaled and summed in place, in its correlated block and in the probe
-    draws, and returned as the noisy values; ``window_values`` may be a
-    read-only broadcast view.
-    """
-    window = noise.take("window") @ plan.window_noise_factor.T
-    window *= noise_scale[:, None, None, None]
-    window += window_values
-    probe = noise.take("probe")
-    probe *= noise_scale[:, None] * np.sqrt(float(plan.n_samples))
-    probe += probe_values
-    return window, probe
-
-
-def _inject_located_noise(
-    plan: _ReadoutPlan,
-    located_values: np.ndarray,
-    noise_scale: np.ndarray,
-    noise: _SpanNoise,
+def _add_noise(
+    noise: _SpanNoise, name: str, values: np.ndarray
 ) -> np.ndarray:
-    """Add channel AWGN at the located ``±1`` payload bins only.
+    """Take one finished noise block and add ``values`` to it, in place.
 
-    ``located_values`` is ``(R, S_payload, D, 3)`` complex — each
-    device's payload readout gathered at its located peak and the two
-    interpolated neighbours, a fresh array this adds the noise to in
-    place — and ``noise``'s located block its draws. The
-    three bins are adjacent, so their joint noise law is the shared 3×3
-    Toeplitz factor (:attr:`_ReadoutPlan.payload_noise_factor`)
-    whatever the located position: the marginal of exactly the noise
-    the ``"full"`` stream would have drawn there, at ~``W/3`` fewer
-    draws per payload symbol.
+    The block is a fresh array the span owns, so the sum needs no new
+    buffer, and ``values`` may be a read-only broadcast view.
     """
-    located = noise.take("located") @ plan.payload_noise_factor.T
-    located *= noise_scale[:, None, None, None]
-    located_values += located
-    return located_values
+    block = noise.take(name)
+    block += values
+    return block
 
 
 def _max3(values: np.ndarray) -> np.ndarray:
@@ -1273,10 +1294,12 @@ class NetScatterReceiver:
         returns them (:meth:`_fft_reader`).
 
         Every span is one item of :func:`repro.utils.parallel.pipeline`
-        with one shape: part 0 draws the span's engine noise
-        (:func:`_draw_span_noise`), the other parts are the backend's
-        reads (one per round on ``fft``, one on ``analytic`` and
-        ``sparse``), and stage B only decides. With more than one span
+        with one shape: part 0 draws the span's engine noise and
+        finishes it, correlated and scaled by the span's rounds of
+        ``noise_scale`` (:func:`_draw_span_noise`), the other parts are
+        the backend's reads (one per round on ``fft``, one on
+        ``analytic`` and ``sparse``), and stage B only adds that noise
+        and decides. With more than one span
         and more than one usable CPU, the pipeline's stage thread opens
         each span by taking its draw and then reads, while this thread
         decides the previous span and then reads the rounds of the next
@@ -1299,20 +1322,15 @@ class NetScatterReceiver:
             draw = partial(
                 _draw_span_noise,
                 stream, plan, stop - start, n_symbols, n_preamble,
+                None if noise_scale is None else noise_scale[start:stop],
             )
             return [draw, *parts], lambda done: (finish(done[1:]), done[0])
 
         def decide(staged_noise):
             staged, noise = staged_noise
-            (start, stop), windows, probes, read_payload = staged
+            _, windows, probes, read_payload = staged
             return self._decide_chunk(
-                windows,
-                probes,
-                n_preamble,
-                plan,
-                None if noise_scale is None else noise_scale[start:stop],
-                noise,
-                read_payload,
+                windows, probes, n_preamble, plan, noise, read_payload
             )
 
         pieces = pipeline(draw_then_read, decide, spans)
@@ -1374,7 +1392,6 @@ class NetScatterReceiver:
         probe_values: np.ndarray,
         n_preamble: int,
         plan: _ReadoutPlan,
-        noise_scale,
         noise: Optional[_SpanNoise],
         read_payload: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
@@ -1400,10 +1417,11 @@ class NetScatterReceiver:
         (:meth:`_ReadoutPlan.gather_located`), and the ``±1`` maxima
         are elementwise (:func:`_max3`).
 
-        ``noise`` holds the span's engine draws, made in the stream's
-        layout (:func:`_draw_span_noise`) as part 0 of the span's stage
-        A on every backend, so this only decides: it mixes them in, in
-        place, and takes each block once, so each is freed once mixed.
+        ``noise`` holds the span's finished engine noise, drawn in the
+        stream's layout, correlated and scaled (:func:`_draw_span_noise`)
+        as part 0 of the span's stage A on every backend, so this only
+        adds it and decides: it adds each block in place and takes it
+        once, so each is freed once added.
         The ``"full"`` stream (version 1) noise-loads the whole window
         tensor up front — the historical layout, pinned bit-for-bit by
         the version-1 goldens — so it needs every window row and no
@@ -1411,7 +1429,8 @@ class NetScatterReceiver:
         2) noise-loads only the preamble rows and probes, locates each
         device's peak from those noisy preambles (exactly the full
         stream's located-bin law), then adds payload noise only at the
-        located ``±1`` bins through the shared 3×3 Toeplitz factor.
+        located ``±1`` bins (correlated through the shared 3×3 Toeplitz
+        factor).
         Payload decisions read nothing but those three bins, so the
         reduced stream's decision statistics are *identical*, at ~3×
         fewer window draws per 46-symbol round.
@@ -1419,14 +1438,12 @@ class NetScatterReceiver:
         full_stream = noise is not None and noise.full
         payload_stream = noise is not None and not full_stream
         if full_stream:
-            window_values, probe_values = _inject_readout_noise(
-                plan, window_values, probe_values, noise_scale, noise
-            )
+            window_values = _add_noise(noise, "window", window_values)
         preamble_values = window_values[:, :n_preamble]
         if payload_stream:
-            preamble_values, probe_values = _inject_readout_noise(
-                plan, preamble_values, probe_values, noise_scale, noise
-            )
+            preamble_values = _add_noise(noise, "window", preamble_values)
+        if noise is not None:
+            probe_values = _add_noise(noise, "probe", probe_values)
         preamble_windows = preamble_values.real**2 + preamble_values.imag**2
         # Windows sit on the extended grid: interior positions [1, W-2]
         # are the legal search window, the outermost bin on each side
@@ -1444,9 +1461,7 @@ class NetScatterReceiver:
         else:
             payload_values = read_payload(located)
         if payload_stream:
-            payload_values = _inject_located_noise(
-                plan, payload_values, noise_scale, noise
-            )
+            payload_values = _add_noise(noise, "located", payload_values)
         payload_powers = _max3(
             payload_values.real**2 + payload_values.imag**2
         )

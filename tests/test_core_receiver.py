@@ -1,5 +1,6 @@
 """Unit tests for the NetScatter single-FFT concurrent receiver."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import per_symbol_oracle as oracle
 import repro.core.receiver as receiver_module
+import repro.utils.parallel as parallel_module
 from repro.channel.awgn import awgn
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
@@ -17,6 +19,7 @@ from repro.core.dcss import (
 from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
 from repro.phy.noise import NoiseStream
+from repro.utils.parallel import STAGE_THREAD_PREFIX
 from waveform_oracle import compose_frame, decode_frame
 
 
@@ -434,7 +437,8 @@ class TestNonFiniteKeyingAndSamples:
 
 
 class TestStageBMixing:
-    """How the one decision rule reads and mixes a span's values."""
+    """How the one decision rule reads a span's values and adds its
+    finished noise."""
 
     def test_elementwise_maxima_equal_the_reduction(self):
         rng = np.random.default_rng(3)
@@ -448,31 +452,106 @@ class TestStageBMixing:
             equal_nan=True,
         )
 
-    def test_noise_blocks_are_freed_once_mixed(self):
-        """Stage B takes each draw block once, so a span's draws are not
-        kept alive by the staged span that still holds its noise."""
-        receiver, _, _ = _tone_batch()
+    @pytest.mark.parametrize("n_devices", [1, 2, 64])
+    @pytest.mark.parametrize("mode", ["payload", "full"])
+    def test_draw_part_returns_finished_blocks(self, mode, n_devices):
+        """The draw part correlates and scales every block it draws,
+        bit for bit as ``(ζ @ Lᵀ)·σ``, ``ζ·σ·√N`` and ``(ζ @ Pᵀ)·σ``
+        over a same-seed stream's draws, in the stream's order: numpy's
+        stacked product, one ``(D, W)`` product per symbol row. At 64
+        devices the window block spans several capped 2-D products."""
+        config = NetScatterConfig(n_association_shifts=0)
+        receiver = NetScatterReceiver(
+            config, {d: 8 * d for d in range(n_devices)}
+        )
         plan = receiver._readout_plan(dechirped=True)
-        n_rounds, n_symbols, n_pre = 2, 8, 6
+        n_rounds, n_symbols, n_pre = 3, 46, 6
+        scale = np.array([0.5, 1.25, 3.0])
         noise = receiver_module._draw_span_noise(
-            NoiseStream(np.random.default_rng(9)), plan, n_rounds,
-            n_symbols, n_pre,
+            NoiseStream(np.random.default_rng(9), mode), plan, n_rounds,
+            n_symbols, n_pre, scale,
         )
-        refs = [
-            weakref.ref(noise._blocks[name])
-            for name in ("window", "probe", "located")
+        zeta = NoiseStream(np.random.default_rng(9), mode).standard_complex
+        devices, width = plan.n_devices, plan.window_width
+        rows = n_symbols if mode == "full" else n_pre
+        window = zeta((n_rounds, rows, devices, width))
+        expected = {
+            "window": (window @ plan.window_noise_factor.T)
+            * scale[:, None, None, None],
+            "probe": zeta((n_rounds, plan.n_probes))
+            * (scale[:, None] * np.sqrt(float(plan.n_samples))),
+        }
+        if mode == "payload":
+            located = zeta((n_rounds, n_symbols - n_pre, devices, 3))
+            expected["located"] = (
+                located @ plan.payload_noise_factor.T
+            ) * scale[:, None, None, None]
+        assert noise.full == (mode == "full")
+        assert set(noise._blocks) == set(expected)
+        for name, block in expected.items():
+            assert np.array_equal(noise.take(name), block), name
+
+    @pytest.mark.parametrize("mode", ["payload", "full"])
+    @pytest.mark.parametrize("backend", ["analytic", "fft"])
+    def test_pool_stage_b_adds_each_block_once_and_frees_it(
+        self, monkeypatch, backend, mode
+    ):
+        """Through the span pipeline on two CPUs, one span per round:
+        the stage thread draws and finishes every span's noise, and the
+        caller takes each block once, so no block outlives its span's
+        decision even while the span's noise object is still held."""
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
+        n_rounds = 4
+        receiver, batch, symbols = _tone_batch(n_rounds=n_rounds)
+        receiver = NetScatterReceiver(
+            receiver.config, receiver.assignments, readout=backend
+        )
+        monkeypatch.setattr(
+            receiver,
+            "_decide_spans",
+            lambda n, *args, **kwargs: [(r, r + 1) for r in range(n)],
+        )
+        draw, correlated = (
+            receiver_module._draw_span_noise,
+            receiver_module._correlated,
+        )
+        spans, refs, taken = [], [], []
+        correlated_on, taken_on = [], []
+
+        def recording_draw(*args):
+            noise = draw(*args)
+            spans.append(noise)
+            refs.extend(weakref.ref(b) for b in noise._blocks.values())
+            return noise
+
+        def recording_correlated(*args):
+            correlated_on.append(threading.current_thread().name)
+            return correlated(*args)
+
+        def recording_take(noise, name):
+            taken.append((spans.index(noise), name))
+            taken_on.append(threading.current_thread().name)
+            return noise._blocks.pop(name)
+
+        monkeypatch.setattr(receiver_module, "_draw_span_noise", recording_draw)
+        monkeypatch.setattr(receiver_module, "_correlated", recording_correlated)
+        monkeypatch.setattr(receiver_module._SpanNoise, "take", recording_take)
+        kwargs = dict(
+            noise_snr_db=-10.0, rng=np.random.default_rng(4), noise_mode=mode
+        )
+        if backend == "fft":
+            receiver.decode_rounds(symbols, dechirped=True, **kwargs)
+        else:
+            receiver.decode_readout(*batch, **kwargs)
+        names = ["window", "probe"] + (["located"] if mode == "payload" else [])
+        assert len(spans) == n_rounds
+        assert sorted(taken) == [
+            (k, name) for k in range(n_rounds) for name in sorted(names)
         ]
-        shape = (n_rounds, n_pre, plan.n_devices, plan.window_width)
-        receiver._decide_chunk(
-            np.ones(shape, complex),
-            np.ones((n_rounds, plan.n_probes), complex),
-            n_pre,
-            plan,
-            np.ones(n_rounds),
-            noise,
-            lambda located: np.ones(
-                (n_rounds, n_symbols - n_pre, plan.n_devices, 3), complex
-            ),
-        )
+        # Both correlating products run in the draw part, on the stage
+        # thread; the caller only takes the finished blocks.
+        assert len(correlated_on) == n_rounds * (len(names) - 1)
+        assert all(t.startswith(STAGE_THREAD_PREFIX) for t in correlated_on)
+        assert set(taken_on) == {threading.current_thread().name}
         assert all(ref() is None for ref in refs)
-        assert noise._blocks == {}
+        assert all(noise._blocks == {} for noise in spans)

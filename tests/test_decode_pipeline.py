@@ -546,17 +546,17 @@ class TestPoolFailures:
     ):
         cpus(2)
         receiver, batch = self._receiver(monkeypatch)
-        inject = receiver_module._inject_located_noise
+        compose = receiver_module._compose_located
         calls = []
 
-        def failing_inject(*args):
+        def failing_compose(*args):
             calls.append(1)
             if len(calls) == 2:
                 raise _StageFailure("decide")
-            return inject(*args)
+            return compose(*args)
 
         monkeypatch.setattr(
-            receiver_module, "_inject_located_noise", failing_inject
+            receiver_module, "_compose_located", failing_compose
         )
         with pytest.raises(_StageFailure, match="decide"):
             receiver.decode_readout(
