@@ -50,7 +50,6 @@ from repro.phy.noise import (
     exclusion_mask,
 )
 from repro.phy.sparse_readout import (
-    _GEMM_MAX_MACS,
     SparseReadout,
     full_fft_values,
     located_bin_noise_covariance,
@@ -76,6 +75,11 @@ _CHUNK_ELEMENT_BUDGET = 1 << 20
 #: one grid of this many rows (655 KB at SF 9, zp 10), not one per
 #: round's 41-46 rows, which measured no slower and ~4 MB lower in peak.
 _FFT_BLOCK_ROWS = 8
+
+#: Elements per chunk of a noise block's correlating product
+#: (:func:`_correlated`, 256 KB of complex values): the chunk's product
+#: is the only array the product allocates beside the block.
+_NOISE_CHUNK_ELEMENTS = 1 << 14
 
 #: Cap on the number of noise-probe bins carried by the readout plan
 #: (a strided subsample of the natural-bin grid at large SF).
@@ -469,31 +473,21 @@ def _correlated(
 ) -> np.ndarray:
     """``(draws @ factor.T) * scale`` over ``(R, ..., D, W)`` draws, in place.
 
-    With two or more devices the draws are flattened to ``(R * ... * D,
-    W)`` rows and multiplied in 2-D products of whole ``(D, W)`` stacks,
-    at most :data:`_GEMM_MAX_MACS` real multiply-adds each (or one stack),
-    so each stays on its caller's thread, rather than in numpy's loop of
-    one small product per stack. Every row of a 2-D product of two or
-    more rows is the same dot products, so the values are identical bit
-    for bit. One device's stacks are single rows, which numpy's stacked
-    product sends down BLAS's one-row path, whose sums differ in the last
-    bit, so they keep that product. Each product's rows are written back
-    over the draws they came from, so a finished block needs one
-    product's rows beside it, not a second block. ``scale`` is the
-    ``(R,)`` per-round noise amplitude.
+    numpy's stacked product, one ``(D, W)`` product per stack, over
+    chunks of whole stacks of at most :data:`_NOISE_CHUNK_ELEMENTS`
+    elements (or one stack). Chunking changes only how many stacks one
+    call takes, never a stack's product, so the values are those of one
+    product over the whole block, bit for bit. Each chunk's product is
+    written back over the draws it came from, so a finished block needs
+    one chunk beside it, not a second block. ``scale`` is the ``(R,)``
+    per-round noise amplitude.
     """
     devices, width = draws.shape[-2:]
-    if devices < 2:
-        draws[...] = draws @ factor.T
-    else:
-        flat = draws.reshape(-1, width)
-        # A complex multiply-add counts as four, as in every capped
-        # product.
-        stacks = max(1, _GEMM_MAX_MACS // (4 * factor.size * devices))
-        step = stacks * devices
-        for start in range(0, flat.shape[0], step):
-            rows = flat[start : start + step]
-            rows[...] = rows @ factor.T
+    stacks = np.reshape(draws, (-1, devices, width), copy=False)
+    step = max(1, _NOISE_CHUNK_ELEMENTS // (devices * width))
+    for start in range(0, len(stacks), step):
+        chunk = stacks[start : start + step]
+        chunk[...] = chunk @ factor.T
     draws *= scale.reshape((-1,) + (1,) * (draws.ndim - 1))
     return draws
 

@@ -458,8 +458,9 @@ class TestStageBMixing:
         """The draw part correlates and scales every block it draws,
         bit for bit as ``(ζ @ Lᵀ)·σ``, ``ζ·σ·√N`` and ``(ζ @ Pᵀ)·σ``
         over a same-seed stream's draws, in the stream's order: numpy's
-        stacked product, one ``(D, W)`` product per symbol row. At 64
-        devices the window block spans several capped 2-D products."""
+        stacked product over the whole block, one ``(D, W)`` product per
+        symbol row. At 64 devices the full window block and the located
+        block each span several chunks."""
         config = NetScatterConfig(n_association_shifts=0)
         receiver = NetScatterReceiver(
             config, {d: 8 * d for d in range(n_devices)}

@@ -111,6 +111,7 @@ def _table(path):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason=(
         "the padded-grid peak search is pulled by neighbours' sidelobes "
         "near full occupancy, so noise-free bits err (ROADMAP item 4)"
