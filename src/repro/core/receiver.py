@@ -18,10 +18,12 @@ devices — the receiver-complexity claim the paper makes.
 Every entry point runs steps 2-5 through one span loop
 (:meth:`NetScatterReceiver._decode_spans`): each span's stage A draws
 the span's engine noise in the stream's layout and finishes it,
-correlated and scaled (:func:`_draw_span_noise`), and then reads its
-rounds at each device's search window and at the noise probes, and one
-decision rule (:meth:`NetScatterReceiver._decide_chunk`) adds that noise
-in place, locates the peaks, estimates the floor and decides.
+correlated and scaled (:func:`_draw_span_noise`), on one thread, span
+after span, and reads its rounds at each device's search window and at
+the noise probes, on either thread, while the span before is still
+read or decided; one decision rule
+(:meth:`NetScatterReceiver._decide_chunk`) adds that noise in place,
+locates the peaks, estimates the floor and decides.
 The backends differ only in how stage A gets those bins: the padded FFT
 (``fft``, and every single-frame decode), a precomputed matmul over a
 symbol tensor (``sparse``) or the closed-form Dirichlet kernel over
@@ -63,12 +65,12 @@ from repro.utils.parallel import pipeline
 #: draws, power tensors) then stays near L2/L3 size, which measures
 #: ~25% faster on 100-round fading batches with identical decisions
 #: (chunk boundaries only reorder the noise *stream*, never the law).
-#: When a decode pipelines its chunks, the next chunk's window and
-#: probe values are read (and on the analytic backend its noise drawn)
-#: while the current chunk is decided, so up to two chunks' stage-A
-#: arrays are live at once and the two threads share the cache. On the
-#: ``fft`` backend both threads read: the caller reads the rest of the
-#: next chunk's rounds once it has decided the current one.
+#: When a decode pipelines its chunks, the next chunk's noise is drawn
+#: and its window and probe values are read while the current chunk is
+#: read and decided, so up to two chunks' stage-A arrays are live at
+#: once and the two threads share the cache. Both threads read: the
+#: caller takes the next chunk's reads while the stage thread finishes
+#: the current chunk's, and again once it has decided it.
 _CHUNK_ELEMENT_BUDGET = 1 << 20
 
 #: Rows per padded FFT of the ``fft`` stage A: each reading thread holds
@@ -1209,10 +1211,12 @@ class NetScatterReceiver:
         transforms its round in blocks of :data:`_FFT_BLOCK_ROWS` rows
         into its thread's own grid and gathers them into the span's
         output (:meth:`_ReadoutPlan.read_round`), so no span-sized grid
-        is ever held and no grid is shared between threads. The outputs
-        come from two slots, allocated once per decode: the pipeline
-        produces span k+2 only once span k is consumed, and every
-        decision is a fresh array, so no slot is read after its reuse.
+        is ever held and no grid is shared between threads. Rounds of
+        two spans may be read at once, each span into its own slot: the
+        outputs come from two slots, allocated once per decode, the
+        pipeline produces span k+2 only once span k is consumed, and
+        every decision is a fresh array, so no slot is read after its
+        reuse.
 
         With ``n_preamble`` the rows are the round's distinct ones: its
         shared preamble row, then its payload rows. Stage B then gets
@@ -1293,16 +1297,17 @@ class NetScatterReceiver:
         ``noise_scale`` (:func:`_draw_span_noise`), the other parts are
         the backend's reads (one per round on ``fft``, one on
         ``analytic`` and ``sparse``), and stage B only adds that noise
-        and decides. With more than one span
-        and more than one usable CPU, the pipeline's stage thread opens
-        each span by taking its draw and then reads, while this thread
-        decides the previous span and then reads the rounds of the next
-        span the stage thread has not taken. The next span's parts start
-        only once this span's are done, so every draw runs on one
-        thread, span after span, in the stream's order, and the result
-        is that of a serial decode, bit for bit. After a failure the
-        generator may have advanced past a serial decode's by the one
-        span stage A runs ahead.
+        and decides. With more than one span and more than one usable
+        CPU, the pipeline's stage thread takes every draw, span after
+        span, and reads between them; this thread produces the next
+        span as soon as this span's draw has ended and its reads are
+        all taken, reads the next span's rounds while the stage thread
+        finishes this span's, and decides each span once it is read.
+        Only the draws wait for the span before, so every draw runs on
+        one thread in the stream's order, and the result is that of a
+        serial decode, bit for bit. After a failure the generator may
+        have advanced past a serial decode's by the one span stage A
+        runs ahead.
         """
         if backend == "fft":
             split = read

@@ -23,7 +23,7 @@ from repro.phy.chirp import ChirpParams, downchirp
 
 @dataclass(frozen=True)
 class DechirpResult:
-    """Zero-padded FFT magnitude spectrum of one dechirped symbol.
+    """Zero-padded FFT spectrum of one dechirped symbol.
 
     Attributes
     ----------
@@ -41,48 +41,12 @@ class DechirpResult:
 
     # cached_property stores into the instance __dict__ directly, which
     # sidesteps the frozen-dataclass __setattr__ guard: the spectrum is
-    # immutable, so |.| and |.|^2 are computed at most once per result
-    # (bin_power and peak_index_near read .power on every call).
-    @cached_property
-    def magnitude(self) -> np.ndarray:
-        """Magnitude spectrum (computed once, then cached)."""
-        return np.abs(self.spectrum)
-
+    # immutable, so |.|^2 is computed at most once per result.
     @cached_property
     def power(self) -> np.ndarray:
         """Power spectrum (computed once, then cached)."""
         return self.spectrum.real**2 + self.spectrum.imag**2
 
-    @property
-    def n_bins(self) -> int:
-        """Number of interpolated FFT bins."""
-        return self.spectrum.size
-
-    def bin_power(self, shift: float, width_bins: float = 0.5) -> float:
-        """Peak power near natural (un-interpolated) bin ``shift``.
-
-        Searches ``shift +/- width_bins`` on the interpolated grid, which
-        absorbs residual fractional offsets from timing jitter, and returns
-        the maximum power found. Wraps cyclically.
-        """
-        zp = self.zero_pad_factor
-        centre = shift * zp
-        half = max(1, int(round(width_bins * zp)))
-        idx = (np.arange(-half, half + 1) + int(round(centre))) % self.n_bins
-        return float(np.max(self.power[idx]))
-
-    def peak_index_near(self, shift: float, width_bins: float = 0.5) -> int:
-        """Interpolated-grid index of the peak near natural bin ``shift``."""
-        zp = self.zero_pad_factor
-        centre = shift * zp
-        half = max(1, int(round(width_bins * zp)))
-        idx = (np.arange(-half, half + 1) + int(round(centre))) % self.n_bins
-        return int(idx[int(np.argmax(self.power[idx]))])
-
-    def peak_bin(self) -> float:
-        """Location of the global peak, in natural-bin units (fractional)."""
-        peak_index = int(np.argmax(self.magnitude))
-        return peak_index / self.zero_pad_factor
 
 class Demodulator:
     """Dechirps CSS symbols and exposes the single-FFT spectrum.
@@ -130,12 +94,3 @@ class Demodulator:
             params=self._params,
             zero_pad_factor=self._zero_pad_factor,
         )
-
-    def classic_decode(self, symbol: np.ndarray) -> int:
-        """Classic LoRa decision: the integer shift of the strongest peak.
-
-        Used by the single-user baseline; NetScatter instead inspects all
-        assigned bins (see :class:`repro.core.receiver.NetScatterReceiver`).
-        """
-        result = self.dechirp(symbol)
-        return int(round(result.peak_bin())) % self._params.n_shifts

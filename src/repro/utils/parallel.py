@@ -4,8 +4,8 @@ Every concurrent path of the repository asks here: the campaign
 process pool (:func:`repro.campaign.runner.resolve_pool_workers`),
 the Monte-Carlo leg pool of a population cycle (forked worker
 processes and the caller) and the decode pipeline (:func:`pipeline`),
-whose stage thread opens each span by drawing its noise and whose
-caller, once it has decided a span, shares the next span's reads. A
+whose stage thread draws every span's noise, span after span, while
+both threads share the reads of the spans in flight. A
 computation that already runs as one worker of a pool is marked
 (:func:`mark_parallel`), so that it opens no stage thread of its own:
 the pool already fills the CPUs. Every Monte-Carlo leg is marked,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Tuple, TypeVar
 
 _Item = TypeVar("_Item")
@@ -75,19 +76,23 @@ def pipeline(
     ``[consume(finish([part() for part in parts])) for parts, finish in
     map(produce, items)]``, computed on two threads:
 
-    * a stage thread runs the next item's parts while the caller runs
-      ``consume`` of the current one; once done, the caller helps with
-      the remaining parts of the item it needs next;
-    * the stage thread opens every item by taking its first part, so
-      every first part, and all of a one-part item, runs on the stage
-      thread;
-    * parts of one item may run at once, but the next item's parts
-      start only once all of this item's parts are done, so work that
-      runs one part per item, such as random draws from one generator,
-      stays in item order;
+    * every first part runs on the stage thread, which opens the items
+      one after another, in item order; so work that runs in the first
+      part of each item, such as random draws from one generator,
+      stays on one thread, in item order;
+    * the other parts of an item may run on either thread, at once, as
+      soon as the item is produced: the caller reads them while the
+      stage thread draws, and the stage thread reads them while the
+      caller runs ``consume`` of the item before;
     * ``produce``, ``finish`` and ``consume`` run on the caller, in
-      item order, and ``produce`` of item k+2 runs only once item k is
-      consumed, so at most two items are in flight.
+      item order. ``produce`` of item k+1 runs once item k's first part
+      has ended and all of its parts are taken, so no part of item k+1
+      starts before item k's first part has ended; ``produce`` of item
+      k+2 runs only once item k is consumed, so at most two items are
+      in flight;
+    * the stage thread takes the parts of item k before it opens item
+      k+1, and the caller consumes item k as soon as it is done, before
+      it takes another part of item k+1.
 
     Each part the stage thread runs runs in a copy of the caller's
     context, taken when its item is produced, so context-carried state
@@ -98,8 +103,9 @@ def pipeline(
     (:func:`in_parallel`). The stage thread lives only for this call: a
     failure on either thread reaches the caller with its own type once
     no stage thread is left. A part failure at item k surfaces when
-    item k is due, before item k+1 is produced; a ``consume`` failure
-    at item k leaves at most item k+1 read.
+    item k is due, once every earlier item is consumed; a failing
+    first part at item k lets no later item be produced. A failure at
+    item k leaves at most item k+1 produced and partly read.
     """
     items = list(items)
     if len(items) < 2 or usable_cpus() <= 1 or in_parallel():
@@ -107,68 +113,82 @@ def pipeline(
 
     # Guards the three names below and every _Parts' counters.
     turn = threading.Condition()
-    reading = _Parts([])  # the item whose parts are handed out
-    failure: Optional[BaseException] = None
+    flight: List[_Parts] = []  # produced and not yet consumed, in order
+    # The earliest item a part failed in, as (order, error).
+    failed: Optional[Tuple[int, BaseException]] = None
     closed = False
 
-    def stage():
-        nonlocal failure
-        while True:
+    def run(item, index, part):
+        """Run one taken part and record its result, or its failure.
+        Whether it succeeded."""
+        nonlocal failed
+        try:
+            result = part()
+        except BaseException as error:
             with turn:
-                while not closed and not reading.open_to(stage=True):
-                    turn.wait()
-                if closed:
-                    return
-                item, index = reading, reading.take()
-                # The caller may be waiting for the item to open.
+                if failed is None or item.order < failed[0]:
+                    failed = (item.order, error)
                 turn.notify_all()
-            try:
-                result = item.context.run(item.parts[index])
-            except BaseException as error:
-                with turn:
-                    failure = error
-                    turn.notify_all()
-                return
-            with turn:
-                item.finish_part(index, result)
-                turn.notify_all()
+            return False
+        with turn:
+            item.finish_part(index, result)
+            turn.notify_all()
+        return True
 
-    def read(item):
-        """The caller's share of ``item``'s parts, then its results."""
+    def stage():
         while True:
             with turn:
                 while True:
-                    if failure is not None:
-                        raise failure
-                    if item.done == len(item.parts):
-                        return item.results
-                    if item.open_to(stage=False):
-                        index = item.take()
+                    if closed or failed is not None:
+                        return
+                    item, index = _next_part(flight, stage=True)
+                    if item is not None:
                         break
                     turn.wait()
-            result = item.parts[index]()
-            with turn:
-                item.finish_part(index, result)
-                turn.notify_all()
+            part = partial(item.context.run, item.parts[index])
+            if not run(item, index, part):
+                return
 
-    def publish(item):
-        nonlocal reading
-        parts, finish = produce(item)
+    def next_step():
+        """The caller's next step, once it may take one: ``("produce",
+        None, None)``, ``("consume", item, None)`` or ``("read", item,
+        index)``. Raises a part's failure once its item is due."""
         with turn:
-            reading = _Parts(parts)
-            turn.notify_all()
-        return reading, finish
+            while True:
+                if failed is not None and flight[0].order == failed[0]:
+                    raise failed[1]
+                if (
+                    failed is None
+                    and len(flight) < 2
+                    and produced < len(items)
+                    and (not flight or flight[-1].ready_for_next)
+                ):
+                    return "produce", None, None
+                if flight and flight[0].complete:
+                    return "consume", flight.pop(0), None
+                if failed is None:
+                    item, index = _next_part(flight, stage=False)
+                    if item is not None:
+                        return "read", item, index
+                turn.wait()
 
     thread = threading.Thread(target=stage, name=STAGE_THREAD_PREFIX)
     thread.start()
+    produced = 0
     results = []
     try:
-        current, finish = publish(items[0])
-        for item in items[1:]:
-            staged = finish(read(current))
-            current, finish = publish(item)
-            results.append(consume(staged))
-        results.append(consume(finish(read(current))))
+        while len(results) < len(items):
+            step, item, index = next_step()
+            if step == "produce":
+                item = _Parts(produced, *produce(items[produced]))
+                produced += 1
+                with turn:
+                    flight.append(item)
+                    turn.notify_all()
+            elif step == "consume":
+                results.append(consume(item.finish(item.results)))
+            else:
+                run(item, index, item.parts[index])
     finally:
         with turn:
             closed = True
@@ -182,28 +202,57 @@ def _read_serially(parts, finish):
     return finish([part() for part in parts])
 
 
+def _next_part(flight, stage: bool):
+    """The oldest part in ``flight`` the stage thread (or else the
+    caller) may take, as ``(item, index)``, taken; else ``(None, None)``."""
+    for item in flight:
+        index = item.take(stage)
+        if index is not None:
+            return item, index
+    return None, None
+
+
 class _Parts:
     """One item's parts as the two threads of :func:`pipeline` take them.
 
-    Guarded by the pipeline's condition: parts are taken in order, and
-    the caller takes one only after the stage thread opened the item.
+    Guarded by the pipeline's condition. Only the stage thread takes the
+    first part; either thread takes the others, in order.
     """
 
-    def __init__(self, parts: List[Callable[[], Any]]) -> None:
+    def __init__(
+        self, order: int, parts: List[Callable[[], Any]], finish: Callable
+    ) -> None:
+        self.order = order
         self.parts = parts
+        self.finish = finish
         self.results: List[Any] = [None] * len(parts)
-        self.taken = 0
+        self.opened = self.first_done = not parts
+        self.taken = 1  # the next part after the first to hand out
         self.done = 0
         self.context = contextvars.copy_context()
 
-    def open_to(self, stage: bool) -> bool:
-        """Whether the stage thread (or else the caller) may take a part."""
-        return (stage or self.taken > 0) and self.taken < len(self.parts)
+    def take(self, stage: bool) -> Optional[int]:
+        """Hand out a part to the stage thread (or else the caller)."""
+        if stage and not self.opened:
+            self.opened = True
+            return 0
+        if self.taken < len(self.parts):
+            self.taken += 1
+            return self.taken - 1
+        return None
 
-    def take(self) -> int:
-        self.taken += 1
-        return self.taken - 1
+    @property
+    def ready_for_next(self) -> bool:
+        """Whether the next item may be produced: this item's first part
+        has ended and all of its parts are taken."""
+        return self.first_done and self.taken >= len(self.parts)
+
+    @property
+    def complete(self) -> bool:
+        return self.done == len(self.parts)
 
     def finish_part(self, index: int, result: Any) -> None:
         self.results[index] = result
         self.done += 1
+        if index == 0:
+            self.first_done = True

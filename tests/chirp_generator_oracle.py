@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from per_symbol_oracle import classic_decode
 from repro.errors import HardwareModelError
 from repro.phy.chirp import ChirpParams, cyclic_shifted_upchirp
 from repro.phy.demodulation import Demodulator
@@ -135,4 +136,4 @@ def decode_through_generator(
     that justifies modelling tags as ideal chirp sources elsewhere.
     """
     generator = ChirpGenerator(params=params, acc_bits=acc_bits)
-    return Demodulator(params).classic_decode(generator.fundamental(shift))
+    return classic_decode(Demodulator(params), generator.fundamental(shift))

@@ -1,5 +1,9 @@
 """The per-symbol NetScatter decoder, kept as a test oracle.
 
+It also holds the readings of one dechirped spectrum
+(:class:`repro.phy.demodulation.DechirpResult`) that only tests take:
+the power near a bin, the global peak and the classic LoRa decision.
+
 The receiver decodes every entry point through one vectorised decision
 rule (``NetScatterReceiver._decide_chunk``). This module is the rule's
 executable spec, written the slow way: dechirp each symbol with its own
@@ -28,8 +32,53 @@ from repro.phy.noise import estimate_noise_floor, exclusion_mask
 
 def power_at_index(result: DechirpResult, index: int, guard: int = 1) -> float:
     """Power at an interpolated-grid index, max over ``+/- guard``."""
-    idx = (np.arange(-guard, guard + 1) + int(index)) % result.n_bins
+    idx = (np.arange(-guard, guard + 1) + int(index)) % result.spectrum.size
     return float(np.max(result.power[idx]))
+
+
+def _window_near(
+    result: DechirpResult, shift: float, width_bins: float
+) -> np.ndarray:
+    """Interpolated-grid indices within ``width_bins`` of natural bin
+    ``shift``, wrapped cyclically."""
+    zp = result.zero_pad_factor
+    half = max(1, int(round(width_bins * zp)))
+    centre = int(round(shift * zp))
+    return (np.arange(-half, half + 1) + centre) % result.spectrum.size
+
+
+def bin_power(
+    result: DechirpResult, shift: float, width_bins: float = 0.5
+) -> float:
+    """Peak power near natural (un-interpolated) bin ``shift``.
+
+    Searches ``shift +/- width_bins`` on the interpolated grid, which
+    absorbs residual fractional offsets from timing jitter.
+    """
+    return float(np.max(result.power[_window_near(result, shift, width_bins)]))
+
+
+def peak_index_near(
+    result: DechirpResult, shift: float, width_bins: float = 0.5
+) -> int:
+    """Interpolated-grid index of the peak near natural bin ``shift``."""
+    idx = _window_near(result, shift, width_bins)
+    return int(idx[int(np.argmax(result.power[idx]))])
+
+
+def peak_bin(result: DechirpResult) -> float:
+    """Location of the global peak, in natural-bin units (fractional)."""
+    return int(np.argmax(np.abs(result.spectrum))) / result.zero_pad_factor
+
+
+def classic_decode(demod: Demodulator, symbol: np.ndarray) -> int:
+    """Classic LoRa decision: the integer shift of the strongest peak.
+
+    The single-user baseline's rule; NetScatter instead inspects all
+    assigned bins (:class:`repro.core.receiver.NetScatterReceiver`).
+    """
+    n_shifts = demod.params.n_shifts
+    return int(round(peak_bin(demod.dechirp(symbol)))) % n_shifts
 
 
 def noise_floor(
@@ -61,7 +110,7 @@ def decode_symbols(
     floor = noise_floor(preamble_results[0], list(assignments.values()))
     threshold_scale = 10.0 ** (receiver._detection_snr / 10.0)
     half = max(1, int(round(receiver._search_width * zp)))
-    n_bins = preamble_results[0].n_bins
+    n_bins = preamble_results[0].spectrum.size
     devices: Dict[int, DeviceDecode] = {}
     for device_id, shift in assignments.items():
         # Locate the device's sub-bin peak from the summed preamble

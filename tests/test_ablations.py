@@ -13,6 +13,7 @@
 import numpy as np
 import pytest
 
+from per_symbol_oracle import peak_bin
 from repro.channel.awgn import awgn
 from repro.core import receiver as receiver_module
 from repro.core.aggregation import AggregateBand, compare_receiver_costs
@@ -171,7 +172,7 @@ def test_decoder_cost_vs_spreading_factor(sf):
     but each symbol carries one bit from every concurrent device."""
     params = ChirpParams(bandwidth_hz=500e3, spreading_factor=sf)
     symbol = np.asarray(cyclic_shifted_upchirp(params, 3))
-    assert round(Demodulator(params).dechirp(symbol).peak_bin()) == 3
+    assert round(peak_bin(Demodulator(params).dechirp(symbol))) == 3
 
 
 def test_receiver_complexity_constant(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from per_symbol_oracle import peak_bin
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import (
     DeviceTransmission,
@@ -130,7 +131,7 @@ class TestComposeWaveformFrame:
         demod = Demodulator(params)
         # First preamble symbol window (no sync; fixed position).
         result = demod.dechirp(frame[: params.n_samples])
-        assert result.peak_bin() == pytest.approx(98.0, abs=0.3)
+        assert peak_bin(result) == pytest.approx(98.0, abs=0.3)
 
 
 class TestComposeRoundMatrix:

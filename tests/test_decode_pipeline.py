@@ -257,12 +257,13 @@ class TestPipelineHelperPool:
             assert threads.pop().startswith(STAGE_THREAD_PREFIX)
         assert not _stage_threads_alive()
 
-    def test_pool_next_item_starts_once_this_items_parts_are_done(
+    def test_pool_next_item_starts_once_this_items_first_part_is_done(
         self, cpus
     ):
-        """Across many items of many parts, no part of item k+1 starts
-        before every part of item k has ended, and no more than two
-        items are ever produced and not yet consumed."""
+        """Across many items of many parts, every first part runs on the
+        stage thread, in item order; no part of item k+1 starts before
+        item k's first part has ended; and no more than two items are
+        ever produced and not yet consumed."""
         cpus(2)
         events, lock = [], threading.Lock()
         in_flight, peak = [0], [0]
@@ -273,11 +274,12 @@ class TestPipelineHelperPool:
             peak[0] = max(peak[0], in_flight[0])
 
             def part(index):
+                name = threading.current_thread().name
                 with lock:
-                    events.append(("start", item))
+                    events.append(("start", item, index, name))
                 time.sleep(0.001 * (1 + (item + index) % 3))
                 with lock:
-                    events.append(("end", item))
+                    events.append(("end", item, index, name))
 
             return [partial(part, i) for i in range(5)], lambda _: item
 
@@ -287,10 +289,66 @@ class TestPipelineHelperPool:
 
         assert pipeline(produce, consume, range(12)) == list(range(12))
         assert peak[0] == 2
-        for position, (kind, item) in enumerate(events):
+        firsts = [
+            (item, name) for kind, item, index, name in events
+            if kind == "start" and index == 0
+        ]
+        assert [item for item, _ in firsts] == list(range(12))
+        assert all(
+            name.startswith(STAGE_THREAD_PREFIX) for _, name in firsts
+        )
+        for position, (kind, item, _, _) in enumerate(events):
             if kind == "start" and item > 0:
-                earlier = events[:position]
-                assert earlier.count(("end", item - 1)) == 5
+                ends = [event[:3] for event in events[:position]]
+                assert ("end", item - 1, 0) in ends
+        assert not _stage_threads_alive()
+
+    def test_pool_caller_reads_the_next_item_while_the_stage_finishes_this_one(
+        self, cpus
+    ):
+        """The stage thread's last part of item 0 can end only once a
+        part of item 1 has run on the caller: the caller takes item 1's
+        parts while the stage thread still reads item 0."""
+        cpus(2)
+        caller = threading.current_thread().name
+        caller_took, stage_took, next_read = (
+            threading.Event() for _ in range(3)
+        )
+        ran, seen = {}, []
+
+        def record(name):
+            ran[name] = threading.current_thread().name
+
+        def first():
+            record("first")
+            # Hold the stage thread until the caller has taken a part.
+            assert caller_took.wait(timeout=10)
+
+        def on_caller():
+            record("on_caller")
+            caller_took.set()
+            # Hold the caller until the stage thread takes the last part.
+            assert stage_took.wait(timeout=10)
+
+        def last():
+            record("last")
+            stage_took.set()
+            seen.append(next_read.wait(timeout=5))
+
+        def next_part():
+            record("next_part")
+            next_read.set()
+
+        def produce(item):
+            if item == 0:
+                return [first, on_caller, last], lambda _: item
+            return [lambda: record("next_first"), next_part], lambda _: item
+
+        assert pipeline(produce, lambda item: item, range(2)) == [0, 1]
+        assert seen == [True]
+        assert ran["on_caller"] == ran["next_part"] == caller
+        for name in ("first", "last", "next_first"):
+            assert ran[name].startswith(STAGE_THREAD_PREFIX)
         assert not _stage_threads_alive()
 
     @pytest.mark.parametrize("on_caller", [False, True])

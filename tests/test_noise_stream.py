@@ -396,6 +396,57 @@ class TestDenseFftGoldenPool:
         ) == DENSE_FFT_GOLDEN
 
 
+#: sha256[:16] of (preamble_power, noise_power, bit_powers) for device
+#: 0 of :func:`_golden_scenario` at SF 9 decoded alone, at
+#: noise_snr_db=-12 and rng seed 77, per stream and entry point:
+#: ``decode_readout`` on the analytic backend, ``decode_rounds`` of the
+#: dechirped symbol tensor on ``fft``. With one device, every noise
+#: block's correlating product is a stack of one-row products, which a
+#: flattened 2-D product would change in the last bit; the six- and
+#: many-device goldens above do not see that.
+ONE_DEVICE_GOLDENS = {
+    ("payload", "decode_readout"): "a4c32792e6e1c7f1",
+    ("payload", "decode_rounds"): "673b653bb95ca9d8",
+    ("full", "decode_readout"): "e8078b116a0d554e",
+    ("full", "decode_rounds"): "495f72503cb0369f",
+}
+
+
+def _decode_one_device(noise_mode, entry):
+    config, assignments, bins, amps, phases, bt = _golden_scenario(9)
+    one = (bins[:, :1], amps[:, :1], phases[:, :1], bt[..., :1])
+    rng = np.random.default_rng(77)
+    if entry == "decode_readout":
+        receiver = NetScatterReceiver(
+            config, {0: assignments[0]}, readout="analytic",
+            noise_mode=noise_mode,
+        )
+        return receiver.decode_readout(*one, noise_snr_db=-12.0, rng=rng)
+    receiver = NetScatterReceiver(
+        config, {0: assignments[0]}, readout="fft", noise_mode=noise_mode
+    )
+    symbols = compose_rounds(config.chirp_params, *one, respread=False)
+    return receiver.decode_rounds(
+        symbols, dechirped=True, noise_snr_db=-12.0, rng=rng
+    )
+
+
+class TestOneDeviceGolden:
+    @pytest.mark.parametrize("entry", ["decode_readout", "decode_rounds"])
+    @pytest.mark.parametrize("noise_mode", ["payload", "full"])
+    def test_one_device_noisy_values_are_pinned(self, noise_mode, entry):
+        decode = _decode_one_device(noise_mode, entry)
+        assert decode.device_ids == [0]
+        assert decode.detected.all()
+        values = np.concatenate(
+            [
+                np.asarray(getattr(decode, name), np.float64).ravel()
+                for name in ("preamble_power", "noise_power", "bit_powers")
+            ]
+        )
+        assert _hash(values) == ONE_DEVICE_GOLDENS[noise_mode, entry]
+
+
 # --------------------------------------------------------------------- #
 # the stream abstraction and the located-bin covariance factor
 # --------------------------------------------------------------------- #

@@ -15,12 +15,12 @@ class TestDechirp:
         demod = Demodulator(params)
         for shift in (0, 3, 100, 511):
             result = demod.dechirp(cyclic_shifted_upchirp(params, shift))
-            assert round(result.peak_bin()) % params.n_shifts == shift
+            assert round(oracle.peak_bin(result)) % params.n_shifts == shift
 
     def test_spectrum_length_includes_padding(self, params):
         demod = Demodulator(params, zero_pad_factor=10)
         result = demod.dechirp(upchirp(params))
-        assert result.n_bins == params.n_samples * 10
+        assert result.spectrum.size == params.n_samples * 10
 
     def test_fractional_peak_resolution(self, params):
         """A quarter-bin frequency offset must be resolvable on the
@@ -32,7 +32,7 @@ class TestDechirp:
         tone = np.exp(2j * np.pi * (50.3) * t / n)
         symbol = tone * upchirp(params)
         result = demod.dechirp(symbol)
-        assert result.peak_bin() == pytest.approx(50.3, abs=0.05)
+        assert oracle.peak_bin(result) == pytest.approx(50.3, abs=0.05)
 
     def test_wrong_length_rejected(self, params):
         demod = Demodulator(params)
@@ -48,8 +48,8 @@ class TestBinPower:
     def test_peak_power_at_assigned_bin(self, params):
         demod = Demodulator(params)
         result = demod.dechirp(cyclic_shifted_upchirp(params, 77))
-        on = result.bin_power(77, 0.5)
-        off = result.bin_power(200, 0.5)
+        on = oracle.bin_power(result, 77, 0.5)
+        off = oracle.bin_power(result, 200, 0.5)
         assert on > 100 * off
 
     def test_window_absorbs_fractional_offset(self, params):
@@ -57,7 +57,7 @@ class TestBinPower:
         n = params.n_samples
         tone = np.exp(2j * np.pi * 77.4 * np.arange(n) / n)
         result = demod.dechirp(tone * upchirp(params))
-        assert result.bin_power(77, 0.5) == pytest.approx(
+        assert oracle.bin_power(result, 77, 0.5) == pytest.approx(
             float(np.max(result.power)), rel=0.05
         )
 
@@ -66,7 +66,7 @@ class TestBinPower:
         n = params.n_samples
         tone = np.exp(2j * np.pi * 20.3 * np.arange(n) / n)
         result = demod.dechirp(tone * upchirp(params))
-        located = result.peak_index_near(20, 0.5)
+        located = oracle.peak_index_near(result, 20, 0.5)
         assert located == pytest.approx(203, abs=1)
 
     def test_power_at_index_guard(self, params):
@@ -81,8 +81,8 @@ class TestClassicDecode:
     def test_noiseless(self, params):
         demod = Demodulator(params)
         for k in (0, 1, 130, 511):
-            assert demod.classic_decode(
-                cyclic_shifted_upchirp(params, k)
+            assert oracle.classic_decode(
+                demod, cyclic_shifted_upchirp(params, k)
             ) == k
 
     def test_below_noise_floor(self, params, rng):
@@ -93,7 +93,7 @@ class TestClassicDecode:
         for trial in range(50):
             k = int(rng.integers(0, params.n_shifts))
             noisy = awgn(cyclic_shifted_upchirp(params, k), -10.0, rng)
-            if demod.classic_decode(noisy) != k:
+            if oracle.classic_decode(demod, noisy) != k:
                 errors += 1
         assert errors <= 1
 
@@ -104,7 +104,7 @@ class TestClassicDecode:
         for trial in range(20):
             k = int(rng.integers(0, params.n_shifts))
             noisy = awgn(cyclic_shifted_upchirp(params, k), -35.0, rng)
-            if demod.classic_decode(noisy) != k:
+            if oracle.classic_decode(demod, noisy) != k:
                 errors += 1
         assert errors > 5
 
@@ -115,7 +115,7 @@ class TestNoiseFloor:
         noisy = awgn(cyclic_shifted_upchirp(params, 50), 10.0, rng)
         result = demod.dechirp(noisy)
         floor_with = oracle.noise_floor(result, exclude_bins=[50])
-        peak = result.bin_power(50, 0.5)
+        peak = oracle.bin_power(result, 50, 0.5)
         assert peak > 100 * floor_with
 
     def test_full_exclusion_falls_back(self, params, rng):

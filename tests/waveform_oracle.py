@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from per_symbol_oracle import peak_bin
 from repro.channel.awgn import awgn
 from repro.constants import (
     MULTIPATH_DELAY_SPREAD_MAX_S,
@@ -428,7 +429,7 @@ def estimate_cfo_bins(
     """
     demod = Demodulator(params, zero_pad_factor=zero_pad_factor)
     n = params.n_shifts
-    bin_up = demod.dechirp(up_symbol).peak_bin()
+    bin_up = peak_bin(demod.dechirp(up_symbol))
     # Downchirps are de-spread by the upchirp (the conjugate pairing).
     despread = np.asarray(down_symbol, dtype=complex) * upchirp(params)
     spectrum = np.abs(np.fft.fft(despread, n=n * zero_pad_factor))

@@ -69,8 +69,6 @@ _ACCESSOR = ("read-only accessor of a class the surfaces build; the tests and th
 _TABLES = ("mass-join, leave and group-rotation API of the association tables; the "
            "CI scale-smoke equivalence gate (tests/test_population_scale.py) pins it "
            "against the tests' per-device reference")
-_DECHIRP = ("dechirp-result API that tests/per_symbol_oracle.py and "
-            "tests/chirp_generator_oracle.py decode with")
 
 
 def _paper(claim: str) -> str:
@@ -147,13 +145,6 @@ ALLOWLIST: Dict[str, str] = {
     "protocol/scheduler.py::GroupScheduler.remove_device": _TABLES,
     "protocol/scheduler.py::GroupScheduler.next_round": _TABLES,
     "protocol/scheduler.py::GroupScheduler.group_of": _TABLES,
-    # Dechirp results, read by the test oracles.
-    "phy/demodulation.py::DechirpResult.magnitude": _DECHIRP,
-    "phy/demodulation.py::DechirpResult.n_bins": _DECHIRP,
-    "phy/demodulation.py::DechirpResult.bin_power": _DECHIRP,
-    "phy/demodulation.py::DechirpResult.peak_index_near": _DECHIRP,
-    "phy/demodulation.py::DechirpResult.peak_bin": _DECHIRP,
-    "phy/demodulation.py::Demodulator.classic_decode": _DECHIRP,
     # Accessors.
     "core/allocation.py::AllocationTable.config": _ACCESSOR,
     "core/allocation.py::AllocationTable.snr_of": _ACCESSOR,
