@@ -119,8 +119,8 @@ def pipeline(
     closed = False
 
     def run(item, index, part):
-        """Run one taken part and record its result, or its failure.
-        Whether it succeeded."""
+        """Run one taken part and record its result or its failure;
+        return whether it succeeded."""
         nonlocal failed
         try:
             result = part()
@@ -203,8 +203,8 @@ def _read_serially(parts, finish):
 
 
 def _next_part(flight, stage: bool):
-    """The oldest part in ``flight`` the stage thread (or else the
-    caller) may take, as ``(item, index)``, taken; else ``(None, None)``."""
+    """Take the oldest part in ``flight`` that the stage thread (or else
+    the caller) may take: ``(item, index)``, or ``(None, None)``."""
     for item in flight:
         index = item.take(stage)
         if index is not None:

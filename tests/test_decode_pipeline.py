@@ -351,6 +351,43 @@ class TestPipelineHelperPool:
             assert ran[name].startswith(STAGE_THREAD_PREFIX)
         assert not _stage_threads_alive()
 
+    def test_pool_stress_runs_every_part_once_in_item_order(self, cpus):
+        """With threads switching every few microseconds, items of 1 to
+        6 parts each run every part exactly once, every first part runs
+        on the stage thread in item order, and the results come back in
+        item order."""
+        cpus(2)
+        runs, firsts, lock = {}, [], threading.Lock()
+
+        def produce(item):
+            def part(index):
+                with lock:
+                    runs[item, index] = runs.get((item, index), 0) + 1
+                    if index == 0:
+                        firsts.append(
+                            (item, threading.current_thread().name)
+                        )
+                return item * 10 + index
+
+            n_parts = 1 + item % 6
+            return [partial(part, i) for i in range(n_parts)], tuple
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = pipeline(produce, list, range(300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [
+            [item * 10 + i for i in range(1 + item % 6)]
+            for item in range(300)
+        ]
+        assert set(runs.values()) == {1}
+        assert len(runs) == sum(1 + item % 6 for item in range(300))
+        assert [item for item, _ in firsts] == list(range(300))
+        assert all(name.startswith(STAGE_THREAD_PREFIX) for _, name in firsts)
+        assert not _stage_threads_alive()
+
     @pytest.mark.parametrize("on_caller", [False, True])
     @pytest.mark.parametrize("failing_item", [0, 2])
     def test_pool_part_failure_reaches_the_caller(
