@@ -19,10 +19,11 @@ devices of any strength can be heard (Section 3.3.2).
 
 Population state is flat: :class:`AllocationTable` keeps its device
 columns in a :class:`repro.protocol.population.Population`
-(struct-of-arrays) and ranks/spreads with the vectorised kernels, so
-bulk admits are O(N) array ops instead of per-device dictionary walks.
-The equivalence suite (``tests/test_population_scale.py``) pins it
-bit-identical to a per-device-object oracle kept next to the tests.
+(struct-of-arrays), the AP's only per-device protocol state, and
+ranks/spreads with the vectorised kernels, so a re-spread is a few array
+ops instead of a per-device dictionary walk. The equivalence suite
+(``tests/test_population_scale.py``) pins it bit-identical to a
+per-device-object oracle kept next to the tests.
 
 The slot geometry is cached per configuration: ``_data_slots`` /
 ``association_shifts`` are pure functions of the frozen
@@ -262,35 +263,15 @@ class AllocationTable:
             self.reassignments += 1
         return int(self._pop.shift[row]), moved_others
 
-    def bulk_add(
-        self,
-        device_ids: Sequence[int],
-        snrs_db: Sequence[float],
-    ) -> Tuple[np.ndarray, bool]:
-        """Admit many devices under a *single* re-spread.
-
-        The mass-join fast path: all newcomers enter the ring at once
-        and at most one reassignment event is charged (against N when
-        admitting one at a time). Returns ``(shifts, reassigned)`` with
-        ``shifts`` aligned to ``device_ids``.
-        """
-        ids = [int(d) for d in device_ids]
-        _check_finite(snrs_db)
-        if self.n_devices + len(ids) > self.capacity:
-            raise AllocationError(
-                f"network full: {self.capacity} slots in use"
-            )
-        rows = self._pop.bulk_add(ids, snrs_db)
-        moved_others = self._apply_spread()
-        if moved_others:
-            self.reassignments += 1
-        return self._pop.shift[rows].copy(), moved_others
-
-    def remove_device(self, device_id: int) -> None:
-        """Remove a device and re-spread the survivors."""
+    def remove_device(self, device_id: int) -> bool:
+        """Remove a device and re-spread the survivors; returns True if
+        any survivor moved (counted as a full reassignment, as an admit
+        that displaces devices is)."""
         self._pop.remove(device_id)  # raises if unknown
-        if self._pop.n_devices:
-            self._apply_spread()
+        moved = self._pop.n_devices > 0 and self._apply_spread()
+        if moved:
+            self.reassignments += 1
+        return moved
 
     def update_snr(self, device_id: int, snr_db: float) -> bool:
         """Record a significantly changed SNR; returns True if the ring

@@ -9,15 +9,15 @@ the Association ACK in the granted shift.
 
 The per-device association lifecycle (phase, grant repeats, the frozen
 granted shift) lives in the allocation table's population columns
-(:class:`repro.protocol.population.Population`), so a mass join is one
-masked array update (:meth:`AssociationController.bulk_associate`).
-``tests/test_population_scale.py`` pins every decision bit-identical
-to a per-device-object oracle.
+(:class:`repro.protocol.population.Population`), next to each device's
+SNR and shift: the one roster the AP reads its members, their ranking
+and their shifts from. ``tests/test_population_scale.py`` pins every
+decision bit-identical to a per-device-object oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -127,30 +127,6 @@ class AssociationController:
         pop.phase[row] = PHASE_CONFIRMED
         return int(pop.granted_shift[row])
 
-    def bulk_associate(
-        self,
-        device_ids: Sequence[int],
-        snrs_db: Sequence[float],
-    ) -> Tuple[np.ndarray, bool]:
-        """Run the full request -> grant -> ACK cycle for many devices.
-
-        The mass-join fast path behind population-scale scenarios: every
-        newcomer is admitted under one re-spread
-        (:meth:`AllocationTable.bulk_add`), granted its slot and
-        immediately confirmed — the lossless-downlink shortcut the
-        protocol stats layer charges one query per device for. Returns
-        ``(granted_shifts, reassigned)`` aligned to ``device_ids``.
-        """
-        shifts, reassigned = self._table.bulk_add(device_ids, snrs_db)
-        pop = self._pop
-        rows = np.array(
-            [pop.row_of(int(d)) for d in device_ids], dtype=np.int64
-        )
-        pop.phase[rows] = PHASE_CONFIRMED
-        pop.granted_shift[rows] = shifts
-        pop.grant_repeats[rows] = 1
-        return shifts, reassigned
-
     def handle_reassociation(
         self, device_id: int, new_snr_db: float
     ) -> bool:
@@ -179,3 +155,10 @@ class AssociationController:
     def n_members(self) -> int:
         n_pending = int(np.count_nonzero(self._pop.phase != PHASE_CONFIRMED))
         return self._table.n_devices - n_pending
+
+    def ranked_members(self) -> np.ndarray:
+        """Confirmed members' ids, strongest first (ties in join order):
+        the ring order a full-reassignment query announces."""
+        pop = self._pop
+        ranked = pop.ranked_rows()
+        return pop.device_id[ranked[pop.phase[ranked] == PHASE_CONFIRMED]]

@@ -5,19 +5,20 @@ at population scale it *is* the cost, because every admit, re-rank and
 round walks Python dictionaries. This module applies the batched-fading
 treatment (the ``step_tracks`` idiom) to protocol state: one
 :class:`Population` holds the whole AP-cluster as parallel NumPy columns
-(SNR, assigned shift, association phase, grant/backoff counters, duty
-cycle, per-device seeds), and the protocol classes (allocation table,
-association controller, scheduler) are thin views that update masked
-slices of it. The per-device-object implementation they replaced is
-kept as a test oracle in ``tests/test_population_scale.py``.
+(SNR, assigned shift, association phase, grant counter, granted shift),
+and the protocol classes (allocation table, association controller, and
+the AP over them) are thin views that update masked slices of it. It is
+the only per-device protocol state. The per-device-object
+implementation they replaced is kept as a test oracle in
+``tests/test_population_scale.py``.
 
 Two layers live here:
 
 * **State + kernels** — :class:`Population` (struct-of-arrays with
   amortised growth and a sorted-id index) and the vectorised allocation
   kernels (:func:`spread_slot_indices`, :func:`spread_shifts`,
-  :func:`span_group_bounds`, :func:`assign_cluster`) that replace the per-device loops in
-  ``core/allocation.py`` and the scheduler. The kernels are pinned
+  :func:`span_group_bounds`, :func:`assign_cluster`) that replace the
+  per-device ranking and grouping loops. The kernels are pinned
   bit-identical to the per-device-object oracle by
   ``tests/test_population_scale.py``.
 * **Hybrid fidelity** — :func:`split_fidelity` routes each similar-SNR
@@ -90,7 +91,7 @@ PHASE_GRANTED = 1
 PHASE_CONFIRMED = 2
 
 #: The golden-ratio increment :func:`repro.utils.rng.child_seed` mixes
-#: into per-index seeds; the vectorised derivation reuses it.
+#: into per-index seeds; :func:`split_fidelity`'s per-group seeds reuse it.
 _SEED_GOLDEN = 0x9E3779B97F4A7C15
 _SEED_MASK = 2**63 - 1
 
@@ -116,12 +117,8 @@ class Population:
     ``granted_shift``
         int64 shift frozen into the grant message (stays stale if a
         later admit re-packs the ring — protocol-visible behaviour).
-    ``duty_cycle_rounds`` / ``rounds_since_tx``
-        int64 scheduler duty-cycle state.
-    ``group``
-        int64 scheduler group index; ``-1`` while ungrouped.
-    ``seed``
-        int64 per-device seed (see :meth:`derive_seeds`).
+
+    41 B a device, plus the 16 B-a-device id index.
 
     Columns are exposed as live views of the first ``n_devices`` rows so
     the protocol layer can apply masked bulk updates in place; storage
@@ -135,10 +132,6 @@ class Population:
         ("phase", np.int8, PHASE_CONFIRMED),
         ("grant_repeats", np.int64, 0),
         ("granted_shift", np.int64, -1),
-        ("duty_cycle_rounds", np.int64, 1),
-        ("rounds_since_tx", np.int64, 0),
-        ("group", np.int64, -1),
-        ("seed", np.int64, 0),
     )
 
     def __init__(self, initial_capacity: int = 64) -> None:
@@ -191,22 +184,6 @@ class Population:
     @property
     def granted_shift(self) -> np.ndarray:
         return self._column("granted_shift")
-
-    @property
-    def duty_cycle_rounds(self) -> np.ndarray:
-        return self._column("duty_cycle_rounds")
-
-    @property
-    def rounds_since_tx(self) -> np.ndarray:
-        return self._column("rounds_since_tx")
-
-    @property
-    def group(self) -> np.ndarray:
-        return self._column("group")
-
-    @property
-    def seed(self) -> np.ndarray:
-        return self._column("seed")
 
     def _grow_to(self, capacity: int) -> None:
         if capacity <= self._capacity:
@@ -318,23 +295,6 @@ class Population:
         table ranks by.
         """
         return np.argsort(-self.snr_db, kind="stable")
-
-    def derive_seeds(self, rng: RngLike = None) -> np.ndarray:
-        """Fill the ``seed`` column with per-device child seeds.
-
-        Same construction as :func:`repro.utils.rng.child_seed` — one
-        base draw XOR a golden-ratio row mix — drawn as a single batched
-        ``integers`` call instead of one Python call per device.
-        """
-        generator = make_rng(rng)
-        base = generator.integers(0, 2**63 - 1, size=self._n)
-        rows = np.arange(self._n, dtype=np.uint64)
-        mixed = base.astype(np.uint64) ^ (
-            (rows * np.uint64(_SEED_GOLDEN)) & np.uint64(_SEED_MASK)
-        )
-        seeds = mixed.astype(np.int64)
-        self._data["seed"][: self._n] = seeds
-        return self.seed
 
 
 # ---------------------------------------------------------------------- #
@@ -696,7 +656,6 @@ def office_population(
     )
     pop = Population(initial_capacity=n_devices)
     pop.bulk_add(np.arange(n_devices, dtype=np.int64), snrs)
-    pop.derive_seeds(generator)
     return pop
 
 

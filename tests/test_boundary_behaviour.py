@@ -138,7 +138,8 @@ class TestAssociationShifts:
 class TestAllocationTable:
     def _table(self, snrs=(20.0, 10.0, 0.0, -10.0)):
         table = AllocationTable(SMALL_CONFIG)
-        table.bulk_add(range(len(snrs)), list(snrs))
+        for device_id, snr in enumerate(snrs):
+            table.add_device(device_id, snr)
         return table
 
     def test_empty_table_is_valid(self):
@@ -147,21 +148,21 @@ class TestAllocationTable:
     def test_filled_table_is_valid(self):
         self._table().validate()
 
-    def test_displacing_bulk_add_counts_one_reassignment(self):
+    def test_displacing_add_counts_one_reassignment(self):
         table = self._table((20.0, -10.0))
         before = dict(table.assignments())
-        shifts, moved = table.bulk_add([10, 11], [30.0, 25.0])
+        shift, moved = table.add_device(10, 30.0)
         assert moved
         assert table.reassignments == 1
         after = table.assignments()
         assert after[0] != before[0]  # the old strongest gave up slot 0
-        assert [after[10], after[11]] == shifts.tolist()
+        assert after[10] == shift
         table.validate()
 
-    def test_non_displacing_bulk_add_counts_none(self):
-        table = self._table((20.0, -10.0))
+    def test_non_displacing_add_counts_none(self):
+        table = self._table((20.0,))
         before = dict(table.assignments())
-        _, moved = table.bulk_add([10, 11], [5.0, 0.0])
+        _, moved = table.add_device(10, 5.0)
         assert not moved
         assert table.reassignments == 0
         assert {d: table.assignments()[d] for d in before} == before
@@ -184,13 +185,15 @@ class TestAllocationTable:
             table.validate()
 
 
-class TestAccessPointBulkAssociate:
-    def test_displacing_batch_queues_a_reassignment_query(self):
+class TestAccessPointAssociation:
+    def test_displacing_joins_queue_one_reassignment_query(self):
         ap = AccessPoint(SMALL_CONFIG)
-        ap.bulk_associate([0, 1], [20.0, -10.0])
+        ap.run_association(0, 20.0)
+        ap.run_association(1, -10.0)
         first = ap.build_query()
         assert first.reassignment_order is None
-        ap.bulk_associate([2, 3], [30.0, 25.0])
+        ap.run_association(2, 30.0)
+        ap.run_association(3, 25.0)
         query = ap.build_query()
         assert query.reassignment_order is not None
         assert sorted(query.reassignment_order) == [0, 1, 2, 3]

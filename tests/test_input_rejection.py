@@ -39,7 +39,6 @@ from repro.errors import (
     DecodingError,
     HardwareModelError,
     LinkBudgetError,
-    ProtocolError,
     ReproError,
 )
 from repro.hardware.device import BackscatterDevice
@@ -69,7 +68,6 @@ from repro.protocol.population import (
     office_population,
     spread_slot_indices,
 )
-from repro.protocol.scheduler import GroupScheduler
 from repro.utils.conversions import freq_offset_to_bins
 from repro.utils.stats import cdf_at
 
@@ -108,11 +106,11 @@ def _tone_workload(**overrides):
     return ReadoutWorkload(**fields)
 
 
-def _scheduler_with(*device_ids):
-    scheduler = GroupScheduler(max_group_size=8)
-    for device_id in device_ids:
-        scheduler.add_device(device_id, -5.0)
-    return scheduler
+def _full_table():
+    table = AllocationTable(SMALL_CONFIG)
+    for device_id in range(table.capacity):
+        table.add_device(device_id, 0.0)
+    return table
 
 
 REJECTIONS = [
@@ -276,20 +274,8 @@ REJECTIONS = [
     pytest.param(lambda: hybrid_population_round(Population()),
                  ConfigurationError, "population is empty",
                  id="hybrid_round-empty-population"),
-    pytest.param(lambda: _scheduler_with().bulk_add([1], [0.0],
-                                                    duty_cycle_rounds=0),
-                 ProtocolError, "duty cycle", id="scheduler-bulk-zero-duty"),
-    pytest.param(lambda: _scheduler_with().bulk_add([1, 1], [0.0, 1.0]),
-                 ProtocolError, "duplicate", id="scheduler-bulk-duplicate"),
-    pytest.param(lambda: _scheduler_with(3).bulk_add([2, 3], [0.0, 1.0]),
-                 ProtocolError, "device 3 already scheduled",
-                 id="scheduler-bulk-already-scheduled"),
-    pytest.param(lambda: _scheduler_with(3).group_of(4), ProtocolError,
-                 "device 4 is not scheduled", id="scheduler-group_of-unknown"),
-    pytest.param(lambda: AllocationTable(SMALL_CONFIG).bulk_add(
-                     range(SMALL_CONFIG.max_devices + 1),
-                     np.zeros(SMALL_CONFIG.max_devices + 1)),
-                 AllocationError, "network full", id="allocation-bulk-overfull"),
+    pytest.param(lambda: _full_table().add_device(-1, 0.0),
+                 AllocationError, "network full", id="allocation-add-overfull"),
     # utils
     pytest.param(lambda: freq_offset_to_bins(100.0, 0.0, 9), LinkBudgetError,
                  "bandwidth", id="freq_offset_to_bins-zero-bandwidth"),

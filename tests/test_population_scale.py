@@ -3,13 +3,14 @@
 Pins the tentpole invariants of the flat-array population layer:
 
 * the flat (struct-of-arrays) :class:`AllocationTable`,
-  :class:`AssociationController`, :class:`GroupScheduler` and
-  :class:`AccessPoint` make *bit-identical* decisions to the
-  per-device-object oracle defined below, across spreading factors and
-  device counts up to 256, over randomised add / SNR-update / remove /
-  bulk operation sequences;
-* their entry points reject misaligned or non-finite input before any
-  state changes;
+  :class:`AssociationController` and the :class:`AccessPoint` over them
+  make *bit-identical* decisions to the per-device-object oracle defined
+  below, across spreading factors and device counts up to 256, over
+  randomised add / SNR-update / remove sequences and the grant / ACK /
+  abandon lifecycle, down to the ranking a reassignment query announces;
+* :func:`assign_cluster`'s span grouping equals the oracle's greedy
+  per-device walk;
+* their entry points reject non-finite input before any state changes;
 * the hybrid fidelity split is a seeded pure function (same population
   + same seed -> same routing, same metrics) and its closed-form legs
   stay within a statistical-equivalence gate of the all-Monte-Carlo
@@ -48,7 +49,6 @@ from repro.errors import (
     AllocationError,
     AssociationError,
     ConfigurationError,
-    ProtocolError,
 )
 from repro.protocol.ap import AccessPoint
 from repro.protocol.association import AssociationController
@@ -63,7 +63,6 @@ from repro.protocol.population import (
     split_fidelity,
     assign_cluster,
 )
-from repro.protocol.scheduler import GroupScheduler
 from repro.utils import parallel
 
 SPREADING_FACTORS = (7, 9, 12)
@@ -86,8 +85,8 @@ def _table_state(table: AllocationTable):
 # Per-device-object oracle
 # ---------------------------------------------------------------------- #
 # The protocol layer's original implementation: one Python object per
-# device in the allocation table, the association controller and the
-# scheduler. Ranking and grouping go through the same
+# device in the allocation table and the association controller. Ranking
+# and grouping go through the same
 # ``spread_slot_indices`` and ``snr_groups`` calls the flat kernels were
 # derived from, so any drift of the flat path shows as a mismatch here.
 
@@ -191,36 +190,13 @@ class ObjectAllocationTable:
             self.reassignments += 1
         return self._entries[device_id].shift, moved_others
 
-    def bulk_add(self, device_ids, snrs_db):
-        ids = [int(d) for d in device_ids]
-        if self.n_devices + len(ids) > self.capacity:
-            raise AllocationError(
-                f"network full: {self.capacity} slots in use"
-            )
-        for device_id in ids:
-            if device_id in self._entries:
-                raise AllocationError(
-                    f"device {device_id} already allocated"
-                )
-        if len(set(ids)) != len(ids):
-            raise AllocationError("duplicate device ids in bulk add")
-        for device_id, snr_db in zip(ids, snrs_db):
-            self._entries[device_id] = AllocationEntry(
-                device_id=device_id, shift=-1, snr_db=float(snr_db)
-            )
-        moved_others = self._apply_spread()
-        if moved_others:
-            self.reassignments += 1
-        shifts = np.array(
-            [self._entries[d].shift for d in ids], dtype=np.int64
-        )
-        return shifts, moved_others
-
-    def remove_device(self, device_id: int) -> None:
+    def remove_device(self, device_id: int) -> bool:
         self._entry(device_id)
         del self._entries[device_id]
-        if self._entries:
-            self._apply_spread()
+        moved = bool(self._entries) and self._apply_spread()
+        if moved:
+            self.reassignments += 1
+        return moved
 
     def update_snr(self, device_id: int, snr_db: float) -> bool:
         entry = self._entry(device_id)
@@ -350,9 +326,6 @@ class ObjectAssociationController:
         del self._pending[device_id]
         return pending.granted_shift
 
-    def bulk_associate(self, device_ids, snrs_db):
-        return self._table.bulk_add(device_ids, snrs_db)
-
     def handle_reassociation(self, device_id: int, new_snr_db: float) -> bool:
         return self._table.update_snr(device_id, new_snr_db)
 
@@ -373,125 +346,20 @@ class ObjectAssociationController:
     def n_members(self) -> int:
         return self._table.n_devices - len(self._pending)
 
-
-@dataclass
-class ScheduledDevice:
-    """Scheduler-side view of one device."""
-
-    device_id: int
-    snr_db: float
-    duty_cycle_rounds: int = 1
-    rounds_since_tx: int = 0
-
-    def due(self) -> bool:
-        return self.rounds_since_tx + 1 >= self.duty_cycle_rounds
-
-
-class ObjectGroupScheduler:
-    """Per-device-object :class:`GroupScheduler`."""
-
-    def __init__(
-        self, max_group_size: int, group_span_db: float = 35.0
-    ) -> None:
-        self._max_group_size = int(max_group_size)
-        self._group_span_db = float(group_span_db)
-        self._next_group = 0
-        self._devices: Dict[int, ScheduledDevice] = {}
-        self._groups: List[List[int]] = []
-
-    @property
-    def groups(self) -> List[List[int]]:
-        return [list(g) for g in self._groups]
-
-    def add_device(
-        self, device_id: int, snr_db: float, duty_cycle_rounds: int = 1
-    ) -> None:
-        if device_id in self._devices:
-            raise ProtocolError(f"device {device_id} already scheduled")
-        if duty_cycle_rounds < 1:
-            raise ProtocolError("duty cycle must be >= 1 round")
-        self._devices[device_id] = ScheduledDevice(
-            device_id=device_id,
-            snr_db=float(snr_db),
-            duty_cycle_rounds=int(duty_cycle_rounds),
-        )
-        self._rebuild_groups()
-
-    def bulk_add(self, device_ids, snrs_db, duty_cycle_rounds: int = 1):
-        if duty_cycle_rounds < 1:
-            raise ProtocolError("duty cycle must be >= 1 round")
-        ids = [int(d) for d in device_ids]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate device ids in bulk add")
-        for device_id in ids:
-            if device_id in self._devices:
-                raise ProtocolError(
-                    f"device {device_id} already scheduled"
-                )
-        for device_id, snr_db in zip(ids, snrs_db):
-            self._devices[device_id] = ScheduledDevice(
-                device_id=device_id,
-                snr_db=float(snr_db),
-                duty_cycle_rounds=int(duty_cycle_rounds),
-            )
-        self._rebuild_groups()
-
-    def remove_device(self, device_id: int) -> None:
-        if device_id not in self._devices:
-            raise ProtocolError(f"device {device_id} is not scheduled")
-        del self._devices[device_id]
-        self._rebuild_groups()
-
-    def _rebuild_groups(self) -> None:
-        if not self._devices:
-            self._groups = []
-            return
-        ids = list(self._devices)
-        snrs = [self._devices[d].snr_db for d in ids]
-        groups: List[List[int]] = []
-        for group in snr_groups(snrs, self._group_span_db):
-            members = [ids[i] for i in group]
-            for start in range(0, len(members), self._max_group_size):
-                groups.append(members[start : start + self._max_group_size])
-        self._groups = groups
-        self._next_group %= max(1, len(self._groups))
-
-    def next_round(self) -> List[int]:
-        if not self._groups:
-            return []
-        group = self._groups[self._next_group]
-        self._next_group = (self._next_group + 1) % len(self._groups)
-        transmitting: List[int] = []
-        for device_id in group:
-            device = self._devices[device_id]
-            if device.due():
-                transmitting.append(device_id)
-                device.rounds_since_tx = 0
-            else:
-                device.rounds_since_tx += 1
-        for device_id, device in self._devices.items():
-            if device_id not in group:
-                device.rounds_since_tx += 1
-        return transmitting
-
-    def group_of(self, device_id: int) -> int:
-        for index, group in enumerate(self._groups):
-            if device_id in group:
-                return index
-        raise ProtocolError(f"device {device_id} is not scheduled")
+    def ranked_members(self) -> List[int]:
+        return [
+            device_id
+            for device_id in self._table._ranked_ids()
+            if device_id not in self._pending
+        ]
 
 
 class ObjectAccessPoint(AccessPoint):
-    """:class:`AccessPoint` driving the object controller and scheduler."""
+    """:class:`AccessPoint` driving the object controller."""
 
-    def __init__(
-        self, config: NetScatterConfig, group_span_db: float = 35.0
-    ) -> None:
-        super().__init__(config, group_span_db)
+    def __init__(self, config: NetScatterConfig) -> None:
+        super().__init__(config)
         self._association = ObjectAssociationController(config)
-        self._scheduler = ObjectGroupScheduler(
-            max_group_size=config.max_devices, group_span_db=group_span_db
-        )
 
 
 class TestAllocationBackendEquivalence:
@@ -514,6 +382,8 @@ class TestAllocationBackendEquivalence:
             assert _table_state(flat) == _table_state(legacy)
         flat.validate()
         legacy.validate()
+        # ... and the serial result equals the one-shot allocation map.
+        assert flat.assignments() == power_aware_allocation(snrs, config)
 
     @pytest.mark.parametrize("sf", SPREADING_FACTORS)
     def test_mixed_operation_sequence_bit_identical(self, sf):
@@ -542,8 +412,9 @@ class TestAllocationBackendEquivalence:
                 )
             else:
                 victim = live.pop(int(rng.integers(len(live))))
-                flat.remove_device(int(victim))
-                legacy.remove_device(int(victim))
+                assert flat.remove_device(int(victim)) == (
+                    legacy.remove_device(int(victim))
+                )
             assert _table_state(flat) == _table_state(legacy)
         flat.validate()
         legacy.validate()
@@ -553,24 +424,6 @@ class TestAllocationBackendEquivalence:
             assert exp_obj is None
         else:
             assert exp_flat == pytest.approx(exp_obj, abs=1e-9)
-
-    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
-    def test_bulk_add_matches_on_both_backends(self, sf):
-        config = _config(sf)
-        rng = np.random.default_rng(77 + sf)
-        n = min(128, len(_data_slots(config)))
-        ids = list(range(n))
-        snrs = rng.uniform(-40.0, 5.0, size=n)
-        flat = AllocationTable(config)
-        legacy = ObjectAllocationTable(config)
-        shifts_flat, re_flat = flat.bulk_add(ids, snrs)
-        shifts_obj, re_obj = legacy.bulk_add(ids, snrs)
-        assert shifts_flat.tolist() == shifts_obj.tolist()
-        assert re_flat == re_obj
-        assert _table_state(flat) == _table_state(legacy)
-        # ... and the bulk result equals the one-shot allocation map.
-        one_shot = power_aware_allocation(snrs, config)
-        assert flat.assignments() == one_shot
 
     def test_error_parity(self):
         config = _config(9)
@@ -628,6 +481,29 @@ class TestAssociationBackendEquivalence:
             ctrl.handle_ack(7)
             assert ctrl.n_members == 1
 
+    def test_abandoned_grant_counts_the_survivors_move(self):
+        """Abandoning a displacing newcomer's grant re-spreads the
+        members it displaced; that move is a full reassignment too."""
+        config = _assoc_config(9)
+        for ctrl in (
+            AssociationController(config),
+            ObjectAssociationController(config),
+        ):
+            for device_id, snr in ((1, -20.0), (2, -25.0), (3, -30.0)):
+                ctrl.handle_request(device_id, snr)
+                ctrl.handle_ack(device_id)
+            _, displaced = ctrl.handle_request(9, -10.0)
+            assert displaced and ctrl._table.reassignments == 2
+            before = ctrl.assignments()
+            with pytest.raises(AssociationError, match="never acknowledged"):
+                for _ in range(AssociationController.MAX_GRANT_REPEATS):
+                    ctrl.handle_request(9, -10.0)
+            after = ctrl.assignments()
+            assert 9 not in after
+            assert (before[2], after[2]) == (128, 342)
+            assert (before[3], after[3]) == (260, 170)
+            assert ctrl._table.reassignments == 3
+
     def test_granted_shift_frozen_across_repack(self):
         """A later admit may re-pack the ring, but the pending grant
         keeps repeating the originally granted shift, as in the oracle."""
@@ -659,68 +535,22 @@ class TestAssociationBackendEquivalence:
             with pytest.raises(AssociationError, match="unexpected ACK"):
                 ctrl.handle_ack(3)
 
-    def test_bulk_associate_equivalent_across_backends(self):
-        config = _assoc_config(9)
-        rng = np.random.default_rng(9)
-        ids = list(range(200))
-        snrs = rng.uniform(-45.0, 5.0, size=len(ids))
-        flat = AssociationController(config)
-        legacy = ObjectAssociationController(config)
-        s_flat, r_flat = flat.bulk_associate(ids, snrs)
-        s_obj, r_obj = legacy.bulk_associate(ids, snrs)
-        assert s_flat.tolist() == s_obj.tolist()
-        assert r_flat == r_obj
-        assert flat.n_members == legacy.n_members == len(ids)
-        assert flat.assignments() == legacy.assignments()
-        assert flat.pending_grants() == [] == legacy.pending_grants()
-
-
-class TestSchedulerBackendEquivalence:
-    @pytest.mark.parametrize("max_group", (4, 64, 256))
-    def test_round_robin_sequences_bit_identical(self, max_group):
-        rng = np.random.default_rng(31 + max_group)
-        flat = GroupScheduler(max_group_size=max_group)
-        legacy = ObjectGroupScheduler(max_group_size=max_group)
-        for device_id in range(97):
-            snr = float(rng.uniform(-60.0, 0.0))
-            duty = int(rng.integers(1, 4))
-            flat.add_device(device_id, snr, duty)
-            legacy.add_device(device_id, snr, duty)
-        assert flat.groups == legacy.groups
-        for device_id in range(97):
-            assert flat.group_of(device_id) == legacy.group_of(device_id)
-        for round_index in range(60):
-            assert flat.next_round() == legacy.next_round(), round_index
-        # Churn: removals keep the two in lockstep.
-        for victim in (5, 50, 90):
-            flat.remove_device(victim)
-            legacy.remove_device(victim)
-        assert flat.groups == legacy.groups
-        for round_index in range(30):
-            assert flat.next_round() == legacy.next_round(), round_index
-
-    def test_bulk_add_matches_serial_grouping(self):
-        rng = np.random.default_rng(8)
-        snrs = rng.uniform(-60.0, 0.0, size=120)
-        serial = GroupScheduler(max_group_size=16)
-        bulk = GroupScheduler(max_group_size=16)
-        for device_id, snr in enumerate(snrs):
-            serial.add_device(device_id, float(snr))
-        bulk.bulk_add(range(len(snrs)), snrs)
-        assert serial.groups == bulk.groups
-
-    def test_error_parity(self):
-        for sched in (
-            GroupScheduler(max_group_size=8),
-            ObjectGroupScheduler(max_group_size=8),
-        ):
-            sched.add_device(1, -10.0)
-            with pytest.raises(ProtocolError, match="already scheduled"):
-                sched.add_device(1, -12.0)
-            with pytest.raises(ProtocolError, match="not scheduled"):
-                sched.remove_device(2)
-            with pytest.raises(ProtocolError, match="duty cycle"):
-                sched.add_device(3, -10.0, duty_cycle_rounds=0)
+class TestSpanGroupingEquivalence:
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_assign_cluster_matches_the_per_device_walk(self, sf):
+        """Span groups from the greedy per-device walk, each split at
+        the configuration's round size, in the same order."""
+        config = _config(sf)
+        rng = np.random.default_rng(31 + sf)
+        snrs = rng.uniform(-60.0, 0.0, size=300)
+        for span in (10.0, 35.0):
+            expected = [
+                group[start : start + config.max_devices]
+                for group in snr_groups(snrs, span)
+                for start in range(0, len(group), config.max_devices)
+            ]
+            groups = assign_cluster(snrs, config, span)
+            assert [g.tolist() for g in groups] == expected
 
 
 class TestAccessPointBackends:
@@ -736,124 +566,61 @@ class TestAccessPointBackends:
             ) == legacy.run_association(device_id, float(snr))
         assert flat.assignments() == legacy.assignments()
         assert flat.stats == legacy.stats
-        assert flat.scheduler.groups == legacy.scheduler.groups
+        assert flat.n_members == legacy.n_members == len(snrs)
 
-    def test_bulk_associate_charges_serial_stats(self):
+    def test_reassignment_order_with_ties_matches_the_oracle(self):
+        """Tied SNRs rank in join order on both backends, before and
+        after an update that moves a device's rank."""
         config = NetScatterConfig()
-        rng = np.random.default_rng(13)
-        snrs = rng.uniform(-40.0, 0.0, size=32)
-        serial = AccessPoint(config)
-        bulk = AccessPoint(config)
-        for device_id, snr in enumerate(snrs):
-            serial.run_association(device_id, float(snr))
-        shifts = bulk.bulk_associate(range(len(snrs)), snrs)
-        assert bulk.assignments() == serial.assignments()
-        assert [
-            bulk.assignments()[i] for i in range(len(snrs))
-        ] == shifts.tolist()
-        assert bulk.stats.queries_sent == serial.stats.queries_sent
-        assert (
-            bulk.stats.downlink_bits_sent
-            == serial.stats.downlink_bits_sent
-        )
-        assert (
-            bulk.stats.associations_completed
-            == serial.stats.associations_completed
+        snrs = [-10.0, -20.0, -10.0, -20.0, -5.0, -10.0]
+        orders = {}
+        for backend, ap in (
+            ("flat", AccessPoint(config)),
+            ("object", ObjectAccessPoint(config)),
+        ):
+            for device_id, snr in enumerate(snrs):
+                ap.run_association(device_id, snr)
+            first = ap.build_query().reassignment_order
+            assert ap.update_member_snr(3, -10.0)
+            second = ap.build_query().reassignment_order
+            orders[backend] = (first, second)
+        assert orders["flat"] == orders["object"]
+        assert orders["flat"] == (
+            [1, 4, 2, 5, 0, 3],
+            [1, 5, 2, 3, 0, 4],
         )
 
 
-def _table_with_one_device() -> AllocationTable:
-    table = AllocationTable(_config(9))
-    table.add_device(1, -10.0)
-    return table
-
-
-def _scheduler_with_one_device() -> GroupScheduler:
-    sched = GroupScheduler(max_group_size=8)
-    sched.add_device(1, -10.0)
-    return sched
-
-
-#: Entry point -> (build a one-device target, feed it a bad SNR,
-#: expected error). Every one must raise before touching state.
+#: Entry point -> feed a one-device table a bad SNR. Every one must
+#: raise before touching state.
 NON_FINITE_ENTRY_POINTS = {
-    "table.add_device": (
-        _table_with_one_device,
-        lambda table, bad: table.add_device(2, bad),
-        AllocationError,
-    ),
-    "table.bulk_add": (
-        _table_with_one_device,
-        lambda table, bad: table.bulk_add([2, 3], [-12.0, bad]),
-        AllocationError,
-    ),
-    "table.update_snr": (
-        _table_with_one_device,
-        lambda table, bad: table.update_snr(1, bad),
-        AllocationError,
-    ),
-    "scheduler.add_device": (
-        _scheduler_with_one_device,
-        lambda sched, bad: sched.add_device(2, bad),
-        ProtocolError,
-    ),
-    "scheduler.bulk_add": (
-        _scheduler_with_one_device,
-        lambda sched, bad: sched.bulk_add([2, 3], [-12.0, bad]),
-        ProtocolError,
-    ),
+    "table.add_device": lambda table, bad: table.add_device(2, bad),
+    "table.update_snr": lambda table, bad: table.update_snr(1, bad),
 }
 
 
-def _protocol_state(target):
-    if isinstance(target, AllocationTable):
-        return (
-            target.assignments(),
-            target.reassignments,
-            target.population.snr_db.tolist(),
-        )
-    return (target.groups, target.n_groups)
+def _protocol_state(table):
+    return (
+        table.assignments(),
+        table.reassignments,
+        table.population.snr_db.tolist(),
+    )
 
 
 class TestProtocolStateInputValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
     @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
     def test_non_finite_snr_rejected_before_mutation(self, entry, bad):
-        build, feed, error = NON_FINITE_ENTRY_POINTS[entry]
-        target = build()
-        before = _protocol_state(target)
-        with pytest.raises(error, match="finite"):
-            feed(target, bad)
-        assert _protocol_state(target) == before
-        # The target still works: the rejected device can join cleanly.
-        target.add_device(2, -12.0)
-        if isinstance(target, AllocationTable):
-            target.validate()
-            assert target.n_devices == 2
-        else:
-            assert target.group_of(2) == 0
-
-    @pytest.mark.parametrize(
-        "device_ids, snrs_db",
-        [
-            ([1, 2, 3], [-10.0, -20.0]),  # more ids than SNRs
-            ([1, 2], [-10.0, -20.0, -30.0]),  # more SNRs than ids
-            ([[1, 2]], [[-10.0, -20.0]]),  # not 1-D
-            (3, -10.0),  # scalars
-        ],
-    )
-    def test_scheduler_bulk_add_rejects_misaligned_input(
-        self, device_ids, snrs_db
-    ):
-        sched = GroupScheduler(max_group_size=8)
-        sched.add_device(0, -5.0)
-        before = _protocol_state(sched)
-        with pytest.raises(ProtocolError, match="1-D and aligned"):
-            sched.bulk_add(device_ids, snrs_db)
-        assert _protocol_state(sched) == before
-        sched.add_device(3, -12.0)
-        sched.next_round()
-        assert sched.group_of(3) == 0
+        table = AllocationTable(_config(9))
+        table.add_device(1, -10.0)
+        before = _protocol_state(table)
+        with pytest.raises(AllocationError, match="finite"):
+            NON_FINITE_ENTRY_POINTS[entry](table, bad)
+        assert _protocol_state(table) == before
+        # The table still works: the rejected device can join cleanly.
+        table.add_device(2, -12.0)
+        table.validate()
+        assert table.n_devices == 2
 
 
 class TestSlotGeometryCaching:
@@ -1675,9 +1442,10 @@ class TestPopulationIndex:
         assert new.n_devices > 10
 
     def test_office_population_retains_columns_plus_16_bytes_a_device(self):
-        """10^5 devices retain their columns, the 16 B-a-device index
-        (sorted ids plus their rows) and at most 64 KiB besides; the dict
-        index it replaced retained ~116 B a device more."""
+        """10^5 devices retain their 41 B-a-device columns, the
+        16 B-a-device index (sorted ids plus their rows) and at most
+        64 KiB besides; the dict index it replaced retained ~116 B a
+        device more."""
         n = 100_000
         office_population(16, rng=1)  # first-call imports and caches
         tracemalloc.start()
@@ -1691,4 +1459,5 @@ class TestPopulationIndex:
             getattr(pop, name).nbytes for name, _, _ in Population._COLUMNS
         )
         assert pop.n_devices == n
+        assert columns == 41 * n
         assert retained <= columns + 16 * n + 64 * 1024

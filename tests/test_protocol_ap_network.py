@@ -10,7 +10,12 @@ import pytest
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.receiver import RoundsDecode
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import (
+    AllocationError,
+    AssociationError,
+    ConfigurationError,
+    ProtocolError,
+)
 from repro.protocol.ap import AccessPoint
 from repro.protocol.network import (
     FADING_ROUND_INTERVAL_S,
@@ -149,13 +154,6 @@ class TestAccessPoint:
         with pytest.raises(ProtocolError):
             AccessPoint(config).receiver()
 
-    def test_round_scheduling(self, config):
-        ap = AccessPoint(config)
-        for device_id in range(5):
-            ap.run_association(device_id, 10.0 + device_id)
-        devices = ap.next_round_devices()
-        assert sorted(devices) == [0, 1, 2, 3, 4]
-
     def test_member_snr_update(self, config):
         ap = AccessPoint(config)
         ap.run_association(0, 10.0)
@@ -165,9 +163,21 @@ class TestAccessPoint:
         query = ap.build_query()
         assert query.reassignment_order is not None
 
+    def test_refused_update_leaves_the_announced_ranking(self, config):
+        """The table refuses a non-finite SNR, and the ranking the next
+        reassignment query announces is the table's."""
+        ap = AccessPoint(config)
+        for device_id, snr in enumerate((10.0, 20.0, 5.0)):
+            ap.run_association(device_id, snr)
+        ap.build_query()
+        with pytest.raises(AllocationError, match="finite"):
+            ap.update_member_snr(1, float("nan"))
+        assert ap.update_member_snr(2, 30.0)
+        assert ap.build_query().reassignment_order == [2, 1, 0]
+
     def test_unknown_member_update_rejected(self, config):
         ap = AccessPoint(config)
-        with pytest.raises(Exception):
+        with pytest.raises(AssociationError, match="device 9 is not a member"):
             ap.update_member_snr(9, 10.0)
 
 
