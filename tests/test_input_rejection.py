@@ -39,6 +39,7 @@ from repro.errors import (
     DecodingError,
     HardwareModelError,
     LinkBudgetError,
+    ProtocolError,
     ReproError,
 )
 from repro.hardware.device import BackscatterDevice
@@ -62,10 +63,14 @@ from repro.phy.sparse_readout import (
     located_bin_noise_covariance,
 )
 from repro.phy.spectrum import side_lobe_profile
+from repro.protocol.ap import AccessPoint
+from repro.protocol.association import AssociationController
 from repro.protocol.population import (
     Population,
+    assign_cluster,
     hybrid_population_round,
     office_population,
+    span_group_bounds,
     spread_slot_indices,
 )
 from repro.utils.conversions import freq_offset_to_bins
@@ -111,6 +116,12 @@ def _full_table():
     for device_id in range(table.capacity):
         table.add_device(device_id, 0.0)
     return table
+
+
+def _ap_with_pending_grant(device_id):
+    ap = AccessPoint(SMALL_CONFIG)
+    ap.association.handle_request(device_id, 0.0)
+    return ap
 
 
 REJECTIONS = [
@@ -276,6 +287,31 @@ REJECTIONS = [
                  id="hybrid_round-empty-population"),
     pytest.param(lambda: _full_table().add_device(-1, 0.0),
                  AllocationError, "network full", id="allocation-add-overfull"),
+    pytest.param(lambda: _full_table().add_device(3, 0.0),
+                 AllocationError, "device 3 already allocated",
+                 id="allocation-add-duplicate"),
+    pytest.param(lambda: AllocationTable(SMALL_CONFIG).remove_device(4),
+                 AllocationError, "device 4 is not allocated",
+                 id="allocation-remove-unknown"),
+    pytest.param(lambda: AllocationTable(SMALL_CONFIG).update_snr(4, 0.0),
+                 AllocationError, "device 4 is not allocated",
+                 id="allocation-update-unknown"),
+    pytest.param(lambda: Population().remove(4), AllocationError,
+                 "device 4 is not allocated", id="population-remove-unknown"),
+    pytest.param(lambda: AssociationController(SMALL_CONFIG).handle_ack(3),
+                 AssociationError, "unexpected ACK from device 3",
+                 id="association-ack-unknown"),
+    pytest.param(lambda: _ap_with_pending_grant(5).update_member_snr(5, 0.0),
+                 AssociationError, "device 5 is not a member",
+                 id="ap-update-pending-grant"),
+    pytest.param(lambda: AccessPoint(SMALL_CONFIG).receiver(), ProtocolError,
+                 "no devices associated yet", id="ap-receiver-no-members"),
+    pytest.param(lambda: assign_cluster([0.0, np.nan], SMALL_CONFIG),
+                 ConfigurationError, "row 1 is not finite",
+                 id="assign_cluster-non-finite"),
+    pytest.param(lambda: span_group_bounds(np.zeros(3), 0.0),
+                 ConfigurationError, "group span must be positive",
+                 id="span_group_bounds-zero-span"),
     # utils
     pytest.param(lambda: freq_offset_to_bins(100.0, 0.0, 9), LinkBudgetError,
                  "bandwidth", id="freq_offset_to_bins-zero-bandwidth"),

@@ -425,6 +425,31 @@ class TestAllocationBackendEquivalence:
         else:
             assert exp_flat == pytest.approx(exp_obj, abs=1e-9)
 
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_removals_count_the_survivors_move(self, sf):
+        """Draining a full table one device at a time: both backends
+        report the same moves, and a removal counts a reassignment
+        exactly when some survivor's shift changed."""
+        config = _config(sf)
+        rng = np.random.default_rng(90 + sf)
+        n = min(64, len(_data_slots(config)))
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
+        for device_id, snr in enumerate(rng.uniform(-45.0, 10.0, size=n)):
+            flat.add_device(device_id, float(snr))
+            legacy.add_device(device_id, float(snr))
+        for victim in rng.permutation(n).tolist():
+            before = flat.assignments()
+            count = flat.reassignments
+            moved = flat.remove_device(victim)
+            assert moved == legacy.remove_device(victim)
+            after = flat.assignments()
+            assert moved == any(after[d] != before[d] for d in after)
+            assert flat.reassignments == count + int(moved)
+            assert _table_state(flat) == _table_state(legacy)
+            flat.validate()
+        assert flat.n_devices == legacy.n_devices == 0
+
     def test_error_parity(self):
         config = _config(9)
         for table in (AllocationTable(config), ObjectAllocationTable(config)):
@@ -504,6 +529,56 @@ class TestAssociationBackendEquivalence:
             assert (before[3], after[3]) == (260, 170)
             assert ctrl._table.reassignments == 3
 
+    @pytest.mark.parametrize("sf", (7, 9))
+    def test_churn_with_abandoned_grants_bit_identical(self, sf):
+        """Joins, lost grants, abandons, ACKs and re-associations in a
+        random order: the same grants, errors, members and moves."""
+        config = _assoc_config(sf)
+        rng = np.random.default_rng(700 + sf)
+        flat = AssociationController(config)
+        legacy = ObjectAssociationController(config)
+        granted, members, next_id, abandoned = [], [], 0, 0
+
+        def both(call):
+            outcomes = []
+            for ctrl in (flat, legacy):
+                try:
+                    outcomes.append(call(ctrl))
+                except AssociationError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            return outcomes[0]
+
+        for _ in range(240):
+            op = rng.random()
+            snr = float(rng.uniform(-45.0, 5.0))
+            if op < 0.35 and flat.table.n_devices < flat.table.capacity:
+                both(lambda c: c.handle_request(next_id, snr))
+                granted.append(next_id)
+                next_id += 1
+            elif op < 0.55 and granted:
+                # The oldest grant keeps getting lost, until abandoned.
+                device_id = granted[0]
+                outcome = both(lambda c: c.handle_request(device_id, snr))
+                if isinstance(outcome, str):
+                    assert "never acknowledged" in outcome
+                    granted.remove(device_id)
+                    abandoned += 1
+            elif op < 0.8 and granted:
+                device_id = granted.pop()
+                both(lambda c: c.handle_ack(device_id))
+                members.append(device_id)
+            elif members:
+                device_id = members[int(rng.integers(len(members)))]
+                both(lambda c: c.handle_reassociation(device_id, snr))
+            assert flat.assignments() == legacy.assignments()
+            assert flat.pending_grants() == legacy.pending_grants()
+            assert flat.n_members == legacy.n_members == len(members)
+            assert flat.ranked_members().tolist() == legacy.ranked_members()
+            assert flat.table.reassignments == legacy._table.reassignments
+        flat.table.validate()
+        assert abandoned > 0
+
     def test_granted_shift_frozen_across_repack(self):
         """A later admit may re-pack the ring, but the pending grant
         keeps repeating the originally granted shift, as in the oracle."""
@@ -553,6 +628,41 @@ class TestSpanGroupingEquivalence:
             assert [g.tolist() for g in groups] == expected
 
 
+    def test_one_span_is_one_group(self):
+        groups = assign_cluster(np.full(4, 10.0), _config(9))
+        assert [sorted(g.tolist()) for g in groups] == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_oversize_span_splits_at_the_round_size(self, sf):
+        config = _config(sf)
+        size = config.max_devices
+        groups = assign_cluster(np.zeros(2 * size + 3), config)
+        assert [len(g) for g in groups] == [size, size, 3]
+
+    def test_span_separates_distant_devices(self):
+        groups = assign_cluster(np.array([0.0, 50.0]), _config(9), 20.0)
+        assert [g.tolist() for g in groups] == [[1], [0]]
+
+    @pytest.mark.parametrize("sf", SPREADING_FACTORS)
+    def test_groups_cover_every_device_once(self, sf):
+        """Every row lands in exactly one group; each group stays within
+        the span and the round size, strongest first."""
+        config = _config(sf)
+        rng = np.random.default_rng(60 + sf)
+        snrs = rng.uniform(-70.0, 10.0, size=500)
+        groups = assign_cluster(snrs, config, 20.0)
+        rows = np.concatenate(groups)
+        assert sorted(rows.tolist()) == list(range(snrs.size))
+        for group in groups:
+            members = snrs[group]
+            assert len(group) <= config.max_devices
+            assert members[0] - members[-1] <= 20.0
+            assert np.all(np.diff(members) <= 0.0)
+
+    def test_empty_population_has_no_groups(self):
+        assert assign_cluster(np.array([]), _config(9)) == []
+
+
 class TestAccessPointBackends:
     def test_association_flow_identical(self):
         config = NetScatterConfig()
@@ -590,35 +700,140 @@ class TestAccessPointBackends:
             [1, 5, 2, 3, 0, 4],
         )
 
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_announced_order_matches_the_oracle_under_churn(self, seed):
+        """Joins and SNR updates in a random order: after each, both
+        backends send the same query, and an announced order ranks the
+        members as the table does."""
+        config = NetScatterConfig()
+        rng = np.random.default_rng(seed)
+        flat = AccessPoint(config)
+        legacy = ObjectAccessPoint(config)
+        announced = 0
+        for step in range(120):
+            snr = float(np.round(rng.uniform(-40.0, 0.0), 0))
+            if step < 4 or rng.random() < 0.4:
+                device_id = flat.n_members
+                assert flat.run_association(device_id, snr) == (
+                    legacy.run_association(device_id, snr)
+                )
+            else:
+                device_id = int(rng.integers(flat.n_members))
+                assert flat.update_member_snr(device_id, snr) == (
+                    legacy.update_member_snr(device_id, snr)
+                )
+            query = flat.build_query()
+            assert query == legacy.build_query()
+            order = query.reassignment_order
+            if order is not None:
+                announced += 1
+                table = flat.association.table
+                ranks = {d: order[d] for d in range(flat.n_members)}
+                by_rank = sorted(ranks, key=ranks.get)
+                snrs = [table.snr_of(d) for d in by_rank]
+                assert snrs == sorted(snrs, reverse=True)
+        assert flat.stats == legacy.stats
+        assert announced > 0
 
-#: Entry point -> feed a one-device table a bad SNR. Every one must
-#: raise before touching state.
+
+def _table_with_one_device() -> AllocationTable:
+    table = AllocationTable(_config(9))
+    table.add_device(1, -10.0)
+    return table
+
+
+def _controller_with_one_member() -> AssociationController:
+    ctrl = AssociationController(_config(9))
+    ctrl.handle_request(1, -10.0)
+    ctrl.handle_ack(1)
+    return ctrl
+
+
+def _ap_with_one_member() -> AccessPoint:
+    ap = AccessPoint(_config(9))
+    ap.run_association(1, -10.0)
+    ap.build_query()
+    return ap
+
+
+def _controller_join(ctrl, device_id, snr_db):
+    ctrl.handle_request(device_id, snr_db)
+    ctrl.handle_ack(device_id)
+
+
+#: Entry point -> (build a one-member target, feed it a bad SNR, let a
+#: device join it cleanly). Every one must raise before touching state.
 NON_FINITE_ENTRY_POINTS = {
-    "table.add_device": lambda table, bad: table.add_device(2, bad),
-    "table.update_snr": lambda table, bad: table.update_snr(1, bad),
+    "table.add_device": (
+        _table_with_one_device,
+        lambda table, bad: table.add_device(2, bad),
+        AllocationTable.add_device,
+    ),
+    "table.update_snr": (
+        _table_with_one_device,
+        lambda table, bad: table.update_snr(1, bad),
+        AllocationTable.add_device,
+    ),
+    "controller.handle_request": (
+        _controller_with_one_member,
+        lambda ctrl, bad: ctrl.handle_request(2, bad),
+        _controller_join,
+    ),
+    "controller.handle_reassociation": (
+        _controller_with_one_member,
+        lambda ctrl, bad: ctrl.handle_reassociation(1, bad),
+        _controller_join,
+    ),
+    "ap.run_association": (
+        _ap_with_one_member,
+        lambda ap, bad: ap.run_association(2, bad),
+        AccessPoint.run_association,
+    ),
+    "ap.update_member_snr": (
+        _ap_with_one_member,
+        lambda ap, bad: ap.update_member_snr(1, bad),
+        AccessPoint.run_association,
+    ),
 }
 
 
-def _protocol_state(table):
-    return (
+def _table_of(target) -> AllocationTable:
+    if isinstance(target, AccessPoint):
+        target = target.association
+    if isinstance(target, AssociationController):
+        target = target.table
+    return target
+
+
+def _protocol_state(target):
+    table = _table_of(target)
+    state = [
         table.assignments(),
         table.reassignments,
         table.population.snr_db.tolist(),
-    )
+        table.population.phase.tolist(),
+    ]
+    if isinstance(target, AccessPoint):
+        state.append(dataclasses.asdict(target.stats))
+    return state
 
 
 class TestProtocolStateInputValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
     @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
     def test_non_finite_snr_rejected_before_mutation(self, entry, bad):
-        table = AllocationTable(_config(9))
-        table.add_device(1, -10.0)
-        before = _protocol_state(table)
+        build, feed, join = NON_FINITE_ENTRY_POINTS[entry]
+        target = build()
+        before = _protocol_state(target)
         with pytest.raises(AllocationError, match="finite"):
-            NON_FINITE_ENTRY_POINTS[entry](table, bad)
-        assert _protocol_state(table) == before
-        # The table still works: the rejected device can join cleanly.
-        table.add_device(2, -12.0)
+            feed(target, bad)
+        assert _protocol_state(target) == before
+        if isinstance(target, AccessPoint):
+            # Nothing was queued: the next query announces no order.
+            assert target.build_query().reassignment_order is None
+        # The target still works: the rejected device can join cleanly.
+        join(target, 2, -12.0)
+        table = _table_of(target)
         table.validate()
         assert table.n_devices == 2
 

@@ -175,6 +175,21 @@ class TestAccessPoint:
         assert ap.update_member_snr(2, 30.0)
         assert ap.build_query().reassignment_order == [2, 1, 0]
 
+    def test_members_ranked_strongest_first(self, config):
+        """The ring order comes from the table: confirmed members,
+        strongest first; a device holding an unacknowledged grant is
+        neither ranked nor counted until it ACKs."""
+        ap = AccessPoint(config)
+        for device_id, snr in enumerate((10.0, 30.0, 20.0)):
+            ap.run_association(device_id, snr)
+        assert ap.association.ranked_members().tolist() == [1, 2, 0]
+        ap.association.handle_request(3, 40.0)
+        assert ap.association.ranked_members().tolist() == [1, 2, 0]
+        assert ap.n_members == 3
+        ap.association.handle_ack(3)
+        assert ap.association.ranked_members().tolist() == [3, 1, 2, 0]
+        assert ap.n_members == 4
+
     def test_unknown_member_update_rejected(self, config):
         ap = AccessPoint(config)
         with pytest.raises(AssociationError, match="device 9 is not a member"):
