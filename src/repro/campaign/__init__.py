@@ -7,9 +7,10 @@ declarative, cacheable artifacts:
   into content-hashable :class:`CampaignPoint` values (every random
   ingredient an explicit seed);
 * :mod:`repro.campaign.store` — :class:`CampaignStore`, a per-point
-  JSON chunk store keyed by content hash with a rebuildable
-  manifest, chunk-integrity verification, and a quarantine for corrupt
-  chunks (reruns skip completed points bit-for-bit);
+  JSON chunk store keyed by content hash, named by one locator (a
+  directory or a URL), with chunk-integrity verification and a
+  quarantine for corrupt chunks (reruns skip completed points
+  bit-for-bit);
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, sharding
   pending points over the network-sweep process-pool plumbing with
   per-point checkpointing, bounded retries with seeded-jitter backoff,

@@ -18,23 +18,22 @@ Usage::
     python -m repro.campaign run --spec fig17 --store runs/fig17 \\
         --timeout-s 120 --max-attempts 5
 
-    # storage drivers: without --storage-driver, posix at --store
-    # (fsync-durable); otherwise, and never beside --store, a URL
-    # spec — posix:///path, memory:// (ephemeral smoke runs),
-    # http://host:port/bucket (remote object store).
+    # --store names the store on every command: a directory (posix,
+    # fsync-durable), posix:///path, memory:// (ephemeral smoke runs)
+    # or http://host:port/bucket (remote object store).
     python -m repro.campaign run --spec fig17 \\
-        --storage-driver http://127.0.0.1:8123/campaign
+        --store http://127.0.0.1:8123/campaign
 
-    # serve a store over HTTP for remote runners (hermetic object
-    # store)
-    python -m repro.campaign serve --root runs/fig17 --port 8123
+    # serve a store over HTTP for remote runners (without --store, a
+    # hermetic in-memory object store)
+    python -m repro.campaign serve --store runs/fig17 --port 8123
 
     # serve the campaign *API* (HSDS-style service node): JSON specs
     # in, per-point metrics streamed out, cached points answered with
     # zero recompute, identical in-flight requests deduplicated
     python -m repro.campaign serve-api --store runs/fig17 --port 8124
     python -m repro.campaign serve-api \\
-        --storage-driver http://hostA:8123/campaign --port 8124
+        --store http://hostA:8123/campaign --port 8124
 
     # submit a campaign to a running service node (retries + circuit
     # breaker; exit 1 when the service reports failed points)
@@ -44,7 +43,8 @@ Usage::
     # what the store holds / the merged results table (status includes
     # leased/failed/quarantined counts and per-driver I/O stats;
     # --json emits one compact machine-readable line); both work
-    # against a remote store via --storage-driver http://...
+    # against a remote store via --store http://...; both refuse a
+    # directory that does not exist
     python -m repro.campaign status --store runs/fig17
     python -m repro.campaign status --store runs/fig17 --json
     python -m repro.campaign export --store runs/fig17 --format csv
@@ -72,14 +72,19 @@ from repro.campaign.presets import PRESETS, build_preset
 from repro.campaign.retry import STORAGE_RETRY, RetryPolicy
 from repro.campaign.runner import CampaignRunner, check_workers
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.storage import build_driver
+from repro.campaign.storage import build_driver, parse_driver_spec
 from repro.campaign.store import CampaignStore
 from repro.errors import (
     CampaignExecutionError,
-    ConfigurationError,
     ReproError,
     StorageError,
     require_seconds,
+)
+
+
+READ_STORE_HELP = (
+    "store to read: an existing directory, posix:///path, memory:// or "
+    "http://host:port/bucket"
 )
 
 
@@ -106,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--store",
-        default=None,
+        required=True,
         help=(
-            "store directory (created if missing; reruns resume "
-            "here); required without --storage-driver, refused "
-            "beside it"
+            "store: a directory (created if missing; reruns resume "
+            "here), posix:///path, memory:// or "
+            "http://host:port/bucket"
         ),
     )
     run.add_argument(
@@ -169,30 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report permanently-failed points instead of erroring",
     )
-    run.add_argument(
-        "--storage-driver",
-        default=None,
-        help=(
-            "storage backend as a URL spec — posix:///path, memory://, "
-            "http://host:port/bucket (remote object store); default: "
-            "posix at --store; refused beside --store"
-        ),
-    )
 
     status = sub.add_parser("status", help="summarise a store")
-    status.add_argument(
-        "--store",
-        default=None,
-        help="posix store directory; refused beside --storage-driver",
-    )
-    status.add_argument(
-        "--storage-driver",
-        default=None,
-        help=(
-            "driver spec for non-posix stores "
-            "(e.g. http://host:port/bucket); refused beside --store"
-        ),
-    )
+    status.add_argument("--store", required=True, help=READ_STORE_HELP)
     status.add_argument(
         "--json",
         action="store_true",
@@ -202,19 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="merged per-point results table from a store"
     )
-    export.add_argument(
-        "--store",
-        default=None,
-        help="posix store directory; refused beside --storage-driver",
-    )
-    export.add_argument(
-        "--storage-driver",
-        default=None,
-        help=(
-            "driver spec for non-posix stores "
-            "(e.g. http://host:port/bucket); refused beside --store"
-        ),
-    )
+    export.add_argument("--store", required=True, help=READ_STORE_HELP)
     export.add_argument(
         "--format", choices=("json", "csv"), default="json"
     )
@@ -230,9 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a store over HTTP for remote runners",
     )
     serve.add_argument(
-        "--root",
-        default=None,
-        help="posix store directory to serve (default: in-memory)",
+        "--store",
+        default="memory://",
+        help="store to serve: a directory or a locator (default: memory://)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -256,19 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_api.add_argument(
         "--store",
-        default=None,
+        default="memory://",
         help=(
-            "posix store directory backing the cache (default: memory); "
-            "refused beside --storage-driver"
-        ),
-    )
-    serve_api.add_argument(
-        "--storage-driver",
-        default=None,
-        help=(
-            "driver spec for the backing store — posix:///path, "
-            "memory://, http://host:port/bucket (a remote object-store "
-            "data node); refused beside --store"
+            "store backing the cache: a directory, posix:///path, "
+            "memory:// (the default) or http://host:port/bucket (a "
+            "remote object-store data node)"
         ),
     )
     serve_api.add_argument("--host", default="127.0.0.1")
@@ -407,29 +371,18 @@ def _check_seconds(**flags) -> None:
             require_seconds(f"--{name.replace('_', '-')}", value)
 
 
-def _check_one_store(args) -> None:
-    """Refuse ``--store`` beside ``--storage-driver``: a driver spec
-    names its own store, so the directory would be silently ignored."""
-    if args.store is not None and args.storage_driver is not None:
-        raise ConfigurationError(
-            "--store and --storage-driver each name a store; pass one "
-            "(posix:///path names a directory as a driver spec)"
-        )
+def _posix_root(locator):
+    """The directory a posix ``--store`` names, else ``None``."""
+    parsed = parse_driver_spec(locator)
+    return Path(parsed["root"]) if parsed["scheme"] == "posix" else None
 
 
 def _cmd_run(args) -> int:
     _check_seconds(timeout_s=args.timeout_s, lease_ttl_s=args.lease_ttl_s)
     check_workers(args.workers)
-    _check_one_store(args)
     spec = _load_spec(args)
-    if args.storage_driver is None and args.store is None:
-        raise ReproError(
-            "--store is required without --storage-driver (the default "
-            "posix store needs a directory)"
-        )
-    driver = build_driver(args.storage_driver, args.store)
-    store = CampaignStore(driver=driver)
-    store_label = store.root if store.root is not None else driver.name
+    store = CampaignStore(args.store)
+    store_label = store.root if store.root is not None else store.driver.name
     if args.save_spec:
         store.driver.put_atomic(
             "spec.json",
@@ -500,17 +453,12 @@ def _cmd_run(args) -> int:
 
 
 def _open_store(args) -> CampaignStore:
-    """A read-side store from ``--store`` or ``--storage-driver``."""
-    _check_one_store(args)
-    spec = args.storage_driver
-    if spec is None:
-        if args.store is None:
-            raise ReproError(
-                "need --store (posix directory) or --storage-driver "
-                "(URL spec such as http://host:port/bucket)"
-            )
-        return CampaignStore(args.store)
-    return CampaignStore(driver=build_driver(spec))
+    """The store ``--store`` names for a read command, which creates
+    nothing: a posix directory that does not exist is refused."""
+    root = _posix_root(args.store)
+    if root is not None and not root.is_dir():
+        raise ReproError(f"--store {args.store!r}: no such store directory")
+    return CampaignStore(args.store)
 
 
 def _cmd_status(args) -> int:
@@ -542,7 +490,13 @@ def _cmd_export(args) -> int:
     rows = _open_store(args).export_rows()
     text = _format_rows(rows, args.format)
     if args.output is not None:
-        args.output.write_text(text)
+        try:
+            args.output.write_text(text)
+        except OSError as error:
+            raise ReproError(
+                f"cannot write --output {str(args.output)!r}: "
+                f"{error.strerror or error}"
+            ) from None
         print(f"exported {len(rows)} points to {args.output}")
     else:
         sys.stdout.write(text)
@@ -553,25 +507,21 @@ def _cmd_serve(args) -> int:
     # Imported here so the plain run/status paths never pay for the
     # HTTP stack.
     from repro.campaign.objectstore import ObjectStoreService, check_port
-    from repro.campaign.storage import PosixDriver
 
     check_port(args.port)
-    backing = args.root if args.root is not None else "memory://"
     with contextlib.ExitStack() as running:
-        with _removed_unless_started(args.root):
+        with _removed_unless_started(args.store):
             service = running.enter_context(
                 ObjectStoreService(
-                    driver=(
-                        PosixDriver(args.root) if args.root is not None else None
-                    ),
+                    driver=build_driver(args.store),
                     host=args.host,
                     port=args.port,
                     bucket=args.bucket,
                 )
             )
         print(
-            f"serving {backing} at {service.url} "
-            f"(--storage-driver {service.url})",
+            f"serving {args.store} at {service.url} "
+            f"(--store {service.url})",
             flush=True,
         )
         _serve_until_interrupted()
@@ -579,18 +529,20 @@ def _cmd_serve(args) -> int:
 
 
 @contextlib.contextmanager
-def _removed_unless_started(root):
-    """Remove the directories of ``root`` the block made, if it fails.
+def _removed_unless_started(locator):
+    """Remove the directories of a posix store the block made, if it
+    fails.
 
     A service on a posix store makes the store's directory before it
     binds its port. If the block, which builds and starts the service
     and serves nothing yet, fails (a port the host cannot bind), the
-    directories of ``root`` that did not exist before it are removed
+    directories of the store that did not exist before it are removed
     again; one that existed stays.
     """
     made = None
+    root = _posix_root(locator)
     if root is not None:
-        made = Path(root).absolute()
+        made = root.absolute()
         while not made.parent.exists():
             made = made.parent
         if made.exists():
@@ -621,25 +573,14 @@ def _cmd_serve_api(args) -> int:
     _check_seconds(timeout_s=args.timeout_s)
     check_workers(args.workers)
     check_port(args.port)
-    _check_one_store(args)
     kwargs = {}
     if args.max_attempts is not None:
         kwargs["retry"] = RetryPolicy(max_attempts=args.max_attempts)
     with contextlib.ExitStack() as running:
         with _removed_unless_started(args.store):
-            if args.storage_driver is not None:
-                driver = build_driver(args.storage_driver)
-                store = CampaignStore(driver=driver)
-                backing = driver.name
-            elif args.store is not None:
-                store = CampaignStore(args.store)
-                backing = args.store
-            else:
-                store = None
-                backing = "memory://"
             service = running.enter_context(
                 CampaignService(
-                    store=store,
+                    store=args.store,
                     host=args.host,
                     port=args.port,
                     workers=args.workers,
@@ -649,7 +590,7 @@ def _cmd_serve_api(args) -> int:
                 )
             )
         print(
-            f"serving campaign API over {backing} at {service.url} "
+            f"serving campaign API over {args.store} at {service.url} "
             f"(submit with: python -m repro.campaign submit "
             f"--service {service.url} --spec ...)",
             flush=True,

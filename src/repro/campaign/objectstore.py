@@ -4,7 +4,7 @@ The network half of the storage layer: :class:`HttpDriver` speaks a
 minimal S3-style REST protocol to :class:`ObjectStoreService` (a
 ``ThreadingHTTPServer`` over any local :class:`~repro.campaign.storage.
 StorageDriver`), so campaign state — chunks, leases, failures,
-quarantine, manifest — spans hosts behind the same
+quarantine — spans hosts behind the same
 :class:`~repro.campaign.storage.StorageDriver` contract the posix and
 memory backends honour. The service runs in-process for tests and as
 ``python -m repro.campaign serve`` for real deployments; HSDS's

@@ -18,7 +18,7 @@ harness ``tests/chaos.py``):
   lease protocol (:mod:`repro.campaign.leases`), so N concurrent
   runners on one store partition the work without duplicating
   computations; a killed runner's leases expire and its points are
-  reclaimed, and the final manifest is identical to a single-shot run.
+  reclaimed, and the final store exports the rows of a single-shot run.
 * **Retries** — a failed attempt is retried with seeded-jitter
   exponential backoff up to
   :attr:`~repro.campaign.retry.RetryPolicy.max_attempts`; every
@@ -285,8 +285,9 @@ class CampaignRunner:
     Parameters
     ----------
     store:
-        A :class:`CampaignStore`, a path to create one at, or ``None``
-        for an ephemeral run (every point computed, nothing persisted).
+        A :class:`CampaignStore`, a locator to open one at (a
+        directory or a URL, see :class:`CampaignStore`), or ``None`` for
+        an ephemeral run (every point computed, nothing persisted).
     workers:
         Process-pool request for the *pending* points, resolved through
         :func:`resolve_pool_workers` (``None``/1-CPU hosts → serial).

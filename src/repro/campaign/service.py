@@ -528,11 +528,10 @@ class CampaignService(HttpService):
 
     In-process for tests (``with CampaignService() as service:``) and
     behind ``python -m repro.campaign serve-api`` for deployments.
-    ``store`` is a :class:`CampaignStore`, a posix root path, or
-    ``None`` for an ephemeral in-memory store — any
-    :class:`~repro.campaign.storage.StorageDriver`-backed store works,
-    including ``http://`` drivers pointing at a remote object-store
-    data node. Runner knobs (``workers``, ``retry``,
+    ``store`` is a :class:`CampaignStore`, a store locator (a
+    directory, ``posix:///path``, ``memory://`` or an ``http://`` URL
+    pointing at a remote object-store data node), or ``None`` for an
+    ephemeral in-memory store. Runner knobs (``workers``, ``retry``,
     ``point_timeout_s``, ``use_leases``, ``allow_partial``) configure
     the one :class:`CampaignRunner` each distinct spec gets.
     ``allow_partial`` defaults to True: a
@@ -558,12 +557,8 @@ class CampaignService(HttpService):
     ) -> None:
         check_point_timeout(point_timeout_s)
         check_workers(workers)
-        if store is None:
-            from repro.campaign.storage import MemoryDriver
-
-            store = CampaignStore(driver=MemoryDriver())
-        elif not isinstance(store, CampaignStore):
-            store = CampaignStore(store)
+        if not isinstance(store, CampaignStore):
+            store = CampaignStore("memory://" if store is None else store)
         super().__init__(host, port)
         self._store = store
         self._workers = workers

@@ -1,7 +1,7 @@
 """Pluggable fault-tolerant storage drivers for the campaign store.
 
-Every byte of campaign state — point chunks, the manifest, lease
-files, failure records, quarantine stamps — flows through a
+Every byte of campaign state — point chunks, lease files, failure
+records, quarantine stamps — flows through a
 :class:`StorageDriver`. The driver layer is where I/O faults
 are absorbed: bounded retries with seeded-jitter backoff and optional
 per-operation timeouts live in :class:`RetryingDriver`, crash-consistent
@@ -233,7 +233,7 @@ class PosixDriver(StorageDriver):
     temporaries. Every commit fsyncs the file contents *and* the
     destination directory entry, so a host crash immediately after
     :meth:`put_atomic` returns can no longer leave a zero-length or
-    missing chunk behind a manifest that saw it.
+    missing chunk that a reader had already seen.
     """
 
     name = "posix"
@@ -627,10 +627,10 @@ DRIVER_SCHEMES = ("posix", "memory", "http", "https")
 
 
 def parse_driver_spec(spec: str) -> Dict[str, object]:
-    """Parse a ``--storage-driver`` URL spec into its constituent parts:
+    """Parse a store locator into its constituent parts:
 
-    * ``posix:///abs/path`` — posix driver rooted at ``/abs/path``
-      (overrides the store path for driver state);
+    * a plain path (no ``://``) or ``posix:///abs/path`` — posix driver
+      rooted at that directory;
     * ``memory://`` — hermetic in-process driver;
     * ``http://host:port/bucket`` — remote object-store driver
       talking to ``python -m repro.campaign serve``.
@@ -640,6 +640,8 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
     driver's ``spec`` attribute back through here reproduces the same
     configuration.
 
+    >>> parse_driver_spec("runs/fig17")["root"]
+    'runs/fig17'
     >>> parse_driver_spec("memory://")["scheme"]
     'memory'
     >>> parse_driver_spec("posix:///tmp/store")["root"]
@@ -647,11 +649,9 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
     >>> parse_driver_spec("http://127.0.0.1:8123/campaign")["url"]
     'http://127.0.0.1:8123/campaign'
     """
+    spec = os.fspath(spec)
     if "://" not in spec:
-        raise ConfigurationError(
-            f"storage driver {spec!r} is not a URL spec; use "
-            "posix:///path, memory:// or http(s)://host:port/bucket"
-        )
+        return {"scheme": "posix", "root": spec}
     parts = urlsplit(spec)
     scheme = parts.scheme.lower()
     if scheme not in DRIVER_SCHEMES:
@@ -692,28 +692,20 @@ def parse_driver_spec(spec: str) -> Dict[str, object]:
     }
 
 
-def build_driver(spec: Optional[str] = None, root=None) -> StorageDriver:
-    """Construct a driver from a ``--storage-driver`` spec.
+def build_driver(locator) -> StorageDriver:
+    """Construct the driver a store locator names (``--store``).
 
-    ``spec`` is a URL spec (see :func:`parse_driver_spec`), or ``None``
-    for posix at ``root``. ``http(s)://`` specs come wrapped in the
-    circuit breaker
-    (:class:`~repro.campaign.objectstore.CircuitBreakerDriver`) so
-    persistent network failure degrades instead of wedging.
+    ``locator`` is a directory (a string without ``://`` or a path),
+    ``posix:///path``, ``memory://`` or ``http(s)://host:port/bucket``
+    (see :func:`parse_driver_spec`). A posix directory is created if
+    missing. ``http(s)://`` locators come wrapped in the circuit
+    breaker (:class:`~repro.campaign.objectstore.CircuitBreakerDriver`)
+    so persistent network failure degrades instead of wedging.
     """
-    parsed = (
-        {"scheme": "posix", "root": root}
-        if spec is None
-        else parse_driver_spec(spec)
-    )
+    parsed = parse_driver_spec(locator)
     if parsed["scheme"] == "memory":
         return MemoryDriver()
     if parsed["scheme"] == "posix":
-        if parsed["root"] is None:
-            raise ConfigurationError(
-                "a posix driver needs a store root (a directory, or a "
-                "posix:///path spec)"
-            )
         return PosixDriver(parsed["root"])
     # Imported lazily: objectstore builds on this module.
     from repro.campaign.objectstore import CircuitBreakerDriver, HttpDriver

@@ -2,34 +2,35 @@
 
 Layout (one key namespace per store, identical on every backend)::
 
-    <root>/
-      manifest.json          index: {hash: summary row}, rebuildable
-      points/<hash>.json     one chunk per completed point (source of
-                             truth: point + metrics + provenance)
+    <store>/
+      points/<hash>.json     one chunk per completed point, the only
+                             record (point + metrics + provenance)
       leases/<hash>.lease    live worker claims (repro.campaign.leases)
       failures/<hash>.json   per-point failure record (attempts, errors)
       quarantine/            corrupt chunks moved aside, with a reason
                              stamp per chunk (never served, recomputed)
 
-Every byte flows through a :class:`~repro.campaign.storage.
-StorageDriver` — posix (the default, now fsync-on-commit durable),
-memory (hermetic tests), or a fault-injecting wrapper — wrapped in a
+A store is named by one locator string: a directory, ``posix:///path``,
+``memory://`` or ``http(s)://host:port/bucket`` (see
+:func:`~repro.campaign.storage.build_driver`). Every byte flows
+through the :class:`~repro.campaign.storage.StorageDriver` it names —
+posix (fsync-on-commit durable), memory (hermetic tests), remote, or a
+fault-injecting wrapper — wrapped in a
 :class:`~repro.campaign.storage.RetryingDriver` so transient I/O
 errors are absorbed with bounded seeded-jitter backoff before the
 store ever sees them. Retry exhaustion surfaces as
 :class:`~repro.errors.PersistentStorageError`, which the runner turns
 into read-only degradation.
 
-The chunk files are the durable record; the manifest is a *derived*
-index, regenerated by :meth:`CampaignStore.rebuild_manifest` whenever
-:meth:`manifest` finds it missing or disagreeing with the chunks on
-disk (so checkpointing a point costs one chunk write, independent of
-store size, and a run killed at any moment leaves a store that heals
-itself). Everything is written atomically (``put_atomic``). That is
-what makes campaign runs resumable: re-running a campaign loads every
-completed point bit-for-bit (floats survive the JSON round trip
-exactly — ``json`` emits shortest round-trip reprs) and computes only
-what is missing.
+The chunks are the only record: :meth:`CampaignStore.status` and
+:meth:`CampaignStore.export_rows` both read them, verified, so
+checkpointing a point costs one chunk write, independent of store
+size, and a run killed at any moment leaves a consistent store. Every
+chunk is written atomically (``put_atomic``). That is what makes
+campaign runs resumable: re-running a campaign loads every completed
+point bit-for-bit (floats survive the JSON round trip exactly —
+``json`` emits shortest round-trip reprs) and computes only what is
+missing.
 
 Integrity: every chunk read re-verifies the record — the JSON must
 decode, carry the store schema, and embed a point whose recomputed
@@ -67,18 +68,16 @@ True
 from __future__ import annotations
 
 import json
-import logging
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.campaign.leases import live_lease, scan_lease_backend
-from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignPoint
 from repro.campaign.storage import (
-    PosixDriver,
     RetryingDriver,
     StorageDriver,
+    build_driver,
 )
 from repro.errors import (
     CampaignIntegrityError,
@@ -87,18 +86,15 @@ from repro.errors import (
     StorageMissingError,
 )
 
-log = logging.getLogger("repro.campaign.store")
-
-#: Schema stamped on the manifest and on every chunk.
+#: Schema stamped on every chunk.
 STORE_SCHEMA = "repro-campaign-store-v2"
 
 #: Schema stamped on per-point failure records.
 FAILURE_SCHEMA = "repro-campaign-failure-v1"
 
-#: Point-summary fields the manifest indexes (all scalar, all drawn
-#: from the chunk, so the manifest is always rebuildable). Nothing
-#: driver- or host-specific ever enters a row: manifests built over
-#: different storage backends are byte-identical for the same points.
+#: Point axes every exported row carries (all scalar, all drawn from
+#: the chunk). Nothing driver- or host-specific ever enters a row:
+#: stores built over different backends export the same rows.
 _SUMMARY_AXES = (
     "n_devices",
     "n_rounds",
@@ -115,43 +111,34 @@ class CampaignStore:
 
     Parameters
     ----------
-    root:
-        Store directory for the default posix backend (created if
-        missing). Ignored when ``driver`` is given a non-posix backend.
+    locator:
+        The store: a directory (created if missing), ``posix:///path``,
+        ``memory://`` or ``http(s)://host:port/bucket``.
     driver:
-        Storage backend; defaults to ``PosixDriver(root)``. Always
+        Storage backend in place of a locator (the tests' fault
+        injectors); otherwise ``build_driver(locator)``. Always
         wrapped in a :class:`~repro.campaign.storage.RetryingDriver`
         (unless it already is one) so the store only ever sees
         missing-key or persistent errors.
-    retry:
-        Retry policy for the wrapping retrying driver.
     """
 
     def __init__(
-        self,
-        root=None,
-        *,
-        driver: Optional[StorageDriver] = None,
-        retry: Optional[RetryPolicy] = None,
+        self, locator=None, *, driver: Optional[StorageDriver] = None
     ) -> None:
+        if (locator is None) == (driver is None):
+            raise ValueError(
+                "CampaignStore needs a root directory or a driver: one "
+                "locator (a directory or a URL such as memory://) or "
+                "driver=, not both"
+            )
         if driver is None:
-            if root is None:
-                raise ValueError(
-                    "CampaignStore needs a root directory or a driver"
-                )
-            driver = PosixDriver(root)
-        if isinstance(driver, RetryingDriver):
-            retrying = driver
-        else:
-            retrying = RetryingDriver(driver, retry)
-        self._driver = retrying
-        self._root = Path(root) if root is not None else None
-        if self._root is None:
-            base = retrying.inner
-            inner = getattr(base, "inner", base)
-            posix_root = getattr(inner, "root", None)
-            if posix_root is not None:
-                self._root = Path(posix_root)
+            driver = build_driver(locator)
+        if not isinstance(driver, RetryingDriver):
+            driver = RetryingDriver(driver)
+        self._driver = driver
+        base = driver.inner
+        posix_root = getattr(getattr(base, "inner", base), "root", None)
+        self._root = Path(posix_root) if posix_root is not None else None
 
     @property
     def root(self) -> Optional[Path]:
@@ -197,10 +184,8 @@ class CampaignStore:
         (a filesystem path on posix backends, the driver key otherwise).
 
         Only the chunk is written — O(1) in store size, so per-point
-        checkpointing stays cheap on large stores. The manifest is
-        re-derived lazily by :meth:`manifest` when next consulted. A
-        successful save clears any failure record left by earlier
-        attempts.
+        checkpointing stays cheap on large stores. A successful save
+        clears any failure record left by earlier attempts.
         """
         content_hash = point.content_hash()
         chunk_key = self._chunk_key(content_hash)
@@ -424,41 +409,8 @@ class CampaignStore:
         return records
 
     # ------------------------------------------------------------------ #
-    # manifest
+    # chunk sweep
     # ------------------------------------------------------------------ #
-
-    def _summary_row(self, payload: Mapping[str, object]) -> Dict:
-        point = dict(payload["point"])
-        row = {axis: point[axis] for axis in _SUMMARY_AXES}
-        row["file"] = f"points/{payload['content_hash']}.json"
-        provenance = dict(payload.get("provenance", {}))
-        for key in ("backend", "noise_version"):
-            if key in provenance:
-                row[key] = provenance[key]
-        return row
-
-    def _read_manifest(self) -> Dict[str, object]:
-        """Best-effort read of the persisted index.
-
-        The manifest is *derived* state: a missing, torn, or
-        stale-schema value is simply discarded (the caller rebuilds
-        from the chunks) rather than raised on.
-        """
-        try:
-            data = json.loads(
-                self._driver.get("manifest.json").decode("utf-8")
-            )
-        except StorageMissingError:
-            return {"schema": STORE_SCHEMA, "points": {}}
-        except (StorageError, UnicodeDecodeError, ValueError):
-            return {"schema": STORE_SCHEMA, "points": None}
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != STORE_SCHEMA
-        ):
-            return {"schema": STORE_SCHEMA, "points": None}
-        data.setdefault("points", {})
-        return data
 
     def _chunk_hashes(self) -> List[str]:
         return sorted(
@@ -467,46 +419,15 @@ class CampaignStore:
             if key.endswith(".json")
         )
 
-    def rebuild_manifest(self) -> Dict[str, object]:
-        """Re-derive the manifest from the chunks (the truth).
-
-        Corrupt chunks discovered during the sweep are quarantined and
-        left out of the index instead of aborting the rebuild. Because
-        the manifest is derived state, a storage fault while persisting
-        it is logged and swallowed — the in-memory copy is still
-        returned and the next consult re-derives again.
-        """
-        manifest: Dict[str, object] = {
-            "schema": STORE_SCHEMA,
-            "points": {},
-        }
+    def _verified_chunks(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """``(content_hash, payload)`` for every chunk that verifies, in
+        hash order; a corrupt chunk is quarantined and skipped."""
         for content_hash in self._chunk_hashes():
             try:
                 payload = self.verify_chunk(content_hash)
             except CampaignIntegrityError:
                 continue
-            manifest["points"][content_hash] = self._summary_row(payload)
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        try:
-            self._driver.put_atomic(
-                "manifest.json", text.encode("utf-8")
-            )
-        except StorageError as error:
-            log.warning(
-                "could not persist rebuilt manifest (%s); serving the "
-                "in-memory copy — it re-derives on next consult",
-                error,
-            )
-        return manifest
-
-    def manifest(self) -> Dict[str, object]:
-        """The store index, self-healing against chunk/index drift."""
-        manifest = self._read_manifest()
-        if manifest["points"] is None or sorted(
-            manifest["points"]
-        ) != self._chunk_hashes():
-            manifest = self.rebuild_manifest()
-        return manifest
+            yield content_hash, payload
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -526,18 +447,19 @@ class CampaignStore:
 
     def status(self) -> Dict[str, object]:
         """Aggregate summary for ``python -m repro.campaign status``."""
-        manifest = self.manifest()
-        points = manifest["points"]
+        n_points = 0
         by_engine: Dict[str, int] = {}
         by_backend: Dict[str, int] = {}
         by_noise: Dict[str, int] = {}
-        for row in points.values():
-            by_engine[row["engine"]] = by_engine.get(row["engine"], 0) + 1
-            backend = row.get("backend", "?")
+        for _, payload in self._verified_chunks():
+            n_points += 1
+            point = payload["point"]
+            engine = point["engine"]
+            by_engine[engine] = by_engine.get(engine, 0) + 1
+            backend = payload.get("provenance", {}).get("backend", "?")
             by_backend[backend] = by_backend.get(backend, 0) + 1
-            by_noise[row["noise_mode"]] = (
-                by_noise.get(row["noise_mode"], 0) + 1
-            )
+            noise = point["noise_mode"]
+            by_noise[noise] = by_noise.get(noise, 0) + 1
         size = 0
         for key in self._driver.list("points/"):
             try:
@@ -545,10 +467,11 @@ class CampaignStore:
             except StorageError:
                 continue
         failures = self.failures()
+        quarantined = self.quarantined()
         return {
             "root": str(self._root) if self._root else self._driver.name,
             "schema": STORE_SCHEMA,
-            "n_points": len(points),
+            "n_points": n_points,
             "by_engine": by_engine,
             "by_backend": by_backend,
             "by_noise_mode": by_noise,
@@ -560,8 +483,8 @@ class CampaignStore:
             "n_retrying": sum(
                 1 for r in failures if r.get("status") == "retrying"
             ),
-            "n_quarantined": len(self.quarantined()),
-            "quarantine_reasons": self.quarantined(),
+            "n_quarantined": len(quarantined),
+            "quarantine_reasons": quarantined,
             "storage": self._driver.stats(),
         }
 
@@ -570,11 +493,7 @@ class CampaignStore:
         provenance), sorted by (engine, noise_mode, fading, n_devices)
         so exports are stable regardless of completion order."""
         rows = []
-        for content_hash in self._chunk_hashes():
-            try:
-                payload = self.verify_chunk(content_hash)
-            except CampaignIntegrityError:
-                continue
+        for content_hash, payload in self._verified_chunks():
             row: Dict[str, object] = {"content_hash": content_hash}
             point = dict(payload["point"])
             for axis in _SUMMARY_AXES:

@@ -35,6 +35,10 @@ indices (default ``(1,)``), or a seeded per-call probability ``p``,
 either one capped by ``max_fires``. Each consumer fires only its own
 kinds, and a rule it skips does not advance its call counter, so one
 plan can drive a client-side driver and a server side by side.
+
+Convergence has one oracle: :func:`clean_rows` runs a campaign once on
+a clean posix store and :func:`assert_converged` holds a chaos store
+to its ``export_rows()`` — every axis, metric and provenance field.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import repro.campaign.runner as campaign_runner
 from repro.campaign.objectstore import ObjectStoreService, _Handler
 from repro.campaign.service import CampaignService, _ServiceHandler
 from repro.campaign.storage import StorageStat, WrappingDriver
+from repro.campaign.store import CampaignStore
 from repro.errors import (
     PersistentStorageError,
     StorageMissingError,
@@ -473,3 +478,33 @@ class ExecuteChaos:
             assert time.monotonic() < deadline, "a child process outlived its test"
             time.sleep(0.02)
         assert not any(t.is_alive() for t in self._hung), "a hang outlived its test"
+
+
+# ---------------------------------------------------------------------- #
+# the convergence oracle
+# ---------------------------------------------------------------------- #
+
+
+def clean_rows(spec, root) -> List[Dict[str, object]]:
+    """``export_rows()`` of one clean single-shot posix run of ``spec``
+    into the new store ``root`` (run it before any execute chaos is
+    installed, or the execution log counts it)."""
+    campaign_runner.CampaignRunner(store=root, use_leases=False).run(spec)
+    return CampaignStore(root).export_rows()
+
+
+def assert_converged(store, clean, executed=None, once=True) -> None:
+    """``store`` (a store or its locator) exports exactly the ``clean``
+    rows and holds no failure record and no quarantined chunk; with
+    ``executed`` (:meth:`ExecuteChaos.executed`) every point ran and,
+    with ``once``, none ran twice."""
+    if not isinstance(store, CampaignStore):
+        store = CampaignStore(store)
+    assert store.export_rows() == clean
+    assert store.failures() == []
+    assert store.quarantined() == {}
+    if executed is not None:
+        hashes = sorted(row["content_hash"] for row in clean)
+        if once:
+            assert sorted(executed) == hashes, "a point was computed twice"
+        assert set(executed) == set(hashes)

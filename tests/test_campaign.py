@@ -10,8 +10,8 @@ The load-bearing pins:
 * a re-run over an already-populated store recomputes **zero** points
   and serves stored results bit-for-bit;
 * a run killed mid-campaign resumes: completed points load from the
-  store, only the remainder computes, and the merged manifest matches
-  a fresh single-shot run's;
+  store, only the remainder computes, and the exported rows match a
+  fresh single-shot run's;
 * ``workers=`` requests on a 1-CPU host fall back to serial without
   spawning a redundant process pool (the campaign runner's pool is the
   only one that runs sweep points).
@@ -245,31 +245,6 @@ class TestCampaignStore:
         with pytest.raises(ReproError):
             CampaignStore(tmp_path).load(make_point())
 
-    def test_manifest_heals_after_lost_update(self, tmp_path):
-        """Checkpointing never touches the manifest; a stale or deleted
-        index is re-derived from the chunks whenever consulted."""
-        store = CampaignStore(tmp_path)
-        store.save(make_point(), {"m": 1.0}, {"backend": "analytic"})
-        manifest = store.manifest()  # materialises the index
-        assert len(manifest["points"]) == 1
-        # A later checkpoint leaves the persisted index stale (O(1)
-        # saves)…
-        store.save(make_point(seed=9), {"m": 2.0}, {"backend": "fft"})
-        assert len(store.manifest()["points"]) == 2  # …healed on read
-        (tmp_path / "manifest.json").unlink()  # the index is lost…
-        manifest = store.manifest()  # …and rebuilt from the chunks
-        assert len(manifest["points"]) == 2
-        fresh = CampaignStore(tmp_path).manifest()
-        assert fresh == manifest
-
-    def test_manifest_drops_deleted_chunks(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        point = make_point()
-        chunk = store.save(point, {"m": 1.0}, {})
-        assert len(store.manifest()["points"]) == 1
-        chunk.unlink()
-        assert store.manifest()["points"] == {}
-
     def test_export_rows_are_sorted_and_merged(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.save(
@@ -477,8 +452,8 @@ class TestResumability:
         self, tmp_path, monkeypatch
     ):
         """Kill after the first point; the re-run must load it from the
-        store, compute only the rest, and end bit-identical (manifest
-        and metrics) to a fresh single-shot campaign."""
+        store, compute only the rest, and end bit-identical (exported
+        rows and metrics) to a fresh single-shot campaign."""
         spec = small_spec()
         original = campaign_runner.execute_point
 
@@ -515,8 +490,8 @@ class TestResumability:
         fresh = CampaignRunner(store=fresh_dir).run(spec)
         assert resumed.metrics == fresh.metrics
         assert (
-            CampaignStore(resumed_dir).manifest()
-            == CampaignStore(fresh_dir).manifest()
+            CampaignStore(resumed_dir).export_rows()
+            == CampaignStore(fresh_dir).export_rows()
         )
 
     def test_stale_schema_points_do_not_match(self, tmp_path):

@@ -17,8 +17,9 @@ clean run produces:
   refused, delayed and 503-answered submits see byte-identical point
   streams, and a warm re-submit computes nothing.
 
-Each convergence means: a manifest byte-identical to a clean posix
-run's, ``failures() == []`` and ``quarantined() == {}``, and (from the
+Each convergence is ``chaos.assert_converged``: the store exports the
+clean posix run's rows (every metric and all provenance),
+``failures() == []`` and ``quarantined() == {}``, and (from the
 execution log) no point computed twice.
 """
 
@@ -37,24 +38,20 @@ from repro.campaign.presets import fig17_campaign
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.storage import PosixDriver, build_driver
+from repro.campaign.storage import PosixDriver, RetryingDriver, build_driver
 from repro.campaign.store import CampaignStore
 
 #: The legs' campaign.
 SPEC = fig17_campaign(rng=0, device_counts=(1, 2, 4), n_rounds=1, engine="analytic")
-HASHES = sorted(point.content_hash() for point in SPEC.points())
 
 #: Longest a leg may take before it counts as wedged.
 LIMIT_S = 60.0
 
 
 @pytest.fixture
-def clean_manifest(tmp_path):
-    """The manifest bytes of a clean single-shot posix run."""
-    root = tmp_path / "clean"
-    CampaignRunner(store=root).run(SPEC)
-    CampaignStore(root).manifest()
-    return (root / "manifest.json").read_bytes()
+def clean(tmp_path):
+    """The rows of a clean single-shot posix run of :data:`SPEC`."""
+    return chaos.clean_rows(SPEC, tmp_path / "clean")
 
 
 def bounded(fn, injector):
@@ -81,23 +78,10 @@ def bounded(fn, injector):
     return box["result"]
 
 
-def assert_converged(root, clean_manifest, executed, once=True):
-    """The chaos store matches the clean run's, and (``once``) nothing
-    ran twice."""
-    store = CampaignStore(root)
-    store.manifest()
-    assert (root / "manifest.json").read_bytes() == clean_manifest
-    assert store.failures() == []
-    assert store.quarantined() == {}
-    if once:
-        assert sorted(executed) == HASHES, "a point was computed twice"
-    assert set(executed) == set(HASHES)
-
-
 class TestExecuteFaults:
     @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
     def test_crash_and_hang_converge(
-        self, tmp_path, execute_chaos, clean_manifest, workers
+        self, tmp_path, execute_chaos, clean, workers
     ):
         # Two crashes, so the retry loop runs on the pool too (where the
         # first attempt is the pool's and the rest retry serially).
@@ -114,10 +98,10 @@ class TestExecuteFaults:
         run = bounded(lambda: runner.run(SPEC), injector)
         attempts = {r.point.n_devices: r.attempts for r in run.results}
         assert attempts == {1: 3, 2: 1, 4: 2}
-        assert_converged(tmp_path / "store", clean_manifest, injector.executed())
+        chaos.assert_converged(tmp_path / "store", clean, injector.executed())
 
     def test_killed_pool_worker_degrades_to_serial(
-        self, tmp_path, execute_chaos, clean_manifest
+        self, tmp_path, execute_chaos, clean
     ):
         injector = execute_chaos(
             Rule("kill", op="execute", match={"n_devices": 2})
@@ -135,8 +119,8 @@ class TestExecuteFaults:
         # compute twice.
         attempts = {r.point.n_devices: r.attempts for r in run.results}
         assert attempts[2] == 2, attempts
-        assert_converged(
-            tmp_path / "store", clean_manifest, injector.executed(), once=False
+        chaos.assert_converged(
+            tmp_path / "store", clean, injector.executed(), once=False
         )
 
 
@@ -151,10 +135,10 @@ STORAGE_PLAN = chaos.plan(
 def _child_run_faulty(root, spec_dict, plan, owner, lease_ttl_s):
     """One campaign over FaultyDriver(Posix) in a forked child."""
     store = CampaignStore(
-        driver=chaos.FaultyDriver(PosixDriver(root), plan),
-        retry=RetryPolicy(
-            max_attempts=6, base_delay_s=0.005, max_delay_s=0.03
-        ),
+        driver=RetryingDriver(
+            chaos.FaultyDriver(PosixDriver(root), plan),
+            RetryPolicy(max_attempts=6, base_delay_s=0.005, max_delay_s=0.03),
+        )
     )
     CampaignRunner(
         store=store,
@@ -167,7 +151,7 @@ def _child_run_faulty(root, spec_dict, plan, owner, lease_ttl_s):
 
 class TestStorageFaults:
     def test_torn_writes_and_transient_errors_heal_in_the_driver_stack(
-        self, tmp_path, execute_chaos, clean_manifest
+        self, tmp_path, execute_chaos, clean
     ):
         injector = execute_chaos()
         root = tmp_path / "store"
@@ -177,29 +161,22 @@ class TestStorageFaults:
             injector,
         )
         assert driver.n_injected >= 3  # both tears and the hang
-        assert_converged(root, clean_manifest, injector.executed())
+        chaos.assert_converged(root, clean, injector.executed())
 
     def test_two_runners_over_faulty_driver_converge(
         self, tmp_path, execute_chaos
     ):
         """Two concurrent runners over one faulty posix store (torn
         writes and a hang for one, seeded transient errors on reads
-        and lease claims for the other) converge to the clean
-        manifest, with zero duplicated computations. A reader that
+        and lease claims for the other) converge to the clean run's
+        rows, with zero duplicated computations. A reader that
         finds the other runner's torn chunk write in progress must
         wait for the writer's retry, never quarantine it."""
         spec = fig17_campaign(
             rng=0, device_counts=(1, 2, 3, 4), n_rounds=1, engine="analytic"
         )
-        hashes = [p.content_hash() for p in spec.points()]
         store_root = tmp_path / "store"
-
-        clean_root = tmp_path / "clean"
-        CampaignRunner(
-            store=CampaignStore(clean_root),
-            use_leases=False,
-        ).run(spec)
-        CampaignStore(clean_root).manifest()
+        clean = chaos.clean_rows(spec, tmp_path / "clean")
 
         executions = execute_chaos()  # forked runners inherit it
 
@@ -238,26 +215,14 @@ class TestStorageFaults:
                     process.kill()
                     process.join(timeout=10.0)
 
-        store = CampaignStore(store_root)
-        assert sorted(store.manifest()["points"]) == sorted(hashes)
-        assert store.active_leases() == []
-        assert store.failures() == []
-        assert store.quarantined() == {}
-
-        # Byte-identical to the clean single-shot posix manifest.
-        assert (store_root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
-
         # Zero duplicated computations despite every injected fault.
-        logged = executions.executed()
-        assert sorted(logged) == sorted(hashes)
-        assert len(logged) == len(set(logged))
+        chaos.assert_converged(store_root, clean, executions.executed())
+        assert CampaignStore(store_root).active_leases() == []
 
 
 class TestNetworkChaos:
     def test_remote_store_heals_in_the_client_retry_stack(
-        self, tmp_path, execute_chaos, clean_manifest
+        self, tmp_path, execute_chaos, clean
     ):
         injector = execute_chaos()
         root = tmp_path / "served"
@@ -272,12 +237,12 @@ class TestNetworkChaos:
             store = CampaignStore(driver=build_driver(served.url))
             bounded(lambda: CampaignRunner(store=store).run(SPEC), injector)
             assert served.n_injected >= 3  # both cut writes and the stale read
-        assert_converged(root, clean_manifest, injector.executed())
+        chaos.assert_converged(root, clean, injector.executed())
 
 
 class TestServiceChaos:
     def test_concurrent_clients_converge_byte_identical(
-        self, tmp_path, execute_chaos, clean_manifest
+        self, tmp_path, execute_chaos, clean
     ):
         injector = execute_chaos()
         real = injector.real
@@ -321,4 +286,4 @@ class TestServiceChaos:
         assert warm.summary["points_computed"] == 0
         assert health["status"] == "ok" and health["campaigns_in_flight"] == 0
         assert health["n_submitted"] >= 3
-        assert_converged(root, clean_manifest, injector.executed())
+        chaos.assert_converged(root, clean, injector.executed())

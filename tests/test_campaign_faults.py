@@ -4,8 +4,8 @@ The load-bearing pins:
 
 * **leases** — concurrent runners on one store partition the pending
   points; a killed runner's leases expire and its points are
-  reclaimed; the converged store manifest is byte-identical to a
-  single-shot clean run's, with zero duplicated point computations;
+  reclaimed; the converged store exports a single-shot clean run's
+  rows, with zero duplicated point computations;
 * **retries** — a crashed or timed-out attempt retries with bounded,
   deterministic backoff; permanent failures surface as
   ``CampaignExecutionError`` (or as ``CampaignRun.failures`` under
@@ -21,7 +21,6 @@ The faults come from ``tests/chaos.py``: execute faults through the
 """
 
 import json
-import logging
 import multiprocessing
 import threading
 import time
@@ -412,19 +411,7 @@ class TestStoreIntegrity:
         store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
         assert store.has(point)
         assert len(store) == 1
-        assert point.content_hash() in store.manifest()["points"]
-
-    def test_corrupt_manifest_is_rebuilt(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        point = make_point()
-        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
-        manifest_path = tmp_path / "manifest.json"
-        store.manifest()
-        manifest_path.write_text("{ torn")
-        healed = store.manifest()
-        assert sorted(healed["points"]) == [point.content_hash()]
-        manifest_path.write_text(json.dumps({"schema": "other"}))
-        assert sorted(store.manifest()["points"]) == [
+        assert [row["content_hash"] for row in store.export_rows()] == [
             point.content_hash()
         ]
 
@@ -532,21 +519,6 @@ class TestStoreDegradation:
             point.content_hash()
         ]
 
-    def test_rebuilt_manifest_is_served_when_it_cannot_be_written(
-        self, tmp_path, caplog
-    ):
-        point = make_point()
-        CampaignStore(tmp_path).save(
-            point, {"phy_rate_bps": 1.0}, {"backend": "x"}
-        )
-        (tmp_path / "manifest.json").write_text("{ torn")
-        store = persistent_on(tmp_path, "put_atomic", "manifest.json")
-        with caplog.at_level(logging.WARNING, "repro.campaign.store"):
-            manifest = store.manifest()
-        assert sorted(manifest["points"]) == [point.content_hash()]
-        assert "could not persist rebuilt manifest" in caplog.text
-        assert (tmp_path / "manifest.json").read_text() == "{ torn"
-
     def test_status_skips_a_chunk_it_cannot_stat(self, tmp_path):
         point = make_point()
         CampaignStore(tmp_path).save(
@@ -650,8 +622,8 @@ class TestRunnerRetries:
     def test_torn_write_quarantined_and_recomputed(self, tmp_path):
         """Satellite: kill-mid-write healing. A silent storage fault
         tears the chunk as it lands; the next run quarantines it,
-        recomputes the point, and converges to a manifest byte-identical
-        to a store that never saw the fault."""
+        recomputes the point, and converges to the rows of a store
+        that never saw the fault."""
         spec = small_spec()
         store_root = tmp_path / "store"
         (torn_hash,) = [
@@ -676,17 +648,9 @@ class TestRunnerRetries:
         assert run.n_computed == 1 and run.n_cached == 1
         store = healer.store
         assert len(store.quarantined()) == 1
-        assert set(store.manifest()["points"]) == {
-            point.content_hash() for point in spec.points()
-        }
-
-        clean_root = tmp_path / "clean"
-        clean = CampaignRunner(store=clean_root, use_leases=False)
-        clean.run(spec)
-        store.manifest(), clean.store.manifest()
-        assert (store_root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
+        assert store.export_rows() == chaos.clean_rows(
+            spec, tmp_path / "clean"
+        )
 
     def test_leased_run_cleans_up_lease_files(self, tmp_path):
         spec = small_spec()
@@ -854,9 +818,8 @@ def _child_run(store_root, spec_dict, plan, owner, lease_ttl_s, workdir):
 
 class TestConcurrentRunners:
     """The PR's acceptance bar: two concurrent runners on one store,
-    one killed mid-run under an injected hang, converge to a manifest
-    byte-identical to a single-shot clean run with zero duplicated
-    point computations."""
+    one killed mid-run under an injected hang, converge to the rows of
+    a single-shot clean run with zero duplicated point computations."""
 
     def test_killed_runner_is_reclaimed_and_store_converges(self, tmp_path):
         spec = small_spec(counts=(1, 2, 3))
@@ -866,9 +829,7 @@ class TestConcurrentRunners:
         store_root = tmp_path / "store"
 
         # Reference: single-shot clean run (no exec log, no faults).
-        clean_root = tmp_path / "clean"
-        CampaignRunner(store=clean_root, use_leases=False).run(spec)
-        CampaignStore(clean_root).manifest()
+        clean = chaos.clean_rows(spec, tmp_path / "clean")
 
         # Victim A hangs until killed on the first point while holding
         # its lease (heartbeat keeps it live until A dies).
@@ -938,24 +899,14 @@ class TestConcurrentRunners:
                     process.join(timeout=10.0)
 
         assert survivor_started
-        store = CampaignStore(store_root)
-        assert sorted(store.manifest()["points"]) == sorted(hashes)
-        assert store.active_leases() == []
-        assert store.failures() == []
-
-        # Byte-identical to the clean single-shot store's manifest.
-        assert (store_root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
-
+        assert CampaignStore(store_root).active_leases() == []
         # Zero duplicated computations: every completed execution
         # logged exactly once, all by the surviving runner.
         logged = (workdir / "exec.log").read_text().split()[::2]
-        assert sorted(logged) == sorted(hashes)
+        chaos.assert_converged(store_root, clean, logged)
 
     def test_two_live_runners_partition_without_duplicates(self, tmp_path):
         spec = small_spec(counts=(1, 2, 3, 4))
-        hashes = [point.content_hash() for point in spec.points()]
         store_root = tmp_path / "store"
         workdir = tmp_path / "chaos"
 
@@ -986,11 +937,10 @@ class TestConcurrentRunners:
                     process.kill()
                     process.join(timeout=10.0)
 
-        store = CampaignStore(store_root)
-        assert sorted(store.manifest()["points"]) == sorted(hashes)
         logged = (workdir / "exec.log").read_text().split()[::2]
-        assert sorted(logged) == sorted(hashes)
-        assert len(logged) == len(set(logged))
+        chaos.assert_converged(
+            store_root, chaos.clean_rows(spec, tmp_path / "clean"), logged
+        )
 
 
 class TestCliFaultFlags:

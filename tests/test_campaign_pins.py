@@ -212,16 +212,18 @@ class TestStatusJsonPin:
         )
         assert main(["status", "--store", str(root), "--json"]) == 0
         storage = json.loads(capsys.readouterr().out)["storage"]
-        # The first status of a fresh store rebuilds the manifest: one
-        # missing-manifest get, then the rebuild's reads and one write.
+        # A status reads the chunks and writes nothing: one get per
+        # chunk, one stat per chunk, and one list each of points/ (the
+        # verified sweep and the byte count), failures/, leases/ and
+        # quarantine/.
         assert storage == {
             "driver": "retrying(posix)",
             "inner": {
                 "bytes_read": 569,
-                "bytes_written": 425,
+                "bytes_written": 0,
                 "driver": "posix",
-                "n_errors": 1,
-                "ops": {"get": 2, "list": 7, "put_atomic": 1, "stat": 1},
+                "n_errors": 0,
+                "ops": {"get": 1, "list": 5, "stat": 1},
             },
             "n_retries": 0,
         }
@@ -421,11 +423,12 @@ SETTABLE = {
         "use_leases", "allow_partial",
     ],
     CampaignServiceClient: ["url", "retry", "timeout_s"],
+    CampaignStore: ["locator", "driver"],
     CircuitBreaker: ["name"],
     CircuitBreakerDriver: ["inner"],
     HttpDriver: ["url"],
     PosixDriver: ["root"],
-    build_driver: ["spec", "root"],
+    build_driver: ["locator"],
 }
 
 

@@ -246,6 +246,8 @@ def test_require_integer_accepts_whole_numbers(value):
 def test_store_needs_a_root_or_a_driver():
     with pytest.raises(ValueError, match="root directory or a driver"):
         CampaignStore()
+    with pytest.raises(ValueError, match="not both"):
+        CampaignStore("memory://", driver=MemoryDriver())
 
 
 class TestObjectStoreServiceLifecycle:
@@ -596,7 +598,7 @@ class TestUnknownSpecKeys:
 
 
 def test_status_without_a_store_is_refused(capsys):
-    code = entrypoint(["status"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: need --store")
+    with pytest.raises(SystemExit) as exited:
+        entrypoint(["status"])
+    assert exited.value.code == 2
+    assert "arguments are required: --store" in capsys.readouterr().err

@@ -16,9 +16,8 @@ The load-bearing pins:
   ``http_error`` + Retry-After, ``disconnect`` before ``done``,
   ``delay``) heals inside the client's retry/breaker stack;
 * **acceptance** — N >= 3 concurrent clients under a seeded chaos plan
-  converge to byte-identical streams and a store manifest
-  byte-identical to a clean single-shot local run, with zero
-  duplicated computations.
+  converge to byte-identical streams and a store holding the rows of
+  a clean single-shot local run, with zero duplicated computations.
 """
 
 import json
@@ -693,16 +692,16 @@ class TestServerRefusals:
 
 class TestServeApiCli:
     """``serve-api`` and ``submit`` in-process: the banner names the
-    URL the service answers on, over the store the flags name."""
+    URL the service answers on, over the store ``--store`` names."""
 
-    @pytest.mark.parametrize("flag", ["--store", "--storage-driver"])
+    @pytest.mark.parametrize("form", ["path", "url"])
     def test_serve_api_serves_the_named_store(
-        self, monkeypatch, capsys, tmp_path, flag
+        self, monkeypatch, capsys, tmp_path, form
     ):
         from repro.campaign import cli
 
         root = tmp_path / "store"
-        value = str(root) if flag == "--store" else f"posix://{root}"
+        value = str(root) if form == "path" else f"posix://{root}"
         spec = small_spec()
         runs = []
 
@@ -713,11 +712,11 @@ class TestServeApiCli:
             runs.append(CampaignServiceClient(url, retry=FAST_RETRY).submit(spec))
 
         monkeypatch.setattr(cli, "_serve_until_interrupted", one_submit)
-        assert cli.main(["serve-api", flag, value, "--port", "0"]) == 0
+        assert cli.main(["serve-api", "--store", value, "--port", "0"]) == 0
         assert runs[0].summary["status"] == "complete"
         assert len(CampaignStore(root)) == len(list(spec.points()))
 
-    def test_serve_without_a_root_serves_memory(self, monkeypatch, capsys):
+    def test_serve_without_a_store_serves_memory(self, monkeypatch, capsys):
         from repro.campaign import cli
         from repro.campaign.objectstore import HttpDriver
 
@@ -726,7 +725,7 @@ class TestServeApiCli:
         def one_round_trip():
             banner = capsys.readouterr().out
             assert banner.startswith("serving memory:// at ")
-            driver = HttpDriver(banner.split("--storage-driver ")[1].rstrip(")\n"))
+            driver = HttpDriver(banner.split("--store ")[1].rstrip(")\n"))
             driver.put_atomic("notes/a.json", b"{}")
             read.append(driver.get("notes/a.json"))
 
@@ -761,13 +760,8 @@ class TestAcceptance:
         spec = small_spec(counts=(1, 2, 3, 4))
         hashes = [p.content_hash() for p in spec.points()]
 
-        # Clean single-shot local run — the reference manifest.
-        clean_root = tmp_path / "clean"
-        CampaignRunner(
-            store=CampaignStore(clean_root),
-            use_leases=False,
-        ).run(spec)
-        CampaignStore(clean_root).manifest()
+        # Clean single-shot local run — the reference rows.
+        clean = chaos.clean_rows(spec, tmp_path / "clean")
 
         executions = execute_chaos()
         slow_execute(monkeypatch, delay_s=0.03)
@@ -824,15 +818,9 @@ class TestAcceptance:
         assert len({b"".join(r.point_lines) for r in runs}) == 1
         assert all(r.summary["status"] == "complete" for r in runs)
 
-        # Exactly one execution per point across all the chaos.
-        assert sorted(executions.executed()) == sorted(hashes)
-
-        # The chaos store converged to the clean run's manifest, byte
-        # for byte.
-        CampaignStore(store_root).manifest()
-        assert (store_root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
+        # The chaos store converged to the clean run's rows, with
+        # exactly one execution per point across all the chaos.
+        chaos.assert_converged(store_root, clean, executions.executed())
 
         # Warm re-request: zero recompute, same bytes.
         warm = client_for(svc).submit(spec)

@@ -33,7 +33,7 @@ class TestBadStorageDriver:
             "run",
             "--spec",
             "fig17",
-            "--storage-driver",
+            "--store",
             "ftp://host/bucket",
         )
         assert code == 2
@@ -45,16 +45,17 @@ class TestBadStorageDriver:
         code, _, err = run_entry(
             capsys,
             "status",
-            "--storage-driver",
+            "--store",
             "http://127.0.0.1:9",
         )
         assert code == 2
         assert err.startswith("error: ")
 
     def test_posix_driver_without_store_exits_2(self, capsys):
-        code, _, err = run_entry(capsys, "run", "--spec", "fig17")
-        assert code == 2
-        assert "--store is required" in err
+        with pytest.raises(SystemExit) as exited:
+            entrypoint(["run", "--spec", "fig17"])
+        assert exited.value.code == 2
+        assert "arguments are required: --store" in capsys.readouterr().err
 
     def test_main_raises_for_library_callers(self):
         with pytest.raises(ReproError):
@@ -63,7 +64,7 @@ class TestBadStorageDriver:
                     "run",
                     "--spec",
                     "fig17",
-                    "--storage-driver",
+                    "--store",
                     "ftp://host/bucket",
                 ]
             )
@@ -92,31 +93,27 @@ class TestBadPorts:
         assert "Traceback" not in err and "serving" not in out
         assert "port" in err or f"127.0.0.1:{port}" in err
 
-    @pytest.mark.parametrize(
-        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
-    )
+    @pytest.mark.parametrize("command", ["serve", "serve-api"])
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_bad_port_leaves_no_store_behind(
-        self, capsys, tmp_path, command, store_flag, port
+        self, capsys, tmp_path, command, port
     ):
         store = tmp_path / "store"
         code, _, err = run_entry(
-            capsys, command, store_flag, str(store), "--port", port
+            capsys, command, "--store", str(store), "--port", port
         )
         assert code == 2 and "port" in err
         assert not store.exists()
 
-    @pytest.mark.parametrize(
-        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
-    )
+    @pytest.mark.parametrize("command", ["serve", "serve-api"])
     @pytest.mark.parametrize("store", ["store", "made/on/the/way"])
     def test_busy_port_leaves_no_store_behind(
-        self, capsys, tmp_path, busy_port, command, store_flag, store
+        self, capsys, tmp_path, busy_port, command, store
     ):
         """The store is made before the port is bound; a port another
         socket holds leaves no directory of the command's making."""
         code, out, err = run_entry(
-            capsys, command, store_flag, str(tmp_path / store),
+            capsys, command, "--store", str(tmp_path / store),
             "--port", busy_port,
         )
         assert code == 2
@@ -124,17 +121,15 @@ class TestBadPorts:
         assert f"127.0.0.1:{busy_port}" in err and "serving" not in out
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "command,store_flag", [("serve", "--root"), ("serve-api", "--store")]
-    )
+    @pytest.mark.parametrize("command", ["serve", "serve-api"])
     def test_busy_port_keeps_an_existing_store(
-        self, capsys, tmp_path, busy_port, command, store_flag
+        self, capsys, tmp_path, busy_port, command
     ):
         store = tmp_path / "store"
         store.mkdir()
         (store / "kept").write_text("data")
         code, _, err = run_entry(
-            capsys, command, store_flag, str(store), "--port", busy_port
+            capsys, command, "--store", str(store), "--port", busy_port
         )
         assert code == 2 and err.count("\n") == 1, err
         assert (store / "kept").read_text() == "data"
@@ -142,6 +137,7 @@ class TestBadPorts:
 
 class TestExportAndSpecErrors:
     def test_export_on_empty_store_is_clean(self, capsys, tmp_path):
+        (tmp_path / "empty").mkdir()
         code, out, err = run_entry(
             capsys, "export", "--store", str(tmp_path / "empty")
         )
@@ -149,7 +145,31 @@ class TestExportAndSpecErrors:
         assert json.loads(out) == []
         assert err == ""
 
+    @pytest.mark.parametrize("command", ["status", "export"])
+    def test_read_commands_refuse_a_missing_store(
+        self, capsys, tmp_path, command
+    ):
+        """A mistyped ``--store`` is refused, never made and read as an
+        empty store."""
+        typo = tmp_path / "typo"
+        code, out, err = run_entry(capsys, command, "--store", str(typo))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(typo) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_output_write_failure_exits_2(self, capsys, tmp_path):
+        output = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run_entry(
+            capsys, "export", "--store", str(tmp_path), "--output",
+            str(output),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(output) in err and "Traceback" not in err
+
     def test_export_empty_store_csv(self, capsys, tmp_path):
+        (tmp_path / "empty").mkdir()
         code, out, _ = run_entry(
             capsys,
             "export",

@@ -123,9 +123,8 @@ DOC_ANCHORS = {
         ".github/workflows/ci.yml",
         "tests/chaos.py",
         "timeout-minutes",
-        "--storage-driver",
+        "--store http://hostA:8123/campaign",
         "repro.campaign serve",
-        "http://hostA:8123/campaign",
         "tests/test_campaign_chaos.py",
         "serve-api",
         "--service http://hostA:8124",

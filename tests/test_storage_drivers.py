@@ -16,7 +16,7 @@ The load-bearing pins:
   read-only serving under ``allow_partial``;
 * **torn-write sweep** — a silent torn chunk at every interesting
   offset is quarantined by integrity verification and the campaign
-  converges byte-identical to a clean run;
+  converges to a clean run's rows;
 * **memory backend** — the campaign behaves identically on
   ``MemoryDriver``.
 
@@ -28,10 +28,12 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-import repro.campaign.cli as cli_module
+import chaos
+import repro.campaign.store as store_module
 from chaos import FaultyDriver
 from chaos import plan as chaos_plan
 from repro.campaign.cli import entrypoint as campaign_entrypoint
@@ -224,7 +226,7 @@ class TestFaultyDriver:
                 ]
             ),
         )
-        faulty.put_atomic("manifest.json", b"ok")  # not selected
+        faulty.put_atomic("spec.json", b"ok")  # not selected
         with pytest.raises(TransientStorageError):
             faulty.put_atomic("points/a.json", b"boom")
 
@@ -412,59 +414,52 @@ class TestRetryingDriver:
 
 
 class TestBuildDriver:
-    def test_default_posix_and_missing_root(self, tmp_path):
-        assert isinstance(build_driver(None, tmp_path / "s"), PosixDriver)
-        with pytest.raises(ConfigurationError, match="store root"):
-            build_driver(None)
+    def test_plain_path_is_posix(self, tmp_path):
+        for locator in (tmp_path / "a", str(tmp_path / "b")):
+            driver = build_driver(locator)
+            assert isinstance(driver, PosixDriver)
+            assert driver.root == Path(locator)
 
     @pytest.mark.parametrize("name", ["posix", "memory", "faulty", "s3"])
-    def test_bare_names_are_refused(self, name, tmp_path):
-        with pytest.raises(
-            ConfigurationError,
-            match="posix:///path, memory:// or http\\(s\\)://",
-        ):
-            build_driver(name, tmp_path)
+    def test_bare_names_are_directories(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        driver = build_driver(name)
+        assert isinstance(driver, PosixDriver) and driver.root == Path(name)
+        assert (tmp_path / name).is_dir()
 
     RUN = [
         "run", "--spec", "fig17", "--counts", "1", "--rounds", "1",
         "--engine", "analytic", "--no-leases",
     ]
-    BOTH = ["--store", "STORE", "--storage-driver", "memory://"]
 
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (RUN + ["--storage-driver", "posix"], "posix:///path"),
+            (RUN + ["--store", "ftp://host/bucket"], "ftp"),
             (RUN + ["--store", "STORE"], PosixDriver),
-            (RUN + BOTH, "--store and --storage-driver"),
-            (["status"] + BOTH, "--store and --storage-driver"),
-            (["export"] + BOTH, "--store and --storage-driver"),
-            (["serve-api", "--port", "0"] + BOTH,
-             "--store and --storage-driver"),
+            (RUN + ["--store", "posix://STORE"], PosixDriver),
+            (RUN + ["--store", "memory://"], MemoryDriver),
         ],
-        ids=[
-            "bare-name-exits-2", "no-flag-posix",
-            "run-refuses-both", "status-refuses-both",
-            "export-refuses-both", "serve-api-refuses-both",
-        ],
+        ids=["unknown-scheme-exits-2", "path-posix", "url-posix", "memory"],
     )
     def test_cli_driver_selection(
         self, argv, built, tmp_path, monkeypatch, capsys
     ):
-        """A refused command (``built`` is the error it names) exits 2
-        before it builds any driver or store."""
+        """``--store`` alone selects the driver; a refused locator
+        (``built`` is the error it names) exits 2 before it builds any
+        driver or store."""
         drivers = []
 
-        def recording_build_driver(*args, **kwargs):
-            drivers.append(build_driver(*args, **kwargs))
+        def recording_build_driver(locator):
+            drivers.append(build_driver(locator))
             return drivers[-1]
 
-        monkeypatch.setattr(cli_module, "build_driver", recording_build_driver)
-        # A serve-api that is not refused returns instead of serving.
-        monkeypatch.setattr(cli_module, "_serve_until_interrupted", lambda: None)
+        monkeypatch.setattr(
+            store_module, "build_driver", recording_build_driver
+        )
         store = tmp_path / "s"
         code = campaign_entrypoint(
-            [str(store) if arg == "STORE" else arg for arg in argv]
+            [arg.replace("STORE", str(store)) for arg in argv]
         )
         err = capsys.readouterr().err
         if isinstance(built, str):
@@ -478,14 +473,14 @@ class TestBuildDriver:
     def test_url_specs_parse_and_round_trip(self, tmp_path):
         from repro.campaign.storage import parse_driver_spec
 
-        posix = build_driver(f"posix://{tmp_path / 'via-url'}", None)
+        posix = build_driver(f"posix://{tmp_path / 'via-url'}")
         assert isinstance(posix, PosixDriver)
         assert posix.root == tmp_path / "via-url"
         # spec -> build_driver -> .spec is a fixed point.
-        again = build_driver(posix.spec, None)
+        again = build_driver(posix.spec)
         assert again.root == posix.root and again.spec == posix.spec
 
-        memory = build_driver("memory://", tmp_path)
+        memory = build_driver("memory://")
         assert isinstance(memory, MemoryDriver)
         assert memory.spec == "memory://"
         assert parse_driver_spec(memory.spec) == {"scheme": "memory"}
@@ -503,11 +498,11 @@ class TestBuildDriver:
             HttpDriver,
         )
 
-        driver = build_driver("http://127.0.0.1:1/campaign", None)
+        driver = build_driver("http://127.0.0.1:1/campaign")
         assert isinstance(driver, CircuitBreakerDriver)
         assert isinstance(driver.inner, HttpDriver)
         assert driver.spec == "http://127.0.0.1:1/campaign"
-        rebuilt = build_driver(driver.spec, None)
+        rebuilt = build_driver(driver.spec)
         assert rebuilt.spec == driver.spec
 
     @pytest.mark.parametrize(
@@ -523,13 +518,7 @@ class TestBuildDriver:
     )
     def test_malformed_url_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            build_driver(bad, None)
-
-    def test_posix_spec_without_root_rejected(self):
-        # Rootless specs (memory://, http://) omit the root; a bare
-        # posix driver still needs one, loudly.
-        with pytest.raises(ConfigurationError):
-            build_driver("posix")
+            build_driver(bad)
 
 
 class TestHeartbeatResilience:
@@ -592,15 +581,14 @@ class TestHeartbeatResilience:
 
 def _faulty_store(root, plan, retry=FAST_STORAGE_RETRY):
     return CampaignStore(
-        driver=FaultyDriver(PosixDriver(root), plan),
-        retry=retry,
+        driver=RetryingDriver(FaultyDriver(PosixDriver(root), plan), retry)
     )
 
 
 class TestTornWriteSweep:
     """Satellite: truncate puts at every interesting offset and assert
-    the store heals/quarantines and the campaign converges
-    byte-identical to a clean run."""
+    the store heals/quarantines and the campaign converges to a clean
+    run's rows."""
 
     # 0 = empty file, 1 = one byte, 40 = mid-JSON header, large =
     # everything but the closing brace/newline.
@@ -609,12 +597,6 @@ class TestTornWriteSweep:
     @pytest.mark.parametrize("offset", OFFSETS)
     def test_silent_torn_chunk_heals_on_rerun(self, tmp_path, offset):
         spec = small_spec(counts=(1,))
-        clean_root = tmp_path / "clean"
-        CampaignRunner(
-            store=CampaignStore(clean_root),
-            use_leases=False,
-        ).run(spec)
-
         root = tmp_path / "store"
         torn_store = _faulty_store(
             root,
@@ -634,16 +616,13 @@ class TestTornWriteSweep:
         CampaignRunner(store=torn_store, use_leases=False).run(spec)
 
         # The torn chunk landed "successfully"; a clean rerun must
-        # quarantine it, recompute, and converge byte-identically.
+        # quarantine it, recompute, and converge to the clean rows.
         healed = CampaignStore(root)
         CampaignRunner(store=healed, use_leases=False).run(spec)
         assert list(healed.quarantined().values()) == ["undecodable-json"]
-        healed.manifest()
-        clean_store = CampaignStore(clean_root)
-        clean_store.manifest()
-        assert (root / "manifest.json").read_bytes() == (
-            clean_root / "manifest.json"
-        ).read_bytes()
+        assert healed.export_rows() == chaos.clean_rows(
+            spec, tmp_path / "clean"
+        )
 
     def test_raised_torn_write_heals_without_recompute(
         self, tmp_path, execute_chaos
@@ -717,8 +696,9 @@ class TestTornWriteUnderLiveLease:
 
     def _reader(self, root, driver=None):
         return CampaignStore(
-            driver=driver or PosixDriver(root),
-            retry=self.READER_RETRY,
+            driver=RetryingDriver(
+                driver or PosixDriver(root), self.READER_RETRY
+            )
         )
 
     def _torn_chunk(self, root, point):
@@ -881,7 +861,7 @@ class TestReadOnlyDegradation:
 class TestMemoryDriverCampaign:
     """The campaign behaves identically on the in-process backend."""
 
-    def test_end_to_end_with_caching_and_manifest_parity(self, tmp_path):
+    def test_end_to_end_with_caching_and_row_parity(self, tmp_path):
         spec = small_spec(counts=(1, 2))
         memory_store = CampaignStore(driver=MemoryDriver())
         first = CampaignRunner(store=memory_store).run(spec)
@@ -891,15 +871,10 @@ class TestMemoryDriverCampaign:
         assert memory_store.active_leases() == []
         assert memory_store.failures() == []
 
-        # Manifest bytes equal the posix store's for the same points.
-        posix_root = tmp_path / "posix"
-        posix_store = CampaignStore(posix_root)
-        CampaignRunner(store=posix_store).run(spec)
-        memory_store.manifest()
-        posix_store.manifest()
-        assert memory_store.driver.get("manifest.json") == (
-            posix_root / "manifest.json"
-        ).read_bytes()
+        # The rows equal a clean posix run's for the same points.
+        chaos.assert_converged(
+            memory_store, chaos.clean_rows(spec, tmp_path / "posix")
+        )
 
     def test_two_threaded_runners_partition_one_memory_store(
         self, execute_chaos
@@ -924,7 +899,9 @@ class TestMemoryDriverCampaign:
             thread.start()
         for thread in threads:
             thread.join(timeout=120.0)
-        assert sorted(store.manifest()["points"]) == sorted(hashes)
+        assert sorted(row["content_hash"] for row in store.export_rows()) == (
+            sorted(hashes)
+        )
         assert sorted(executions.executed()) == sorted(hashes)
 
     def test_store_status_reports_driver_stats(self):
@@ -973,7 +950,7 @@ class TestCliStorageFlags:
                 "1",
                 "--rounds",
                 "1",
-                "--storage-driver",
+                "--store",
                 "memory://",
                 "--no-leases",
             ]
@@ -996,9 +973,9 @@ class TestCliStorageFlags:
             ]
         )
         monkeypatch.setattr(
-            cli_module,
+            store_module,
             "build_driver",
-            lambda *args: FaultyDriver(build_driver(*args), plan),
+            lambda locator: FaultyDriver(build_driver(locator), plan),
         )
         code = campaign_cli(
             [

@@ -550,19 +550,19 @@ def run_surfaces(session: Session) -> None:
                     "{work}/export.csv"])
 
     port = _free_port()
-    serve = campaign + ["serve", "--root", "{work}/served", "--port", str(port)]
+    serve = campaign + ["serve", "--store", "{work}/served", "--port", str(port)]
     server = session.start(serve, port)
     url = f"http://127.0.0.1:{port}/campaign"
-    run(campaign + ["run"] + POINTS + ["--storage-driver", url])
-    run(campaign + ["status", "--json", "--storage-driver", url])
+    run(campaign + ["run"] + POINTS + ["--store", url])
+    run(campaign + ["status", "--json", "--store", url])
     session.stop(server, serve)
 
     port = _free_port()
     serve = campaign + ["serve", "--port", str(port)]
     server = session.start(serve, port)
     url = f"http://127.0.0.1:{port}/campaign"
-    run(campaign + ["run"] + POINTS + ["--storage-driver", url])
-    run(campaign + ["status", "--storage-driver", url])
+    run(campaign + ["run"] + POINTS + ["--store", url])
+    run(campaign + ["status", "--store", url])
     session.stop(server, serve)
 
     port = _free_port()
