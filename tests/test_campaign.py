@@ -245,6 +245,29 @@ class TestCampaignStore:
         with pytest.raises(ReproError):
             CampaignStore(tmp_path).load(make_point())
 
+    def test_reports_see_chunks_saved_after_a_read(self, tmp_path):
+        """status and export count the chunks themselves, so a point
+        checkpointed after a report (by this store or another) shows
+        up in the next one."""
+        store = CampaignStore(tmp_path)
+        store.save(make_point(), {"m": 1.0}, {"backend": "analytic"})
+        assert store.status()["n_points"] == 1
+        CampaignStore(tmp_path).save(
+            make_point(seed=9), {"m": 2.0}, {"backend": "fft"}
+        )
+        assert store.status()["n_points"] == 2
+        assert len(store.export_rows()) == 2
+        assert CampaignStore(tmp_path).export_rows() == store.export_rows()
+
+    def test_reports_drop_deleted_chunks(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        chunk = store.save(make_point(), {"m": 1.0}, {})
+        assert store.status()["n_points"] == 1
+        chunk.unlink()
+        assert store.status()["n_points"] == 0
+        assert store.export_rows() == []
+        assert len(store) == 0
+
     def test_export_rows_are_sorted_and_merged(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.save(

@@ -415,6 +415,22 @@ class TestStoreIntegrity:
             point.content_hash()
         ]
 
+    def test_a_leftover_manifest_file_is_ignored(self, tmp_path):
+        """Older stores kept a derived ``manifest.json`` at the root;
+        the chunks are the only record now, so a stale or torn one is
+        neither read nor rewritten."""
+        store = CampaignStore(tmp_path)
+        point = make_point()
+        store.save(point, {"phy_rate_bps": 1.0}, {"backend": "x"})
+        clean_rows = store.export_rows()
+        leftover = tmp_path / "manifest.json"
+        for text in ("{ torn", json.dumps({"schema": "other", "points": {}})):
+            leftover.write_text(text)
+            assert store.status()["n_points"] == 1
+            assert store.export_rows() == clean_rows
+            assert store.quarantined() == {}
+            assert leftover.read_text() == text
+
     def test_export_rows_skip_quarantined_chunks(self, tmp_path):
         store = CampaignStore(tmp_path)
         good, bad = make_point(), make_point(seed=4321)
@@ -518,6 +534,30 @@ class TestStoreDegradation:
         assert [r["content_hash"] for r in store.failures()] == [
             point.content_hash()
         ]
+
+    def test_reports_are_served_when_nothing_can_be_written(self, tmp_path):
+        """status and export only read: a store that refuses every
+        write still reports what the plain store reports."""
+        point = make_point()
+        CampaignStore(tmp_path).save(
+            point, {"phy_rate_bps": 1.0}, {"backend": "x"}
+        )
+        read_only = CampaignStore(
+            driver=chaos.FaultyDriver(
+                PosixDriver(tmp_path),
+                chaos.plan(
+                    *(
+                        chaos.Rule("persistent", op=op, p=1.0)
+                        for op in chaos.WRITE_OPS + ("delete", "rename")
+                    )
+                ),
+            )
+        )
+        status = read_only.status()
+        assert status["n_points"] == 1
+        assert status["n_quarantined"] == 0
+        assert read_only.export_rows() == CampaignStore(tmp_path).export_rows()
+        assert read_only.driver.inner.n_injected == 0  # no write tried
 
     def test_status_skips_a_chunk_it_cannot_stat(self, tmp_path):
         point = make_point()
